@@ -1,11 +1,9 @@
 // Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (DESIGN.md §4). Each benchmark regenerates its artifact at
+// evaluation (README "Experiments and benchmarks"). Each benchmark regenerates its artifact at
 // smoke scale and logs the resulting rows under -v; headline numbers are
 // attached as custom metrics. For the full-scale tables, run
 // cmd/privehd-experiments instead.
 package privehd_test
-
-//lint:file-ignore SA1019 the deprecated constructors stay fully supported; these tests pin their behavior
 
 import (
 	"context"
@@ -257,7 +255,11 @@ func BenchmarkServingThroughput(b *testing.B) {
 	}
 
 	b.Run("single-conn", func(b *testing.B) {
-		remote, err := privehd.Dial(context.Background(), "tcp", addr, edge)
+		// No io timeout, so the connection pays no per-request deadline
+		// bookkeeping.
+		remote, err := privehd.Connect(context.Background(),
+			privehd.Target{Addrs: []string{addr}, Topology: privehd.TopologySingle},
+			privehd.WithEdge(edge), privehd.WithConnectPool(privehd.WithPoolIOTimeout(-1)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -274,7 +276,9 @@ func BenchmarkServingThroughput(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 	})
 	b.Run("pooled", func(b *testing.B) {
-		pool, err := privehd.DialPool(context.Background(), "tcp", addr, edge, privehd.WithPoolSize(4))
+		pool, err := privehd.Connect(context.Background(),
+			privehd.Target{Addrs: []string{addr}, Topology: privehd.TopologyPool},
+			privehd.WithEdge(edge), privehd.WithConnectPool(privehd.WithPoolSize(4)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -344,8 +348,7 @@ func BenchmarkShardedPredict(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer client.Close()
-	sharded := client.(*privehd.Sharded)
-	q, err := sharded.Edge().Prepare(X[0])
+	q, err := client.Edge().Prepare(X[0])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -353,7 +356,7 @@ func BenchmarkShardedPredict(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, _, err := sharded.PredictPrepared(q); err != nil {
+			if _, _, err := client.PredictPrepared(q); err != nil {
 				b.Error(err)
 				return
 			}

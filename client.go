@@ -12,60 +12,74 @@ import (
 	"privehd/internal/shard"
 )
 
-// Client is the topology-independent inference surface: one interface
-// whether the fleet behind it is a single connection (Remote), a pooled
-// address (Pool), a replicated fleet (Cluster), or a model split across
-// shard replicas (Sharded). Code written against Client chooses its
-// serving topology with a Connect Target — a flag, not a code path.
+// Client is the topology-independent inference surface Connect returns:
+// one type whether the fleet behind it is a single connection, a pooled
+// address, a replicated fleet, or a model split across shard replicas.
+// Code written against Client chooses its serving topology with a Connect
+// Target — a flag, not a code path. All methods are safe for concurrent
+// use.
 //
-// Every implementation pairs the connections with a local Edge, so the
-// §III-C privacy story is identical across topologies: inputs are
-// encoded, quantized and masked on the device, and only obfuscated
-// hypervectors cross the network.
+// Every client pairs its connections with a local Edge, so the §III-C
+// privacy story is identical across topologies: inputs are encoded,
+// quantized and masked on the device, and only obfuscated hypervectors
+// cross the network.
 type Client interface {
-	// Predict obfuscates one input on the edge and classifies it
-	// remotely, returning the predicted label and per-class scores.
+	// Predict obfuscates one input on the edge and classifies it remotely,
+	// returning the predicted label and per-class scores.
 	Predict(x []float64) (int, []float64, error)
 	// PredictContext is Predict bounded by ctx: the remaining context
 	// budget is stamped on every request frame (Request.BudgetNs), so
-	// servers shed work that can no longer answer in time, and
-	// cancellation aborts client-side waits. A deadline exceeded on the
-	// way out or in a server shed surfaces as ErrDeadlineExceeded.
+	// servers shed work that can no longer answer in time, retries draw
+	// from a shared per-call budget, and cancellation aborts client-side
+	// waits. A deadline exceeded on the way out or in a server shed
+	// surfaces as ErrDeadlineExceeded. With hedging enabled (Target.Hedge,
+	// WithHedging) a slow attempt races a backup replica, first reply wins.
 	PredictContext(ctx context.Context, x []float64) (int, []float64, error)
+	// PredictPrepared classifies an already-prepared query hypervector
+	// (the output of Edge().Prepare).
+	PredictPrepared(q []float64) (int, []float64, error)
+	// PredictPreparedContext is PredictPrepared bounded by ctx (see
+	// PredictContext).
+	PredictPreparedContext(ctx context.Context, q []float64) (int, []float64, error)
 	// PredictBatch obfuscates and classifies a batch of inputs.
 	PredictBatch(X [][]float64) ([]int, error)
-	// ListModels returns the serving registry's current listing.
+	// Edge returns the edge obfuscating the client's queries: the one
+	// WithEdge supplied, or the one Connect auto-configured from the
+	// server's advertised encoder setup.
+	Edge() *Edge
+	// Topology returns the resolved topology — never TopologyAuto.
+	Topology() Topology
+	// Shards returns the fleet's shard descriptors, one per failover
+	// group, or nil unless the client is sharded.
+	Shards() []ShardInfo
+	// ListModels returns the serving registry's current listing: every
+	// served model's name, version, geometry and public encoder setup,
+	// with the default flagged. Cluster and sharded clients ask the first
+	// replica that answers (a shard replica reports its slice geometry).
 	ListModels() ([]ModelInfo, error)
 	// Traces snapshots the process-wide client-side flight recorder —
 	// the slowest and most recent errored traced requests this process
 	// has sent (see SetTraceSampling).
 	Traces() TraceSnapshot
-	// Close releases the client's connections.
+	// Close releases the client's connections; in-flight calls fail with
+	// ErrTransport.
 	Close() error
 }
-
-// Compile-time checks: every serving topology implements Client.
-var (
-	_ Client = (*Remote)(nil)
-	_ Client = (*Pool)(nil)
-	_ Client = (*Cluster)(nil)
-	_ Client = (*Sharded)(nil)
-)
 
 // Topology selects how Connect arranges connections over the target
 // addresses.
 type Topology int
 
 const (
-	// TopologyAuto picks for you: one address dials a Pool; several
-	// addresses dial the first reachable one and build a Sharded client
-	// if it advertises a shard descriptor, a Cluster otherwise.
+	// TopologyAuto picks for you: one address is pooled; several
+	// addresses dial the first reachable one and connect sharded if it
+	// advertises a shard descriptor, as a cluster otherwise.
 	TopologyAuto Topology = iota
-	// TopologySingle is one pipelined connection (a Remote) to the first
-	// address.
+	// TopologySingle is one pipelined connection to the first address.
 	TopologySingle
 	// TopologyPool is a bounded pool of reused connections to the first
-	// address.
+	// address: dial on demand, idle reaping, redial with backoff, and one
+	// transparent retry of a query that failed with ErrTransport.
 	TopologyPool
 	// TopologyCluster load-balances over the addresses as whole-model
 	// replicas with health-tracked failover.
@@ -76,41 +90,51 @@ const (
 	TopologySharded
 )
 
+// topologyNames are the flag spellings, indexed by Topology.
+var topologyNames = [...]string{"auto", "single", "pool", "cluster", "sharded"}
+
 // String returns the topology's flag spelling ("auto", "single", "pool",
 // "cluster", "sharded").
 func (t Topology) String() string {
-	switch t {
-	case TopologyAuto:
-		return "auto"
-	case TopologySingle:
-		return "single"
-	case TopologyPool:
-		return "pool"
-	case TopologyCluster:
-		return "cluster"
-	case TopologySharded:
-		return "sharded"
+	if t < 0 || int(t) >= len(topologyNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return topologyNames[t]
 }
 
 // ParseTopology parses a topology flag value as spelled by
-// Topology.String.
+// Topology.String; the empty string is TopologyAuto.
 func ParseTopology(s string) (Topology, error) {
-	switch s {
-	case "auto", "":
+	if s == "" {
 		return TopologyAuto, nil
-	case "single":
-		return TopologySingle, nil
-	case "pool":
-		return TopologyPool, nil
-	case "cluster":
-		return TopologyCluster, nil
-	case "sharded":
-		return TopologySharded, nil
+	}
+	for t, name := range topologyNames {
+		if s == name {
+			return Topology(t), nil
+		}
 	}
 	return 0, fmt.Errorf("privehd: unknown topology %q (want auto|single|pool|cluster|sharded)", s)
 }
+
+// ErrNoHealthyReplicas reports that a cluster operation failed on every
+// distinct replica it could try — the whole fleet is unreachable. It wraps
+// ErrTransport (the condition is retryable once replicas return). Typed
+// protocol errors (ErrUnknownModel, ErrBatchTooLarge, …) are never
+// converted to this: they come from a live server and surface unchanged.
+var ErrNoHealthyReplicas = cluster.ErrNoHealthyReplicas
+
+// BalancePolicy selects how cluster and sharded clients spread requests
+// over healthy replicas.
+type BalancePolicy = cluster.Policy
+
+const (
+	// LeastInFlight sends each request to the healthy replica with the
+	// fewest outstanding requests (the default) — adaptive to replicas of
+	// unequal speed.
+	LeastInFlight = cluster.LeastInFlight
+	// RoundRobin cycles through healthy replicas in order.
+	RoundRobin = cluster.RoundRobin
+)
 
 // Target names what Connect should reach: where the servers are, which
 // model to bind to, and how to arrange connections over them.
@@ -121,6 +145,7 @@ type Target struct {
 	// first.
 	Addrs []string
 	// Model selects the served model (empty for each server's default).
+	// Unknown names are rejected with ErrUnknownModel.
 	Model string
 	// Topology arranges the connections (default TopologyAuto).
 	Topology Topology
@@ -136,12 +161,13 @@ type Target struct {
 type ConnectOption func(*connectConfig)
 
 type connectConfig struct {
-	edge   *Edge
-	pool   poolConfig
-	policy BalancePolicy
-	probe  time.Duration
-	hedge  *cluster.HedgePolicy
-	logger *slog.Logger
+	edge     *Edge
+	edgeOpts []Option
+	pool     poolConfig
+	policy   BalancePolicy
+	probe    time.Duration
+	hedge    *cluster.HedgePolicy
+	logger   *slog.Logger
 }
 
 // WithEdge supplies the Edge whose obfuscated queries the client should
@@ -155,7 +181,7 @@ func WithEdge(e *Edge) ConnectOption {
 // defences WithQueryMask and WithRawQueries — for the edge Connect
 // auto-configures. Ignored when WithEdge provides one.
 func WithEdgeOptions(opts ...Option) ConnectOption {
-	return func(c *connectConfig) { c.pool.edgeOpts = append(c.pool.edgeOpts, opts...) }
+	return func(c *connectConfig) { c.edgeOpts = append(c.edgeOpts, opts...) }
 }
 
 // WithConnectPool applies per-address pool options (WithPoolSize,
@@ -175,8 +201,10 @@ func WithConnectPolicy(p BalancePolicy) ConnectOption {
 	return func(c *connectConfig) { c.policy = p }
 }
 
-// WithConnectProbeInterval sets replica health-probe cadence for cluster
-// and sharded topologies (default 2s; d ≤ 0 disables probing).
+// WithConnectProbeInterval sets how often cluster and sharded topologies
+// health-probe replicas and re-admit ejected ones (default 2s); d ≤ 0
+// disables probing — a dead replica then only recovers when all replicas
+// were ejected and traffic falls back to retrying them.
 func WithConnectProbeInterval(d time.Duration) ConnectOption {
 	return func(c *connectConfig) {
 		if d <= 0 {
@@ -203,20 +231,89 @@ func WithHedging(d time.Duration) ConnectOption {
 }
 
 // WithConnectLogger routes structured health-transition events of cluster
-// and sharded topologies to log. By default they are discarded.
+// and sharded topologies (replica ejected / re-admitted, with address and
+// reason) to log. By default they are discarded.
 func WithConnectLogger(log *slog.Logger) ConnectOption {
 	return func(c *connectConfig) { c.logger = log }
 }
 
-// Connect is the one constructor for every serving topology: it dials the
-// target, performs (and validates) the protocol handshake, auto-configures
-// the obfuscating edge from the server's advertised encoder setup unless
-// WithEdge provides one, and returns the Client matching the target's
-// topology. The context bounds dialing and handshaking.
-//
-// It subsumes the older constructors — Dial, DialModel, NewRemote,
-// NewRemoteModel, DialPool and DialCluster remain as deprecated wrappers
-// around the same machinery.
+// PoolOption configures the per-address connection pools Connect builds
+// (see WithConnectPool).
+type PoolOption func(*poolConfig)
+
+type poolConfig struct {
+	size        int
+	maxPerConn  int
+	ioTimeout   time.Duration
+	idleTimeout time.Duration
+}
+
+// toInternal maps the public options to the internal pool configuration
+// (0 = internal default, negative = disabled).
+func (c poolConfig) toInternal() cluster.PoolConfig {
+	return cluster.PoolConfig{
+		Size:               c.size,
+		MaxInFlightPerConn: c.maxPerConn,
+		IOTimeout:          c.ioTimeout,
+		IdleTimeout:        c.idleTimeout,
+	}
+}
+
+// WithPoolSize bounds how many connections a pool keeps (default 4).
+func WithPoolSize(n int) PoolOption {
+	return func(c *poolConfig) {
+		if n > 0 {
+			c.size = n
+		}
+	}
+}
+
+// WithPoolMaxInFlight sets how many requests may be outstanding on one
+// pooled connection before the pool prefers opening another (default 32).
+func WithPoolMaxInFlight(n int) PoolOption {
+	return func(c *poolConfig) {
+		if n > 0 {
+			c.maxPerConn = n
+		}
+	}
+}
+
+// WithPoolIOTimeout bounds how long a connection waits for progress: each
+// frame write must complete within d, and whenever requests are in flight
+// a reply must arrive within d of the last one (idle connections never
+// time out). On expiry every in-flight call fails with an error wrapping
+// ErrIOTimeout. Every topology defaults to 30s so a hung server can never
+// block a Predict forever; pass d ≤ 0 to disable the bound.
+func WithPoolIOTimeout(d time.Duration) PoolOption {
+	return func(c *poolConfig) {
+		if d <= 0 {
+			c.ioTimeout = -1
+			return
+		}
+		c.ioTimeout = d
+	}
+}
+
+// WithPoolIdleTimeout sets how long an unused pooled connection may linger
+// before being closed (default 90s); pass d ≤ 0 to keep idle connections
+// forever.
+func WithPoolIdleTimeout(d time.Duration) PoolOption {
+	return func(c *poolConfig) {
+		if d <= 0 {
+			c.idleTimeout = -1
+			return
+		}
+		c.idleTimeout = d
+	}
+}
+
+// Connect is the one client constructor for every serving topology: it
+// dials the target, performs (and validates) the protocol handshake —
+// version, geometry and model mismatches surface as ErrVersionMismatch,
+// ErrGeometryMismatch and ErrUnknownModel — auto-configures the
+// obfuscating edge from the server's advertised encoder setup unless
+// WithEdge provides one, and returns a Client over the target's topology.
+// The context bounds dialing and handshaking.
 func Connect(ctx context.Context, t Target, opts ...ConnectOption) (Client, error) {
 	if len(t.Addrs) == 0 {
 		return nil, errors.New("privehd: Connect: no addresses in target")
@@ -228,7 +325,6 @@ func Connect(ctx context.Context, t Target, opts ...ConnectOption) (Client, erro
 	for _, o := range opts {
 		o(&cfg)
 	}
-	cfg.pool.model = t.Model
 	if t.Hedge && cfg.hedge == nil {
 		cfg.hedge = &cluster.HedgePolicy{}
 	}
@@ -244,17 +340,33 @@ func Connect(ctx context.Context, t Target, opts ...ConnectOption) (Client, erro
 			}
 		}
 	}
-	switch topo {
-	case TopologySingle:
-		return connectSingle(ctx, t, cfg)
-	case TopologyPool:
-		return connectPool(ctx, t, cfg)
-	case TopologyCluster:
-		return connectCluster(ctx, t, cfg)
-	case TopologySharded:
-		return connectSharded(ctx, t, cfg)
+	hello := offload.Hello{Model: t.Model}
+	if cfg.edge != nil {
+		hello.Dim = cfg.edge.Dim()
 	}
-	return nil, fmt.Errorf("privehd: Connect: unknown topology %d", int(t.Topology))
+	be, sh, err := dialBackend(ctx, topo, t, cfg, hello)
+	if err != nil {
+		return nil, err
+	}
+	edge := cfg.edge
+	if edge == nil {
+		if edge, err = edgeFromServerHello(sh, cfg.edgeOpts...); err != nil {
+			be.Close()
+			return nil, err
+		}
+	}
+	// Servers check an explicit edge's geometry in the handshake; a
+	// sharded fleet only learns the logical geometry by tiling.
+	if edge.Dim() != sh.Dim {
+		be.Close()
+		return nil, fmt.Errorf("%w: edge dim %d, served model dim %d", ErrGeometryMismatch, edge.Dim(), sh.Dim)
+	}
+	if topo == TopologySharded && edge.cfg.rawQueries {
+		be.Close()
+		return nil, fmt.Errorf("%w: WithRawQueries edges send full-precision vectors, which cannot be partial-scored across shards",
+			ErrPartialUnsupported)
+	}
+	return &client{edge: edge, be: be, topo: topo}, nil
 }
 
 // sniffTopology decides between cluster and sharded for a multi-address
@@ -282,134 +394,160 @@ func sniffTopology(ctx context.Context, t Target) (Topology, error) {
 	return 0, fmt.Errorf("privehd: Connect: no address reachable: %w", lastErr)
 }
 
-// connectSingle is TopologySingle: one pipelined connection plus its edge.
-// Connect applies the documented pool default of a 30s IO timeout here
-// too — a bare Dial defaults to none, but every Connect topology bounds
-// reply progress uniformly unless WithPoolIOTimeout(d ≤ 0) disables it.
-func connectSingle(ctx context.Context, t Target, cfg connectConfig) (*Remote, error) {
-	iot := cfg.pool.ioTimeout
-	if iot == 0 {
-		iot = cluster.DefaultIOTimeout
-	}
-	var dopts []DialOption
-	if t.Model != "" {
-		dopts = append(dopts, ForModel(t.Model))
-	}
-	if iot > 0 {
-		dopts = append(dopts, WithIOTimeout(iot))
-	}
-	if cfg.edge != nil {
-		return Dial(ctx, t.Network, t.Addrs[0], cfg.edge, dopts...)
-	}
-	var copts []offload.ClientOption
-	if iot > 0 {
-		copts = append(copts, offload.WithIOTimeout(iot))
-	}
-	client, err := offload.Dial(ctx, t.Network, t.Addrs[0], offload.Hello{Model: t.Model}, copts...)
-	if err != nil {
-		return nil, err
-	}
-	edge, err := edgeFromServerHello(client.ServerHello(), cfg.pool.edgeOpts...)
-	if err != nil {
-		client.Close()
-		return nil, err
-	}
-	return &Remote{edge: edge, client: client}, nil
+// backend carries prepared queries to the fleet for one topology. The
+// internal cluster.Pool and cluster.Cluster implement it as they are; the
+// single connection and the shard coordinator get thin adapters.
+type backend interface {
+	Classify(ctx context.Context, q []float64) (int, []float64, error)
+	ClassifyBatch(ctx context.Context, qs [][]float64) ([]int, error)
+	ListModels(ctx context.Context) ([]offload.ModelListing, error)
+	Close() error
 }
 
-// connectPool is TopologyPool: a bounded connection pool plus its edge.
-func connectPool(ctx context.Context, t Target, cfg connectConfig) (*Pool, error) {
-	pcfg := cfg.pool.toInternal()
-	pcfg.Network = t.Network
-	pcfg.Addr = t.Addrs[0]
-	pcfg.Hello = offload.Hello{Model: t.Model}
-	if cfg.edge != nil {
-		pcfg.Hello.Dim = cfg.edge.Dim()
-	}
-	pool := cluster.NewPool(pcfg)
-	hello, err := pool.Hello(ctx)
-	if err != nil {
-		pool.Close()
-		return nil, err
-	}
-	edge := cfg.edge
-	if edge == nil {
-		edge, err = edgeFromServerHello(hello, cfg.pool.edgeOpts...)
-		if err != nil {
-			pool.Close()
-			return nil, err
+// dialBackend connects the topology's backend and returns it with the
+// ServerHello the edge is configured from.
+func dialBackend(ctx context.Context, topo Topology, t Target, cfg connectConfig, hello offload.Hello) (backend, offload.ServerHello, error) {
+	switch topo {
+	case TopologySingle:
+		// Apply the pool default IO timeout here too, so every topology
+		// bounds reply progress unless WithPoolIOTimeout(d ≤ 0) disables
+		// it (offload ignores a negative timeout).
+		iot := cfg.pool.ioTimeout
+		if iot == 0 {
+			iot = cluster.DefaultIOTimeout
 		}
+		c, err := offload.Dial(ctx, t.Network, t.Addrs[0], hello, offload.WithIOTimeout(iot))
+		if err != nil {
+			return nil, offload.ServerHello{}, err
+		}
+		return singleBackend{c}, c.ServerHello(), nil
+	case TopologyPool:
+		pcfg := cfg.pool.toInternal()
+		pcfg.Network, pcfg.Addr, pcfg.Hello = t.Network, t.Addrs[0], hello
+		return helloed(ctx, cluster.NewPool(pcfg))
+	case TopologyCluster:
+		cl, err := cluster.NewCluster(cluster.ClusterConfig{
+			Network:       t.Network,
+			Addrs:         t.Addrs,
+			Hello:         hello,
+			Pool:          cfg.pool.toInternal(),
+			Policy:        cfg.policy,
+			ProbeInterval: cfg.probe,
+			Hedge:         cfg.hedge,
+			Logger:        cfg.logger,
+		})
+		if err != nil {
+			return nil, offload.ServerHello{}, fmt.Errorf("privehd: %w", err)
+		}
+		return helloed(ctx, cl)
+	case TopologySharded:
+		co, err := shard.New(ctx, shard.Config{
+			Network:       t.Network,
+			Addrs:         t.Addrs,
+			Model:         t.Model,
+			Pool:          cfg.pool.toInternal(),
+			Policy:        cfg.policy,
+			ProbeInterval: cfg.probe,
+			Hedge:         cfg.hedge,
+			Logger:        cfg.logger,
+		})
+		if err != nil {
+			return nil, offload.ServerHello{}, err
+		}
+		return shardBackend{co}, co.Hello(), nil
 	}
-	return &Pool{edge: edge, pool: pool}, nil
+	return nil, offload.ServerHello{}, fmt.Errorf("privehd: Connect: unknown topology %d", int(topo))
 }
 
-// connectCluster is TopologyCluster: whole-model replicas with failover.
-func connectCluster(ctx context.Context, t Target, cfg connectConfig) (*Cluster, error) {
-	hello := offload.Hello{Model: t.Model}
-	if cfg.edge != nil {
-		hello.Dim = cfg.edge.Dim()
-	}
-	cl, err := cluster.NewCluster(cluster.ClusterConfig{
-		Network:       t.Network,
-		Addrs:         t.Addrs,
-		Hello:         hello,
-		Pool:          cfg.pool.toInternal(),
-		Policy:        cfg.policy,
-		ProbeInterval: cfg.probe,
-		Hedge:         cfg.hedge,
-		Logger:        cfg.logger,
-	})
+// helloed validates a pool or cluster's first handshake eagerly.
+func helloed(ctx context.Context, b interface {
+	backend
+	Hello(context.Context) (offload.ServerHello, error)
+}) (backend, offload.ServerHello, error) {
+	sh, err := b.Hello(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("privehd: %w", err)
+		b.Close()
+		return nil, offload.ServerHello{}, err
 	}
-	sh, err := cl.Hello(ctx)
-	if err != nil {
-		cl.Close()
-		return nil, err
-	}
-	edge := cfg.edge
-	if edge == nil {
-		edge, err = edgeFromServerHello(sh, cfg.pool.edgeOpts...)
-		if err != nil {
-			cl.Close()
-			return nil, err
-		}
-	}
-	return &Cluster{edge: edge, cl: cl}, nil
+	return b, sh, nil
 }
 
-// connectSharded is TopologySharded: the addresses serve slices of one
-// logical model; predictions scatter–gather across them.
-func connectSharded(ctx context.Context, t Target, cfg connectConfig) (*Sharded, error) {
-	co, err := shard.New(ctx, shard.Config{
-		Network:       t.Network,
-		Addrs:         t.Addrs,
-		Model:         t.Model,
-		Pool:          cfg.pool.toInternal(),
-		Policy:        cfg.policy,
-		ProbeInterval: cfg.probe,
-		Hedge:         cfg.hedge,
-		Logger:        cfg.logger,
-	})
+// singleBackend is one pipelined protocol connection.
+type singleBackend struct{ c *offload.Client }
+
+func (b singleBackend) Classify(ctx context.Context, q []float64) (int, []float64, error) {
+	return b.c.ClassifyContext(ctx, q)
+}
+
+func (b singleBackend) ClassifyBatch(ctx context.Context, qs [][]float64) ([]int, error) {
+	results, err := b.c.ClassifyBatchScoresContext(ctx, qs)
+	return offload.Labels(results), err
+}
+
+func (b singleBackend) ListModels(context.Context) ([]offload.ModelListing, error) {
+	return b.c.ListModels()
+}
+
+func (b singleBackend) Close() error { return b.c.Close() }
+
+// client is the one Client implementation: it runs the edge step, then
+// hands the prepared queries to its topology's backend.
+type client struct {
+	edge *Edge
+	be   backend
+	topo Topology
+}
+
+func (c *client) Predict(x []float64) (int, []float64, error) {
+	return c.PredictContext(context.Background(), x)
+}
+
+func (c *client) PredictContext(ctx context.Context, x []float64) (int, []float64, error) {
+	q, err := c.edge.Prepare(x)
+	if err != nil {
+		return 0, nil, err
+	}
+	return c.be.Classify(ctx, q)
+}
+
+func (c *client) PredictPrepared(q []float64) (int, []float64, error) {
+	return c.PredictPreparedContext(context.Background(), q)
+}
+
+func (c *client) PredictPreparedContext(ctx context.Context, q []float64) (int, []float64, error) {
+	if len(q) != c.edge.Dim() {
+		return 0, nil, fmt.Errorf("privehd: prepared query has dim %d, edge dim %d", len(q), c.edge.Dim())
+	}
+	return c.be.Classify(ctx, q)
+}
+
+func (c *client) PredictBatch(X [][]float64) ([]int, error) {
+	qs, err := c.edge.PrepareBatch(X)
 	if err != nil {
 		return nil, err
 	}
-	edge := cfg.edge
-	if edge == nil {
-		edge, err = edgeFromServerHello(co.Hello(), cfg.pool.edgeOpts...)
-		if err != nil {
-			co.Close()
-			return nil, err
-		}
-	}
-	if edge.Dim() != co.Dim() {
-		co.Close()
-		return nil, fmt.Errorf("%w: edge dim %d, sharded model dim %d", ErrGeometryMismatch, edge.Dim(), co.Dim())
-	}
-	if edge.cfg.rawQueries {
-		co.Close()
-		return nil, fmt.Errorf("%w: WithRawQueries edges send full-precision vectors, which cannot be partial-scored across shards",
-			ErrPartialUnsupported)
-	}
-	return &Sharded{edge: edge, co: co}, nil
+	return c.be.ClassifyBatch(context.Background(), qs)
 }
+
+func (c *client) Edge() *Edge { return c.edge }
+
+func (c *client) Topology() Topology { return c.topo }
+
+func (c *client) Shards() []ShardInfo {
+	if s, ok := c.be.(shardBackend); ok {
+		return s.co.Groups()
+	}
+	return nil
+}
+
+func (c *client) ListModels() ([]ModelInfo, error) {
+	listings, err := c.be.ListModels(context.Background())
+	if err != nil {
+		return nil, err
+	}
+	return modelInfosFromListings(listings), nil
+}
+
+func (c *client) Traces() TraceSnapshot { return ClientTraces() }
+
+func (c *client) Close() error { return c.be.Close() }

@@ -58,17 +58,6 @@ import (
 	"privehd/internal/chaos"
 )
 
-// benchClient is the client surface the load loops need: the shared
-// privehd.Client interface plus prepared-query prediction and edge
-// access. Every concrete topology (Remote, Pool, Cluster, Sharded)
-// implements it.
-type benchClient interface {
-	privehd.Client
-	PredictPrepared(q []float64) (int, []float64, error)
-	PredictPreparedContext(ctx context.Context, q []float64) (int, []float64, error)
-	Edge() *privehd.Edge
-}
-
 type config struct {
 	addrs       []string // remote fleet; empty means selfserve
 	selfserve   int      // number of in-process replicas
@@ -305,27 +294,10 @@ func run(ctx context.Context, cfg config, errw io.Writer) (*summary, error) {
 		return nil, fmt.Errorf("connect fleet: %w", err)
 	}
 	defer client.Close()
-	cl, ok := client.(benchClient)
-	if !ok {
-		return nil, fmt.Errorf("client %T lacks PredictPrepared", client)
-	}
-	shardGroups := 1
-	topoName := cfg.topology.String()
-	if sh, isSharded := client.(*privehd.Sharded); isSharded {
-		shardGroups = len(sh.Shards())
-		topoName = privehd.TopologySharded.String()
-	} else if cfg.topology == privehd.TopologyAuto {
-		switch client.(type) {
-		case *privehd.Pool:
-			topoName = privehd.TopologyPool.String()
-		case *privehd.Cluster:
-			topoName = privehd.TopologyCluster.String()
-		case *privehd.Remote:
-			topoName = privehd.TopologySingle.String()
-		}
-	}
+	shardGroups := max(len(client.Shards()), 1)
+	topoName := client.Topology().String()
 
-	pool, err := queryPool(cl, cfg.queries, inputs)
+	pool, err := queryPool(client, cfg.queries, inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -343,7 +315,7 @@ func run(ctx context.Context, cfg config, errw io.Writer) (*summary, error) {
 
 	if cfg.warmup > 0 {
 		fmt.Fprintf(errw, "warming up %v (%d workers)\n", cfg.warmup, cfg.concurrency)
-		closedLoop(ctx, cl, pool, cfg.concurrency, cfg.warmup, cfg.deadline)
+		closedLoop(ctx, client, pool, cfg.concurrency, cfg.warmup, cfg.deadline)
 	}
 
 	var hedgesBefore uint64
@@ -372,9 +344,9 @@ func run(ctx context.Context, cfg config, errw io.Writer) (*summary, error) {
 	var res runResult
 	start := time.Now()
 	if cfg.mode == "open" {
-		res = openLoop(ctx, cl, pool, cfg.rate, cfg.concurrency, cfg.duration, cfg.deadline)
+		res = openLoop(ctx, client, pool, cfg.rate, cfg.concurrency, cfg.duration, cfg.deadline)
 	} else {
-		res = closedLoop(ctx, cl, pool, cfg.concurrency, cfg.duration, cfg.deadline)
+		res = closedLoop(ctx, client, pool, cfg.concurrency, cfg.duration, cfg.deadline)
 	}
 	elapsed := time.Since(start)
 	var traced []privehd.TraceEntry
@@ -555,7 +527,7 @@ func buildTraceReport(entries []privehd.TraceEntry) (*traceReport, error) {
 // path (wire + scoring) rather than client-side encoding. inputs supplies
 // raw feature vectors; when nil (remote fleets), deterministic synthetic
 // inputs matching the edge's advertised feature count are used.
-func queryPool(cl benchClient, n int, inputs [][]float64) ([][]float64, error) {
+func queryPool(cl privehd.Client, n int, inputs [][]float64) ([][]float64, error) {
 	edge := cl.Edge()
 	if len(inputs) == 0 {
 		rng := rand.New(rand.NewSource(1))
@@ -612,7 +584,7 @@ func errKind(err error) string {
 
 // predictOne issues one prepared-query prediction, with a per-request
 // deadline stamped on the wire when one is configured.
-func predictOne(ctx context.Context, cl benchClient, q []float64, deadline time.Duration) error {
+func predictOne(ctx context.Context, cl privehd.Client, q []float64, deadline time.Duration) error {
 	if deadline > 0 {
 		rctx, cancel := context.WithTimeout(ctx, deadline)
 		defer cancel()
@@ -625,7 +597,7 @@ func predictOne(ctx context.Context, cl benchClient, q []float64, deadline time.
 
 // closedLoop runs workers synchronous loops for d: each worker fires its
 // next query the moment the previous answer returns.
-func closedLoop(ctx context.Context, cl benchClient, pool [][]float64, workers int, d, deadline time.Duration) runResult {
+func closedLoop(ctx context.Context, cl privehd.Client, pool [][]float64, workers int, d, deadline time.Duration) runResult {
 	until := time.Now().Add(d)
 	var (
 		mu  sync.Mutex
@@ -668,7 +640,7 @@ func closedLoop(ctx context.Context, cl benchClient, pool [][]float64, workers i
 // d, with at most outstanding queries in flight. Latency is measured from
 // each query's scheduled arrival time, so server-induced queueing counts
 // against the server instead of being hidden by client backpressure.
-func openLoop(ctx context.Context, cl benchClient, pool [][]float64, rate float64, outstanding int, d, deadline time.Duration) runResult {
+func openLoop(ctx context.Context, cl privehd.Client, pool [][]float64, rate float64, outstanding int, d, deadline time.Duration) runResult {
 	var (
 		interval = time.Duration(float64(time.Second) / rate)
 		start    = time.Now()

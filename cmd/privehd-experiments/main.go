@@ -1,10 +1,10 @@
 // Command privehd-experiments regenerates every table and figure of the
-// Prive-HD evaluation (DESIGN.md §4) and writes the results as markdown —
-// the generator behind EXPERIMENTS.md.
+// Prive-HD evaluation and writes the results as a markdown report (see
+// README "Experiments and benchmarks").
 //
 // Usage:
 //
-//	privehd-experiments [-smoke] [-only fig5a,fig5b] [-o EXPERIMENTS.md]
+//	privehd-experiments [-smoke] [-only fig5a,fig5b] [-o results.md]
 package main
 
 import (
@@ -62,7 +62,7 @@ func main() {
 	b.WriteString("# Prive-HD — Experiment Results\n\n")
 	fmt.Fprintf(&b, "Generated by `go run ./cmd/privehd-experiments` (scale: %s, MaxDim %d) in %v.\n\n",
 		scaleName(*smoke), ctx.MaxDim, elapsed.Round(time.Second))
-	b.WriteString("Per DESIGN.md §2, datasets and hardware are simulated stand-ins; compare *shapes* " +
+	b.WriteString("Datasets and hardware are simulated stand-ins; compare *shapes* " +
 		"and ratios with the paper, not absolute values. Paper expectations are quoted in each " +
 		"table's note.\n\n")
 	for _, t := range suite.Tables {

@@ -1,8 +1,8 @@
 // Command privehd-serve is the cloud side of the §III-C offloaded
 // inference demo: it serves one or many models over TCP with the versioned
-// privehd protocol (v3: clients pick a model by name in the handshake and
-// can auto-configure their edge from the answer). Pair it with `privehd
-// infer`, examples/cloud_inference, or any privehd.Dial/DialModel client.
+// privehd protocol (clients pick a model by name in the handshake and can
+// auto-configure their edge from the answer). Pair it with `privehd
+// infer`, examples/cloud_inference, or any privehd.Connect client.
 // SIGINT/SIGTERM trigger a graceful shutdown that finishes in-flight
 // requests.
 //
@@ -22,8 +22,8 @@
 //	              [-max-batch 256] [-workers 0]
 //
 // -replicas N serves the same registry from N listeners on consecutive
-// ports — a one-process stand-in for a replica fleet that pooled cluster
-// clients (privehd.DialCluster) balance over and fail across:
+// ports — a one-process stand-in for a replica fleet that cluster clients
+// (privehd.Connect with TopologyCluster) balance over and fail across:
 //
 //	privehd-serve -addr :7311 -replicas 3
 //

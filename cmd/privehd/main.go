@@ -283,14 +283,13 @@ func runInfer(args []string) error {
 		return err
 	}
 	defer client.Close()
-	remote := client.(*privehd.Remote)
 
 	n := *samples
 	if n > len(d.TestX) {
 		n = len(d.TestX)
 	}
 	start := time.Now()
-	labels, err := remote.PredictBatch(d.TestX[:n])
+	labels, err := client.PredictBatch(d.TestX[:n])
 	if err != nil {
 		return err
 	}
@@ -300,9 +299,9 @@ func runInfer(args []string) error {
 			correct++
 		}
 	}
-	fmt.Printf("classified %d queries in %v: %.1f%% correct (quantize=%v, mask=%d, server D=%d classes=%d)\n",
+	fmt.Printf("classified %d queries in %v: %.1f%% correct (quantize=%v, mask=%d, D=%d)\n",
 		n, time.Since(start).Round(time.Millisecond),
-		100*float64(correct)/float64(n), *quantize, *mask, remote.Dim(), remote.Classes())
+		100*float64(correct)/float64(n), *quantize, *mask, edge.Dim())
 	return nil
 }
 

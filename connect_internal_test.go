@@ -1,11 +1,12 @@
 package privehd
 
-// In-package tests for Connect's resolved wire configuration: they reach
-// through the returned Client to the protocol connection to pin values the
-// public surface only documents.
+// In-package tests for Connect: they reach through the returned Client to
+// pin values the public surface only documents, and compare every topology
+// against local scoring of the same prepared queries.
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -34,6 +35,118 @@ func trainToy(t *testing.T) *Pipeline {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// serveTest serves reg on a loopback listener until the test ends.
+func serveTest(t *testing.T, reg *Registry) string {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewRegistryServer(reg)
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(context.Background(), lis) }()
+	t.Cleanup(func() {
+		srv.Close()
+		<-done
+	})
+	return lis.Addr().String()
+}
+
+// TestTopologiesMatchLocalPrediction is the differential oracle for the
+// serving topologies: every one of them, behind plain and masked edges,
+// must return labels and scores bit-identical to classifying the same
+// prepared queries locally.
+func TestTopologiesMatchLocalPrediction(t *testing.T) {
+	const dim = 2000
+	data, err := LoadDataset("isolet-s", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(WithDim(dim), WithLevels(20), WithSeed(3), WithRetrain(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Train(data.TrainX, data.TrainY); err != nil {
+		t.Fatal(err)
+	}
+
+	whole := NewRegistry()
+	if err := whole.Register("m", p); err != nil {
+		t.Fatal(err)
+	}
+	wholeAddrs := []string{serveTest(t, whole), serveTest(t, whole)}
+	var shardAddrs []string
+	for _, s := range []ShardSlice{{DimOffset: 0, DimLen: dim / 2}, {DimOffset: dim / 2, DimLen: dim / 2}} {
+		reg := NewRegistry()
+		if err := reg.RegisterShard("m", p, s); err != nil {
+			t.Fatal(err)
+		}
+		shardAddrs = append(shardAddrs, serveTest(t, reg))
+	}
+	targets := []Target{
+		{Addrs: wholeAddrs[:1], Topology: TopologySingle},
+		{Addrs: wholeAddrs[:1], Topology: TopologyPool},
+		{Addrs: wholeAddrs, Topology: TopologyCluster},
+		{Addrs: shardAddrs, Topology: TopologySharded},
+	}
+
+	X := data.TestX
+	for _, mask := range []int{0, dim / 4} {
+		var edgeOpts []Option
+		if mask > 0 {
+			edgeOpts = append(edgeOpts, WithQueryMask(mask))
+		}
+		edge, err := p.Edge(edgeOpts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantLabels := make([]int, len(X))
+		wantScores := make([][]float64, len(X))
+		for i, x := range X {
+			q, err := edge.Prepare(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantLabels[i], err = p.PredictVector(q); err != nil {
+				t.Fatal(err)
+			}
+			wantScores[i] = p.core.Model().Scores(q)
+		}
+
+		for _, target := range targets {
+			target.Model = "m"
+			t.Run(fmt.Sprintf("%v/mask=%d", target.Topology, mask), func(t *testing.T) {
+				c, err := Connect(context.Background(), target, WithEdge(edge))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				labels, err := c.PredictBatch(X)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, x := range X {
+					label, scores, err := c.Predict(x)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if label != wantLabels[i] || labels[i] != wantLabels[i] {
+						t.Fatalf("query %d: Predict %d, PredictBatch %d, local %d", i, label, labels[i], wantLabels[i])
+					}
+					if len(scores) != len(wantScores[i]) {
+						t.Fatalf("query %d: %d scores, local %d", i, len(scores), len(wantScores[i]))
+					}
+					for k := range scores {
+						if scores[k] != wantScores[i][k] {
+							t.Fatalf("query %d class %d: score %v, local %v — not bit-identical", i, k, scores[k], wantScores[i][k])
+						}
+					}
+				}
+			})
+		}
+	}
 }
 
 func TestConnectSingleIOTimeoutDefault(t *testing.T) {
@@ -70,11 +183,11 @@ func TestConnectSingleIOTimeoutDefault(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			r, ok := c.(*Remote)
+			single, ok := c.(*client).be.(singleBackend)
 			if !ok {
-				t.Fatalf("TopologySingle returned %T, want *Remote", c)
+				t.Fatalf("TopologySingle built a %T backend", c.(*client).be)
 			}
-			if got := r.client.IOTimeout(); got != tc.want {
+			if got := single.c.IOTimeout(); got != tc.want {
 				t.Fatalf("wire IOTimeout = %v, want %v", got, tc.want)
 			}
 		})

@@ -55,10 +55,11 @@
 // v4's per-request IDs make connections pipelined: requests from any
 // number of goroutines interleave over one connection through dedicated
 // send/recv goroutines and replies may return out of order, matched by ID
-// — so Remote is safe for concurrent use, large batches cost one round
-// trip, and Op("list-models") discovers the served registry over the wire
-// (Remote.ListModels). v2/v3 clients are still served strictly in order.
-// WithIOTimeout bounds reply progress so a hung server cannot block a
+// — so one connection serves concurrent callers, large batches cost one
+// round trip, and Op("list-models") discovers the served registry over
+// the wire (Client.ListModels). v2/v3 clients are still served strictly
+// in order. Servers bound each new connection's handshake, and
+// WithPoolIOTimeout bounds reply progress so a hung server cannot block a
 // Predict forever. The client side pairs connections with a
 // Pipeline.Edge — the on-device obfuscator (1-bit quantization plus
 // WithQueryMask dimension masking) whose output is all that ever crosses
@@ -69,23 +70,20 @@
 //	c, err := privehd.Connect(ctx, privehd.Target{Addrs: []string{addr}}, privehd.WithEdge(edge))
 //	labels, err := c.PredictBatch(X)
 //
-// Connect is the one constructor for every serving topology, and Client
-// is the topology-independent interface it returns: the Target's
-// Topology field — not the calling code — chooses between a single
-// pipelined connection (TopologySingle → Remote), a bounded connection
-// pool (TopologyPool → Pool), a replicated fleet with health-tracked
-// failover (TopologyCluster → Cluster) and a model split across shard
-// replicas (TopologySharded → Sharded). TopologyAuto (the zero value)
-// sniffs: one address pools it, several addresses build a Sharded client
-// when the handshake advertises a shard descriptor and a Cluster
-// otherwise. The older constructors — Dial, DialModel, NewRemote,
-// NewRemoteModel, DialPool, DialCluster — remain as deprecated wrappers
-// around the same machinery.
+// Connect is the one client constructor, and Client the one client type,
+// for every serving topology: the Target's Topology field — not the
+// calling code — chooses between a single pipelined connection
+// (TopologySingle), a bounded connection pool (TopologyPool), a replicated
+// fleet with health-tracked failover (TopologyCluster) and a model split
+// across shard replicas (TopologySharded). TopologyAuto (the zero value)
+// sniffs: one address pools it, several addresses connect sharded when
+// the handshake advertises a shard descriptor and as a cluster otherwise;
+// Client.Topology reports what was resolved.
 //
 // Sharded serving splits one logical model across replicas by dimension
 // slice and/or class range: Registry.RegisterShard publishes a slice
 // (privehd-serve -shard dim=0:5000 from the command line), the v5
-// handshake advertises it, and the Sharded client scatters each packed
+// handshake advertises it, and a sharded client scatters each packed
 // query to every shard group, gathers their exact integer partial
 // scores, and reduces — bit-identical to serving the unsplit model,
 // because integer dot products compose exactly across a dimension
@@ -97,8 +95,8 @@
 //
 // Production deployments serve many models behind one listener through a
 // Registry of named, versioned pipelines: clients select one in the
-// handshake (ForModel) or auto-configure their whole edge from the
-// advertised encoder setup (DialModel, knowing nothing but the name), and
+// handshake (Target.Model) and auto-configure their whole edge from the
+// advertised encoder setup, knowing nothing but the name, and
 // Registry.Swap hot-publishes an updated model without dropping
 // connections or failing queries in flight (the registry view is one
 // atomic RCU snapshot; lookups never block):
@@ -106,22 +104,22 @@
 //	reg := privehd.NewRegistry()
 //	err = reg.Register("isolet", pipe)           // first registered = default
 //	go privehd.ServeRegistry(ctx, lis, reg, privehd.WithServerWorkers(8))
-//	remote, err := privehd.DialModel(ctx, "tcp", addr, "isolet")
+//	c, err := privehd.Connect(ctx, privehd.Target{Addrs: []string{addr}, Model: "isolet"})
 //	err = reg.Swap("isolet", retrained)          // live, version-bumped
 //
-// Above single connections sit the client-side scaling layers. A Pool
-// (DialPool) multiplexes any number of concurrent callers over a small
-// reused set of pipelined connections to one address — dial-on-demand,
-// idle reaping, redial with backoff, and one transparent retry of
-// idempotent queries on transport failure. A Cluster (DialCluster) serves
-// one model from many replica addresses: least-in-flight or round-robin
-// balancing over per-replica pools, ejection of replicas whose transport
-// fails, periodic health probes that re-admit them, and transparent
-// failover — callers only see ErrNoHealthyReplicas when the whole fleet
-// is down, or a typed protocol error a live server actually answered:
+// Above single connections sit the client-side scaling layers. A pool
+// multiplexes any number of concurrent callers over a small reused set of
+// pipelined connections to one address — dial-on-demand, idle reaping,
+// redial with backoff, and one transparent retry of idempotent queries on
+// transport failure. A cluster serves one model from many replica
+// addresses: least-in-flight or round-robin balancing over per-replica
+// pools, ejection of replicas whose transport fails, periodic health
+// probes that re-admit them, and transparent failover — callers only see
+// ErrNoHealthyReplicas when the whole fleet is down, or a typed protocol
+// error a live server actually answered:
 //
-//	cl, err := privehd.DialCluster(ctx, "tcp", addrs, nil, // nil = auto-configure the edge
-//	    privehd.WithClusterModel("isolet"))
+//	cl, err := privehd.Connect(ctx, privehd.Target{ // edge auto-configured
+//	    Addrs: addrs, Model: "isolet", Topology: privehd.TopologyCluster})
 //	models, err := cl.ListModels()               // registry discovery over the wire
 //	label, scores, err := cl.Predict(x)          // balanced + failover
 //
@@ -178,7 +176,7 @@
 // surface as ErrOverloaded, which wraps ErrTransport so pools retry and
 // clusters fail over on their own. Cluster health transitions and manager
 // model-lifecycle events emit structured log/slog records through
-// WithClusterLogger and WithManagerLogger (silent by default). The
+// WithConnectLogger and WithManagerLogger (silent by default). The
 // cmd/privehd-bench load generator drives a real fleet closed- or
 // open-loop and cross-audits the /metrics counters against its own tally.
 //

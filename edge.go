@@ -72,14 +72,14 @@ func (p *Pipeline) Edge(opts ...Option) (*Edge, error) {
 }
 
 // edgeFromServerHello builds the edge matching a v3 server's advertised
-// encoder setup — the auto-configuration path of DialModel: base and level
+// encoder setup — the auto-configuration path of Connect: base and level
 // hypervectors are deterministic in the advertised (public) geometry and
 // seed, so the resulting edge produces queries compatible with the served
 // model without any hand-matched flags. Extra options layer the §III-C
 // defences on top.
 func edgeFromServerHello(h offload.ServerHello, opts ...Option) (*Edge, error) {
 	if h.Features == 0 {
-		return nil, fmt.Errorf("privehd: server advertised no encoder setup for model %q (registered without one); build the edge explicitly and use Dial", h.Model)
+		return nil, fmt.Errorf("privehd: server advertised no encoder setup for model %q (registered without one); build the edge explicitly and pass it WithEdge", h.Model)
 	}
 	base := []Option{
 		WithDim(h.Dim),

@@ -3,11 +3,11 @@
 // serves a registry of named models; an edge client picks its model by
 // name and auto-configures its encoder from the handshake (no
 // hand-matched flags); queries are 1-bit quantized and masked before they
-// leave the device; an eavesdropper taps the wire and tries the Eq. 10
-// reconstruction on what it sees; the served model is hot-swapped for a
+// leave the device; an eavesdropper taps the server's side of the wire and
+// tries the Eq. 10 reconstruction on what it sees; the served model is hot-swapped for a
 // better one while the client's connection stays up; and finally the
 // registry is scaled out to a 3-replica fleet that a pooled, pipelined
-// Cluster client balances over — discovering the models over the wire,
+// cluster client balances over — discovering the models over the wire,
 // surviving a replica kill mid-traffic, and watching the prober eject the
 // corpse. Every client is built by privehd.Connect, so the topology —
 // single connection, replica cluster, or the protocol-v5 sharded fleet
@@ -31,7 +31,9 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,10 +84,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The eavesdropper sits on the cloud side of the wire: every query the
+	// server reads from this listener is also decoded for it.
+	tapped, tap := privehd.Tap(lis)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		if err := privehd.ServeRegistry(ctx, lis, registry, privehd.WithServerWorkers(4)); err != nil {
+		if err := privehd.ServeRegistry(ctx, tapped, registry, privehd.WithServerWorkers(4)); err != nil {
 			log.Println("serve:", err)
 		}
 	}()
@@ -102,22 +107,19 @@ func main() {
 	// §III-C defences layer on top: 1-bit quantization (default) plus
 	// masking 1/6 of the dimensions. MNIST tolerates only modest masking
 	// (paper Fig. 9: "accuracy loss is abrupt"), but even a 1k-dim mask
-	// pushes reconstruction below ~15 dB. The eavesdropper taps the
-	// client's connection.
-	raw, err := net.Dial("tcp", lis.Addr().String())
-	if err != nil {
-		log.Fatal(err)
-	}
-	tapped, tap := privehd.Tap(raw)
-	//lint:ignore SA1019 the tap wraps a pre-established conn, which Connect (a dialer) cannot; NewRemoteModel stays the escape hatch for exactly this
-	remote, err := privehd.NewRemoteModel(tapped, "mnist", privehd.WithQueryMask(dim/6))
+	// pushes reconstruction below ~15 dB.
+	remote, err := privehd.Connect(ctx, privehd.Target{
+		Addrs:    []string{lis.Addr().String()},
+		Model:    "mnist",
+		Topology: privehd.TopologySingle,
+	}, privehd.WithEdgeOptions(privehd.WithQueryMask(dim/6)))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer remote.Close()
 	edge := remote.Edge()
-	fmt.Printf("edge: auto-configured from the handshake (model %q v%d, D=%d, %d features)\n",
-		remote.Model(), remote.ModelVersion(), edge.Dim(), edge.Features())
+	fmt.Printf("edge: auto-configured from the handshake (model \"mnist\", D=%d, %d features)\n",
+		edge.Dim(), edge.Features())
 
 	n := 20
 	if n > len(data.TestX) {
@@ -183,7 +185,7 @@ func main() {
 		swapped, n)
 
 	// --- Scale out: two more replicas serve the same registry, and a
-	// Cluster client multiplexes concurrent callers over pooled, pipelined
+	// cluster client multiplexes concurrent callers over pooled, pipelined
 	// connections with least-in-flight balancing across all three. When a
 	// replica dies mid-traffic, its requests fail over transparently and
 	// the health prober ejects it.
@@ -203,7 +205,7 @@ func main() {
 		}()
 		addrs = append(addrs, l.Addr().String())
 	}
-	cc, err := privehd.Connect(ctx, privehd.Target{
+	clusterClient, err := privehd.Connect(ctx, privehd.Target{
 		Addrs:    addrs,
 		Model:    "mnist",
 		Topology: privehd.TopologyCluster,
@@ -213,8 +215,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer cc.Close()
-	clusterClient := cc.(*privehd.Cluster)
+	defer clusterClient.Close()
 	fmt.Printf("\ncloud: scaled out to %d replicas; cluster client auto-configured its edge\n", len(addrs))
 
 	// Model discovery over the wire (protocol v4): no out-of-band config.
@@ -263,12 +264,14 @@ func main() {
 	wg.Wait()
 	fmt.Printf("cluster: %d callers × %d queries with a replica killed mid-run: %d correct, %d failed\n",
 		callers, perCaller, ok32.Load(), failed32.Load())
-	for _, st := range clusterClient.Replicas() {
-		state := "healthy"
-		if !st.Healthy {
-			state = "ejected"
+	// Replica health as an operator sees it: the cluster's /metrics gauges
+	// (1 admitted, 0 ejected).
+	rec := httptest.NewRecorder()
+	privehd.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if strings.HasPrefix(line, "privehd_cluster_replica_healthy{") {
+			fmt.Println("  " + line)
 		}
-		fmt.Printf("  replica %-22s %-8s %d conns\n", st.Addr, state, st.Conns)
 	}
 
 	// --- Shard: protocol v5 splits one logical model across slice
@@ -321,9 +324,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer shardClient.Close()
-	sharded := shardClient.(*privehd.Sharded)
 	fmt.Printf("\ncloud: \"mnist-q\" split across %d shard replicas:\n", len(shardAddrs))
-	for _, s := range sharded.Shards() {
+	for _, s := range shardClient.Shards() {
 		fmt.Printf("  %s\n", s.String())
 	}
 
@@ -333,7 +335,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sLabel, sScores, err := sharded.Predict(data.TestX[i])
+		sLabel, sScores, err := shardClient.Predict(data.TestX[i])
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -394,11 +396,11 @@ func main() {
 		}
 	}()
 
-	// --- Remote rollback: an operator decides v2 was a mistake and rolls
+	// --- Rollback over HTTP: an operator decides v2 was a mistake and rolls
 	// "mnist" back over the authenticated HTTP management plane while an
 	// edge client keeps querying. The RCU swap means no request is dropped:
 	// frames in flight finish on v2, later frames score on v1.
-	c2, err := privehd.Connect(ctx2, privehd.Target{
+	remote2, err := privehd.Connect(ctx2, privehd.Target{
 		Addrs:    []string{dataLis.Addr().String()},
 		Model:    "mnist",
 		Topology: privehd.TopologySingle,
@@ -406,9 +408,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer c2.Close()
-	remote2 := c2.(*privehd.Remote)
-	fmt.Printf("edge: reconnected to recovered \"mnist\" v%d\n", remote2.ModelVersion())
+	defer remote2.Close()
+	fmt.Println("edge: reconnected to the recovered \"mnist\"")
 
 	trafficDone := make(chan int)
 	stopTraffic := make(chan struct{})

@@ -14,8 +14,8 @@ type ExperimentTable = experiments.Table
 // table plus the ASCII reconstruction strips of Figs. 2 and 6.
 type ExperimentSuite = experiments.Suite
 
-// DefaultExperimentContext is the full-scale experiment configuration the
-// committed EXPERIMENTS.md is generated with.
+// DefaultExperimentContext is the full-scale experiment configuration
+// cmd/privehd-experiments runs without -smoke.
 func DefaultExperimentContext() ExperimentContext { return experiments.DefaultContext() }
 
 // SmokeExperimentContext is a fast small-scale configuration for CI and

@@ -1,7 +1,5 @@
 package privehd_test
 
-//lint:file-ignore SA1019 the deprecated constructors stay fully supported; these tests pin their behavior
-
 import (
 	"bytes"
 	"context"
@@ -79,27 +77,23 @@ func TestFullLifecycle(t *testing.T) {
 			served.Dim(), served.Classes(), pipeline.Dim(), pipeline.Classes())
 	}
 
-	// --- 3. Serve the released pipeline; classify through an obfuscating
-	//        edge over real TCP. ------------------------------------------
+	// --- 3. Serve the released pipeline behind a wiretapped listener;
+	//        classify through an obfuscating edge over real TCP. ----------
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	tapped, tap := privehd.Tap(lis)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	serveDone := make(chan error, 1)
-	go func() { serveDone <- privehd.Serve(ctx, lis, served) }()
+	go func() { serveDone <- privehd.Serve(ctx, tapped, served) }()
 
 	edge, err := served.Edge(privehd.WithQueryMask(500))
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := net.Dial("tcp", lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tapped, tap := privehd.Tap(raw)
-	remote, err := privehd.NewRemote(tapped, edge)
+	remote, err := dialEdge(lis.Addr().String(), "", edge)
 	if err != nil {
 		t.Fatal(err)
 	}

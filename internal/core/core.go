@@ -12,8 +12,8 @@
 // norm of a single (quantized) encoding, treating the retrained model like
 // the one-shot sum of Eq. 3. Strictly, Eq. 5 retraining can bundle a sample
 // more than once, which would enlarge the true sensitivity; this
-// reproduction follows the paper's accounting and flags the caveat here and
-// in DESIGN.md rather than silently "fixing" the paper.
+// reproduction follows the paper's accounting and flags the caveat here
+// rather than silently "fixing" the paper.
 //
 // Inference (§III-C): the edge encodes, quantizes (1-bit) and masks the
 // query before offloading; the cloud-side model stays full precision and
@@ -109,7 +109,8 @@ func newEncoder(cfg Config) (hdc.Encoder, error) {
 }
 
 // PrivacyReport summarizes the privacy mechanics of a trained pipeline, the
-// quantities EXPERIMENTS.md reports per run.
+// quantities the experiment report (cmd/privehd-experiments) quotes per
+// run.
 type PrivacyReport struct {
 	// Quantizer is the encoding quantization scheme name.
 	Quantizer string
@@ -256,7 +257,7 @@ func TrainData(cfg Config, X [][]float64, y []int, classes int) (*Pipeline, erro
 	if cfg.KeepDims > 0 && cfg.KeepDims < cfg.HD.Dim {
 		keep = cfg.KeepDims
 		// DiscriminativeMask rather than the paper-literal magnitude
-		// ranking: see the mask's doc comment and DESIGN.md §5.
+		// ranking: see the mask's doc comment and experiments.Ablations.
 		p.mask = prune.DiscriminativeMask(model, cfg.HD.Dim-cfg.KeepDims)
 		prune.PruneModel(model, p.mask)
 		if cfg.RetrainEpochs > 0 {

@@ -6,7 +6,9 @@
 // dataset (FACE, 608 extracted features, binary). None of those corpora can
 // ship with an offline, stdlib-only reproduction, so this package generates
 // synthetic stand-ins with the same geometry (feature count, class count,
-// value range) and calibrated difficulty, as documented in DESIGN.md §2:
+// value range) and calibrated difficulty. Results on them are compared
+// with the paper by shape, not absolute value (README "Experiments and
+// benchmarks"):
 //
 //   - ISOLET-S and FACE-S are Gaussian prototype mixtures over [0,1]
 //     features — matching how the real sets behave as HD workloads (dense

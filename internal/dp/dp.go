@@ -169,8 +169,8 @@ func PrivatizeModelMasked(src *hrand.Source, m *hdc.Model, keep []bool, l2Sensit
 }
 
 // NoiseStd returns the standard deviation ∆f·σ of the Gaussian noise that
-// PrivatizeModel would apply — useful for reporting (EXPERIMENTS.md quotes
-// it alongside each ε).
+// PrivatizeModel would apply — useful for reporting (the experiment report
+// of cmd/privehd-experiments quotes it alongside each ε).
 func NoiseStd(l2Sensitivity float64, p Params) (float64, error) {
 	sigma, err := SigmaFactor(p)
 	if err != nil {

@@ -9,9 +9,10 @@ import (
 	"privehd/internal/vecmath"
 )
 
-// Ablations runs the design-choice studies DESIGN.md §5 calls out. They are
-// not paper figures; they justify implementation decisions made by this
-// reproduction.
+// Ablations runs the design-choice studies behind this reproduction's
+// departures from the paper (e.g. discriminative rather than magnitude
+// pruning). They are not paper figures; they justify implementation
+// decisions made by this reproduction.
 func Ablations(r *Runner) ([]*Table, error) {
 	var tables []*Table
 	for _, f := range []func(*Runner) (*Table, error){

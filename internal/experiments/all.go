@@ -10,8 +10,8 @@ type Suite struct {
 }
 
 // All runs every experiment in paper order and collects the results.
-// Failures abort the run: a partial EXPERIMENTS.md would silently
-// misrepresent coverage.
+// Failures abort the run: a partial report would silently misrepresent
+// coverage.
 func All(r *Runner) (*Suite, error) {
 	s := &Suite{}
 

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the Prive-HD
-// evaluation (see DESIGN.md §4 for the experiment index). Each Fig*/Table*
-// function returns one or more Tables of the same rows/series the paper
-// reports; cmd/privehd-experiments renders them into EXPERIMENTS.md.
+// evaluation (All lists them in paper order). Each Fig*/Table* function
+// returns one or more Tables of the same rows/series the paper reports;
+// cmd/privehd-experiments renders them into a markdown report.
 //
 // Determinism: every experiment is seeded; two runs with the same Context
 // produce identical tables.
@@ -18,7 +18,7 @@ import (
 // Context scopes an experiment run.
 type Context struct {
 	// Scale selects dataset sizes (dataset.Small for smoke tests and
-	// benchmarks, dataset.Full for the EXPERIMENTS.md run).
+	// benchmarks, dataset.Full for the full report).
 	Scale dataset.Scale
 	// MaxDim is the largest hypervector dimensionality (the paper's 10^4;
 	// smoke tests shrink it). Sweeps slice prefixes of MaxDim encodings,
@@ -35,8 +35,8 @@ type Context struct {
 	Seed uint64
 }
 
-// DefaultContext returns the full-scale configuration used to produce
-// EXPERIMENTS.md.
+// DefaultContext returns the full-scale configuration used to produce the
+// full report.
 func DefaultContext() Context {
 	return Context{
 		Scale:  dataset.Full,

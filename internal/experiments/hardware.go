@@ -103,7 +103,7 @@ func TableI(r *Runner) (*Table, error) {
 		ID:    "tableI",
 		Title: "Throughput (inputs/s) and energy (J/input) across platforms (paper Table I)",
 		Note: "Model columns come from the single-constant-set platform models in internal/fpga " +
-			"(see DESIGN.md §2); paper columns are the published measurements. The claim under " +
+			"(cost models, not measurements); paper columns are the published measurements. The claim under " +
 			"test is the ratio structure: FPGA ≈ 1e5× Pi and ~16× GPU throughput, ~5e4× and " +
 			"~290× energy.",
 		Columns: []string{"workload", "platform", "model tput", "paper tput", "model J/input", "paper J/input"},

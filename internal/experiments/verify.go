@@ -9,10 +9,11 @@ import (
 	"privehd/internal/dataset"
 )
 
-// Verify mechanically checks the reproduction targets (DESIGN.md §4 "shape
-// targets") against a generated suite and returns a pass/fail table. It is
-// the self-audit appended to EXPERIMENTS.md: every claim the README makes
-// about "shapes holding" is asserted here rather than eyeballed.
+// Verify mechanically checks the reproduction's shape targets — the
+// qualitative claims of the paper's figures and tables (PAPER.md) — against
+// a generated suite and returns a pass/fail table. It is the self-audit
+// appended to the experiment report: every claim the README makes about
+// "shapes holding" is asserted here rather than eyeballed.
 //
 // Accuracy-dependent checks need full-scale statistics; at smoke scale they
 // report "skipped" instead of a misleading fail.
@@ -20,7 +21,7 @@ func Verify(s *Suite, ctx Context) *Table {
 	t := &Table{
 		ID:      "repro-checks",
 		Title:   "Reproduction assertions (automated)",
-		Note:    "Mechanical checks of the DESIGN.md §4 shape targets against the tables above.",
+		Note:    "Mechanical checks of the paper's shape targets against the tables above.",
 		Columns: []string{"check", "status", "detail"},
 	}
 	fullScale := ctx.Scale == dataset.Full

@@ -151,20 +151,3 @@ func BenchmarkRetrainEpoch(b *testing.B) {
 		RetrainEpoch(m, encoded, labels)
 	}
 }
-
-func BenchmarkSequenceEncode(b *testing.B) {
-	enc, err := NewSequenceEncoder(hrand.New(103), 26, 10000, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	seq := make([]int, 64)
-	for i := range seq {
-		seq[i] = i % 26
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := enc.Encode(seq); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

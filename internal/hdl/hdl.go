@@ -5,7 +5,7 @@
 //
 // The emitted module is purely combinational (the paper's design pipelines
 // these blocks; register insertion is a synthesis-tool concern outside this
-// reproduction's scope, noted in DESIGN.md).
+// reproduction's scope).
 package hdl
 
 import (

@@ -3,6 +3,7 @@ package offload
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -47,6 +48,49 @@ func TestOverloadRejection(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("slot never freed after closing the held connection")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestSilentPeerReleasesSlot: a peer that connects and never sends its
+// handshake must be hung up on after the handshake bound, freeing its
+// WithMaxConns slot for a real client.
+func TestSilentPeerReleasesSlot(t *testing.T) {
+	srv := NewServer(toyModel(), WithMaxConns(1))
+	srv.handshake = 100 * time.Millisecond
+	lis := listen(t)
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(context.Background(), lis) }()
+	defer func() {
+		srv.Close()
+		<-done
+	}()
+	addr := lis.Addr().String()
+
+	silent, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	silent.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := silent.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("silent peer read = %v, want EOF from the server hanging up", err)
+	}
+
+	// The server forgets the conn just after closing it, so poll briefly.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		c, err := Dial(context.Background(), "tcp", addr, Hello{Dim: 4})
+		if err == nil {
+			defer c.Close()
+			if _, _, err := c.Classify([]float64{1, 1, 0, 0}); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		if !errors.Is(err, ErrOverloaded) || time.Now().After(deadline) {
+			t.Fatalf("dial after the silent peer timed out: %v", err)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

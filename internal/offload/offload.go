@@ -481,6 +481,9 @@ type Server struct {
 	maxBatch int
 	workers  int
 	maxConns int // 0 = unlimited
+	// handshake bounds each new connection's header and Hello reads
+	// (handshakeTimeout; tests shorten it).
+	handshake time.Duration
 
 	// Flight-recorder and slow-request plumbing: every answered frame is
 	// timed and offered to the recorder; frames at or over slowThresh
@@ -592,12 +595,13 @@ func NewServer(model *hdc.Model, opts ...ServerOption) *Server {
 // flight.
 func NewRegistryServer(reg *registry.Registry, opts ...ServerOption) *Server {
 	s := &Server{
-		reg:      reg,
-		maxBatch: DefaultMaxBatch,
-		workers:  runtime.GOMAXPROCS(0),
-		conns:    make(map[*srvConn]struct{}),
-		poolDone: make(chan struct{}),
-		recorder: trace.Default,
+		reg:       reg,
+		maxBatch:  DefaultMaxBatch,
+		workers:   runtime.GOMAXPROCS(0),
+		handshake: handshakeTimeout,
+		conns:     make(map[*srvConn]struct{}),
+		poolDone:  make(chan struct{}),
+		recorder:  trace.Default,
 	}
 	for _, o := range opts {
 		o(s)
@@ -747,6 +751,11 @@ func (s *Server) Served() int {
 // pipelines faster than the server answers.
 const maxConnPipeline = 128
 
+// handshakeTimeout bounds how long a new connection may take to send its
+// header and Hello. Without it a peer that connects and then says nothing
+// holds a WithMaxConns slot forever.
+const handshakeTimeout = 10 * time.Second
+
 // srvConn tracks one client connection's lifecycle for graceful shutdown,
 // plus the model name and protocol version the handshake bound it to. On
 // v4 connections many frames may be in flight at once, so the busy state is
@@ -755,7 +764,7 @@ type srvConn struct {
 	conn    net.Conn
 	peer    string // remote address, cached so per-frame entries don't re-format it
 	model   string // requested model name; "" = registry default
-	version byte   // negotiated protocol version (2–5)
+	version byte   // negotiated protocol version (2–5); written under mu, as Shutdown may read it mid-handshake
 
 	writeMu sync.Mutex     // serializes replies from concurrent v4+ frames
 	frames  sync.WaitGroup // in-flight v4+ frame goroutines
@@ -827,7 +836,10 @@ func (c *srvConn) askClose() {
 // v2/v3 connections are strictly request-reply, so they never have replies
 // at risk and close fully.
 func (c *srvConn) gracefulClose() {
-	if c.version >= versionV4 {
+	c.mu.Lock()
+	version := c.version
+	c.mu.Unlock()
+	if version >= versionV4 {
 		if cw, ok := c.conn.(closeWriter); ok {
 			cw.CloseWrite()
 			// Bound how long the handler's read loop waits for the peer
@@ -840,6 +852,18 @@ func (c *srvConn) gracefulClose() {
 		}
 	}
 	c.conn.Close()
+}
+
+// lingerClose follows a refusal sent before the peer's handshake was read:
+// it half-closes and discards what the peer still sends until it hangs up
+// or a short bound passes. Closing with those bytes unread would reset the
+// connection, which can destroy the refusal before the peer reads it.
+func lingerClose(conn net.Conn) {
+	if cw, ok := conn.(closeWriter); ok {
+		cw.CloseWrite()
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		io.Copy(io.Discard, conn)
+	}
 }
 
 // drainRefused discards incoming frames after a graceful close has refused
@@ -968,6 +992,7 @@ func (s *Server) rejectOverloaded(conn net.Conn) {
 		Detail:  fmt.Sprintf("connection limit %d reached, retry later", s.maxConns),
 		Version: ProtocolVersion,
 	})
+	lingerClose(conn)
 }
 
 // Close stops the listener and closes every connection immediately,
@@ -1025,6 +1050,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // hangs up or shutdown closes the connection.
 func (s *Server) handle(sc *srvConn) {
 	conn := sc.conn
+	conn.SetReadDeadline(time.Now().Add(s.handshake))
 	var hdr [4]byte
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 		return
@@ -1033,6 +1059,7 @@ func (s *Server) handle(sc *srvConn) {
 	if hdr[0] != magic[0] || hdr[1] != magic[1] || hdr[2] != magic[2] {
 		mRejections.With(codeBadMagic).Inc()
 		enc.Encode(ServerHello{Code: codeBadMagic, Version: ProtocolVersion})
+		lingerClose(conn)
 		return
 	}
 	if hdr[3] != ProtocolVersion && hdr[3] != versionV4 && hdr[3] != versionV3 && hdr[3] != versionV2 {
@@ -1042,9 +1069,12 @@ func (s *Server) handle(sc *srvConn) {
 			Detail:  fmt.Sprintf("server speaks v%d (and accepts v%d–v%d), client sent v%d", ProtocolVersion, versionV2, versionV4, hdr[3]),
 			Version: ProtocolVersion,
 		})
+		lingerClose(conn)
 		return
 	}
+	sc.mu.Lock()
 	sc.version = hdr[3]
+	sc.mu.Unlock()
 	dec := gob.NewDecoder(conn)
 	var hello Hello
 	if err := dec.Decode(&hello); err != nil {
@@ -1105,6 +1135,13 @@ func (s *Server) handle(sc *srvConn) {
 	if err := enc.Encode(accept); err != nil {
 		return
 	}
+	// Lift the handshake bound, unless a graceful close already set its own
+	// drain deadline on this connection.
+	sc.mu.Lock()
+	if !sc.closeWhenIdle {
+		conn.SetReadDeadline(time.Time{})
+	}
+	sc.mu.Unlock()
 	if sc.version >= ProtocolVersion {
 		// Install the drain notice now that the peer speaks v5 and the
 		// encoder owns the stream: a graceful shutdown pushes Reply{GoAway}
@@ -1556,7 +1593,7 @@ func Dial(ctx context.Context, network, addr string, hello Hello, opts ...Client
 }
 
 // NewClient performs the protocol handshake over an existing connection
-// (useful with net.Pipe or a tapped conn in tests), starts the send/recv
+// (useful with net.Pipe in tests), starts the send/recv
 // goroutines and returns the client. On handshake rejection the returned
 // error wraps ErrVersionMismatch, ErrGeometryMismatch, ErrUnknownModel or
 // ErrBadMagic; handshake i/o failures wrap ErrTransport.
@@ -1628,7 +1665,7 @@ func (c *Client) submitCtx(ctx context.Context, req Request) (*pending, error) {
 func (c *Client) submit(req Request) (*pending, error) {
 	p := &pending{req: req, done: make(chan struct{})}
 	// The sampling decision for the whole request path lives here, so
-	// Remote, Pool and Cluster all trace without any API of their own; the
+	// every client topology traces without any API of its own; the
 	// ID crosses the wire on the frame. Unsampled requests pay one atomic
 	// load and zero allocations beyond the pending itself.
 	if id := trace.Sampled(); id != 0 {
@@ -2144,11 +2181,10 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// Wiretap records the queries that cross a connection — the honest-but-
-// curious channel observer of §I that the obfuscation defends against.
-// Wrap the client side of a connection with Tap and hand the wrapped conn
-// to NewClient; every outgoing query vector is then also delivered to the
-// tap.
+// Wiretap records the queries that cross the wire — the honest-but-curious
+// observer of §I that the obfuscation defends against. Tap a server's
+// listener and serve on the result: every query vector any accepted
+// connection reads is then also delivered to the tap.
 type Wiretap struct {
 	mu      sync.Mutex
 	queries [][]float64
@@ -2171,57 +2207,78 @@ func (w *Wiretap) record(v []float64) {
 	w.queries = append(w.queries, append([]float64(nil), v...))
 }
 
-// tappedConn duplicates decoded traffic to the wiretap. Interception
-// happens at the message layer (header skip + gob re-decode) rather than
-// raw bytes: the eavesdropper knows the protocol, as any network observer
-// of a published schema would.
+// decode records every query in one connection's client-to-server stream.
+// Interception happens at the message layer (header skip + gob re-decode)
+// rather than raw bytes: the eavesdropper knows the protocol, as any
+// network observer of a published schema would. Closing pr on exit turns
+// later mirror writes into no-ops instead of blocking the connection.
+func (w *Wiretap) decode(pr *io.PipeReader) {
+	defer pr.Close()
+	var hdr [4]byte
+	if _, err := io.ReadFull(pr, hdr[:]); err != nil {
+		return
+	}
+	dec := gob.NewDecoder(pr)
+	var hello Hello
+	if err := dec.Decode(&hello); err != nil {
+		return
+	}
+	// Expand packed queries through one pooled scratch buffer for the life
+	// of the connection (record copies what it keeps) instead of allocating
+	// a fresh float64 vector per observed query.
+	buf := vecScratch.Get().(*[]float64)
+	defer vecScratch.Put(buf)
+	for {
+		var req Request
+		if err := dec.Decode(&req); err != nil {
+			return
+		}
+		for _, q := range req.Queries {
+			w.record(q.vectorInto(buf))
+		}
+	}
+}
+
+// tapListener mirrors what every accepted connection reads into the tap.
+type tapListener struct {
+	net.Listener
+	tap *Wiretap
+}
+
+// Tap wraps lis so every Query read from any connection it accepts is also
+// recorded by the returned Wiretap.
+func Tap(lis net.Listener) (net.Listener, *Wiretap) {
+	tap := &Wiretap{}
+	return &tapListener{Listener: lis, tap: tap}, tap
+}
+
+// Accept wraps the accepted connection in a mirror, preserving CloseWrite
+// exactly when the underlying connection has it (see countConn).
+func (l *tapListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	pr, pw := io.Pipe()
+	go l.tap.decode(pr)
+	t := &tappedConn{Conn: conn, pw: pw}
+	if _, ok := conn.(closeWriter); ok {
+		return &tappedConnCW{t}, nil
+	}
+	return t, nil
+}
+
+// tappedConn duplicates the bytes it reads into the tap's decoder.
 type tappedConn struct {
 	net.Conn
-	tap *Wiretap
-	pr  *io.PipeReader
-	pw  *io.PipeWriter
+	pw *io.PipeWriter
 }
 
-// Tap wraps conn so every Query written through it is also recorded by the
-// returned Wiretap.
-func Tap(conn net.Conn) (net.Conn, *Wiretap) {
-	tap := &Wiretap{}
-	pr, pw := io.Pipe()
-	t := &tappedConn{Conn: conn, tap: tap, pr: pr, pw: pw}
-	go func() {
-		var hdr [4]byte
-		if _, err := io.ReadFull(pr, hdr[:]); err != nil {
-			return
-		}
-		dec := gob.NewDecoder(pr)
-		var hello Hello
-		if err := dec.Decode(&hello); err != nil {
-			return
-		}
-		// Expand packed queries through one pooled scratch buffer for the
-		// life of the tap (record copies what it keeps) instead of
-		// allocating a fresh float64 vector per observed query.
-		buf := vecScratch.Get().(*[]float64)
-		defer vecScratch.Put(buf)
-		for {
-			var req Request
-			if err := dec.Decode(&req); err != nil {
-				return
-			}
-			for _, q := range req.Queries {
-				tap.record(q.vectorInto(buf))
-			}
-		}
-	}()
-	return t, tap
-}
-
-// Write forwards to the real connection and mirrors bytes into the
-// tap's decoder.
-func (t *tappedConn) Write(p []byte) (int, error) {
-	n, err := t.Conn.Write(p)
+// Read forwards to the real connection and mirrors the bytes read.
+func (t *tappedConn) Read(p []byte) (int, error) {
+	n, err := t.Conn.Read(p)
 	if n > 0 {
-		// Pipe errors (reader done) must not break the real connection.
+		// Pipe errors (decoder done) must not break the real connection.
 		_, _ = t.pw.Write(p[:n])
 	}
 	return n, err
@@ -2231,4 +2288,12 @@ func (t *tappedConn) Write(p []byte) (int, error) {
 func (t *tappedConn) Close() error {
 	_ = t.pw.Close()
 	return t.Conn.Close()
+}
+
+type tappedConnCW struct {
+	*tappedConn
+}
+
+func (c *tappedConnCW) CloseWrite() error {
+	return c.Conn.(closeWriter).CloseWrite()
 }

@@ -24,10 +24,22 @@ import (
 // and a shutdown func.
 func startServer(t *testing.T, m *hdc.Model, opts ...ServerOption) (string, *Server, func()) {
 	t.Helper()
+	return startServerOn(t, listen(t), m, opts...)
+}
+
+func listen(t *testing.T) net.Listener {
+	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	return lis
+}
+
+// startServerOn is startServer over a caller-supplied listener (e.g. a
+// tapped one).
+func startServerOn(t *testing.T, lis net.Listener, m *hdc.Model, opts ...ServerOption) (string, *Server, func()) {
+	t.Helper()
 	srv := NewServer(m, opts...)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(context.Background(), lis) }()
@@ -482,17 +494,10 @@ func TestPackedWireIsSmaller(t *testing.T) {
 }
 
 func TestWiretapSeesQueries(t *testing.T) {
-	addr, _, cleanup := startServer(t, toyModel())
+	tapped, tap := Tap(listen(t))
+	addr, _, cleanup := startServerOn(t, tapped, toyModel())
 	defer cleanup()
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tapped, tap := Tap(raw)
-	c, err := NewClient(tapped, Hello{Dim: 4, Classes: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dialToy(t, addr)
 	defer c.Close()
 	// One packed (integer) and one full-precision query; the tap must see
 	// both wire forms.
@@ -548,7 +553,8 @@ func TestEndToEndObfuscatedInference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, _, cleanup := startServer(t, model)
+	tapped, tap := Tap(listen(t))
+	addr, _, cleanup := startServerOn(t, tapped, model)
 	defer cleanup()
 
 	// Edge: quantize + mask 25% of dims.
@@ -559,12 +565,7 @@ func TestEndToEndObfuscatedInference(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tapped, tap := Tap(raw)
-	client, err := NewClient(tapped, Hello{Dim: hdcfg.Dim, Classes: d.Classes})
+	client, err := Dial(context.Background(), "tcp", addr, Hello{Dim: hdcfg.Dim, Classes: d.Classes})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,13 +101,13 @@ func GlobalMagnitudeMask(m *hdc.Model, drop int) *Mask {
 // Σ_l |C_l[j] − mean_l C_l[j]| and drops the lowest `drop` — dimensions on
 // which the classes agree, however large their shared value.
 //
-// Rationale (see DESIGN.md §5): the paper prunes by raw |class value|,
-// which works when class-specific energy dominates. Synthetic workloads
-// (and strongly-correlated real features) carry a large common-mode
-// component that inflates |C_l[j]| on dimensions with zero discriminative
-// content; ranking by deviation from the class mean selects the dimensions
-// that actually move the Eq. 4 argmax. The experiments package benchmarks
-// both criteria against each other.
+// Rationale: the paper prunes by raw |class value|, which works when
+// class-specific energy dominates. Synthetic workloads (and
+// strongly-correlated real features) carry a large common-mode component
+// that inflates |C_l[j]| on dimensions with zero discriminative content;
+// ranking by deviation from the class mean selects the dimensions that
+// actually move the Eq. 4 argmax. The experiments package benchmarks both
+// criteria against each other (experiments.Ablations).
 func DiscriminativeMask(m *hdc.Model, drop int) *Mask {
 	dim := m.Dim()
 	if drop < 0 || drop > dim {

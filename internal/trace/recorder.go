@@ -84,7 +84,7 @@ const (
 var Default = NewRecorder(DefaultSlowN, DefaultErrN)
 
 // Client is the process-wide client-side recorder, fed by completed
-// sampled spans from Remote/Pool/Cluster traffic.
+// sampled spans from client traffic of every topology.
 var Client = NewRecorder(DefaultSlowN, DefaultErrN)
 
 // NewRecorder returns a recorder retaining the slowN slowest and the errN

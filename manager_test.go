@@ -1,7 +1,5 @@
 package privehd_test
 
-//lint:file-ignore SA1019 the deprecated constructors stay fully supported; these tests pin their behavior
-
 import (
 	"bytes"
 	"context"
@@ -258,16 +256,9 @@ func TestManagementPlaneEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dial := func() *privehd.Remote {
-		r, err := privehd.Dial(context.Background(), "tcp", dataLis.Addr().String(), edge, privehd.ForModel("toy"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	remote := dial()
-	if remote.ModelVersion() != 2 {
-		t.Fatalf("handshake after upload advertises v%d, want 2", remote.ModelVersion())
+	remote := dial2(t, dataLis.Addr().String(), edge)
+	if v := servedVersion(t, remote); v != 2 {
+		t.Fatalf("server lists toy v%d after upload, want 2", v)
 	}
 	if label, _, err := remote.Predict(X[0]); err != nil || label != 1-y[0] {
 		t.Fatalf("v2 predicts %d, %v; want inverted label %d", label, err, 1-y[0])
@@ -326,7 +317,7 @@ func TestManagementPlaneEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, err := privehd.Dial(context.Background(), "tcp", dataLis2.Addr().String(), edge, privehd.ForModel("toy"))
+			r, err := dialEdge(dataLis2.Addr().String(), "toy", edge)
 			if err != nil {
 				trfErr <- err
 				return
@@ -362,8 +353,8 @@ func TestManagementPlaneEndToEnd(t *testing.T) {
 	// New connections see v1 again — original labels.
 	r2 := dial2(t, dataLis2.Addr().String(), edge)
 	defer r2.Close()
-	if r2.ModelVersion() != 1 {
-		t.Fatalf("post-rollback handshake advertises v%d, want 1", r2.ModelVersion())
+	if v := servedVersion(t, r2); v != 1 {
+		t.Fatalf("server lists toy v%d after rollback, want 1", v)
 	}
 	if label, _, err := r2.Predict(X[0]); err != nil || label != y[0] {
 		t.Fatalf("post-rollback predicts %d, %v; want original label %d", label, err, y[0])
@@ -379,12 +370,28 @@ func TestManagementPlaneEndToEnd(t *testing.T) {
 	}
 }
 
-// dial2 dials a model connection or fails the test.
-func dial2(t *testing.T, addr string, edge *privehd.Edge) *privehd.Remote {
+// dial2 dials a connection to model "toy" or fails the test.
+func dial2(t *testing.T, addr string, edge *privehd.Edge) privehd.Client {
 	t.Helper()
-	r, err := privehd.Dial(context.Background(), "tcp", addr, edge, privehd.ForModel("toy"))
+	r, err := dialEdge(addr, "toy", edge)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// servedVersion returns the version of model "toy" the server lists.
+func servedVersion(t *testing.T, c privehd.Client) int {
+	t.Helper()
+	models, err := c.ListModels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range models {
+		if m.Name == "toy" {
+			return m.Version
+		}
+	}
+	t.Fatalf("server lists no toy model: %+v", models)
+	return 0
 }

@@ -1,7 +1,5 @@
 package privehd_test
 
-//lint:file-ignore SA1019 the deprecated constructors stay fully supported; these tests pin their behavior
-
 import (
 	"context"
 	"encoding/gob"
@@ -9,6 +7,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,23 +52,40 @@ func startRegistryReplicas(t *testing.T, reg *privehd.Registry, n int) ([]string
 	return addrs, servers
 }
 
+// metricValue reads one series from the process-wide /metrics exposition,
+// as an operator would; ok is false while the series is absent.
+func metricValue(t *testing.T, series string) (v float64, ok bool) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	privehd.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if rest, found := strings.CutPrefix(line, series+" "); found {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("unparseable exposition line %q: %v", line, err)
+			}
+			return v, true
+		}
+	}
+	return 0, false
+}
+
 func TestDialPoolPredict(t *testing.T) {
 	pipe, X, y := toyPipeline(t)
 	addr, srv, cleanup := startPipelineServer(t, pipe)
 	defer cleanup()
 
-	// nil edge: the pool auto-configures one from the advertised encoder
-	// setup, exactly like DialModel.
-	pool, err := privehd.DialPool(context.Background(), "tcp", addr, nil, privehd.WithPoolSize(3))
+	// No edge: the pool auto-configures one from the advertised encoder
+	// setup.
+	pool, err := privehd.Connect(context.Background(),
+		privehd.Target{Addrs: []string{addr}, Topology: privehd.TopologyPool},
+		privehd.WithConnectPool(privehd.WithPoolSize(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
 	if pool.Edge() == nil || pool.Edge().Dim() != pipe.Dim() {
 		t.Fatalf("auto-configured edge = %+v", pool.Edge())
-	}
-	if pool.Model() != privehd.DefaultModelName {
-		t.Errorf("pool bound to %q", pool.Model())
 	}
 
 	labels, err := pool.PredictBatch(X)
@@ -107,8 +125,8 @@ func TestDialPoolPredict(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := pool.Stats(); st.Conns < 1 || st.Conns > 3 {
-		t.Errorf("pool stats = %+v, want 1..3 conns", st)
+	if conns, _ := metricValue(t, `privehd_pool_connections{addr="`+addr+`"}`); conns < 1 || conns > 3 {
+		t.Errorf("pool holds %v conns, want 1..3", conns)
 	}
 	if srv.Served() != len(X)+callers {
 		t.Errorf("Served = %d, want %d", srv.Served(), len(X)+callers)
@@ -119,10 +137,11 @@ func TestDialPoolUnknownModelTyped(t *testing.T) {
 	pipe, _, _ := toyPipeline(t)
 	addr, _, cleanup := startPipelineServer(t, pipe)
 	defer cleanup()
-	_, err := privehd.DialPool(context.Background(), "tcp", addr, nil,
-		privehd.WithPoolModel("ghost"))
+	_, err := privehd.Connect(context.Background(), privehd.Target{
+		Addrs: []string{addr}, Model: "ghost", Topology: privehd.TopologyPool,
+	})
 	if !errors.Is(err, privehd.ErrUnknownModel) {
-		t.Errorf("DialPool(ghost) = %v, want ErrUnknownModel", err)
+		t.Errorf("pool Connect(ghost) = %v, want ErrUnknownModel", err)
 	}
 }
 
@@ -133,10 +152,11 @@ func TestDialClusterUnknownModelTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	addrs, _ := startRegistryReplicas(t, reg, 2)
-	_, err := privehd.DialCluster(context.Background(), "tcp", addrs, nil,
-		privehd.WithClusterModel("ghost"))
+	_, err := privehd.Connect(context.Background(), privehd.Target{
+		Addrs: addrs, Model: "ghost", Topology: privehd.TopologyCluster,
+	})
 	if !errors.Is(err, privehd.ErrUnknownModel) {
-		t.Errorf("DialCluster(ghost) = %v, want ErrUnknownModel", err)
+		t.Errorf("cluster Connect(ghost) = %v, want ErrUnknownModel", err)
 	}
 	if errors.Is(err, privehd.ErrNoHealthyReplicas) {
 		t.Errorf("protocol rejection misreported as dead fleet: %v", err)
@@ -151,10 +171,11 @@ func TestDialClusterFailover(t *testing.T) {
 	}
 	addrs, servers := startRegistryReplicas(t, reg, 3)
 
-	cl, err := privehd.DialCluster(context.Background(), "tcp", addrs, nil,
-		privehd.WithClusterModel("toy"),
-		privehd.WithClusterProbeInterval(100*time.Millisecond),
-		privehd.WithClusterPool(privehd.WithPoolIOTimeout(5*time.Second)))
+	cl, err := privehd.Connect(context.Background(), privehd.Target{
+		Addrs: addrs, Model: "toy", Topology: privehd.TopologyCluster,
+	},
+		privehd.WithConnectProbeInterval(100*time.Millisecond),
+		privehd.WithConnectPool(privehd.WithPoolIOTimeout(5*time.Second)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,16 +238,21 @@ func TestDialClusterFailover(t *testing.T) {
 		t.Errorf("only %d/%d predictions survived the replica kill", succeeded.Load(), callers*rounds)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for cl.Replicas()[1].Healthy {
+	healthy := `privehd_cluster_replica_healthy{replica="` + addrs[1] + `"}`
+	for {
+		if v, ok := metricValue(t, healthy); ok && v == 0 {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("killed replica never ejected: %+v", cl.Replicas())
+			t.Fatal("killed replica never ejected")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }
 
 func TestListModelsDiscovery(t *testing.T) {
-	// Remote, Pool and Cluster all discover the registry over the wire.
+	// Single, pool and cluster clients all discover the registry over the
+	// wire.
 	p1, X, _ := toyPipeline(t)
 	p2, _, _ := toyPipeline(t, privehd.WithDim(256))
 	reg := privehd.NewRegistry()
@@ -254,7 +280,7 @@ func TestListModelsDiscovery(t *testing.T) {
 		}
 	}
 
-	remote, err := privehd.DialModel(context.Background(), "tcp", addrs[0], "big")
+	remote, err := dialEdge(addrs[0], "big", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +293,7 @@ func TestListModelsDiscovery(t *testing.T) {
 	// Registry.Models agrees with the wire listing (Default included).
 	check(t, reg.Models())
 
-	pool, err := privehd.DialPool(context.Background(), "tcp", addrs[0], nil)
+	pool, err := privehd.Connect(context.Background(), privehd.Target{Addrs: addrs[:1], Topology: privehd.TopologyPool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +304,7 @@ func TestListModelsDiscovery(t *testing.T) {
 	}
 	check(t, models)
 
-	cl, err := privehd.DialCluster(context.Background(), "tcp", addrs, nil)
+	cl, err := privehd.Connect(context.Background(), privehd.Target{Addrs: addrs, Topology: privehd.TopologyCluster})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +381,9 @@ func TestLegacyClientsServedAlongsidePool(t *testing.T) {
 	addr, _, cleanup := startPipelineServer(t, pipe)
 	defer cleanup()
 
-	pool, err := privehd.DialPool(context.Background(), "tcp", addr, nil, privehd.WithPoolSize(2))
+	pool, err := privehd.Connect(context.Background(),
+		privehd.Target{Addrs: []string{addr}, Topology: privehd.TopologyPool},
+		privehd.WithConnectPool(privehd.WithPoolSize(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,8 +432,8 @@ func TestLegacyClientsServedAlongsidePool(t *testing.T) {
 }
 
 func TestDialWithIOTimeoutUnblocksHungServer(t *testing.T) {
-	// Public half of the WithIOTimeout satellite: a server that handshakes
-	// then goes silent must not block Predict forever.
+	// A server that handshakes then goes silent must not block Predict
+	// forever.
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -437,8 +465,8 @@ func TestDialWithIOTimeoutUnblocksHungServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := privehd.Dial(context.Background(), "tcp", lis.Addr().String(), edge,
-		privehd.WithIOTimeout(150*time.Millisecond))
+	remote, err := dialEdge(lis.Addr().String(), "", edge,
+		privehd.WithConnectPool(privehd.WithPoolIOTimeout(150*time.Millisecond)))
 	if err != nil {
 		t.Fatal(err)
 	}

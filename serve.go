@@ -2,7 +2,6 @@ package privehd
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
 	"net"
 	"time"
@@ -11,12 +10,13 @@ import (
 )
 
 // ProtocolVersion is the version byte of the offloaded-inference wire
-// protocol (v3: model names in the handshake, encoder setup in the
-// answer). Serve and Dial handshake on it; servers also accept v2 clients
-// against the default model, and reject everything else.
+// protocol (v5: shard descriptors, partial scores and drain notices; see
+// the package documentation for what each version added). Serve and
+// Connect handshake on it; servers also accept v2–v4 clients, and reject
+// everything else.
 const ProtocolVersion = offload.ProtocolVersion
 
-// Typed protocol failures, surfaced by Dial and Remote calls; test with
+// Typed protocol failures, surfaced by Connect and Client calls; test with
 // errors.Is. ErrUnknownModel lives in registry.go beside the Registry.
 var (
 	// ErrVersionMismatch reports a peer speaking a different protocol
@@ -34,11 +34,11 @@ var (
 	// ErrTransport reports a connection-level failure — dial, send,
 	// receive, i/o timeout, or a closed client — as opposed to a typed
 	// protocol rejection. Classification is idempotent, so operations
-	// failing with ErrTransport are safe to retry elsewhere; Pool and
-	// Cluster do exactly that. Errors that do NOT wrap ErrTransport came
+	// failing with ErrTransport are safe to retry elsewhere; pool and
+	// cluster clients do exactly that. Errors that do NOT wrap ErrTransport came
 	// from a live server and would repeat on any replica.
 	ErrTransport = offload.ErrTransport
-	// ErrIOTimeout reports that a connection configured with WithIOTimeout
+	// ErrIOTimeout reports that a connection bounded by WithPoolIOTimeout
 	// saw no reply progress for the full timeout while requests were in
 	// flight. It always also wraps ErrTransport.
 	ErrIOTimeout = offload.ErrIOTimeout
@@ -143,222 +143,12 @@ func Serve(ctx context.Context, lis net.Listener, p *Pipeline, opts ...ServerOpt
 	return s.Serve(ctx, lis)
 }
 
-// Remote is a connection to a Serve/ServeRegistry instance, paired with
-// the local Edge that obfuscates queries before they leave the device.
-// Remotes are safe for concurrent use: the underlying protocol (v4)
-// pipelines requests with per-request IDs over dedicated send/recv
-// goroutines, so concurrent Predict calls share the one connection
-// without waiting on each other's round trips. For a bounded set of
-// reused connections use DialPool; for replica failover use DialCluster.
-type Remote struct {
-	edge   *Edge
-	client *offload.Client
-}
-
-// DialOption configures Dial and NewRemote.
-type DialOption func(*dialConfig)
-
-type dialConfig struct {
-	model     string
-	ioTimeout time.Duration
-}
-
-// ForModel selects which served model the connection binds to (the v3+
-// handshake carries the name). Without it the server's default model
-// answers. Unknown names are rejected with ErrUnknownModel.
-func ForModel(name string) DialOption {
-	return func(c *dialConfig) { c.model = name }
-}
-
-// WithIOTimeout bounds how long the connection waits for progress: each
-// frame write must complete within d, and whenever requests are in flight
-// a reply must arrive within d of the last one (idle connections never
-// time out). Without it a hung server blocks Predict forever. On expiry
-// every in-flight call fails with an error wrapping ErrIOTimeout. Pools
-// and clusters default this to 30s; a bare Dial defaults to none.
-func WithIOTimeout(d time.Duration) DialOption {
-	return func(c *dialConfig) { c.ioTimeout = d }
-}
-
-// clientOpts converts the dial configuration to protocol client options.
-func (c dialConfig) clientOpts() []offload.ClientOption {
-	var opts []offload.ClientOption
-	if c.ioTimeout > 0 {
-		opts = append(opts, offload.WithIOTimeout(c.ioTimeout))
-	}
-	return opts
-}
-
-// Dial connects an edge to a serving pipeline and performs the protocol
-// handshake, advertising the edge's encoder geometry and the requested
-// model name (ForModel; default model otherwise). Version or geometry
-// mismatches and unknown models surface as typed errors
-// (ErrVersionMismatch, ErrGeometryMismatch, ErrUnknownModel) instead of
-// garbled streams. The context bounds connecting and handshaking.
-//
-// Deprecated: use Connect with TopologySingle and WithEdge — one
-// constructor covers every serving topology. Dial remains for
-// compatibility and behaves identically.
-func Dial(ctx context.Context, network, addr string, edge *Edge, opts ...DialOption) (*Remote, error) {
-	var cfg dialConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	client, err := offload.Dial(ctx, network, addr, offload.Hello{Dim: edge.Dim(), Model: cfg.model}, cfg.clientOpts()...)
-	if err != nil {
-		return nil, err
-	}
-	return &Remote{edge: edge, client: client}, nil
-}
-
-// NewRemote performs the handshake over an existing connection — useful
-// for tapped connections (Tap) and in-memory pipes in tests.
-//
-// Deprecated: use Connect for dialed connections; NewRemote remains the
-// escape hatch for pre-established conns (taps, pipes) and tests.
-func NewRemote(conn net.Conn, edge *Edge, opts ...DialOption) (*Remote, error) {
-	var cfg dialConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	client, err := offload.NewClient(conn, offload.Hello{Dim: edge.Dim(), Model: cfg.model}, cfg.clientOpts()...)
-	if err != nil {
-		return nil, err
-	}
-	return &Remote{edge: edge, client: client}, nil
-}
-
-// DialModel connects to a served model knowing nothing but its name (empty
-// for the default) and builds the matching obfuscating Edge from the v3
-// ServerHello: the server advertises the model's full public encoder setup
-// (encoding, levels, seed, features — shared setup per the paper), so the
-// edge needs no hand-matched flags. Extra options layer the §III-C
-// defences on top (WithQueryMask, WithRawQueries).
-//
-// Deprecated: use Connect with TopologySingle — the Target's Model field
-// and WithEdgeOptions cover this constructor exactly.
-func DialModel(ctx context.Context, network, addr, model string, opts ...Option) (*Remote, error) {
-	client, err := offload.Dial(ctx, network, addr, offload.Hello{Model: model})
-	if err != nil {
-		return nil, err
-	}
-	edge, err := edgeFromServerHello(client.ServerHello(), opts...)
-	if err != nil {
-		client.Close()
-		return nil, err
-	}
-	return &Remote{edge: edge, client: client}, nil
-}
-
-// NewRemoteModel is DialModel over an existing connection — the
-// auto-configuring sibling of NewRemote for tapped conns and pipes.
-//
-// Deprecated: use Connect for dialed connections; NewRemoteModel remains
-// the escape hatch for pre-established conns (taps, pipes) and tests.
-func NewRemoteModel(conn net.Conn, model string, opts ...Option) (*Remote, error) {
-	client, err := offload.NewClient(conn, offload.Hello{Model: model})
-	if err != nil {
-		return nil, err
-	}
-	edge, err := edgeFromServerHello(client.ServerHello(), opts...)
-	if err != nil {
-		client.Close()
-		return nil, err
-	}
-	return &Remote{edge: edge, client: client}, nil
-}
-
-// Dim returns the served model's dimensionality, learned in the handshake.
-func (r *Remote) Dim() int { return r.client.Dim() }
-
-// Classes returns the served model's class count, learned in the
-// handshake.
-func (r *Remote) Classes() int { return r.client.Classes() }
-
-// MaxBatch returns the server's advertised per-request query limit.
-func (r *Remote) MaxBatch() int { return r.client.MaxBatch() }
-
-// Model returns the name of the served model the connection is bound to.
-func (r *Remote) Model() string { return r.client.Model() }
-
-// ModelVersion returns the served model's publication version at handshake
-// time (hot swaps after the handshake bump it server-side).
-func (r *Remote) ModelVersion() int { return r.client.ModelVersion() }
-
-// Edge returns the edge obfuscating this connection's queries — the one
-// passed to Dial, or the auto-configured one DialModel built.
-func (r *Remote) Edge() *Edge { return r.edge }
-
-// ListModels asks the server for its current registry listing — every
-// served model's name, version, geometry and public encoder setup, with
-// the default flagged — so clients can discover models over the wire
-// (protocol v4) instead of through out-of-band configuration.
-func (r *Remote) ListModels() ([]ModelInfo, error) {
-	listings, err := r.client.ListModels()
-	if err != nil {
-		return nil, err
-	}
-	return modelInfosFromListings(listings), nil
-}
-
-// Predict obfuscates one input on the edge and classifies it remotely,
-// returning the predicted label and per-class scores.
-func (r *Remote) Predict(x []float64) (int, []float64, error) {
-	q, err := r.edge.Prepare(x)
-	if err != nil {
-		return 0, nil, err
-	}
-	return r.client.Classify(q)
-}
-
-// PredictBatch obfuscates a batch of inputs and classifies them remotely,
-// sending up to MaxBatch query vectors per round trip.
-func (r *Remote) PredictBatch(X [][]float64) ([]int, error) {
-	qs, err := r.edge.PrepareBatch(X)
-	if err != nil {
-		return nil, err
-	}
-	return r.client.ClassifyBatch(qs)
-}
-
-// PredictContext is Predict bounded by ctx: the remaining context budget
-// rides on the request frame (Request.BudgetNs) so the server sheds work
-// that can no longer answer in time, and cancellation aborts the wait. A
-// blown deadline surfaces as ErrDeadlineExceeded.
-func (r *Remote) PredictContext(ctx context.Context, x []float64) (int, []float64, error) {
-	q, err := r.edge.Prepare(x)
-	if err != nil {
-		return 0, nil, err
-	}
-	return r.client.ClassifyContext(ctx, q)
-}
-
-// PredictPrepared classifies an already-prepared query hypervector.
-func (r *Remote) PredictPrepared(q []float64) (int, []float64, error) {
-	return r.PredictPreparedContext(context.Background(), q)
-}
-
-// PredictPreparedContext is PredictPrepared bounded by ctx (see
-// PredictContext for the deadline semantics).
-func (r *Remote) PredictPreparedContext(ctx context.Context, q []float64) (int, []float64, error) {
-	if len(q) != r.edge.Dim() {
-		return 0, nil, fmt.Errorf("privehd: prepared query has dim %d, edge dim %d", len(q), r.edge.Dim())
-	}
-	return r.client.ClassifyContext(ctx, q)
-}
-
-// Traces snapshots the process-wide client-side flight recorder.
-func (r *Remote) Traces() TraceSnapshot { return ClientTraces() }
-
-// Close closes the connection.
-func (r *Remote) Close() error { return r.client.Close() }
-
-// Wiretap records every query hypervector crossing a tapped connection —
-// the honest-but-curious channel observer the §III-C obfuscation defends
-// against.
+// Wiretap records every query hypervector a tapped listener's
+// connections read — the honest-but-curious observer on the server's side
+// of the wire that the §III-C obfuscation defends against.
 type Wiretap = offload.Wiretap
 
-// Tap wraps the client side of a connection so every outgoing query is
-// also delivered to the returned Wiretap. Hand the wrapped conn to
-// NewRemote.
-func Tap(conn net.Conn) (net.Conn, *Wiretap) { return offload.Tap(conn) }
+// Tap wraps a server's listener so every query any accepted connection
+// reads is also delivered to the returned Wiretap. Serve on the wrapped
+// listener; clients connect as usual.
+func Tap(lis net.Listener) (net.Listener, *Wiretap) { return offload.Tap(lis) }

@@ -1,7 +1,5 @@
 package privehd_test
 
-//lint:file-ignore SA1019 the deprecated constructors stay fully supported; these tests pin their behavior
-
 import (
 	"context"
 	"encoding/gob"
@@ -46,6 +44,14 @@ func startPipelineServer(t *testing.T, p *privehd.Pipeline) (string, *privehd.Se
 	return lis.Addr().String(), srv, cleanup
 }
 
+// dialEdge connects a single-connection client carrying edge's queries to
+// model at addr (a nil edge is auto-configured from the handshake).
+func dialEdge(addr, model string, edge *privehd.Edge, opts ...privehd.ConnectOption) (privehd.Client, error) {
+	return privehd.Connect(context.Background(), privehd.Target{
+		Addrs: []string{addr}, Model: model, Topology: privehd.TopologySingle,
+	}, append(opts, privehd.WithEdge(edge))...)
+}
+
 func TestServeDialPredict(t *testing.T) {
 	pipe, X, y := toyPipeline(t)
 	addr, srv, cleanup := startPipelineServer(t, pipe)
@@ -55,13 +61,17 @@ func TestServeDialPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := privehd.Dial(context.Background(), "tcp", addr, edge)
+	remote, err := dialEdge(addr, "", edge)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer remote.Close()
-	if remote.Dim() != pipe.Dim() || remote.Classes() != pipe.Classes() {
-		t.Fatalf("handshake advertised dim=%d classes=%d", remote.Dim(), remote.Classes())
+	models, err := remote.ListModels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(models) != 1 || models[0].Dim != pipe.Dim() || models[0].Classes != pipe.Classes() {
+		t.Fatalf("server lists %+v, want one model of dim=%d classes=%d", models, pipe.Dim(), pipe.Classes())
 	}
 
 	labels, err := remote.PredictBatch(X)
@@ -100,7 +110,7 @@ func TestDialRejectsGeometryMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = privehd.Dial(context.Background(), "tcp", addr, wrong)
+	_, err = dialEdge(addr, "", wrong)
 	if !errors.Is(err, privehd.ErrGeometryMismatch) {
 		t.Errorf("dim-256 edge against dim-512 server: err = %v, want ErrGeometryMismatch", err)
 	}
@@ -108,7 +118,7 @@ func TestDialRejectsGeometryMismatch(t *testing.T) {
 
 func TestDialRejectsVersionMismatch(t *testing.T) {
 	// A fake server that completes the handshake advertising a future
-	// protocol version; Dial must refuse it with a typed error.
+	// protocol version; Connect must refuse it with a typed error.
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +151,7 @@ func TestDialRejectsVersionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = privehd.Dial(context.Background(), "tcp", lis.Addr().String(), edge)
+	_, err = dialEdge(lis.Addr().String(), "", edge)
 	if !errors.Is(err, privehd.ErrVersionMismatch) {
 		t.Errorf("v%d server: err = %v, want ErrVersionMismatch", privehd.ProtocolVersion+1, err)
 	}
@@ -159,7 +169,7 @@ func TestServeConcurrentClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refRemote, err := privehd.Dial(context.Background(), "tcp", addr, refEdge)
+	refRemote, err := dialEdge(addr, "", refEdge)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +191,7 @@ func TestServeConcurrentClients(t *testing.T) {
 				errs <- err
 				return
 			}
-			remote, err := privehd.Dial(context.Background(), "tcp", addr, edge)
+			remote, err := dialEdge(addr, "", edge)
 			if err != nil {
 				errs <- err
 				return
@@ -227,7 +237,7 @@ func TestServeStopsOnContextCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := privehd.Dial(context.Background(), "tcp", lis.Addr().String(), edge)
+	remote, err := dialEdge(lis.Addr().String(), "", edge)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,8 +255,8 @@ func TestServeStopsOnContextCancel(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("Serve did not return after cancellation")
 	}
-	if _, err := privehd.Dial(context.Background(), "tcp", lis.Addr().String(), edge); err == nil {
-		t.Error("Dial after shutdown should fail")
+	if _, err := dialEdge(lis.Addr().String(), "", edge); err == nil {
+		t.Error("Connect after shutdown should fail")
 	}
 }
 

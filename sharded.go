@@ -13,9 +13,10 @@ import (
 var (
 	// ErrPartialUnsupported reports a served model that cannot answer
 	// exact partial scores (a non-integer model, e.g. after DP noising,
-	// or oversized class values). It is a protocol verdict from a live
-	// server — never retried, every replica of the model would refuse
-	// the same way.
+	// or oversized class values), or a sharded client asked to carry
+	// full-precision (WithRawQueries) queries. From a live server it is a
+	// protocol verdict — never retried, every replica of the model would
+	// refuse the same way.
 	ErrPartialUnsupported = offload.ErrPartialUnsupported
 	// ErrShardTiling reports a replica set whose shard descriptors do
 	// not tile the full model exactly (gaps, overlaps, or disagreeing
@@ -37,41 +38,17 @@ type ShardSlice struct {
 // handshake: its slice plus the full logical geometry it came from.
 type ShardInfo = registry.ShardInfo
 
-// Sharded serves whole-model predictions from a fleet of partial
-// replicas: each prediction's packed query is scattered by dimension
-// slice to every shard group, the groups' exact integer partial scores
-// are gathered and reduced, and the argmax is taken over whole-model
-// scores — bit-identical to serving the unsplit model (see the
-// internal/shard package for the exactness argument). Replicas serving
-// the same slice form a failover group, so a replica dying mid-gather
-// retries only its own shard, never the whole scatter. All methods are
-// safe for concurrent use.
-//
-// Sharded clients require quantized queries (the default): WithRawQueries
-// sends full-precision vectors, which cannot be partial-scored, and is
-// rejected at Connect time.
-type Sharded struct {
-	edge *Edge
-	co   *shard.Coordinator
-}
+// shardBackend serves whole-model predictions from a fleet of partial
+// replicas: each packed query is scattered by dimension slice to every
+// shard group, the groups' exact integer partial scores are gathered and
+// reduced, and the argmax is taken over whole-model scores — bit-identical
+// to serving the unsplit model (see internal/shard for the exactness
+// argument). Replicas serving the same slice form a failover group, so a
+// replica dying mid-gather retries only its own shard.
+type shardBackend struct{ co *shard.Coordinator }
 
-// Edge returns the edge obfuscating the fleet's queries.
-func (s *Sharded) Edge() *Edge { return s.edge }
-
-// Dim returns the full logical model dimensionality.
-func (s *Sharded) Dim() int { return s.co.Dim() }
-
-// Classes returns the full logical model class count.
-func (s *Sharded) Classes() int { return s.co.Classes() }
-
-// Model returns the name of the served model the fleet is bound to.
-func (s *Sharded) Model() string { return s.co.Hello().Model }
-
-// Shards returns the fleet's shard descriptors, one per failover group.
-func (s *Sharded) Shards() []ShardInfo { return s.co.Groups() }
-
-// pack converts one prepared query to the packed wire form, or explains
-// why sharded serving cannot carry it.
+// packPrepared converts one prepared query to the packed wire form, or
+// explains why sharded serving cannot carry it.
 func packPrepared(q []float64) ([]int8, error) {
 	p, ok := offload.PackQuery(q)
 	if !ok {
@@ -81,77 +58,28 @@ func packPrepared(q []float64) ([]int8, error) {
 	return p, nil
 }
 
-// Predict obfuscates one input on the edge and classifies it across the
-// sharded fleet, returning the whole-model label and per-class scores.
-func (s *Sharded) Predict(x []float64) (int, []float64, error) {
-	q, err := s.edge.Prepare(x)
-	if err != nil {
-		return 0, nil, err
-	}
-	return s.PredictPrepared(q)
-}
-
-// PredictContext is Predict bounded by ctx: the remaining context budget
-// rides on every partial-score frame (Request.BudgetNs) so shard replicas
-// shed work that can no longer answer in time, and cancellation aborts
-// the scatter. A blown deadline surfaces as ErrDeadlineExceeded. With
-// hedging enabled (Target.Hedge, WithHedging) a straggling shard gather
-// races a backup replica of the same group, first reply wins.
-func (s *Sharded) PredictContext(ctx context.Context, x []float64) (int, []float64, error) {
-	q, err := s.edge.Prepare(x)
-	if err != nil {
-		return 0, nil, err
-	}
-	return s.PredictPreparedContext(ctx, q)
-}
-
-// PredictPrepared classifies an already-prepared query hypervector.
-func (s *Sharded) PredictPrepared(q []float64) (int, []float64, error) {
-	return s.PredictPreparedContext(context.Background(), q)
-}
-
-// PredictPreparedContext is PredictPrepared bounded by ctx (see
-// PredictContext for the deadline and hedging semantics).
-func (s *Sharded) PredictPreparedContext(ctx context.Context, q []float64) (int, []float64, error) {
-	if len(q) != s.edge.Dim() {
-		return 0, nil, fmt.Errorf("privehd: prepared query has dim %d, edge dim %d", len(q), s.edge.Dim())
-	}
+func (b shardBackend) Classify(ctx context.Context, q []float64) (int, []float64, error) {
 	packed, err := packPrepared(q)
 	if err != nil {
 		return 0, nil, err
 	}
-	return s.co.PredictPacked(ctx, packed)
+	return b.co.PredictPacked(ctx, packed)
 }
 
-// PredictBatch obfuscates a batch of inputs and classifies them across
-// the sharded fleet; every query fans out to every shard group.
-func (s *Sharded) PredictBatch(X [][]float64) ([]int, error) {
-	qs, err := s.edge.PrepareBatch(X)
-	if err != nil {
-		return nil, err
-	}
+func (b shardBackend) ClassifyBatch(ctx context.Context, qs [][]float64) ([]int, error) {
 	packed := make([][]int8, len(qs))
 	for i, q := range qs {
+		var err error
 		if packed[i], err = packPrepared(q); err != nil {
 			return nil, err
 		}
 	}
-	labels, _, err := s.co.PredictPackedBatch(context.Background(), packed)
+	labels, _, err := b.co.PredictPackedBatch(ctx, packed)
 	return labels, err
 }
 
-// ListModels returns the registry listing of the first shard group that
-// answers (geometry fields reflect that replica's slice).
-func (s *Sharded) ListModels() ([]ModelInfo, error) {
-	listings, err := s.co.ListModels(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return modelInfosFromListings(listings), nil
+func (b shardBackend) ListModels(ctx context.Context) ([]offload.ModelListing, error) {
+	return b.co.ListModels(ctx)
 }
 
-// Traces snapshots the process-wide client-side flight recorder.
-func (s *Sharded) Traces() TraceSnapshot { return ClientTraces() }
-
-// Close releases every shard group's connections.
-func (s *Sharded) Close() error { return s.co.Close() }
+func (b shardBackend) Close() error { return b.co.Close() }

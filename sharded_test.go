@@ -120,15 +120,14 @@ func TestShardedEquivalentToWholeAcrossQuantizers(t *testing.T) {
 			}
 			defer sc.Close()
 
-			sharded, ok := sc.(*privehd.Sharded)
-			if !ok {
-				t.Fatalf("TopologySharded connected a %T", sc)
+			if sc.Topology() != privehd.TopologySharded {
+				t.Fatalf("TopologySharded connected a %v client", sc.Topology())
 			}
-			if got := len(sharded.Shards()); got != 2 {
+			if got := len(sc.Shards()); got != 2 {
 				t.Fatalf("coordinator sees %d shard groups, want 2", got)
 			}
-			if sharded.Dim() != dim {
-				t.Fatalf("logical dim %d, want %d", sharded.Dim(), dim)
+			if sc.Edge().Dim() != dim {
+				t.Fatalf("logical dim %d, want %d", sc.Edge().Dim(), dim)
 			}
 
 			for i, x := range X {
@@ -193,11 +192,10 @@ func TestShardedGridEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sc.Close()
-	sharded, ok := sc.(*privehd.Sharded)
-	if !ok {
-		t.Fatalf("auto topology over shard replicas connected a %T, want *privehd.Sharded", sc)
+	if sc.Topology() != privehd.TopologySharded {
+		t.Fatalf("auto topology over shard replicas connected a %v client, want sharded", sc.Topology())
 	}
-	if got := len(sharded.Shards()); got != 4 {
+	if got := len(sc.Shards()); got != 4 {
 		t.Fatalf("coordinator sees %d shard groups, want 4", got)
 	}
 
@@ -287,8 +285,9 @@ func TestShardedReplicaKillZeroDrops(t *testing.T) {
 }
 
 // TestConnectTopologiesReturnConcreteClients pins the Connect dispatch:
-// each explicit topology yields its concrete client type, and the
-// single-address auto default is a pool.
+// each explicit topology resolves to itself, the single-address auto
+// default is a pool, auto over whole-model replicas is a cluster, and only
+// sharded clients report shards.
 func TestConnectTopologiesReturnConcreteClients(t *testing.T) {
 	pipe, _, _ := toyPipeline(t)
 	reg := privehd.NewRegistry()
@@ -302,13 +301,13 @@ func TestConnectTopologiesReturnConcreteClients(t *testing.T) {
 	cases := []struct {
 		name   string
 		target privehd.Target
-		want   string
+		want   privehd.Topology
 	}{
-		{"single", privehd.Target{Addrs: []string{a.addr}, Topology: privehd.TopologySingle}, "*privehd.Remote"},
-		{"pool", privehd.Target{Addrs: []string{a.addr}, Topology: privehd.TopologyPool}, "*privehd.Pool"},
-		{"auto single addr", privehd.Target{Addrs: []string{a.addr}}, "*privehd.Pool"},
-		{"cluster", privehd.Target{Addrs: []string{a.addr, b.addr}, Topology: privehd.TopologyCluster}, "*privehd.Cluster"},
-		{"auto whole replicas", privehd.Target{Addrs: []string{a.addr, b.addr}}, "*privehd.Cluster"},
+		{"single", privehd.Target{Addrs: []string{a.addr}, Topology: privehd.TopologySingle}, privehd.TopologySingle},
+		{"pool", privehd.Target{Addrs: []string{a.addr}, Topology: privehd.TopologyPool}, privehd.TopologyPool},
+		{"auto single addr", privehd.Target{Addrs: []string{a.addr}}, privehd.TopologyPool},
+		{"cluster", privehd.Target{Addrs: []string{a.addr, b.addr}, Topology: privehd.TopologyCluster}, privehd.TopologyCluster},
+		{"auto whole replicas", privehd.Target{Addrs: []string{a.addr, b.addr}}, privehd.TopologyCluster},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -317,13 +316,14 @@ func TestConnectTopologiesReturnConcreteClients(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			if got := fmt.Sprintf("%T", c); got != tc.want {
-				t.Fatalf("Connect returned %s, want %s", got, tc.want)
+			if got := c.Topology(); got != tc.want {
+				t.Fatalf("Connect resolved %v, want %v", got, tc.want)
 			}
-			if label, _, err := c.(interface {
-				Predict([]float64) (int, []float64, error)
-			}).Predict(make([]float64, 12)); err != nil {
-				t.Fatalf("predict through %s: %v (label %d)", tc.want, err, label)
+			if shards := c.Shards(); shards != nil {
+				t.Fatalf("whole-model %v client reports shards %v", tc.want, shards)
+			}
+			if label, _, err := c.Predict(make([]float64, 12)); err != nil {
+				t.Fatalf("predict through %v: %v (label %d)", tc.want, err, label)
 			}
 		})
 	}

@@ -21,7 +21,7 @@ import (
 // SetTraceSampling sets the process-wide fraction of requests that are
 // traced: 0 disables tracing (the default), 1 traces everything, values
 // between sample uniformly. It applies to client-side submissions
-// (Remote, Pool, Cluster) and to server frames that arrive untraced.
+// (every Client topology) and to server frames that arrive untraced.
 func SetTraceSampling(rate float64) { trace.SetSampling(rate) }
 
 // TraceSampling returns the current trace sampling rate.
@@ -45,7 +45,7 @@ type TraceSnapshot = trace.Snapshot
 func OnTrace(fn func(TraceEntry)) { trace.SetObserver(fn) }
 
 // ClientTraces snapshots the process-wide client-side flight recorder
-// (traced Remote/Pool/Cluster requests).
+// (traced requests of every Client).
 func ClientTraces() TraceSnapshot { return trace.Client.Snapshot() }
 
 // ServerTraces snapshots the process-wide server-side flight recorder —

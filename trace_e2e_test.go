@@ -1,7 +1,5 @@
 package privehd_test
 
-//lint:file-ignore SA1019 the deprecated constructors stay fully supported; these tests pin their behavior
-
 import (
 	"bytes"
 	"context"
@@ -90,7 +88,7 @@ func TestEndToEndTraceVisibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := privehd.Dial(context.Background(), "tcp", lis.Addr().String(), edge)
+	remote, err := dialEdge(lis.Addr().String(), "", edge)
 	if err != nil {
 		t.Fatal(err)
 	}
