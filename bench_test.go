@@ -364,3 +364,79 @@ func BenchmarkShardedPredict(b *testing.B) {
 	})
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 }
+
+// BenchmarkRemotePredict measures one caller's remote Predict at paper
+// geometry — 617 features × 26 classes (isolet-s) — with the edge included:
+// encode, quantize and mask on the device, frame, loopback transport,
+// server scoring and reply. pool serves the whole model at D=4000 over one
+// pooled connection; sharded splits a D=10 000 model across two
+// dimension-shard replicas and gathers their exact integer partials.
+// Allocations are counted for client and in-process servers together.
+func BenchmarkRemotePredict(b *testing.B) {
+	data, err := privehd.LoadDataset("isolet-s", true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name        string
+		dim, shards int
+	}{
+		{"pool", 4000, 1},
+		{"sharded", 10000, 2},
+	} {
+		c := remoteFleet(b, data, bc.dim, bc.shards)
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := c.Predict(data.TestX[i%len(data.TestX)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		c.Close()
+	}
+}
+
+// remoteFleet trains a model on data at dim, serves it whole (shards = 1)
+// or split into equal dimension shards on loopback replicas until the
+// benchmark ends, and connects one pooled connection per address with the
+// auto-configured edge.
+func remoteFleet(b *testing.B, data *privehd.Dataset, dim, shards int) privehd.Client {
+	b.Helper()
+	pipe, err := privehd.New(privehd.WithDim(dim), privehd.WithSeed(7), privehd.WithRetrain(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := pipe.Train(data.TrainX, data.TrainY); err != nil {
+		b.Fatal(err)
+	}
+	target := privehd.Target{Model: "m", Topology: privehd.TopologyPool}
+	if shards > 1 {
+		target.Topology = privehd.TopologySharded
+	}
+	for i := 0; i < shards; i++ {
+		reg := privehd.NewRegistry()
+		if shards == 1 {
+			err = reg.Register("m", pipe)
+		} else {
+			err = reg.RegisterShard("m", pipe, privehd.ShardSlice{DimOffset: i * dim / shards, DimLen: dim / shards})
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv := privehd.NewRegistryServer(reg)
+		done := make(chan error, 1)
+		go func() { done <- srv.Serve(context.Background(), lis) }()
+		b.Cleanup(func() { srv.Close(); <-done })
+		target.Addrs = append(target.Addrs, lis.Addr().String())
+	}
+	c, err := privehd.Connect(context.Background(), target, privehd.WithConnectPool(privehd.WithPoolSize(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
+}

@@ -36,7 +36,9 @@ type Client interface {
 	// WithHedging) a slow attempt races a backup replica, first reply wins.
 	PredictContext(ctx context.Context, x []float64) (int, []float64, error)
 	// PredictPrepared classifies an already-prepared query hypervector
-	// (the output of Edge().Prepare).
+	// (the output of Edge().Prepare). A quantized vector travels packed,
+	// one byte per dimension; any other travels in full precision, which
+	// a sharded client refuses with ErrPartialUnsupported.
 	PredictPrepared(q []float64) (int, []float64, error)
 	// PredictPreparedContext is PredictPrepared bounded by ctx (see
 	// PredictContext).
@@ -394,12 +396,15 @@ func sniffTopology(ctx context.Context, t Target) (Topology, error) {
 	return 0, fmt.Errorf("privehd: Connect: no address reachable: %w", lastErr)
 }
 
-// backend carries prepared queries to the fleet for one topology. The
-// internal cluster.Pool and cluster.Cluster implement it as they are; the
-// single connection and the shard coordinator get thin adapters.
+// backend carries prepared queries to the fleet for one topology, each in
+// the wire form the edge built it in (offload.Query: packed symbols from a
+// quantizing edge, a full-precision vector otherwise), passed through
+// untouched. The internal cluster.Pool and cluster.Cluster implement it as
+// they are; the single connection and the shard coordinator get thin
+// adapters.
 type backend interface {
-	Classify(ctx context.Context, q []float64) (int, []float64, error)
-	ClassifyBatch(ctx context.Context, qs [][]float64) ([]int, error)
+	Classify(ctx context.Context, q offload.Query) (int, []float64, error)
+	ClassifyBatch(ctx context.Context, qs []offload.Query) ([]int, error)
 	ListModels(ctx context.Context) ([]offload.ModelListing, error)
 	Close() error
 }
@@ -475,11 +480,11 @@ func helloed(ctx context.Context, b interface {
 // singleBackend is one pipelined protocol connection.
 type singleBackend struct{ c *offload.Client }
 
-func (b singleBackend) Classify(ctx context.Context, q []float64) (int, []float64, error) {
+func (b singleBackend) Classify(ctx context.Context, q offload.Query) (int, []float64, error) {
 	return b.c.ClassifyContext(ctx, q)
 }
 
-func (b singleBackend) ClassifyBatch(ctx context.Context, qs [][]float64) ([]int, error) {
+func (b singleBackend) ClassifyBatch(ctx context.Context, qs []offload.Query) ([]int, error) {
 	results, err := b.c.ClassifyBatchScoresContext(ctx, qs)
 	return offload.Labels(results), err
 }
@@ -491,7 +496,9 @@ func (b singleBackend) ListModels(context.Context) ([]offload.ModelListing, erro
 func (b singleBackend) Close() error { return b.c.Close() }
 
 // client is the one Client implementation: it runs the edge step, then
-// hands the prepared queries to its topology's backend.
+// hands the prepared queries to its topology's backend. On a quantizing
+// edge the packed query is the only form a prediction ever takes, from the
+// encoder to the server's integer scoring kernel.
 type client struct {
 	edge *Edge
 	be   backend
@@ -503,7 +510,7 @@ func (c *client) Predict(x []float64) (int, []float64, error) {
 }
 
 func (c *client) PredictContext(ctx context.Context, x []float64) (int, []float64, error) {
-	q, err := c.edge.Prepare(x)
+	q, err := c.edge.query(x)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -518,11 +525,22 @@ func (c *client) PredictPreparedContext(ctx context.Context, q []float64) (int, 
 	if len(q) != c.edge.Dim() {
 		return 0, nil, fmt.Errorf("privehd: prepared query has dim %d, edge dim %d", len(q), c.edge.Dim())
 	}
-	return c.be.Classify(ctx, q)
+	return c.be.Classify(ctx, preparedQuery(q))
+}
+
+// preparedQuery is the one place a caller's float query is packed: a
+// vector of protocol symbols (the output of a quantizing Edge.Prepare)
+// travels in the packed one-byte-per-dimension form, anything else in full
+// precision.
+func preparedQuery(v []float64) offload.Query {
+	if p, ok := offload.PackQuery(v); ok {
+		return offload.Query{Packed: p}
+	}
+	return offload.Query{Vector: v}
 }
 
 func (c *client) PredictBatch(X [][]float64) ([]int, error) {
-	qs, err := c.edge.PrepareBatch(X)
+	qs, err := c.edge.queries(X)
 	if err != nil {
 		return nil, err
 	}

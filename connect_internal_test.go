@@ -6,6 +6,7 @@ package privehd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"testing"
@@ -57,7 +58,10 @@ func serveTest(t *testing.T, reg *Registry) string {
 // TestTopologiesMatchLocalPrediction is the differential oracle for the
 // serving topologies: every one of them, behind plain and masked edges,
 // must return labels and scores bit-identical to classifying the same
-// prepared queries locally.
+// prepared queries locally — through Predict and PredictBatch (the edge's
+// packed query, shipped as built) and through PredictPrepared (the
+// caller's float query, packed by the client). A WithRawQueries edge pins
+// the full-precision query form on every topology that can carry it.
 func TestTopologiesMatchLocalPrediction(t *testing.T) {
 	const dim = 2000
 	data, err := LoadDataset("isolet-s", true)
@@ -86,38 +90,59 @@ func TestTopologiesMatchLocalPrediction(t *testing.T) {
 		shardAddrs = append(shardAddrs, serveTest(t, reg))
 	}
 	targets := []Target{
-		{Addrs: wholeAddrs[:1], Topology: TopologySingle},
-		{Addrs: wholeAddrs[:1], Topology: TopologyPool},
-		{Addrs: wholeAddrs, Topology: TopologyCluster},
-		{Addrs: shardAddrs, Topology: TopologySharded},
+		{Addrs: wholeAddrs[:1], Topology: TopologySingle, Model: "m"},
+		{Addrs: wholeAddrs[:1], Topology: TopologyPool, Model: "m"},
+		{Addrs: wholeAddrs, Topology: TopologyCluster, Model: "m"},
+		{Addrs: shardAddrs, Topology: TopologySharded, Model: "m"},
 	}
 
 	X := data.TestX
-	for _, mask := range []int{0, dim / 4} {
-		var edgeOpts []Option
-		if mask > 0 {
-			edgeOpts = append(edgeOpts, WithQueryMask(mask))
-		}
-		edge, err := p.Edge(edgeOpts...)
+	edges := []struct {
+		name string
+		opts []Option
+	}{
+		{"mask=0", nil},
+		{fmt.Sprintf("mask=%d", dim/4), []Option{WithQueryMask(dim / 4)}},
+		{"raw", []Option{WithRawQueries()}},
+	}
+	for _, ec := range edges {
+		edge, err := p.Edge(ec.opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
+		raw := edge.cfg.rawQueries
+		prepared := make([][]float64, len(X))
 		wantLabels := make([]int, len(X))
 		wantScores := make([][]float64, len(X))
 		for i, x := range X {
-			q, err := edge.Prepare(x)
-			if err != nil {
+			if prepared[i], err = edge.Prepare(x); err != nil {
 				t.Fatal(err)
 			}
-			if wantLabels[i], err = p.PredictVector(q); err != nil {
+			if wantLabels[i], err = p.PredictVector(prepared[i]); err != nil {
 				t.Fatal(err)
 			}
-			wantScores[i] = p.core.Model().Scores(q)
+			wantScores[i] = p.core.Model().Scores(prepared[i])
+		}
+		check := func(t *testing.T, how string, i, label int, scores []float64) {
+			t.Helper()
+			if label != wantLabels[i] {
+				t.Fatalf("query %d: %s label %d, local %d", i, how, label, wantLabels[i])
+			}
+			if len(scores) != len(wantScores[i]) {
+				t.Fatalf("query %d: %s returned %d scores, local %d", i, how, len(scores), len(wantScores[i]))
+			}
+			for k := range scores {
+				if scores[k] != wantScores[i][k] {
+					t.Fatalf("query %d class %d: %s score %v, local %v — not bit-identical", i, k, how, scores[k], wantScores[i][k])
+				}
+			}
 		}
 
 		for _, target := range targets {
-			target.Model = "m"
-			t.Run(fmt.Sprintf("%v/mask=%d", target.Topology, mask), func(t *testing.T) {
+			if raw && target.Topology == TopologySharded {
+				continue // refused at Connect; pinned below
+			}
+			t.Run(fmt.Sprintf("%v/%s", target.Topology, ec.name), func(t *testing.T) {
 				c, err := Connect(context.Background(), target, WithEdge(edge))
 				if err != nil {
 					t.Fatal(err)
@@ -128,21 +153,31 @@ func TestTopologiesMatchLocalPrediction(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, x := range X {
+					if labels[i] != wantLabels[i] {
+						t.Fatalf("query %d: PredictBatch %d, local %d", i, labels[i], wantLabels[i])
+					}
 					label, scores, err := c.Predict(x)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if label != wantLabels[i] || labels[i] != wantLabels[i] {
-						t.Fatalf("query %d: Predict %d, PredictBatch %d, local %d", i, label, labels[i], wantLabels[i])
+					check(t, "Predict", i, label, scores)
+					label, scores, err = c.PredictPrepared(prepared[i])
+					if err != nil {
+						t.Fatal(err)
 					}
-					if len(scores) != len(wantScores[i]) {
-						t.Fatalf("query %d: %d scores, local %d", i, len(scores), len(wantScores[i]))
-					}
-					for k := range scores {
-						if scores[k] != wantScores[i][k] {
-							t.Fatalf("query %d class %d: score %v, local %v — not bit-identical", i, k, scores[k], wantScores[i][k])
-						}
-					}
+					check(t, "PredictPrepared", i, label, scores)
+				}
+			})
+		}
+		if raw {
+			t.Run("sharded/raw-prepared", func(t *testing.T) {
+				c, err := Connect(context.Background(), targets[3])
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				if _, _, err := c.PredictPrepared(prepared[0]); !errors.Is(err, ErrPartialUnsupported) {
+					t.Fatalf("sharded PredictPrepared of a full-precision query: err %v, want ErrPartialUnsupported", err)
 				}
 			})
 		}

@@ -26,7 +26,10 @@
 // privehd.Connect: a versioned wire protocol with
 // goroutine-per-connection reads, a bounded scoring worker pool shared
 // across connections (WithServerWorkers), context cancellation, graceful
-// shutdown and batched queries on a packed one-byte-per-dimension form.
+// shutdown and batched queries. A quantizing edge encodes each query
+// straight into its packed one-byte-per-dimension form, and that slice is
+// the frame payload the server's integer kernel scores — never widened to
+// float64 on the way.
 // The protocol is at v5; frames are gob messages after a "PHD"+version
 // handshake, each version a strict field superset of the last:
 //

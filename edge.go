@@ -98,23 +98,74 @@ func (e *Edge) Dim() int { return e.cfg.dim }
 func (e *Edge) Features() int { return e.cfg.features }
 
 // Prepare returns the obfuscated query hypervector for one input — what
-// actually crosses the network.
+// actually crosses the network — as float64s. Clients send a quantizing
+// edge's query in its packed one-byte-per-dimension form without ever
+// widening it; Prepare is the float view for callers that inspect it.
 func (e *Edge) Prepare(x []float64) ([]float64, error) {
-	if len(x) != e.cfg.features {
-		return nil, fmt.Errorf("privehd: Prepare got %d features, edge encodes %d", len(x), e.cfg.features)
+	if err := e.check(x); err != nil {
+		return nil, err
 	}
 	return e.core.Prepare(x), nil
 }
 
+func (e *Edge) check(x []float64) error {
+	if len(x) != e.cfg.features {
+		return fmt.Errorf("privehd: Prepare got %d features, edge encodes %d", len(x), e.cfg.features)
+	}
+	return nil
+}
+
 // PrepareBatch obfuscates a batch of inputs in parallel.
 func (e *Edge) PrepareBatch(X [][]float64) ([][]float64, error) {
+	if err := e.checkBatch(X); err != nil {
+		return nil, err
+	}
+	return e.core.PrepareBatch(X, e.cfg.workers), nil
+}
+
+func (e *Edge) checkBatch(X [][]float64) error {
 	for i, x := range X {
 		if len(x) != e.cfg.features {
-			return nil, fmt.Errorf("privehd: PrepareBatch sample %d has %d features, edge encodes %d",
+			return fmt.Errorf("privehd: PrepareBatch sample %d has %d features, edge encodes %d",
 				i, len(x), e.cfg.features)
 		}
 	}
-	return e.core.PrepareBatch(X, e.cfg.workers), nil
+	return nil
+}
+
+// query prepares one input in its wire form: on a quantizing edge the
+// packed query, encoded, quantized and masked straight into the one
+// D-byte slice that becomes the frame payload; under WithRawQueries the
+// full-precision vector. The slice is never pooled — a hedged or retried
+// attempt may still hold it after the call returns.
+func (e *Edge) query(x []float64) (offload.Query, error) {
+	if err := e.check(x); err != nil {
+		return offload.Query{}, err
+	}
+	if e.cfg.rawQueries {
+		return offload.Query{Vector: e.core.Prepare(x)}, nil
+	}
+	q := make([]int8, e.cfg.dim)
+	e.core.PreparePackedInto(x, q)
+	return offload.Query{Packed: q}, nil
+}
+
+// queries is query over a batch, prepared in parallel.
+func (e *Edge) queries(X [][]float64) ([]offload.Query, error) {
+	if err := e.checkBatch(X); err != nil {
+		return nil, err
+	}
+	qs := make([]offload.Query, len(X))
+	if e.cfg.rawQueries {
+		for i, h := range e.core.PrepareBatch(X, e.cfg.workers) {
+			qs[i].Vector = h
+		}
+		return qs, nil
+	}
+	for i, q := range e.core.PreparePackedBatch(X, e.cfg.workers) {
+		qs[i].Packed = q
+	}
+	return qs, nil
 }
 
 // Encode returns the raw, unobfuscated encoding of x — the undefended

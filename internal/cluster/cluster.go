@@ -491,12 +491,12 @@ func (p *Pool) Hello(ctx context.Context) (offload.ServerHello, error) {
 // Classify classifies one prepared query through the pool. The context's
 // deadline, if any, rides the frame as its budget (offload.BudgetNs) and
 // bounds the wait.
-func (p *Pool) Classify(ctx context.Context, prepared []float64) (int, []float64, error) {
+func (p *Pool) Classify(ctx context.Context, q offload.Query) (int, []float64, error) {
 	var label int
 	var scores []float64
 	err := p.do(ctx, func(c *offload.Client) error {
 		var err error
-		label, scores, err = c.ClassifyContext(ctx, prepared)
+		label, scores, err = c.ClassifyContext(ctx, q)
 		return err
 	})
 	return label, scores, err
@@ -504,11 +504,11 @@ func (p *Pool) Classify(ctx context.Context, prepared []float64) (int, []float64
 
 // ClassifyBatchScores classifies a batch of prepared queries through one
 // pooled connection (chunks pipelined).
-func (p *Pool) ClassifyBatchScores(ctx context.Context, prepared [][]float64) ([]offload.Result, error) {
+func (p *Pool) ClassifyBatchScores(ctx context.Context, qs []offload.Query) ([]offload.Result, error) {
 	var results []offload.Result
 	err := p.do(ctx, func(c *offload.Client) error {
 		var err error
-		results, err = c.ClassifyBatchScoresContext(ctx, prepared)
+		results, err = c.ClassifyBatchScoresContext(ctx, qs)
 		return err
 	})
 	if err != nil {
@@ -518,8 +518,8 @@ func (p *Pool) ClassifyBatchScores(ctx context.Context, prepared [][]float64) ([
 }
 
 // ClassifyBatch is ClassifyBatchScores returning labels only.
-func (p *Pool) ClassifyBatch(ctx context.Context, prepared [][]float64) ([]int, error) {
-	results, err := p.ClassifyBatchScores(ctx, prepared)
+func (p *Pool) ClassifyBatch(ctx context.Context, qs []offload.Query) ([]int, error) {
+	results, err := p.ClassifyBatchScores(ctx, qs)
 	if err != nil {
 		return nil, err
 	}
@@ -987,7 +987,7 @@ func (cl *Cluster) Hello(ctx context.Context) (offload.ServerHello, error) {
 // Classify classifies one prepared query on some healthy replica. With a
 // HedgePolicy configured, a straggling call is hedged to a second replica
 // and the first reply wins.
-func (cl *Cluster) Classify(ctx context.Context, prepared []float64) (int, []float64, error) {
+func (cl *Cluster) Classify(ctx context.Context, q offload.Query) (int, []float64, error) {
 	var label int
 	var scores []float64
 	err := cl.DoHedged(ctx, nil, func() (func(context.Context, *Pool) error, func()) {
@@ -995,7 +995,7 @@ func (cl *Cluster) Classify(ctx context.Context, prepared []float64) (int, []flo
 		var s []float64
 		op := func(actx context.Context, p *Pool) error {
 			var err error
-			l, s, err = p.Classify(actx, prepared)
+			l, s, err = p.Classify(actx, q)
 			return err
 		}
 		commit := func() { label, scores = l, s }
@@ -1011,8 +1011,8 @@ func (cl *Cluster) Classify(ctx context.Context, prepared []float64) (int, []flo
 // deterministic per model publication), so a replica dying mid-batch costs
 // one chunk retry, not a whole-batch restart. Results come back in input
 // order; the first error wins and fails the batch.
-func (cl *Cluster) ClassifyBatchScores(ctx context.Context, prepared [][]float64) ([]offload.Result, error) {
-	n := len(prepared)
+func (cl *Cluster) ClassifyBatchScores(ctx context.Context, qs []offload.Query) ([]offload.Result, error) {
+	n := len(qs)
 	if n == 0 {
 		return nil, nil
 	}
@@ -1033,7 +1033,7 @@ func (cl *Cluster) ClassifyBatchScores(ctx context.Context, prepared [][]float64
 		var results []offload.Result
 		err := cl.do(ctx, func(p *Pool) error {
 			var err error
-			results, err = p.ClassifyBatchScores(ctx, prepared)
+			results, err = p.ClassifyBatchScores(ctx, qs)
 			return err
 		})
 		if err != nil {
@@ -1060,7 +1060,7 @@ func (cl *Cluster) ClassifyBatchScores(ctx context.Context, prepared [][]float64
 		go func(start, end int, prefer *replica) {
 			defer wg.Done()
 			err := cl.doPrefer(ctx, prefer, func(p *Pool) error {
-				rs, err := p.ClassifyBatchScores(ctx, prepared[start:end])
+				rs, err := p.ClassifyBatchScores(ctx, qs[start:end])
 				if err != nil {
 					return err
 				}
@@ -1090,8 +1090,8 @@ func (cl *Cluster) ClassifyBatchScores(ctx context.Context, prepared [][]float64
 }
 
 // ClassifyBatch is ClassifyBatchScores returning labels only.
-func (cl *Cluster) ClassifyBatch(ctx context.Context, prepared [][]float64) ([]int, error) {
-	results, err := cl.ClassifyBatchScores(ctx, prepared)
+func (cl *Cluster) ClassifyBatch(ctx context.Context, qs []offload.Query) ([]int, error) {
+	results, err := cl.ClassifyBatchScores(ctx, qs)
 	if err != nil {
 		return nil, err
 	}

@@ -31,16 +31,16 @@ func testModel(dim int) *hdc.Model {
 	return m
 }
 
-func classQuery(dim, class int) []float64 {
-	q := make([]float64, dim)
-	v := 1.0
+func classQuery(dim, class int) offload.Query {
+	q := make([]int8, dim)
+	v := int8(1)
 	if class == 1 {
 		v = -1
 	}
 	for i := range q {
 		q[i] = v
 	}
-	return q
+	return offload.Query{Packed: q}
 }
 
 // testReplica is one loopback server that can be killed and restarted on
@@ -395,15 +395,12 @@ func TestClusterFailoverUnderConcurrentLoad(t *testing.T) {
 // correlate by ID, not arrival order.
 func assertOutOfOrder(t *testing.T, addr string, dim int) {
 	t.Helper()
-	heavyQ, ok := offload.PackQuery(classQuery(dim, 0))
-	if !ok {
-		t.Fatal("query should pack")
-	}
+	q := classQuery(dim, 0)
 	heavy := offload.Request{ID: 1, Queries: make([]offload.Query, 200)}
 	for i := range heavy.Queries {
-		heavy.Queries[i] = offload.Query{Packed: heavyQ}
+		heavy.Queries[i] = q
 	}
-	light := offload.Request{ID: 2, Queries: []offload.Query{{Packed: heavyQ}}}
+	light := offload.Request{ID: 2, Queries: []offload.Query{q}}
 
 	for attempt := 0; attempt < 5; attempt++ {
 		conn, err := net.Dial("tcp", addr)

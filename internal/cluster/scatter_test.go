@@ -27,7 +27,7 @@ func TestClusterBatchScatterSpreadsAcrossReplicas(t *testing.T) {
 	// Alternate classes so a single ordering mistake in the chunked
 	// reassembly flips a label.
 	const n = 60
-	batch := make([][]float64, n)
+	batch := make([]offload.Query, n)
 	for i := range batch {
 		batch[i] = classQuery(dim, i%2)
 	}
@@ -78,7 +78,7 @@ func TestClusterBatchScatterFailsOverDeadReplica(t *testing.T) {
 	reps[2].Kill()
 
 	const n = 48
-	batch := make([][]float64, n)
+	batch := make([]offload.Query, n)
 	for i := range batch {
 		batch[i] = classQuery(dim, i%2)
 	}
@@ -111,7 +111,7 @@ func TestClusterBatchSmallStaysSingleFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	labels, err := cl.ClassifyBatch(context.Background(), [][]float64{classQuery(dim, 0)})
+	labels, err := cl.ClassifyBatch(context.Background(), []offload.Query{classQuery(dim, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}

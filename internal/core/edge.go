@@ -8,6 +8,7 @@ import (
 	"privehd/internal/encslice"
 	"privehd/internal/hdc"
 	"privehd/internal/hrand"
+	"privehd/internal/intscore"
 	"privehd/internal/par"
 	"privehd/internal/prune"
 	"privehd/internal/quant"
@@ -42,7 +43,7 @@ type Edge struct {
 	// device can derive the 1-bit query straight from popcounts.
 	packed hdc.PackedEncoder
 	mask   *prune.Mask // nil when MaskDims == 0
-	// scratch pools the packed-query buffer the fused path quantizes into.
+	// scratch pools the packed-query buffer Prepare widens from.
 	scratch sync.Pool
 }
 
@@ -73,38 +74,48 @@ func (e *Edge) Encoder() hdc.Encoder { return e.encoder }
 // Mask returns the query mask, or nil when masking is off.
 func (e *Edge) Mask() *prune.Mask { return e.mask }
 
-// Prepare returns the obfuscated query hypervector for one input — what
-// actually crosses the network. A quantizing edge with an engine-backed
-// encoder derives the 1-bit query on the fused bit-sliced path (sign bits
-// straight from integer popcounts, bit-identical to encode-then-quantize);
-// only the returned wire vector is allocated.
+// Prepare returns the obfuscated query hypervector for one input as
+// float64s. On a quantizing edge it is a view of PreparePackedInto, so
+// quantization and masking happen in one place; an edge that does not
+// quantize returns the masked full-precision encoding.
 func (e *Edge) Prepare(x []float64) []float64 {
-	h := e.prepareUnmasked(x)
-	if e.mask != nil {
-		e.mask.Apply(h)
+	if !e.cfg.Quantize {
+		h := e.encoder.Encode(x)
+		if e.mask != nil {
+			e.mask.Apply(h)
+		}
+		return h
 	}
+	pk := e.getPacked()
+	e.PreparePackedInto(x, *pk)
+	h := make([]float64, len(*pk))
+	for j, s := range *pk {
+		h[j] = float64(s)
+	}
+	e.scratch.Put(pk)
 	return h
 }
 
-// prepareUnmasked encodes (and, when configured, 1-bit quantizes) one
-// input into a fresh vector.
-func (e *Edge) prepareUnmasked(x []float64) []float64 {
+// PreparePackedInto writes the obfuscated 1-bit query for one input into
+// dst (length Dim) — the packed −1/0/+1 symbols that cross the network:
+// encode, bipolar-quantize, then zero the masked dimensions. With an
+// engine-backed encoder the sign bits come straight from integer popcounts
+// (bit-identical to encode-then-quantize) and nothing is allocated. It
+// reports false, writing nothing, when the edge does not quantize: its
+// queries are full precision and have no packed form.
+func (e *Edge) PreparePackedInto(x []float64, dst []int8) bool {
 	if !e.cfg.Quantize {
-		return e.encoder.Encode(x)
+		return false
 	}
-	if e.packed != nil {
-		pk := e.getPacked()
-		if e.packed.EncodePackedInto(x, encslice.SchemeBipolar, *pk) {
-			h := make([]float64, e.cfg.HD.Dim)
-			for j, s := range *pk {
-				h[j] = float64(s)
-			}
-			e.scratch.Put(pk)
-			return h
-		}
-		e.scratch.Put(pk)
+	if e.packed == nil || !e.packed.EncodePackedInto(x, encslice.SchemeBipolar, dst) {
+		// Geometries the engine rejects quantize the reference encoding;
+		// bipolar symbols always pack.
+		intscore.PackInto(quant.Bipolar{}.Quantize(e.encoder.Encode(x)), dst)
 	}
-	return quant.Bipolar{}.Quantize(e.encoder.Encode(x))
+	if e.mask != nil {
+		maskPacked(dst, e.mask)
+	}
+	return true
 }
 
 func (e *Edge) getPacked() *[]int8 {
@@ -119,11 +130,34 @@ func (e *Edge) getPacked() *[]int8 {
 // workers (<=0 selects GOMAXPROCS) with rows claimed off an atomic cursor.
 func (e *Edge) PrepareBatch(X [][]float64, workers int) [][]float64 {
 	out := make([][]float64, len(X))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	par.ForEach(len(X), workers, func(i int) {
+	forEachRow(len(X), workers, func(i int) {
 		out[i] = e.Prepare(X[i])
 	})
 	return out
+}
+
+// PreparePackedBatch is PreparePackedInto over a batch, spread over
+// workers like PrepareBatch; the queries share one allocation. It returns
+// nil when the edge does not quantize.
+func (e *Edge) PreparePackedBatch(X [][]float64, workers int) [][]int8 {
+	if !e.cfg.Quantize {
+		return nil
+	}
+	dim := e.cfg.HD.Dim
+	buf := make([]int8, len(X)*dim)
+	out := make([][]int8, len(X))
+	forEachRow(len(X), workers, func(i int) {
+		out[i] = buf[i*dim : (i+1)*dim : (i+1)*dim]
+		e.PreparePackedInto(X[i], out[i])
+	})
+	return out
+}
+
+// forEachRow runs fn over n rows on workers goroutines (<=0 selects
+// GOMAXPROCS).
+func forEachRow(n, workers int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	par.ForEach(n, workers, fn)
 }

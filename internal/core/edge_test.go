@@ -114,12 +114,25 @@ func TestEdgePrepareBatchMatchesPrepare(t *testing.T) {
 		}
 	}
 	batch := e.PrepareBatch(X, 2)
+	packed := e.PreparePackedBatch(X, 2)
 	for i, x := range X {
 		single := e.Prepare(x)
 		for j := range single {
 			if batch[i][j] != single[j] {
 				t.Fatalf("batch/single mismatch at sample %d dim %d", i, j)
 			}
+			if float64(packed[i][j]) != single[j] {
+				t.Fatalf("packed batch/single mismatch at sample %d dim %d", i, j)
+			}
 		}
+	}
+
+	// An edge that does not quantize has no packed form.
+	raw, err := NewEdge(EdgeConfig{HD: edgeHD()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw.PreparePackedInto(X[0], make([]int8, edgeHD().Dim)) || raw.PreparePackedBatch(X, 2) != nil {
+		t.Fatal("non-quantizing edge produced a packed query")
 	}
 }

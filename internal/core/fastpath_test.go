@@ -163,6 +163,34 @@ func TestEdgePrepareFusedMatchesReference(t *testing.T) {
 	}
 }
 
+// TestEdgePreparePackedReferencePath covers a geometry the bit-sliced
+// engine rejects (more levels than it supports): the packed query then
+// comes from the reference encoding, still quantized and masked.
+func TestEdgePreparePackedReferencePath(t *testing.T) {
+	e, err := NewEdge(EdgeConfig{
+		HD:       hdc.Config{Dim: 130, Features: 5, Levels: 1<<16 + 1, Seed: 4},
+		Encoding: EncodingScalar,
+		Quantize: true,
+		MaskDims: 30,
+		MaskSeed: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := []float64{0.1, 0.9, 0.4, 0.7, 0.3}
+	want := quant.Bipolar{}.Quantize(e.Encoder().Encode(x))
+	e.Mask().Apply(want)
+	got := make([]int8, 130)
+	if !e.PreparePackedInto(x, got) {
+		t.Fatal("quantizing edge reported no packed form")
+	}
+	for j := range want {
+		if float64(got[j]) != want[j] {
+			t.Fatalf("dim %d: packed %d, reference %v", j, got[j], want[j])
+		}
+	}
+}
+
 // TestPredictZeroAllocs pins the serving contract: the fused Predict chain
 // allocates nothing per query once the pools are warm.
 func TestPredictZeroAllocs(t *testing.T) {

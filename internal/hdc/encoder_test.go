@@ -24,6 +24,10 @@ func TestLevelIndex(t *testing.T) {
 		{1.5, 10, 9},
 		{0.5, 2, 1},
 		{0.49, 2, 0},
+		{math.NaN(), 10, 0},
+		{math.Inf(1), 10, 9},
+		{math.Inf(-1), 10, 0},
+		{1e300, 10, 9},
 	}
 	for _, tt := range tests {
 		if got := LevelIndex(tt.v, tt.levels); got != tt.want {

@@ -1,6 +1,7 @@
 package hdc
 
 import (
+	"math"
 	"testing"
 
 	"privehd/internal/encslice"
@@ -64,6 +65,34 @@ func TestEncodersMatchReferenceLoops(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestNonFiniteInputsMatchReference pins the engine and the reference loops
+// together on inputs no normalizer should let through — NaN, ±Inf and huge
+// magnitudes — which must clamp to the end levels instead of indexing out
+// of range.
+func TestNonFiniteInputsMatchReference(t *testing.T) {
+	odd := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300, 0.5}
+	for _, cfg := range engineGeometries {
+		x := make([]float64, cfg.Features)
+		for k := range x {
+			x[k] = odd[k%len(odd)]
+		}
+		le, se := mustLevel(t, cfg), mustScalar(t, cfg)
+		for name, pair := range map[string][2][]float64{
+			"level":  {le.EncodeInto(x, make([]float64, cfg.Dim)), le.encodeRefInto(x, make([]float64, cfg.Dim))},
+			"scalar": {se.EncodeInto(x, make([]float64, cfg.Dim)), se.encodeRefInto(x, make([]float64, cfg.Dim))},
+		} {
+			for j := range pair[1] {
+				if pair[0][j] != pair[1][j] {
+					t.Fatalf("%s %+v dim %d: engine %v, reference %v", name, cfg, j, pair[0][j], pair[1][j])
+				}
+			}
+		}
+		if planes := le.BitPlanes(x); len(planes) != cfg.Features {
+			t.Fatalf("%+v: BitPlanes returned %d planes, want %d", cfg, len(planes), cfg.Features)
 		}
 	}
 }

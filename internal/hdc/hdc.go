@@ -45,10 +45,11 @@ func (c Config) Validate() error {
 var ErrDimension = errors.New("hdc: dimension mismatch")
 
 // LevelIndex maps a normalized feature value v ∈ [0,1] to its quantization
-// level in [0, levels). Values outside [0,1] clamp, so denormalized inputs
-// degrade gracefully instead of corrupting memory lookups.
+// level in [0, levels). Values outside [0,1] clamp and NaN maps to level 0,
+// so denormalized inputs degrade gracefully instead of corrupting memory
+// lookups.
 func LevelIndex(v float64, levels int) int {
-	if v <= 0 {
+	if !(v > 0) {
 		return 0
 	}
 	if v >= 1 {

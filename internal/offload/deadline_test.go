@@ -36,7 +36,7 @@ func TestDeadlineExpiredBeforeSend(t *testing.T) {
 
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, _, err := c.ClassifyContext(ctx, []float64{1, 0, 0, 0})
+	_, _, err := c.ClassifyContext(ctx, asQuery([]float64{1, 0, 0, 0}))
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("expired-before-send err = %v, want ErrDeadlineExceeded", err)
 	}
@@ -125,7 +125,7 @@ func TestClassifyContextCancelIsTransport(t *testing.T) {
 		q[i] = make([]float64, 4096)
 		q[i][0] = 1
 	}
-	_, err = c.ClassifyBatchScoresContext(ctx, q)
+	_, err = c.ClassifyBatchScoresContext(ctx, asQueries(q))
 	if err == nil {
 		t.Skip("batch finished before the cancel landed")
 	}
@@ -142,7 +142,7 @@ func TestClassifyContextNoDeadlineUnchanged(t *testing.T) {
 	defer cleanup()
 	c := dialToy(t, addr)
 	defer c.Close()
-	label, scores, err := c.ClassifyContext(context.Background(), []float64{2, 1, 0, 0})
+	label, scores, err := c.ClassifyContext(context.Background(), asQuery([]float64{2, 1, 0, 0}))
 	if err != nil || label != 0 || len(scores) != 2 {
 		t.Fatalf("ClassifyContext(Background) = %d, %v, %v", label, scores, err)
 	}

@@ -84,7 +84,7 @@ func TestSilentPeerReleasesSlot(t *testing.T) {
 		c, err := Dial(context.Background(), "tcp", addr, Hello{Dim: 4})
 		if err == nil {
 			defer c.Close()
-			if _, _, err := c.Classify([]float64{1, 1, 0, 0}); err != nil {
+			if _, _, err := c.Classify(asQuery([]float64{1, 1, 0, 0})); err != nil {
 				t.Fatal(err)
 			}
 			return
@@ -116,12 +116,12 @@ func TestServerMetricsCounters(t *testing.T) {
 
 	const frames = 3
 	for i := 0; i < frames; i++ {
-		if _, _, err := c.Classify([]float64{2, 1, 0, 0}); err != nil {
+		if _, _, err := c.Classify(asQuery([]float64{2, 1, 0, 0})); err != nil {
 			t.Fatal(err)
 		}
 	}
 	batch := [][]float64{{2, 1, 0, 0}, {0, 0, 1, 2}}
-	if _, err := c.ClassifyBatch(batch); err != nil {
+	if _, err := c.ClassifyBatch(asQueries(batch)); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()

@@ -308,7 +308,12 @@ type ServerHello struct {
 }
 
 // Query is one encoded (and obfuscated) query hypervector. Exactly one of
-// Vector and Packed is set.
+// Vector and Packed is set. A quantizing edge produces the Packed form
+// directly and it travels unchanged from the edge to the server's integer
+// scoring kernel; Vector is the unquantized baseline (WithRawQueries).
+// Clients send the caller's Query as is — a packed slice becomes the frame
+// payload — so a caller must not reuse it while any attempt may still hold
+// it.
 type Query struct {
 	// Vector is the offloaded query hypervector in full precision.
 	Vector []float64
@@ -1966,10 +1971,11 @@ func (c *Client) ModelVersion() int { return c.hello.ModelVersion }
 func (c *Client) ServerHello() ServerHello { return c.hello }
 
 // Classify sends one prepared (already obfuscated) query and returns the
-// predicted label and scores. Quantized queries automatically take the
-// compact one-byte-per-dimension wire form.
-func (c *Client) Classify(prepared []float64) (int, []float64, error) {
-	return c.ClassifyContext(nil, prepared)
+// predicted label and scores. The query travels in the form the caller
+// built it: a Packed query as one byte per dimension, a Vector query in
+// full precision.
+func (c *Client) Classify(q Query) (int, []float64, error) {
+	return c.ClassifyContext(nil, q)
 }
 
 // ClassifyContext is Classify bounded by ctx: its remaining deadline is
@@ -1978,12 +1984,19 @@ func (c *Client) Classify(prepared []float64) (int, []float64, error) {
 // ErrDeadlineExceeded (deadline) or an ErrTransport-wrapped error (plain
 // cancellation, e.g. a hedged attempt losing its race). A nil or
 // deadline-free ctx behaves exactly like Classify.
-func (c *Client) ClassifyContext(ctx context.Context, prepared []float64) (int, []float64, error) {
-	results, err := c.roundTrip(ctx, [][]float64{prepared})
+func (c *Client) ClassifyContext(ctx context.Context, q Query) (int, []float64, error) {
+	p, err := c.submitCtx(ctx, Request{Queries: []Query{q}})
 	if err != nil {
 		return 0, nil, err
 	}
-	return results[0].Label, results[0].Scores, nil
+	reply, err := p.waitCtx(ctx)
+	if err != nil {
+		return 0, nil, err
+	}
+	if err := replyError(reply, p.req); err != nil {
+		return 0, nil, err
+	}
+	return reply.Results[0].Label, reply.Results[0].Scores, nil
 }
 
 // Labels extracts the predicted labels from classification results.
@@ -1999,8 +2012,8 @@ func Labels(results []Result) []int {
 // MaxBatch vectors per round trip, and returns the predicted labels in
 // order. It stops at the first failure, returning the labels answered so
 // far.
-func (c *Client) ClassifyBatch(prepared [][]float64) ([]int, error) {
-	results, err := c.ClassifyBatchScores(prepared)
+func (c *Client) ClassifyBatch(qs []Query) ([]int, error) {
+	results, err := c.ClassifyBatchScores(qs)
 	return Labels(results), err
 }
 
@@ -2009,14 +2022,14 @@ func (c *Client) ClassifyBatch(prepared [][]float64) ([]int, error) {
 // out of order, and results are reassembled in query order — so a large
 // batch costs one round trip plus server time, not one round trip per
 // MaxBatch chunk.
-func (c *Client) ClassifyBatchScores(prepared [][]float64) ([]Result, error) {
-	return c.ClassifyBatchScoresContext(nil, prepared)
+func (c *Client) ClassifyBatchScores(qs []Query) ([]Result, error) {
+	return c.ClassifyBatchScoresContext(nil, qs)
 }
 
 // ClassifyBatchScoresContext is ClassifyBatchScores bounded by ctx: every
 // chunk frame carries the remaining budget, and waits abort on expiry with
 // the typed ErrDeadlineExceeded.
-func (c *Client) ClassifyBatchScoresContext(ctx context.Context, prepared [][]float64) ([]Result, error) {
+func (c *Client) ClassifyBatchScoresContext(ctx context.Context, qs []Query) ([]Result, error) {
 	chunk := c.hello.MaxBatch
 	if chunk <= 0 {
 		chunk = DefaultMaxBatch
@@ -2025,21 +2038,21 @@ func (c *Client) ClassifyBatchScoresContext(ctx context.Context, prepared [][]fl
 		start int
 		p     *pending
 	}
-	pendings := make([]chunkPending, 0, (len(prepared)+chunk-1)/chunk)
+	pendings := make([]chunkPending, 0, (len(qs)+chunk-1)/chunk)
 	var submitErr error
-	for start := 0; start < len(prepared); start += chunk {
+	for start := 0; start < len(qs); start += chunk {
 		end := start + chunk
-		if end > len(prepared) {
-			end = len(prepared)
+		if end > len(qs) {
+			end = len(qs)
 		}
-		p, err := c.submitCtx(ctx, classifyRequest(prepared[start:end]))
+		p, err := c.submitCtx(ctx, Request{Queries: qs[start:end]})
 		if err != nil {
 			submitErr = fmt.Errorf("offload: batch at query %d: %w", start, err)
 			break
 		}
 		pendings = append(pendings, chunkPending{start: start, p: p})
 	}
-	out := make([]Result, 0, len(prepared))
+	out := make([]Result, 0, len(qs))
 	for _, cp := range pendings {
 		reply, err := cp.p.waitCtx(ctx)
 		if err == nil {
@@ -2106,20 +2119,6 @@ func (c *Client) PartialScoresContext(ctx context.Context, packed [][]int8) ([][
 	return reply.Partials, reply.NormSq, nil
 }
 
-// classifyRequest builds one classification frame, packing quantized
-// queries into the compact wire form.
-func classifyRequest(prepared [][]float64) Request {
-	req := Request{Queries: make([]Query, len(prepared))}
-	for i, v := range prepared {
-		if packed, ok := PackQuery(v); ok {
-			req.Queries[i] = Query{Packed: packed}
-		} else {
-			req.Queries[i] = Query{Vector: v}
-		}
-	}
-	return req
-}
-
 // replyError converts a routed reply into the request's outcome.
 func replyError(reply Reply, req Request) error {
 	if reply.Code != "" {
@@ -2130,22 +2129,6 @@ func replyError(reply Reply, req Request) error {
 			len(reply.Results), len(req.Queries))
 	}
 	return nil
-}
-
-// roundTrip pipelines one Request frame and waits for its Reply.
-func (c *Client) roundTrip(ctx context.Context, prepared [][]float64) ([]Result, error) {
-	p, err := c.submitCtx(ctx, classifyRequest(prepared))
-	if err != nil {
-		return nil, err
-	}
-	reply, err := p.waitCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if err := replyError(reply, p.req); err != nil {
-		return nil, err
-	}
-	return reply.Results, nil
 }
 
 // Ping round-trips an empty in-band OpPing frame: proof the peer's serve

@@ -57,6 +57,25 @@ func startServerOn(t *testing.T, lis net.Listener, m *hdc.Model, opts ...ServerO
 	return lis.Addr().String(), srv, cleanup
 }
 
+// asQuery wraps a prepared test vector in the wire form a client would
+// build for it: packed when every value is a protocol symbol, full
+// precision otherwise.
+func asQuery(v []float64) Query {
+	if p, ok := PackQuery(v); ok {
+		return Query{Packed: p}
+	}
+	return Query{Vector: v}
+}
+
+// asQueries is asQuery over a batch.
+func asQueries(vs [][]float64) []Query {
+	qs := make([]Query, len(vs))
+	for i, v := range vs {
+		qs[i] = asQuery(v)
+	}
+	return qs
+}
+
 func toyModel() *hdc.Model {
 	m := hdc.NewModel(2, 4)
 	m.Add(0, []float64{1, 1, 0, 0})
@@ -110,7 +129,7 @@ func TestClassifyOverTCP(t *testing.T) {
 	if c.Dim() != 4 || c.Classes() != 2 || c.MaxBatch() != DefaultMaxBatch {
 		t.Errorf("handshake advertised dim=%d classes=%d maxBatch=%d", c.Dim(), c.Classes(), c.MaxBatch())
 	}
-	label, scores, err := c.Classify([]float64{2, 1, 0, 0})
+	label, scores, err := c.Classify(asQuery([]float64{2, 1, 0, 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +140,7 @@ func TestClassifyOverTCP(t *testing.T) {
 		t.Errorf("scores = %v", scores)
 	}
 	// Stream another query on the same connection.
-	label, _, err = c.Classify([]float64{0, 0, 1, 2})
+	label, _, err = c.Classify(asQuery([]float64{0, 0, 1, 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,9 +259,9 @@ func TestServerRejectsOversizedBatch(t *testing.T) {
 	}
 	// The client honors the advertised limit by chunking, so a 5-query
 	// batch succeeds through multiple round trips.
-	labels, err := c.ClassifyBatch([][]float64{
+	labels, err := c.ClassifyBatch(asQueries([][]float64{
 		{2, 1, 0, 0}, {0, 0, 1, 2}, {3, 3, 0, 0}, {0, 0, 2, 2}, {1, 2, 0, 0},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +294,7 @@ func TestServerRejectsWrongDimQuery(t *testing.T) {
 	defer cleanup()
 	c := dialToy(t, addr)
 	defer c.Close()
-	if _, _, err := c.Classify([]float64{0.5}); err == nil {
+	if _, _, err := c.Classify(asQuery([]float64{0.5})); err == nil {
 		t.Error("expected dimension error")
 	}
 }
@@ -294,7 +313,7 @@ func TestConcurrentClients(t *testing.T) {
 			}
 			defer c.Close()
 			for q := 0; q < queries; q++ {
-				if _, _, err := c.Classify([]float64{1, 1, 0, 0}); err != nil {
+				if _, _, err := c.Classify(asQuery([]float64{1, 1, 0, 0})); err != nil {
 					errs <- err
 					return
 				}
@@ -327,7 +346,7 @@ func TestContextCancelStopsServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := c.Classify([]float64{1, 1, 0, 0}); err != nil {
+	if _, _, err := c.Classify(asQuery([]float64{1, 1, 0, 0})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -343,7 +362,7 @@ func TestContextCancelStopsServer(t *testing.T) {
 	// The open connection is closed by the shutdown.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, _, err := c.Classify([]float64{1, 1, 0, 0}); err != nil {
+		if _, _, err := c.Classify(asQuery([]float64{1, 1, 0, 0})); err != nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -366,7 +385,7 @@ func TestGracefulShutdownFinishesInFlight(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			if _, _, err := c.Classify([]float64{1, 1, 0, 0}); err != nil {
+			if _, _, err := c.Classify(asQuery([]float64{1, 1, 0, 0})); err != nil {
 				results <- err
 				return
 			}
@@ -394,11 +413,11 @@ func TestClassifyBatch(t *testing.T) {
 	defer cleanup()
 	c := dialToy(t, addr)
 	defer c.Close()
-	labels, err := c.ClassifyBatch([][]float64{
+	labels, err := c.ClassifyBatch(asQueries([][]float64{
 		{2, 1, 0, 0},
 		{0, 0, 1, 2},
 		{3, 3, 0, 0},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +428,7 @@ func TestClassifyBatch(t *testing.T) {
 		}
 	}
 	// A bad query in the batch fails the whole request with no results.
-	if _, err := c.ClassifyBatch([][]float64{{0.5, 1, 0, 0}, {0.5}}); err == nil {
+	if _, err := c.ClassifyBatch(asQueries([][]float64{{0.5, 1, 0, 0}, {0.5}})); err == nil {
 		t.Error("expected error for bad dimension")
 	}
 }
@@ -448,14 +467,14 @@ func TestPackedQueryClassifiesIdentically(t *testing.T) {
 	defer c.Close()
 	// A quantized (integer) query takes the packed path; a fractional one
 	// takes the float path. Both must classify correctly.
-	label, _, err := c.Classify([]float64{1, 1, -1, 0})
+	label, _, err := c.Classify(asQuery([]float64{1, 1, -1, 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if label != 0 {
 		t.Errorf("packed-path label = %d, want 0", label)
 	}
-	label, _, err = c.Classify([]float64{0.1, 0.2, 1.5, 1.4})
+	label, _, err = c.Classify(asQuery([]float64{0.1, 0.2, 1.5, 1.4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +522,7 @@ func TestWiretapSeesQueries(t *testing.T) {
 	// both wire forms.
 	queries := [][]float64{{1, -1, 0, 1}, {0.25, 1, 0, 0}}
 	for _, q := range queries {
-		if _, _, err := c.Classify(q); err != nil {
+		if _, _, err := c.Classify(asQuery(q)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -573,7 +592,7 @@ func TestEndToEndObfuscatedInference(t *testing.T) {
 
 	correct := 0
 	for i, x := range d.TestX {
-		label, _, err := client.Classify(edge.Prepare(x))
+		label, _, err := client.Classify(asQuery(edge.Prepare(x)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -686,7 +705,7 @@ func TestMultiModelServing(t *testing.T) {
 		if c.ModelVersion() != 1 {
 			t.Errorf("dial %q ModelVersion = %d, want 1", tc.model, c.ModelVersion())
 		}
-		label, _, err := c.Classify(q)
+		label, _, err := c.Classify(asQuery(q))
 		if err != nil {
 			t.Fatalf("classify via %q: %v", tc.model, err)
 		}
@@ -744,7 +763,7 @@ func TestAutoConfigureHandshakeDimZero(t *testing.T) {
 	if h.Encoding != info.Encoding || h.Levels != info.Levels || h.Features != info.Features || h.Seed != info.Seed {
 		t.Errorf("encoder setup = %+v, want %+v", h, info)
 	}
-	if label, _, err := c.Classify([]float64{1, 1, 0, 0}); err != nil || label != 0 {
+	if label, _, err := c.Classify(asQuery([]float64{1, 1, 0, 0})); err != nil || label != 0 {
 		t.Errorf("classify after auto-configure: label %d, err %v", label, err)
 	}
 }
@@ -787,7 +806,7 @@ func TestHotSwapUnderLiveTraffic(t *testing.T) {
 					return
 				default:
 				}
-				labels, err := c.ClassifyBatch(q)
+				labels, err := c.ClassifyBatch(asQueries(q))
 				if err != nil {
 					tl.err = err
 					return
@@ -840,21 +859,21 @@ func TestDeregisterMidStreamFailsFramesNotConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := c.Classify([]float64{1, 1, 0, 0}); err != nil {
+	if _, _, err := c.Classify(asQuery([]float64{1, 1, 0, 0})); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.Deregister("gone"); err != nil {
 		t.Fatal(err)
 	}
 	// The frame is answered with a typed error, the connection survives...
-	if _, _, err := c.Classify([]float64{1, 1, 0, 0}); !errors.Is(err, ErrUnknownModel) {
+	if _, _, err := c.Classify(asQuery([]float64{1, 1, 0, 0})); !errors.Is(err, ErrUnknownModel) {
 		t.Errorf("classify after deregister = %v, want ErrUnknownModel", err)
 	}
 	// ...and the model coming back restores service on the same conn.
 	if _, err := reg.Register("gone", labelModel(1), registry.EncoderInfo{}); err != nil {
 		t.Fatal(err)
 	}
-	label, _, err := c.Classify([]float64{1, 1, 0, 0})
+	label, _, err := c.Classify(asQuery([]float64{1, 1, 0, 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -966,7 +985,7 @@ func TestWorkerPoolServesManyConnections(t *testing.T) {
 			defer c.Close()
 			batch := [][]float64{{1, 1, 0, 0}, {0, 0, 1, 1}, {1, 1, 0, 0}, {0, 0, 1, 1}}
 			for r := 0; r < rounds; r++ {
-				labels, err := c.ClassifyBatch(batch)
+				labels, err := c.ClassifyBatch(asQueries(batch))
 				if err != nil {
 					errs <- err
 					return
@@ -1053,7 +1072,7 @@ func TestSetDefaultDoesNotRebindLiveConnections(t *testing.T) {
 	if err := reg.SetDefault("beta"); err != nil {
 		t.Fatal(err)
 	}
-	label, _, err := c.Classify([]float64{1, 1, 0, 0})
+	label, _, err := c.Classify(asQuery([]float64{1, 1, 0, 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1166,7 +1185,7 @@ func TestConcurrentCallersShareOneConnection(t *testing.T) {
 				q = []float64{0, 0, 1, 1}
 			}
 			for r := 0; r < rounds; r++ {
-				label, _, err := c.Classify(q)
+				label, _, err := c.Classify(asQuery(q))
 				if err != nil {
 					errs <- err
 					return
@@ -1294,7 +1313,7 @@ func TestIOTimeoutUnblocksHungServer(t *testing.T) {
 	}
 	defer c.Close()
 	start := time.Now()
-	_, _, err = c.Classify([]float64{1, 1, 0, 0})
+	_, _, err = c.Classify(asQuery([]float64{1, 1, 0, 0}))
 	if !errors.Is(err, ErrIOTimeout) || !errors.Is(err, ErrTransport) {
 		t.Errorf("hung server: err = %v, want ErrIOTimeout (wrapping ErrTransport)", err)
 	}
@@ -1315,7 +1334,7 @@ func TestIOTimeoutSparesIdleConnections(t *testing.T) {
 	}
 	defer c.Close()
 	for round := 0; round < 2; round++ {
-		label, _, err := c.Classify([]float64{1, 1, 0, 0})
+		label, _, err := c.Classify(asQuery([]float64{1, 1, 0, 0}))
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -1387,7 +1406,7 @@ func TestShutdownWithInFlightPipelinedRequests(t *testing.T) {
 	results := make(chan error, frames)
 	for i := 0; i < frames; i++ {
 		go func() {
-			labels, err := c.ClassifyBatch(batch)
+			labels, err := c.ClassifyBatch(asQueries(batch))
 			if err == nil {
 				for _, l := range labels {
 					if l != 0 {

@@ -92,7 +92,7 @@ func TestTracedClientAgainstPreTraceServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	label, _, err := c.Classify([]float64{1, 1, 0, 0})
+	label, _, err := c.Classify(asQuery([]float64{1, 1, 0, 0}))
 	if err != nil {
 		t.Fatalf("Classify against pre-trace server: %v", err)
 	}

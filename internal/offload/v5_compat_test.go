@@ -182,7 +182,7 @@ func TestV5ClientGetsGoAwayOnShutdown(t *testing.T) {
 		t.Fatal("fresh connection reports draining")
 	}
 	// One round trip proves the connection works before the drain.
-	if _, _, err := c.Classify([]float64{1, 1, 0, 0}); err != nil {
+	if _, _, err := c.Classify(asQuery([]float64{1, 1, 0, 0})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -312,7 +312,7 @@ func TestPartialScoresExactAndComposable(t *testing.T) {
 	if normSq[0] != 2 || normSq[1] != 2 {
 		t.Errorf("normSq = %v, want [2 2]", normSq)
 	}
-	_, scores, err := c.Classify([]float64{1, -1, 1, 0})
+	_, scores, err := c.Classify(asQuery([]float64{1, -1, 1, 0}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,32 +47,25 @@ type ShardInfo = registry.ShardInfo
 // replica dying mid-gather retries only its own shard.
 type shardBackend struct{ co *shard.Coordinator }
 
-// packPrepared converts one prepared query to the packed wire form, or
-// explains why sharded serving cannot carry it.
-func packPrepared(q []float64) ([]int8, error) {
-	p, ok := offload.PackQuery(q)
-	if !ok {
-		return nil, fmt.Errorf("%w: query is not quantized (WithRawQueries is incompatible with sharded serving)",
-			ErrPartialUnsupported)
+// errUnpacked refuses a full-precision query: partial scores are exact
+// integer dot products, defined only for packed symbols.
+var errUnpacked = fmt.Errorf("%w: query is not quantized (WithRawQueries is incompatible with sharded serving)",
+	ErrPartialUnsupported)
+
+func (b shardBackend) Classify(ctx context.Context, q offload.Query) (int, []float64, error) {
+	if q.Packed == nil {
+		return 0, nil, errUnpacked
 	}
-	return p, nil
+	return b.co.PredictPacked(ctx, q.Packed)
 }
 
-func (b shardBackend) Classify(ctx context.Context, q []float64) (int, []float64, error) {
-	packed, err := packPrepared(q)
-	if err != nil {
-		return 0, nil, err
-	}
-	return b.co.PredictPacked(ctx, packed)
-}
-
-func (b shardBackend) ClassifyBatch(ctx context.Context, qs [][]float64) ([]int, error) {
+func (b shardBackend) ClassifyBatch(ctx context.Context, qs []offload.Query) ([]int, error) {
 	packed := make([][]int8, len(qs))
 	for i, q := range qs {
-		var err error
-		if packed[i], err = packPrepared(q); err != nil {
-			return nil, err
+		if q.Packed == nil {
+			return nil, errUnpacked
 		}
+		packed[i] = q.Packed
 	}
 	labels, _, err := b.co.PredictPackedBatch(ctx, packed)
 	return labels, err
