@@ -210,7 +210,7 @@ func BenchmarkAblations(b *testing.B) {
 
 // BenchmarkServingThroughput measures the serving path end to end over
 // loopback TCP — one shared pipelined connection vs a connection pool —
-// with parallel callers, as the CI smoke step records. The pipelined v4
+// with parallel callers, as the CI smoke step records. The pipelined
 // protocol makes even a single shared connection usable concurrently; the
 // pool spreads the same callers over several sockets.
 func BenchmarkServingThroughput(b *testing.B) {

@@ -136,7 +136,7 @@ func main() {
 		"workload to train a model on when no -model is given: "+strings.Join(privehd.DatasetNames(), ", "))
 	dim := flag.Int("dim", 10000, "hypervector dimensionality (self-trained model)")
 	levels := flag.Int("levels", 100, "feature quantization levels (self-trained model)")
-	seed := flag.Uint64("seed", 1, "random seed (v3 clients auto-configure; manual edges must match)")
+	seed := flag.Uint64("seed", 1, "random seed (auto-configuring clients read it from the handshake; manual edges must match)")
 	small := flag.Bool("small", false, "train on the small dataset scale")
 	maxBatch := flag.Int("max-batch", 256, "largest query batch accepted per request")
 	workers := flag.Int("workers", 0,

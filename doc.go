@@ -30,43 +30,40 @@
 // straight into its packed one-byte-per-dimension form, and that slice is
 // the frame payload the server's integer kernel scores — never widened to
 // float64 on the way.
-// The protocol is at v5; frames are gob messages after a "PHD"+version
-// handshake, each version a strict field superset of the last:
 //
-//	v2: Hello{Dim,Classes}         Request{Queries}             Reply{Code,Detail,Results}
-//	v3: Hello{…,Model}             Request{Queries}             Reply{…}               (+ encoder setup in ServerHello)
-//	v4: Hello{…,Model}             Request{ID,Op,Queries,Trace} Reply{ID,…,Models,Timing}
-//	v5: Hello{…,Model}             Request{…}                   Reply{…,Partials,NormSq,GoAway} (+ Shard in ServerHello)
+// The protocol is at v5, the one version servers speak; frames are gob
+// messages after a "PHD"+version handshake:
 //
-// Trace and Timing are the optional end-to-end tracing fields: a sampled
-// request carries a 64-bit trace ID to the server and gets its
-// server-side stage timing (queue, scoring, total residency) back on the
-// reply. Both are gob-omitted when zero, so untraced frames stay
-// byte-identical to pre-trace v4 frames, and peers that predate the
-// fields drop them silently (gob's field-superset rule) — no version
-// bump was needed. v5 adds the sharded-serving surface on the same
-// superset rule: the ServerHello carries the replica's shard descriptor
-// when it serves a slice of a larger model, Op("partial-scores") returns
-// exact integer partial dot products plus class norm squares for packed
-// queries, and a draining v5 server pushes one Reply{ID:0, GoAway:true}
-// frame before half-closing, so clients stop submitting to it before the
-// FIN arrives. A v5 server still serves v2–v4 clients byte-for-byte
-// identically — the new fields are gob-omitted when unused — and a v5
-// client meeting an older server surfaces the typed ErrVersionMismatch
-// refusal rather than retrying.
+//	Hello{Dim,Classes,Model}
+//	ServerHello{Code,Detail,Version,Dim,Classes,MaxBatch,MinSymbol,MaxSymbol,
+//	            Model,ModelVersion,Encoding,Levels,Features,Seed,Shard}
+//	Request{ID,Op,Queries,Trace,BudgetNs}
+//	Reply{ID,Code,Detail,Results,Models,Timing,Partials,NormSq,GoAway}
 //
-// v4's per-request IDs make connections pipelined: requests from any
-// number of goroutines interleave over one connection through dedicated
-// send/recv goroutines and replies may return out of order, matched by ID
-// — so one connection serves concurrent callers, large batches cost one
-// round trip, and Op("list-models") discovers the served registry over
-// the wire (Client.ListModels). v2/v3 clients are still served strictly
-// in order. Servers bound each new connection's handshake, and
-// WithPoolIOTimeout bounds reply progress so a hung server cannot block a
-// Predict forever. The client side pairs connections with a
-// Pipeline.Edge — the on-device obfuscator (1-bit quantization plus
-// WithQueryMask dimension masking) whose output is all that ever crosses
-// the wire:
+// A server refuses every other version byte at the handshake with the
+// typed ErrVersionMismatch, and a client meeting a server that speaks
+// another version surfaces the same refusal rather than retrying. Per-
+// request IDs make connections pipelined: requests from any number of
+// goroutines interleave over one connection through dedicated send/recv
+// goroutines and replies may return out of order, matched by ID — so one
+// connection serves concurrent callers, large batches cost one round
+// trip, and Op("list-models") discovers the served registry over the wire
+// (Client.ListModels). The ServerHello carries the replica's shard
+// descriptor when it serves a slice of a larger model,
+// Op("partial-scores") returns exact integer partial dot products plus
+// class norm squares for packed queries, and a draining server pushes one
+// Reply{ID:0, GoAway:true} frame before half-closing, so clients stop
+// submitting to it before the FIN arrives. Trace and Timing are the
+// optional end-to-end tracing fields: a sampled request carries a 64-bit
+// trace ID to the server and gets its server-side stage timing (queue,
+// scoring, total residency) back on the reply; BudgetNs carries the
+// caller's remaining deadline. All three are gob-omitted when zero, so
+// they cost plain traffic nothing on the wire. Servers bound each new
+// connection's handshake, and WithPoolIOTimeout bounds reply progress so
+// a hung server cannot block a Predict forever. The client side pairs
+// connections with a Pipeline.Edge — the on-device obfuscator (1-bit
+// quantization plus WithQueryMask dimension masking) whose output is all
+// that ever crosses the wire:
 //
 //	go privehd.Serve(ctx, lis, pipe)
 //	edge, err := pipe.Edge(privehd.WithQueryMask(1000))

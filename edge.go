@@ -71,7 +71,7 @@ func (p *Pipeline) Edge(opts ...Option) (*Edge, error) {
 	return NewEdge(append(base, opts...)...)
 }
 
-// edgeFromServerHello builds the edge matching a v3 server's advertised
+// edgeFromServerHello builds the edge matching a server's advertised
 // encoder setup — the auto-configuration path of Connect: base and level
 // hypervectors are deterministic in the advertised (public) geometry and
 // seed, so the resulting edge produces queries compatible with the served

@@ -102,7 +102,7 @@ func main() {
 	}
 
 	// --- Edge: dial the "mnist" model by name. The edge encoder
-	// (dimension, levels, seed, encoding) is auto-configured from the v3
+	// (dimension, levels, seed, encoding) is auto-configured from the
 	// ServerHello — shared public setup, so nothing is leaked — and the
 	// §III-C defences layer on top: 1-bit quantization (default) plus
 	// masking 1/6 of the dimensions. MNIST tolerates only modest masking
@@ -218,7 +218,7 @@ func main() {
 	defer clusterClient.Close()
 	fmt.Printf("\ncloud: scaled out to %d replicas; cluster client auto-configured its edge\n", len(addrs))
 
-	// Model discovery over the wire (protocol v4): no out-of-band config.
+	// Model discovery over the wire (list-models op): no out-of-band config.
 	listed, err := clusterClient.ListModels()
 	if err != nil {
 		log.Fatal(err)

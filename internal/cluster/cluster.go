@@ -7,7 +7,7 @@
 // Two layers compose:
 //
 //   - Pool multiplexes any number of concurrent callers over a small,
-//     bounded set of pipelined v4 connections to one address. Connections
+//     bounded set of pipelined connections to one address. Connections
 //     are dialed on demand (with exponential backoff after failures),
 //     spill to a new connection when every live one is saturated, are
 //     reaped after sitting idle, and are discarded the moment their

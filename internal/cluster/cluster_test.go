@@ -371,7 +371,7 @@ func TestClusterFailoverUnderConcurrentLoad(t *testing.T) {
 	}
 
 	// Out-of-order pipelined completion, asserted via request IDs on a raw
-	// v4 connection to a surviving replica: a heavy frame (ID 1) then a
+	// connection to a surviving replica: a heavy frame (ID 1) then a
 	// light frame (ID 2); the light one overtakes.
 	assertOutOfOrder(t, reps[0].addr, dim)
 
@@ -391,7 +391,7 @@ func TestClusterFailoverUnderConcurrentLoad(t *testing.T) {
 	}
 }
 
-// assertOutOfOrder proves v4 pipelining at the wire level: replies
+// assertOutOfOrder proves pipelining at the wire level: replies
 // correlate by ID, not arrival order.
 func assertOutOfOrder(t *testing.T, addr string, dim int) {
 	t.Helper()

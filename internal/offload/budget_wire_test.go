@@ -61,7 +61,7 @@ func TestDeadlinedClientAgainstPreBudgetServer(t *testing.T) {
 
 	addr, _, cleanup := startServer(t, labelModel(1))
 	defer cleanup()
-	conn, enc, dec := rawHandshake(t, addr, ProtocolVersion, Hello{Dim: 4})
+	conn, enc, dec := rawHandshake(t, addr, Hello{Dim: 4})
 	defer conn.Close()
 
 	// The "pre-budget server" side is simulated by the real server
@@ -104,4 +104,33 @@ func TestStampBudgetSemantics(t *testing.T) {
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("expired ctx err = %v, want ErrDeadlineExceeded", err)
 	}
+}
+
+// secondFrame encodes the same value twice on one gob stream and returns
+// the second frame's bytes — pure value encoding, with the type
+// descriptor already sent in the first frame.
+func secondFrame(t *testing.T, encode func(*gob.Encoder) error) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	if err := encode(enc); err != nil {
+		t.Fatal(err)
+	}
+	n := buf.Len()
+	if err := encode(enc); err != nil {
+		t.Fatal(err)
+	}
+	return append([]byte(nil), buf.Bytes()[n:]...)
+}
+
+// framePayload strips a value frame's length byte and stream-local type
+// id (3 bytes), leaving the field payload. Type ids are arbitrary
+// stream-assignment counters, so only the payload is comparable across
+// struct revisions.
+func framePayload(t *testing.T, frame []byte) []byte {
+	t.Helper()
+	if len(frame) < 4 {
+		t.Fatalf("implausibly short gob value frame: %x", frame)
+	}
+	return frame[3:]
 }

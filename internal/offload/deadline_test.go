@@ -50,7 +50,7 @@ func TestServerShedsExpiredQueuedFrame(t *testing.T) {
 	defer cleanup()
 	before := mRejections.With(codeDeadline).Value()
 
-	conn, enc, dec := rawHandshake(t, addr, ProtocolVersion, Hello{Dim: 4096})
+	conn, enc, dec := rawHandshake(t, addr, Hello{Dim: 4096})
 	defer conn.Close()
 	// 512 queries × (64 classes · 4096 dims) on one worker takes tens of
 	// milliseconds; a 1ms budget must expire while later tasks still sit
@@ -82,7 +82,7 @@ func TestServerShedsExpiredQueuedFrame(t *testing.T) {
 func TestServerShedsExpiredAtEntry(t *testing.T) {
 	addr, _, cleanup := startServer(t, toyModel())
 	defer cleanup()
-	conn, enc, dec := rawHandshake(t, addr, ProtocolVersion, Hello{Dim: 4})
+	conn, enc, dec := rawHandshake(t, addr, Hello{Dim: 4})
 	defer conn.Close()
 	// A 1ns budget is over by the time the server even looks at the
 	// frame: the pre-dispatch check sheds it without queueing any task.

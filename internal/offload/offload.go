@@ -7,66 +7,54 @@
 // # Wire protocol (version 5)
 //
 // A connection opens with a fixed 4-byte header from the client — the magic
-// bytes "PHD" plus one protocol version byte — followed by a gob-encoded
-// Hello advertising the client's encoder geometry and, since v3, the name
-// of the model it wants served (empty = the registry default). The server
-// answers with a ServerHello that either accepts — echoing the resolved
-// model's name, publication version, geometry, batch limit, packed-symbol
-// alphabet and, since v3, the model's full public encoder setup (encoding,
-// levels, seed, features) so edges can auto-configure instead of matching
-// flags by hand — or rejects with a typed code: peers with a mismatched
-// version or geometry, or naming an unknown model, are refused at the
-// handshake instead of gob-decoding garbage mid-stream. v2, v3 and v4
-// clients are still accepted (a v2 Hello carries no model name and resolves
-// to the default model).
+// bytes "PHD" plus the protocol version byte — followed by a gob-encoded
+// Hello advertising the client's encoder geometry and the name of the
+// model it wants served (empty = the registry default). The server speaks
+// exactly one version, ProtocolVersion: any other version byte is refused
+// with a typed version-mismatch ServerHello before the Hello is read. On a
+// matching version the server answers with a ServerHello that either
+// accepts — echoing the resolved model's name, publication version,
+// geometry, batch limit, packed-symbol alphabet, the model's full public
+// encoder setup (encoding, levels, seed, features) so edges can
+// auto-configure instead of matching flags by hand, and, when the entry
+// holds only a slice of a larger logical model, its shard descriptor
+// (Shard) — or rejects with a typed code: a mismatched geometry or an
+// unknown model is refused at the handshake instead of gob-decoding
+// garbage mid-stream. Shard is nil for whole models, which gob omits.
 //
-// Since v5 the accepted ServerHello may also carry a shard descriptor
-// (Shard): when the served entry holds only a slice of a larger logical
-// model — a dimension range and/or class range — the descriptor names the
-// slice and the full geometry, so scatter–gather coordinators discover
-// fleet topology from the handshakes instead of being configured with it.
-// Non-sharded entries leave the field nil, which gob omits, keeping their
-// handshakes byte-identical for older peers.
+// After the handshake the client streams Request frames and the server
+// answers each with one Reply:
 //
-// After the handshake the client streams Request frames. The v4 frame
-// layout extends v2/v3 with correlation and control fields, gob-encoded so
-// each version's frames are a strict field superset of the previous one:
+//	Request: {ID, Op, Queries []Query, Trace, BudgetNs}
+//	Reply:   {ID, Code, Detail, Results, Models, Timing, Partials, NormSq, GoAway}
 //
-//	v2/v3 Request: {Queries []Query}                 → Reply: {Code, Detail, Results}
-//	v4    Request: {ID, Op, Queries []Query, Trace}  → Reply: {ID, Code, Detail, Results, Models, Timing}
-//	v5    Request: same as v4                        → Reply: v4 + {Partials, NormSq, GoAway}
+// ID is a client-chosen correlation number echoed on the Reply. The server
+// handles a connection's frames concurrently and MAY answer them out of
+// order, so clients pipeline many requests over one connection and match
+// replies by ID (the Client below runs dedicated send/recv goroutines with
+// an in-flight table). Op selects the frame's operation: empty for
+// classification, OpListModels for a registry listing (Reply.Models),
+// OpPartialScores for the scatter half of sharded scoring, OpPing for an
+// in-band liveness check.
 //
-// The three v5 reply fields serve sharded scatter–gather: OpPartialScores
-// answers with raw per-class int64 dot products (Partials, one row per
-// query) plus the per-class Σv² of the served slice (NormSq) instead of
-// labels — a coordinator sums both across dimension shards exactly and
-// finishes the norm division itself, reproducing whole-model scores
-// bit-for-bit. GoAway is a server-push drain notice: when a graceful
-// shutdown begins, v5 connections receive an unsolicited Reply{GoAway:
-// true} (ID 0, never assigned to a request) before the write side
-// half-closes, so coordinators and pools stop routing new work to a
-// draining replica instead of discovering the FIN with a request already
-// in flight. All three fields are zero-valued on ordinary traffic, which
-// gob omits — v4 frames and replies remain byte-identical.
+// OpPartialScores answers with raw per-class int64 dot products
+// (Partials, one row per query) plus the per-class Σv² of the served slice
+// (NormSq) instead of labels — a coordinator sums both across dimension
+// shards exactly and finishes the norm division itself, reproducing
+// whole-model scores bit-for-bit. GoAway is a server-push drain notice:
+// when a graceful shutdown begins, every connection past its handshake
+// receives an unsolicited Reply{GoAway: true} (ID 0, never assigned to a
+// request) before the write side half-closes, so coordinators and pools
+// stop routing new work to a draining replica instead of discovering the
+// FIN with a request already in flight.
 //
-// Trace and Timing are the optional tracing fields: a client that sampled
+// Trace, Timing and BudgetNs are optional fields: a client that sampled
 // the request sends its 64-bit trace ID on the frame, and the server
 // answers a traced request with its per-stage timing breakdown
-// (StageTiming). Both are zero-valued on untraced traffic, which gob omits
-// entirely — so untraced frames are byte-identical to pre-trace v4 frames,
-// and peers on either side that predate the fields silently drop them (the
-// same field-superset rule that keeps v2/v3 peers working). No version
-// bump is needed or taken.
-//
-// ID is a client-chosen correlation number echoed on the Reply; on a v4
-// connection the server handles frames concurrently and MAY answer them
-// out of order, so clients pipeline many requests over one connection and
-// match replies by ID (the Client below runs dedicated send/recv goroutines
-// with an in-flight table). On v2/v3 connections frames are answered
-// strictly in order, one at a time, exactly as before. Op selects the
-// frame's operation: empty for classification, OpListModels for a registry
-// listing (Reply.Models) so clients can discover served models without
-// out-of-band configuration.
+// (StageTiming); BudgetNs carries the caller's remaining deadline so the
+// server can shed expired work. All are zero-valued on plain traffic,
+// which gob omits, so they cost untraced, undeadlined frames nothing on
+// the wire.
 //
 // Each classification Request carries up to MaxBatch query hypervectors,
 // and the server answers each frame with one Reply carrying the per-query
@@ -106,23 +94,9 @@ import (
 	"privehd/internal/vecmath"
 )
 
-// ProtocolVersion is the wire protocol version this package speaks. The
-// server also accepts versionV2, versionV3 and versionV4 peers; anything
-// else is rejected during the handshake.
+// ProtocolVersion is the one wire protocol version this package speaks;
+// the server refuses every other version byte during the handshake.
 const ProtocolVersion = 5
-
-// versionV2–versionV4 are the previous protocol versions, still accepted
-// by the server: a v2 Hello carries no model name and resolves to the
-// default model, v2/v3 frames carry no request IDs and are answered
-// strictly in order, v4 connections pipeline but receive no shard
-// descriptors, partial-score replies or GoAway drain notices, and each
-// newer ServerHello/Reply is a strict field superset of the previous one
-// (gob drops the fields an old client does not know).
-const (
-	versionV2 = 2
-	versionV3 = 3
-	versionV4 = 4
-)
 
 // DefaultModelName is the registry name NewServer publishes a single model
 // under.
@@ -260,15 +234,15 @@ func codeError(code, detail string) error {
 }
 
 // Hello is the client half of the handshake: the geometry of the encoder
-// behind the queries to come, and (v3) which served model they are for.
+// behind the queries to come, and which served model they are for.
 // Classes may be zero when the client does not know the label space (a pure
-// edge encoder). Dim may be zero on v3 connections to mean "any geometry" —
-// the auto-configuring client that builds its encoder from the ServerHello.
+// edge encoder). Dim may be zero to mean "any geometry" — the
+// auto-configuring client that builds its encoder from the ServerHello.
 type Hello struct {
 	Dim     int
 	Classes int
 	// Model names the served model to bind the connection to; empty
-	// resolves to the server's default model. v2 clients never set it.
+	// resolves to the server's default model.
 	Model string
 }
 
@@ -286,12 +260,12 @@ type ServerHello struct {
 	// MinSymbol and MaxSymbol bound the accepted packed-query alphabet.
 	MinSymbol int8
 	MaxSymbol int8
-	// Model and ModelVersion (v3) identify the resolved registry entry:
+	// Model and ModelVersion identify the resolved registry entry:
 	// the name the connection is bound to and its publication version
 	// (bumped by every hot swap).
 	Model        string
 	ModelVersion int
-	// Encoding, Levels, Features and Seed (v3) are the model's full public
+	// Encoding, Levels, Features and Seed are the model's full public
 	// encoder setup — base/level hypervectors are deterministic in these,
 	// and they are shared public setup per the paper, so advertising them
 	// lets edges auto-configure without leaking anything the paper keeps
@@ -301,9 +275,8 @@ type ServerHello struct {
 	Levels   int
 	Features int
 	Seed     uint64
-	// Shard (v5) describes the slice of a larger logical model this entry
-	// serves, nil for whole models — gob omits the nil, so non-sharded
-	// handshakes stay byte-identical for pre-v5 peers.
+	// Shard describes the slice of a larger logical model this entry
+	// serves, nil for whole models (which gob omits).
 	Shard *registry.ShardInfo
 }
 
@@ -357,15 +330,14 @@ func PackQuery(h []float64) ([]int8, bool) {
 	return intscore.PackInto(h, nil)
 }
 
-// Request ops selectable per frame since v4. The zero value is
-// classification, so v2/v3 frames (which carry no Op) keep their meaning.
+// Request ops selectable per frame. The zero value is classification.
 const (
 	// OpClassify scores Request.Queries against the connection's model.
 	OpClassify = ""
 	// OpListModels asks for the server's current registry listing
 	// (Reply.Models) — client-side model discovery over the wire.
 	OpListModels = "list-models"
-	// OpPartialScores (v5) asks for raw per-class int64 dot products of
+	// OpPartialScores asks for raw per-class int64 dot products of
 	// each packed query against the served (possibly sliced) model, plus
 	// the per-class Σv² — the scatter half of sharded scoring. Queries
 	// must be packed; models that cannot answer exactly (DP-noised) are
@@ -379,22 +351,20 @@ const (
 )
 
 // Request is one client→server frame: a batch of queries answered together
-// in a single reply, or (v4) a control operation.
+// in a single reply, or a control operation.
 type Request struct {
-	// ID correlates the frame's Reply on pipelined (v4) connections, where
-	// replies may arrive out of order. The server echoes it verbatim. v2/v3
-	// clients never set it.
+	// ID correlates the frame's Reply on the pipelined connection, where
+	// replies may arrive out of order. The server echoes it verbatim.
 	ID uint64
-	// Op is the frame operation: OpClassify (empty) or OpListModels.
+	// Op is the frame operation: OpClassify (empty), OpListModels,
+	// OpPartialScores or OpPing.
 	Op      string
 	Queries []Query
 	// Trace is the request's 64-bit trace ID; 0 means untraced, and gob
-	// omits the zero so untraced frames stay byte-identical to pre-trace
-	// v4 frames. A traced request gets its server-side stage breakdown
-	// back on Reply.Timing, and the server tags its histogram exemplar,
-	// flight-recorder entry and slow-request log line with the same ID.
-	// Servers that predate the field drop it silently (gob field-superset
-	// rule), as do old clients with the Reply fields — no version bump.
+	// omits the zero so untraced frames carry no trace bytes. A traced
+	// request gets its server-side stage breakdown back on Reply.Timing,
+	// and the server tags its histogram exemplar, flight-recorder entry
+	// and slow-request log line with the same ID.
 	Trace uint64
 	// BudgetNs is the request's remaining deadline budget in nanoseconds
 	// at send time, stamped from the caller's context deadline; 0 means
@@ -426,7 +396,7 @@ type ModelListing struct {
 	Dim     int
 	Classes int
 	// Encoding, Levels, Features and Seed are the model's public encoder
-	// setup, as advertised in the v3+ ServerHello.
+	// setup, as advertised in the ServerHello.
 	Encoding int
 	Levels   int
 	Features int
@@ -437,7 +407,7 @@ type ModelListing struct {
 
 // Reply is one server→client frame answering a Request. Code is empty on
 // success; on failure it names the protocol error and no Results are
-// returned. ID echoes the Request's correlation number (v4).
+// returned. ID echoes the Request's correlation number.
 type Reply struct {
 	ID      uint64
 	Code    string
@@ -446,19 +416,17 @@ type Reply struct {
 	// Models answers an OpListModels request.
 	Models []ModelListing
 	// Timing is the server-side stage breakdown, attached only to traced
-	// requests — nil otherwise, which gob omits, keeping untraced replies
-	// byte-identical to pre-trace v4 replies. Clients use it to attribute
-	// a round trip to server queue/scoring versus the network; peers that
-	// predate the field drop it silently.
+	// requests — nil otherwise, which gob omits. Clients use it to
+	// attribute a round trip to server queue/scoring versus the network.
 	Timing *StageTiming
-	// Partials and NormSq (v5) answer an OpPartialScores request:
+	// Partials and NormSq answer an OpPartialScores request:
 	// Partials[i][l] is the exact int64 dot of query i against the served
 	// entry's class l, and NormSq[l] is Σv² of that class — both over the
 	// dimension slice this server holds, so a coordinator sums them across
 	// shards and reconstructs whole-model scores bit-for-bit.
 	Partials [][]int64
 	NormSq   []float64
-	// GoAway (v5) marks an unsolicited server-push drain notice (ID 0):
+	// GoAway marks an unsolicited server-push drain notice (ID 0):
 	// the server has begun a graceful shutdown and the client should stop
 	// routing new work here. In-flight requests will still be answered.
 	GoAway bool
@@ -650,7 +618,7 @@ type task struct {
 // domain on the entry's prepared planes — no float64 expansion, no float
 // dot — falling back to the model's expansion-free packed path if the entry
 // somehow carries no engine. Vector wins when both wire fields are
-// (ab)used, exactly as answerClassify validated the frame's dimensionality
+// (ab)used, exactly as answerQueries validated the frame's dimensionality
 // — so a frame carrying a valid Vector plus a wrong-length Packed can
 // never reach the packed scorer and panic a pool worker. The scores slice
 // is the only per-query allocation: it escapes into the Reply.
@@ -750,7 +718,7 @@ func (s *Server) Served() int {
 	return s.served
 }
 
-// maxConnPipeline bounds how many v4 frames one connection may have in
+// maxConnPipeline bounds how many frames one connection may have in
 // flight on the server: past it the connection's read loop stops decoding
 // until a frame completes, so TCP backpressure paces a client that
 // pipelines faster than the server answers.
@@ -762,20 +730,20 @@ const maxConnPipeline = 128
 const handshakeTimeout = 10 * time.Second
 
 // srvConn tracks one client connection's lifecycle for graceful shutdown,
-// plus the model name and protocol version the handshake bound it to. On
-// v4 connections many frames may be in flight at once, so the busy state is
-// a counter and replies are serialized by writeMu.
+// plus the model name the handshake bound it to. Many frames may be in
+// flight at once, so the busy state is a counter and replies are
+// serialized by writeMu.
 type srvConn struct {
-	conn    net.Conn
-	peer    string // remote address, cached so per-frame entries don't re-format it
-	model   string // requested model name; "" = registry default
-	version byte   // negotiated protocol version (2–5); written under mu, as Shutdown may read it mid-handshake
+	conn  net.Conn
+	peer  string // remote address, cached so per-frame entries don't re-format it
+	model string // resolved model name the handshake bound the connection to
 
-	writeMu sync.Mutex     // serializes replies from concurrent v4+ frames
-	frames  sync.WaitGroup // in-flight v4+ frame goroutines
+	writeMu sync.Mutex     // serializes replies from concurrent frames
+	frames  sync.WaitGroup // in-flight frame goroutines
 
-	// goAway, set after a v5 handshake, pushes the drain notice to the
-	// peer; goAwayOnce makes repeated askClose calls idempotent.
+	// goAway, installed once the handshake completes, pushes the drain
+	// notice to the peer; goAwayOnce makes repeated askClose calls
+	// idempotent.
 	goAwayOnce sync.Once
 
 	mu            sync.Mutex
@@ -784,14 +752,18 @@ type srvConn struct {
 	closeWhenIdle bool
 }
 
-// notifyGoAway pushes the v5 drain notice, once, if the handshake
-// installed one (pre-v5 peers and unfinished handshakes get nothing — they
-// discover the drain from the FIN exactly as before).
-func (c *srvConn) notifyGoAway() {
+// handshaken returns the drain-notice hook, nil until the handshake has
+// completed.
+func (c *srvConn) handshaken() func() {
 	c.mu.Lock()
-	fn := c.goAway
-	c.mu.Unlock()
-	if fn != nil {
+	defer c.mu.Unlock()
+	return c.goAway
+}
+
+// notifyGoAway pushes the drain notice, once, if the handshake completed
+// (a connection caught mid-handshake gets nothing — it is closed outright).
+func (c *srvConn) notifyGoAway() {
+	if fn := c.handshaken(); fn != nil {
 		c.goAwayOnce.Do(fn)
 	}
 }
@@ -819,8 +791,8 @@ func (c *srvConn) exitBusy() bool {
 }
 
 // askClose requests a graceful close: the peer is told to stop routing new
-// work here (v5 GoAway push), idle connections close immediately, busy
-// ones right after their last in-flight reply.
+// work here (GoAway push), idle connections close immediately, busy ones
+// right after their last in-flight reply.
 func (c *srvConn) askClose() {
 	c.notifyGoAway()
 	c.mu.Lock()
@@ -838,13 +810,10 @@ func (c *srvConn) askClose() {
 // requests it already pipelined. Half-closing the write side sends a clean
 // FIN instead; the handler's read loop then drains the peer until it
 // notices and hangs up, and the final Close finds nothing left to reset.
-// v2/v3 connections are strictly request-reply, so they never have replies
-// at risk and close fully.
+// A connection still mid-handshake has no replies at risk and closes
+// fully.
 func (c *srvConn) gracefulClose() {
-	c.mu.Lock()
-	version := c.version
-	c.mu.Unlock()
-	if version >= versionV4 {
+	if c.handshaken() != nil {
 		if cw, ok := c.conn.(closeWriter); ok {
 			cw.CloseWrite()
 			// Bound how long the handler's read loop waits for the peer
@@ -1067,30 +1036,26 @@ func (s *Server) handle(sc *srvConn) {
 		lingerClose(conn)
 		return
 	}
-	if hdr[3] != ProtocolVersion && hdr[3] != versionV4 && hdr[3] != versionV3 && hdr[3] != versionV2 {
+	if hdr[3] != ProtocolVersion {
 		mRejections.With(codeVersion).Inc()
 		enc.Encode(ServerHello{
 			Code:    codeVersion,
-			Detail:  fmt.Sprintf("server speaks v%d (and accepts v%d–v%d), client sent v%d", ProtocolVersion, versionV2, versionV4, hdr[3]),
+			Detail:  fmt.Sprintf("server speaks v%d only, client sent v%d", ProtocolVersion, hdr[3]),
 			Version: ProtocolVersion,
 		})
 		lingerClose(conn)
 		return
 	}
-	sc.mu.Lock()
-	sc.version = hdr[3]
-	sc.mu.Unlock()
 	dec := gob.NewDecoder(conn)
 	var hello Hello
 	if err := dec.Decode(&hello); err != nil {
 		return
 	}
-	// Bind the connection to the resolved model name (a v2 Hello carries
-	// none and resolves to the default). The resolved name — not the
-	// possibly-empty requested one — is pinned, so a later SetDefault
-	// cannot silently rebind an established connection to a model it
-	// never handshook with; the name is then re-resolved against the
-	// registry on every frame, so hot swaps of the same name apply
+	// Bind the connection to the resolved model name. The resolved name —
+	// not the possibly-empty requested one — is pinned, so a later
+	// SetDefault cannot silently rebind an established connection to a
+	// model it never handshook with; the name is then re-resolved against
+	// the registry on every frame, so hot swaps of the same name apply
 	// without reconnecting.
 	entry, err := s.reg.Lookup(hello.Model)
 	if err != nil {
@@ -1098,30 +1063,27 @@ func (s *Server) handle(sc *srvConn) {
 		enc.Encode(ServerHello{
 			Code:    codeUnknownModel,
 			Detail:  err.Error(),
-			Version: sc.version,
+			Version: ProtocolVersion,
 		})
 		return
 	}
 	sc.model = entry.Name
 	model := entry.Model
-	// v3 clients may advertise Dim 0 — "configure me from your answer";
-	// v2 clients always advertised their real dimensionality, so a zero
-	// from them stays a mismatch.
-	dimOK := hello.Dim == model.Dim() || (sc.version >= 3 && hello.Dim == 0)
-	if !dimOK || (hello.Classes != 0 && hello.Classes != model.NumClasses()) {
+	// Dim 0 means "configure me from your answer".
+	if (hello.Dim != 0 && hello.Dim != model.Dim()) || (hello.Classes != 0 && hello.Classes != model.NumClasses()) {
 		mRejections.With(codeGeometry).Inc()
 		enc.Encode(ServerHello{
 			Code: codeGeometry,
 			Detail: fmt.Sprintf("model %q is %d-dimensional with %d classes, client advertised dim %d classes %d",
 				entry.Name, model.Dim(), model.NumClasses(), hello.Dim, hello.Classes),
-			Version: sc.version,
+			Version: ProtocolVersion,
 			Dim:     model.Dim(),
 			Classes: model.NumClasses(),
 		})
 		return
 	}
-	accept := ServerHello{
-		Version:      sc.version,
+	if err := enc.Encode(ServerHello{
+		Version:      ProtocolVersion,
 		Dim:          model.Dim(),
 		Classes:      model.NumClasses(),
 		MaxBatch:     s.maxBatch,
@@ -1133,41 +1095,32 @@ func (s *Server) handle(sc *srvConn) {
 		Levels:       entry.Encoder.Levels,
 		Features:     entry.Encoder.Features,
 		Seed:         entry.Encoder.Seed,
-	}
-	if sc.version >= ProtocolVersion {
-		accept.Shard = entry.Shard
-	}
-	if err := enc.Encode(accept); err != nil {
+		Shard:        entry.Shard,
+	}); err != nil {
 		return
 	}
-	// Lift the handshake bound, unless a graceful close already set its own
-	// drain deadline on this connection.
+	// The handshake is complete: lift its read bound, unless a graceful
+	// close already set its own drain deadline, and install the drain
+	// notice now that the encoder owns the stream — a graceful shutdown
+	// pushes Reply{GoAway} (ID 0, never assigned) under writeMu before
+	// half-closing, so clients stop routing here ahead of the FIN.
 	sc.mu.Lock()
 	if !sc.closeWhenIdle {
 		conn.SetReadDeadline(time.Time{})
 	}
-	sc.mu.Unlock()
-	if sc.version >= ProtocolVersion {
-		// Install the drain notice now that the peer speaks v5 and the
-		// encoder owns the stream: a graceful shutdown pushes Reply{GoAway}
-		// (ID 0, never assigned) under writeMu before half-closing, so
-		// coordinators stop routing here ahead of the FIN.
-		sc.mu.Lock()
-		sc.goAway = func() {
-			sc.writeMu.Lock()
-			enc.Encode(Reply{GoAway: true})
-			sc.writeMu.Unlock()
-		}
-		sc.mu.Unlock()
+	sc.goAway = func() {
+		sc.writeMu.Lock()
+		enc.Encode(Reply{GoAway: true})
+		sc.writeMu.Unlock()
 	}
+	sc.mu.Unlock()
 
-	// v4 connections pipeline: each frame is answered on its own goroutine
-	// (replies serialized by writeMu, possibly out of order), bounded by
-	// maxConnPipeline so a fast sender is paced by TCP backpressure rather
-	// than unbounded goroutines. v2/v3 connections keep the strict one-
-	// frame-at-a-time, in-order protocol. Before the handler returns it
-	// waits for in-flight frame goroutines, so a graceful shutdown never
-	// closes the conn under a reply still being written.
+	// Each frame is answered on its own goroutine (replies serialized by
+	// writeMu, possibly out of order), bounded by maxConnPipeline so a fast
+	// sender is paced by TCP backpressure rather than unbounded
+	// goroutines. Before the handler returns it waits for in-flight frame
+	// goroutines, so a graceful shutdown never closes the conn under a
+	// reply still being written.
 	sem := make(chan struct{}, maxConnPipeline)
 	defer sc.frames.Wait()
 	for {
@@ -1181,33 +1134,24 @@ func (s *Server) handle(sc *srvConn) {
 		// recorder's decode stage but never the wire-reported server total.
 		decodeDur := time.Since(tRead)
 		if !sc.enterBusy() {
-			if sc.version >= versionV4 {
-				sc.drainRefused(dec)
+			sc.drainRefused(dec)
+			return
+		}
+		sem <- struct{}{}
+		sc.frames.Add(1)
+		s.wg.Add(1) // graceful shutdown waits for frames, not just conns
+		go func(req Request) {
+			defer s.wg.Done()
+			defer sc.frames.Done()
+			defer func() { <-sem }()
+			err := s.handleFrame(sc, enc, req, decodeDur)
+			closing := sc.exitBusy()
+			if err != nil {
+				sc.conn.Close()
+			} else if closing {
+				sc.gracefulClose()
 			}
-			return
-		}
-		if sc.version >= versionV4 {
-			sem <- struct{}{}
-			sc.frames.Add(1)
-			s.wg.Add(1) // graceful shutdown waits for frames, not just conns
-			go func(req Request) {
-				defer s.wg.Done()
-				defer sc.frames.Done()
-				defer func() { <-sem }()
-				err := s.handleFrame(sc, enc, req, decodeDur)
-				closing := sc.exitBusy()
-				if err != nil {
-					sc.conn.Close()
-				} else if closing {
-					sc.gracefulClose()
-				}
-			}(req)
-			continue
-		}
-		err := s.handleFrame(sc, enc, req, decodeDur)
-		if sc.exitBusy() || err != nil {
-			return
-		}
+		}(req)
 	}
 }
 
@@ -1287,7 +1231,7 @@ func (s *Server) record(sc *srvConn, op string, reply *Reply, span *trace.Span, 
 }
 
 // answer handles one request frame: classification against the current
-// publication of the connection's model, or a v4 control op. It is the
+// publication of the connection's model, or a control op. It is the
 // per-frame instrumentation point: in-flight gauge, per-op request counter
 // and latency histogram, and typed-rejection counters for refused frames —
 // every observation on the zero-alloc fast path. A traced frame (span
@@ -1305,12 +1249,10 @@ func (s *Server) answer(modelName string, req Request, span *trace.Span) Reply {
 	}
 	var reply Reply
 	switch req.Op {
-	case OpClassify:
-		reply = s.answerClassify(modelName, req, span, deadline)
+	case OpClassify, OpPartialScores:
+		reply = s.answerQueries(modelName, req, span, deadline)
 	case OpListModels:
 		reply = s.answerListModels()
-	case OpPartialScores:
-		reply = s.answerPartialScores(modelName, req, span, deadline)
 	case OpPing:
 		reply = Reply{}
 	default:
@@ -1357,12 +1299,21 @@ func deadlineReply(budget int64) Reply {
 		Detail: fmt.Sprintf("request budget %v expired before scoring finished", time.Duration(budget))}
 }
 
-// answerClassify classifies one request batch, spreading queries over the
-// shared worker pool. The span collects the batch's queue-wait and scoring
+// answerQueries scores one classification or partial-score frame,
+// spreading its queries over the shared worker pool. Both ops share the
+// registry lookup, the batch limit, the per-query symbol and dimension
+// validation, the deadline shedding and the served-query accounting; only
+// the partial-score refusals and the result shape differ. Partial scores
+// are the scatter half of sharded scoring: the raw int64 dot of every
+// packed query against every served class, plus the per-class Σv², both
+// over whatever dimension slice this server's entry holds — refused,
+// typed and never retried, when the entry cannot answer exactly (a
+// DP-noised model whose classes are not integer-valued) or a query is
+// full-precision. The span collects the batch's queue-wait and scoring
 // time from the pool workers. A non-zero deadline sheds the frame instead
 // of scoring dead work: checked before dispatch (budget spent upstream)
 // and at every worker pickup (budget spent in the scoring queue).
-func (s *Server) answerClassify(modelName string, req Request, span *trace.Span, deadline time.Time) Reply {
+func (s *Server) answerQueries(modelName string, req Request, span *trace.Span, deadline time.Time) Reply {
 	// Resolve the name fresh per frame: a Swap between frames serves the
 	// new model from the next frame on, while this frame keeps the entry
 	// it resolved (the registry never mutates a published entry).
@@ -1371,14 +1322,23 @@ func (s *Server) answerClassify(modelName string, req Request, span *trace.Span,
 	if err != nil {
 		return Reply{Code: codeUnknownModel, Detail: err.Error()}
 	}
-	model := entry.Model
+	partial := req.Op == OpPartialScores
+	if partial && (entry.Scorer == nil || !entry.Scorer.PartialCapable()) {
+		return Reply{Code: codePartial,
+			Detail: fmt.Sprintf("model %q has non-integer (noised) class planes; partial scores would not be exact", entry.Name)}
+	}
 	if len(req.Queries) > s.maxBatch {
 		return Reply{Code: codeBatch,
 			Detail: fmt.Sprintf("%d queries, limit %d", len(req.Queries), s.maxBatch)}
 	}
 	// Validate serially (cheap, and keeps the first-error semantics
 	// deterministic), then score on the pool.
+	dim := entry.Model.Dim()
 	for i, q := range req.Queries {
+		if partial && q.Vector != nil {
+			return Reply{Code: codePartial,
+				Detail: fmt.Sprintf("query %d is full-precision; partial scoring is integer-domain only", i)}
+		}
 		for j, sym := range q.Packed {
 			if sym < MinSymbol || sym > MaxSymbol {
 				return Reply{Code: codeSymbol,
@@ -1393,21 +1353,32 @@ func (s *Server) answerClassify(modelName string, req Request, span *trace.Span,
 		if q.Vector != nil {
 			n = len(q.Vector)
 		}
-		if n != model.Dim() {
+		if n != dim {
 			return Reply{Code: codeDim,
-				Detail: fmt.Sprintf("query %d has dim %d, model dim %d", i, n, model.Dim())}
+				Detail: fmt.Sprintf("query %d has dim %d, model dim %d", i, n, dim)}
 		}
 	}
-	results := make([]Result, len(req.Queries))
+	var reply Reply
+	if partial {
+		reply.Partials = make([][]int64, len(req.Queries))
+	} else {
+		reply.Results = make([]Result, len(req.Queries))
+	}
 	var wg sync.WaitGroup
-	wg.Add(len(req.Queries))
-	enq := time.Now()
 	var expired atomic.Bool
-	if !deadline.IsZero() && enq.After(deadline) {
+	t := task{model: entry.Model, scorer: entry.Scorer, wg: &wg, enq: time.Now(), span: span, deadline: deadline, expired: &expired}
+	if !deadline.IsZero() && t.enq.After(deadline) {
 		return deadlineReply(req.BudgetNs)
 	}
+	wg.Add(len(req.Queries))
 	for i, q := range req.Queries {
-		s.dispatch(task{model: model, scorer: entry.Scorer, query: q, out: &results[i], wg: &wg, enq: enq, span: span, deadline: deadline, expired: &expired})
+		t.query = q
+		if partial {
+			t.partials = &reply.Partials[i]
+		} else {
+			t.out = &reply.Results[i]
+		}
+		s.dispatch(t)
 	}
 	wg.Wait()
 	if expired.Load() {
@@ -1418,78 +1389,18 @@ func (s *Server) answerClassify(modelName string, req Request, span *trace.Span,
 	s.mu.Unlock()
 	entry.AddServed(len(req.Queries))
 	mQueries.With(entry.Name).Add(uint64(len(req.Queries)))
-	return Reply{Results: results}
+	if partial {
+		reply.NormSq = entry.Scorer.NormsSq()
+	}
+	return reply
 }
 
-// answerPartialScores answers the scatter half of sharded scoring (v5):
-// the raw int64 dot of every packed query against every served class, plus
-// the per-class Σv², both over whatever dimension slice this server's
-// entry holds. It refuses — typed, never retried — when the entry cannot
-// answer exactly: a DP-noised model whose classes are not integer-valued,
-// or a request (ab)using full-precision vectors. Deadline budgets shed
-// exactly as in answerClassify.
-func (s *Server) answerPartialScores(modelName string, req Request, span *trace.Span, deadline time.Time) Reply {
-	s.startPool()
-	entry, err := s.reg.Lookup(modelName)
-	if err != nil {
-		return Reply{Code: codeUnknownModel, Detail: err.Error()}
-	}
-	model := entry.Model
-	scorer := entry.Scorer
-	if scorer == nil || !scorer.PartialCapable() {
-		return Reply{Code: codePartial,
-			Detail: fmt.Sprintf("model %q has non-integer (noised) class planes; partial scores would not be exact", entry.Name)}
-	}
-	if len(req.Queries) > s.maxBatch {
-		return Reply{Code: codeBatch,
-			Detail: fmt.Sprintf("%d queries, limit %d", len(req.Queries), s.maxBatch)}
-	}
-	for i, q := range req.Queries {
-		if q.Vector != nil {
-			return Reply{Code: codePartial,
-				Detail: fmt.Sprintf("query %d is full-precision; partial scoring is integer-domain only", i)}
-		}
-		for j, sym := range q.Packed {
-			if sym < MinSymbol || sym > MaxSymbol {
-				return Reply{Code: codeSymbol,
-					Detail: fmt.Sprintf("query %d dimension %d carries symbol %d, alphabet is [%d,%d]",
-						i, j, sym, MinSymbol, MaxSymbol)}
-			}
-		}
-		if len(q.Packed) != model.Dim() {
-			return Reply{Code: codeDim,
-				Detail: fmt.Sprintf("query %d has dim %d, shard dim %d", i, len(q.Packed), model.Dim())}
-		}
-	}
-	partials := make([][]int64, len(req.Queries))
-	var wg sync.WaitGroup
-	wg.Add(len(req.Queries))
-	enq := time.Now()
-	var expired atomic.Bool
-	if !deadline.IsZero() && enq.After(deadline) {
-		return deadlineReply(req.BudgetNs)
-	}
-	for i, q := range req.Queries {
-		s.dispatch(task{model: model, scorer: scorer, query: q, partials: &partials[i], wg: &wg, enq: enq, span: span, deadline: deadline, expired: &expired})
-	}
-	wg.Wait()
-	if expired.Load() {
-		return deadlineReply(req.BudgetNs)
-	}
-	s.mu.Lock()
-	s.served += len(req.Queries)
-	s.mu.Unlock()
-	entry.AddServed(len(req.Queries))
-	mQueries.With(entry.Name).Add(uint64(len(req.Queries)))
-	return Reply{Partials: partials, NormSq: scorer.NormsSq()}
-}
-
-// Client is the edge-side connection to a classification server. It speaks
-// protocol v4 and is safe for concurrent use: a dedicated send goroutine
-// serializes outgoing frames, a dedicated recv goroutine routes replies by
-// request ID through an in-flight table, and any number of goroutines may
-// pipeline Classify/ClassifyBatch calls over the one connection without
-// waiting on each other's round trips.
+// Client is the edge-side connection to a classification server. It is
+// safe for concurrent use: a dedicated send goroutine serializes outgoing
+// frames, a dedicated recv goroutine routes replies by request ID through
+// an in-flight table, and any number of goroutines may pipeline
+// Classify/ClassifyBatch calls over the one connection without waiting on
+// each other's round trips.
 type Client struct {
 	conn      net.Conn
 	hello     ServerHello
@@ -1502,7 +1413,7 @@ type Client struct {
 	sendCh chan *pending
 	broken chan struct{} // closed on the first transport failure (or Close)
 
-	// draining is set when the server pushes a v5 GoAway drain notice:
+	// draining is set when the server pushes a GoAway drain notice:
 	// the connection still answers what is in flight, but pools and
 	// coordinators should route new work elsewhere.
 	draining atomic.Bool
@@ -1537,8 +1448,8 @@ type ClientOption func(*Client)
 // each frame write must complete within d, and whenever requests are in
 // flight a reply must arrive within d of the last one (an idle connection
 // never times out). Without it a hung server blocks a Classify call
-// forever — the pre-v4 client cleared the dial deadline after the
-// handshake and never armed another. On expiry the connection fails every
+// forever, since the dial deadline is cleared after the handshake. On
+// expiry the connection fails every
 // in-flight call with an error wrapping ErrIOTimeout (and ErrTransport).
 func WithIOTimeout(d time.Duration) ClientOption {
 	return func(c *Client) {
@@ -1939,7 +1850,7 @@ func (c *Client) stickyErr() error {
 // still usable. Pools use it to discard broken connections.
 func (c *Client) Err() error { return c.stickyErr() }
 
-// Draining reports whether the server pushed a GoAway drain notice (v5):
+// Draining reports whether the server pushed a GoAway drain notice:
 // it is shutting down gracefully, will answer what is already in flight,
 // but should get no new work. Pools treat a draining connection like a
 // dead one when placing new operations, without cutting off replies still
@@ -2068,7 +1979,7 @@ func (c *Client) ClassifyBatchScoresContext(ctx context.Context, qs []Query) ([]
 
 // ListModels asks the server for its current registry listing — every
 // served model's name, version, geometry and public encoder setup — so a
-// client can discover models without out-of-band configuration (v4).
+// client can discover models without out-of-band configuration.
 func (c *Client) ListModels() ([]ModelListing, error) {
 	p, err := c.submit(Request{Op: OpListModels})
 	if err != nil {
@@ -2086,7 +1997,7 @@ func (c *Client) ListModels() ([]ModelListing, error) {
 
 // PartialScores asks the server for the raw int64 dot of every packed
 // query against every class of its served (possibly sliced) model, plus
-// the per-class Σv² (v5, OpPartialScores). The queries must already be
+// the per-class Σv² (OpPartialScores). The queries must already be
 // sliced to the server's dimension range. Partial-incapable models are
 // refused with ErrPartialUnsupported; transport failures wrap ErrTransport
 // and may be retried on another replica of the same shard.

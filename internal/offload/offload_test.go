@@ -92,18 +92,18 @@ func dialToy(t *testing.T, addr string) *Client {
 	return c
 }
 
-// rawHandshake performs a hand-rolled handshake (any version byte) and
-// returns the conn's codecs — for tests that craft wire frames directly,
+// rawHandshake performs a hand-rolled handshake and returns the conn's
+// codecs — for tests that craft wire frames directly,
 // which must not go through a Client whose recv goroutine would consume
 // the replies.
-func rawHandshake(t *testing.T, addr string, version byte, hello Hello) (net.Conn, *gob.Encoder, *gob.Decoder) {
+func rawHandshake(t *testing.T, addr string, hello Hello) (net.Conn, *gob.Encoder, *gob.Decoder) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	if _, err := conn.Write([]byte{'P', 'H', 'D', version}); err != nil {
+	if _, err := conn.Write([]byte{'P', 'H', 'D', ProtocolVersion}); err != nil {
 		t.Fatal(err)
 	}
 	enc := gob.NewEncoder(conn)
@@ -177,30 +177,37 @@ func TestHandshakeRejectsWrongClasses(t *testing.T) {
 }
 
 func TestHandshakeRejectsWrongVersion(t *testing.T) {
+	// The server speaks exactly one version: every other version byte —
+	// an earlier protocol revision or a hypothetical future one — gets the
+	// typed refusal, which names only the version the server speaks.
 	addr, _, cleanup := startServer(t, toyModel())
 	defer cleanup()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Hand-rolled handshake from a hypothetical future client. (v2 is NOT
-	// rejected — see TestV2ClientStillServed.)
-	if _, err := conn.Write([]byte{'P', 'H', 'D', ProtocolVersion + 1}); err != nil {
-		t.Fatal(err)
-	}
-	var hello ServerHello
-	if err := gob.NewDecoder(conn).Decode(&hello); err != nil {
-		t.Fatal(err)
-	}
-	if hello.Code != codeVersion {
-		t.Errorf("hello.Code = %q, want %q", hello.Code, codeVersion)
-	}
-	if err := codeError(hello.Code, hello.Detail); !errors.Is(err, ErrVersionMismatch) {
-		t.Errorf("codeError = %v, want ErrVersionMismatch", err)
-	}
-	if hello.Version != ProtocolVersion {
-		t.Errorf("server advertised v%d, want v%d", hello.Version, ProtocolVersion)
+	for _, version := range []byte{2, 3, 4, ProtocolVersion + 1} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write([]byte{'P', 'H', 'D', version}); err != nil {
+			t.Fatal(err)
+		}
+		var hello ServerHello
+		if err := gob.NewDecoder(conn).Decode(&hello); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+		if hello.Code != codeVersion {
+			t.Errorf("v%d: hello.Code = %q, want %q", version, hello.Code, codeVersion)
+		}
+		if err := codeError(hello.Code, hello.Detail); !errors.Is(err, ErrVersionMismatch) {
+			t.Errorf("v%d: codeError = %v, want ErrVersionMismatch", version, err)
+		}
+		if hello.Version != ProtocolVersion {
+			t.Errorf("v%d: server advertised v%d, want v%d", version, hello.Version, ProtocolVersion)
+		}
+		want := fmt.Sprintf("server speaks v%d only, client sent v%d", ProtocolVersion, version)
+		if hello.Detail != want {
+			t.Errorf("v%d: detail = %q, want %q", version, hello.Detail, want)
+		}
 	}
 }
 
@@ -230,7 +237,7 @@ func TestServerRejectsOutOfAlphabetSymbols(t *testing.T) {
 	defer cleanup()
 	// Craft a request whose packed symbols escape the advertised −2…+1
 	// alphabet; an honest PackQuery would refuse to build it.
-	_, enc, dec := rawHandshake(t, addr, ProtocolVersion, Hello{Dim: 4, Classes: 2})
+	_, enc, dec := rawHandshake(t, addr, Hello{Dim: 4, Classes: 2})
 	if err := enc.Encode(Request{Queries: []Query{{Packed: []int8{5, 0, 0, 0}}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +279,7 @@ func TestServerRejectsOversizedBatch(t *testing.T) {
 		}
 	}
 	// A misbehaving client that ignores the limit is rejected.
-	_, renc, rdec := rawHandshake(t, addr, ProtocolVersion, Hello{Dim: 4})
+	_, renc, rdec := rawHandshake(t, addr, Hello{Dim: 4})
 	req := Request{Queries: make([]Query, 3)}
 	for i := range req.Queries {
 		req.Queries[i] = Query{Vector: []float64{1, 0, 0, 0}}
@@ -882,92 +889,6 @@ func TestDeregisterMidStreamFailsFramesNotConnection(t *testing.T) {
 	}
 }
 
-// v2Hello mirrors the protocol-v2 client Hello wire shape.
-type v2Hello struct {
-	Dim     int
-	Classes int
-}
-
-// v2ServerHello mirrors the protocol-v2 client's view of the server answer:
-// the v3 ServerHello is a strict superset, and gob drops fields the
-// receiver does not declare.
-type v2ServerHello struct {
-	Code      string
-	Detail    string
-	Version   byte
-	Dim       int
-	Classes   int
-	MaxBatch  int
-	MinSymbol int8
-	MaxSymbol int8
-}
-
-func TestV2ClientStillServed(t *testing.T) {
-	// A byte-faithful v2 handshake (version byte 2, model-less Hello) must
-	// still round-trip queries against the default model.
-	reg := registry.New()
-	if _, err := reg.Register("legacy-default", labelModel(1), registry.EncoderInfo{}); err != nil {
-		t.Fatal(err)
-	}
-	addr, _, cleanup := startRegistryServer(t, reg)
-	defer cleanup()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte{'P', 'H', 'D', 2}); err != nil {
-		t.Fatal(err)
-	}
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(v2Hello{Dim: 4, Classes: 2}); err != nil {
-		t.Fatal(err)
-	}
-	var hello v2ServerHello
-	if err := dec.Decode(&hello); err != nil {
-		t.Fatal(err)
-	}
-	if hello.Code != "" {
-		t.Fatalf("v2 handshake rejected: %s (%s)", hello.Code, hello.Detail)
-	}
-	if hello.Version != 2 {
-		t.Errorf("server answered v%d to a v2 client, want v2", hello.Version)
-	}
-	if hello.Dim != 4 || hello.Classes != 2 || hello.MaxBatch != DefaultMaxBatch {
-		t.Errorf("v2 hello = %+v", hello)
-	}
-	if err := enc.Encode(Request{Queries: []Query{{Packed: []int8{1, 1, 0, 0}}}}); err != nil {
-		t.Fatal(err)
-	}
-	var reply Reply
-	if err := dec.Decode(&reply); err != nil {
-		t.Fatal(err)
-	}
-	if reply.Code != "" || len(reply.Results) != 1 || reply.Results[0].Label != 1 {
-		t.Errorf("v2 reply = %+v", reply)
-	}
-	// A v2 client cannot ask for "any geometry": Dim 0 stays a mismatch.
-	conn2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn2.Close()
-	if _, err := conn2.Write([]byte{'P', 'H', 'D', 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewEncoder(conn2).Encode(v2Hello{}); err != nil {
-		t.Fatal(err)
-	}
-	var rej v2ServerHello
-	if err := gob.NewDecoder(conn2).Decode(&rej); err != nil {
-		t.Fatal(err)
-	}
-	if rej.Code != codeGeometry {
-		t.Errorf("v2 dim-0 hello answered %q, want %q", rej.Code, codeGeometry)
-	}
-}
-
 func TestWorkerPoolServesManyConnections(t *testing.T) {
 	// A 2-worker pool behind 8 connections streaming batches: everything
 	// must still answer correctly (the pool is shared, not per-conn).
@@ -1018,7 +939,7 @@ func TestMalformedQueryWithBothWireFormsRejected(t *testing.T) {
 	// with (see TestServerAbusedQueryBothFields for the accepted case).
 	addr, srv, cleanup := startServer(t, labelModel(0))
 	defer cleanup()
-	_, enc, dec := rawHandshake(t, addr, ProtocolVersion, Hello{Dim: 4})
+	_, enc, dec := rawHandshake(t, addr, Hello{Dim: 4})
 	// len(Vector)+len(Packed) == model dim, but the effective (Vector)
 	// length is 2: must be rejected, and the server must survive.
 	if err := enc.Encode(Request{Queries: []Query{{Vector: []float64{1, 1}, Packed: []int8{0, 0}}}}); err != nil {
@@ -1116,7 +1037,7 @@ func posQuery(dim int) []float64 {
 }
 
 func TestPipelinedRepliesOutOfOrder(t *testing.T) {
-	// v4 pipelining at the wire level: a heavy frame followed by a light
+	// Pipelining at the wire level: a heavy frame followed by a light
 	// frame on the same connection must be answerable out of order, with
 	// replies matched by request ID. With 2 workers the light frame's
 	// single query overtakes the heavy frame's 200.
@@ -1136,7 +1057,7 @@ func TestPipelinedRepliesOutOfOrder(t *testing.T) {
 
 	sawOutOfOrder := false
 	for attempt := 0; attempt < 5 && !sawOutOfOrder; attempt++ {
-		_, enc, dec := rawHandshake(t, addr, ProtocolVersion, Hello{Dim: dim})
+		_, enc, dec := rawHandshake(t, addr, Hello{Dim: dim})
 		if err := enc.Encode(heavy); err != nil {
 			t.Fatal(err)
 		}
@@ -1256,7 +1177,7 @@ func TestListModels(t *testing.T) {
 func TestUnsupportedOpRejected(t *testing.T) {
 	addr, _, cleanup := startServer(t, toyModel())
 	defer cleanup()
-	_, enc, dec := rawHandshake(t, addr, ProtocolVersion, Hello{Dim: 4})
+	_, enc, dec := rawHandshake(t, addr, Hello{Dim: 4})
 	if err := enc.Encode(Request{ID: 9, Op: "compress"}); err != nil {
 		t.Fatal(err)
 	}
@@ -1457,89 +1378,12 @@ func TestShutdownWithInFlightPipelinedRequests(t *testing.T) {
 	t.Logf("graceful shutdown answered %d/%d pipelined frames", succeeded, frames)
 }
 
-// v3Hello mirrors the protocol-v3 client Hello wire shape (same fields as
-// v4's — v4 only added Request/Reply fields).
-type v3Hello struct {
-	Dim     int
-	Classes int
-	Model   string
-}
-
-// v3Request and v3Reply mirror the v3 frame shapes: no ID, no Op, no
-// Models. gob drops the extra v4 Reply fields for such a decoder.
-type v3Request struct {
-	Queries []Query
-}
-
-type v3Reply struct {
-	Code    string
-	Detail  string
-	Results []Result
-}
-
-func TestV3ClientStillServed(t *testing.T) {
-	// A byte-faithful v3 session (version byte 3, ID-less frames) must be
-	// served sequentially, strictly in order, against its named model.
-	reg := registry.New()
-	if _, err := reg.Register("m0", labelModel(0), registry.EncoderInfo{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.Register("m1", labelModel(1), registry.EncoderInfo{}); err != nil {
-		t.Fatal(err)
-	}
-	addr, srv, cleanup := startRegistryServer(t, reg)
-	defer cleanup()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte{'P', 'H', 'D', 3}); err != nil {
-		t.Fatal(err)
-	}
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(v3Hello{Dim: 4, Model: "m1"}); err != nil {
-		t.Fatal(err)
-	}
-	var hello ServerHello
-	if err := dec.Decode(&hello); err != nil {
-		t.Fatal(err)
-	}
-	if hello.Code != "" {
-		t.Fatalf("v3 handshake rejected: %s (%s)", hello.Code, hello.Detail)
-	}
-	if hello.Version != 3 {
-		t.Errorf("server answered v%d to a v3 client, want v3", hello.Version)
-	}
-	if hello.Model != "m1" {
-		t.Errorf("v3 client bound to %q, want m1", hello.Model)
-	}
-	// Stream several ID-less frames; each must be answered before the next
-	// is read (in-order, one reply per request).
-	for i := 0; i < 3; i++ {
-		if err := enc.Encode(v3Request{Queries: []Query{{Packed: []int8{1, 1, 0, 0}}}}); err != nil {
-			t.Fatal(err)
-		}
-		var reply v3Reply
-		if err := dec.Decode(&reply); err != nil {
-			t.Fatal(err)
-		}
-		if reply.Code != "" || len(reply.Results) != 1 || reply.Results[0].Label != 1 {
-			t.Fatalf("v3 frame %d reply = %+v", i, reply)
-		}
-	}
-	if srv.Served() != 3 {
-		t.Errorf("Served = %d, want 3", srv.Served())
-	}
-}
-
 func TestShutdownBoundedByIdlePeerThatNeverCloses(t *testing.T) {
-	// A v4 peer that handshakes, sends nothing, and ignores the graceful
+	// A peer that handshakes, sends nothing, and ignores the graceful
 	// FIN: Shutdown must not block until its ctx expires — the half-close
 	// arms a read deadline that unpins the idle handler.
 	addr, srv, _ := startServer(t, toyModel())
-	conn, _, _ := rawHandshake(t, addr, ProtocolVersion, Hello{Dim: 4})
+	conn, _, _ := rawHandshake(t, addr, Hello{Dim: 4})
 	_ = conn // held open, never closed, never written to again
 
 	start := time.Now()
@@ -1550,5 +1394,47 @@ func TestShutdownBoundedByIdlePeerThatNeverCloses(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Errorf("Shutdown took %v against an idle peer, want ≤ the ~2s drain bound", elapsed)
+	}
+}
+
+func TestShutdownClosesMidHandshakeConnectionFully(t *testing.T) {
+	// A connection caught mid-handshake has no replies at risk, so a
+	// graceful Shutdown closes it outright instead of half-closing and
+	// waiting out the ~2s drain bound — whether the peer has sent nothing
+	// yet or only its header.
+	for _, sent := range [][]byte{nil, {'P', 'H', 'D', ProtocolVersion}} {
+		addr, srv, _ := startServer(t, toyModel())
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(sent); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); ; {
+			srv.mu.Lock()
+			n := len(srv.conns)
+			srv.mu.Unlock()
+			if n == 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("server never registered the connection")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		// Let the handler reach its handshake read.
+		time.Sleep(20 * time.Millisecond)
+
+		start := time.Now()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("sent %q: Shutdown = %v, want nil", sent, err)
+		}
+		cancel()
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Errorf("sent %q: Shutdown took %v, want an immediate close of the mid-handshake connection", sent, elapsed)
+		}
 	}
 }

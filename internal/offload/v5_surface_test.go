@@ -1,10 +1,8 @@
 package offload
 
-// Wire-compatibility coverage for protocol v5: byte-faithful v4 sessions
-// against a v5 server (frozen struct clones, exactly like the v2/v3 tests
-// in offload_test.go), the v5-only surfaces (shard descriptors in the
-// handshake, partial-score frames, GoAway drain notices), and the typed
-// refusal a v5 client gets from a v4-only server.
+// Coverage for the v5 surfaces — shard descriptors in the handshake,
+// partial-score frames, GoAway drain notices — and for the typed refusal a
+// v5 client gets from a server that speaks an earlier version only.
 
 import (
 	"context"
@@ -18,157 +16,6 @@ import (
 
 	"privehd/internal/registry"
 )
-
-// v4ServerHello mirrors the protocol-v4 client's view of the handshake
-// answer: the v5 ServerHello minus the Shard descriptor. gob drops fields
-// the receiver does not declare, so decoding into this struct is exactly
-// what a frozen v4 binary does.
-type v4ServerHello struct {
-	Code         string
-	Detail       string
-	Version      byte
-	Dim          int
-	Classes      int
-	MaxBatch     int
-	MinSymbol    int8
-	MaxSymbol    int8
-	Model        string
-	ModelVersion int
-	Encoding     int
-	Levels       int
-	Features     int
-	Seed         uint64
-}
-
-// v4Reply mirrors the v4 reply frame: the v5 Reply minus Partials, NormSq
-// and GoAway.
-type v4Reply struct {
-	ID      uint64
-	Code    string
-	Detail  string
-	Results []Result
-	Models  []ModelListing
-	Timing  *StageTiming
-}
-
-func TestV4ClientStillServed(t *testing.T) {
-	// A byte-faithful v4 session (version byte 4, ID-correlated pipelined
-	// frames, frozen reply shape) must be served unchanged by a v5 server.
-	reg := registry.New()
-	if _, err := reg.Register("m1", labelModel(1), registry.EncoderInfo{}); err != nil {
-		t.Fatal(err)
-	}
-	addr, _, cleanup := startRegistryServer(t, reg)
-	defer cleanup()
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte{'P', 'H', 'D', 4}); err != nil {
-		t.Fatal(err)
-	}
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(Hello{Dim: 4, Model: "m1"}); err != nil {
-		t.Fatal(err)
-	}
-	var hello v4ServerHello
-	if err := dec.Decode(&hello); err != nil {
-		t.Fatal(err)
-	}
-	if hello.Code != "" {
-		t.Fatalf("v4 handshake rejected: %s (%s)", hello.Code, hello.Detail)
-	}
-	if hello.Version != 4 {
-		t.Errorf("server answered v%d to a v4 client, want v4", hello.Version)
-	}
-	if hello.Model != "m1" || hello.Dim != 4 {
-		t.Errorf("v4 hello = %+v", hello)
-	}
-
-	// Pipeline two classification frames plus a list-models frame before
-	// reading anything; replies correlate by ID, not order.
-	for _, id := range []uint64{7, 8} {
-		if err := enc.Encode(Request{ID: id, Queries: []Query{{Packed: []int8{1, 1, 0, 0}}}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.Encode(Request{ID: 9, Op: OpListModels}); err != nil {
-		t.Fatal(err)
-	}
-	got := map[uint64]v4Reply{}
-	for i := 0; i < 3; i++ {
-		var reply v4Reply
-		if err := dec.Decode(&reply); err != nil {
-			t.Fatal(err)
-		}
-		got[reply.ID] = reply
-	}
-	for _, id := range []uint64{7, 8} {
-		reply, ok := got[id]
-		if !ok {
-			t.Fatalf("no reply for frame %d (got %v)", id, got)
-		}
-		if reply.Code != "" || len(reply.Results) != 1 || reply.Results[0].Label != 1 {
-			t.Errorf("v4 reply %d = %+v", id, reply)
-		}
-	}
-	if reply := got[9]; reply.Code != "" || len(reply.Models) != 1 || reply.Models[0].Name != "m1" {
-		t.Errorf("v4 list-models reply = %+v", got[9])
-	}
-}
-
-func TestV4ClientGetsFINNotGoAwayOnShutdown(t *testing.T) {
-	// The GoAway drain notice is a v5 surface: an idle v4 connection must
-	// discover a graceful shutdown from the FIN exactly as before — an
-	// unsolicited frame would sit in a frozen v4 client's reply path as an
-	// unknown-ID reply and break it.
-	addr, srv, cleanup := startServer(t, toyModel())
-	defer cleanup()
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte{'P', 'H', 'D', 4}); err != nil {
-		t.Fatal(err)
-	}
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(Hello{Dim: 4}); err != nil {
-		t.Fatal(err)
-	}
-	var hello v4ServerHello
-	if err := dec.Decode(&hello); err != nil {
-		t.Fatal(err)
-	}
-	if hello.Code != "" || hello.Version != 4 {
-		t.Fatalf("v4 handshake = %+v", hello)
-	}
-
-	shutdownDone := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		shutdownDone <- srv.Shutdown(ctx)
-	}()
-
-	// The very next thing on the wire must be the FIN (EOF), never a frame.
-	var reply v4Reply
-	switch err := dec.Decode(&reply); {
-	case err == nil:
-		t.Fatalf("v4 connection received an unsolicited frame during shutdown: %+v", reply)
-	case !errors.Is(err, io.EOF):
-		t.Fatalf("expected EOF from the graceful FIN, got %v", err)
-	}
-	conn.Close()
-	if err := <-shutdownDone; err != nil {
-		t.Errorf("Shutdown returned %v", err)
-	}
-}
 
 func TestV5ClientGetsGoAwayOnShutdown(t *testing.T) {
 	// A v5 client is told about the drain before the FIN: the unsolicited
@@ -229,9 +76,14 @@ func TestV5ClientRefusedByV4OnlyServerTyped(t *testing.T) {
 				if err := gob.NewDecoder(conn).Decode(&hello); err != nil {
 					return
 				}
-				gob.NewEncoder(conn).Encode(v4ServerHello{
+				// gob matches fields by name, so this subset of the
+				// handshake answer is what the older server sends.
+				gob.NewEncoder(conn).Encode(struct {
+					Code, Detail string
+					Version      byte
+				}{
 					Code:    "version-mismatch",
-					Detail:  "server speaks v4 (and accepts v2–v3), client sent v5",
+					Detail:  "server speaks v4, client sent v5",
 					Version: 4,
 				})
 			}(conn)
@@ -350,7 +202,7 @@ func TestPartialScoresRefusesVectorQueries(t *testing.T) {
 	// silently rounded.
 	addr, _, cleanup := startServer(t, toyModel())
 	defer cleanup()
-	conn, enc, dec := rawHandshake(t, addr, ProtocolVersion, Hello{Dim: 4})
+	conn, enc, dec := rawHandshake(t, addr, Hello{Dim: 4})
 	defer conn.Close()
 	if err := enc.Encode(Request{ID: 1, Op: OpPartialScores,
 		Queries: []Query{{Vector: []float64{0.5, 0.5, 0, 0}}}}); err != nil {

@@ -95,6 +95,16 @@ func (s *ShardInfo) Validate() error {
 	return nil
 }
 
+// fits checks that model has exactly the descriptor's slice extents (any
+// model fits a nil descriptor).
+func (s *ShardInfo) fits(model *hdc.Model) error {
+	if s != nil && (model.Dim() != s.DimLen || model.NumClasses() != s.ClassCount) {
+		return fmt.Errorf("registry: model geometry %d×%d does not match shard slice %s",
+			model.Dim(), model.NumClasses(), s)
+	}
+	return nil
+}
+
 // Whole reports whether the descriptor covers the entire model (or is nil).
 func (s *ShardInfo) Whole() bool {
 	return s == nil || (s.DimOffset == 0 && s.DimLen == s.FullDim &&
@@ -229,9 +239,8 @@ func (r *Registry) RegisterShardVersion(name string, model *hdc.Model, info Enco
 	if err := shard.Validate(); err != nil {
 		return nil, err
 	}
-	if shard != nil && (model.Dim() != shard.DimLen || model.NumClasses() != shard.ClassCount) {
-		return nil, fmt.Errorf("registry: model geometry %d×%d does not match shard slice %s",
-			model.Dim(), model.NumClasses(), shard)
+	if err := shard.fits(model); err != nil {
+		return nil, err
 	}
 	// Freeze the norm caches and derive the packed-query integer planes so
 	// serving goroutines only ever read.
@@ -256,8 +265,9 @@ func (r *Registry) RegisterShardVersion(name string, model *hdc.Model, info Enco
 // Swap atomically replaces the model published under name, bumping its
 // version. In-flight queries that already resolved the old entry finish
 // against the old model; every later lookup sees the new one. Connections
-// are never dropped. It returns ErrUnknownModel if name was never
-// registered.
+// are never dropped. A shard entry keeps its descriptor, so the new model
+// must have the slice's geometry. It returns ErrUnknownModel if name was
+// never registered.
 func (r *Registry) Swap(name string, model *hdc.Model, info EncoderInfo) (*Entry, error) {
 	return r.SwapVersion(name, model, info, 0)
 }
@@ -281,10 +291,13 @@ func (r *Registry) SwapVersion(name string, model *hdc.Model, info EncoderInfo, 
 	if !exists {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownModel, name)
 	}
+	if err := old.Shard.fits(model); err != nil {
+		return nil, err
+	}
 	if version == 0 {
 		version = old.Version + 1
 	}
-	e := &Entry{Name: name, Version: version, Model: model, Scorer: model.PackedScorer(), Encoder: info, served: old.served}
+	e := &Entry{Name: name, Version: version, Model: model, Scorer: model.PackedScorer(), Encoder: info, Shard: old.Shard, served: old.served}
 	next.entries[name] = e
 	r.publish(next)
 	rmPublications.With(name).Inc()

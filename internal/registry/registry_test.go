@@ -182,3 +182,26 @@ func TestModelsReturnsOneConsistentSnapshot(t *testing.T) {
 		}
 	}
 }
+
+func TestSwapKeepsShardDescriptor(t *testing.T) {
+	// A shard entry stays a shard across Swap: the descriptor carries over
+	// to the new publication, and a model of another geometry is refused.
+	r := New()
+	shard := &ShardInfo{DimOffset: 4, DimLen: 4, ClassOffset: 0, ClassCount: 2, FullDim: 8, FullClasses: 2}
+	if _, err := r.RegisterShard("m", labelModel(0), EncoderInfo{}, shard); err != nil {
+		t.Fatal(err)
+	}
+	e, err := r.Swap("m", labelModel(1), EncoderInfo{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Shard == nil || *e.Shard != *shard {
+		t.Fatalf("swapped entry's descriptor = %v, want %v", e.Shard, shard)
+	}
+	if _, err := r.Swap("m", hdc.NewModel(2, 8), EncoderInfo{}); err == nil {
+		t.Fatal("Swap published an 8-dimensional model over a 4-dimensional shard")
+	}
+	if got, _ := r.Lookup("m"); got != e {
+		t.Errorf("a refused Swap changed the published entry")
+	}
+}

@@ -44,9 +44,10 @@ import (
 )
 
 // ErrBadTiling reports a replica set whose shard descriptors do not tile
-// the full model exactly (gaps, overlaps, or disagreeing geometry). It is
-// a configuration verdict, not a transport failure: retrying elsewhere
-// cannot fix it.
+// the full model exactly (gaps, overlaps, or disagreeing geometry), or a
+// replica whose partial-score answer does not match the descriptor it
+// advertised. It is a configuration verdict, not a transport failure:
+// retrying elsewhere cannot fix it.
 var ErrBadTiling = errors.New("shard: replicas do not tile the full model")
 
 // Config configures a Coordinator.
@@ -260,10 +261,35 @@ type gatherResult struct {
 	normSq   []float64 // [local class]
 }
 
+// check verifies the answer has the shape the group's descriptor promised
+// for a batch of n queries: one row per query and one entry per class of
+// the slice, in every row and in normSq. reduce indexes by the descriptor,
+// so a replica whose served entry no longer matches the descriptor it
+// advertised at discovery (re-registered whole, or as another slice) must
+// be refused here rather than panic the reduction.
+func (r *gatherResult) check(n int) error {
+	want := r.info.ClassCount
+	if len(r.partials) != n {
+		return fmt.Errorf("%w: replica answered %d of %d queries", ErrBadTiling, len(r.partials), n)
+	}
+	for q, row := range r.partials {
+		if len(row) != want {
+			return fmt.Errorf("%w: replica answered %d class scores for query %d, descriptor %s has %d classes",
+				ErrBadTiling, len(row), q, r.info.String(), want)
+		}
+	}
+	if len(r.normSq) != want {
+		return fmt.Errorf("%w: replica answered %d class norms, descriptor %s has %d classes",
+			ErrBadTiling, len(r.normSq), r.info.String(), want)
+	}
+	return nil
+}
+
 // scatter fans the packed batch across every shard group and gathers the
 // partial answers. Each group retries internally across its own replicas
-// (cluster failover); a group that exhausts its replicas fails the whole
-// gather. The span's gather stage records the slowest group's round trip.
+// (cluster failover); a group that exhausts its replicas, or answers in a
+// shape its descriptor does not allow, fails the whole gather. The span's
+// gather stage records the slowest group's round trip.
 func (co *Coordinator) scatter(ctx context.Context, packed [][]int8, span *trace.Span) ([]gatherResult, error) {
 	results := make([]gatherResult, len(co.groups))
 	errs := make([]error, len(co.groups))
@@ -301,6 +327,9 @@ func (co *Coordinator) scatter(ctx context.Context, packed [][]int8, span *trace
 			})
 			d := time.Since(t0)
 			span.ObserveMax(trace.StageGather, d)
+			if err == nil {
+				err = results[i].check(len(packed))
+			}
 			if err != nil {
 				smGatherErrors.With(g.key).Inc()
 				errs[i] = fmt.Errorf("shard %s: %w", g.key, err)

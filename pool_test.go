@@ -322,62 +322,43 @@ func TestListModelsDiscovery(t *testing.T) {
 	}
 }
 
-// legacyHello mirrors the v2/v3 client Hello wire shape.
-type legacyHello struct {
-	Dim     int
-	Classes int
-	Model   string // ignored by v2 servers; gob omits the zero value
-}
-
-// legacyReply mirrors the v2/v3 client's view of a Reply: no ID, no
-// Models — gob drops the newer fields.
-type legacyReply struct {
-	Code    string
-	Detail  string
-	Results []offload.Result
-}
-
-// roundTripLegacy runs one hand-rolled v2 or v3 session against addr.
-func roundTripLegacy(t *testing.T, addr string, version byte, dim int, query []float64) legacyReply {
+// refuseLegacy runs one hand-rolled session from a client of an earlier
+// protocol version against addr — header plus Hello, written back to back
+// as such a client does — and returns the server's handshake answer. It
+// fails the test unless the answer arrives intact and is followed by a
+// clean FIN: a server that closed with the client's Hello still unread
+// would reset the connection and could destroy the refusal in flight.
+func refuseLegacy(t *testing.T, addr string, version byte, dim int) offload.ServerHello {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	if _, err := conn.Write([]byte{'P', 'H', 'D', version}); err != nil {
 		t.Fatal(err)
 	}
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(legacyHello{Dim: dim}); err != nil {
+	if err := gob.NewEncoder(conn).Encode(offload.Hello{Dim: dim}); err != nil {
 		t.Fatal(err)
 	}
+	dec := gob.NewDecoder(conn)
 	var hello offload.ServerHello
 	if err := dec.Decode(&hello); err != nil {
-		t.Fatal(err)
+		t.Fatalf("v%d: reading the handshake answer: %v", version, err)
 	}
-	if hello.Code != "" {
-		t.Fatalf("v%d handshake rejected: %s (%s)", version, hello.Code, hello.Detail)
+	var next offload.Reply
+	if err := dec.Decode(&next); !errors.Is(err, io.EOF) {
+		t.Fatalf("v%d: after the refusal got %v, want a clean EOF", version, err)
 	}
-	if hello.Version != version {
-		t.Fatalf("server answered v%d to a v%d client", hello.Version, version)
-	}
-	if err := enc.Encode(struct{ Queries []offload.Query }{[]offload.Query{{Vector: query}}}); err != nil {
-		t.Fatal(err)
-	}
-	var reply legacyReply
-	if err := dec.Decode(&reply); err != nil {
-		t.Fatal(err)
-	}
-	return reply
+	return hello
 }
 
-func TestLegacyClientsServedAlongsidePool(t *testing.T) {
-	// Regression for the v4 upgrade: while a pipelined Pool hammers the
-	// server, byte-faithful v2 and v3 clients must still be served
-	// in-order against the default model.
-	pipe, X, y := toyPipeline(t)
+func TestLegacyVersionsRefusedAlongsidePool(t *testing.T) {
+	// While a pipelined Pool hammers the server, clients of every earlier
+	// protocol version are refused at the handshake with the typed version
+	// code — and the pool's traffic carries on without an error.
+	pipe, X, _ := toyPipeline(t)
 	addr, _, cleanup := startPipelineServer(t, pipe)
 	defer cleanup()
 
@@ -406,28 +387,19 @@ func TestLegacyClientsServedAlongsidePool(t *testing.T) {
 		}
 	}()
 
-	edge, err := pipe.Edge()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, version := range []byte{2, 3} {
-		for i := 0; i < 4; i++ {
-			q, err := edge.Prepare(X[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			reply := roundTripLegacy(t, addr, version, pipe.Dim(), q)
-			if reply.Code != "" {
-				t.Fatalf("v%d frame rejected: %s", version, reply.Code)
-			}
-			if len(reply.Results) != 1 || reply.Results[0].Label != y[i] {
-				t.Errorf("v%d client got %+v for sample %d (want label %d)", version, reply.Results, i, y[i])
-			}
+	for _, version := range []byte{2, 3, 4} {
+		hello := refuseLegacy(t, addr, version, pipe.Dim())
+		if hello.Version != privehd.ProtocolVersion {
+			t.Errorf("v%d client: server advertised v%d, want v%d", version, hello.Version, privehd.ProtocolVersion)
+		}
+		if hello.Code != "version-mismatch" {
+			t.Errorf("v%d client answered %q (%s), want the typed version-mismatch refusal",
+				version, hello.Code, hello.Detail)
 		}
 	}
 	close(stop)
 	if err := <-poolErr; err != nil {
-		t.Fatalf("pool traffic failed alongside legacy clients: %v", err)
+		t.Fatalf("pool traffic failed alongside refused legacy clients: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package privehd
 
 import (
 	"context"
+	"fmt"
 	"net"
 
 	"privehd/internal/hdc"
@@ -39,7 +40,7 @@ func NewRegistry() *Registry {
 }
 
 // ModelInfo describes one published model: its registry identity and the
-// public encoder setup advertised to v3 clients.
+// public encoder setup advertised in the handshake.
 type ModelInfo struct {
 	// Name is the registry key clients put in the handshake.
 	Name string
@@ -49,7 +50,7 @@ type ModelInfo struct {
 	Dim     int
 	Classes int
 	// Encoding, Levels, Features and Seed are the encoder's shared public
-	// setup, which v3+ edges auto-configure from.
+	// setup, which edges auto-configure from.
 	Encoding Encoding
 	Levels   int
 	Features int
@@ -113,7 +114,7 @@ func (r *Registry) Register(name string, p *Pipeline) error {
 // RegisterShard publishes a slice of a trained pipeline's model under
 // name: the class planes are restricted to s's dimension range and class
 // range (zero DimLen / ClassCount default to the full extent), and the
-// entry carries the shard descriptor so v5 clients — and the scatter–
+// entry carries the shard descriptor so clients — and the scatter–
 // gather coordinator behind TopologySharded — discover the slice in the
 // handshake. Each replica of a sharded fleet registers its own slice;
 // the fleet's descriptors must tile the full model exactly or Connect
@@ -149,11 +150,25 @@ func (r *Registry) RegisterShard(name string, p *Pipeline, s ShardSlice) error {
 // pipeline's, bumping the publication version. Clients connected to name
 // see the new model from their next request frame on — connections are
 // never dropped, and queries in flight finish against the model they
-// resolved. It returns ErrUnknownModel if name was never registered.
+// resolved. An entry published with RegisterShard stays a shard: the new
+// pipeline is sliced by the entry's descriptor, and refused unless its
+// full geometry is the descriptor's. It returns ErrUnknownModel if name
+// was never registered.
 func (r *Registry) Swap(name string, p *Pipeline) error {
 	model, info, err := pipelineEntry(p)
 	if err != nil {
 		return err
+	}
+	old, err := r.inner.Lookup(name)
+	if err != nil {
+		return err
+	}
+	if s := old.Shard; s != nil {
+		if model.Dim() != s.FullDim || model.NumClasses() != s.FullClasses {
+			return fmt.Errorf("privehd: model %q is a shard of a %d×%d model, pipeline is %d×%d",
+				name, s.FullDim, s.FullClasses, model.Dim(), model.NumClasses())
+		}
+		model = model.Slice(s.DimOffset, s.DimLen, s.ClassOffset, s.ClassCount)
 	}
 	_, err = r.inner.Swap(name, model, info)
 	return err
@@ -165,8 +180,7 @@ func (r *Registry) Swap(name string, p *Pipeline) error {
 // no default until SetDefault (or the next Register) chooses one.
 func (r *Registry) Deregister(name string) error { return r.inner.Deregister(name) }
 
-// SetDefault names the model served to clients that request none (v2
-// clients always do).
+// SetDefault names the model served to clients that request none.
 func (r *Registry) SetDefault(name string) error { return r.inner.SetDefault(name) }
 
 // DefaultName returns the current default model name ("" when unset).

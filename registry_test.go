@@ -151,7 +151,7 @@ func TestDialUnknownModel(t *testing.T) {
 
 func TestDialModelAutoConfiguresEdge(t *testing.T) {
 	// The client knows only the server address and a model name; geometry,
-	// encoding, levels and seed all come from the v3 ServerHello. Its
+	// encoding, levels and seed all come from the ServerHello. Its
 	// auto-configured edge must predict exactly like a hand-built one.
 	pipe, X, _ := toyPipeline(t, privehd.WithEncoding(privehd.Scalar), privehd.WithQuantizer("full"))
 	reg := privehd.NewRegistry()

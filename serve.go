@@ -10,10 +10,9 @@ import (
 )
 
 // ProtocolVersion is the version byte of the offloaded-inference wire
-// protocol (v5: shard descriptors, partial scores and drain notices; see
-// the package documentation for what each version added). Serve and
-// Connect handshake on it; servers also accept v2–v4 clients, and reject
-// everything else.
+// protocol (see the package documentation for its frames). Serve and
+// Connect handshake on it, and servers refuse every other version with
+// ErrVersionMismatch.
 const ProtocolVersion = offload.ProtocolVersion
 
 // Typed protocol failures, surfaced by Connect and Client calls; test with

@@ -20,8 +20,9 @@ var (
 	ErrPartialUnsupported = offload.ErrPartialUnsupported
 	// ErrShardTiling reports a replica set whose shard descriptors do
 	// not tile the full model exactly (gaps, overlaps, or disagreeing
-	// geometry) — a deployment configuration error, not a transport
-	// failure.
+	// geometry), or a replica whose partial-score answer no longer
+	// matches the descriptor it advertised — a deployment configuration
+	// error, not a transport failure.
 	ErrShardTiling = shard.ErrBadTiling
 )
 

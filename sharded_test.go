@@ -428,3 +428,135 @@ func TestConnectShardedRefusedByV4OnlyReplica(t *testing.T) {
 		t.Errorf("version refusal wraps ErrTransport (would be retried): %v", err)
 	}
 }
+
+// classShardFleet serves p split into two class shards (class 0, and the
+// remaining classes, each over the full dimension range), one replica
+// each, and returns the replicas' registries with their servers.
+func classShardFleet(t *testing.T, p *privehd.Pipeline) ([]*privehd.Registry, []*shardServer) {
+	t.Helper()
+	classes := p.Classes()
+	slices := []privehd.ShardSlice{
+		{ClassOffset: 0, ClassCount: 1},
+		{ClassOffset: 1, ClassCount: classes - 1},
+	}
+	var regs []*privehd.Registry
+	var fleet []*shardServer
+	for _, s := range slices {
+		reg := privehd.NewRegistry()
+		if err := reg.RegisterShard("m", p, s); err != nil {
+			t.Fatal(err)
+		}
+		regs = append(regs, reg)
+		fleet = append(fleet, serveRegistry(t, reg))
+	}
+	return regs, fleet
+}
+
+// TestShardedSwapKeepsDescriptor: retrain-then-Swap on a class shard keeps
+// the entry a shard — its handshake still advertises the descriptor, the
+// new pipeline is sliced by it, and once every shard is swapped the fleet
+// answers bit-identically to whole-model serving of the new pipeline.
+func TestShardedSwapKeepsDescriptor(t *testing.T) {
+	X, y := toyData(30, 12)
+	p := trainPipeline(t, X, y)
+	retrained := trainPipeline(t, X[:10], y[:10])
+	regs, fleet := classShardFleet(t, p)
+
+	ctx := context.Background()
+	target := privehd.Target{Addrs: fleetAddrs(fleet), Model: "m", Topology: privehd.TopologySharded}
+	sc, err := privehd.Connect(ctx, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	want := sc.Shards()
+
+	if err := regs[1].Swap("m", retrained); err != nil {
+		t.Fatal(err)
+	}
+	// The live client keeps answering: the swapped replica still serves
+	// exactly its descriptor's classes.
+	if _, _, err := sc.Predict(X[0]); err != nil {
+		t.Fatalf("predict after swapping one shard: %v", err)
+	}
+	// A fresh discovery reads the descriptors from the handshakes: had the
+	// swap turned the replica into a whole model, the fleet would overlap.
+	fresh, err := privehd.Connect(ctx, target)
+	if err != nil {
+		t.Fatalf("rediscovery after swap: %v", err)
+	}
+	defer fresh.Close()
+	if got := fresh.Shards(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("descriptors after swap = %v, want %v", got, want)
+	}
+
+	if err := regs[0].Swap("m", retrained); err != nil {
+		t.Fatal(err)
+	}
+	wholeReg := privehd.NewRegistry()
+	if err := wholeReg.Register("m", retrained); err != nil {
+		t.Fatal(err)
+	}
+	wc, err := privehd.Connect(ctx, privehd.Target{Addrs: []string{serveRegistry(t, wholeReg).addr}, Model: "m"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wc.Close()
+	for _, c := range []privehd.Client{sc, fresh} {
+		for i, x := range X {
+			wl, ws, err := wc.Predict(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sl, ss, err := c.Predict(x)
+			if err != nil {
+				t.Fatalf("sharded predict %d: %v", i, err)
+			}
+			if wl != sl || fmt.Sprint(ws) != fmt.Sprint(ss) {
+				t.Fatalf("query %d: whole %d %v, sharded %d %v — not bit-identical", i, wl, ws, sl, ss)
+			}
+		}
+	}
+
+	// A pipeline of another geometry cannot replace a shard.
+	other := trainPipeline(t, X, y, privehd.WithDim(256))
+	if err := regs[0].Swap("m", other); err == nil {
+		t.Error("Swap published a 256-dimensional pipeline over a shard of a 512-dimensional model")
+	}
+}
+
+// TestShardedReplyShapeMismatchRefused: a replica whose served entry no
+// longer matches the descriptor it advertised at discovery — here class
+// shard 1 re-registered as the whole model — answers partial scores in
+// the wrong shape. The coordinator must refuse that answer with the typed
+// tiling error instead of indexing past its buffers and panicking the
+// client process.
+func TestShardedReplyShapeMismatchRefused(t *testing.T) {
+	X, y := toyData(30, 12)
+	p := trainPipeline(t, X, y)
+	regs, fleet := classShardFleet(t, p)
+
+	sc, err := privehd.Connect(context.Background(), privehd.Target{
+		Addrs: fleetAddrs(fleet), Model: "m", Topology: privehd.TopologySharded,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	if _, _, err := sc.Predict(X[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := regs[1].Deregister("m"); err != nil {
+		t.Fatal(err)
+	}
+	if err := regs[1].Register("m", p); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sc.Predict(X[0]); !errors.Is(err, privehd.ErrShardTiling) {
+		t.Fatalf("predict against a mis-shaped replica: err = %v, want ErrShardTiling", err)
+	}
+	if _, err := sc.PredictBatch(X[:4]); !errors.Is(err, privehd.ErrShardTiling) {
+		t.Fatalf("batch predict against a mis-shaped replica: err = %v, want ErrShardTiling", err)
+	}
+}

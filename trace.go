@@ -7,12 +7,11 @@ import (
 // Request tracing attributes a request's latency to its stages — client
 // queue, network, server queue, scoring, reply write — end to end: a
 // sampled Predict draws a 64-bit trace ID, carries it to the server in the
-// request frame (protocol v4; older servers silently ignore it), and the
-// server's reply carries its stage timing back. Both sides feed flight
-// recorders that retain the slowest and the errored requests, the server
-// tags its latency histogram with the trace ID as an OpenMetrics exemplar,
-// and the admin API serves the server-side recorder at
-// GET /v1/debug/requests — so one slow request can be chased from a
+// request frame, and the server's reply carries its stage timing back.
+// Both sides feed flight recorders that retain the slowest and the errored
+// requests, the server tags its latency histogram with the trace ID as an
+// OpenMetrics exemplar, and the admin API serves the server-side recorder
+// at GET /v1/debug/requests — so one slow request can be chased from a
 // Prometheus histogram bucket to the exact stage that ate its budget.
 //
 // Tracing is off by default and adds nothing to the untraced hot path
