@@ -2,7 +2,6 @@ package privehd_test
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"net"
 	"net/http/httptest"
@@ -168,15 +167,11 @@ func shedOneFrame(addr string) bool {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn.Write([]byte{'P', 'H', 'D', offload.ProtocolVersion}); err != nil {
+	if err := offload.WriteHello(conn, offload.Hello{Model: "toy", Dim: 512}); err != nil {
 		return false
 	}
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	if err := enc.Encode(offload.Hello{Model: "toy", Dim: 512}); err != nil {
-		return false
-	}
-	var sh offload.ServerHello
-	if err := dec.Decode(&sh); err != nil || sh.Code != "" {
+	sh, err := offload.ReadServerHello(conn)
+	if err != nil || sh.Code != "" {
 		return false
 	}
 	q := make([]int8, 512)
@@ -186,11 +181,11 @@ func shedOneFrame(addr string) bool {
 	for i := range req.Queries {
 		req.Queries[i] = offload.Query{Packed: q}
 	}
-	if err := enc.Encode(req); err != nil {
+	if err := offload.WriteRequest(conn, req); err != nil {
 		return false
 	}
-	var reply offload.Reply
-	if err := dec.Decode(&reply); err != nil {
+	reply, err := offload.ReadReply(conn, sh)
+	if err != nil {
 		return false
 	}
 	return reply.Code == "deadline"

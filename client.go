@@ -37,7 +37,7 @@ type Client interface {
 	PredictContext(ctx context.Context, x []float64) (int, []float64, error)
 	// PredictPrepared classifies an already-prepared query hypervector
 	// (the output of Edge().Prepare). A quantized vector travels packed,
-	// one byte per dimension; any other travels in full precision, which
+	// 2 bits per dimension; any other travels in full precision, which
 	// a sharded client refuses with ErrPartialUnsupported.
 	PredictPrepared(q []float64) (int, []float64, error)
 	// PredictPreparedContext is PredictPrepared bounded by ctx (see
@@ -373,7 +373,7 @@ func Connect(ctx context.Context, t Target, opts ...ConnectOption) (Client, erro
 
 // sniffTopology decides between cluster and sharded for a multi-address
 // auto target: the first reachable address's handshake tells whether it
-// serves a slice (shard descriptor in the v5 ServerHello) or the whole
+// serves a slice (shard descriptor in the ServerHello) or the whole
 // model.
 func sniffTopology(ctx context.Context, t Target) (Topology, error) {
 	var lastErr error

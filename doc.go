@@ -27,43 +27,55 @@
 // goroutine-per-connection reads, a bounded scoring worker pool shared
 // across connections (WithServerWorkers), context cancellation, graceful
 // shutdown and batched queries. A quantizing edge encodes each query
-// straight into its packed one-byte-per-dimension form, and that slice is
-// the frame payload the server's integer kernel scores — never widened to
-// float64 on the way.
+// straight into its packed int8 form, and the codec ships that slice as
+// two bit-planes — the low and high bit of each symbol's 2-bit two's
+// complement, D/4 bytes for D dimensions — which the server decodes from
+// pooled buffers straight back into the int8 form its integer kernel
+// scores, never widened to float64 on the way.
 //
-// The protocol is at v5, the one version servers speak; frames are gob
-// messages after a "PHD"+version handshake:
+// The protocol is at v6, the one version servers speak. Each side opens
+// with a "PHD"+version header, and every message after it is one
+// length-prefixed binary frame (len:u32 | body, little-endian):
 //
-//	Hello{Dim,Classes,Model}
-//	ServerHello{Code,Detail,Version,Dim,Classes,MaxBatch,MinSymbol,MaxSymbol,
-//	            Model,ModelVersion,Encoding,Levels,Features,Seed,Shard}
-//	Request{ID,Op,Queries,Trace,BudgetNs}
-//	Reply{ID,Code,Detail,Results,Models,Timing,Partials,NormSq,GoAway}
+//	Hello        dim | classes | model
+//	ServerHello  code | detail | dim | classes | maxBatch | minSymbol | maxSymbol |
+//	             model | modelVersion | encoding | levels | features | seed | [shard]
+//	Request      id | op | flags | [trace] | [budgetNs] | count | (kind | dim | payload)*
+//	Reply        id | code | flags | [detail] | [results] | [models] | [timing] |
+//	             [partials] | [normSq]
 //
-// A server refuses every other version byte at the handshake with the
-// typed ErrVersionMismatch, and a client meeting a server that speaks
-// another version surfaces the same refusal rather than retrying. Per-
+// A packed query's payload is its two bit-planes; a full-precision one
+// (WithRawQueries) is dim float64s. Reply codes are a byte enum. A server
+// refuses every other version byte at the handshake with the typed
+// ErrVersionMismatch, and a client whose server does not answer with this
+// version's header — an older gob-speaking server, say — surfaces the
+// same refusal rather than retrying. Every reader checks a frame's length
+// prefix against a cap before allocating: a request frame may be at most a
+// full batch of the connection's model in full precision, and a longer one
+// gets a typed frame-too-large refusal before the connection is closed. Per-
 // request IDs make connections pipelined: requests from any number of
 // goroutines interleave over one connection through dedicated send/recv
 // goroutines and replies may return out of order, matched by ID — so one
 // connection serves concurrent callers, large batches cost one round
-// trip, and Op("list-models") discovers the served registry over the wire
-// (Client.ListModels). The ServerHello carries the replica's shard
-// descriptor when it serves a slice of a larger model,
-// Op("partial-scores") returns exact integer partial dot products plus
-// class norm squares for packed queries, and a draining server pushes one
+// trip, and the list-models op discovers the served registry over the
+// wire (Client.ListModels). The ServerHello carries the replica's shard
+// descriptor when it serves a slice of a larger model, the partial-scores
+// op returns exact integer partial dot products plus class norm squares
+// for packed queries, and a draining server pushes one
 // Reply{ID:0, GoAway:true} frame before half-closing, so clients stop
-// submitting to it before the FIN arrives. Trace and Timing are the
-// optional end-to-end tracing fields: a sampled request carries a 64-bit
-// trace ID to the server and gets its server-side stage timing (queue,
-// scoring, total residency) back on the reply; BudgetNs carries the
-// caller's remaining deadline. All three are gob-omitted when zero, so
-// they cost plain traffic nothing on the wire. Servers bound each new
-// connection's handshake, and WithPoolIOTimeout bounds reply progress so
-// a hung server cannot block a Predict forever. The client side pairs
-// connections with a Pipeline.Edge — the on-device obfuscator (1-bit
-// quantization plus WithQueryMask dimension masking) whose output is all
-// that ever crosses the wire:
+// submitting to it before the FIN arrives. The trace ID, budget and
+// timing are the optional end-to-end fields: a sampled request carries a
+// 64-bit trace ID to the server and gets its server-side stage timing
+// (queue, scoring, total residency) back on the reply; the budget carries
+// the caller's remaining deadline. Each rides the frame only when its
+// flag bit is set, so plain traffic carries no bytes for them. Servers
+// bound each new connection's handshake and drain a connection that sends
+// nothing for two minutes with nothing in flight (pooled connections stay
+// inside that bound with their in-band pings); WithPoolIOTimeout bounds
+// reply progress so a hung server cannot block a Predict forever. The
+// client side pairs connections with a Pipeline.Edge — the on-device
+// obfuscator (1-bit quantization plus WithQueryMask dimension masking)
+// whose output is all that ever crosses the wire:
 //
 //	go privehd.Serve(ctx, lis, pipe)
 //	edge, err := pipe.Edge(privehd.WithQueryMask(1000))
@@ -82,7 +94,7 @@
 //
 // Sharded serving splits one logical model across replicas by dimension
 // slice and/or class range: Registry.RegisterShard publishes a slice
-// (privehd-serve -shard dim=0:5000 from the command line), the v5
+// (privehd-serve -shard dim=0:5000 from the command line), the
 // handshake advertises it, and a sharded client scatters each packed
 // query to every shard group, gathers their exact integer partial
 // scores, and reduces — bit-identical to serving the unsplit model,
@@ -182,9 +194,8 @@
 //
 // The fleet degrades gracefully rather than amplifying failure.
 // PredictContext stamps the caller's remaining context budget on every
-// request frame (Request.BudgetNs in the wire protocol); since gob omits
-// zero fields, undeadlined frames stay byte-identical to the previous
-// wire format and no protocol version bump was needed. Servers start the
+// request frame (Request.BudgetNs in the wire protocol), flagged so that
+// undeadlined frames carry no budget bytes at all. Servers start the
 // budget clock at frame arrival and shed queued work whose budget has
 // expired, answering a typed rejection that surfaces as
 // ErrDeadlineExceeded — deliberately not wrapped in ErrTransport, because

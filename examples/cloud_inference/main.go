@@ -10,7 +10,7 @@
 // cluster client balances over — discovering the models over the wire,
 // surviving a replica kill mid-traffic, and watching the prober eject the
 // corpse. Every client is built by privehd.Connect, so the topology —
-// single connection, replica cluster, or the protocol-v5 sharded fleet
+// single connection, replica cluster, or the sharded fleet
 // that splits one model across dimension slices and scatter–gathers
 // bit-identical predictions — is a Target field, not a code path. The
 // finale is the management plane: every publication went
@@ -274,7 +274,7 @@ func main() {
 		}
 	}
 
-	// --- Shard: protocol v5 splits one logical model across slice
+	// --- Shard: the protocol splits one logical model across slice
 	// replicas. A quantized publication is what makes this exact — integer
 	// class vectors give integer partial dot products, and integers sum
 	// associatively — so the dimension halves below, each served from its

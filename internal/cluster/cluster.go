@@ -228,7 +228,7 @@ func (p *Pool) acquireConn(ctx context.Context) (*poolConn, error) {
 		// least-loaded live one. Connections whose server pushed a GoAway
 		// drain notice are set aside: they still carry their in-flight
 		// replies, but new work goes to a fresh connection (or a fresh
-		// dial) whenever one is possible — the point of the v5 drain
+		// dial) whenever one is possible — the point of the drain
 		// notice is that a coordinator stops feeding a replica that is
 		// about to half-close.
 		live := p.conns[:0]

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -407,32 +406,28 @@ func assertOutOfOrder(t *testing.T, addr string, dim int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := conn.Write([]byte{'P', 'H', 'D', offload.ProtocolVersion}); err != nil {
+		if err := offload.WriteHello(conn, offload.Hello{Dim: dim}); err != nil {
 			t.Fatal(err)
 		}
-		enc := gob.NewEncoder(conn)
-		dec := gob.NewDecoder(conn)
-		if err := enc.Encode(offload.Hello{Dim: dim}); err != nil {
-			t.Fatal(err)
-		}
-		var sh offload.ServerHello
-		if err := dec.Decode(&sh); err != nil {
+		sh, err := offload.ReadServerHello(conn)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if sh.Code != "" {
 			t.Fatalf("handshake rejected: %s", sh.Code)
 		}
-		if err := enc.Encode(heavy); err != nil {
+		if err := offload.WriteRequest(conn, heavy); err != nil {
 			t.Fatal(err)
 		}
-		if err := enc.Encode(light); err != nil {
+		if err := offload.WriteRequest(conn, light); err != nil {
 			t.Fatal(err)
 		}
-		var first, second offload.Reply
-		if err := dec.Decode(&first); err != nil {
+		first, err := offload.ReadReply(conn, sh)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dec.Decode(&second); err != nil {
+		second, err := offload.ReadReply(conn, sh)
+		if err != nil {
 			t.Fatal(err)
 		}
 		conn.Close()

@@ -528,10 +528,11 @@ func (p *Pool) pingLoop() {
 // interval. A connection is held (in-flight incremented) across its ping
 // so the reaper and acquire see consistent state, but lastUse is
 // deliberately NOT updated: a ping is not use, and a conn nobody needs
-// must still age out. Any ping error — transport, timeout — means the
-// peer's serve loop is gone, so the connection is dropped immediately
-// instead of poisoning the next caller. ErrUnsupportedOp never surfaces
-// here: the client maps a pre-ping server's typed rejection to success.
+// must still age out. Any ping error — transport, timeout, or a typed
+// refusal of the op, which no v6 server sends — means the peer's serve
+// loop is gone or is not a healthy v6 peer, so the connection is dropped
+// immediately instead of poisoning the next caller. The pings also keep
+// an idle connection inside the server's idle bound.
 func (p *Pool) pingIdle(now time.Time) {
 	p.mu.Lock()
 	if p.closed {

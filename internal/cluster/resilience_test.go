@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -205,20 +204,14 @@ func startHungServer(t *testing.T, dim int) string {
 			conns = append(conns, conn)
 			mu.Unlock()
 			go func() {
-				hdr := make([]byte, 4)
-				if _, err := io.ReadFull(conn, hdr); err != nil {
-					return
-				}
-				dec := gob.NewDecoder(conn)
-				var hello offload.Hello
-				if dec.Decode(&hello) != nil {
+				if _, err := offload.ReadHello(conn); err != nil {
 					return
 				}
 				sh := offload.ServerHello{
 					Version: offload.ProtocolVersion, Dim: dim, Classes: 2,
-					MaxBatch: offload.DefaultMaxBatch, MinSymbol: -8, MaxSymbol: 8,
+					MaxBatch: offload.DefaultMaxBatch, MinSymbol: offload.MinSymbol, MaxSymbol: offload.MaxSymbol,
 				}
-				if gob.NewEncoder(conn).Encode(sh) != nil {
+				if offload.WriteServerHello(conn, sh) != nil {
 					return
 				}
 				io.Copy(io.Discard, conn)

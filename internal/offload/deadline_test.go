@@ -2,9 +2,7 @@ package offload
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
-	"io"
 	"net"
 	"testing"
 	"time"
@@ -161,10 +159,10 @@ func TestPing(t *testing.T) {
 	}
 }
 
-// TestPingPreBudgetServer fakes a server that predates OpPing: it answers
-// the op with a bad-op rejection. The reply still proves the peer is
-// alive and reading, so Ping must treat it as success.
-func TestPingPreBudgetServer(t *testing.T) {
+// TestPingSurfacesBadOpRefusal fakes a server that refuses the ping op
+// with codeBadOp. Every v6 server implements OpPing, so the refusal is no
+// proof of a healthy serve loop: Ping must return it typed.
+func TestPingSurfacesBadOpRefusal(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -183,45 +181,66 @@ func TestPingPreBudgetServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Ping(context.Background()); err != nil {
-		t.Fatalf("Ping against a pre-ping server = %v, want nil (liveness proven)", err)
+	if err := c.Ping(context.Background()); !errors.Is(err, ErrUnsupportedOp) {
+		t.Fatalf("Ping refused with codeBadOp = %v, want ErrUnsupportedOp", err)
+	}
+	if c.Err() != nil {
+		t.Fatalf("a typed refusal broke the connection: %v", c.Err())
 	}
 }
 
 // fakeServeBadOpPing speaks just enough of the server side of the wire
-// to handshake and then reject every ping frame with codeBadOp — the
-// behaviour of a server that predates OpPing.
+// to handshake and then reject every ping frame with codeBadOp.
 func fakeServeBadOpPing(conn net.Conn) {
-	hdr := make([]byte, 4)
-	if _, err := io.ReadFull(conn, hdr); err != nil {
-		return
-	}
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	var hello Hello
-	if dec.Decode(&hello) != nil {
+	if _, err := ReadHello(conn); err != nil {
 		return
 	}
 	sh := ServerHello{
 		Version: ProtocolVersion, Dim: 4, Classes: 2, MaxBatch: DefaultMaxBatch,
-		MinSymbol: -8, MaxSymbol: 8,
+		MinSymbol: MinSymbol, MaxSymbol: MaxSymbol,
 	}
-	if enc.Encode(sh) != nil {
+	if WriteServerHello(conn, sh) != nil {
 		return
 	}
 	for {
-		var req Request
-		if dec.Decode(&req) != nil {
+		req, err := readRequest(conn, requestCap(sh.Dim, sh.MaxBatch))
+		if err != nil {
 			return
 		}
 		reply := Reply{ID: req.ID}
 		if req.Op == OpPing {
 			reply.Code = codeBadOp
-			reply.Detail = "op \"ping\" (this server speaks v5)"
+			reply.Detail = "op 3 (this server speaks v6)"
 		}
-		if enc.Encode(reply) != nil {
+		if writeReply(conn, &reply) != nil {
 			return
 		}
+	}
+}
+
+func TestStampBudgetSemantics(t *testing.T) {
+	var req Request
+	if err := stampBudget(context.Background(), &req); err != nil {
+		t.Fatalf("no-deadline ctx: %v", err)
+	}
+	if req.BudgetNs != 0 {
+		t.Fatalf("no-deadline ctx stamped BudgetNs %d, want 0", req.BudgetNs)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := stampBudget(ctx, &req); err != nil {
+		t.Fatalf("live deadline: %v", err)
+	}
+	if req.BudgetNs <= 0 || req.BudgetNs > int64(time.Minute) {
+		t.Fatalf("BudgetNs = %d, want within (0, 1m]", req.BudgetNs)
+	}
+
+	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel2()
+	err := stampBudget(expired, &req)
+	if !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("expired ctx err = %v, want ErrDeadlineExceeded", err)
 	}
 }
 

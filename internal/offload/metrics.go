@@ -45,11 +45,10 @@ var (
 		"Bytes written to offload client connections.")
 )
 
-// opLabel maps a wire op to its metric label: the classify op is the empty
-// string on the wire (unreadable as a label), and unknown ops collapse to
-// one fixed label so a peer sending junk op strings cannot mint unbounded
-// label cardinality.
-func opLabel(op string) string {
+// opLabel maps a wire op to its metric label; unknown ops collapse to one
+// fixed label so a peer sending junk op bytes cannot mint unbounded label
+// cardinality.
+func opLabel(op Op) string {
 	switch op {
 	case OpClassify:
 		return "classify"

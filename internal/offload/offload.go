@@ -4,65 +4,73 @@
 // obfuscated vector; the server holds the full-precision model and returns
 // the predicted label.
 //
-// # Wire protocol (version 5)
+// # Wire protocol (version 6)
 //
-// A connection opens with a fixed 4-byte header from the client — the magic
-// bytes "PHD" plus the protocol version byte — followed by a gob-encoded
-// Hello advertising the client's encoder geometry and the name of the
-// model it wants served (empty = the registry default). The server speaks
-// exactly one version, ProtocolVersion: any other version byte is refused
-// with a typed version-mismatch ServerHello before the Hello is read. On a
-// matching version the server answers with a ServerHello that either
+// Each side opens with a fixed 4-byte header — the magic bytes "PHD" plus
+// the protocol version byte — and every message after it is one
+// length-prefixed binary frame (len:u32 | body). wire.go holds the one
+// codec for every frame and its byte layout. The client sends its header
+// and a Hello advertising its encoder geometry and the name of the model it
+// wants served (empty = the registry default). The server speaks exactly
+// one version, ProtocolVersion: any other version byte is refused with a
+// typed version-mismatch ServerHello before the Hello is read, and a
+// client whose server does not answer with this version's header (an older
+// gob-speaking server, say) fails with ErrVersionMismatch. On a matching
+// version the server answers with its header and a ServerHello that either
 // accepts — echoing the resolved model's name, publication version,
 // geometry, batch limit, packed-symbol alphabet, the model's full public
 // encoder setup (encoding, levels, seed, features) so edges can
 // auto-configure instead of matching flags by hand, and, when the entry
 // holds only a slice of a larger logical model, its shard descriptor
 // (Shard) — or rejects with a typed code: a mismatched geometry or an
-// unknown model is refused at the handshake instead of gob-decoding
-// garbage mid-stream. Shard is nil for whole models, which gob omits.
+// unknown model is refused at the handshake instead of failing mid-stream.
 //
 // After the handshake the client streams Request frames and the server
 // answers each with one Reply:
 //
-//	Request: {ID, Op, Queries []Query, Trace, BudgetNs}
-//	Reply:   {ID, Code, Detail, Results, Models, Timing, Partials, NormSq, GoAway}
+//	Request: id | op | flags [| trace] [| budget] | count | (kind | dim | payload)*
+//	Reply:   id | code | flags [| detail] [| results] [| models] [| timing] [| partials] [| normSq]
 //
 // ID is a client-chosen correlation number echoed on the Reply. The server
 // handles a connection's frames concurrently and MAY answer them out of
 // order, so clients pipeline many requests over one connection and match
 // replies by ID (the Client below runs dedicated send/recv goroutines with
-// an in-flight table). Op selects the frame's operation: empty for
-// classification, OpListModels for a registry listing (Reply.Models),
-// OpPartialScores for the scatter half of sharded scoring, OpPing for an
-// in-band liveness check.
+// an in-flight table). Op selects the frame's operation: OpClassify,
+// OpListModels for a registry listing (Reply.Models), OpPartialScores for
+// the scatter half of sharded scoring, OpPing for an in-band liveness
+// check.
 //
 // OpPartialScores answers with raw per-class int64 dot products
 // (Partials, one row per query) plus the per-class Σv² of the served slice
 // (NormSq) instead of labels — a coordinator sums both across dimension
 // shards exactly and finishes the norm division itself, reproducing
 // whole-model scores bit-for-bit. GoAway is a server-push drain notice:
-// when a graceful shutdown begins, every connection past its handshake
-// receives an unsolicited Reply{GoAway: true} (ID 0, never assigned to a
-// request) before the write side half-closes, so coordinators and pools
-// stop routing new work to a draining replica instead of discovering the
-// FIN with a request already in flight.
+// when a graceful shutdown begins, or a connection has sat idle past the
+// server's idle bound, every connection past its handshake receives an
+// unsolicited Reply{GoAway: true} (ID 0, never assigned to a request)
+// before the write side half-closes, so coordinators and pools stop
+// routing new work to a draining replica instead of discovering the FIN
+// with a request already in flight.
 //
-// Trace, Timing and BudgetNs are optional fields: a client that sampled
-// the request sends its 64-bit trace ID on the frame, and the server
-// answers a traced request with its per-stage timing breakdown
-// (StageTiming); BudgetNs carries the caller's remaining deadline so the
-// server can shed expired work. All are zero-valued on plain traffic,
-// which gob omits, so they cost untraced, undeadlined frames nothing on
-// the wire.
+// Trace, BudgetNs and Timing are optional: a client that sampled the
+// request sends its 64-bit trace ID on the frame, and the server answers a
+// traced request with its per-stage timing breakdown (StageTiming);
+// BudgetNs carries the caller's remaining deadline so the server can shed
+// expired work. Each is present on the wire only when its flag bit is
+// set, so untraced, undeadlined frames carry no bytes for them.
 //
 // Each classification Request carries up to MaxBatch query hypervectors,
 // and the server answers each frame with one Reply carrying the per-query
 // labels and scores. Queries are scored on a bounded worker pool shared by
 // every connection (WithWorkers), each query dispatched individually so one
 // large or slow batch cannot monopolize the server. Quantized queries
-// travel packed (one byte per dimension); the server validates every packed
-// symbol against the advertised alphabet.
+// travel packed as two bit-planes — the low and high bit of every symbol's
+// 2-bit two's complement, D/4 bytes for D dimensions — which is exactly
+// the −2…+1 alphabet the server advertises, so no other symbol can be
+// sent. Every length prefix is checked against a cap before anything is
+// allocated for it: request frames against the largest full batch of the
+// connection's model, so a peer declaring an oversized frame gets a typed
+// refusal and is disconnected.
 //
 // The models behind a server live in a registry (internal/registry): each
 // Request frame resolves its model name against the current registry
@@ -75,8 +83,9 @@
 package offload
 
 import (
+	"bufio"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -96,7 +105,7 @@ import (
 
 // ProtocolVersion is the one wire protocol version this package speaks;
 // the server refuses every other version byte during the handshake.
-const ProtocolVersion = 5
+const ProtocolVersion = 6
 
 // DefaultModelName is the registry name NewServer publishes a single model
 // under.
@@ -179,6 +188,10 @@ var (
 	// already-expired deadline on another replica cannot help, and pools
 	// and clusters must return it to the caller untouched.
 	ErrDeadlineExceeded = errors.New("offload: deadline exceeded")
+	// ErrFrameTooLarge reports a frame whose length prefix exceeds the
+	// receiver's cap. The server refuses such a frame typed and then closes
+	// the connection, since the stream can no longer be parsed.
+	ErrFrameTooLarge = errors.New("offload: frame exceeds the connection's size cap")
 )
 
 // errBudgetExpired is the preallocated pre-send expiry verdict, so the
@@ -198,6 +211,7 @@ const (
 	codeOverloaded   = "overloaded"
 	codePartial      = "partial-unsupported"
 	codeDeadline     = "deadline"
+	codeFrame        = "frame-too-large"
 )
 
 // codeError maps a wire failure code to its sentinel error.
@@ -224,6 +238,8 @@ func codeError(code, detail string) error {
 		base = ErrPartialUnsupported
 	case codeDeadline:
 		base = ErrDeadlineExceeded
+	case codeFrame:
+		base = ErrFrameTooLarge
 	default:
 		return fmt.Errorf("offload: server error %s: %s", code, detail)
 	}
@@ -276,26 +292,28 @@ type ServerHello struct {
 	Features int
 	Seed     uint64
 	// Shard describes the slice of a larger logical model this entry
-	// serves, nil for whole models (which gob omits).
+	// serves, nil for whole models.
 	Shard *registry.ShardInfo
 }
 
 // Query is one encoded (and obfuscated) query hypervector. Exactly one of
 // Vector and Packed is set. A quantizing edge produces the Packed form
-// directly and it travels unchanged from the edge to the server's integer
-// scoring kernel; Vector is the unquantized baseline (WithRawQueries).
-// Clients send the caller's Query as is — a packed slice becomes the frame
-// payload — so a caller must not reuse it while any attempt may still hold
+// directly; the codec bit-packs it into the frame and the server decodes
+// it back into the same form for its integer scoring kernel. Vector is the
+// unquantized baseline (WithRawQueries). Each attempt encodes the caller's
+// Query when it is submitted, and pools, clusters and hedges may submit it
+// again, so a caller must not reuse it while any attempt may still hold
 // it.
 type Query struct {
 	// Vector is the offloaded query hypervector in full precision.
 	Vector []float64
-	// Packed carries a small-alphabet (quantized) query as one byte per
-	// dimension — an 8× wire saving that §III-C's quantization makes
-	// possible ("transferring the least amount of information"). Servers
-	// only accept symbols within the alphabet advertised in their
-	// ServerHello ([MinSymbol, MaxSymbol], i.e. −2…+1); anything else is
-	// rejected with ErrSymbolOutOfRange.
+	// Packed carries a small-alphabet (quantized) query, one symbol per
+	// dimension. It travels as two bit-planes, 2 bits per dimension — a
+	// 32× wire saving over float64 that §III-C's quantization makes
+	// possible ("transferring the least amount of information"). Only
+	// symbols within the advertised alphabet ([MinSymbol, MaxSymbol], i.e.
+	// −2…+1) can be encoded; a client refuses anything else with
+	// ErrSymbolOutOfRange before sending.
 	Packed []int8
 }
 
@@ -330,24 +348,26 @@ func PackQuery(h []float64) ([]int8, bool) {
 	return intscore.PackInto(h, nil)
 }
 
+// Op selects a request frame's operation.
+type Op uint8
+
 // Request ops selectable per frame. The zero value is classification.
 const (
 	// OpClassify scores Request.Queries against the connection's model.
-	OpClassify = ""
+	OpClassify Op = iota
 	// OpListModels asks for the server's current registry listing
 	// (Reply.Models) — client-side model discovery over the wire.
-	OpListModels = "list-models"
+	OpListModels
 	// OpPartialScores asks for raw per-class int64 dot products of
 	// each packed query against the served (possibly sliced) model, plus
 	// the per-class Σv² — the scatter half of sharded scoring. Queries
 	// must be packed; models that cannot answer exactly (DP-noised) are
 	// refused with ErrPartialUnsupported.
-	OpPartialScores = "partial-scores"
+	OpPartialScores
 	// OpPing asks the server for an empty reply — an in-band liveness
 	// check pooled connections use to detect dead peers while idle,
-	// without burning a dial. Servers that predate the op answer with a
-	// codeBadOp rejection, which proves liveness just as well.
-	OpPing = "ping"
+	// without burning a dial.
+	OpPing
 )
 
 // Request is one client→server frame: a batch of queries answered together
@@ -356,25 +376,22 @@ type Request struct {
 	// ID correlates the frame's Reply on the pipelined connection, where
 	// replies may arrive out of order. The server echoes it verbatim.
 	ID uint64
-	// Op is the frame operation: OpClassify (empty), OpListModels,
-	// OpPartialScores or OpPing.
-	Op      string
+	// Op is the frame operation.
+	Op      Op
 	Queries []Query
-	// Trace is the request's 64-bit trace ID; 0 means untraced, and gob
-	// omits the zero so untraced frames carry no trace bytes. A traced
-	// request gets its server-side stage breakdown back on Reply.Timing,
-	// and the server tags its histogram exemplar, flight-recorder entry
-	// and slow-request log line with the same ID.
+	// Trace is the request's 64-bit trace ID; 0 means untraced, and an
+	// untraced frame carries no trace bytes. A traced request gets its
+	// server-side stage breakdown back on Reply.Timing, and the server tags
+	// its histogram exemplar, flight-recorder entry and slow-request log
+	// line with the same ID.
 	Trace uint64
 	// BudgetNs is the request's remaining deadline budget in nanoseconds
 	// at send time, stamped from the caller's context deadline; 0 means
-	// no deadline, and gob omits the zero so undeadlined frames stay
-	// byte-identical to pre-budget frames. The server starts the clock on
-	// frame arrival and sheds the request with a codeDeadline rejection
-	// if the budget expires before or while it sits in the scoring queue
-	// — no point scoring work the caller has already abandoned. Servers
-	// that predate the field drop it silently (gob field-superset rule) —
-	// no version bump.
+	// no deadline, and an undeadlined frame carries no budget bytes. The
+	// server starts the clock on frame arrival and sheds the request with
+	// a codeDeadline rejection if the budget expires before or while it
+	// sits in the scoring queue — no point scoring work the caller has
+	// already abandoned.
 	BudgetNs int64
 }
 
@@ -416,8 +433,9 @@ type Reply struct {
 	// Models answers an OpListModels request.
 	Models []ModelListing
 	// Timing is the server-side stage breakdown, attached only to traced
-	// requests — nil otherwise, which gob omits. Clients use it to
-	// attribute a round trip to server queue/scoring versus the network.
+	// requests — nil otherwise, and then absent from the frame. Clients use
+	// it to attribute a round trip to server queue/scoring versus the
+	// network.
 	Timing *StageTiming
 	// Partials and NormSq answer an OpPartialScores request:
 	// Partials[i][l] is the exact int64 dot of query i against the served
@@ -457,6 +475,9 @@ type Server struct {
 	// handshake bounds each new connection's header and Hello reads
 	// (handshakeTimeout; tests shorten it).
 	handshake time.Duration
+	// idle bounds how long a handshaken connection may go without sending
+	// a frame (idleTimeout; tests shorten it).
+	idle time.Duration
 
 	// Flight-recorder and slow-request plumbing: every answered frame is
 	// timed and offered to the recorder; frames at or over slowThresh
@@ -572,6 +593,7 @@ func NewRegistryServer(reg *registry.Registry, opts ...ServerOption) *Server {
 		maxBatch:  DefaultMaxBatch,
 		workers:   runtime.GOMAXPROCS(0),
 		handshake: handshakeTimeout,
+		idle:      idleTimeout,
 		conns:     make(map[*srvConn]struct{}),
 		poolDone:  make(chan struct{}),
 		recorder:  trace.Default,
@@ -729,6 +751,17 @@ const maxConnPipeline = 128
 // holds a WithMaxConns slot forever.
 const handshakeTimeout = 10 * time.Second
 
+// idleTimeout bounds how long a handshaken connection may send nothing
+// while nothing of it is in flight; the server then drains it (GoAway,
+// graceful close). It sits well above the pools' in-band ping interval
+// (cluster.DefaultPingInterval, 15s), so a pooled connection that is
+// merely idle never trips it — only a peer that has gone silent does.
+const idleTimeout = 2 * time.Minute
+
+// maxRetainedBody is the largest frame buffer a connection keeps between
+// frames; a rare larger frame gets a buffer of its own.
+const maxRetainedBody = 1 << 20
+
 // srvConn tracks one client connection's lifecycle for graceful shutdown,
 // plus the model name the handshake bound it to. Many frames may be in
 // flight at once, so the busy state is a counter and replies are
@@ -768,16 +801,38 @@ func (c *srvConn) notifyGoAway() {
 	}
 }
 
-// enterBusy marks the connection as answering one more request; it reports
-// false if shutdown already asked the connection to close.
-func (c *srvConn) enterBusy() bool {
+// enterBusy marks the connection as answering one more request and
+// re-arms its idle read deadline, as each frame starts to arrive; it
+// reports false if shutdown already asked the connection to close.
+func (c *srvConn) enterBusy(idle time.Duration) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closeWhenIdle {
 		return false
 	}
 	c.inflight++
+	c.conn.SetReadDeadline(time.Now().Add(idle))
 	return true
+}
+
+// idleExpired handles a read deadline that expired at a frame boundary.
+// It reports whether the connection should stop reading: its drain bound
+// ran out during a graceful close, or it sat idle with nothing in flight —
+// in which case it is drained like a shutdown (GoAway, a graceful close,
+// then r is discarded until the peer hangs up). With frames still in
+// flight the deadline is re-armed instead.
+func (c *srvConn) idleExpired(idle time.Duration, r io.Reader) bool {
+	c.mu.Lock()
+	closing, busy := c.closeWhenIdle, c.inflight > 0
+	if busy && !closing {
+		c.conn.SetReadDeadline(time.Now().Add(idle))
+	}
+	c.mu.Unlock()
+	if !busy && !closing {
+		c.askClose()
+		c.drainRefused(r)
+	}
+	return !busy || closing
 }
 
 // exitBusy marks one request finished and reports whether the connection
@@ -840,18 +895,13 @@ func lingerClose(conn net.Conn) {
 	}
 }
 
-// drainRefused discards incoming frames after a graceful close has refused
+// drainRefused discards incoming bytes after a graceful close has refused
 // further work, until the peer sees the FIN and hangs up (EOF) or the
 // drain bound expires — it keeps the receive window open so the peer's
 // in-flight writes cannot trigger a reset before it reads its replies.
-func (c *srvConn) drainRefused(dec *gob.Decoder) {
+func (c *srvConn) drainRefused(r io.Reader) {
 	c.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-	}
+	io.Copy(io.Discard, r)
 }
 
 // Serve accepts connections until the listener closes, the context is
@@ -954,14 +1004,10 @@ func (s *Server) rejectOverloaded(conn net.Conn) {
 	defer conn.Close()
 	mRejections.With(codeOverloaded).Inc()
 	conn.SetDeadline(time.Now().Add(2 * time.Second))
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+	if _, err := readHeader(conn); err != nil {
 		return
 	}
-	if hdr[0] != magic[0] || hdr[1] != magic[1] || hdr[2] != magic[2] {
-		return
-	}
-	gob.NewEncoder(conn).Encode(ServerHello{
+	WriteServerHello(conn, ServerHello{
 		Code:    codeOverloaded,
 		Detail:  fmt.Sprintf("connection limit %d reached, retry later", s.maxConns),
 		Version: ProtocolVersion,
@@ -1021,34 +1067,42 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // handle runs the handshake then answers Request frames until the peer
-// hangs up or shutdown closes the connection.
+// hangs up, goes idle, or shutdown closes the connection.
 func (s *Server) handle(sc *srvConn) {
 	conn := sc.conn
 	conn.SetReadDeadline(time.Now().Add(s.handshake))
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return
+	// Buffered, so a small frame's length prefix and body cost one read.
+	br := bufio.NewReader(conn)
+	refuse := func(sh ServerHello) {
+		mRejections.With(sh.Code).Inc()
+		sh.Version = ProtocolVersion
+		WriteServerHello(conn, sh)
 	}
-	enc := gob.NewEncoder(conn)
-	if hdr[0] != magic[0] || hdr[1] != magic[1] || hdr[2] != magic[2] {
-		mRejections.With(codeBadMagic).Inc()
-		enc.Encode(ServerHello{Code: codeBadMagic, Version: ProtocolVersion})
+	version, err := readHeader(br)
+	if errors.Is(err, ErrBadMagic) {
+		refuse(ServerHello{Code: codeBadMagic})
 		lingerClose(conn)
 		return
 	}
-	if hdr[3] != ProtocolVersion {
-		mRejections.With(codeVersion).Inc()
-		enc.Encode(ServerHello{
-			Code:    codeVersion,
-			Detail:  fmt.Sprintf("server speaks v%d only, client sent v%d", ProtocolVersion, hdr[3]),
-			Version: ProtocolVersion,
+	if err != nil {
+		return
+	}
+	if version != ProtocolVersion {
+		refuse(ServerHello{
+			Code:   codeVersion,
+			Detail: fmt.Sprintf("server speaks v%d only, client sent v%d", ProtocolVersion, version),
 		})
 		lingerClose(conn)
 		return
 	}
-	dec := gob.NewDecoder(conn)
-	var hello Hello
-	if err := dec.Decode(&hello); err != nil {
+	hello, err := readHelloFrame(br)
+	var big *errFrameTooLarge
+	if errors.As(err, &big) {
+		refuse(ServerHello{Code: codeFrame, Detail: "hello " + big.Error()})
+		lingerClose(conn)
+		return
+	}
+	if err != nil {
 		return
 	}
 	// Bind the connection to the resolved model name. The resolved name —
@@ -1059,30 +1113,23 @@ func (s *Server) handle(sc *srvConn) {
 	// without reconnecting.
 	entry, err := s.reg.Lookup(hello.Model)
 	if err != nil {
-		mRejections.With(codeUnknownModel).Inc()
-		enc.Encode(ServerHello{
-			Code:    codeUnknownModel,
-			Detail:  err.Error(),
-			Version: ProtocolVersion,
-		})
+		refuse(ServerHello{Code: codeUnknownModel, Detail: err.Error()})
 		return
 	}
 	sc.model = entry.Name
 	model := entry.Model
 	// Dim 0 means "configure me from your answer".
 	if (hello.Dim != 0 && hello.Dim != model.Dim()) || (hello.Classes != 0 && hello.Classes != model.NumClasses()) {
-		mRejections.With(codeGeometry).Inc()
-		enc.Encode(ServerHello{
+		refuse(ServerHello{
 			Code: codeGeometry,
 			Detail: fmt.Sprintf("model %q is %d-dimensional with %d classes, client advertised dim %d classes %d",
 				entry.Name, model.Dim(), model.NumClasses(), hello.Dim, hello.Classes),
-			Version: ProtocolVersion,
 			Dim:     model.Dim(),
 			Classes: model.NumClasses(),
 		})
 		return
 	}
-	if err := enc.Encode(ServerHello{
+	if err := WriteServerHello(conn, ServerHello{
 		Version:      ProtocolVersion,
 		Dim:          model.Dim(),
 		Classes:      model.NumClasses(),
@@ -1099,18 +1146,22 @@ func (s *Server) handle(sc *srvConn) {
 	}); err != nil {
 		return
 	}
-	// The handshake is complete: lift its read bound, unless a graceful
-	// close already set its own drain deadline, and install the drain
-	// notice now that the encoder owns the stream — a graceful shutdown
-	// pushes Reply{GoAway} (ID 0, never assigned) under writeMu before
-	// half-closing, so clients stop routing here ahead of the FIN.
+	// Request frames are bounded by a full batch of this model's
+	// full-precision queries; anything longer is refused unread.
+	limit := requestCap(model.Dim(), s.maxBatch)
+	// The handshake is complete: swap its read bound for the idle bound,
+	// unless a graceful close already set its own drain deadline, and
+	// install the drain notice now that the handshake is off the stream — a
+	// graceful shutdown pushes Reply{GoAway} (ID 0, never assigned) under
+	// writeMu before half-closing, so clients stop routing here ahead of
+	// the FIN.
 	sc.mu.Lock()
 	if !sc.closeWhenIdle {
-		conn.SetReadDeadline(time.Time{})
+		conn.SetReadDeadline(time.Now().Add(s.idle))
 	}
 	sc.goAway = func() {
 		sc.writeMu.Lock()
-		enc.Encode(Reply{GoAway: true})
+		writeReply(conn, &Reply{GoAway: true})
 		sc.writeMu.Unlock()
 	}
 	sc.mu.Unlock()
@@ -1123,35 +1174,101 @@ func (s *Server) handle(sc *srvConn) {
 	// reply still being written.
 	sem := make(chan struct{}, maxConnPipeline)
 	defer sc.frames.Wait()
+	var body []byte
 	for {
-		var req Request
-		tRead := time.Now()
-		if err := dec.Decode(&req); err != nil {
-			return // EOF, broken peer, or shutdown closed the conn
+		// Wait for a frame's first byte without consuming it, so an idle
+		// deadline always expires at a frame boundary.
+		if _, err := br.Peek(1); err != nil {
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() && !sc.idleExpired(s.idle, br) {
+				continue
+			}
+			return // EOF, broken peer, idle drain, or shutdown closed the conn
 		}
-		// Receive+decode time for the frame. On an idle connection this
-		// includes waiting for the client's bytes, so it feeds the flight
-		// recorder's decode stage but never the wire-reported server total.
-		decodeDur := time.Since(tRead)
-		if !sc.enterBusy() {
-			sc.drainRefused(dec)
+		// A frame is arriving: count it in flight, which also gives its
+		// body read — and the quiet after it — a fresh idle bound.
+		if !sc.enterBusy(s.idle) {
+			sc.drainRefused(br)
 			return
 		}
+		// Read+decode time for the frame, from its first byte's arrival.
+		// It feeds the flight recorder's decode stage but never the
+		// wire-reported server total.
+		tRead := time.Now()
+		body, err = readFrame(br, body, limit)
+		if err != nil {
+			sc.exitBusy()
+			if errors.As(err, &big) {
+				s.refuseFrame(sc, br, big)
+			}
+			return
+		}
+		fb := framePool.Get().(*frameBufs)
+		req, err := decodeRequest(body, fb)
+		if cap(body) > maxRetainedBody {
+			body = nil
+		}
+		if err != nil {
+			fb.release()
+			sc.exitBusy()
+			return // a malformed frame: the peer is not speaking v6
+		}
+		decodeDur := time.Since(tRead)
 		sem <- struct{}{}
 		sc.frames.Add(1)
 		s.wg.Add(1) // graceful shutdown waits for frames, not just conns
-		go func(req Request) {
+		go func() {
 			defer s.wg.Done()
 			defer sc.frames.Done()
 			defer func() { <-sem }()
-			err := s.handleFrame(sc, enc, req, decodeDur)
+			err := s.handleFrame(sc, req, decodeDur)
+			fb.release()
 			closing := sc.exitBusy()
 			if err != nil {
 				sc.conn.Close()
 			} else if closing {
 				sc.gracefulClose()
 			}
-		}(req)
+		}()
+	}
+}
+
+// refuseFrame answers a request frame whose length prefix is over the
+// connection's cap: a typed refusal (echoing the frame's ID when its first
+// bytes have already arrived), then — once the frames in flight have
+// answered — a lingering close, since the unread body leaves the stream
+// unparseable.
+func (s *Server) refuseFrame(sc *srvConn, br *bufio.Reader, big *errFrameTooLarge) {
+	reply := Reply{Code: codeFrame, Detail: big.Error()}
+	if br.Buffered() >= 8 {
+		id, _ := br.Peek(8)
+		reply.ID = binary.LittleEndian.Uint64(id)
+	}
+	mRejections.With(codeFrame).Inc()
+	sc.writeMu.Lock()
+	writeReply(sc.conn, &reply)
+	sc.writeMu.Unlock()
+	sc.frames.Wait()
+	lingerClose(sc.conn)
+}
+
+// writeReply encodes rep into a pooled buffer and writes it as one frame.
+func writeReply(w io.Writer, rep *Reply) error {
+	bp := bufPool.Get().(*[]byte)
+	b, err := appendReply((*bp)[:0], rep)
+	if err == nil {
+		_, err = w.Write(b)
+	}
+	putBuf(bp, b)
+	return err
+}
+
+// putBuf returns an encode buffer to the pool, unless it grew past what is
+// worth keeping.
+func putBuf(bp *[]byte, b []byte) {
+	if cap(b) <= maxRetainedBody {
+		*bp = b[:0]
+		bufPool.Put(bp)
 	}
 }
 
@@ -1161,7 +1278,7 @@ func (s *Server) handle(sc *srvConn) {
 // reply write, the wire-reported StageTiming for traced requests, and the
 // flight-recorder/slow-log entry every frame produces. It returns the
 // reply-write error, which terminates the connection.
-func (s *Server) handleFrame(sc *srvConn, enc *gob.Encoder, req Request, decodeDur time.Duration) error {
+func (s *Server) handleFrame(sc *srvConn, req Request, decodeDur time.Duration) error {
 	start := time.Now()
 	traceID := req.Trace
 	if traceID == 0 {
@@ -1180,7 +1297,7 @@ func (s *Server) handleFrame(sc *srvConn, enc *gob.Encoder, req Request, decodeD
 	}
 	tWrite := time.Now()
 	sc.writeMu.Lock()
-	err := enc.Encode(reply)
+	err := writeReply(sc.conn, &reply)
 	sc.writeMu.Unlock()
 	span.ObserveSince(trace.StageReplyWrite, tWrite)
 	s.record(sc, opLabel(req.Op), &reply, span, len(req.Queries), time.Since(start), err)
@@ -1256,7 +1373,7 @@ func (s *Server) answer(modelName string, req Request, span *trace.Span) Reply {
 	case OpPing:
 		reply = Reply{}
 	default:
-		reply = Reply{Code: codeBadOp, Detail: fmt.Sprintf("op %q (this server speaks v%d)", req.Op, ProtocolVersion)}
+		reply = Reply{Code: codeBadOp, Detail: fmt.Sprintf("op %d (this server speaks v%d)", req.Op, ProtocolVersion)}
 	}
 	op := opLabel(req.Op)
 	if id := span.ID(); id != 0 {
@@ -1407,8 +1524,8 @@ type Client struct {
 	ioTimeout time.Duration
 	peer      string // remote address, cached for trace entries
 
-	enc *gob.Encoder // owned by sendLoop after the handshake
-	dec *gob.Decoder // owned by recvLoop after the handshake
+	br         *bufio.Reader // owned by recvLoop after the handshake
+	replyLimit int           // reply frame cap implied by the handshake
 
 	sendCh chan *pending
 	broken chan struct{} // closed on the first transport failure (or Close)
@@ -1432,6 +1549,7 @@ type Client struct {
 // between the two).
 type pending struct {
 	req   Request
+	frame *[]byte // the encoded request, pooled; owned by sendLoop once queued
 	reply Reply
 	err   error
 	done  chan struct{}
@@ -1514,30 +1632,28 @@ func Dial(ctx context.Context, network, addr string, hello Hello, opts ...Client
 // error wraps ErrVersionMismatch, ErrGeometryMismatch, ErrUnknownModel or
 // ErrBadMagic; handshake i/o failures wrap ErrTransport.
 func NewClient(conn net.Conn, hello Hello, opts ...ClientOption) (*Client, error) {
-	c := &Client{conn: conn, dec: gob.NewDecoder(conn), enc: gob.NewEncoder(conn)}
+	c := &Client{conn: conn, br: bufio.NewReader(conn)}
 	if ra := conn.RemoteAddr(); ra != nil {
 		c.peer = ra.String()
 	}
 	for _, o := range opts {
 		o(c)
 	}
-	hdr := [4]byte{magic[0], magic[1], magic[2], ProtocolVersion}
-	if _, err := conn.Write(hdr[:]); err != nil {
+	if err := WriteHello(conn, hello); err != nil {
 		return nil, fmt.Errorf("%w: handshake: %v", ErrTransport, err)
 	}
-	if err := c.enc.Encode(hello); err != nil {
+	sh, err := ReadServerHello(c.br)
+	if errors.Is(err, ErrVersionMismatch) {
+		return nil, err
+	}
+	if err != nil {
 		return nil, fmt.Errorf("%w: handshake: %v", ErrTransport, err)
 	}
-	if err := c.dec.Decode(&c.hello); err != nil {
-		return nil, fmt.Errorf("%w: handshake: %v", ErrTransport, err)
+	if sh.Code != "" {
+		return nil, codeError(sh.Code, sh.Detail)
 	}
-	if c.hello.Code != "" {
-		return nil, codeError(c.hello.Code, c.hello.Detail)
-	}
-	if c.hello.Version != ProtocolVersion {
-		return nil, fmt.Errorf("%w: server speaks v%d, client v%d",
-			ErrVersionMismatch, c.hello.Version, ProtocolVersion)
-	}
+	c.hello = sh
+	c.replyLimit = replyCap(sh)
 	c.sendCh = make(chan *pending, 16)
 	c.broken = make(chan struct{})
 	c.inflight = make(map[uint64]*pending)
@@ -1576,8 +1692,11 @@ func (c *Client) submitCtx(ctx context.Context, req Request) (*pending, error) {
 	return c.submit(req)
 }
 
-// submit assigns the request an ID, registers it in the in-flight table and
-// hands it to the send goroutine. The caller waits on the returned pending.
+// submit encodes the request, assigns it an ID, registers it in the
+// in-flight table and hands it to the send goroutine. The caller waits on
+// the returned pending. A query the codec cannot represent (a packed
+// symbol outside the alphabet) fails here, typed, before anything is sent
+// — and the caller's queries are free for reuse as soon as submit returns.
 func (c *Client) submit(req Request) (*pending, error) {
 	p := &pending{req: req, done: make(chan struct{})}
 	// The sampling decision for the whole request path lives here, so
@@ -1589,14 +1708,23 @@ func (c *Client) submit(req Request) (*pending, error) {
 		p.req.Trace = id
 		p.submitT = time.Now()
 	}
+	bp := bufPool.Get().(*[]byte)
+	frame, err := appendRequest((*bp)[:0], &p.req)
+	if err != nil {
+		putBuf(bp, frame)
+		return nil, err
+	}
+	*bp, p.frame = frame, bp
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
+		putBuf(bp, frame)
 		return nil, err
 	}
 	c.nextID++
 	p.req.ID = c.nextID
+	binary.LittleEndian.PutUint64(frame[4:], p.req.ID) // the ID leads the body
 	c.inflight[p.req.ID] = p
 	// Arm the read deadline on the idle→busy transition; SetReadDeadline
 	// interrupts the recv goroutine's current blocked Read too, so a
@@ -1657,14 +1785,17 @@ func (c *Client) sendLoop() {
 			if c.ioTimeout > 0 {
 				c.conn.SetWriteDeadline(time.Now().Add(c.ioTimeout))
 			}
-			if err := c.enc.Encode(p.req); err != nil {
+			frame := *p.frame
+			_, err := c.conn.Write(frame)
+			putBuf(p.frame, frame)
+			if err != nil {
 				c.fail(fmt.Errorf("%w: send: %v", ErrTransport, err))
 				return
 			}
 			if p.traceID != 0 {
-				// Everything up to here — waiting behind other frames on
-				// the send queue plus this frame's own encode — is the
-				// client's queue stage.
+				// Everything up to here — this frame's encode plus waiting
+				// behind other frames on the send queue — is the client's
+				// queue stage.
 				p.queueNs.Store(int64(time.Since(p.submitT)))
 			}
 		case <-c.broken:
@@ -1678,9 +1809,11 @@ func (c *Client) sendLoop() {
 // by ID. Reply progress re-arms the read deadline; draining the table
 // disarms it so idle connections never time out.
 func (c *Client) recvLoop() {
+	var body []byte
 	for {
-		var reply Reply
-		if err := c.dec.Decode(&reply); err != nil {
+		// Wait for a reply's first byte without consuming it, so an
+		// expired read deadline leaves the stream at a frame boundary.
+		if _, err := c.br.Peek(1); err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
 				c.mu.Lock()
@@ -1688,8 +1821,8 @@ func (c *Client) recvLoop() {
 				if n == 0 {
 					// A deadline that expired as the table drained (or a
 					// leftover dial deadline): nothing was owed to us, and
-					// the server sends nothing unsolicited, so the stream
-					// is still at a frame boundary. Disarm and keep going.
+					// nothing of the stream was consumed. Disarm and keep
+					// going.
 					c.conn.SetReadDeadline(time.Time{})
 				}
 				c.mu.Unlock()
@@ -1705,6 +1838,22 @@ func (c *Client) recvLoop() {
 			} else {
 				c.fail(fmt.Errorf("%w: receive: %v", ErrTransport, err))
 			}
+			return
+		}
+		var reply Reply
+		var err error
+		if body, err = readFrame(c.br, body, c.replyLimit); err == nil {
+			reply, err = decodeReply(body)
+		}
+		if cap(body) > maxRetainedBody {
+			body = nil
+		}
+		if err != nil {
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				err = fmt.Errorf("%w: %v mid-reply", ErrIOTimeout, err)
+			}
+			c.fail(fmt.Errorf("%w: receive: %w", ErrTransport, err))
 			return
 		}
 		if reply.GoAway {
@@ -2045,9 +2194,9 @@ func replyError(reply Reply, req Request) error {
 // Ping round-trips an empty in-band OpPing frame: proof the peer's serve
 // loop is alive, without dialing a new connection. Pools ping idle pooled
 // connections on a timer so a dead peer is noticed before a caller is
-// handed its connection. A pre-ping server rejects the op typed
-// (ErrUnsupportedOp) — it decoded the frame and answered, which proves
-// liveness just as well, so that rejection also counts as success.
+// handed its connection, and the pings also keep the connection inside
+// the server's idle bound. Every v6 server implements the op, so any
+// refusal is returned as the typed error it is.
 func (c *Client) Ping(ctx context.Context) error {
 	p, err := c.submitCtx(ctx, Request{Op: OpPing})
 	if err != nil {
@@ -2058,9 +2207,7 @@ func (c *Client) Ping(ctx context.Context) error {
 		return err
 	}
 	if reply.Code != "" {
-		if err := codeError(reply.Code, reply.Detail); !errors.Is(err, ErrUnsupportedOp) {
-			return err
-		}
+		return codeError(reply.Code, reply.Detail)
 	}
 	return nil
 }
@@ -2077,14 +2224,16 @@ func (c *Client) Close() error {
 
 // Wiretap records the queries that cross the wire — the honest-but-curious
 // observer of §I that the obfuscation defends against. Tap a server's
-// listener and serve on the result: every query vector any accepted
-// connection reads is then also delivered to the tap.
+// listener and serve on the result: the query of every classify or
+// partial-score frame any accepted connection reads is then also delivered
+// to the tap.
 type Wiretap struct {
 	mu      sync.Mutex
 	queries [][]float64
 }
 
-// Queries returns copies of every query vector seen so far.
+// Queries returns copies of every query vector seen so far, packed
+// queries expanded to their symbol values.
 func (w *Wiretap) Queries() [][]float64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -2102,30 +2251,39 @@ func (w *Wiretap) record(v []float64) {
 }
 
 // decode records every query in one connection's client-to-server stream.
-// Interception happens at the message layer (header skip + gob re-decode)
-// rather than raw bytes: the eavesdropper knows the protocol, as any
-// network observer of a published schema would. Closing pr on exit turns
-// later mirror writes into no-ops instead of blocking the connection.
+// Interception happens at the message layer — the header and Hello, then
+// length-prefixed request frames parsed by the same codec the server uses
+// — rather than raw bytes: the eavesdropper knows the protocol, as any
+// network observer of a published format would. It stops at the first
+// frame the server would not parse either. Closing pr on exit turns later
+// mirror writes into no-ops instead of blocking the connection.
 func (w *Wiretap) decode(pr *io.PipeReader) {
 	defer pr.Close()
-	var hdr [4]byte
-	if _, err := io.ReadFull(pr, hdr[:]); err != nil {
+	br := bufio.NewReader(pr)
+	if v, err := readHeader(br); err != nil || v != ProtocolVersion {
 		return
 	}
-	dec := gob.NewDecoder(pr)
-	var hello Hello
-	if err := dec.Decode(&hello); err != nil {
+	if _, err := readHelloFrame(br); err != nil {
 		return
 	}
-	// Expand packed queries through one pooled scratch buffer for the life
-	// of the connection (record copies what it keeps) instead of allocating
-	// a fresh float64 vector per observed query.
+	// Expand packed queries through one scratch buffer for the life of the
+	// connection (record copies what it keeps) instead of allocating a
+	// fresh float64 vector per observed query.
 	buf := vecScratch.Get().(*[]float64)
 	defer vecScratch.Put(buf)
+	fb := new(frameBufs)
+	var body []byte
 	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
+		var err error
+		if body, err = readFrame(br, body, maxFrameLen); err != nil {
 			return
+		}
+		req, err := decodeRequest(body, fb)
+		if err != nil {
+			return
+		}
+		if req.Op != OpClassify && req.Op != OpPartialScores {
+			continue
 		}
 		for _, q := range req.Queries {
 			w.record(q.vectorInto(buf))

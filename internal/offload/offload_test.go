@@ -1,9 +1,7 @@
 package offload
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -92,33 +90,44 @@ func dialToy(t *testing.T, addr string) *Client {
 	return c
 }
 
-// rawHandshake performs a hand-rolled handshake and returns the conn's
-// codecs — for tests that craft wire frames directly,
-// which must not go through a Client whose recv goroutine would consume
-// the replies.
-func rawHandshake(t *testing.T, addr string, hello Hello) (net.Conn, *gob.Encoder, *gob.Decoder) {
+// rawHandshake performs a hand-rolled handshake and returns the conn with
+// a request encoder and reply decoder over it — for tests that craft wire
+// frames directly, which must not go through a Client whose recv goroutine
+// would consume the replies.
+func rawHandshake(t *testing.T, addr string, hello Hello) (net.Conn, requestEncoder, replyDecoder) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	if _, err := conn.Write([]byte{'P', 'H', 'D', ProtocolVersion}); err != nil {
+	if err := WriteHello(conn, hello); err != nil {
 		t.Fatal(err)
 	}
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(hello); err != nil {
-		t.Fatal(err)
-	}
-	var sh ServerHello
-	if err := dec.Decode(&sh); err != nil {
+	sh, err := ReadServerHello(conn)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if sh.Code != "" {
 		t.Fatalf("raw handshake rejected: %s (%s)", sh.Code, sh.Detail)
 	}
-	return conn, enc, dec
+	return conn, requestEncoder{conn}, replyDecoder{conn, sh}
+}
+
+// requestEncoder writes request frames to a raw connection.
+type requestEncoder struct{ w io.Writer }
+
+func (e requestEncoder) Encode(req Request) error { return WriteRequest(e.w, req) }
+
+// replyDecoder reads reply frames from a raw connection.
+type replyDecoder struct {
+	r  io.Reader
+	sh ServerHello
+}
+
+func (d replyDecoder) Decode(reply *Reply) (err error) {
+	*reply, err = ReadReply(d.r, d.sh)
+	return err
 }
 
 func TestClassifyOverTCP(t *testing.T) {
@@ -182,7 +191,7 @@ func TestHandshakeRejectsWrongVersion(t *testing.T) {
 	// typed refusal, which names only the version the server speaks.
 	addr, _, cleanup := startServer(t, toyModel())
 	defer cleanup()
-	for _, version := range []byte{2, 3, 4, ProtocolVersion + 1} {
+	for _, version := range []byte{2, 3, 4, 5, ProtocolVersion + 1} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
@@ -190,8 +199,8 @@ func TestHandshakeRejectsWrongVersion(t *testing.T) {
 		if _, err := conn.Write([]byte{'P', 'H', 'D', version}); err != nil {
 			t.Fatal(err)
 		}
-		var hello ServerHello
-		if err := gob.NewDecoder(conn).Decode(&hello); err != nil {
+		hello, err := ReadServerHello(conn)
+		if err != nil {
 			t.Fatal(err)
 		}
 		conn.Close()
@@ -220,11 +229,11 @@ func TestHandshakeRejectsBadMagic(t *testing.T) {
 	}
 	defer conn.Close()
 	// A legacy (v1) peer opens with a gob stream, not the magic.
-	if err := gob.NewEncoder(conn).Encode(Query{Vector: []float64{1, 0, 0, 0}}); err != nil {
+	if _, err := conn.Write([]byte("+\xff\x81\x03\x01\x01\x05Query")); err != nil {
 		t.Fatal(err)
 	}
-	var hello ServerHello
-	if err := gob.NewDecoder(conn).Decode(&hello); err != nil {
+	hello, err := ReadServerHello(conn)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if hello.Code != codeBadMagic {
@@ -235,24 +244,33 @@ func TestHandshakeRejectsBadMagic(t *testing.T) {
 func TestServerRejectsOutOfAlphabetSymbols(t *testing.T) {
 	addr, srv, cleanup := startServer(t, toyModel())
 	defer cleanup()
-	// Craft a request whose packed symbols escape the advertised −2…+1
-	// alphabet; an honest PackQuery would refuse to build it.
-	_, enc, dec := rawHandshake(t, addr, Hello{Dim: 4, Classes: 2})
-	if err := enc.Encode(Request{Queries: []Query{{Packed: []int8{5, 0, 0, 0}}}}); err != nil {
-		t.Fatal(err)
+	// A packed symbol outside the advertised −2…+1 alphabet has no 2-bit
+	// encoding: the codec refuses the frame before a byte is sent, and a
+	// client surfaces the same typed error without breaking its
+	// connection.
+	bad := Request{Queries: []Query{{Packed: []int8{1, 0, 5, 0}}}}
+	if _, err := appendRequest(nil, &bad); !errors.Is(err, ErrSymbolOutOfRange) {
+		t.Errorf("encoding symbol 5: err = %v, want ErrSymbolOutOfRange", err)
 	}
-	var reply Reply
-	if err := dec.Decode(&reply); err != nil {
-		t.Fatal(err)
+	c := dialToy(t, addr)
+	defer c.Close()
+	if _, _, err := c.Classify(bad.Queries[0]); !errors.Is(err, ErrSymbolOutOfRange) || errors.Is(err, ErrTransport) {
+		t.Errorf("Classify with symbol 5: err = %v, want ErrSymbolOutOfRange (not transport)", err)
 	}
+	if _, _, err := c.Classify(asQuery([]float64{1, 1, 0, 0})); err != nil {
+		t.Fatalf("connection unusable after a refused query: %v", err)
+	}
+	// The answer path still validates symbols for callers that bypass the
+	// codec.
+	reply := srv.answer("", bad, nil)
 	if reply.Code != codeSymbol {
 		t.Errorf("reply.Code = %q, want %q", reply.Code, codeSymbol)
 	}
 	if err := codeError(reply.Code, reply.Detail); !errors.Is(err, ErrSymbolOutOfRange) {
 		t.Errorf("codeError = %v, want ErrSymbolOutOfRange", err)
 	}
-	if srv.Served() != 0 {
-		t.Errorf("rejected query counted as served: %d", srv.Served())
+	if srv.Served() != 1 {
+		t.Errorf("Served = %d, want only the one valid query", srv.Served())
 	}
 }
 
@@ -278,21 +296,29 @@ func TestServerRejectsOversizedBatch(t *testing.T) {
 			t.Fatalf("labels = %v, want %v", labels, want)
 		}
 	}
-	// A misbehaving client that ignores the limit is rejected.
-	_, renc, rdec := rawHandshake(t, addr, Hello{Dim: 4})
-	req := Request{Queries: make([]Query, 3)}
-	for i := range req.Queries {
-		req.Queries[i] = Query{Vector: []float64{1, 0, 0, 0}}
-	}
-	if err := renc.Encode(req); err != nil {
-		t.Fatal(err)
-	}
-	var reply Reply
-	if err := rdec.Decode(&reply); err != nil {
-		t.Fatal(err)
-	}
-	if err := codeError(reply.Code, reply.Detail); !errors.Is(err, ErrBatchTooLarge) {
-		t.Errorf("oversized batch: %v, want ErrBatchTooLarge", err)
+	// A misbehaving client that ignores the limit is rejected: a frame
+	// still within the connection's size cap (packed queries) gets the
+	// typed batch refusal, one past it (full-precision queries) the typed
+	// frame refusal.
+	for _, tc := range []struct {
+		q    Query
+		want error
+	}{
+		{Query{Packed: []int8{1, 0, 0, 0}}, ErrBatchTooLarge},
+		{Query{Vector: []float64{1, 0, 0, 0}}, ErrFrameTooLarge},
+	} {
+		_, renc, rdec := rawHandshake(t, addr, Hello{Dim: 4})
+		req := Request{ID: 7, Queries: []Query{tc.q, tc.q, tc.q}}
+		if err := renc.Encode(req); err != nil {
+			t.Fatal(err)
+		}
+		var reply Reply
+		if err := rdec.Decode(&reply); err != nil {
+			t.Fatal(err)
+		}
+		if err := codeError(reply.Code, reply.Detail); !errors.Is(err, tc.want) || reply.ID != 7 {
+			t.Errorf("oversized batch: reply %d %v, want ID 7 and %v", reply.ID, err, tc.want)
+		}
 	}
 }
 
@@ -491,8 +517,8 @@ func TestPackedQueryClassifiesIdentically(t *testing.T) {
 }
 
 func TestPackedWireIsSmaller(t *testing.T) {
-	// The point of packing: a quantized 10k-dim query costs ~1 byte per
-	// dimension on the wire vs 8 for float64.
+	// The point of packing: a quantized 10k-dim query costs 2 bits per
+	// dimension on the wire vs 8 bytes for float64.
 	dim := 10000
 	qFloat := make([]float64, dim)
 	qInt := make([]float64, dim)
@@ -502,11 +528,11 @@ func TestPackedWireIsSmaller(t *testing.T) {
 		qInt[i] = float64(i%3 - 1)
 	}
 	sizeOf := func(q Query) int {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(q); err != nil {
+		b, err := appendRequest(nil, &Request{Queries: []Query{q}})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Len()
+		return len(b)
 	}
 	packed, ok := PackQuery(qInt)
 	if !ok {
@@ -514,8 +540,8 @@ func TestPackedWireIsSmaller(t *testing.T) {
 	}
 	floatBytes := sizeOf(Query{Vector: qFloat})
 	packedBytes := sizeOf(Query{Packed: packed})
-	if packedBytes*4 > floatBytes {
-		t.Errorf("packed %dB vs float %dB: expected ≥4× saving", packedBytes, floatBytes)
+	if packedBytes > dim/4+64 || packedBytes*30 > floatBytes {
+		t.Errorf("packed %dB vs float %dB: expected D/4 bytes, a ≥30× saving", packedBytes, floatBytes)
 	}
 }
 
@@ -952,8 +978,7 @@ func TestMalformedQueryWithBothWireFormsRejected(t *testing.T) {
 	if reply.Code != codeDim {
 		t.Errorf("both-forms query answered %q, want %q", reply.Code, codeDim)
 	}
-	// A well-formed query on the same connection still works. (Fresh
-	// Reply: gob leaves absent fields untouched on reused structs.)
+	// A well-formed query on the same connection still works.
 	if err := enc.Encode(Request{Queries: []Query{{Vector: []float64{1, 1, 0, 0}}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -1178,7 +1203,7 @@ func TestUnsupportedOpRejected(t *testing.T) {
 	addr, _, cleanup := startServer(t, toyModel())
 	defer cleanup()
 	_, enc, dec := rawHandshake(t, addr, Hello{Dim: 4})
-	if err := enc.Encode(Request{ID: 9, Op: "compress"}); err != nil {
+	if err := enc.Encode(Request{ID: 9, Op: 42}); err != nil {
 		t.Fatal(err)
 	}
 	var reply Reply
@@ -1208,22 +1233,18 @@ func TestIOTimeoutUnblocksHungServer(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		var hdr [4]byte
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		if _, err := ReadHello(conn); err != nil {
 			return
 		}
-		dec := gob.NewDecoder(conn)
-		var hello Hello
-		if err := dec.Decode(&hello); err != nil {
-			return
-		}
-		gob.NewEncoder(conn).Encode(ServerHello{
+		WriteServerHello(conn, ServerHello{
 			Version: ProtocolVersion, Dim: 4, Classes: 2,
 			MaxBatch: 8, MinSymbol: MinSymbol, MaxSymbol: MaxSymbol,
 		})
 		// Keep reading requests, never answer.
-		var req Request
-		for dec.Decode(&req) == nil {
+		for {
+			if _, err := readRequest(conn, maxFrameLen); err != nil {
+				return
+			}
 		}
 	}()
 

@@ -1,13 +1,15 @@
 package offload
 
-// Coverage for the v5 surfaces — shard descriptors in the handshake,
-// partial-score frames, GoAway drain notices — and for the typed refusal a
-// v5 client gets from a server that speaks an earlier version only.
+// Coverage for the surfaces protocol v5 introduced — shard descriptors in
+// the handshake, partial-score frames, GoAway drain notices — and for the
+// typed refusal a client gets from a server that speaks an earlier,
+// gob-framed version only.
 
 import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -51,10 +53,12 @@ func TestV5ClientGetsGoAwayOnShutdown(t *testing.T) {
 	}
 }
 
-func TestV5ClientRefusedByV4OnlyServerTyped(t *testing.T) {
-	// A frozen v4-only server answers a v5 header with a version-mismatch
-	// rejection; the v5 client must surface it as ErrVersionMismatch — a
-	// typed refusal, not a retryable transport failure.
+func TestV6ClientRefusedByGobV5ServerTyped(t *testing.T) {
+	// A v5 server framed everything in gob: it reads the 4-byte header,
+	// refuses any other version with a gob-encoded version-mismatch answer
+	// and never echoes a header of its own. The v6 client must surface
+	// that as ErrVersionMismatch — a typed refusal, not a retryable
+	// transport failure.
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -72,27 +76,24 @@ func TestV5ClientRefusedByV4OnlyServerTyped(t *testing.T) {
 				if _, err := io.ReadFull(conn, hdr); err != nil {
 					return
 				}
-				var hello Hello
-				if err := gob.NewDecoder(conn).Decode(&hello); err != nil {
-					return
-				}
-				// gob matches fields by name, so this subset of the
-				// handshake answer is what the older server sends.
+				// The fields of the v5 handshake answer a refusal sets.
 				gob.NewEncoder(conn).Encode(struct {
 					Code, Detail string
 					Version      byte
 				}{
 					Code:    "version-mismatch",
-					Detail:  "server speaks v4, client sent v5",
-					Version: 4,
+					Detail:  fmt.Sprintf("server speaks v5 only, client sent v%d", hdr[3]),
+					Version: 5,
 				})
+				conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+				io.Copy(io.Discard, conn)
 			}(conn)
 		}
 	}()
 
 	_, err = Dial(context.Background(), "tcp", lis.Addr().String(), Hello{Dim: 4})
 	if err == nil {
-		t.Fatal("dial of a v4-only server succeeded")
+		t.Fatal("dial of a v5 gob server succeeded")
 	}
 	if !errors.Is(err, ErrVersionMismatch) {
 		t.Errorf("err = %v, want ErrVersionMismatch", err)

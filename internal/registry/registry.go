@@ -64,7 +64,7 @@ func (i EncoderInfo) Zero() bool {
 // [DimOffset, DimOffset+DimLen) of classes [ClassOffset,
 // ClassOffset+ClassCount) of a full FullDim × FullClasses model. A nil
 // *ShardInfo means the entry serves the whole model. The descriptor is
-// advertised in the protocol v5 handshake so scatter–gather coordinators
+// advertised in the protocol handshake so scatter–gather coordinators
 // can discover fleet geometry instead of being configured with it.
 type ShardInfo struct {
 	DimOffset   int
@@ -145,7 +145,7 @@ type Entry struct {
 	Encoder EncoderInfo
 	// Shard, when non-nil, marks this entry as serving a slice of a larger
 	// logical model and records which slice (see ShardInfo). Advertised in
-	// the v5 handshake.
+	// the handshake.
 	Shard *ShardInfo
 
 	// served counts queries answered under this name across publications:

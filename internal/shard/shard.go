@@ -4,7 +4,7 @@
 // A replica may serve a slice of a logical model — a dimension range of
 // every class plane, a class range, or both (see registry.ShardInfo). The
 // coordinator dials every address, reads each replica's shard descriptor
-// from its v5 ServerHello, groups replicas serving the same slice into a
+// from its ServerHello, groups replicas serving the same slice into a
 // failover cluster, and verifies the groups tile the full model exactly.
 // A prediction then scatters the matching slice of the packed query to
 // every group, gathers exact integer partial dot products and per-class
@@ -22,7 +22,7 @@
 // Each group is a cluster.Cluster, so a replica dying mid-gather is
 // retried on that shard's surviving replicas only; the other shards'
 // partials are never re-fetched. Servers announce graceful shutdown with
-// a v5 GoAway push, which the pools underneath translate into routing new
+// a GoAway push, which the pools underneath translate into routing new
 // work elsewhere before the TCP half-close lands.
 package shard
 
@@ -95,7 +95,7 @@ type Coordinator struct {
 }
 
 // New discovers the fleet's shard layout and returns a coordinator over
-// it. Every address must answer a v5 handshake for the configured model;
+// it. Every address must answer a handshake for the configured model;
 // replicas without a shard descriptor count as whole-model replicas (a
 // one-group coordinator degenerates into a plain failover cluster that
 // happens to score via partials). The context bounds discovery.
@@ -174,7 +174,7 @@ func discover(ctx context.Context, cfg Config, addr string) (offload.ServerHello
 }
 
 // descriptor normalizes a replica's advertised shard: replicas serving the
-// whole model (pre-sharding deployments, or a v5 server with a whole
+// whole model (pre-sharding deployments, or a server with a whole
 // entry) get the full-cover descriptor so grouping and tiling treat every
 // replica uniformly.
 func descriptor(h offload.ServerHello) registry.ShardInfo {

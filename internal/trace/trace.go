@@ -123,7 +123,8 @@ const (
 	// StageQueueWait is time spent waiting to be worked on: the client's
 	// send queue, or the server's scoring worker pool.
 	StageQueueWait Stage = iota
-	// StageDecode is reading and gob-decoding the frame off the wire.
+	// StageDecode is reading the frame off the wire and decoding it, from
+	// its first byte's arrival.
 	StageDecode
 	// StageEncode is building the outgoing payload (edge query
 	// preparation client-side).

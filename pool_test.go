@@ -2,7 +2,6 @@ package privehd_test
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -322,13 +321,18 @@ func TestListModelsDiscovery(t *testing.T) {
 	}
 }
 
+// legacyHello is what a client of protocol v2–v5 writes after its header:
+// a gob-encoded Hello{Dim: 512}, frozen here as bytes.
+const legacyHello = "0\x7f\x03\x01\x01\x05Hello\x01\xff\x80\x00\x01\x03\x01\x03Dim\x01\x04\x00" +
+	"\x01\aClasses\x01\x04\x00\x01\x05Model\x01\f\x00\x00\x00\a\xff\x80\x01\xfe\x04\x00\x00"
+
 // refuseLegacy runs one hand-rolled session from a client of an earlier
 // protocol version against addr — header plus Hello, written back to back
 // as such a client does — and returns the server's handshake answer. It
 // fails the test unless the answer arrives intact and is followed by a
 // clean FIN: a server that closed with the client's Hello still unread
 // would reset the connection and could destroy the refusal in flight.
-func refuseLegacy(t *testing.T, addr string, version byte, dim int) offload.ServerHello {
+func refuseLegacy(t *testing.T, addr string, version byte) offload.ServerHello {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -336,20 +340,15 @@ func refuseLegacy(t *testing.T, addr string, version byte, dim int) offload.Serv
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if _, err := conn.Write([]byte{'P', 'H', 'D', version}); err != nil {
+	if _, err := conn.Write(append([]byte{'P', 'H', 'D', version}, legacyHello...)); err != nil {
 		t.Fatal(err)
 	}
-	if err := gob.NewEncoder(conn).Encode(offload.Hello{Dim: dim}); err != nil {
-		t.Fatal(err)
-	}
-	dec := gob.NewDecoder(conn)
-	var hello offload.ServerHello
-	if err := dec.Decode(&hello); err != nil {
+	hello, err := offload.ReadServerHello(conn)
+	if err != nil {
 		t.Fatalf("v%d: reading the handshake answer: %v", version, err)
 	}
-	var next offload.Reply
-	if err := dec.Decode(&next); !errors.Is(err, io.EOF) {
-		t.Fatalf("v%d: after the refusal got %v, want a clean EOF", version, err)
+	if n, err := conn.Read(make([]byte, 1)); n != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("v%d: after the refusal got %d bytes, %v, want a clean EOF", version, n, err)
 	}
 	return hello
 }
@@ -387,8 +386,8 @@ func TestLegacyVersionsRefusedAlongsidePool(t *testing.T) {
 		}
 	}()
 
-	for _, version := range []byte{2, 3, 4} {
-		hello := refuseLegacy(t, addr, version, pipe.Dim())
+	for _, version := range []byte{2, 3, 4, 5} {
+		hello := refuseLegacy(t, addr, version)
 		if hello.Version != privehd.ProtocolVersion {
 			t.Errorf("v%d client: server advertised v%d, want v%d", version, hello.Version, privehd.ProtocolVersion)
 		}
@@ -417,16 +416,11 @@ func TestDialWithIOTimeoutUnblocksHungServer(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		var hdr [4]byte
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		hello, err := offload.ReadHello(conn)
+		if err != nil {
 			return
 		}
-		dec := gob.NewDecoder(conn)
-		var hello offload.Hello
-		if err := dec.Decode(&hello); err != nil {
-			return
-		}
-		gob.NewEncoder(conn).Encode(offload.ServerHello{
+		offload.WriteServerHello(conn, offload.ServerHello{
 			Version: privehd.ProtocolVersion, Dim: hello.Dim, Classes: 2, MaxBatch: 8,
 		})
 		io.Copy(io.Discard, conn) // read requests forever, answer nothing

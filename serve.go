@@ -10,9 +10,11 @@ import (
 )
 
 // ProtocolVersion is the version byte of the offloaded-inference wire
-// protocol (see the package documentation for its frames). Serve and
-// Connect handshake on it, and servers refuse every other version with
-// ErrVersionMismatch.
+// protocol: v6, length-prefixed binary frames with packed queries as two
+// bit-planes (see the package documentation for its frames). Serve and
+// Connect handshake on it, servers refuse every other version with
+// ErrVersionMismatch, and clients refuse a server that answers with any
+// other version's header the same way.
 const ProtocolVersion = offload.ProtocolVersion
 
 // Typed protocol failures, surfaced by Connect and Client calls; test with

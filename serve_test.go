@@ -2,10 +2,8 @@ package privehd_test
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"testing"
@@ -130,16 +128,11 @@ func TestDialRejectsVersionMismatch(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		var hdr [4]byte
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		hello, err := offload.ReadHello(conn)
+		if err != nil {
 			return
 		}
-		dec := gob.NewDecoder(conn)
-		var hello offload.Hello
-		if err := dec.Decode(&hello); err != nil {
-			return
-		}
-		gob.NewEncoder(conn).Encode(offload.ServerHello{
+		offload.WriteServerHello(conn, offload.ServerHello{
 			Version: privehd.ProtocolVersion + 1,
 			Dim:     hello.Dim,
 			Classes: 2,

@@ -35,7 +35,7 @@ type ShardSlice struct {
 	ClassOffset, ClassCount int
 }
 
-// ShardInfo is a replica's shard descriptor as advertised in the v5
+// ShardInfo is a replica's shard descriptor as advertised in the
 // handshake: its slice plus the full logical geometry it came from.
 type ShardInfo = registry.ShardInfo
 

@@ -8,16 +8,15 @@ package privehd_test
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"privehd"
+	"privehd/internal/offload"
 )
 
 // shardServer is one serving process of a sharded fleet, killable
@@ -383,12 +382,8 @@ func TestConnectShardedRefusedByV4OnlyReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lis.Close()
-	// A hand-rolled v4 responder: gob matches fields by name, so this
-	// frozen subset decodes into the client's ServerHello.
-	type v4Hello struct {
-		Code, Detail string
-		Version      byte
-	}
+	// A replica of another version answers with its own version's header
+	// and a typed refusal.
 	go func() {
 		for {
 			conn, err := lis.Accept()
@@ -397,17 +392,12 @@ func TestConnectShardedRefusedByV4OnlyReplica(t *testing.T) {
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				hdr := make([]byte, 4)
-				if _, err := io.ReadFull(conn, hdr); err != nil {
+				if _, err := offload.ReadHello(conn); err != nil {
 					return
 				}
-				var hello struct{ Model string }
-				if err := gob.NewDecoder(conn).Decode(&hello); err != nil {
-					return
-				}
-				gob.NewEncoder(conn).Encode(v4Hello{
+				offload.WriteServerHello(conn, offload.ServerHello{
 					Code:    "version-mismatch",
-					Detail:  "server speaks v4, client sent v5",
+					Detail:  "server speaks v4 only, client sent v6",
 					Version: 4,
 				})
 			}(conn)
