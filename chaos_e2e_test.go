@@ -82,8 +82,7 @@ func TestChaosClusterAcceptance(t *testing.T) {
 
 	cctx, ccancel := context.WithTimeout(context.Background(), 30*time.Second)
 	cl, err := privehd.Connect(cctx,
-		privehd.Target{Addrs: addrs, Model: "toy", Topology: privehd.TopologyCluster, Hedge: true},
-		privehd.WithHedging(5*time.Millisecond))
+		privehd.Target{Addrs: addrs, Model: "toy", Topology: privehd.TopologyCluster, Hedge: true})
 	ccancel()
 	if err != nil {
 		t.Fatal(err)

@@ -32,8 +32,8 @@ type Client interface {
 	// servers shed work that can no longer answer in time, retries draw
 	// from a shared per-call budget, and cancellation aborts client-side
 	// waits. A deadline exceeded on the way out or in a server shed
-	// surfaces as ErrDeadlineExceeded. With hedging enabled (Target.Hedge,
-	// WithHedging) a slow attempt races a backup replica, first reply wins.
+	// surfaces as ErrDeadlineExceeded. With hedging enabled (Target.Hedge)
+	// a slow attempt races a backup replica, first reply wins.
 	PredictContext(ctx context.Context, x []float64) (int, []float64, error)
 	// PredictPrepared classifies an already-prepared query hypervector
 	// (the output of Edge().Prepare). A quantized vector travels packed,
@@ -151,10 +151,11 @@ type Target struct {
 	Model string
 	// Topology arranges the connections (default TopologyAuto).
 	Topology Topology
-	// Hedge opts cluster and sharded topologies into hedged requests
-	// with an adaptive delay learned from observed latency: a slow
-	// attempt gets a backup sent to a second healthy replica, first
-	// reply wins, the loser is canceled. WithHedging tunes the delay.
+	// Hedge opts cluster and sharded topologies into hedged requests: a
+	// slow attempt gets a backup sent to a second healthy replica, first
+	// reply wins, the loser is canceled. The delay tracks roughly the p90
+	// of recently observed latency, clamped to [1ms, 100ms], so only
+	// genuine stragglers are hedged.
 	// Single and pool topologies ignore it (nowhere else to hedge to).
 	Hedge bool
 }
@@ -168,7 +169,6 @@ type connectConfig struct {
 	pool     poolConfig
 	policy   BalancePolicy
 	probe    time.Duration
-	hedge    *cluster.HedgePolicy
 	logger   *slog.Logger
 }
 
@@ -214,21 +214,6 @@ func WithConnectProbeInterval(d time.Duration) ConnectOption {
 			return
 		}
 		c.probe = d
-	}
-}
-
-// WithHedging opts cluster and sharded topologies into hedged requests
-// (see Target.Hedge) and fixes the hedge delay: an attempt still in
-// flight after delay gets a backup on a second healthy replica, first
-// reply wins, the loser is canceled. Pass d ≤ 0 to keep the adaptive
-// delay — roughly the p90 of recently observed latency, clamped to
-// [1ms, 100ms] — which only hedges genuine stragglers.
-func WithHedging(d time.Duration) ConnectOption {
-	return func(c *connectConfig) {
-		c.hedge = &cluster.HedgePolicy{}
-		if d > 0 {
-			c.hedge.Delay = d
-		}
 	}
 }
 
@@ -326,9 +311,6 @@ func Connect(ctx context.Context, t Target, opts ...ConnectOption) (Client, erro
 	var cfg connectConfig
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if t.Hedge && cfg.hedge == nil {
-		cfg.hedge = &cluster.HedgePolicy{}
 	}
 	topo := t.Topology
 	if topo == TopologyAuto {
@@ -438,7 +420,7 @@ func dialBackend(ctx context.Context, topo Topology, t Target, cfg connectConfig
 			Pool:          cfg.pool.toInternal(),
 			Policy:        cfg.policy,
 			ProbeInterval: cfg.probe,
-			Hedge:         cfg.hedge,
+			Hedge:         t.Hedge,
 			Logger:        cfg.logger,
 		})
 		if err != nil {
@@ -453,7 +435,7 @@ func dialBackend(ctx context.Context, topo Topology, t Target, cfg connectConfig
 			Pool:          cfg.pool.toInternal(),
 			Policy:        cfg.policy,
 			ProbeInterval: cfg.probe,
-			Hedge:         cfg.hedge,
+			Hedge:         t.Hedge,
 			Logger:        cfg.logger,
 		})
 		if err != nil {

@@ -202,11 +202,11 @@
 // retrying out-of-time work on another replica only wastes capacity. All
 // retry layers of one logical call (pool redial, cluster failover, hedge
 // attempts) draw from a single per-call retry budget with jittered
-// backoff, per-replica circuit breakers slow probe re-admission of
-// flapping replicas, idle pooled connections are liveness-pinged in-band,
-// and Target.Hedge (tuned by WithHedging) arms tail-latency request
-// hedging: a straggling attempt gets a backup on a second healthy
-// replica, first reply wins, the loser is canceled. internal/chaos plus
+// backoff, a doubling cooldown on each replica's ejection slows probe
+// re-admission of flapping replicas, idle pooled connections are
+// liveness-pinged in-band, and Target.Hedge arms tail-latency request
+// hedging with an adaptive delay: a straggling attempt gets a backup on a
+// second healthy replica, first reply wins, the loser is canceled. internal/chaos plus
 // privehd-bench -chaos soak the whole stack under deterministic fault
 // injection in CI.
 //

@@ -12,7 +12,7 @@
 //
 // Faults are injected below the protocol layer on purpose: the client
 // under test must recover using only its public resilience machinery
-// (typed errors, retries, hedges, breakers), exactly as it would against
+// (typed errors, retries, hedges, ejection), exactly as it would against
 // a flaky production network.
 package chaos
 

@@ -680,22 +680,27 @@ type ClusterConfig struct {
 	// ProbeTimeout bounds one probe's dial+handshake (default 2s).
 	ProbeTimeout time.Duration
 	// Hedge opts the cluster into hedged requests on the hedgeable paths
-	// (Classify, DoHedged): a backup attempt on a second replica after
-	// the policy's delay, first reply wins. Nil disables hedging.
-	Hedge *HedgePolicy
+	// (Classify, DoHedged): a backup attempt on a second replica after an
+	// adaptive delay, first reply wins (see DoHedged).
+	Hedge bool
 	// Logger receives structured health-transition events (replica
 	// ejected / re-admitted, with address and reason). Nil discards them.
 	Logger *slog.Logger
 }
 
-// replica is one cluster member: an address, its pool, its health, and
-// its circuit breaker (which gates how eagerly probes may re-admit it).
+// replica is one cluster member: an address, its pool, and its health —
+// whether it is admitted for traffic, plus the cooldown ladder that gates
+// how eagerly probes may re-admit it (see recordFailure).
 type replica struct {
-	addr    string
-	pool    *Pool
-	br      *breaker
-	mu      sync.Mutex
-	healthy bool
+	addr string
+	pool *Pool
+
+	mu        sync.Mutex
+	healthy   bool
+	ejectedAt time.Time
+	cooldown  time.Duration // how long after ejectedAt a probe may not re-admit
+	ejections int           // ejections since the ladder last reset
+	streak    int           // consecutive successes
 }
 
 func (r *replica) isHealthy() bool {
@@ -752,7 +757,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		cl.replicas = append(cl.replicas, &replica{
 			addr:    addr,
 			pool:    NewPool(pcfg),
-			br:      newBreaker(addr),
 			healthy: true,
 		})
 		cmReplicaHealthy.With(addr).Set(1)
@@ -857,9 +861,8 @@ func (cl *Cluster) doAttempt(ctx context.Context, prefer *replica, onPick func(*
 			attemptStart := time.Now()
 			err := op(ctx, r.pool)
 			if err == nil {
-				r.br.recordSuccess()
-				cl.setReplicaHealth(r, true, "operation succeeded", nil)
-				if cl.cfg.Hedge != nil {
+				cl.recordSuccess(r, false)
+				if cl.cfg.Hedge {
 					cl.observeLatency(time.Since(attemptStart))
 				}
 				return nil
@@ -884,8 +887,7 @@ func (cl *Cluster) doAttempt(ctx context.Context, prefer *replica, onPick func(*
 				continue
 			}
 			realFailure = true
-			r.br.recordFailure(time.Now())
-			cl.setReplicaHealth(r, false, "transport failure", err)
+			cl.recordFailure(r, false, err)
 			cmFailovers.Inc()
 			lastErr = err
 			if budget != nil && !budget.take() {
@@ -984,9 +986,9 @@ func (cl *Cluster) Hello(ctx context.Context) (offload.ServerHello, error) {
 	return hello, err
 }
 
-// Classify classifies one prepared query on some healthy replica. With a
-// HedgePolicy configured, a straggling call is hedged to a second replica
-// and the first reply wins.
+// Classify classifies one prepared query on some healthy replica. With
+// Hedge set, a straggling call is hedged to a second replica and the
+// first reply wins.
 func (cl *Cluster) Classify(ctx context.Context, q offload.Query) (int, []float64, error) {
 	var label int
 	var scores []float64
@@ -1150,45 +1152,15 @@ func (cl *Cluster) probe(r *replica) {
 		c.Close()
 	}
 	if err != nil && errors.Is(err, offload.ErrTransport) {
-		r.br.recordFailure(time.Now())
-		cl.setReplicaHealth(r, false, "health probe failed", err)
+		cl.recordFailure(r, true, err)
 		return
 	}
-	if !r.isHealthy() {
-		// The breaker gates probe-driven re-admission: a replica that
-		// keeps dying right after coming back earns a doubling cooldown
-		// before the next probe may re-admit it. Traffic successes are
-		// never gated — real work answering (the all-ejected fallback
-		// path) closes the breaker immediately.
-		if !r.br.ready(time.Now()) {
-			return
-		}
-		cl.setReplicaHealth(r, true, "health probe answered", nil)
-		r.br.recordSuccess()
+	// The cooldown ladder gates probe-driven re-admission: a replica that
+	// keeps dying right after coming back waits longer each time before a
+	// probe may re-admit it. Traffic successes are never gated — real work
+	// answering (the all-ejected fallback path) re-admits immediately.
+	if cl.recordSuccess(r, true) {
 		r.pool.resetBackoff()
-	}
-}
-
-// setReplicaHealth applies a health transition, emitting the structured
-// log event and moving the transition metrics only when the state actually
-// changes — steady-state traffic and probes re-confirm health constantly
-// and must stay silent.
-func (cl *Cluster) setReplicaHealth(r *replica, healthy bool, reason string, cause error) {
-	r.mu.Lock()
-	changed := r.healthy != healthy
-	r.healthy = healthy
-	r.mu.Unlock()
-	if !changed {
-		return
-	}
-	if healthy {
-		cmReplicaHealthy.With(r.addr).Set(1)
-		cmTransitions.With(r.addr, "readmitted").Inc()
-		cl.log.Info("replica re-admitted", "replica", r.addr, "reason", reason)
-	} else {
-		cmReplicaHealthy.With(r.addr).Set(0)
-		cmTransitions.With(r.addr, "ejected").Inc()
-		cl.log.Warn("replica ejected", "replica", r.addr, "reason", reason, "error", cause)
 	}
 }
 

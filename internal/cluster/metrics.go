@@ -48,14 +48,6 @@ var (
 		"privehd_cluster_hedges_total",
 		"Hedged backup requests by outcome: won (the hedge answered first), lost (the primary answered first after the hedge also finished), canceled (the primary answered first and the hedge was abandoned mid-flight).",
 		"outcome")
-	cmBreakerOpens = metrics.Default.NewCounterVec(
-		"privehd_cluster_breaker_opens_total",
-		"Circuit-breaker open transitions, by replica address.",
-		"replica")
-	cmBreakerState = metrics.Default.NewGaugeVec(
-		"privehd_cluster_breaker_state",
-		"Circuit-breaker state by replica address: 0 closed, 1 open, 2 half-open.",
-		"replica")
 	cmPoolPings = metrics.Default.NewCounterVec(
 		"privehd_pool_pings_total",
 		"In-band liveness pings on idle pooled connections, by server address and result (ok | failed). A failed ping drops the dead connection before a caller is handed it.",

@@ -1,21 +1,20 @@
 // Resilience mechanics for the cluster layer: jittered retry backoff, a
-// shared per-call retry budget, per-replica circuit breakers, in-band
+// shared per-call retry budget, the re-admission cooldown ladder, in-band
 // liveness pings on idle pooled connections, and hedged requests.
 //
-// These compose with — rather than replace — the existing machinery:
-// ejection/probing stays the health authority (the breaker gates how
-// eagerly a probe may re-admit a flapping replica), pool retry and cluster
-// failover stay the retry paths (the budget bounds how many total attempts
-// one logical call may burn), and hedging rides on the same failover
-// primitive with a private-result/commit-once discipline so concurrent
-// attempts never race on caller state.
+// These compose with the existing machinery: a replica's healthy flag is
+// its one health state (the ladder only gates how eagerly a probe may
+// re-admit a flapping replica), pool retry and cluster failover stay the
+// retry paths (the budget bounds how many total attempts one logical call
+// may burn), and hedging rides on the same failover primitive with a
+// private-result/commit-once discipline so concurrent attempts never race
+// on caller state.
 package cluster
 
 import (
 	"context"
 	"errors"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -37,9 +36,9 @@ func jitterBackoff(d time.Duration) time.Duration {
 
 // errDialBackoff tags a pool rejection issued from inside a dial-backoff
 // window. Such a rejection performs no I/O — the replica already paid
-// (breaker, ejection, backoff) for the dial failure that opened the window
-// — so failover treats it as "unavailable right now" rather than a fresh
-// failure: no breaker hit, no re-ejection, and no retry-budget charge.
+// (ejection, backoff) for the dial failure that opened the window — so
+// failover treats it as "unavailable right now" rather than a fresh
+// failure: no re-ejection and no retry-budget charge.
 // Without the distinction, a fleet-wide blip drains a call's entire budget
 // on attempts that never leave the process.
 var errDialBackoff = errors.New("backing off")
@@ -117,201 +116,106 @@ func failoverPause(attempt int) time.Duration {
 	return jitterBackoff(d)
 }
 
-// Circuit-breaker tuning. The defaults deliberately reproduce the
-// pre-breaker behavior on the first failure (trip immediately, re-admit on
-// the next successful probe) and only add friction to *flapping*: every
-// reopen doubles the probe-readmission cooldown, so a replica that keeps
-// dying right after re-admission is probed back in less and less eagerly,
-// while steady recovery resets the ladder.
+// Re-admission cooldown ladder. Ejection is the one health state a
+// replica has; the ladder only decides how eagerly a probe may end it.
+// The first ejection has no cooldown — the next successful probe
+// re-admits, so a one-off failure costs no friction — and each later one
+// doubles the wait before a probe may re-admit, so a replica that keeps
+// dying right after coming back is probed back in less and less eagerly.
+// A stable run of successes resets the ladder, and a successful request
+// re-admits at once whatever the cooldown: real work answering is better
+// evidence than any probe. The health gauge, transition counter and log
+// event move only when a replica is actually ejected or re-admitted, so
+// steady traffic and probes stay silent.
 const (
-	// breakerWindow is how many recent attempt outcomes the error-rate
-	// trip condition looks at.
-	breakerWindow = 16
-	// breakerRate is the error rate over a full window that trips the
-	// breaker even when failures never run consecutively.
-	breakerRate = 0.5
-	// breakerCooldownBase is the probe-readmission cooldown after the
-	// first reopen (the first open has no cooldown at all).
-	breakerCooldownBase = 250 * time.Millisecond
-	// breakerCooldownMax caps the doubling cooldown ladder.
-	breakerCooldownMax = 4 * time.Second
-	// breakerStableAfter is how many consecutive successes collapse the
-	// reopen ladder back to zero.
-	breakerStableAfter = 8
+	// readmitCooldownBase is the probe re-admission cooldown after the
+	// second ejection (the first has none at all).
+	readmitCooldownBase = 250 * time.Millisecond
+	// readmitCooldownMax caps the doubling cooldown ladder.
+	readmitCooldownMax = 4 * time.Second
+	// readmitStableAfter is how many consecutive successes reset the
+	// ladder back to a free first ejection.
+	readmitStableAfter = 8
 )
 
-type breakerState uint8
-
-const (
-	breakerClosed breakerState = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
-// breaker is one replica's circuit breaker. Ejection and breaker-open are
-// the same event seen by two mechanisms: traffic failures open the
-// breaker (and eject), probe successes may close it again — but only
-// after the cooldown ladder says the replica has earned another chance.
-// Traffic successes always close it immediately: real work answering is
-// better evidence than any probe.
-type breaker struct {
-	addr string
-
-	mu       sync.Mutex
-	state    breakerState
-	consec   int // consecutive failures while closed
-	streak   int // consecutive successes (any state)
-	window   [breakerWindow]bool
-	wIdx     int
-	wLen     int
-	openedAt time.Time
-	cooldown time.Duration
-	reopens  int
-}
-
-func newBreaker(addr string) *breaker {
-	cmBreakerState.With(addr).Set(0)
-	return &breaker{addr: addr}
-}
-
-func (b *breaker) setState(s breakerState) {
-	b.state = s
-	cmBreakerState.With(b.addr).Set(int64(s))
-}
-
-// recordSuccess closes the breaker from any state and, after a stable run
-// of successes, collapses the reopen/cooldown ladder.
-func (b *breaker) recordSuccess() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.consec = 0
-	b.streak++
-	b.pushOutcome(false)
-	if b.state != breakerClosed {
-		b.setState(breakerClosed)
-		// Re-admission resets the window: failures from before the
-		// outage must not instantly re-trip the error-rate condition.
-		b.wLen, b.wIdx = 0, 0
-	}
-	if b.streak >= breakerStableAfter {
-		b.reopens = 0
-		b.cooldown = 0
-	}
-}
-
-// recordFailure registers one failed attempt and reports whether it
-// tripped the breaker open (the caller ejects the replica exactly then).
-func (b *breaker) recordFailure(now time.Time) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.streak = 0
-	b.consec++
-	b.pushOutcome(true)
-	switch b.state {
-	case breakerOpen:
-		return false
-	case breakerHalfOpen:
-		b.open(now)
-		return true
-	default:
-		if b.consec >= 1 || b.rateTripped() {
-			b.open(now)
-			return true
+// recordFailure registers a transport failure against r — of traffic, or
+// of a health probe when probe is set — and ejects it. Only the ejection
+// of a healthy replica climbs the cooldown ladder; failures of a replica
+// already ejected (the all-ejected fallback, a failing probe) leave its
+// cooldown clock alone.
+func (cl *Cluster) recordFailure(r *replica, probe bool, cause error) {
+	r.mu.Lock()
+	r.streak = 0
+	ejected := r.healthy
+	if ejected {
+		r.healthy = false
+		r.ejectedAt = time.Now()
+		switch {
+		case r.ejections == 0:
+			r.cooldown = 0
+		case r.cooldown == 0:
+			r.cooldown = readmitCooldownBase
+		default:
+			r.cooldown = min(2*r.cooldown, readmitCooldownMax)
 		}
+		r.ejections++
+	}
+	r.mu.Unlock()
+	if !ejected {
+		return
+	}
+	reason := "transport failure"
+	if probe {
+		reason = "health probe failed"
+	}
+	cmReplicaHealthy.With(r.addr).Set(0)
+	cmTransitions.With(r.addr, "ejected").Inc()
+	cl.log.Warn("replica ejected", "replica", r.addr, "reason", reason, "error", cause)
+}
+
+// recordSuccess registers that r answered — a request, or a health probe
+// when probe is set — and re-admits it, reporting whether it was ejected
+// until now. A probe counts only against an ejected replica past its
+// cooldown: one inside the cooldown, or of a healthy replica, records
+// nothing.
+func (cl *Cluster) recordSuccess(r *replica, probe bool) bool {
+	r.mu.Lock()
+	if probe && (r.healthy || time.Since(r.ejectedAt) < r.cooldown) {
+		r.mu.Unlock()
 		return false
 	}
-}
-
-// open trips the breaker, escalating the cooldown ladder: the first open
-// is free (cooldown 0 — the next probe may re-admit immediately), each
-// subsequent open doubles it up to the cap.
-func (b *breaker) open(now time.Time) {
-	b.setState(breakerOpen)
-	b.openedAt = now
-	switch {
-	case b.reopens == 0:
-		b.cooldown = 0
-	case b.cooldown == 0:
-		b.cooldown = breakerCooldownBase
-	default:
-		b.cooldown *= 2
-		if b.cooldown > breakerCooldownMax {
-			b.cooldown = breakerCooldownMax
-		}
+	r.streak++
+	if r.streak >= readmitStableAfter {
+		r.ejections, r.cooldown = 0, 0
 	}
-	b.reopens++
-	cmBreakerOpens.With(b.addr).Inc()
-}
-
-// ready reports whether a successful probe may re-admit the replica now.
-// An open breaker past its cooldown moves to half-open (the probe that
-// asked is the trial); a closed or half-open breaker always allows.
-func (b *breaker) ready(now time.Time) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerOpen:
-		if now.Sub(b.openedAt) >= b.cooldown {
-			b.setState(breakerHalfOpen)
-			return true
-		}
-		return false
-	default:
-		return true
-	}
-}
-
-// pushOutcome records one attempt in the error-rate ring. Caller holds mu.
-func (b *breaker) pushOutcome(failed bool) {
-	b.window[b.wIdx] = failed
-	b.wIdx = (b.wIdx + 1) % breakerWindow
-	if b.wLen < breakerWindow {
-		b.wLen++
-	}
-}
-
-// rateTripped reports whether a full window's error rate crossed the trip
-// threshold. Caller holds mu.
-func (b *breaker) rateTripped() bool {
-	if b.wLen < breakerWindow {
+	readmitted := !r.healthy
+	r.healthy = true
+	r.mu.Unlock()
+	if !readmitted {
 		return false
 	}
-	failed := 0
-	for _, f := range b.window {
-		if f {
-			failed++
-		}
+	reason := "operation succeeded"
+	if probe {
+		reason = "health probe answered"
 	}
-	return float64(failed) >= breakerRate*float64(breakerWindow)
+	cmReplicaHealthy.With(r.addr).Set(1)
+	cmTransitions.With(r.addr, "readmitted").Inc()
+	cl.log.Info("replica re-admitted", "replica", r.addr, "reason", reason)
+	return true
 }
 
-// currentState returns the state for snapshots.
-func (b *breaker) currentState() breakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
-// HedgePolicy opts a Cluster into hedged requests: when a call's primary
-// attempt has not answered after the hedge delay, a backup attempt is
-// issued to a different replica and the first reply wins (classification
-// is idempotent, so duplicated work is waste, never corruption); the
-// loser is canceled. Delay 0 means adaptive: the delay tracks roughly the
-// 90th percentile of recently observed per-attempt latencies, clamped to
-// [MinDelay, MaxDelay], so hedges fire for stragglers, not for the median.
-type HedgePolicy struct {
-	// Delay is the fixed time to wait before hedging; 0 selects the
-	// adaptive delay.
-	Delay time.Duration
-	// MinDelay/MaxDelay clamp the adaptive delay (defaults 1ms / 100ms).
-	// Ignored when Delay is fixed.
-	MinDelay time.Duration
-	MaxDelay time.Duration
-}
-
+// Hedged requests (ClusterConfig.Hedge): when a call's primary attempt
+// has not answered after the hedge delay, a backup attempt is issued to a
+// different replica and the first reply wins (classification is
+// idempotent, so duplicated work is waste, never corruption); the loser is
+// canceled. The delay tracks roughly the 90th percentile of recently
+// observed per-attempt latencies, clamped to [hedgeDelayMin,
+// hedgeDelayMax], so hedges fire for stragglers, not for the median.
 const (
 	hedgeLatWindow  = 64 // per-attempt latency samples the adaptive delay sees
 	hedgeLatRefresh = 16 // recompute the cached delay every N observations
+	hedgeDelayMin   = time.Millisecond
+	hedgeDelayMax   = 100 * time.Millisecond
 )
 
 // observeLatency feeds one successful attempt's latency to the adaptive
@@ -345,25 +249,7 @@ func (cl *Cluster) observeLatency(d time.Duration) {
 
 // hedgeDelay resolves the current delay before a backup attempt launches.
 func (cl *Cluster) hedgeDelay() time.Duration {
-	h := cl.cfg.Hedge
-	if h.Delay > 0 {
-		return h.Delay
-	}
-	lo, hi := h.MinDelay, h.MaxDelay
-	if lo <= 0 {
-		lo = time.Millisecond
-	}
-	if hi <= 0 {
-		hi = 100 * time.Millisecond
-	}
-	d := time.Duration(cl.hedgeDelayNs.Load())
-	if d < lo {
-		d = lo
-	}
-	if d > hi {
-		d = hi
-	}
-	return d
+	return min(max(time.Duration(cl.hedgeDelayNs.Load()), hedgeDelayMin), hedgeDelayMax)
 }
 
 // HedgedOp builds one independent attempt of a hedgeable operation: op
@@ -375,7 +261,7 @@ func (cl *Cluster) hedgeDelay() time.Duration {
 type HedgedOp func() (op func(context.Context, *Pool) error, commit func())
 
 // DoHedged runs mk's operation with tail-latency hedging when the cluster
-// has a HedgePolicy (plain failover otherwise): the primary attempt runs
+// has Hedge set (plain failover otherwise): the primary attempt runs
 // the usual failover path, and if it has not resolved after the hedge
 // delay a backup attempt launches against a replica distinct from the one
 // the primary is on. First success wins and commits; the loser's context
@@ -383,7 +269,7 @@ type HedgedOp func() (op func(context.Context, *Pool) error, commit func())
 // shared retry budget, so hedging cannot double the fleet-wide retry
 // storm. span (nil-safe) gets the hedge's in-flight window as StageHedge.
 func (cl *Cluster) DoHedged(ctx context.Context, span *trace.Span, mk HedgedOp) error {
-	if cl.cfg.Hedge == nil || len(cl.replicas) < 2 {
+	if !cl.cfg.Hedge || len(cl.replicas) < 2 {
 		op, commit := mk()
 		if err := cl.doAttempt(cl.ensureBudget(ctx), nil, nil, op); err != nil {
 			return err

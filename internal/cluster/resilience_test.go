@@ -35,94 +35,213 @@ func TestJitterBackoffSpread(t *testing.T) {
 	}
 }
 
-func TestBreakerFirstFailureTripsFree(t *testing.T) {
-	// The defaults must reproduce the pre-breaker contract: the first
+// ladderReplica returns the one replica of a probe-less cluster over an
+// address nothing dials: the tests drive its cooldown ladder through
+// recordFailure/recordSuccess directly.
+func ladderReplica(t *testing.T, addr string) (*Cluster, *replica) {
+	t.Helper()
+	cl, err := NewCluster(ClusterConfig{Network: "tcp", Addrs: []string{addr}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl, cl.replicas[0]
+}
+
+// ladder snapshots r's current cooldown and ejection count.
+func ladder(r *replica) (time.Duration, int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.cooldown, r.ejections
+}
+
+// backdate moves r's last ejection d into the past, as if d had elapsed
+// since: the cooldown ladder measures from the ejection.
+func backdate(r *replica, d time.Duration) {
+	r.mu.Lock()
+	r.ejectedAt = r.ejectedAt.Add(-d)
+	r.mu.Unlock()
+}
+
+var errSynthetic = fmt.Errorf("%w: synthetic failure", offload.ErrTransport)
+
+func TestReadmitFirstEjectionFree(t *testing.T) {
+	// The first ejection must keep the plain-ejection contract: the first
 	// failure ejects immediately, and the very next successful probe may
 	// re-admit — no cooldown friction until the replica proves it flaps.
-	b := newBreaker("test-first")
-	now := time.Now()
-	if !b.recordFailure(now) {
-		t.Fatal("first failure must trip the breaker (eject-on-first-failure preserved)")
+	cl, r := ladderReplica(t, "readmit-first:1")
+	cl.recordFailure(r, false, errSynthetic)
+	if r.isHealthy() {
+		t.Fatal("first failure must eject the replica")
 	}
-	if b.currentState() != breakerOpen {
-		t.Fatalf("state after trip = %d, want open", b.currentState())
+	if cooldown, _ := ladder(r); cooldown != 0 {
+		t.Fatalf("first ejection cooldown = %v, want 0", cooldown)
 	}
-	if !b.ready(now) {
-		t.Fatal("first open has no cooldown: a probe must be allowed immediately")
+	if !cl.recordSuccess(r, true) {
+		t.Fatal("first ejection has no cooldown: a probe must re-admit immediately")
 	}
-	if b.currentState() != breakerHalfOpen {
-		t.Fatalf("state after ready = %d, want half-open (the probe is the trial)", b.currentState())
-	}
-	b.recordSuccess()
-	if b.currentState() != breakerClosed {
-		t.Fatalf("state after success = %d, want closed", b.currentState())
+	if !r.isHealthy() {
+		t.Fatal("replica still ejected after the re-admitting probe")
 	}
 }
 
-func TestBreakerCooldownLadder(t *testing.T) {
-	b := newBreaker("test-ladder")
-	now := time.Now()
-	b.recordFailure(now) // open #1: free
-	if !b.ready(now) {
-		t.Fatal("open #1 must probe immediately")
+func TestReadmitCooldownLadder(t *testing.T) {
+	cl, r := ladderReplica(t, "readmit-ladder:1")
+	cl.recordFailure(r, false, errSynthetic) // ejection #1: free
+	if !cl.recordSuccess(r, true) {
+		t.Fatal("ejection #1 must re-admit on the first probe")
 	}
-	if !b.recordFailure(now) {
-		t.Fatal("half-open failure must reopen")
+	cl.recordFailure(r, false, errSynthetic)
+	if r.isHealthy() {
+		t.Fatal("a failure right after re-admission must eject again")
 	}
-	// Each reopen doubles the probe-readmission cooldown up to the cap: a
-	// replica that keeps dying right after re-admission is probed back in
-	// less and less eagerly.
-	want := breakerCooldownBase
+	// Each later ejection doubles the probe re-admission cooldown up to
+	// the cap: a replica that keeps dying right after re-admission is
+	// probed back in less and less eagerly.
+	want := readmitCooldownBase
 	for i := 0; i < 6; i++ {
-		if b.cooldown != want {
-			t.Fatalf("reopen %d cooldown = %v, want %v", i+2, b.cooldown, want)
+		if cooldown, _ := ladder(r); cooldown != want {
+			t.Fatalf("ejection %d cooldown = %v, want %v", i+2, cooldown, want)
 		}
-		if b.ready(now) {
-			t.Fatalf("reopen %d: probe admitted before the %v cooldown elapsed", i+2, want)
+		if cl.recordSuccess(r, true) {
+			t.Fatalf("ejection %d: probe re-admitted before the %v cooldown elapsed", i+2, want)
 		}
-		if !b.ready(now.Add(want)) {
-			t.Fatalf("reopen %d: probe refused after the %v cooldown elapsed", i+2, want)
+		backdate(r, want)
+		if !cl.recordSuccess(r, true) {
+			t.Fatalf("ejection %d: probe refused after the %v cooldown elapsed", i+2, want)
 		}
-		b.recordFailure(now)
-		want *= 2
-		if want > breakerCooldownMax {
-			want = breakerCooldownMax
-		}
+		cl.recordFailure(r, false, errSynthetic)
+		want = min(2*want, readmitCooldownMax)
 	}
-	if b.cooldown != breakerCooldownMax {
-		t.Fatalf("ladder never capped: cooldown %v, want %v", b.cooldown, breakerCooldownMax)
+	if cooldown, _ := ladder(r); cooldown != readmitCooldownMax {
+		t.Fatalf("ladder never capped: cooldown %v, want %v", cooldown, readmitCooldownMax)
+	}
+	// A successful request is never gated, whatever the cooldown.
+	if !cl.recordSuccess(r, false) {
+		t.Fatal("a successful request must re-admit inside the cooldown")
 	}
 }
 
-func TestBreakerStableStreakResetsLadder(t *testing.T) {
-	b := newBreaker("test-streak")
-	now := time.Now()
-	b.recordFailure(now)
-	b.ready(now)
-	b.recordFailure(now) // reopen: cooldown 250ms, reopens 2
-	if !b.ready(now.Add(time.Hour)) {
-		t.Fatal("cooldown long past, probe must be admitted")
+func TestReadmitStableStreakResetsLadder(t *testing.T) {
+	cl, r := ladderReplica(t, "readmit-streak:1")
+	cl.recordFailure(r, false, errSynthetic)
+	cl.recordSuccess(r, true)
+	cl.recordFailure(r, false, errSynthetic) // ejection #2: cooldown 250ms
+	backdate(r, time.Hour)
+	if !cl.recordSuccess(r, true) {
+		t.Fatal("cooldown long past, probe must re-admit")
 	}
-	b.recordSuccess()
-	if b.currentState() != breakerClosed {
-		t.Fatalf("state after re-admission success = %d, want closed", b.currentState())
+	if !r.isHealthy() {
+		t.Fatal("replica still ejected after the re-admitting probe")
 	}
-	// Re-close resets the outcome window, so pre-outage failures cannot
-	// instantly re-trip the error-rate condition.
-	if b.wLen != 0 {
-		t.Fatalf("re-close must reset the outcome window, wLen = %d", b.wLen)
+	// The probe was success 1 of the stable run; one short of the run the
+	// ladder must still stand.
+	for i := 2; i < readmitStableAfter; i++ {
+		cl.recordSuccess(r, false)
 	}
-	for i := 1; i < breakerStableAfter; i++ {
-		b.recordSuccess()
+	if cooldown, ejections := ladder(r); ejections != 2 || cooldown != readmitCooldownBase {
+		t.Fatalf("ladder reset before %d successes: ejections %d cooldown %v",
+			readmitStableAfter, ejections, cooldown)
 	}
-	if b.reopens != 0 || b.cooldown != 0 {
-		t.Fatalf("stable run must collapse the ladder: reopens %d cooldown %v", b.reopens, b.cooldown)
+	cl.recordSuccess(r, false)
+	if cooldown, ejections := ladder(r); ejections != 0 || cooldown != 0 {
+		t.Fatalf("stable run must reset the ladder: ejections %d cooldown %v", ejections, cooldown)
 	}
 	// After recovery, the next outage starts the ladder from the top: the
-	// first open is free again.
-	b.recordFailure(now)
-	if !b.ready(now) {
-		t.Fatal("post-recovery first open must probe immediately")
+	// first ejection is free again.
+	cl.recordFailure(r, false, errSynthetic)
+	if !cl.recordSuccess(r, true) {
+		t.Fatal("post-recovery first ejection must re-admit on the first probe")
+	}
+}
+
+func TestReadmitThroughProbeAndTraffic(t *testing.T) {
+	// The ladder wired into the cluster: traffic and Cluster.probe eject
+	// a real replica, probes honour the cooldown, and a request that
+	// succeeds re-admits at once.
+	const dim = 16
+	rep := startReplica(t, dim)
+	cl, err := NewCluster(ClusterConfig{
+		Network: "tcp", Addrs: []string{rep.addr},
+		Hello:         offload.Hello{Dim: dim},
+		ProbeInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	r := cl.replicas[0]
+	q := classQuery(dim, 1)
+	classify := func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_, _, err := cl.Classify(ctx, q)
+		return err
+	}
+	restart := func() {
+		t.Helper()
+		if err := rep.Restart(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readmitted := func() uint64 { return cmTransitions.With(rep.addr, "readmitted").Value() }
+	if err := classify(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Ejection #1, by traffic: free, so the next probe re-admits.
+	rep.Kill()
+	if _, _, err := cl.Classify(context.Background(), q); err == nil {
+		t.Fatal("classify against a killed replica succeeded")
+	}
+	if r.isHealthy() {
+		t.Fatal("a failed request must eject the replica")
+	}
+	restart()
+	cl.probe(r)
+	if !r.isHealthy() {
+		t.Fatal("ejection #1 has no cooldown: the probe must re-admit")
+	}
+
+	// Ejection #2, by probe: a probe inside the cooldown leaves it out.
+	rep.Kill()
+	cl.probe(r)
+	if r.isHealthy() {
+		t.Fatal("a failed probe must eject the replica")
+	}
+	if cooldown, _ := ladder(r); cooldown != readmitCooldownBase {
+		t.Fatalf("ejection #2 cooldown = %v, want %v", cooldown, readmitCooldownBase)
+	}
+	restart()
+	before := readmitted()
+	cl.probe(r)
+	if r.isHealthy() || readmitted() != before {
+		t.Fatal("a probe inside the cooldown re-admitted the replica")
+	}
+	// A probe after the cooldown re-admits it.
+	backdate(r, readmitCooldownBase)
+	cl.probe(r)
+	if !r.isHealthy() || readmitted() != before+1 {
+		t.Fatal("a probe after the cooldown did not re-admit the replica")
+	}
+
+	// Ejection #3: a successful request inside the cooldown re-admits at
+	// once, where a probe still may not.
+	rep.Kill()
+	cl.probe(r)
+	restart()
+	cl.probe(r)
+	if r.isHealthy() {
+		t.Fatal("a probe inside the cooldown re-admitted the replica")
+	}
+	if cooldown, _ := ladder(r); cooldown != 2*readmitCooldownBase {
+		t.Fatalf("ejection #3 cooldown = %v, want %v", cooldown, 2*readmitCooldownBase)
+	}
+	if err := classify(); err != nil {
+		t.Fatalf("request to the restarted replica: %v", err)
+	}
+	if !r.isHealthy() || readmitted() != before+2 {
+		t.Fatal("a successful request did not re-admit the replica inside its cooldown")
 	}
 }
 
@@ -232,7 +351,7 @@ func TestHedgeWinsOnStalledReplica(t *testing.T) {
 	cl, err := NewCluster(ClusterConfig{
 		Network: "tcp", Addrs: []string{hung, rep.addr},
 		Hello:         offload.Hello{Dim: dim},
-		Hedge:         &HedgePolicy{Delay: 15 * time.Millisecond},
+		Hedge:         true,
 		Pool:          PoolConfig{IOTimeout: 2 * time.Second},
 		ProbeInterval: -1,
 	})
@@ -356,9 +475,10 @@ func TestGoAwayDrainRacesHedgedRequests(t *testing.T) {
 	cl, err := NewCluster(ClusterConfig{
 		Network: "tcp", Addrs: addrs,
 		Hello: offload.Hello{Dim: dim},
-		// An aggressive fixed delay keeps hedges in flight throughout the
-		// drain window, maximising the race surface.
-		Hedge: &HedgePolicy{Delay: 2 * time.Millisecond},
+		// Loopback latency keeps the adaptive delay at its 1ms floor, so
+		// hedges stay in flight throughout the drain window, maximising
+		// the race surface.
+		Hedge: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -63,17 +63,14 @@ type Config struct {
 	Pool cluster.PoolConfig
 	// Policy selects the per-group balancing strategy.
 	Policy cluster.Policy
-	// ProbeInterval / ProbeTimeout configure per-group health probing
-	// (cluster.ClusterConfig semantics).
+	// ProbeInterval configures per-group health probing (cluster.
+	// ClusterConfig semantics; probes use the cluster's default timeout).
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
 	// Hedge opts every shard group into hedged partial-score gathers
 	// (cluster.ClusterConfig.Hedge semantics): the gather is only as fast
 	// as its slowest shard, so hedging stragglers inside each group is
-	// where tail latency actually goes to die. Nil disables.
-	Hedge *cluster.HedgePolicy
-	// DialTimeout bounds each discovery dial (default 5s).
-	DialTimeout time.Duration
+	// where tail latency actually goes to die.
+	Hedge bool
 	// Logger receives structured health events. Nil discards them.
 	Logger *slog.Logger
 }
@@ -105,9 +102,6 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 	}
 	if cfg.Network == "" {
 		cfg.Network = "tcp"
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
 	}
 	hellos := make([]offload.ServerHello, len(cfg.Addrs))
 	for i, addr := range cfg.Addrs {
@@ -147,7 +141,6 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 			Pool:          cfg.Pool,
 			Policy:        cfg.Policy,
 			ProbeInterval: cfg.ProbeInterval,
-			ProbeTimeout:  cfg.ProbeTimeout,
 			Hedge:         cfg.Hedge,
 			Logger:        cfg.Logger,
 		})
