@@ -140,7 +140,7 @@ func main() {
 	small := flag.Bool("small", false, "train on the small dataset scale")
 	maxBatch := flag.Int("max-batch", 256, "largest query batch accepted per request")
 	workers := flag.Int("workers", 0,
-		"scoring worker pool shared across connections (0 = GOMAXPROCS)")
+		"queries scored at once across all connections, and goroutines per batch (0 = GOMAXPROCS)")
 	replicas := flag.Int("replicas", 1,
 		"serve the registry from this many listeners on consecutive ports (cluster clients balance across them)")
 	shardSpec := flag.String("shard", "",

@@ -24,7 +24,7 @@
 //
 // The §III-C offloaded-inference split is privehd.Serve and
 // privehd.Connect: a versioned wire protocol with
-// goroutine-per-connection reads, a bounded scoring worker pool shared
+// goroutine-per-connection reads, a bound on concurrent scoring shared
 // across connections (WithServerWorkers), context cancellation, graceful
 // shutdown and batched queries. A quantizing edge encodes each query
 // straight into its packed int8 form, and the codec ships that slice as
@@ -164,8 +164,8 @@
 // reference path at every stage (see internal/encslice and
 // internal/intscore for the exactness arguments). Registry entries carry
 // the prepared planes through their RCU snapshots, so hot swaps re-derive
-// them atomically; the serving worker pool, Predict/PredictBatch and
-// PredictVector all use the same engines. CI gates these hot paths —
+// them atomically; the server, Predict/PredictBatch and PredictVector
+// all use the same engines. CI gates these hot paths —
 // encoder benchmarks included — against a committed benchmark baseline
 // (BENCH_baseline.json, cmd/benchgate): >20% normalized ns/op regression
 // or any allocation on a zero-alloc path fails the build.

@@ -61,16 +61,17 @@
 //
 // Each classification Request carries up to MaxBatch query hypervectors,
 // and the server answers each frame with one Reply carrying the per-query
-// labels and scores. Queries are scored on a bounded worker pool shared by
-// every connection (WithWorkers), each query dispatched individually so one
-// large or slow batch cannot monopolize the server. Quantized queries
-// travel packed as two bit-planes — the low and high bit of every symbol's
-// 2-bit two's complement, D/4 bytes for D dimensions — which is exactly
-// the −2…+1 alphabet the server advertises, so no other symbol can be
-// sent. Every length prefix is checked against a cap before anything is
-// allocated for it: request frames against the largest full batch of the
-// connection's model, so a peer declaring an oversized frame gets a typed
-// refusal and is disconnected.
+// labels and scores. Each frame is scored on its own goroutine, a batch
+// split over at most WithWorkers goroutines, and every query holds one of
+// WithWorkers scoring tokens shared by all connections only while it is
+// scored, so one large or slow batch cannot monopolize the server.
+// Quantized queries travel packed as two bit-planes — the low and high bit
+// of every symbol's 2-bit two's complement, D/4 bytes for D dimensions —
+// which is exactly the −2…+1 alphabet the server advertises, so no other
+// symbol can be sent. Every length prefix is checked against a cap before
+// anything is allocated for it: request frames against the largest full
+// batch of the connection's model, so a peer declaring an oversized frame
+// gets a typed refusal and is disconnected.
 //
 // The models behind a server live in a registry (internal/registry): each
 // Request frame resolves its model name against the current registry
@@ -181,9 +182,9 @@ var (
 	// ErrDeadlineExceeded reports a request whose propagated budget
 	// (Request.BudgetNs, stamped from the caller's context deadline) ran
 	// out — either client-side before or while waiting, or server-side
-	// when the frame's budget expired in the accept queue or worker pool
-	// and the server shed it instead of scoring dead work. It is a typed
-	// verdict about this call, not about the connection, so it
+	// when the frame's budget expired before or while it waited to be
+	// scored and the server shed it instead of scoring dead work. It is a
+	// typed verdict about this call, not about the connection, so it
 	// deliberately does NOT wrap ErrTransport: retrying an
 	// already-expired deadline on another replica cannot help, and pools
 	// and clusters must return it to the caller untouched.
@@ -452,7 +453,7 @@ type Reply struct {
 
 // StageTiming is the per-request server-side latency split a traced
 // request's Reply carries, in nanoseconds: time the frame's queries spent
-// waiting for a scoring worker (the longest wait across the batch), time
+// waiting for a scoring token (the longest wait across the batch), time
 // actually scoring (summed across the batch), and the frame's total server
 // residency from decode completion to reply-encode start. Reply-write time
 // cannot ride on the reply it measures; it lands in the server's flight
@@ -464,9 +465,10 @@ type StageTiming struct {
 }
 
 // Server serves classification over a listener, one reader goroutine per
-// connection, with query scoring spread over a bounded worker pool shared
-// by all connections. The models behind it live in a registry: many named
-// models behind one listener, hot-swappable while clients stream.
+// connection and one goroutine per frame, with query scoring bounded by a
+// token count shared by all connections. The models behind it live in a
+// registry: many named models behind one listener, hot-swappable while
+// clients stream.
 type Server struct {
 	reg      *registry.Registry
 	maxBatch int
@@ -486,20 +488,14 @@ type Server struct {
 	slowLog    *slog.Logger
 	slowThresh time.Duration
 
-	// The worker pool: handlers dispatch one task per query and the pool
-	// computes into the frame's result slots. poolDone is closed only
-	// after every handler has drained, so a send on tasks can never hang;
-	// the dispatch select falls back to inline computation if the pool is
-	// already stopped.
-	tasks     chan task
-	poolDone  chan struct{}
-	poolStart sync.Once
-	poolStop  sync.Once
+	// tokens bounds scoring across every connection: a query holds one
+	// token, of workers in all, for exactly as long as it is scored.
+	tokens chan struct{}
+	served atomic.Int64
 
 	mu      sync.Mutex
 	lis     net.Listener
 	conns   map[*srvConn]struct{}
-	served  int
 	closing bool
 	wg      sync.WaitGroup
 }
@@ -517,9 +513,9 @@ func WithMaxBatch(n int) ServerOption {
 	}
 }
 
-// WithWorkers bounds the shared scoring pool (default GOMAXPROCS): at most
-// n queries are scored at once across every connection, however many
-// clients are streaming.
+// WithWorkers bounds scoring (default GOMAXPROCS): at most n queries are
+// scored at once across every connection, however many clients are
+// streaming, and a batch is spread over at most n goroutines.
 func WithWorkers(n int) ServerOption {
 	return func(s *Server) {
 		if n > 0 {
@@ -595,150 +591,20 @@ func NewRegistryServer(reg *registry.Registry, opts ...ServerOption) *Server {
 		handshake: handshakeTimeout,
 		idle:      idleTimeout,
 		conns:     make(map[*srvConn]struct{}),
-		poolDone:  make(chan struct{}),
 		recorder:  trace.Default,
 	}
 	for _, o := range opts {
 		o(s)
 	}
-	s.tasks = make(chan task, s.workers)
+	s.tokens = make(chan struct{}, s.workers)
 	return s
 }
 
 // Registry returns the registry the server answers from.
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
-// task is one query dispatched to the worker pool: score query against
-// model (packed queries on the registry entry's integer engine), store into
-// *out, signal wg.
-type task struct {
-	model  *hdc.Model
-	scorer *intscore.Engine
-	query  Query
-	out    *Result
-	// partials, when non-nil, switches the task to partial-score mode: the
-	// raw int64 dots land there instead of a labeled Result. The answer
-	// path guarantees scorer is partial-capable and the query packed
-	// before dispatch.
-	partials *[]int64
-	wg       *sync.WaitGroup
-	// enq and span feed the frame's stage timers: the pool records how
-	// long the task waited for a worker (queue-wait, max across the batch)
-	// and how long it scored (summed across the batch).
-	enq  time.Time
-	span *trace.Span
-	// deadline is the frame's budget expiry (zero when the request carried
-	// no BudgetNs). A task picked up past it is shed: expired is set and
-	// the query is not scored — the answer path turns the flag into a
-	// codeDeadline rejection after the batch drains. expired is shared by
-	// every task of the frame, so one atomic carries the verdict.
-	deadline time.Time
-	expired  *atomic.Bool
-}
-
-// run scores the task's query. Packed queries are scored in the integer
-// domain on the entry's prepared planes — no float64 expansion, no float
-// dot — falling back to the model's expansion-free packed path if the entry
-// somehow carries no engine. Vector wins when both wire fields are
-// (ab)used, exactly as answerQueries validated the frame's dimensionality
-// — so a frame carrying a valid Vector plus a wrong-length Packed can
-// never reach the packed scorer and panic a pool worker. The scores slice
-// is the only per-query allocation: it escapes into the Reply.
-func (t task) run() {
-	start := time.Now()
-	t.span.ObserveMax(trace.StageQueueWait, start.Sub(t.enq))
-	if !t.deadline.IsZero() && start.After(t.deadline) {
-		t.expired.Store(true)
-		t.wg.Done()
-		return
-	}
-	if t.partials != nil {
-		out := make([]int64, t.scorer.NumClasses())
-		t.scorer.PartialsPackedInto(t.query.Packed, out)
-		*t.partials = out
-		t.span.ObserveSince(trace.StageScore, start)
-		t.wg.Done()
-		return
-	}
-	scores := make([]float64, t.model.NumClasses())
-	if t.query.Vector != nil {
-		t.model.ScoresInto(t.query.Vector, scores)
-	} else if t.scorer != nil {
-		t.scorer.ScoresPackedInto(t.query.Packed, scores)
-	} else {
-		t.model.ScoresPackedInto(t.query.Packed, scores)
-	}
-	*t.out = Result{Label: vecmath.ArgMax(scores), Scores: scores}
-	t.span.ObserveSince(trace.StageScore, start)
-	t.wg.Done()
-}
-
-// startPool spawns the scoring workers (once). Exiting workers drain
-// whatever was enqueued concurrently with teardown, so an accepted dispatch
-// is always executed.
-func (s *Server) startPool() {
-	s.poolStart.Do(func() {
-		for w := 0; w < s.workers; w++ {
-			go func() {
-				for {
-					select {
-					case t := <-s.tasks:
-						t.run()
-					case <-s.poolDone:
-						for {
-							select {
-							case t := <-s.tasks:
-								t.run()
-							default:
-								return
-							}
-						}
-					}
-				}
-			}()
-		}
-	})
-}
-
-// dispatch hands one task to the pool, scoring inline if the pool is
-// already torn down (a direct answer call after Close) so no frame ever
-// hangs. poolDone only closes once every connection handler has drained,
-// so a handler's dispatch never races the teardown.
-func (s *Server) dispatch(t task) {
-	select {
-	case <-s.poolDone:
-		t.run()
-		return
-	default:
-	}
-	select {
-	case s.tasks <- t:
-	case <-s.poolDone:
-		t.run()
-	}
-}
-
-// stopPool terminates the scoring workers (once). Callers must ensure every
-// handler has drained first, or handlers fall back to inline scoring.
-func (s *Server) stopPool() {
-	s.poolStop.Do(func() { close(s.poolDone) })
-}
-
-// stopPoolWhenDrained stops the pool after in-flight handlers finish —
-// the teardown path for Close and expired Shutdowns, which do not wait.
-func (s *Server) stopPoolWhenDrained() {
-	go func() {
-		s.wg.Wait()
-		s.stopPool()
-	}()
-}
-
 // Served returns how many queries have been answered.
-func (s *Server) Served() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.served
-}
+func (s *Server) Served() int { return int(s.served.Load()) }
 
 // maxConnPipeline bounds how many frames one connection may have in
 // flight on the server: past it the connection's read loop stops decoding
@@ -802,7 +668,8 @@ func (c *srvConn) notifyGoAway() {
 }
 
 // enterBusy marks the connection as answering one more request and
-// re-arms its idle read deadline, as each frame starts to arrive; it
+// re-arms its idle read deadline, as each frame starts to arrive (each
+// later piece of its body re-arms it again, through bodyReader); it
 // reports false if shutdown already asked the connection to close.
 func (c *srvConn) enterBusy(idle time.Duration) bool {
 	c.mu.Lock()
@@ -919,7 +786,6 @@ func (s *Server) Serve(ctx context.Context, lis net.Listener) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s.startPool()
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
@@ -944,10 +810,8 @@ func (s *Server) Serve(ctx context.Context, lis net.Listener) error {
 				// Shutdown guarantee every handler terminates, so this
 				// wait is bounded.
 				s.wg.Wait()
-				s.stopPool()
 				return nil
 			}
-			s.stopPoolWhenDrained()
 			return fmt.Errorf("offload: accept: %w", err)
 		}
 		mConnsTotal.Inc()
@@ -960,7 +824,6 @@ func (s *Server) Serve(ctx context.Context, lis net.Listener) error {
 			s.mu.Unlock()
 			conn.Close()
 			s.wg.Wait()
-			s.stopPool()
 			return nil
 		}
 		if s.maxConns > 0 && len(s.conns) >= s.maxConns {
@@ -1028,7 +891,6 @@ func (s *Server) Close() error {
 		sc.conn.Close()
 	}
 	s.mu.Unlock()
-	s.stopPoolWhenDrained()
 	return err
 }
 
@@ -1053,7 +915,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		s.stopPool()
 		return nil
 	case <-ctx.Done():
 		s.mu.Lock()
@@ -1061,7 +922,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			sc.conn.Close()
 		}
 		s.mu.Unlock()
-		s.stopPoolWhenDrained()
 		return ctx.Err()
 	}
 }
@@ -1072,7 +932,8 @@ func (s *Server) handle(sc *srvConn) {
 	conn := sc.conn
 	conn.SetReadDeadline(time.Now().Add(s.handshake))
 	// Buffered, so a small frame's length prefix and body cost one read.
-	br := bufio.NewReader(conn)
+	rd := &bodyReader{Conn: conn}
+	br := bufio.NewReader(rd)
 	refuse := func(sh ServerHello) {
 		mRejections.With(sh.Code).Inc()
 		sh.Version = ProtocolVersion
@@ -1186,7 +1047,8 @@ func (s *Server) handle(sc *srvConn) {
 			return // EOF, broken peer, idle drain, or shutdown closed the conn
 		}
 		// A frame is arriving: count it in flight, which also gives its
-		// body read — and the quiet after it — a fresh idle bound.
+		// body read a fresh idle bound, re-armed by every piece of the body
+		// that arrives, and the quiet after its last byte one more.
 		if !sc.enterBusy(s.idle) {
 			sc.drainRefused(br)
 			return
@@ -1195,7 +1057,9 @@ func (s *Server) handle(sc *srvConn) {
 		// It feeds the flight recorder's decode stage but never the
 		// wire-reported server total.
 		tRead := time.Now()
+		rd.rearm = s.idle
 		body, err = readFrame(br, body, limit)
+		rd.rearm = 0
 		if err != nil {
 			sc.exitBusy()
 			if errors.As(err, &big) {
@@ -1231,6 +1095,24 @@ func (s *Server) handle(sc *srvConn) {
 			}
 		}()
 	}
+}
+
+// bodyReader is a connection as its frame reader sees it. While rearm is
+// set — only while a frame is being read — every read that returns bytes
+// pushes the read deadline rearm past now, so a body that keeps arriving
+// is never cut off at the idle bound however long the whole of it takes.
+// Handshake and drain reads leave rearm unset and keep their own bounds.
+type bodyReader struct {
+	net.Conn
+	rearm time.Duration
+}
+
+func (r *bodyReader) Read(p []byte) (int, error) {
+	n, err := r.Conn.Read(p)
+	if n > 0 && r.rearm > 0 {
+		r.Conn.SetReadDeadline(time.Now().Add(r.rearm))
+	}
+	return n, err
 }
 
 // refuseFrame answers a request frame whose length prefix is over the
@@ -1416,25 +1298,24 @@ func deadlineReply(budget int64) Reply {
 		Detail: fmt.Sprintf("request budget %v expired before scoring finished", time.Duration(budget))}
 }
 
-// answerQueries scores one classification or partial-score frame,
-// spreading its queries over the shared worker pool. Both ops share the
-// registry lookup, the batch limit, the per-query symbol and dimension
-// validation, the deadline shedding and the served-query accounting; only
-// the partial-score refusals and the result shape differ. Partial scores
-// are the scatter half of sharded scoring: the raw int64 dot of every
-// packed query against every served class, plus the per-class Σv², both
-// over whatever dimension slice this server's entry holds — refused,
-// typed and never retried, when the entry cannot answer exactly (a
-// DP-noised model whose classes are not integer-valued) or a query is
-// full-precision. The span collects the batch's queue-wait and scoring
-// time from the pool workers. A non-zero deadline sheds the frame instead
-// of scoring dead work: checked before dispatch (budget spent upstream)
-// and at every worker pickup (budget spent in the scoring queue).
+// answerQueries scores one classification or partial-score frame on the
+// frame's own goroutine, a batch spread over at most workers goroutines.
+// Both ops share the registry lookup, the batch limit, the per-query
+// symbol and dimension validation, the deadline shedding and the
+// served-query accounting; only the partial-score refusals and the result
+// shape differ. Partial scores are the scatter half of sharded scoring:
+// the raw int64 dot of every packed query against every served class, plus
+// the per-class Σv², both over whatever dimension slice this server's
+// entry holds — refused, typed and never retried, when the entry cannot
+// answer exactly (a DP-noised model whose classes are not integer-valued)
+// or a query is full-precision. The span collects the batch's token waits
+// and scoring time. A non-zero deadline sheds the frame instead of scoring
+// dead work: checked before scoring starts (budget spent upstream) and as
+// each query takes its scoring token (budget spent waiting for one).
 func (s *Server) answerQueries(modelName string, req Request, span *trace.Span, deadline time.Time) Reply {
 	// Resolve the name fresh per frame: a Swap between frames serves the
 	// new model from the next frame on, while this frame keeps the entry
 	// it resolved (the registry never mutates a published entry).
-	s.startPool() // no-op under Serve; keeps direct answer calls live
 	entry, err := s.reg.Lookup(modelName)
 	if err != nil {
 		return Reply{Code: codeUnknownModel, Detail: err.Error()}
@@ -1449,7 +1330,7 @@ func (s *Server) answerQueries(modelName string, req Request, span *trace.Span, 
 			Detail: fmt.Sprintf("%d queries, limit %d", len(req.Queries), s.maxBatch)}
 	}
 	// Validate serially (cheap, and keeps the first-error semantics
-	// deterministic), then score on the pool.
+	// deterministic), then score.
 	dim := entry.Model.Dim()
 	for i, q := range req.Queries {
 		if partial && q.Vector != nil {
@@ -1464,8 +1345,8 @@ func (s *Server) answerQueries(modelName string, req Request, span *trace.Span, 
 			}
 		}
 		// Effective wire length mirrors the scoring path: Vector wins when
-		// both fields are (ab)used, so a malformed query can never reach a
-		// pool worker with the wrong dimensionality.
+		// both fields are (ab)used, so a malformed query can never reach
+		// the scorer with the wrong dimensionality.
 		n := len(q.Packed)
 		if q.Vector != nil {
 			n = len(q.Vector)
@@ -1476,40 +1357,128 @@ func (s *Server) answerQueries(modelName string, req Request, span *trace.Span, 
 		}
 	}
 	var reply Reply
+	b := batch{tokens: s.tokens, model: entry.Model, scorer: entry.Scorer, queries: req.Queries, span: span, deadline: deadline}
 	if partial {
 		reply.Partials = make([][]int64, len(req.Queries))
+		b.partials = reply.Partials
 	} else {
 		reply.Results = make([]Result, len(req.Queries))
+		b.results = reply.Results
 	}
-	var wg sync.WaitGroup
-	var expired atomic.Bool
-	t := task{model: entry.Model, scorer: entry.Scorer, wg: &wg, enq: time.Now(), span: span, deadline: deadline, expired: &expired}
-	if !deadline.IsZero() && t.enq.After(deadline) {
+	b.enq = time.Now()
+	if !deadline.IsZero() && b.enq.After(deadline) {
 		return deadlineReply(req.BudgetNs)
 	}
-	wg.Add(len(req.Queries))
-	for i, q := range req.Queries {
-		t.query = q
-		if partial {
-			t.partials = &reply.Partials[i]
-		} else {
-			t.out = &reply.Results[i]
-		}
-		s.dispatch(t)
+	var scored bool
+	if n := min(len(req.Queries), s.workers); n > 1 {
+		scored = b.scoreChunks(n)
+	} else {
+		scored = b.score(0, len(req.Queries))
 	}
-	wg.Wait()
-	if expired.Load() {
+	if !scored {
 		return deadlineReply(req.BudgetNs)
 	}
-	s.mu.Lock()
-	s.served += len(req.Queries)
-	s.mu.Unlock()
+	s.served.Add(int64(len(req.Queries)))
 	entry.AddServed(len(req.Queries))
 	mQueries.With(entry.Name).Add(uint64(len(req.Queries)))
 	if partial {
 		reply.NormSq = entry.Scorer.NormsSq()
 	}
 	return reply
+}
+
+// batch is one validated frame on its way through the scorer: the entry's
+// model and integer engine, the reply slots the queries' answers land in
+// (partials instead of results in partial-score mode), and the frame's
+// span and budget.
+type batch struct {
+	tokens   chan struct{}
+	model    *hdc.Model
+	scorer   *intscore.Engine
+	queries  []Query
+	results  []Result
+	partials [][]int64
+	span     *trace.Span
+	// enq is when the frame started scoring; each chunk's first token wait
+	// counts from it.
+	enq      time.Time
+	deadline time.Time
+}
+
+// scoreChunks splits the batch into n contiguous chunks, scores the first
+// on the calling goroutine and each other on a goroutine of its own, and
+// reports false if any chunk was shed. It takes the batch by value so that
+// only this copy escapes to the heap: a frame scored in one chunk never
+// comes here and spends no allocation on the bookkeeping.
+func (b batch) scoreChunks(n int) bool {
+	var wg sync.WaitGroup
+	var shed atomic.Bool
+	for c := 1; c < n; c++ {
+		lo, hi := c*len(b.queries)/n, (c+1)*len(b.queries)/n
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if !b.score(lo, hi) {
+				shed.Store(true)
+			}
+		}()
+	}
+	ok := b.score(0, len(b.queries)/n)
+	wg.Wait()
+	return ok && !shed.Load()
+}
+
+// score scores queries [lo, hi) in order. Each query takes a scoring token
+// just before it is scored and gives it back just after, so a long chunk
+// never holds the server and waiting frames take turns. The wait for each
+// token feeds the queue-wait stage (longest across the batch) and the
+// scoring the score stage (summed across the batch). A query that takes
+// its token past the deadline is not scored: score gives the token back
+// and reports false, leaving the rest of the chunk unscored.
+func (b *batch) score(lo, hi int) bool {
+	wait := b.enq
+	for i := lo; i < hi; i++ {
+		b.tokens <- struct{}{}
+		start := time.Now()
+		b.span.ObserveMax(trace.StageQueueWait, start.Sub(wait))
+		if !b.deadline.IsZero() && start.After(b.deadline) {
+			<-b.tokens
+			return false
+		}
+		b.scoreOne(i)
+		wait = time.Now()
+		<-b.tokens
+		b.span.Add(trace.StageScore, wait.Sub(start))
+	}
+	return true
+}
+
+// scoreOne scores query i into its reply slot. Packed queries are scored
+// in the integer domain on the entry's prepared planes — no float64
+// expansion, no float dot — falling back to the model's expansion-free
+// packed path if the entry somehow carries no engine. Vector wins when
+// both wire fields are (ab)used, exactly as answerQueries validated the
+// frame's dimensionality, so a frame carrying a valid Vector plus a
+// wrong-length Packed can never reach the packed scorer and panic it. The
+// scores slice is the only per-query allocation: it escapes into the Reply.
+func (b *batch) scoreOne(i int) {
+	q := b.queries[i]
+	if b.partials != nil {
+		out := make([]int64, b.scorer.NumClasses())
+		b.scorer.PartialsPackedInto(q.Packed, out)
+		b.partials[i] = out
+		return
+	}
+	scores := make([]float64, b.model.NumClasses())
+	switch {
+	case q.Vector != nil:
+		b.model.ScoresInto(q.Vector, scores)
+	case b.scorer != nil:
+		b.scorer.ScoresPackedInto(q.Packed, scores)
+	default:
+		b.model.ScoresPackedInto(q.Packed, scores)
+	}
+	b.results[i] = Result{Label: vecmath.ArgMax(scores), Scores: scores}
 }
 
 // Client is the edge-side connection to a classification server. It is

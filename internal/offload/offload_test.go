@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -441,28 +443,89 @@ func TestGracefulShutdownFinishesInFlight(t *testing.T) {
 	}
 }
 
-func TestClassifyBatch(t *testing.T) {
-	addr, _, cleanup := startServer(t, toyModel())
-	defer cleanup()
-	c := dialToy(t, addr)
-	defer c.Close()
-	labels, err := c.ClassifyBatch(asQueries([][]float64{
-		{2, 1, 0, 0},
-		{0, 0, 1, 2},
-		{3, 3, 0, 0},
-	}))
-	if err != nil {
-		t.Fatal(err)
+// batchModel is an integer-valued model, so its entry is partial-capable
+// and packed queries score on the integer engine.
+func batchModel(rng *rand.Rand, classes, dim int) *hdc.Model {
+	m := hdc.NewModel(classes, dim)
+	v := make([]float64, dim)
+	for c := 0; c < classes; c++ {
+		for j := range v {
+			v[j] = float64(rng.Intn(7) - 3)
+		}
+		m.Add(c, v)
 	}
-	want := []int{0, 1, 0}
-	for i := range want {
-		if labels[i] != want[i] {
-			t.Errorf("labels = %v, want %v", labels, want)
+	return m
+}
+
+func TestClassifyBatch(t *testing.T) {
+	// However a batch is split over the scoring goroutines, its answers
+	// come back in input order and equal scoring each query on its own:
+	// labels and scores for a mixed packed/full-precision classify frame,
+	// int64 dots for a partial-score frame.
+	const dim, classes = 64, 5
+	rng := rand.New(rand.NewSource(3))
+	model := batchModel(rng, classes, dim)
+	packed := make([][]int8, DefaultMaxBatch)
+	queries := make([]Query, DefaultMaxBatch)
+	for i := range queries {
+		packed[i] = make([]int8, dim)
+		for j := range packed[i] {
+			packed[i][j] = int8(rng.Intn(4)) + MinSymbol
+		}
+		queries[i] = Query{Packed: packed[i]}
+		if i%3 == 1 {
+			v := make([]float64, dim)
+			for j := range v {
+				v[j] = rng.NormFloat64()
+			}
+			queries[i] = Query{Vector: v}
 		}
 	}
-	// A bad query in the batch fails the whole request with no results.
-	if _, err := c.ClassifyBatch(asQueries([][]float64{{0.5, 1, 0, 0}, {0.5}})); err == nil {
-		t.Error("expected error for bad dimension")
+	for _, workers := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			addr, _, cleanup := startServer(t, model, WithWorkers(workers))
+			defer cleanup()
+			c, err := Dial(context.Background(), "tcp", addr, Hello{Dim: dim})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			want := make([]Result, len(queries))
+			wantParts := make([][]int64, len(packed))
+			for i, q := range queries {
+				label, scores, err := c.Classify(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[i] = Result{Label: label, Scores: scores}
+				parts, _, err := c.PartialScores(packed[i : i+1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantParts[i] = parts[0]
+			}
+			for _, n := range []int{1, 2, 3, 4, 7, DefaultMaxBatch} {
+				got, err := c.ClassifyBatchScores(queries[:n])
+				if err != nil {
+					t.Fatalf("batch of %d: %v", n, err)
+				}
+				if !reflect.DeepEqual(got, want[:n]) {
+					t.Errorf("batch of %d: results differ from per-query Classify", n)
+				}
+				gotParts, _, err := c.PartialScores(packed[:n])
+				if err != nil {
+					t.Fatalf("partial batch of %d: %v", n, err)
+				}
+				if !reflect.DeepEqual(gotParts, wantParts[:n]) {
+					t.Errorf("partial batch of %d: dots differ from per-query partials", n)
+				}
+			}
+			// A bad query in the batch fails the whole request with no
+			// results.
+			if _, err := c.ClassifyBatch([]Query{queries[0], {Vector: []float64{0.5}}}); err == nil {
+				t.Error("expected error for bad dimension")
+			}
+		})
 	}
 }
 
@@ -916,8 +979,8 @@ func TestDeregisterMidStreamFailsFramesNotConnection(t *testing.T) {
 }
 
 func TestWorkerPoolServesManyConnections(t *testing.T) {
-	// A 2-worker pool behind 8 connections streaming batches: everything
-	// must still answer correctly (the pool is shared, not per-conn).
+	// Two scoring tokens behind 8 connections streaming batches: everything
+	// must still answer correctly (the tokens are shared, not per-conn).
 	addr, srv, cleanup := startServer(t, labelModel(0), WithWorkers(2), WithMaxBatch(8))
 	defer cleanup()
 	const clients, rounds = 8, 5
@@ -960,9 +1023,9 @@ func TestWorkerPoolServesManyConnections(t *testing.T) {
 
 func TestMalformedQueryWithBothWireFormsRejected(t *testing.T) {
 	// A query abusing both wire forms (Vector and Packed set) must get a
-	// typed dimension rejection, never a panic in a pool worker: the
-	// effective length prefers Vector, the same precedence task.run scores
-	// with (see TestServerAbusedQueryBothFields for the accepted case).
+	// typed dimension rejection, never a panic in the scorer: the
+	// effective length prefers Vector, the same precedence the scorer
+	// applies (see TestServerAbusedQueryBothFields for the accepted case).
 	addr, srv, cleanup := startServer(t, labelModel(0))
 	defer cleanup()
 	_, enc, dec := rawHandshake(t, addr, Hello{Dim: 4})

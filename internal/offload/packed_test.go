@@ -71,7 +71,7 @@ func TestServerScoresPackedOnIntegerEngine(t *testing.T) {
 // TestServerAbusedQueryBothFields pins the precedence contract for a frame
 // that (ab)uses both wire fields: validation sizes the query by Vector, so
 // scoring must also use Vector — a valid Vector plus a wrong-length Packed
-// must neither panic a pool worker nor silently score the Packed form.
+// must neither panic the scorer nor silently score the Packed form.
 func TestServerAbusedQueryBothFields(t *testing.T) {
 	const classes, dim = 3, 64
 	s := NewServer(packedTestModel(classes, dim))

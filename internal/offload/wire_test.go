@@ -268,6 +268,44 @@ func TestIdleBoundSparesInFlightFrames(t *testing.T) {
 	}
 }
 
+func TestIdleBoundSparesSlowlyArrivingBody(t *testing.T) {
+	// The idle bound is about silence, not about how long a frame takes:
+	// a body that keeps arriving, each gap well inside the bound, is read
+	// to the end and answered even when the whole of it takes several
+	// bounds to arrive.
+	const idle, pieces, gap = 300 * time.Millisecond, 10, 60 * time.Millisecond
+	addr := startIdleServer(t, idle)
+	conn, _, dec := rawHandshake(t, addr, Hello{Dim: 4})
+	conn.SetDeadline(time.Now().Add(20 * time.Second))
+	req := Request{ID: 7, Queries: make([]Query, 8)}
+	for i := range req.Queries {
+		req.Queries[i] = Query{Vector: []float64{0.5, 1, 0, 0}}
+	}
+	frame, err := appendRequest(nil, &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	for i := 0; i < pieces; i++ {
+		if i > 0 {
+			time.Sleep(gap)
+		}
+		if _, err := conn.Write(frame[i*len(frame)/pieces : (i+1)*len(frame)/pieces]); err != nil {
+			t.Fatalf("piece %d: %v", i, err)
+		}
+	}
+	if took := time.Since(start); took <= idle {
+		t.Fatalf("body arrived in %v, inside the %v idle bound; the test needs it slower", took, idle)
+	}
+	var reply Reply
+	if err := dec.Decode(&reply); err != nil {
+		t.Fatalf("slowly arriving frame dropped: %v", err)
+	}
+	if reply.ID != 7 || reply.Code != "" || len(reply.Results) != len(req.Queries) {
+		t.Fatalf("reply = %+v, want %d results for frame 7", reply, len(req.Queries))
+	}
+}
+
 func TestWiretapSkipsControlFrames(t *testing.T) {
 	// The tap records the queries of classify and partial-score frames and
 	// nothing of pings or listings.

@@ -121,7 +121,7 @@ type Stage uint8
 
 const (
 	// StageQueueWait is time spent waiting to be worked on: the client's
-	// send queue, or the server's scoring worker pool.
+	// send queue, or a server query's wait for a scoring token.
 	StageQueueWait Stage = iota
 	// StageDecode is reading the frame off the wire and decoding it, from
 	// its first byte's arrival.
@@ -172,7 +172,7 @@ func (s Stage) String() string {
 }
 
 // Span accumulates per-stage durations for one request. Stage cells are
-// atomic so concurrent workers (a batch spread over a scoring pool) may
+// atomic so concurrent goroutines (a batch split into scoring chunks) may
 // record into one span; everything else is single-writer. A nil *Span is
 // the unsampled case: every method is nil-safe and free, so call sites
 // need no branches.

@@ -65,11 +65,12 @@ type ServerOption = offload.ServerOption
 // its handshake and enforces (default 256).
 func WithMaxBatch(n int) ServerOption { return offload.WithMaxBatch(n) }
 
-// WithServerWorkers bounds the server's shared scoring pool (default
-// GOMAXPROCS): at most n queries are scored concurrently across every
-// connection, and each query is dispatched to the pool individually, so
-// one connection's large batch cannot monopolize the server. (The pipeline
-// option WithWorkers is the client/training-side counterpart.)
+// WithServerWorkers bounds the server's scoring (default GOMAXPROCS): at
+// most n queries are scored concurrently across every connection, a batch
+// is split over at most n goroutines, and each query holds its scoring
+// token only while it is scored, so one connection's large batch cannot
+// monopolize the server. (The pipeline option WithWorkers is the
+// client/training-side counterpart.)
 func WithServerWorkers(n int) ServerOption { return offload.WithWorkers(n) }
 
 // WithMaxConns bounds how many connections the server holds open at once
@@ -89,10 +90,11 @@ func WithSlowRequestLog(log *slog.Logger, threshold time.Duration) ServerOption 
 }
 
 // Server hosts model serving for offloaded inference (§III-C): versioned
-// handshake, batched queries, a reader goroutine per connection and a
-// bounded scoring worker pool shared across connections. Behind every
-// server sits a Registry — a single-pipeline server (NewServer) is a
-// registry with one model published under DefaultModelName.
+// handshake, batched queries, a reader goroutine per connection, a
+// goroutine per frame and a bound on concurrent scoring shared across
+// connections. Behind every server sits a Registry — a single-pipeline
+// server (NewServer) is a registry with one model published under
+// DefaultModelName.
 type Server struct {
 	inner *offload.Server
 	reg   *Registry
