@@ -61,40 +61,50 @@ func serveTest(t *testing.T, reg *Registry) string {
 // prepared queries locally — through Predict and PredictBatch (the edge's
 // packed query, shipped as built) and through PredictPrepared (the
 // caller's float query, packed by the client). A WithRawQueries edge pins
-// the full-precision query form on every topology that can carry it.
+// the full-precision query form on every topology that can carry it. A
+// DP release (WithNoise) runs the plain and masked edges on every
+// topology, sharded included: its rounded classes score on the same
+// integer path as any other model.
 func TestTopologiesMatchLocalPrediction(t *testing.T) {
 	const dim = 2000
 	data, err := LoadDataset("isolet-s", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(WithDim(dim), WithLevels(20), WithSeed(3), WithRetrain(1))
-	if err != nil {
-		t.Fatal(err)
+	train := func(opts ...Option) *Pipeline {
+		p, err := New(append([]Option{WithDim(dim), WithLevels(20), WithSeed(3), WithRetrain(1)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Train(data.TrainX, data.TrainY); err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	if err := p.Train(data.TrainX, data.TrainY); err != nil {
-		t.Fatal(err)
+	models := []struct {
+		name, prefix string
+		p            *Pipeline
+		raw          bool // also run the WithRawQueries edge
+	}{
+		{"m", "", train(), true},
+		{"dp", "dp/", train(WithNoise(4, 1e-5)), false},
 	}
 
 	whole := NewRegistry()
-	if err := whole.Register("m", p); err != nil {
-		t.Fatal(err)
-	}
-	wholeAddrs := []string{serveTest(t, whole), serveTest(t, whole)}
-	var shardAddrs []string
-	for _, s := range []ShardSlice{{DimOffset: 0, DimLen: dim / 2}, {DimOffset: dim / 2, DimLen: dim / 2}} {
-		reg := NewRegistry()
-		if err := reg.RegisterShard("m", p, s); err != nil {
+	shards := []*Registry{NewRegistry(), NewRegistry()}
+	slices := []ShardSlice{{DimOffset: 0, DimLen: dim / 2}, {DimOffset: dim / 2, DimLen: dim / 2}}
+	for _, m := range models {
+		if err := whole.Register(m.name, m.p); err != nil {
 			t.Fatal(err)
 		}
-		shardAddrs = append(shardAddrs, serveTest(t, reg))
+		for i, reg := range shards {
+			if err := reg.RegisterShard(m.name, m.p, slices[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	targets := []Target{
-		{Addrs: wholeAddrs[:1], Topology: TopologySingle, Model: "m"},
-		{Addrs: wholeAddrs[:1], Topology: TopologyPool, Model: "m"},
-		{Addrs: wholeAddrs, Topology: TopologyCluster, Model: "m"},
-		{Addrs: shardAddrs, Topology: TopologySharded, Model: "m"},
-	}
+	wholeAddrs := []string{serveTest(t, whole), serveTest(t, whole)}
+	shardAddrs := []string{serveTest(t, shards[0]), serveTest(t, shards[1])}
 
 	X := data.TestX
 	edges := []struct {
@@ -105,81 +115,93 @@ func TestTopologiesMatchLocalPrediction(t *testing.T) {
 		{fmt.Sprintf("mask=%d", dim/4), []Option{WithQueryMask(dim / 4)}},
 		{"raw", []Option{WithRawQueries()}},
 	}
-	for _, ec := range edges {
-		edge, err := p.Edge(ec.opts...)
-		if err != nil {
-			t.Fatal(err)
+	for _, m := range models {
+		p := m.p
+		targets := []Target{
+			{Addrs: wholeAddrs[:1], Topology: TopologySingle, Model: m.name},
+			{Addrs: wholeAddrs[:1], Topology: TopologyPool, Model: m.name},
+			{Addrs: wholeAddrs, Topology: TopologyCluster, Model: m.name},
+			{Addrs: shardAddrs, Topology: TopologySharded, Model: m.name},
 		}
-		raw := edge.cfg.rawQueries
-		prepared := make([][]float64, len(X))
-		wantLabels := make([]int, len(X))
-		wantScores := make([][]float64, len(X))
-		for i, x := range X {
-			if prepared[i], err = edge.Prepare(x); err != nil {
+		for _, ec := range edges {
+			edge, err := p.Edge(ec.opts...)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if wantLabels[i], err = p.PredictVector(prepared[i]); err != nil {
-				t.Fatal(err)
+			raw := edge.cfg.rawQueries
+			if raw && !m.raw {
+				continue
 			}
-			wantScores[i] = p.core.Model().Scores(prepared[i])
-		}
-		check := func(t *testing.T, how string, i, label int, scores []float64) {
-			t.Helper()
-			if label != wantLabels[i] {
-				t.Fatalf("query %d: %s label %d, local %d", i, how, label, wantLabels[i])
+			prepared := make([][]float64, len(X))
+			wantLabels := make([]int, len(X))
+			wantScores := make([][]float64, len(X))
+			for i, x := range X {
+				if prepared[i], err = edge.Prepare(x); err != nil {
+					t.Fatal(err)
+				}
+				if wantLabels[i], err = p.PredictVector(prepared[i]); err != nil {
+					t.Fatal(err)
+				}
+				wantScores[i] = p.core.Model().Scores(prepared[i])
 			}
-			if len(scores) != len(wantScores[i]) {
-				t.Fatalf("query %d: %s returned %d scores, local %d", i, how, len(scores), len(wantScores[i]))
-			}
-			for k := range scores {
-				if scores[k] != wantScores[i][k] {
-					t.Fatalf("query %d class %d: %s score %v, local %v — not bit-identical", i, k, how, scores[k], wantScores[i][k])
+			check := func(t *testing.T, how string, i, label int, scores []float64) {
+				t.Helper()
+				if label != wantLabels[i] {
+					t.Fatalf("query %d: %s label %d, local %d", i, how, label, wantLabels[i])
+				}
+				if len(scores) != len(wantScores[i]) {
+					t.Fatalf("query %d: %s returned %d scores, local %d", i, how, len(scores), len(wantScores[i]))
+				}
+				for k := range scores {
+					if scores[k] != wantScores[i][k] {
+						t.Fatalf("query %d class %d: %s score %v, local %v — not bit-identical", i, k, how, scores[k], wantScores[i][k])
+					}
 				}
 			}
-		}
 
-		for _, target := range targets {
-			if raw && target.Topology == TopologySharded {
-				continue // refused at Connect; pinned below
+			for _, target := range targets {
+				if raw && target.Topology == TopologySharded {
+					continue // refused at Connect; pinned below
+				}
+				t.Run(fmt.Sprintf("%v/%s%s", target.Topology, m.prefix, ec.name), func(t *testing.T) {
+					c, err := Connect(context.Background(), target, WithEdge(edge))
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer c.Close()
+					labels, err := c.PredictBatch(X)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, x := range X {
+						if labels[i] != wantLabels[i] {
+							t.Fatalf("query %d: PredictBatch %d, local %d", i, labels[i], wantLabels[i])
+						}
+						label, scores, err := c.Predict(x)
+						if err != nil {
+							t.Fatal(err)
+						}
+						check(t, "Predict", i, label, scores)
+						label, scores, err = c.PredictPrepared(prepared[i])
+						if err != nil {
+							t.Fatal(err)
+						}
+						check(t, "PredictPrepared", i, label, scores)
+					}
+				})
 			}
-			t.Run(fmt.Sprintf("%v/%s", target.Topology, ec.name), func(t *testing.T) {
-				c, err := Connect(context.Background(), target, WithEdge(edge))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer c.Close()
-				labels, err := c.PredictBatch(X)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, x := range X {
-					if labels[i] != wantLabels[i] {
-						t.Fatalf("query %d: PredictBatch %d, local %d", i, labels[i], wantLabels[i])
-					}
-					label, scores, err := c.Predict(x)
+			if raw {
+				t.Run("sharded/raw-prepared", func(t *testing.T) {
+					c, err := Connect(context.Background(), targets[3])
 					if err != nil {
 						t.Fatal(err)
 					}
-					check(t, "Predict", i, label, scores)
-					label, scores, err = c.PredictPrepared(prepared[i])
-					if err != nil {
-						t.Fatal(err)
+					defer c.Close()
+					if _, _, err := c.PredictPrepared(prepared[0]); !errors.Is(err, ErrPartialUnsupported) {
+						t.Fatalf("sharded PredictPrepared of a full-precision query: err %v, want ErrPartialUnsupported", err)
 					}
-					check(t, "PredictPrepared", i, label, scores)
-				}
-			})
-		}
-		if raw {
-			t.Run("sharded/raw-prepared", func(t *testing.T) {
-				c, err := Connect(context.Background(), targets[3])
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer c.Close()
-				if _, _, err := c.PredictPrepared(prepared[0]); !errors.Is(err, ErrPartialUnsupported) {
-					t.Fatalf("sharded PredictPrepared of a full-precision query: err %v, want ErrPartialUnsupported", err)
-				}
-			})
+				})
+			}
 		}
 	}
 }

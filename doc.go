@@ -102,8 +102,11 @@
 // partition. Replicas serving the same slice form a failover group, so a
 // replica dying mid-gather retries only its own shard. Connect validates
 // that the fleet's descriptors tile the full model exactly
-// (ErrShardTiling) and that the model can be partial-scored at all
-// (ErrPartialUnsupported — DP-noised float models cannot).
+// (ErrShardTiling). DP models shard like any other, since their noised
+// classes are rounded to integers. Only a model whose classes are not
+// integers (unquantized scalar encoding, or online training) cannot be
+// partial-scored; a sharded Connect to one succeeds but every Predict
+// fails with ErrPartialUnsupported.
 //
 // Production deployments serve many models behind one listener through a
 // Registry of named, versioned pipelines: clients select one in the

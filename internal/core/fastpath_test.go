@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"privehd/internal/dp"
@@ -116,6 +118,63 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 	if out := p.PredictBatch(nil); len(out) != 0 {
 		t.Fatalf("PredictBatch(nil) returned %v", out)
+	}
+}
+
+// TestConcurrentBatchOnFloatModel runs PredictBatch and Predict at once on
+// an unquantized scalar pipeline, whose classes are not integers and so
+// get no integer engine. PredictBatch keys its freeze on the model's
+// precomputed state, not on the (nil) engine, so a frozen float model is
+// never re-frozen under concurrent readers. Run under -race; every label
+// must match the sequential answer.
+func TestConcurrentBatchOnFloatModel(t *testing.T) {
+	cfg := Config{
+		HD:        hdc.Config{Dim: 450, Features: 19, Levels: 12, Seed: 5},
+		Encoding:  EncodingScalar,
+		Quantizer: quant.Identity{},
+		Workers:   2,
+	}
+	X, y := fastPathData(cfg.HD.Features)
+	p, err := TrainData(cfg, X, y, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := p.PredictBatch(X) // freezes the model
+	if !p.Model().Precomputed() || p.Model().PackedScorer() != nil {
+		t.Fatalf("Precomputed = %v, PackedScorer = %v; want true, nil",
+			p.Model().Precomputed(), p.Model().PackedScorer())
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 5; r++ {
+				for i, label := range p.PredictBatch(X) {
+					if label != want[i] {
+						errs <- fmt.Sprintf("PredictBatch sample %d: %d, want %d", i, label, want[i])
+						return
+					}
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 5; r++ {
+				for i, x := range X {
+					if label := p.Predict(x); label != want[i] {
+						errs <- fmt.Sprintf("Predict sample %d: %d, want %d", i, label, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

@@ -111,7 +111,12 @@ func LaplaceMechanism(src *hrand.Source, v []float64, l1Sensitivity, epsilon flo
 }
 
 // PrivatizeModel perturbs every class hypervector of m in place with the
-// Gaussian mechanism and invalidates the model's cached norms. The
+// Gaussian mechanism, rounds each noised coordinate to the nearest
+// integer, and invalidates the model's cached norms. Rounding is
+// post-processing, so the (ε,δ) guarantee is unchanged (Dwork & Roth 2014,
+// Prop. 2.1); it moves a coordinate by at most 0.5, far below the noise
+// std at any useful budget, and it puts every DP release on the exact
+// integer scoring path (internal/intscore), sharded serving included. The
 // sensitivity argument must bound the ℓ2 norm of any single encoding that
 // was bundled into the model (use quant.AnalyticL2Sensitivity for quantized
 // training or quant.RawL2Sensitivity otherwise).
@@ -132,7 +137,7 @@ func PrivatizeModel(src *hrand.Source, m *hdc.Model, l2Sensitivity float64, p Pa
 	for l := 0; l < m.NumClasses(); l++ {
 		c := m.Class(l)
 		for j := range c {
-			c[j] += src.Normal(0, std)
+			c[j] = math.Round(c[j] + src.Normal(0, std))
 		}
 	}
 	m.InvalidateAll()
@@ -140,7 +145,8 @@ func PrivatizeModel(src *hrand.Source, m *hdc.Model, l2Sensitivity float64, p Pa
 }
 
 // PrivatizeModelMasked is PrivatizeModel restricted to the dimensions where
-// keep[j] is true. Pruned dimensions carry no information — they are
+// keep[j] is true: kept coordinates are noised and rounded, pruned ones are
+// left untouched. Pruned dimensions carry no information — they are
 // identically zero in the released model and the adversary knows the mask —
 // so they need no noise; this is what makes pruning reduce the effective
 // sensitivity (∆f ∝ sqrt(kept dimensions)).
@@ -160,7 +166,7 @@ func PrivatizeModelMasked(src *hrand.Source, m *hdc.Model, keep []bool, l2Sensit
 		c := m.Class(l)
 		for j := range c {
 			if keep[j] {
-				c[j] += src.Normal(0, std)
+				c[j] = math.Round(c[j] + src.Normal(0, std))
 			}
 		}
 	}

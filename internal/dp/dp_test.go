@@ -194,7 +194,10 @@ func TestPrivatizeModelNoiseScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sumSq float64
-	for _, v := range m.Class(0) {
+	for j, v := range m.Class(0) {
+		if v != math.Round(v) {
+			t.Fatalf("dim %d released %v, want an integer", j, v)
+		}
 		sumSq += v * v
 	}
 	std := math.Sqrt(sumSq / dim)
@@ -208,28 +211,39 @@ func TestPrivatizeModelNoiseScale(t *testing.T) {
 }
 
 func TestPrivatizeModelMasked(t *testing.T) {
+	// Kept dimensions are noised and rounded to integers, at the noise std
+	// of PrivatizeModel (σ ≫ 1, so rounding barely moves it); pruned
+	// dimensions stay exactly 0.
 	src := hrand.New(7)
-	const dim = 100
+	const dim = 20000
 	m := hdc.NewModel(1, dim)
 	m.Add(0, make([]float64, dim))
 	keep := make([]bool, dim)
 	for j := 0; j < dim/2; j++ {
 		keep[j] = true
 	}
-	if err := PrivatizeModelMasked(src, m, keep, 1, Params{Epsilon: 1, Delta: 1e-5}); err != nil {
+	p := Params{Epsilon: 2, Delta: 1e-5}
+	sens := 5.0
+	if err := PrivatizeModelMasked(src, m, keep, sens, p); err != nil {
 		t.Fatal(err)
 	}
-	c := m.Class(0)
-	for j := 0; j < dim/2; j++ {
-		if c[j] == 0 {
-			// Astronomically unlikely for a continuous sample.
-			t.Errorf("kept dim %d got no noise", j)
+	var sumSq float64
+	for j, v := range m.Class(0) {
+		if v != math.Round(v) {
+			t.Fatalf("dim %d released %v, want an integer", j, v)
 		}
+		if !keep[j] && v != 0 {
+			t.Fatalf("pruned dim %d got noise: %v", j, v)
+		}
+		sumSq += v * v
 	}
-	for j := dim / 2; j < dim; j++ {
-		if c[j] != 0 {
-			t.Errorf("pruned dim %d got noise: %v", j, c[j])
-		}
+	std := math.Sqrt(sumSq / (dim / 2))
+	want, err := NoiseStd(sens, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(std-want)/want > 0.05 {
+		t.Errorf("kept-dimension noise std = %v, want ≈%v", std, want)
 	}
 }
 

@@ -20,11 +20,18 @@ type Model struct {
 	norms   []float64
 	dirty   []bool
 
-	// packed is the integer-domain scoring engine over the class vectors,
-	// derived by Precompute and dropped by any mutation — the same
+	// frozen is set by Precompute and cleared by any mutation — the same
 	// freshness discipline as the norm caches, but tracked with an atomic
-	// pointer so concurrent readers never see a half-prepared engine.
-	packed atomic.Pointer[intscore.Engine]
+	// pointer so concurrent readers never see a half-prepared state. It
+	// carries the integer-domain scoring engine, which is nil for a model
+	// intscore.Prepare refuses, so a nil engine never means "not
+	// precomputed".
+	frozen atomic.Pointer[precomputed]
+}
+
+// precomputed is what Precompute derives beyond the norm caches.
+type precomputed struct {
+	scorer *intscore.Engine
 }
 
 // NewModel returns an empty model with the given number of classes and
@@ -65,7 +72,7 @@ func (m *Model) Class(l int) []float64 { return m.classes[l] }
 // (pruning and the DP privatizer edit class vectors in place).
 func (m *Model) Invalidate(l int) {
 	m.dirty[l] = true
-	m.packed.Store(nil)
+	m.frozen.Store(nil)
 }
 
 // InvalidateAll marks every cached norm stale.
@@ -73,7 +80,7 @@ func (m *Model) InvalidateAll() {
 	for l := range m.dirty {
 		m.dirty[l] = true
 	}
-	m.packed.Store(nil)
+	m.frozen.Store(nil)
 }
 
 // Add bundles encoding h into class l (Eq. 3 / first half of Eq. 5).
@@ -84,7 +91,7 @@ func (m *Model) Add(l int, h []float64) {
 	vecmath.Add(m.classes[l], h)
 	m.counts[l]++
 	m.dirty[l] = true
-	m.packed.Store(nil)
+	m.frozen.Store(nil)
 }
 
 // Sub removes encoding h from class l (second half of Eq. 5).
@@ -95,7 +102,7 @@ func (m *Model) Sub(l int, h []float64) {
 	vecmath.Sub(m.classes[l], h)
 	m.counts[l]--
 	m.dirty[l] = true
-	m.packed.Store(nil)
+	m.frozen.Store(nil)
 }
 
 // norm returns the cached ℓ2 norm of class l, refreshing it if stale.
@@ -117,13 +124,23 @@ func (m *Model) Precompute() {
 	for l := range m.classes {
 		m.norm(l)
 	}
-	m.packed.Store(intscore.Prepare(m.classes))
+	m.frozen.Store(&precomputed{scorer: intscore.Prepare(m.classes)})
 }
 
+// Precomputed reports whether Precompute ran and no mutation followed it,
+// i.e. whether scoring the model is read-only.
+func (m *Model) Precomputed() bool { return m.frozen.Load() != nil }
+
 // PackedScorer returns the integer scoring engine derived by the last
-// Precompute, or nil if the model was mutated (or never precomputed) since.
-// The engine is immutable and safe for concurrent use.
-func (m *Model) PackedScorer() *intscore.Engine { return m.packed.Load() }
+// Precompute, or nil if the model was mutated (or never precomputed) since
+// or its classes are not integer-valued (see intscore.Prepare). The engine
+// is immutable and safe for concurrent use.
+func (m *Model) PackedScorer() *intscore.Engine {
+	if f := m.frozen.Load(); f != nil {
+		return f.scorer
+	}
+	return nil
+}
 
 // Scores returns the norm-adjusted similarity H·C_l/‖C_l‖ for every class.
 // Per Eq. 4 the query-norm factor is identical across classes and omitted,
@@ -159,10 +176,11 @@ func (m *Model) ScoresInto(h, out []float64) []float64 {
 // are computed in the integer domain on the engine the last Precompute
 // derived (bit-identical to ScoresInto on the float64 expansion of q — see
 // the intscore package for the exactness argument), without ever expanding
-// the query. On a model mutated since Precompute it falls back to scoring
-// the packed symbols directly against the float class vectors — still no
-// expansion, still bit-identical, but with the lazy norm refresh that makes
-// it unsafe for concurrent use until the next Precompute.
+// the query. Without an engine — a non-integer model, or one mutated since
+// Precompute — it scores the packed symbols directly against the float
+// class vectors: still no expansion and still bit-identical, but on a
+// mutated model with the lazy norm refresh that makes it unsafe for
+// concurrent use until the next Precompute.
 func (m *Model) ScoresPackedInto(q []int8, out []float64) []float64 {
 	if len(q) != m.dim {
 		panic(ErrDimension)
@@ -171,7 +189,7 @@ func (m *Model) ScoresPackedInto(q []int8, out []float64) []float64 {
 		panic(fmt.Sprintf("hdc: ScoresPackedInto buffer has %d slots, model has %d classes",
 			len(out), len(m.classes)))
 	}
-	if e := m.packed.Load(); e != nil {
+	if e := m.PackedScorer(); e != nil {
 		return e.ScoresPackedInto(q, out)
 	}
 	for l := range m.classes {
@@ -186,13 +204,13 @@ func (m *Model) ScoresPackedInto(q []int8, out []float64) []float64 {
 }
 
 // PredictPacked returns the label with the highest similarity score for a
-// packed query. On a precomputed model it runs entirely on pooled engine
-// scratch — zero heap allocations per call.
+// packed query. On a precomputed integer model it runs entirely on pooled
+// engine scratch — zero heap allocations per call.
 func (m *Model) PredictPacked(q []int8) int {
 	if len(q) != m.dim {
 		panic(ErrDimension)
 	}
-	if e := m.packed.Load(); e != nil {
+	if e := m.PackedScorer(); e != nil {
 		return e.PredictPacked(q)
 	}
 	return vecmath.ArgMax(m.ScoresPackedInto(q, make([]float64, len(m.classes))))

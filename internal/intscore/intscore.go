@@ -6,29 +6,27 @@
 // (§III-B2/III-C) and travel packed as one int8 per dimension, yet a naive
 // server pays float bandwidth anyway: expand to []float64, then a float64
 // dot per class. This package removes both costs. The class prototypes a
-// model was trained from are themselves sums of quantized (integer)
-// encodings, so each class vector is exactly integer-valued unless DP noise
-// was added; Prepare detects that per class and lays the integer classes
-// out as cache-blocked int8/int16/int32 panels. Scoring a packed query is
-// then a pure integer dot per class — 4- or 8-wide unrolled int64
-// multiply-accumulate over panels sized to stay in L1 — finished by one
-// float division per class with the same ℓ2 norm the float path divides by.
+// model was trained from are sums of quantized (integer) encodings, and a
+// DP release rounds its noised classes to integers, so every served class
+// vector is integer-valued; Prepare lays the classes out as cache-blocked
+// int8/int16/int32 panels. Scoring a packed query is then a pure integer
+// dot per class — 4- or 8-wide unrolled int64 multiply-accumulate over
+// panels sized to stay in L1 — finished by one float division per class
+// with the same ℓ2 norm the float path divides by.
 //
 // # Fidelity to the float path
 //
-// For integer classes the result is bit-identical to
-// hdc.Model.ScoresInto on the float64 expansion of the query: every
-// query·class product is an integer, integer-valued float64 partial sums
-// are exact below 2^53 (Prepare falls back to the float row when the worst-
-// case accumulator 2·‖C‖₁ could reach 2^53, which no real model approaches),
-// and the final division uses the identical norm value. Classes that are
-// not integer-valued (a DP-noised release) keep a float64 fallback row and
-// are scored by a single-accumulator in-order dot — still no query
-// expansion, and still bit-identical, since float64(int8 symbol)·c[i]
-// accumulated in index order is exactly what vecmath.Dot computes on the
-// expanded query. The documented tolerance for callers is therefore 0;
-// tests assert ≤1e-9 to keep the contract robust to future reassociation
-// (e.g. unrolling the fallback row loop).
+// The result is bit-identical to hdc.Model.ScoresInto on the float64
+// expansion of the query: every query·class product is an integer,
+// integer-valued float64 partial sums are exact below 2^53, and the final
+// division uses the identical norm value. Prepare therefore accepts a
+// model only if every class is integer-valued within one exactness bound
+// (|v| < 2^26, Σv² < 2^53 and 2·‖C‖₁ < 2^53, which no real model
+// approaches) and returns nil otherwise. The only models left without an
+// engine are unquantized scalar-encoded and online-trained ones, whose
+// classes are sums of fractions; hdc.Model scores those on its own float
+// path. The documented tolerance for callers is therefore 0; tests assert
+// ≤1e-9 to keep the contract robust to future reassociation.
 //
 // Engines are immutable once prepared and safe for concurrent use; per-call
 // accumulators come from an internal sync.Pool, so the scoring hot path
@@ -60,13 +58,16 @@ const DefaultBlockDim = 256
 
 const _ = uint8(DefaultBlockDim - 1) // compile-time guard for uint8 indices
 
-// exactLimit bounds the worst-case |accumulator| (2·‖C‖₁) below which
-// integer-valued float64 partial sums are exact; classes beyond it fall back
-// to the float row so scores never silently lose bits.
-const exactLimit = 1 << 53
+// exactLimit is 2^53, below which integer-valued float64 sums are exact.
+// Prepare refuses any class whose Σv² or worst-case |accumulator| (2·‖C‖₁)
+// could reach it, or with a coordinate of magnitude 2^26 or more, so both
+// whole-model scores and cross-shard partial sums never silently lose bits.
+const (
+	exactLimit = 1 << 53
+	maxAbsVal  = 1 << 26
+)
 
-// plane widths in bytes, in the order Prepare narrows them; 0 means no
-// integer classes.
+// plane widths in bytes, in the order Prepare narrows them.
 const (
 	width8  = 1
 	width16 = 2
@@ -84,35 +85,22 @@ type Engine struct {
 	// computes it; 0 marks an empty class, scored −Inf.
 	norms []float64
 
-	// normsSq[l] is Σ C_l[i]², and partialOK reports that every class is
-	// integer-valued with Σv² exactly representable — the precondition for
-	// sharded partial scoring: exact integer sums are associative, so a
+	// normsSq[l] is Σ C_l[i]², exact by Prepare's bound — what sharded
+	// partial scoring needs: exact integer sums are associative, so a
 	// coordinator adding per-slice normsSq (and per-slice int64 dots)
 	// across dimension shards reconstructs the whole-model score
-	// bit-for-bit. Non-integer (DP-noised) classes, or classes whose Σv²
-	// could round, clear partialOK and the server refuses partial-score
-	// requests rather than silently drifting.
-	normsSq   []float64
-	partialOK bool
+	// bit-for-bit.
+	normsSq []float64
 
-	// Integer classes live in one blocked panel slice, block-major then
-	// row-major, with one row per *integer* class (float-fallback classes
-	// occupy no panel memory): plane[(b·intCount+k)·blockDim : …+blockDim]
-	// is the dimensions [b·blockDim, (b+1)·blockDim) of the k-th integer
-	// class, i.e. class intIdx[k]. The tail block is zero-padded. Exactly
-	// one of plane8/16/32 is non-nil when intCount>0; the width is the
-	// narrowest that fits every integer class.
-	width    int
-	plane8   []int8
-	plane16  []int16
-	plane32  []int32
-	isInt    []bool
-	intIdx   []int // indices of integer classes, ascending
-	intCount int
-
-	// floatRows[l] holds the original float64 prototype for classes that
-	// are not exactly integer-valued (nil for integer classes).
-	floatRows [][]float64
+	// Classes live in one blocked panel slice, block-major then row-major:
+	// plane[(b·classes+l)·blockDim : …+blockDim] is the dimensions
+	// [b·blockDim, (b+1)·blockDim) of class l. The tail block is
+	// zero-padded. Exactly one of plane8/16/32 is non-nil; the width is
+	// the narrowest that fits every class.
+	width   int
+	plane8  []int8
+	plane16 []int16
+	plane32 []int32
 
 	scratch sync.Pool
 }
@@ -129,8 +117,9 @@ type engineScratch struct {
 }
 
 // Prepare derives an engine from a model's class prototypes with the
-// default block size. The class slices are read once and copied into the
-// blocked layout (or retained as fallback rows); callers must not mutate
+// default block size, or returns nil if some class is not integer-valued
+// within the exactness bound (see the package doc). The class slices are
+// read once and copied into the blocked layout; callers must not mutate
 // them afterwards without re-preparing.
 func Prepare(classes [][]float64) *Engine {
 	return PrepareBlocked(classes, DefaultBlockDim)
@@ -144,67 +133,39 @@ func PrepareBlocked(classes [][]float64, blockDim int) *Engine {
 		panic(fmt.Sprintf("intscore: block size must be positive, got %d", blockDim))
 	}
 	e := &Engine{
-		classes:   len(classes),
-		blockDim:  blockDim,
-		norms:     make([]float64, len(classes)),
-		normsSq:   make([]float64, len(classes)),
-		isInt:     make([]bool, len(classes)),
-		partialOK: true,
+		classes:  len(classes),
+		blockDim: blockDim,
+		norms:    make([]float64, len(classes)),
+		normsSq:  make([]float64, len(classes)),
 	}
 	if len(classes) == 0 {
 		return e
 	}
 	e.dim = len(classes[0])
-	e.floatRows = make([][]float64, len(classes))
 
-	// First pass: norms, per-class integerness, and the narrowest width
-	// that holds every integer class.
+	// First pass: norms, the exactness bound, and the narrowest width that
+	// holds every class.
 	var maxAbs float64
 	for l, c := range classes {
 		if len(c) != e.dim {
 			panic(fmt.Sprintf("intscore: class %d has dim %d, class 0 has %d", l, len(c), e.dim))
 		}
-		e.norms[l] = vecmath.Norm2(c)
-		classMax, classNorm1, classNormSq := 0.0, 0.0, 0.0
-		integer := true
+		var norm1, normSq float64
 		for _, v := range c {
-			if v != math.Trunc(v) || math.IsInf(v, 0) {
-				integer = false
-				break
-			}
 			a := math.Abs(v)
-			if a > classMax {
-				classMax = a
+			if v != math.Trunc(v) || a >= maxAbsVal {
+				return nil
 			}
-			classNorm1 += a
-			classNormSq += v * v
+			maxAbs = max(maxAbs, a)
+			norm1 += a
+			normSq += v * v
 		}
-		// 2·‖C‖₁ bounds |Σ q·C| for q in −2…+1; past the exact-float64
-		// range the integer path could round differently than the float
-		// path, so such a class (absurd in practice) keeps its float row.
-		if integer && (classMax >= math.MaxInt32 || 2*classNorm1 >= exactLimit) {
-			integer = false
+		// 2·‖C‖₁ bounds |Σ q·C| for q in −2…+1.
+		if 2*norm1 >= exactLimit || normSq >= exactLimit {
+			return nil
 		}
-		e.normsSq[l] = classNormSq
-		// Partial (sharded) scoring additionally needs Σv² exact: every v²
-		// and every prefix sum must be an integer below 2^53, so cross-
-		// shard re-summation is associative and loss-free.
-		if !integer || classMax >= 1<<26 || classNormSq >= exactLimit {
-			e.partialOK = false
-		}
-		if integer {
-			e.isInt[l] = true
-			e.intIdx = append(e.intIdx, l)
-			e.intCount++
-			if classMax > maxAbs {
-				maxAbs = classMax
-			}
-		} else {
-			e.floatRows[l] = append([]float64(nil), c...)
-		}
-	}
-	if e.intCount == 0 {
-		return e
+		e.norms[l] = vecmath.Norm2(c)
+		e.normsSq[l] = normSq
 	}
 	switch {
 	case maxAbs <= math.MaxInt8:
@@ -215,9 +176,9 @@ func PrepareBlocked(classes [][]float64, blockDim int) *Engine {
 		e.width = width32
 	}
 
-	// Second pass: copy integer classes into the blocked panel layout.
+	// Second pass: copy the classes into the blocked panel layout.
 	blocks := (e.dim + blockDim - 1) / blockDim
-	n := blocks * e.intCount * blockDim
+	n := blocks * e.classes * blockDim
 	switch e.width {
 	case width8:
 		e.plane8 = make([]int8, n)
@@ -226,10 +187,9 @@ func PrepareBlocked(classes [][]float64, blockDim int) *Engine {
 	default:
 		e.plane32 = make([]int32, n)
 	}
-	for k, l := range e.intIdx {
-		for i, v := range classes[l] {
-			b := i / blockDim
-			at := (b*e.intCount+k)*blockDim + i%blockDim
+	for l, c := range classes {
+		for i, v := range c {
+			at := (i/blockDim*e.classes+l)*blockDim + i%blockDim
 			switch e.width {
 			case width8:
 				e.plane8[at] = int8(v)
@@ -249,12 +209,8 @@ func (e *Engine) Dim() int { return e.dim }
 // NumClasses returns the number of classes the engine scores.
 func (e *Engine) NumClasses() int { return e.classes }
 
-// IntegerClasses returns how many classes are scored on the integer planes
-// (the rest fall back to float rows — a DP-noised release, typically).
-func (e *Engine) IntegerClasses() int { return e.intCount }
-
 // PlaneBits returns the integer plane element width in bits (8, 16 or 32),
-// or 0 when no class is integer-valued.
+// or 0 for an engine over no classes.
 func (e *Engine) PlaneBits() int { return e.width * 8 }
 
 func (e *Engine) getScratch() *engineScratch {
@@ -304,29 +260,22 @@ func (e *Engine) PredictPacked(q []int8) int {
 // sums are exact whichever kernel computes them, so the adaptive choice
 // below never changes a score bit.
 func (e *Engine) scoresInto(q []int8, out []float64, s *engineScratch) {
-	if e.intCount > 0 {
-		acc := s.acc
-		for l := range acc {
-			acc[l] = 0
-		}
-		e.accumulateAdaptive(q, acc, s)
+	acc := s.acc
+	for l := range acc {
+		acc[l] = 0
 	}
-	for l := 0; l < e.classes; l++ {
-		n := e.norms[l]
+	e.accumulateAdaptive(q, acc, s)
+	for l, n := range e.norms {
 		if n == 0 {
 			out[l] = math.Inf(-1)
 			continue
 		}
-		if e.isInt[l] {
-			out[l] = float64(s.acc[l]) / n
-		} else {
-			out[l] = DotPacked(q, e.floatRows[l]) / n
-		}
+		out[l] = float64(acc[l]) / n
 	}
 }
 
-// accumulateAdaptive picks the integer kernel for q and adds every integer
-// class's dot into acc. Count zero symbols branchlessly ((sym|−sym)>>7&1 is
+// accumulateAdaptive picks the integer kernel for q and adds every class's
+// dot into acc. Count zero symbols branchlessly ((sym|−sym)>>7&1 is
 // 1 iff sym≠0) over a leading sample — rank-based quantization scatters its
 // zeros across positions, so a prefix is representative, and the choice
 // only affects speed, never the (exact) result. Queries with an
@@ -350,27 +299,22 @@ func (e *Engine) accumulateAdaptive(q []int8, acc []int64, s *engineScratch) {
 	}
 }
 
-// PartialCapable reports whether every class can be scored by exact
-// integer partial sums — all classes integer-valued with Σv² exactly
-// representable. Only such engines may serve sharded partial-score
-// requests; a DP-noised model cannot (and, privacy-wise, should not have
-// its raw integer dots shipped around anyway).
-func (e *Engine) PartialCapable() bool { return e.partialOK }
+// PartialCapable reports whether the engine can answer sharded partial-
+// score requests: every engine can, since Prepare admits only classes
+// whose integer partial sums and Σv² are exact. It is nil-safe, so a model
+// Prepare refused (no engine) reports false.
+func (e *Engine) PartialCapable() bool { return e != nil }
 
-// NormsSq returns the per-class Σv² slice, valid only when PartialCapable.
-// The returned slice is the engine's backing storage: read-only.
+// NormsSq returns the per-class Σv² slice. The returned slice is the
+// engine's backing storage: read-only.
 func (e *Engine) NormsSq() []float64 { return e.normsSq }
 
 // PartialsPackedInto writes the raw integer dot ⟨q, C_l⟩ for every class
 // into out (length NumClasses) and returns out — the sharded-serving
 // primitive: a replica holding a dimension slice of the model scores its
 // slice of the query, and the coordinator sums the int64 partials across
-// shards (exactly) before the single norm division. Panics unless the
-// engine is PartialCapable.
+// shards (exactly) before the single norm division.
 func (e *Engine) PartialsPackedInto(q []int8, out []int64) []int64 {
-	if !e.partialOK {
-		panic("intscore: engine is not partial-capable (non-integer or oversized classes)")
-	}
 	if len(q) != e.dim {
 		panic(fmt.Sprintf("intscore: query has dim %d, engine dim %d", len(q), e.dim))
 	}
@@ -380,18 +324,15 @@ func (e *Engine) PartialsPackedInto(q []int8, out []int64) []int64 {
 	for l := range out {
 		out[l] = 0
 	}
-	if e.intCount == 0 {
-		return out
-	}
 	s := e.getScratch()
 	e.accumulateAdaptive(q, out, s)
 	e.scratch.Put(s)
 	return out
 }
 
-// accumulate adds every integer class's dot with q into acc, walking the
-// blocked panels so each query block is reused across all classes while it
-// is hot in L1. Classes are consumed four at a time: each loaded (and
+// accumulate adds every class's dot with q into acc (one slot per class),
+// walking the blocked panels so each query block is reused across all
+// classes while it is hot in L1. Classes are consumed four at a time: each loaded (and
 // sign-extended) query symbol feeds four multiply-accumulates, which is
 // what pushes the kernel past the float path rather than merely matching
 // it.
@@ -404,51 +345,50 @@ func (e *Engine) accumulate(q []int8, acc []int64) {
 		}
 		qb := q[off:end]
 		n := len(qb)
-		base := b * e.intCount * bd
-		idx := e.intIdx
+		base := b * len(acc) * bd
 		k := 0
 		switch e.width {
 		case width8:
-			for ; k+4 <= len(idx); k += 4 {
+			for ; k+4 <= len(acc); k += 4 {
 				at := base + k*bd
 				dot8x4(qb,
 					e.plane8[at:at+n],
 					e.plane8[at+bd:at+bd+n],
 					e.plane8[at+2*bd:at+2*bd+n],
 					e.plane8[at+3*bd:at+3*bd+n],
-					&acc[idx[k]], &acc[idx[k+1]], &acc[idx[k+2]], &acc[idx[k+3]])
+					&acc[k], &acc[k+1], &acc[k+2], &acc[k+3])
 			}
-			for ; k < len(idx); k++ {
+			for ; k < len(acc); k++ {
 				at := base + k*bd
-				acc[idx[k]] += dot8(qb, e.plane8[at:at+n])
+				acc[k] += dot8(qb, e.plane8[at:at+n])
 			}
 		case width16:
-			for ; k+4 <= len(idx); k += 4 {
+			for ; k+4 <= len(acc); k += 4 {
 				at := base + k*bd
 				dot16x4(qb,
 					e.plane16[at:at+n],
 					e.plane16[at+bd:at+bd+n],
 					e.plane16[at+2*bd:at+2*bd+n],
 					e.plane16[at+3*bd:at+3*bd+n],
-					&acc[idx[k]], &acc[idx[k+1]], &acc[idx[k+2]], &acc[idx[k+3]])
+					&acc[k], &acc[k+1], &acc[k+2], &acc[k+3])
 			}
-			for ; k < len(idx); k++ {
+			for ; k < len(acc); k++ {
 				at := base + k*bd
-				acc[idx[k]] += dot16(qb, e.plane16[at:at+n])
+				acc[k] += dot16(qb, e.plane16[at:at+n])
 			}
 		default:
-			for ; k+4 <= len(idx); k += 4 {
+			for ; k+4 <= len(acc); k += 4 {
 				at := base + k*bd
 				dot32x4(qb,
 					e.plane32[at:at+n],
 					e.plane32[at+bd:at+bd+n],
 					e.plane32[at+2*bd:at+2*bd+n],
 					e.plane32[at+3*bd:at+3*bd+n],
-					&acc[idx[k]], &acc[idx[k+1]], &acc[idx[k+2]], &acc[idx[k+3]])
+					&acc[k], &acc[k+1], &acc[k+2], &acc[k+3])
 			}
-			for ; k < len(idx); k++ {
+			for ; k < len(acc); k++ {
 				at := base + k*bd
-				acc[idx[k]] += dot32(qb, e.plane32[at:at+n])
+				acc[k] += dot32(qb, e.plane32[at:at+n])
 			}
 		}
 	}
@@ -491,12 +431,11 @@ func (e *Engine) accumulateGather(q []int8, acc []int64, s *engineScratch) {
 			n2 += int(^sym&1) & isNeg // even and negative → −2
 		}
 		pos, neg, neg2 := s.pos[:np], s.neg[:nn], s.neg2[:n2]
-		base := b * e.intCount * bd
-		idx := e.intIdx
+		base := b * len(acc) * bd
 		k := 0
 		switch e.width {
 		case width8:
-			for ; k+4 <= len(idx); k += 4 {
+			for ; k+4 <= len(acc); k += 4 {
 				at := base + k*bd
 				r0 := (*[bd]int8)(e.plane8[at:])
 				r1 := (*[bd]int8)(e.plane8[at+bd:])
@@ -505,17 +444,17 @@ func (e *Engine) accumulateGather(q []int8, acc []int64, s *engineScratch) {
 				g0, g1, g2, g3 := gather8x4(pos, r0, r1, r2, r3)
 				h0, h1, h2, h3 := gather8x4(neg, r0, r1, r2, r3)
 				m0, m1, m2, m3 := gather8x4(neg2, r0, r1, r2, r3)
-				acc[idx[k]] += g0 - h0 - 2*m0
-				acc[idx[k+1]] += g1 - h1 - 2*m1
-				acc[idx[k+2]] += g2 - h2 - 2*m2
-				acc[idx[k+3]] += g3 - h3 - 2*m3
+				acc[k] += g0 - h0 - 2*m0
+				acc[k+1] += g1 - h1 - 2*m1
+				acc[k+2] += g2 - h2 - 2*m2
+				acc[k+3] += g3 - h3 - 2*m3
 			}
-			for ; k < len(idx); k++ {
+			for ; k < len(acc); k++ {
 				r := (*[bd]int8)(e.plane8[base+k*bd:])
-				acc[idx[k]] += gather8(pos, r) - gather8(neg, r) - 2*gather8(neg2, r)
+				acc[k] += gather8(pos, r) - gather8(neg, r) - 2*gather8(neg2, r)
 			}
 		case width16:
-			for ; k+4 <= len(idx); k += 4 {
+			for ; k+4 <= len(acc); k += 4 {
 				at := base + k*bd
 				r0 := (*[bd]int16)(e.plane16[at:])
 				r1 := (*[bd]int16)(e.plane16[at+bd:])
@@ -524,17 +463,17 @@ func (e *Engine) accumulateGather(q []int8, acc []int64, s *engineScratch) {
 				g0, g1, g2, g3 := gather16x4(pos, r0, r1, r2, r3)
 				h0, h1, h2, h3 := gather16x4(neg, r0, r1, r2, r3)
 				m0, m1, m2, m3 := gather16x4(neg2, r0, r1, r2, r3)
-				acc[idx[k]] += g0 - h0 - 2*m0
-				acc[idx[k+1]] += g1 - h1 - 2*m1
-				acc[idx[k+2]] += g2 - h2 - 2*m2
-				acc[idx[k+3]] += g3 - h3 - 2*m3
+				acc[k] += g0 - h0 - 2*m0
+				acc[k+1] += g1 - h1 - 2*m1
+				acc[k+2] += g2 - h2 - 2*m2
+				acc[k+3] += g3 - h3 - 2*m3
 			}
-			for ; k < len(idx); k++ {
+			for ; k < len(acc); k++ {
 				r := (*[bd]int16)(e.plane16[base+k*bd:])
-				acc[idx[k]] += gather16(pos, r) - gather16(neg, r) - 2*gather16(neg2, r)
+				acc[k] += gather16(pos, r) - gather16(neg, r) - 2*gather16(neg2, r)
 			}
 		default:
-			for ; k+4 <= len(idx); k += 4 {
+			for ; k+4 <= len(acc); k += 4 {
 				at := base + k*bd
 				r0 := (*[bd]int32)(e.plane32[at:])
 				r1 := (*[bd]int32)(e.plane32[at+bd:])
@@ -543,14 +482,14 @@ func (e *Engine) accumulateGather(q []int8, acc []int64, s *engineScratch) {
 				g0, g1, g2, g3 := gather32x4(pos, r0, r1, r2, r3)
 				h0, h1, h2, h3 := gather32x4(neg, r0, r1, r2, r3)
 				m0, m1, m2, m3 := gather32x4(neg2, r0, r1, r2, r3)
-				acc[idx[k]] += g0 - h0 - 2*m0
-				acc[idx[k+1]] += g1 - h1 - 2*m1
-				acc[idx[k+2]] += g2 - h2 - 2*m2
-				acc[idx[k+3]] += g3 - h3 - 2*m3
+				acc[k] += g0 - h0 - 2*m0
+				acc[k+1] += g1 - h1 - 2*m1
+				acc[k+2] += g2 - h2 - 2*m2
+				acc[k+3] += g3 - h3 - 2*m3
 			}
-			for ; k < len(idx); k++ {
+			for ; k < len(acc); k++ {
 				r := (*[bd]int32)(e.plane32[base+k*bd:])
-				acc[idx[k]] += gather32(pos, r) - gather32(neg, r) - 2*gather32(neg2, r)
+				acc[k] += gather32(pos, r) - gather32(neg, r) - 2*gather32(neg2, r)
 			}
 		}
 	}
@@ -726,8 +665,8 @@ func dot32(q []int8, p []int32) int64 {
 
 // DotPacked returns Σ q[i]·c[i] without expanding q, accumulated in index
 // order with a single accumulator so the result is bit-identical to
-// vecmath.Dot on the float64 expansion of q — the fallback kernel for
-// non-integer (DP-noised) class rows.
+// vecmath.Dot on the float64 expansion of q — hdc.Model's kernel for the
+// non-integer models Prepare refuses.
 func DotPacked(q []int8, c []float64) float64 {
 	if len(q) != len(c) {
 		panic("intscore: DotPacked length mismatch")

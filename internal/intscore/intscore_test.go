@@ -99,14 +99,14 @@ func checkClose(t *testing.T, got, want []float64) {
 func TestEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	dims := []int{1, 3, 7, 63, 64, 255, 256, 257, 1000, 4001}
-	mags := map[string]int64{"int8": 100, "int16": 30000, "int32": 4_000_000}
+	mags := map[string]int64{"int8": 100, "int16": 30000, "int32": 1 << 20}
 	for name, alphabet := range alphabets() {
 		for _, dim := range dims {
 			for magName, mag := range mags {
 				classes := randIntClasses(rng, 5, dim, mag, true)
 				e := intscore.Prepare(classes)
-				if e.IntegerClasses() != 5 {
-					t.Fatalf("%s dim=%d %s: %d integer classes, want 5", name, dim, magName, e.IntegerClasses())
+				if e == nil {
+					t.Fatalf("%s dim=%d %s: Prepare refused an integer model", name, dim, magName)
 				}
 				q := randPacked(rng, dim, alphabet)
 				got := e.ScoresPackedInto(q, make([]float64, len(classes)))
@@ -131,28 +131,68 @@ func TestEquivalenceOddBlockSizes(t *testing.T) {
 	}
 }
 
-// TestFloatFallbackRows covers models whose class vectors are not integer-
-// valued (a DP-noised release): those classes must fall back to float rows —
-// still scored without expanding the query — and mixed models must score
-// both kinds correctly side by side.
-func TestFloatFallbackRows(t *testing.T) {
+// TestNonIntegerModelHasNoEngine covers a model with one fractional class
+// (an unquantized scalar-encoded model, say): Prepare refuses it, and the
+// precomputed hdc.Model scores packed queries on its own float path,
+// bit-identical to ScoresInto on the expanded query.
+func TestNonIntegerModelHasNoEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	dim := 513
-	classes := randIntClasses(rng, 6, dim, 1000, true)
-	// Classes 2 and 4 get fractional noise; the rest stay integer.
-	for _, l := range []int{2, 4} {
-		for i := range classes[l] {
-			classes[l][i] += rng.NormFloat64()
+	const dim, nclasses = 513, 6
+	m := hdc.NewModel(nclasses, dim)
+	for l, c := range randIntClasses(rng, nclasses, dim, 1000, true) {
+		copy(m.Class(l), c)
+	}
+	m.Class(4)[17] += 0.5
+	m.InvalidateAll()
+	var classes [][]float64
+	for l := 0; l < nclasses; l++ {
+		classes = append(classes, m.Class(l))
+	}
+	if e := intscore.Prepare(classes); e != nil {
+		t.Fatal("Prepare derived an engine for a model with a fractional class")
+	}
+	m.Precompute()
+	if !m.Precomputed() || m.PackedScorer() != nil {
+		t.Fatalf("Precomputed = %v, PackedScorer = %v; want true, nil", m.Precomputed(), m.PackedScorer())
+	}
+	checkModelBitIdentical(t, rng, m, 20)
+}
+
+// TestPrepareExactnessBound pins the one bound Prepare admits a model
+// under: integer coordinates with |v| < 2^26, Σv² < 2^53 and 2·‖C‖₁ < 2^53
+// per class. Anything past it gets no engine, and a nil engine is not
+// partial-capable. (The ‖C‖₁ clause cannot trip first at an allocatable
+// size: integers have |v| ≤ v², so it needs 2^52 unit coordinates.)
+func TestPrepareExactnessBound(t *testing.T) {
+	const limit = 1 << 26
+	at := func(v float64, dim int) [][]float64 {
+		c := make([]float64, dim)
+		for i := range c {
+			c[i] = v
 		}
+		return [][]float64{make([]float64, dim), c}
 	}
-	e := intscore.Prepare(classes)
-	if e.IntegerClasses() != 4 {
-		t.Fatalf("IntegerClasses = %d, want 4", e.IntegerClasses())
-	}
-	for trial := 0; trial < 20; trial++ {
-		q := randPacked(rng, dim, []int8{-2, -1, 0, 1})
-		got := e.ScoresPackedInto(q, make([]float64, len(classes)))
-		checkClose(t, got, refScores(classes, q))
+	for _, tc := range []struct {
+		name    string
+		classes [][]float64
+		ok      bool
+	}{
+		{"max coordinate", at(limit-1, 1), true},
+		{"max negative coordinate", at(-(limit - 1), 1), true},
+		{"coordinate at 2^26", at(limit, 1), false},
+		{"fraction", at(0.5, 4), false},
+		{"NaN", at(math.NaN(), 4), false},
+		{"+Inf", at(math.Inf(1), 4), false},
+		{"Σv² below 2^53", at(1<<25, 7), true},
+		{"Σv² at 2^53", at(1<<25, 8), false},
+	} {
+		e := intscore.Prepare(tc.classes)
+		if (e != nil) != tc.ok {
+			t.Errorf("%s: engine %v, want ok=%v", tc.name, e != nil, tc.ok)
+		}
+		if e.PartialCapable() != tc.ok {
+			t.Errorf("%s: PartialCapable %v, want %v", tc.name, e.PartialCapable(), tc.ok)
+		}
 	}
 }
 
@@ -176,14 +216,22 @@ func TestBitIdenticalToModel(t *testing.T) {
 	if m.PackedScorer() == nil {
 		t.Fatal("Precompute did not derive a packed scorer")
 	}
-	for trial := 0; trial < 50; trial++ {
-		q := randPacked(rng, dim, []int8{-2, -1, 0, 1})
-		v := make([]float64, dim)
+	checkModelBitIdentical(t, rng, m, 50)
+}
+
+// checkModelBitIdentical asserts that m scores random packed queries
+// bit-for-bit like ScoresInto on their float64 expansion, and predicts the
+// same label.
+func checkModelBitIdentical(t *testing.T, rng *rand.Rand, m *hdc.Model, trials int) {
+	t.Helper()
+	for trial := 0; trial < trials; trial++ {
+		q := randPacked(rng, m.Dim(), []int8{-2, -1, 0, 1})
+		v := make([]float64, len(q))
 		for i, s := range q {
 			v[i] = float64(s)
 		}
-		want := m.ScoresInto(v, make([]float64, nclasses))
-		got := m.ScoresPackedInto(q, make([]float64, nclasses))
+		want := m.ScoresInto(v, make([]float64, m.NumClasses()))
+		got := m.ScoresPackedInto(q, make([]float64, m.NumClasses()))
 		for l := range want {
 			if got[l] != want[l] {
 				t.Fatalf("trial %d class %d: packed %v != float %v", trial, l, got[l], want[l])
@@ -207,11 +255,11 @@ func TestModelMutationDropsScorer(t *testing.T) {
 	}
 	m.Add(1, h)
 	m.Precompute()
-	if m.PackedScorer() == nil {
+	if m.PackedScorer() == nil || !m.Precomputed() {
 		t.Fatal("no scorer after Precompute")
 	}
 	m.Add(2, h)
-	if m.PackedScorer() != nil {
+	if m.PackedScorer() != nil || m.Precomputed() {
 		t.Fatal("scorer survived Add")
 	}
 	q := randPacked(rng, 64, []int8{-1, 0, 1})
@@ -222,7 +270,7 @@ func TestModelMutationDropsScorer(t *testing.T) {
 		t.Fatal("no scorer after re-Precompute")
 	}
 	m.InvalidateAll()
-	if m.PackedScorer() != nil {
+	if m.PackedScorer() != nil || m.Precomputed() {
 		t.Fatal("scorer survived InvalidateAll")
 	}
 }
@@ -291,15 +339,11 @@ func TestZeroAllocScoring(t *testing.T) {
 }
 
 // FuzzScoresPacked fuzzes the packed alphabet against the float64-expansion
-// reference on a fixed mixed model (integer planes + one float fallback row
-// + one zero class).
+// reference on a fixed integer model with one zero class.
 func FuzzScoresPacked(f *testing.F) {
 	const dim = 97
 	rng := rand.New(rand.NewSource(8))
 	classes := randIntClasses(rng, 4, dim, 2000, true)
-	for i := range classes[3] {
-		classes[3][i] += 0.25 // force one float fallback row
-	}
 	e := intscore.PrepareBlocked(classes, 32)
 	f.Add([]byte{0, 1, 2, 3, 255})
 	f.Add(make([]byte, dim))

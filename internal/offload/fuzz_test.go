@@ -16,7 +16,7 @@ const fuzzMaxBatch = 4
 
 // fuzzServer returns a server (not listening; the fuzz calls answer
 // directly) over two models: "int", an integer-valued model that can serve
-// partial scores and is the default, and "noised", a non-integer one that
+// partial scores and is the default, and "fractional", a non-integer one that
 // must refuse them.
 func fuzzServer(tb testing.TB) *Server {
 	tb.Helper()
@@ -24,9 +24,9 @@ func fuzzServer(tb testing.TB) *Server {
 	if _, err := reg.Register("int", packedTestModel(3, 8), registry.EncoderInfo{}); err != nil {
 		tb.Fatal(err)
 	}
-	noised := packedTestModel(3, 8)
-	noised.Add(1, []float64{0.5, 0, 0, 0, 0, 0, 0, 0.25})
-	if _, err := reg.Register("noised", noised, registry.EncoderInfo{}); err != nil {
+	fractional := packedTestModel(3, 8)
+	fractional.Add(1, []float64{0.5, 0, 0, 0, 0, 0, 0, 0.25})
+	if _, err := reg.Register("fractional", fractional, registry.EncoderInfo{}); err != nil {
 		tb.Fatal(err)
 	}
 	s := NewRegistryServer(reg, WithMaxBatch(fuzzMaxBatch), WithWorkers(2))
@@ -39,7 +39,7 @@ var fuzzOps = []Op{OpClassify, OpPartialScores, OpPing, OpListModels, 200}
 
 // fuzzModels are the model names a fuzzed frame may be bound to, the last
 // one unregistered.
-var fuzzModels = []string{"int", "noised", "missing"}
+var fuzzModels = []string{"int", "fractional", "missing"}
 
 // fuzzRequest decodes fuzz inputs into a frame. Each query's shape byte
 // (shape rotated by the query index) picks its wire form: bit 0 a Vector
@@ -94,7 +94,7 @@ func FuzzAnswer(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(1), uint8(4), int64(0), valid)     // codeDim
 	f.Add(uint8(0), uint8(0), uint8(1), uint8(8), int64(0), valid)     // codeDim, empty query
 	f.Add(uint8(1), uint8(0), uint8(1), uint8(1), int64(0), valid)     // codePartial: Vector query
-	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), int64(0), valid)     // codePartial: noised model
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), int64(0), valid)     // codePartial: fractional model
 	f.Add(uint8(0), uint8(2), uint8(1), uint8(0), int64(0), valid)     // codeUnknownModel
 	f.Add(uint8(0), uint8(0), uint8(4), uint8(0), int64(1), valid)     // codeDeadline
 	f.Add(uint8(0), uint8(1), uint8(4), uint8(2), int64(1e9), valid)   // both fields, budgeted

@@ -156,8 +156,9 @@ var (
 	// server does not implement.
 	ErrUnsupportedOp = errors.New("offload: unsupported request op")
 	// ErrPartialUnsupported reports an OpPartialScores request against a
-	// model that cannot serve exact integer partial scores (a DP-noised
-	// release, or a request carrying full-precision vectors). It is a
+	// model that cannot serve exact integer partial scores (its classes
+	// are not integers: an unquantized scalar-encoded or online-trained
+	// model), or a request carrying full-precision vectors. It is a
 	// protocol rejection, never retried.
 	ErrPartialUnsupported = errors.New("offload: model cannot serve partial scores")
 	// ErrTransport reports a connection-level failure — dial, send,
@@ -362,8 +363,8 @@ const (
 	// OpPartialScores asks for raw per-class int64 dot products of
 	// each packed query against the served (possibly sliced) model, plus
 	// the per-class Σv² — the scatter half of sharded scoring. Queries
-	// must be packed; models that cannot answer exactly (DP-noised) are
-	// refused with ErrPartialUnsupported.
+	// must be packed; models that cannot answer exactly (non-integer
+	// classes) are refused with ErrPartialUnsupported.
 	OpPartialScores
 	// OpPing asks the server for an empty reply — an in-band liveness
 	// check pooled connections use to detect dead peers while idle,
@@ -1307,11 +1308,12 @@ func deadlineReply(budget int64) Reply {
 // the raw int64 dot of every packed query against every served class, plus
 // the per-class Σv², both over whatever dimension slice this server's
 // entry holds — refused, typed and never retried, when the entry cannot
-// answer exactly (a DP-noised model whose classes are not integer-valued)
-// or a query is full-precision. The span collects the batch's token waits
-// and scoring time. A non-zero deadline sheds the frame instead of scoring
-// dead work: checked before scoring starts (budget spent upstream) and as
-// each query takes its scoring token (budget spent waiting for one).
+// answer exactly (a model whose classes are not integer-valued, so it has
+// no integer engine) or a query is full-precision. The span collects the
+// batch's token waits and scoring time. A non-zero deadline sheds the
+// frame instead of scoring dead work: checked before scoring starts
+// (budget spent upstream) and as each query takes its scoring token
+// (budget spent waiting for one).
 func (s *Server) answerQueries(modelName string, req Request, span *trace.Span, deadline time.Time) Reply {
 	// Resolve the name fresh per frame: a Swap between frames serves the
 	// new model from the next frame on, while this frame keeps the entry
@@ -1321,9 +1323,9 @@ func (s *Server) answerQueries(modelName string, req Request, span *trace.Span, 
 		return Reply{Code: codeUnknownModel, Detail: err.Error()}
 	}
 	partial := req.Op == OpPartialScores
-	if partial && (entry.Scorer == nil || !entry.Scorer.PartialCapable()) {
+	if partial && !entry.Scorer.PartialCapable() {
 		return Reply{Code: codePartial,
-			Detail: fmt.Sprintf("model %q has non-integer (noised) class planes; partial scores would not be exact", entry.Name)}
+			Detail: fmt.Sprintf("model %q has non-integer class vectors; partial scores would not be exact", entry.Name)}
 	}
 	if len(req.Queries) > s.maxBatch {
 		return Reply{Code: codeBatch,
@@ -1456,11 +1458,12 @@ func (b *batch) score(lo, hi int) bool {
 // scoreOne scores query i into its reply slot. Packed queries are scored
 // in the integer domain on the entry's prepared planes — no float64
 // expansion, no float dot — falling back to the model's expansion-free
-// packed path if the entry somehow carries no engine. Vector wins when
-// both wire fields are (ab)used, exactly as answerQueries validated the
-// frame's dimensionality, so a frame carrying a valid Vector plus a
-// wrong-length Packed can never reach the packed scorer and panic it. The
-// scores slice is the only per-query allocation: it escapes into the Reply.
+// packed path when the entry has no engine (a non-integer model). Vector
+// wins when both wire fields are (ab)used, exactly as answerQueries
+// validated the frame's dimensionality, so a frame carrying a valid Vector
+// plus a wrong-length Packed can never reach the packed scorer and panic
+// it. The scores slice is the only per-query allocation: it escapes into
+// the Reply.
 func (b *batch) scoreOne(i int) {
 	q := b.queries[i]
 	if b.partials != nil {

@@ -1125,53 +1125,51 @@ func posQuery(dim int) []float64 {
 }
 
 func TestPipelinedRepliesOutOfOrder(t *testing.T) {
-	// Pipelining at the wire level: a heavy frame followed by a light
-	// frame on the same connection must be answerable out of order, with
-	// replies matched by request ID. With 2 workers the light frame's
-	// single query overtakes the heavy frame's 200.
-	const dim = 2048
-	addr, _, cleanup := startServer(t, bigModel(dim), WithWorkers(2))
+	// Pipelining at the wire level: a frame stuck in scoring must not hold
+	// back a later frame on the same connection, and replies are matched
+	// by request ID. With every scoring token held, the classify frame
+	// (ID 1) cannot finish, so the Ping (ID 2) sent after it must be
+	// answered first; releasing the tokens then lets the classify finish.
+	const dim = 64
+	addr, srv, cleanup := startServer(t, bigModel(dim), WithWorkers(2))
 	defer cleanup()
+	release := HoldScoringTokens(srv)
+	released := false
+	defer func() { // before cleanup: Close waits for the held frame
+		if !released {
+			release()
+		}
+	}()
 
-	heavy := Request{ID: 1, Queries: make([]Query, 200)}
-	for i := range heavy.Queries {
-		packed, ok := PackQuery(posQuery(dim))
-		if !ok {
-			t.Fatal("query should pack")
-		}
-		heavy.Queries[i] = Query{Packed: packed}
+	conn, enc, dec := rawHandshake(t, addr, Hello{Dim: dim})
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
 	}
-	light := Request{ID: 2, Queries: []Query{heavy.Queries[0]}}
-
-	sawOutOfOrder := false
-	for attempt := 0; attempt < 5 && !sawOutOfOrder; attempt++ {
-		_, enc, dec := rawHandshake(t, addr, Hello{Dim: dim})
-		if err := enc.Encode(heavy); err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Encode(light); err != nil {
-			t.Fatal(err)
-		}
-		var first, second Reply
-		if err := dec.Decode(&first); err != nil {
-			t.Fatal(err)
-		}
-		if err := dec.Decode(&second); err != nil {
-			t.Fatal(err)
-		}
-		if first.Code != "" || second.Code != "" {
-			t.Fatalf("replies rejected: %+v / %+v", first.Code, second.Code)
-		}
-		ids := map[uint64]Reply{first.ID: first, second.ID: second}
-		if len(ids[1].Results) != 200 || len(ids[2].Results) != 1 {
-			t.Fatalf("results misrouted: id1=%d id2=%d", len(ids[1].Results), len(ids[2].Results))
-		}
-		if first.ID == 2 {
-			sawOutOfOrder = true
-		}
+	packed, ok := PackQuery(posQuery(dim))
+	if !ok {
+		t.Fatal("query should pack")
 	}
-	if !sawOutOfOrder {
-		t.Error("light frame never overtook the heavy frame: pipelined replies arrived strictly in order")
+	if err := enc.Encode(Request{ID: 1, Queries: []Query{{Packed: packed}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(Request{ID: 2, Op: OpPing}); err != nil {
+		t.Fatal(err)
+	}
+	var ping, classify Reply
+	if err := dec.Decode(&ping); err != nil {
+		t.Fatalf("Ping reply while the classify frame waits for a token: %v", err)
+	}
+	if ping.ID != 2 || ping.Code != "" {
+		t.Fatalf("first reply: ID %d code %q, want the Ping (ID 2) answered cleanly", ping.ID, ping.Code)
+	}
+	release()
+	released = true
+	if err := dec.Decode(&classify); err != nil {
+		t.Fatal(err)
+	}
+	if classify.ID != 1 || classify.Code != "" || len(classify.Results) != 1 {
+		t.Fatalf("second reply: ID %d code %q with %d results, want the classify (ID 1) with 1",
+			classify.ID, classify.Code, len(classify.Results))
 	}
 }
 

@@ -38,8 +38,8 @@ func TestServerScoresPackedOnIntegerEngine(t *testing.T) {
 	if entry.Scorer == nil {
 		t.Fatal("registered entry carries no integer scorer")
 	}
-	if entry.Scorer.IntegerClasses() != classes {
-		t.Fatalf("scorer has %d integer classes, want %d", entry.Scorer.IntegerClasses(), classes)
+	if entry.Scorer.NumClasses() != classes {
+		t.Fatalf("scorer has %d classes, want %d", entry.Scorer.NumClasses(), classes)
 	}
 
 	rng := rand.New(rand.NewSource(78))

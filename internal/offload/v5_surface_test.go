@@ -178,9 +178,10 @@ func TestPartialScoresExactAndComposable(t *testing.T) {
 }
 
 func TestPartialScoresRefusedForNonIntegerModel(t *testing.T) {
-	// A model whose class planes are not integer-valued (e.g. DP-noised)
-	// cannot answer exactly; the refusal is typed and must not look like a
-	// transport failure (a coordinator would otherwise retry it forever).
+	// A model whose class planes are not integer-valued (e.g. unquantized
+	// scalar encoding) cannot answer exactly; the refusal is typed and must
+	// not look like a transport failure (a coordinator would otherwise
+	// retry it forever).
 	m := labelModel(0)
 	m.Add(0, []float64{0.5, 0.25, 0, 0})
 	addr, _, cleanup := startServer(t, m)

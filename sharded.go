@@ -12,11 +12,13 @@ import (
 // Sharded-serving errors; test with errors.Is.
 var (
 	// ErrPartialUnsupported reports a served model that cannot answer
-	// exact partial scores (a non-integer model, e.g. after DP noising,
-	// or oversized class values), or a sharded client asked to carry
-	// full-precision (WithRawQueries) queries. From a live server it is a
-	// protocol verdict — never retried, every replica of the model would
-	// refuse the same way.
+	// exact partial scores (its classes are not integers — an unquantized
+	// scalar-encoded or online-trained model — or are oversized), or
+	// a sharded client asked to carry full-precision (WithRawQueries)
+	// queries. Connect does not probe for the first case: it succeeds,
+	// and every Predict then fails with this error. From a live server it
+	// is a protocol verdict — never retried, every replica of the model
+	// would refuse the same way.
 	ErrPartialUnsupported = offload.ErrPartialUnsupported
 	// ErrShardTiling reports a replica set whose shard descriptors do
 	// not tile the full model exactly (gaps, overlaps, or disagreeing
