@@ -29,9 +29,9 @@ type Client interface {
 	Predict(x []float64) (int, []float64, error)
 	// PredictContext is Predict bounded by ctx: the remaining context
 	// budget is stamped on every request frame (Request.BudgetNs), so
-	// servers shed work that can no longer answer in time, retries draw
-	// from a shared per-call budget, and cancellation aborts client-side
-	// waits. A deadline exceeded on the way out or in a server shed
+	// servers shed work that can no longer answer in time, failovers
+	// stop when the call's allowance runs out, and cancellation aborts
+	// client-side waits. A deadline exceeded on the way out or in a server shed
 	// surfaces as ErrDeadlineExceeded. With hedging enabled (Target.Hedge)
 	// a slow attempt races a backup replica, first reply wins.
 	PredictContext(ctx context.Context, x []float64) (int, []float64, error)

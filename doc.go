@@ -105,8 +105,8 @@
 // (ErrShardTiling). DP models shard like any other, since their noised
 // classes are rounded to integers. Only a model whose classes are not
 // integers (unquantized scalar encoding, or online training) cannot be
-// partial-scored; a sharded Connect to one succeeds but every Predict
-// fails with ErrPartialUnsupported.
+// partial-scored; a sharded Connect to one fails with
+// ErrPartialUnsupported.
 //
 // Production deployments serve many models behind one listener through a
 // Registry of named, versioned pipelines: clients select one in the
@@ -202,10 +202,11 @@
 // budget clock at frame arrival and shed queued work whose budget has
 // expired, answering a typed rejection that surfaces as
 // ErrDeadlineExceeded — deliberately not wrapped in ErrTransport, because
-// retrying out-of-time work on another replica only wastes capacity. All
-// retry layers of one logical call (pool redial, cluster failover, hedge
-// attempts) draw from a single per-call retry budget with jittered
-// backoff, a doubling cooldown on each replica's ejection slows probe
+// retrying out-of-time work on another replica only wastes capacity. A
+// cluster call has one retry loop, the cluster's failover (its pools make
+// one attempt per visit), bounded by a per-call allowance of four
+// failovers per replica that only a hedged pair shares, with jittered
+// backoff; a doubling cooldown on each replica's ejection slows probe
 // re-admission of flapping replicas, idle pooled connections are
 // liveness-pinged in-band, and Target.Hedge arms tail-latency request
 // hedging with an adaptive delay: a straggling attempt gets a backup on a

@@ -11,9 +11,11 @@
 //     are dialed on demand (with exponential backoff after failures),
 //     spill to a new connection when every live one is saturated, are
 //     reaped after sitting idle, and are discarded the moment their
-//     transport breaks. One operation that fails with
-//     offload.ErrTransport is retried once on a different connection —
-//     classification is idempotent, so the retry is safe.
+//     transport breaks. A standalone pool retries an operation that
+//     fails with offload.ErrTransport once on a different connection —
+//     classification is idempotent, so the retry is safe. A cluster's
+//     pools make one attempt per visit: the cluster's failover loop is
+//     the only retry loop of a cluster call.
 //
 //   - Cluster balances operations across a set of replica addresses, each
 //     behind its own Pool: least-in-flight (default) or round-robin
@@ -154,7 +156,8 @@ type poolConn struct {
 // Pool multiplexes concurrent callers over a bounded set of pipelined
 // connections to one server. All methods are safe for concurrent use.
 type Pool struct {
-	cfg PoolConfig
+	cfg      PoolConfig
+	attempts int // per operation: 2 standalone, 1 under a cluster
 
 	mu          sync.Mutex
 	conns       []*poolConn
@@ -177,8 +180,11 @@ type Pool struct {
 // NewPool returns a pool for the configured address. No connection is
 // dialed until the first operation (use Hello to dial eagerly). Close it
 // when done.
-func NewPool(cfg PoolConfig) *Pool {
-	p := &Pool{cfg: cfg.withDefaults(), changed: make(chan struct{})}
+func NewPool(cfg PoolConfig) *Pool { return newPool(cfg, 2) }
+
+// newPool is NewPool making at most attempts tries per operation.
+func newPool(cfg PoolConfig, attempts int) *Pool {
+	p := &Pool{cfg: cfg.withDefaults(), attempts: attempts, changed: make(chan struct{})}
 	if p.cfg.IdleTimeout > 0 {
 		p.stopReaper = make(chan struct{})
 		p.reaperDone = make(chan struct{})
@@ -425,13 +431,17 @@ func (p *Pool) dialBackoffLeft() time.Duration {
 	return 0
 }
 
-// do runs one operation on a pooled connection, retrying a transport
-// failure once on a different (or freshly dialed) connection — safe
-// because classification and listing are idempotent. Protocol errors are
-// returned as-is.
+// do runs one operation on a pooled connection. A standalone pool retries
+// a transport failure once on a different (or freshly dialed) connection —
+// safe because classification and listing are idempotent; a cluster's
+// pool makes one attempt and leaves retrying to the cluster's failover
+// loop. Protocol errors are returned as-is.
 func (p *Pool) do(ctx context.Context, op func(*offload.Client) error) error {
 	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
+	for attempt := 0; attempt < p.attempts; attempt++ {
+		if attempt > 0 {
+			cmPoolRetries.With(p.cfg.Addr).Inc()
+		}
 		pc, err := p.acquire(ctx)
 		if err != nil {
 			if lastErr != nil {
@@ -445,25 +455,16 @@ func (p *Pool) do(ctx context.Context, op func(*offload.Client) error) error {
 			return err
 		}
 		lastErr = err
-		if attempt == 0 {
-			// The in-pool retry draws from the call's shared retry budget
-			// when one is attached (cluster and hedged paths), so stacked
-			// retry layers cannot multiply into attempt storms.
-			if b := budgetFrom(ctx); b != nil && !b.take() {
-				cmRetryBudgetExhausted.Inc()
-				return lastErr
-			}
-			cmPoolRetries.With(p.cfg.Addr).Inc()
-		}
 	}
 	return lastErr
 }
 
 // Do runs op on one pooled connection with the pool's usual
-// transport-retry discipline. It exists for callers that need raw client
-// access through the pool — the shard coordinator issues partial-score
-// frames this way — and follows the same contract as every pool method:
-// op must be idempotent, and typed protocol errors are returned as-is.
+// transport-retry discipline (see do). It exists for callers that need
+// raw client access through the pool — the shard coordinator issues
+// partial-score frames this way — and follows the same contract as every
+// pool method: op must be idempotent, and typed protocol errors are
+// returned as-is.
 func (p *Pool) Do(ctx context.Context, op func(*offload.Client) error) error {
 	return p.do(ctx, op)
 }
@@ -756,7 +757,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		pcfg.Hello = cfg.Hello
 		cl.replicas = append(cl.replicas, &replica{
 			addr:    addr,
-			pool:    NewPool(pcfg),
+			pool:    newPool(pcfg, 1),
 			healthy: true,
 		})
 		cmReplicaHealthy.With(addr).Set(1)
@@ -808,52 +809,48 @@ func (cl *Cluster) pick(tried map[*replica]bool) *replica {
 	}
 }
 
-// do runs one idempotent operation with failover: a replica whose
-// transport fails is ejected and the operation moves to the next distinct
-// replica. Typed protocol errors return immediately — a live server
-// answered, and every replica would answer the same.
-func (cl *Cluster) do(ctx context.Context, op func(*Pool) error) error {
-	return cl.doPrefer(ctx, nil, op)
-}
-
-// doPrefer is do with an optional first choice: the preferred replica is
-// tried before the policy picks, then the usual failover takes over. The
-// batch scatter uses it to pin each chunk to a distinct replica — policy
-// picks race when chunks launch together (everyone samples zero in-flight
-// and piles onto the same replica) — while keeping chunk-level failover.
-func (cl *Cluster) doPrefer(ctx context.Context, prefer *replica, op func(*Pool) error) error {
-	return cl.doAttempt(cl.ensureBudget(ctx), prefer, nil,
+// do runs one idempotent operation with failover under a fresh per-call
+// allowance (see doAttempt). prefer, when non-nil, is tried before the
+// policy picks: the batch scatter uses it to pin each chunk to a distinct
+// replica — policy picks race when chunks launch together (everyone
+// samples zero in-flight and piles onto the same replica) — while keeping
+// chunk-level failover.
+func (cl *Cluster) do(ctx context.Context, prefer *replica, op func(*Pool) error) error {
+	left := cl.callAllowance()
+	return cl.doAttempt(ctx, &left, prefer, nil,
 		func(_ context.Context, p *Pool) error { return op(p) })
 }
 
-// doAttempt is the failover engine behind do/doPrefer/DoHedged: try
-// replicas (prefer first, then policy picks) until one answers, a typed
-// protocol error arrives, the shared retry budget runs dry, or every
-// distinct replica has failed. onPick, when non-nil, is told each replica
-// just before its attempt — DoHedged uses it to aim the backup attempt at
-// a different replica than the primary is on. Failovers past the first
-// pause with jitter (failoverPause) so a call sweeping a sick fleet does
-// not hammer it in a tight loop. op receives the attempt's context —
-// hedged attempts run under a cancellable child, so an op must use the
-// context it is handed, not one it captured.
-func (cl *Cluster) doAttempt(ctx context.Context, prefer *replica, onPick func(*replica), op func(context.Context, *Pool) error) error {
-	budget := budgetFrom(ctx)
+// doAttempt is the one retry loop of a cluster call, behind do and
+// DoHedged: try replicas (prefer first, then policy picks) until one
+// answers, a typed protocol error arrives — a live server answered, and
+// every replica would answer the same — the call's allowance runs dry,
+// or ctx ends. An undeadlined call also stops after a sweep in which every
+// replica was inside its dial backoff. A replica whose transport fails is
+// ejected, and each such failure spends one unit of *left, a counter only
+// a hedged pair shares, so one call makes at most 1 + callAllowance
+// attempts. onPick, when non-nil, is told each replica just before its
+// attempt — DoHedged uses it to aim the backup attempt at a different
+// replica than the primary is on. Failovers past the first pause with
+// jitter (failoverPause) so a call sweeping a sick fleet does not hammer it
+// in a tight loop. op receives the attempt's context — hedged attempts run
+// under a cancellable child, so an op must use the context it is handed,
+// not one it captured.
+func (cl *Cluster) doAttempt(ctx context.Context, left *int64, prefer *replica, onPick func(*replica), op func(context.Context, *Pool) error) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	var lastErr error
 	attempt := 0
 	for {
 		tried := make(map[*replica]bool, len(cl.replicas))
-		sweepAttempted := false
 		realFailure := false
 		for len(tried) < len(cl.replicas) {
 			r := prefer
 			if r == nil || tried[r] {
 				r = cl.pick(tried)
 			}
-			if r == nil {
-				break
-			}
 			tried[r] = true
-			sweepAttempted = true
 			attempt++
 			if onPick != nil {
 				onPick(r)
@@ -870,7 +867,7 @@ func (cl *Cluster) doAttempt(ctx context.Context, prefer *replica, onPick func(*
 			if !errors.Is(err, offload.ErrTransport) {
 				return err
 			}
-			if ctx != nil && ctx.Err() != nil {
+			if ctx.Err() != nil {
 				// The caller gave up, the replica didn't fail: surface the
 				// cancellation without ejecting anyone or burning retries on
 				// a context that is already dead.
@@ -880,7 +877,7 @@ func (cl *Cluster) doAttempt(ctx context.Context, prefer *replica, onPick func(*
 				// The pool rejected without touching the network: the
 				// replica already paid for the dial failure that opened its
 				// backoff window. Re-punishing it here — and charging the
-				// call's retry budget for an attempt that never left the
+				// call's allowance for an attempt that never left the
 				// process — would drain calls to exhaustion exactly when
 				// replicas are sickest. The tried map still bounds the sweep.
 				lastErr = err
@@ -890,38 +887,31 @@ func (cl *Cluster) doAttempt(ctx context.Context, prefer *replica, onPick func(*
 			cl.recordFailure(r, false, err)
 			cmFailovers.Inc()
 			lastErr = err
-			if budget != nil && !budget.take() {
+			if atomic.AddInt64(left, -1) < 0 {
 				cmRetryBudgetExhausted.Inc()
-				return fmt.Errorf("%w: retry budget exhausted after %d attempts, last: %v",
+				return fmt.Errorf("%w: retry allowance exhausted after %d attempts, last: %v",
 					ErrNoHealthyReplicas, attempt, lastErr)
 			}
 			if pause := failoverPause(attempt + 1); pause > 0 {
 				t := time.NewTimer(pause)
-				if ctx == nil {
-					<-t.C
-				} else {
-					select {
-					case <-t.C:
-					case <-ctx.Done():
-						t.Stop()
-						return fmt.Errorf("%w: %w", offload.ErrTransport, ctx.Err())
-					}
+				select {
+				case <-t.C:
+				case <-ctx.Done():
+					t.Stop()
+					return fmt.Errorf("%w: %w", offload.ErrTransport, ctx.Err())
 				}
 			}
 		}
 		// The sweep covered every replica without a success. A caller that
 		// is still willing to wait deserves another sweep rather than an
 		// error with most of its deadline unspent: real failures already
-		// drew down the shared retry budget (which bounds the total), and
-		// an all-backoff sweep cost nothing — waiting out the nearest
-		// window is strictly better than failing a call that has time left.
-		if !sweepAttempted || ctx == nil || ctx.Err() != nil {
+		// drew down the allowance (which bounds the total), and an
+		// all-backoff sweep cost nothing — waiting out the nearest window
+		// is strictly better than failing a call that has time left.
+		if ctx.Err() != nil {
 			break
 		}
 		if realFailure {
-			if budget == nil {
-				break
-			}
 			continue
 		}
 		// Every rejection this sweep was a free backoff fast-fail. Only a
@@ -955,30 +945,10 @@ func (cl *Cluster) minDialBackoffLeft() time.Duration {
 	return min
 }
 
-// Do runs op on some healthy replica with the cluster's usual failover
-// discipline: transport failures eject the replica and move on, typed
-// protocol errors return immediately. It exists for callers composing
-// operations the facade doesn't cover — the shard coordinator retries a
-// missing shard's partial scores through exactly this path.
-func (cl *Cluster) Do(ctx context.Context, op func(*Pool) error) error {
-	return cl.do(ctx, op)
-}
-
-// HealthyCount returns how many replicas are currently believed healthy.
-func (cl *Cluster) HealthyCount() int {
-	n := 0
-	for _, r := range cl.replicas {
-		if r.isHealthy() {
-			n++
-		}
-	}
-	return n
-}
-
 // Hello returns the accepted handshake of the first replica that answers.
 func (cl *Cluster) Hello(ctx context.Context) (offload.ServerHello, error) {
 	var hello offload.ServerHello
-	err := cl.do(ctx, func(p *Pool) error {
+	err := cl.do(ctx, nil, func(p *Pool) error {
 		var err error
 		hello, err = p.Hello(ctx)
 		return err
@@ -1033,7 +1003,7 @@ func (cl *Cluster) ClassifyBatchScores(ctx context.Context, qs []offload.Query) 
 		// Degenerate scatter (one replica, or batch smaller than the
 		// fleet ÷ 1): keep the simple single-flight path.
 		var results []offload.Result
-		err := cl.do(ctx, func(p *Pool) error {
+		err := cl.do(ctx, nil, func(p *Pool) error {
 			var err error
 			results, err = p.ClassifyBatchScores(ctx, qs)
 			return err
@@ -1061,7 +1031,7 @@ func (cl *Cluster) ClassifyBatchScores(ctx context.Context, qs []offload.Query) 
 		wg.Add(1)
 		go func(start, end int, prefer *replica) {
 			defer wg.Done()
-			err := cl.doPrefer(ctx, prefer, func(p *Pool) error {
+			err := cl.do(ctx, prefer, func(p *Pool) error {
 				rs, err := p.ClassifyBatchScores(ctx, qs[start:end])
 				if err != nil {
 					return err
@@ -1104,7 +1074,7 @@ func (cl *Cluster) ClassifyBatch(ctx context.Context, qs []offload.Query) ([]int
 // that answers.
 func (cl *Cluster) ListModels(ctx context.Context) ([]offload.ModelListing, error) {
 	var models []offload.ModelListing
-	err := cl.do(ctx, func(p *Pool) error {
+	err := cl.do(ctx, nil, func(p *Pool) error {
 		var err error
 		models, err = p.ListModels(ctx)
 		return err

@@ -207,6 +207,36 @@ func TestPoolRedialsAfterConnLossWithBackoff(t *testing.T) {
 	}
 }
 
+// TestPoolRetriesOnlyStandalone pins where a transport failure is
+// retried: a standalone pool tries an operation twice, while a cluster's
+// pool tries once and leaves the retry to the cluster's failover loop.
+func TestPoolRetriesOnlyStandalone(t *testing.T) {
+	const dim = 16
+	rep := startReplica(t, dim)
+	cfg := PoolConfig{Network: "tcp", Addr: rep.addr, Hello: offload.Hello{Dim: dim}}
+	for _, tc := range []struct {
+		name string
+		p    *Pool
+		want int
+	}{
+		{"standalone", NewPool(cfg), 2},
+		{"cluster", newPool(cfg, 1), 1},
+	} {
+		defer tc.p.Close()
+		calls := 0
+		err := tc.p.Do(context.Background(), func(*offload.Client) error {
+			calls++
+			return fmt.Errorf("%w: synthetic failure", offload.ErrTransport)
+		})
+		if !errors.Is(err, offload.ErrTransport) {
+			t.Fatalf("%s: err = %v, want ErrTransport", tc.name, err)
+		}
+		if calls != tc.want {
+			t.Fatalf("%s pool ran the op %d times, want %d", tc.name, calls, tc.want)
+		}
+	}
+}
+
 func TestPoolReapsIdleConns(t *testing.T) {
 	const dim = 16
 	rep := startReplica(t, dim)

@@ -24,7 +24,7 @@ var (
 		"addr")
 	cmPoolRetries = metrics.Default.NewCounterVec(
 		"privehd_pool_retries_total",
-		"Operations retried on a second connection after a transport failure, by server address.",
+		"Operations a standalone pool retried on a second connection after a transport failure, by server address. A cluster's pools never retry: the cluster fails over instead.",
 		"addr")
 	cmPoolAcquireWait = metrics.Default.NewHistogramVec(
 		"privehd_pool_acquire_wait_seconds",
@@ -54,7 +54,7 @@ var (
 		"addr", "result")
 	cmRetryBudgetExhausted = metrics.Default.NewCounter(
 		"privehd_cluster_retry_budget_exhausted_total",
-		"Operations that stopped retrying because their per-call retry budget ran out before every replica was tried.")
+		"Operations that stopped failing over because their per-call allowance of 4 × replicas failovers ran out.")
 )
 
 // syncGauges publishes the pool's connection and in-flight gauges. The

@@ -1,14 +1,15 @@
-// Resilience mechanics for the cluster layer: jittered retry backoff, a
-// shared per-call retry budget, the re-admission cooldown ladder, in-band
+// Resilience mechanics for the cluster layer: jittered retry backoff, the
+// per-call retry allowance, the re-admission cooldown ladder, in-band
 // liveness pings on idle pooled connections, and hedged requests.
 //
 // These compose with the existing machinery: a replica's healthy flag is
 // its one health state (the ladder only gates how eagerly a probe may
-// re-admit a flapping replica), pool retry and cluster failover stay the
-// retry paths (the budget bounds how many total attempts one logical call
-// may burn), and hedging rides on the same failover primitive with a
-// private-result/commit-once discipline so concurrent attempts never race
-// on caller state.
+// re-admit a flapping replica), and the cluster's failover loop is the one
+// retry loop of a cluster call — a cluster's pools make one attempt per
+// visit. The allowance is a plain counter that bounds how many failovers
+// one call may burn; only a hedged pair shares one. Hedging rides on the
+// same failover primitive with a private-result/commit-once discipline so
+// concurrent attempts never race on caller state.
 package cluster
 
 import (
@@ -38,68 +39,18 @@ func jitterBackoff(d time.Duration) time.Duration {
 // window. Such a rejection performs no I/O — the replica already paid
 // (ejection, backoff) for the dial failure that opened the window — so
 // failover treats it as "unavailable right now" rather than a fresh
-// failure: no re-ejection and no retry-budget charge.
-// Without the distinction, a fleet-wide blip drains a call's entire budget
-// on attempts that never leave the process.
+// failure: no re-ejection and no charge against the call's allowance.
+// Without the distinction, a fleet-wide blip drains a call's entire
+// allowance on attempts that never leave the process.
 var errDialBackoff = errors.New("backing off")
 
-// retryBudget is the shared per-call retry allowance: every retry beyond a
-// path's first attempt — a pool redialing its one in-pool retry, a cluster
-// failing over to the next replica, a hedge burning attempts of its own —
-// draws from the same counter, so stacked retry layers cannot multiply
-// into attempt storms when the fleet is sick.
-type retryBudget struct{ n atomic.Int64 }
-
-// take consumes one retry if any remain.
-func (b *retryBudget) take() bool {
-	for {
-		v := b.n.Load()
-		if v <= 0 {
-			return false
-		}
-		if b.n.CompareAndSwap(v, v-1) {
-			return true
-		}
-	}
-}
-
-type retryBudgetKey struct{}
-
-// withRetryBudget returns ctx carrying a fresh budget of n retries.
-func withRetryBudget(ctx context.Context, n int) context.Context {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	b := &retryBudget{}
-	b.n.Store(int64(n))
-	return context.WithValue(ctx, retryBudgetKey{}, b)
-}
-
-// budgetFrom extracts the call's retry budget, nil when none was attached
-// (a bare Pool used without a Cluster keeps its historical retry-once
-// behavior).
-func budgetFrom(ctx context.Context) *retryBudget {
-	if ctx == nil {
-		return nil
-	}
-	b, _ := ctx.Value(retryBudgetKey{}).(*retryBudget)
-	return b
-}
-
-// ensureBudget attaches the cluster's default per-call retry budget unless
-// the caller (an outer DoHedged, or a scatter parent) already did. The
-// default — four attempts per replica — funds two full failover sweeps:
-// one visit costs up to two units (the op plus its in-pool retry), and a
-// single sweep is too brittle when a cut connection fails several
-// multiplexed calls at once and they re-converge on the same fresh
-// connection. Two sweeps absorb that correlation; anything beyond is an
-// attempt storm the budget exists to stop.
-func (cl *Cluster) ensureBudget(ctx context.Context) context.Context {
-	if budgetFrom(ctx) != nil {
-		return ctx
-	}
-	return withRetryBudget(ctx, 4*len(cl.replicas))
-}
+// callAllowance is how many failovers one logical call may spend: four
+// per replica, so one call makes at most 1 + 4×replicas attempts. A single
+// sweep is too brittle when a cut connection fails several multiplexed
+// calls at once and they re-converge on the same fresh connection; a few
+// sweeps absorb that correlation, and anything beyond is an attempt storm
+// the allowance exists to stop.
+func (cl *Cluster) callAllowance() int64 { return 4 * int64(len(cl.replicas)) }
 
 // failoverPause is the jittered pause before the Nth failover attempt of
 // one call. The first failover is immediate — one replica dying must not
@@ -265,19 +216,25 @@ type HedgedOp func() (op func(context.Context, *Pool) error, commit func())
 // the usual failover path, and if it has not resolved after the hedge
 // delay a backup attempt launches against a replica distinct from the one
 // the primary is on. First success wins and commits; the loser's context
-// is canceled and its late outcome discarded. Both attempts draw from one
-// shared retry budget, so hedging cannot double the fleet-wide retry
-// storm. span (nil-safe) gets the hedge's in-flight window as StageHedge.
+// is canceled and its late outcome discarded. Both attempts spend one
+// shared allowance, so hedging cannot double a call's failovers. span
+// (nil-safe) gets the hedge's in-flight window as StageHedge.
 func (cl *Cluster) DoHedged(ctx context.Context, span *trace.Span, mk HedgedOp) error {
 	if !cl.cfg.Hedge || len(cl.replicas) < 2 {
+		// Declared per path: the hedged pair's goroutines move their
+		// counter to the heap, this one stays on the stack.
+		left := cl.callAllowance()
 		op, commit := mk()
-		if err := cl.doAttempt(cl.ensureBudget(ctx), nil, nil, op); err != nil {
+		if err := cl.doAttempt(ctx, &left, nil, nil, op); err != nil {
 			return err
 		}
 		commit()
 		return nil
 	}
-	ctx = cl.ensureBudget(ctx)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	left := cl.callAllowance()
 
 	type outcome struct {
 		err    error
@@ -291,7 +248,7 @@ func (cl *Cluster) DoHedged(ctx context.Context, span *trace.Span, mk HedgedOp) 
 	var primaryOn atomic.Pointer[replica]
 	pop, pcommit := mk()
 	go func() {
-		err := cl.doAttempt(pctx, nil, primaryOn.Store, pop)
+		err := cl.doAttempt(pctx, &left, nil, primaryOn.Store, pop)
 		resCh <- outcome{err: err, commit: pcommit, hedge: false}
 	}()
 
@@ -321,7 +278,7 @@ func (cl *Cluster) DoHedged(ctx context.Context, span *trace.Span, mk HedgedOp) 
 			}
 			hop, hcommit := mk()
 			go func() {
-				err := cl.doAttempt(hctx, prefer, nil, hop)
+				err := cl.doAttempt(hctx, &left, prefer, nil, hop)
 				resCh <- outcome{err: err, commit: hcommit, hedge: true}
 			}()
 		case out := <-resCh:

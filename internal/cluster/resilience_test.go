@@ -262,33 +262,117 @@ func TestRetryBudgetBoundsAttempts(t *testing.T) {
 	}
 	defer cl.Close()
 
-	// A budget of 1 retry allows exactly 2 attempts, even though 3
-	// replicas are available: the shared budget, not the replica count,
-	// bounds how much a sick call may burn.
+	// The default allowance is four failovers per replica: 3 replicas
+	// that always fail mean exactly 1 + 4×3 = 13 attempts, then the call
+	// stops with ErrNoHealthyReplicas instead of sweeping forever.
 	before := cmRetryBudgetExhausted.Value()
 	var calls atomic.Int32
-	err = cl.Do(withRetryBudget(context.Background(), 1), func(p *Pool) error {
+	err = cl.do(context.Background(), nil, func(p *Pool) error {
 		calls.Add(1)
 		return fmt.Errorf("%w: synthetic failure", offload.ErrTransport)
 	})
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("op ran %d times under a 1-retry budget, want exactly 2", got)
+	if got := calls.Load(); got != 13 {
+		t.Fatalf("op ran %d times against 3 failing replicas, want exactly 13", got)
 	}
 	if !errors.Is(err, ErrNoHealthyReplicas) {
-		t.Fatalf("exhausted budget err = %v, want ErrNoHealthyReplicas", err)
+		t.Fatalf("exhausted allowance err = %v, want ErrNoHealthyReplicas", err)
 	}
 	if after := cmRetryBudgetExhausted.Value(); after != before+1 {
 		t.Fatalf("retry_budget_exhausted moved %d→%d, want +1", before, after)
 	}
+}
 
-	// Budget 0: the first attempt is free (it is not a retry), nothing more.
-	calls.Store(0)
-	_ = cl.Do(withRetryBudget(context.Background(), 0), func(p *Pool) error {
-		calls.Add(1)
-		return fmt.Errorf("%w: synthetic failure", offload.ErrTransport)
+// TestClusterRidesOutFleetOutage kills every replica at once and brings
+// them back on the same addresses 300 ms later, under hedged callers with
+// 2 s deadlines. While the whole fleet is down every pool fast-fails from
+// inside its dial-backoff window; a call must wait out the nearest window
+// and re-sweep rather than fail with most of its deadline unspent, so
+// every call of the run succeeds.
+func TestClusterRidesOutFleetOutage(t *testing.T) {
+	const (
+		dim     = 16
+		callers = 8
+		outage  = 300 * time.Millisecond
+	)
+	reps := []*testReplica{startReplica(t, dim), startReplica(t, dim), startReplica(t, dim)}
+	var addrs []string
+	for _, r := range reps {
+		addrs = append(addrs, r.addr)
+	}
+	cl, err := NewCluster(ClusterConfig{
+		Network: "tcp", Addrs: addrs,
+		Hello: offload.Hello{Dim: dim},
+		Hedge: true,
 	})
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("op ran %d times under a 0-retry budget, want exactly 1", got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	classify := func(class int) error {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		label, _, err := cl.Classify(ctx, classQuery(dim, class))
+		if err == nil && label != class {
+			err = fmt.Errorf("label %d, want %d", label, class)
+		}
+		return err
+	}
+	for i := 0; i < 3*len(reps); i++ {
+		if err := classify(i % 2); err != nil {
+			t.Fatalf("warm-up call %d: %v", i, err)
+		}
+	}
+
+	stop := make(chan struct{})
+	var (
+		wg           sync.WaitGroup
+		calls, fails atomic.Int64
+		errMu        sync.Mutex
+		firstErr     error
+	)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(class int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				calls.Add(1)
+				if err := classify(class); err != nil {
+					fails.Add(1)
+					errMu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					errMu.Unlock()
+				}
+			}
+		}(c % 2)
+	}
+
+	time.Sleep(50 * time.Millisecond)
+	for _, r := range reps {
+		r.Kill()
+	}
+	time.Sleep(outage)
+	for _, r := range reps {
+		if err := r.Restart(); err != nil {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("restart %s: %v", r.addr, err)
+		}
+	}
+	time.Sleep(500 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+
+	if n := fails.Load(); n > 0 {
+		t.Fatalf("%d of %d calls failed through a %v fleet outage; first: %v",
+			n, calls.Load(), outage, firstErr)
 	}
 }
 

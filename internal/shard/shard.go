@@ -154,7 +154,10 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 }
 
 // discover dials one address, performs the handshake, and returns the
-// accepted ServerHello. The connection is closed immediately — the real
+// accepted ServerHello. One zero-query partial-score frame checks the
+// served model can answer exact partials at all, so a model that cannot
+// is refused here with offload.ErrPartialUnsupported instead of failing
+// every prediction. The connection is closed immediately — the real
 // traffic goes through the per-group pools.
 func discover(ctx context.Context, cfg Config, addr string) (offload.ServerHello, error) {
 	c, err := offload.Dial(ctx, cfg.Network, addr, offload.Hello{Model: cfg.Model})
@@ -162,7 +165,11 @@ func discover(ctx context.Context, cfg Config, addr string) (offload.ServerHello
 		return offload.ServerHello{}, err
 	}
 	h := c.ServerHello()
+	_, _, err = c.PartialScoresContext(ctx, nil)
 	c.Close()
+	if err != nil {
+		return offload.ServerHello{}, err
+	}
 	return h, nil
 }
 

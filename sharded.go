@@ -15,10 +15,9 @@ var (
 	// exact partial scores (its classes are not integers — an unquantized
 	// scalar-encoded or online-trained model — or are oversized), or
 	// a sharded client asked to carry full-precision (WithRawQueries)
-	// queries. Connect does not probe for the first case: it succeeds,
-	// and every Predict then fails with this error. From a live server it
-	// is a protocol verdict — never retried, every replica of the model
-	// would refuse the same way.
+	// queries. A sharded Connect checks both up front and refuses with
+	// this error. From a live server it is a protocol verdict — never
+	// retried, every replica of the model would refuse the same way.
 	ErrPartialUnsupported = offload.ErrPartialUnsupported
 	// ErrShardTiling reports a replica set whose shard descriptors do
 	// not tile the full model exactly (gaps, overlaps, or disagreeing

@@ -373,6 +373,29 @@ func TestConnectShardedRejectsRawQueries(t *testing.T) {
 	}
 }
 
+// TestConnectShardedRefusesNonIntegerModel: an unquantized scalar model
+// has non-integer classes, so no replica can answer exact partial scores.
+// Connect finds out during discovery and refuses with the typed error,
+// rather than succeeding and failing every Predict.
+func TestConnectShardedRefusesNonIntegerModel(t *testing.T) {
+	const dim = 512
+	pipe, _, _ := toyPipeline(t, privehd.WithEncoding(privehd.Scalar), privehd.WithQuantizer("full"))
+	fleet := serveShardFleet(t, "m", pipe, halves(dim), 1)
+
+	c, err := privehd.Connect(context.Background(), privehd.Target{
+		Addrs:    fleetAddrs(fleet),
+		Model:    "m",
+		Topology: privehd.TopologySharded,
+	})
+	if err == nil {
+		c.Close()
+		t.Fatal("Connect built a sharded client over a model that cannot answer partial scores")
+	}
+	if !errors.Is(err, privehd.ErrPartialUnsupported) {
+		t.Errorf("err = %v, want ErrPartialUnsupported", err)
+	}
+}
+
 // TestConnectShardedRefusedByV4OnlyReplica: a coordinator meeting a
 // frozen v4-only replica must surface the version refusal as the typed
 // handshake error — graceful, not a transport retry loop.
