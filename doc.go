@@ -161,10 +161,12 @@
 // derives the quantized −2…+1 query straight from the integer counts, and
 // a batch kernel that amortizes each pass over the item memory across
 // several rows (training, PredictBatch). Scoring consumes the packed
-// query against cache-blocked int8/int16/int32 class planes derived once
-// per model publication — no float64 expansion, no float dot, no
-// per-query heap allocation, and bit-identical results to the float
-// reference path at every stage (see internal/encslice and
+// query against class planes derived once per model publication: blocks
+// of 256 dimensions in the narrowest of int8, int16 and int32 that fits,
+// scored by one dense and one gather kernel, each generic over that
+// width — no float64 expansion, no float dot, no per-query heap
+// allocation, and bit-identical results to the float reference path at
+// every stage (see internal/encslice and
 // internal/intscore for the exactness arguments). Registry entries carry
 // the prepared planes through their RCU snapshots, so hot swaps re-derive
 // them atomically; the server, Predict/PredictBatch and PredictVector

@@ -203,19 +203,6 @@ func (m *Model) ScoresPackedInto(q []int8, out []float64) []float64 {
 	return out
 }
 
-// PredictPacked returns the label with the highest similarity score for a
-// packed query. On a precomputed integer model it runs entirely on pooled
-// engine scratch — zero heap allocations per call.
-func (m *Model) PredictPacked(q []int8) int {
-	if len(q) != m.dim {
-		panic(ErrDimension)
-	}
-	if e := m.PackedScorer(); e != nil {
-		return e.PredictPacked(q)
-	}
-	return vecmath.ArgMax(m.ScoresPackedInto(q, make([]float64, len(m.classes))))
-}
-
 // Predict returns the label with the highest similarity score for the
 // encoded query h.
 func (m *Model) Predict(h []float64) int {

@@ -42,7 +42,8 @@ func benchSetup() (*hdc.Model, *intscore.Engine, []int8) {
 // class on the legacy path (expand to []float64, float64 dot per class —
 // what the server did before the integer engine) and on the integer-domain
 // engine. The engine sub-benchmarks are the zero-alloc serving paths the CI
-// benchmark gate holds at 0 allocs/op.
+// benchmark gate holds at 0 allocs/op; the per-width ones time each kernel
+// at each plane width.
 func BenchmarkScoresPacked(b *testing.B) {
 	m, e, q := benchSetup()
 	out := make([]float64, m.NumClasses())
@@ -69,4 +70,39 @@ func BenchmarkScoresPacked(b *testing.B) {
 			e.PredictPacked(q)
 		}
 	})
+
+	// One engine per plane width at the same geometry, each timed on a
+	// bipolar query (dense kernel) and a half-zero query (gather kernel).
+	// The served models are int8: bundling a few dozen quantized encodings
+	// per class keeps |v| far below 127.
+	rng := rand.New(rand.NewSource(100))
+	dense, gather := make([]int8, len(q)), make([]int8, len(q))
+	for i := range dense {
+		dense[i] = int8(2*rng.Intn(2) - 1)
+		gather[i] = int8(rng.Intn(2) * (2*rng.Intn(2) - 1))
+	}
+	for _, w := range []struct {
+		name string
+		mag  int
+	}{{"int8", 100}, {"int16", 400}, {"int32", 40000}} {
+		raw := make([][]float64, m.NumClasses())
+		for l := range raw {
+			raw[l] = make([]float64, len(q))
+			for i := range raw[l] {
+				raw[l][i] = float64(rng.Intn(2*w.mag+1) - w.mag)
+			}
+		}
+		we := intscore.Prepare(raw)
+		for _, k := range []struct {
+			name string
+			q    []int8
+		}{{"dense", dense}, {"gather", gather}} {
+			b.Run(w.name+"-"+k.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					we.ScoresPackedInto(k.q, out)
+				}
+			})
+		}
+	}
 }

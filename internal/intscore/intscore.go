@@ -9,10 +9,17 @@
 // model was trained from are sums of quantized (integer) encodings, and a
 // DP release rounds its noised classes to integers, so every served class
 // vector is integer-valued; Prepare lays the classes out as cache-blocked
-// int8/int16/int32 panels. Scoring a packed query is then a pure integer
-// dot per class — 4- or 8-wide unrolled int64 multiply-accumulate over
-// panels sized to stay in L1 — finished by one float division per class
-// with the same ℓ2 norm the float path divides by.
+// panels of 256 dimensions, in the narrowest of int8, int16 and int32 that
+// holds every coordinate. Scoring a packed query is then a pure integer
+// dot per class, finished by one float division per class with the same
+// ℓ2 norm the float path divides by.
+//
+// There is one pair of kernels, written once and instantiated per plane
+// width: a dense 4-class-wide int64 multiply-accumulate for zero-poor
+// (bipolar) queries, and a multiplication-free gather over the non-zero
+// symbols for zero-rich ones (ternary, biased ternary, 2-bit). Each query
+// takes whichever suits it; integer sums are exact, so the choice never
+// changes a score bit.
 //
 // # Fidelity to the float path
 //
@@ -49,14 +56,13 @@ const (
 	MaxSymbol int8 = 1
 )
 
-// DefaultBlockDim is the dimensions-per-panel block size Prepare uses: with
-// int16 planes and a few dozen classes, one block panel plus the query block
-// stays within a typical 32 KiB L1 data cache. It must not exceed 256: the
-// gather kernels index panels with uint8 (enforced by the constant
-// conversion below).
-const DefaultBlockDim = 256
+// blockDim is the dimensions-per-panel block size: with int16 planes and a
+// few dozen classes, one block panel plus the query block stays within a
+// typical 32 KiB L1 data cache. It must not exceed 256: the gather kernel
+// indexes panel rows with uint8 (enforced by the constant conversion below).
+const blockDim = 256
 
-const _ = uint8(DefaultBlockDim - 1) // compile-time guard for uint8 indices
+const _ = uint8(blockDim - 1) // compile-time guard for uint8 indices
 
 // exactLimit is 2^53, below which integer-valued float64 sums are exact.
 // Prepare refuses any class whose Σv² or worst-case |accumulator| (2·‖C‖₁)
@@ -67,19 +73,28 @@ const (
 	maxAbsVal  = 1 << 26
 )
 
-// plane widths in bytes, in the order Prepare narrows them.
-const (
-	width8  = 1
-	width16 = 2
-	width32 = 4
-)
+// element is a class plane's integer type.
+type element interface{ ~int8 | ~int16 | ~int32 }
+
+// kernels adds every class's integer dot with a query into acc (one slot
+// per class). panels is its only implementation, one instantiation per
+// plane width; the engine holds the one Prepare picked.
+type kernels interface {
+	dense(q []int8, acc []int64)
+	gather(q []int8, acc []int64, s *engineScratch)
+}
+
+// panels holds the classes block-major then row-major:
+// p[(b·classes+l)·blockDim : …+blockDim] is the dimensions
+// [b·blockDim, (b+1)·blockDim) of class l. The tail block is zero-padded.
+type panels[T element] []T
 
 // Engine scores packed queries against one model's prepared class planes.
 // It is immutable after Prepare and safe for concurrent use.
 type Engine struct {
-	dim      int
-	classes  int
-	blockDim int
+	dim     int
+	classes int
+	bits    int // plane element width; 0 for an engine over no classes
 
 	// norms[l] is ‖C_l‖₂, computed exactly as the float scoring path
 	// computes it; 0 marks an empty class, scored −Inf.
@@ -92,15 +107,7 @@ type Engine struct {
 	// bit-for-bit.
 	normsSq []float64
 
-	// Classes live in one blocked panel slice, block-major then row-major:
-	// plane[(b·classes+l)·blockDim : …+blockDim] is the dimensions
-	// [b·blockDim, (b+1)·blockDim) of class l. The tail block is
-	// zero-padded. Exactly one of plane8/16/32 is non-nil; the width is
-	// the narrowest that fits every class.
-	width   int
-	plane8  []int8
-	plane16 []int16
-	plane32 []int32
+	planes kernels
 
 	scratch sync.Pool
 }
@@ -111,34 +118,23 @@ type engineScratch struct {
 	scores []float64
 	// pos/neg/neg2 are block-local index lists of the query's +1/−1/−2
 	// symbols, rebuilt per block on the gather path. Elements are uint8 —
-	// a block index always fits — so the gather kernels can prove every
-	// row access in bounds against *[DefaultBlockDim]-array rows.
-	pos, neg, neg2 [DefaultBlockDim]uint8
+	// a block index always fits — so the gather kernel can prove every
+	// row access in bounds against *[blockDim]-array rows.
+	pos, neg, neg2 [blockDim]uint8
 }
 
-// Prepare derives an engine from a model's class prototypes with the
-// default block size, or returns nil if some class is not integer-valued
-// within the exactness bound (see the package doc). The class slices are
-// read once and copied into the blocked layout; callers must not mutate
-// them afterwards without re-preparing.
+// Prepare derives an engine from a model's class prototypes, or returns nil
+// if some class is not integer-valued within the exactness bound (see the
+// package doc). The class slices are read once and copied into the blocked
+// layout; callers must not mutate them afterwards without re-preparing.
 func Prepare(classes [][]float64) *Engine {
-	return PrepareBlocked(classes, DefaultBlockDim)
-}
-
-// PrepareBlocked is Prepare with an explicit dimensions-per-panel block
-// size (exported for tests that exercise dims that do not divide the block
-// size; serving code uses Prepare).
-func PrepareBlocked(classes [][]float64, blockDim int) *Engine {
-	if blockDim <= 0 {
-		panic(fmt.Sprintf("intscore: block size must be positive, got %d", blockDim))
-	}
 	e := &Engine{
-		classes:  len(classes),
-		blockDim: blockDim,
-		norms:    make([]float64, len(classes)),
-		normsSq:  make([]float64, len(classes)),
+		classes: len(classes),
+		norms:   make([]float64, len(classes)),
+		normsSq: make([]float64, len(classes)),
 	}
 	if len(classes) == 0 {
+		e.planes = panels[int8](nil)
 		return e
 	}
 	e.dim = len(classes[0])
@@ -169,38 +165,27 @@ func PrepareBlocked(classes [][]float64, blockDim int) *Engine {
 	}
 	switch {
 	case maxAbs <= math.MaxInt8:
-		e.width = width8
+		e.bits, e.planes = 8, newPanels[int8](classes)
 	case maxAbs <= math.MaxInt16:
-		e.width = width16
+		e.bits, e.planes = 16, newPanels[int16](classes)
 	default:
-		e.width = width32
-	}
-
-	// Second pass: copy the classes into the blocked panel layout.
-	blocks := (e.dim + blockDim - 1) / blockDim
-	n := blocks * e.classes * blockDim
-	switch e.width {
-	case width8:
-		e.plane8 = make([]int8, n)
-	case width16:
-		e.plane16 = make([]int16, n)
-	default:
-		e.plane32 = make([]int32, n)
-	}
-	for l, c := range classes {
-		for i, v := range c {
-			at := (i/blockDim*e.classes+l)*blockDim + i%blockDim
-			switch e.width {
-			case width8:
-				e.plane8[at] = int8(v)
-			case width16:
-				e.plane16[at] = int16(v)
-			default:
-				e.plane32[at] = int32(v)
-			}
-		}
+		e.bits, e.planes = 32, newPanels[int32](classes)
 	}
 	return e
+}
+
+// newPanels copies classes, whose coordinates all fit T, into the blocked
+// layout.
+func newPanels[T element](classes [][]float64) panels[T] {
+	dim := len(classes[0])
+	blocks := (dim + blockDim - 1) / blockDim
+	p := make(panels[T], blocks*len(classes)*blockDim)
+	for l, c := range classes {
+		for i, v := range c {
+			p[(i/blockDim*len(classes)+l)*blockDim+i%blockDim] = T(v)
+		}
+	}
+	return p
 }
 
 // Dim returns the engine's hypervector dimensionality.
@@ -211,7 +196,7 @@ func (e *Engine) NumClasses() int { return e.classes }
 
 // PlaneBits returns the integer plane element width in bits (8, 16 or 32),
 // or 0 for an engine over no classes.
-func (e *Engine) PlaneBits() int { return e.width * 8 }
+func (e *Engine) PlaneBits() int { return e.bits }
 
 func (e *Engine) getScratch() *engineScratch {
 	if s, ok := e.scratch.Get().(*engineScratch); ok {
@@ -256,9 +241,7 @@ func (e *Engine) PredictPacked(q []int8) int {
 	return label
 }
 
-// scoresInto scores q into out using the caller's scratch. Integer-domain
-// sums are exact whichever kernel computes them, so the adaptive choice
-// below never changes a score bit.
+// scoresInto scores q into out using the caller's scratch.
 func (e *Engine) scoresInto(q []int8, out []float64, s *engineScratch) {
 	acc := s.acc
 	for l := range acc {
@@ -280,22 +263,19 @@ func (e *Engine) scoresInto(q []int8, out []float64, s *engineScratch) {
 // zeros across positions, so a prefix is representative, and the choice
 // only affects speed, never the (exact) result. Queries with an
 // appreciable zero fraction — the paper's ternary, biased-ternary and
-// 2-bit schemes — take the gather path that indexes only the non-zero
+// 2-bit schemes — take the gather kernel that indexes only the non-zero
 // symbols and needs no multiplies; zero-poor (bipolar) queries keep the
-// dense multiply-accumulate panels.
+// dense multiply-accumulate kernel.
 func (e *Engine) accumulateAdaptive(q []int8, acc []int64, s *engineScratch) {
-	sample := len(q)
-	if sample > 512 {
-		sample = 512
-	}
+	sample := min(len(q), 512)
 	nonzero := 0
 	for _, sym := range q[:sample] {
 		nonzero += int((sym | -sym) >> 7 & 1)
 	}
-	if sample-nonzero >= sample/8 && e.blockDim == DefaultBlockDim {
-		e.accumulateGather(q, acc, s)
+	if sample-nonzero >= sample/8 {
+		e.planes.gather(q, acc, s)
 	} else {
-		e.accumulate(q, acc)
+		e.planes.dense(q, acc)
 	}
 }
 
@@ -330,235 +310,100 @@ func (e *Engine) PartialsPackedInto(q []int8, out []int64) []int64 {
 	return out
 }
 
-// accumulate adds every class's dot with q into acc (one slot per class),
-// walking the blocked panels so each query block is reused across all
-// classes while it is hot in L1. Classes are consumed four at a time: each loaded (and
-// sign-extended) query symbol feeds four multiply-accumulates, which is
-// what pushes the kernel past the float path rather than merely matching
-// it.
-func (e *Engine) accumulate(q []int8, acc []int64) {
-	bd := e.blockDim
-	for b, off := 0, 0; off < e.dim; b, off = b+1, off+bd {
-		end := off + bd
-		if end > e.dim {
-			end = e.dim
-		}
-		qb := q[off:end]
+// dense walks the blocked panels so each query block is reused across all
+// classes while it is hot in L1. Classes are consumed four at a time: each
+// loaded (and sign-extended) query symbol feeds four multiply-accumulates,
+// which is what pushes the kernel past the float path rather than merely
+// matching it.
+func (p panels[T]) dense(q []int8, acc []int64) {
+	const bd = blockDim
+	for base, off := 0, 0; off < len(q); base, off = base+len(acc)*bd, off+bd {
+		qb := q[off:min(off+bd, len(q))]
 		n := len(qb)
-		base := b * len(acc) * bd
 		k := 0
-		switch e.width {
-		case width8:
-			for ; k+4 <= len(acc); k += 4 {
-				at := base + k*bd
-				dot8x4(qb,
-					e.plane8[at:at+n],
-					e.plane8[at+bd:at+bd+n],
-					e.plane8[at+2*bd:at+2*bd+n],
-					e.plane8[at+3*bd:at+3*bd+n],
-					&acc[k], &acc[k+1], &acc[k+2], &acc[k+3])
-			}
-			for ; k < len(acc); k++ {
-				at := base + k*bd
-				acc[k] += dot8(qb, e.plane8[at:at+n])
-			}
-		case width16:
-			for ; k+4 <= len(acc); k += 4 {
-				at := base + k*bd
-				dot16x4(qb,
-					e.plane16[at:at+n],
-					e.plane16[at+bd:at+bd+n],
-					e.plane16[at+2*bd:at+2*bd+n],
-					e.plane16[at+3*bd:at+3*bd+n],
-					&acc[k], &acc[k+1], &acc[k+2], &acc[k+3])
-			}
-			for ; k < len(acc); k++ {
-				at := base + k*bd
-				acc[k] += dot16(qb, e.plane16[at:at+n])
-			}
-		default:
-			for ; k+4 <= len(acc); k += 4 {
-				at := base + k*bd
-				dot32x4(qb,
-					e.plane32[at:at+n],
-					e.plane32[at+bd:at+bd+n],
-					e.plane32[at+2*bd:at+2*bd+n],
-					e.plane32[at+3*bd:at+3*bd+n],
-					&acc[k], &acc[k+1], &acc[k+2], &acc[k+3])
-			}
-			for ; k < len(acc); k++ {
-				at := base + k*bd
-				acc[k] += dot32(qb, e.plane32[at:at+n])
-			}
+		for ; k+4 <= len(acc); k += 4 {
+			at := base + k*bd
+			s0, s1, s2, s3 := dot4(qb, p[at:at+n], p[at+bd:at+bd+n], p[at+2*bd:at+2*bd+n], p[at+3*bd:at+3*bd+n])
+			acc[k] += s0
+			acc[k+1] += s1
+			acc[k+2] += s2
+			acc[k+3] += s3
+		}
+		for ; k < len(acc); k++ {
+			at := base + k*bd
+			acc[k] += dot(qb, p[at:at+n])
 		}
 	}
 }
 
-// accumulateGather is the multiplication-free kernel for queries with an
-// appreciable zero fraction: per block it partitions the query symbols into
-// +1/−1/−2 index lists once (shared by every class), then each class row
-// needs only indexed loads and adds — Σ s·p = Σ_{+1} p − Σ_{−1} p −
-// 2·Σ_{−2} p — and zero symbols cost nothing at all. This is the software
-// form of the paper's hardware observation that a quantized query turns the
+// gather is the multiplication-free kernel for queries with an appreciable
+// zero fraction: per block it partitions the query symbols into +1/−1/−2
+// index lists once (shared by every class), then each class row needs only
+// indexed loads and adds — Σ s·p = Σ_{+1} p − Σ_{−1} p − 2·Σ_{−2} p — and
+// zero symbols cost nothing at all. This is the software form of the
+// paper's hardware observation that a quantized query turns the
 // associative-memory search into adder trees (§III-B2 / Table I). Indices
-// are uint8 against *[DefaultBlockDim]-array rows (the layout zero-pads the
-// tail block to a full panel), so every access is provably in bounds and
-// the kernels carry no checks. Symbols outside the −2…+1 alphabet are
+// are uint8 against *[blockDim]-array rows (the layout zero-pads the tail
+// block to a full panel), so every access is provably in bounds and the
+// kernel carries no checks. Symbols outside the −2…+1 alphabet are
 // undefined behaviour for the engine (servers validate at the wire); this
-// path treats them as −2. Only runs at the default block size, where a
-// block index fits uint8.
-func (e *Engine) accumulateGather(q []int8, acc []int64, s *engineScratch) {
-	const bd = DefaultBlockDim
-	for b, off := 0, 0; off < e.dim; b, off = b+1, off+bd {
-		end := off + bd
-		if end > e.dim {
-			end = e.dim
-		}
-		qb := q[off:end]
-		// Partition the block's symbols into +1/−1/−2 index lists
-		// branchlessly: the symbol's sign and low bits select which list's
-		// cursor advances, and every list unconditionally records the index
-		// at its cursor — random symbols would make a branchy switch
-		// mispredict on nearly every element.
-		np, nn, n2 := 0, 0, 0
-		for j, sym := range qb {
-			s.pos[np&(bd-1)] = uint8(j)
-			s.neg[nn&(bd-1)] = uint8(j)
-			s.neg2[n2&(bd-1)] = uint8(j)
-			isNeg := int(sym>>7) & 1  // 1 for −1/−2
-			np += int(sym&1) &^ isNeg // odd and non-negative → +1
-			nn += int(sym&1) & isNeg  // odd and negative → −1
-			n2 += int(^sym&1) & isNeg // even and negative → −2
-		}
-		pos, neg, neg2 := s.pos[:np], s.neg[:nn], s.neg2[:n2]
-		base := b * len(acc) * bd
+// path treats them as −2.
+func (p panels[T]) gather(q []int8, acc []int64, s *engineScratch) {
+	const bd = blockDim
+	for base, off := 0, 0; off < len(q); base, off = base+len(acc)*bd, off+bd {
+		pos, neg, neg2 := s.partition(q[off:min(off+bd, len(q))])
 		k := 0
-		switch e.width {
-		case width8:
-			for ; k+4 <= len(acc); k += 4 {
-				at := base + k*bd
-				r0 := (*[bd]int8)(e.plane8[at:])
-				r1 := (*[bd]int8)(e.plane8[at+bd:])
-				r2 := (*[bd]int8)(e.plane8[at+2*bd:])
-				r3 := (*[bd]int8)(e.plane8[at+3*bd:])
-				g0, g1, g2, g3 := gather8x4(pos, r0, r1, r2, r3)
-				h0, h1, h2, h3 := gather8x4(neg, r0, r1, r2, r3)
-				m0, m1, m2, m3 := gather8x4(neg2, r0, r1, r2, r3)
-				acc[k] += g0 - h0 - 2*m0
-				acc[k+1] += g1 - h1 - 2*m1
-				acc[k+2] += g2 - h2 - 2*m2
-				acc[k+3] += g3 - h3 - 2*m3
-			}
-			for ; k < len(acc); k++ {
-				r := (*[bd]int8)(e.plane8[base+k*bd:])
-				acc[k] += gather8(pos, r) - gather8(neg, r) - 2*gather8(neg2, r)
-			}
-		case width16:
-			for ; k+4 <= len(acc); k += 4 {
-				at := base + k*bd
-				r0 := (*[bd]int16)(e.plane16[at:])
-				r1 := (*[bd]int16)(e.plane16[at+bd:])
-				r2 := (*[bd]int16)(e.plane16[at+2*bd:])
-				r3 := (*[bd]int16)(e.plane16[at+3*bd:])
-				g0, g1, g2, g3 := gather16x4(pos, r0, r1, r2, r3)
-				h0, h1, h2, h3 := gather16x4(neg, r0, r1, r2, r3)
-				m0, m1, m2, m3 := gather16x4(neg2, r0, r1, r2, r3)
-				acc[k] += g0 - h0 - 2*m0
-				acc[k+1] += g1 - h1 - 2*m1
-				acc[k+2] += g2 - h2 - 2*m2
-				acc[k+3] += g3 - h3 - 2*m3
-			}
-			for ; k < len(acc); k++ {
-				r := (*[bd]int16)(e.plane16[base+k*bd:])
-				acc[k] += gather16(pos, r) - gather16(neg, r) - 2*gather16(neg2, r)
-			}
-		default:
-			for ; k+4 <= len(acc); k += 4 {
-				at := base + k*bd
-				r0 := (*[bd]int32)(e.plane32[at:])
-				r1 := (*[bd]int32)(e.plane32[at+bd:])
-				r2 := (*[bd]int32)(e.plane32[at+2*bd:])
-				r3 := (*[bd]int32)(e.plane32[at+3*bd:])
-				g0, g1, g2, g3 := gather32x4(pos, r0, r1, r2, r3)
-				h0, h1, h2, h3 := gather32x4(neg, r0, r1, r2, r3)
-				m0, m1, m2, m3 := gather32x4(neg2, r0, r1, r2, r3)
-				acc[k] += g0 - h0 - 2*m0
-				acc[k+1] += g1 - h1 - 2*m1
-				acc[k+2] += g2 - h2 - 2*m2
-				acc[k+3] += g3 - h3 - 2*m3
-			}
-			for ; k < len(acc); k++ {
-				r := (*[bd]int32)(e.plane32[base+k*bd:])
-				acc[k] += gather32(pos, r) - gather32(neg, r) - 2*gather32(neg2, r)
-			}
+		for ; k+4 <= len(acc); k += 4 {
+			at := base + k*bd
+			r0 := (*[bd]T)(p[at:])
+			r1 := (*[bd]T)(p[at+bd:])
+			r2 := (*[bd]T)(p[at+2*bd:])
+			r3 := (*[bd]T)(p[at+3*bd:])
+			g0, g1, g2, g3 := gather4(pos, r0, r1, r2, r3)
+			h0, h1, h2, h3 := gather4(neg, r0, r1, r2, r3)
+			m0, m1, m2, m3 := gather4(neg2, r0, r1, r2, r3)
+			acc[k] += g0 - h0 - 2*m0
+			acc[k+1] += g1 - h1 - 2*m1
+			acc[k+2] += g2 - h2 - 2*m2
+			acc[k+3] += g3 - h3 - 2*m3
+		}
+		for ; k < len(acc); k++ {
+			r := (*[bd]T)(p[base+k*bd:])
+			acc[k] += gather1(pos, r) - gather1(neg, r) - 2*gather1(neg2, r)
 		}
 	}
 }
 
-// gather8x4 sums four int8 class rows at the given block-local indices: one
-// index load feeds four adds — no multiplies, and no bounds checks, since a
-// uint8 index cannot escape a [DefaultBlockDim]-array row.
-func gather8x4(idx []uint8, p0, p1, p2, p3 *[DefaultBlockDim]int8) (s0, s1, s2, s3 int64) {
-	for _, j := range idx {
-		s0 += int64(p0[j])
-		s1 += int64(p1[j])
-		s2 += int64(p2[j])
-		s3 += int64(p3[j])
+// partition splits one query block's symbols into +1/−1/−2 index lists
+// branchlessly: the symbol's sign and low bits select which list's cursor
+// advances, and every list unconditionally records the index at its
+// cursor — random symbols would make a branchy switch mispredict on nearly
+// every element.
+func (s *engineScratch) partition(qb []int8) (pos, neg, neg2 []uint8) {
+	const bd = blockDim
+	np, nn, n2 := 0, 0, 0
+	for j, sym := range qb {
+		s.pos[np&(bd-1)] = uint8(j)
+		s.neg[nn&(bd-1)] = uint8(j)
+		s.neg2[n2&(bd-1)] = uint8(j)
+		isNeg := int(sym>>7) & 1  // 1 for −1/−2
+		np += int(sym&1) &^ isNeg // odd and non-negative → +1
+		nn += int(sym&1) & isNeg  // odd and negative → −1
+		n2 += int(^sym&1) & isNeg // even and negative → −2
 	}
-	return
+	return s.pos[:np], s.neg[:nn], s.neg2[:n2]
 }
 
-// gather16x4 is gather8x4 over int16 rows.
-func gather16x4(idx []uint8, p0, p1, p2, p3 *[DefaultBlockDim]int16) (s0, s1, s2, s3 int64) {
-	for _, j := range idx {
-		s0 += int64(p0[j])
-		s1 += int64(p1[j])
-		s2 += int64(p2[j])
-		s3 += int64(p3[j])
-	}
-	return
-}
-
-// gather32x4 is gather8x4 over int32 rows.
-func gather32x4(idx []uint8, p0, p1, p2, p3 *[DefaultBlockDim]int32) (s0, s1, s2, s3 int64) {
-	for _, j := range idx {
-		s0 += int64(p0[j])
-		s1 += int64(p1[j])
-		s2 += int64(p2[j])
-		s3 += int64(p3[j])
-	}
-	return
-}
-
-// gather8/16/32 are the single-row leftover kernels.
-func gather8(idx []uint8, p *[DefaultBlockDim]int8) (s int64) {
-	for _, j := range idx {
-		s += int64(p[j])
-	}
-	return
-}
-
-func gather16(idx []uint8, p *[DefaultBlockDim]int16) (s int64) {
-	for _, j := range idx {
-		s += int64(p[j])
-	}
-	return
-}
-
-func gather32(idx []uint8, p *[DefaultBlockDim]int32) (s int64) {
-	for _, j := range idx {
-		s += int64(p[j])
-	}
-	return
-}
-
-// dot8x4 multiply-accumulates one query block against four int8 class rows
-// at once: one symbol load and sign-extension per four MACs, four
-// independent accumulator chains.
-func dot8x4(q []int8, p0, p1, p2, p3 []int8, a0, a1, a2, a3 *int64) {
+// dot4 multiply-accumulates one query block against four class rows at
+// once: one symbol load and sign-extension per four MACs, four independent
+// accumulator chains. It returns its sums and stays out of line: adding
+// through pointers, or inlined into the generic methods, the x4 kernels
+// measured slower.
+//
+//go:noinline
+func dot4[T element](q []int8, p0, p1, p2, p3 []T) (s0, s1, s2, s3 int64) {
 	n := len(q)
 	p0, p1, p2, p3 = p0[:n], p1[:n], p2[:n], p3[:n]
-	var s0, s1, s2, s3 int64
 	for i := 0; i < n; i++ {
 		s := int64(q[i])
 		s0 += s * int64(p0[i])
@@ -566,51 +411,12 @@ func dot8x4(q []int8, p0, p1, p2, p3 []int8, a0, a1, a2, a3 *int64) {
 		s2 += s * int64(p2[i])
 		s3 += s * int64(p3[i])
 	}
-	*a0 += s0
-	*a1 += s1
-	*a2 += s2
-	*a3 += s3
+	return
 }
 
-// dot16x4 is dot8x4 over int16 class rows.
-func dot16x4(q []int8, p0, p1, p2, p3 []int16, a0, a1, a2, a3 *int64) {
-	n := len(q)
-	p0, p1, p2, p3 = p0[:n], p1[:n], p2[:n], p3[:n]
-	var s0, s1, s2, s3 int64
-	for i := 0; i < n; i++ {
-		s := int64(q[i])
-		s0 += s * int64(p0[i])
-		s1 += s * int64(p1[i])
-		s2 += s * int64(p2[i])
-		s3 += s * int64(p3[i])
-	}
-	*a0 += s0
-	*a1 += s1
-	*a2 += s2
-	*a3 += s3
-}
-
-// dot32x4 is dot8x4 over int32 class rows.
-func dot32x4(q []int8, p0, p1, p2, p3 []int32, a0, a1, a2, a3 *int64) {
-	n := len(q)
-	p0, p1, p2, p3 = p0[:n], p1[:n], p2[:n], p3[:n]
-	var s0, s1, s2, s3 int64
-	for i := 0; i < n; i++ {
-		s := int64(q[i])
-		s0 += s * int64(p0[i])
-		s1 += s * int64(p1[i])
-		s2 += s * int64(p2[i])
-		s3 += s * int64(p3[i])
-	}
-	*a0 += s0
-	*a1 += s1
-	*a2 += s2
-	*a3 += s3
-}
-
-// dot8 is the single-row int8 kernel for the ≤3 leftover classes, 4-wide
+// dot is the single-row kernel for the ≤3 leftover classes, 4-wide
 // unrolled with independent accumulators.
-func dot8(q []int8, p []int8) int64 {
+func dot[T element](q []int8, p []T) int64 {
 	n := len(q)
 	p = p[:n]
 	var a0, a1, a2, a3 int64
@@ -627,40 +433,28 @@ func dot8(q []int8, p []int8) int64 {
 	return (a0 + a1) + (a2 + a3)
 }
 
-// dot16 is the single-row int16 leftover kernel.
-func dot16(q []int8, p []int16) int64 {
-	n := len(q)
-	p = p[:n]
-	var a0, a1, a2, a3 int64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		a0 += int64(q[i]) * int64(p[i])
-		a1 += int64(q[i+1]) * int64(p[i+1])
-		a2 += int64(q[i+2]) * int64(p[i+2])
-		a3 += int64(q[i+3]) * int64(p[i+3])
+// gather4 sums four class rows at the given block-local indices: one index
+// load feeds four adds — no multiplies, and no bounds checks, since a uint8
+// index cannot escape a [blockDim]-array row. It stays out of line for the
+// reason dot4 does.
+//
+//go:noinline
+func gather4[T element](idx []uint8, p0, p1, p2, p3 *[blockDim]T) (s0, s1, s2, s3 int64) {
+	for _, j := range idx {
+		s0 += int64(p0[j])
+		s1 += int64(p1[j])
+		s2 += int64(p2[j])
+		s3 += int64(p3[j])
 	}
-	for ; i < n; i++ {
-		a0 += int64(q[i]) * int64(p[i])
-	}
-	return (a0 + a1) + (a2 + a3)
+	return
 }
 
-// dot32 is the single-row int32 leftover kernel.
-func dot32(q []int8, p []int32) int64 {
-	n := len(q)
-	p = p[:n]
-	var a0, a1, a2, a3 int64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		a0 += int64(q[i]) * int64(p[i])
-		a1 += int64(q[i+1]) * int64(p[i+1])
-		a2 += int64(q[i+2]) * int64(p[i+2])
-		a3 += int64(q[i+3]) * int64(p[i+3])
+// gather1 is the single-row leftover kernel.
+func gather1[T element](idx []uint8, p *[blockDim]T) (s int64) {
+	for _, j := range idx {
+		s += int64(p[j])
 	}
-	for ; i < n; i++ {
-		a0 += int64(q[i]) * int64(p[i])
-	}
-	return (a0 + a1) + (a2 + a3)
+	return
 }
 
 // DotPacked returns Σ q[i]·c[i] without expanding q, accumulated in index

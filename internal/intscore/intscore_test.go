@@ -116,21 +116,6 @@ func TestEquivalence(t *testing.T) {
 	}
 }
 
-// TestEquivalenceOddBlockSizes re-runs the sweep with block sizes that do
-// not divide the dimension, including pathological ones.
-func TestEquivalenceOddBlockSizes(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, dim := range []int{1, 5, 257, 1000} {
-		for _, bd := range []int{1, 3, 7, 256, 1024} {
-			classes := randIntClasses(rng, 4, dim, 500, false)
-			e := intscore.PrepareBlocked(classes, bd)
-			q := randPacked(rng, dim, []int8{-2, -1, 0, 1})
-			got := e.ScoresPackedInto(q, make([]float64, len(classes)))
-			checkClose(t, got, refScores(classes, q))
-		}
-	}
-}
-
 // TestNonIntegerModelHasNoEngine covers a model with one fractional class
 // (an unquantized scalar-encoded model, say): Prepare refuses it, and the
 // precomputed hdc.Model scores packed queries on its own float path,
@@ -220,8 +205,7 @@ func TestBitIdenticalToModel(t *testing.T) {
 }
 
 // checkModelBitIdentical asserts that m scores random packed queries
-// bit-for-bit like ScoresInto on their float64 expansion, and predicts the
-// same label.
+// bit-for-bit like ScoresInto on their float64 expansion.
 func checkModelBitIdentical(t *testing.T, rng *rand.Rand, m *hdc.Model, trials int) {
 	t.Helper()
 	for trial := 0; trial < trials; trial++ {
@@ -236,9 +220,6 @@ func checkModelBitIdentical(t *testing.T, rng *rand.Rand, m *hdc.Model, trials i
 			if got[l] != want[l] {
 				t.Fatalf("trial %d class %d: packed %v != float %v", trial, l, got[l], want[l])
 			}
-		}
-		if pl, fl := m.PredictPacked(q), m.Predict(v); pl != fl {
-			t.Fatalf("trial %d: PredictPacked %d != Predict %d", trial, pl, fl)
 		}
 	}
 }
@@ -328,25 +309,31 @@ func TestZeroAllocScoring(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	classes := randIntClasses(rng, 26, 4000, 1000, false)
 	e := intscore.Prepare(classes)
-	q := randPacked(rng, 4000, []int8{-2, -1, 0, 1})
 	out := make([]float64, 26)
-	if n := testing.AllocsPerRun(50, func() { e.ScoresPackedInto(q, out) }); n != 0 {
-		t.Fatalf("ScoresPackedInto allocates %v per op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(50, func() { e.PredictPacked(q) }); n != 0 {
-		t.Fatalf("PredictPacked allocates %v per op, want 0", n)
+	for _, alphabet := range [][]int8{{-2, -1, 0, 1}, {-1, 1}} { // gather, dense
+		q := randPacked(rng, 4000, alphabet)
+		if n := testing.AllocsPerRun(50, func() { e.ScoresPackedInto(q, out) }); n != 0 {
+			t.Fatalf("ScoresPackedInto allocates %v per op, want 0", n)
+		}
+		if n := testing.AllocsPerRun(50, func() { e.PredictPacked(q) }); n != 0 {
+			t.Fatalf("PredictPacked allocates %v per op, want 0", n)
+		}
 	}
 }
 
 // FuzzScoresPacked fuzzes the packed alphabet against the float64-expansion
-// reference on a fixed integer model with one zero class.
+// reference on a fixed integer model with one zero class. Inputs reach both
+// kernels: the all-±1 seed takes the dense one, the zero-rich seed the
+// gather one.
 func FuzzScoresPacked(f *testing.F) {
 	const dim = 97
 	rng := rand.New(rand.NewSource(8))
 	classes := randIntClasses(rng, 4, dim, 2000, true)
-	e := intscore.PrepareBlocked(classes, 32)
+	e := intscore.Prepare(classes)
 	f.Add([]byte{0, 1, 2, 3, 255})
 	f.Add(make([]byte, dim))
+	f.Add([]byte{1, 3, 3, 1, 3})    // −1/+1 only: dense
+	f.Add([]byte{2, 2, 0, 2, 1, 3}) // half zeros: gather
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q := make([]int8, dim)
 		for i := range q {

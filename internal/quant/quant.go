@@ -234,6 +234,18 @@ func QuantizeInto(q Quantizer, dst, h []float64) {
 	}
 }
 
+// QuantizeBatch quantizes every encoding in place-order, returning fresh
+// slices. It is the inference-side path (paper §III-C): encodings produced
+// by a full-precision encoder are quantized before offloading, while the
+// model stays full precision.
+func QuantizeBatch(q Quantizer, encodings [][]float64) [][]float64 {
+	out := make([][]float64, len(encodings))
+	for i, h := range encodings {
+		out[i] = q.Quantize(h)
+	}
+	return out
+}
+
 // Schemes lists every quantizer in the order the paper's Fig. 5 plots them.
 func Schemes() []Quantizer {
 	return []Quantizer{Bipolar{}, Ternary{}, BiasedTernary{}, TwoBit{}}

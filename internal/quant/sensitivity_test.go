@@ -167,41 +167,6 @@ func TestOccupancyEdgeCases(t *testing.T) {
 	}
 }
 
-func TestQuantizingEncoderWraps(t *testing.T) {
-	cfg := hdc.Config{Dim: 500, Features: 10, Levels: 4, Seed: 81}
-	inner, err := hdc.NewLevelEncoder(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEncoder(inner, Bipolar{})
-	if e.Dim() != cfg.Dim || e.NumFeatures() != cfg.Features {
-		t.Fatal("wrapper geometry wrong")
-	}
-	if e.Inner() != hdc.Encoder(inner) {
-		t.Error("Inner() does not return the wrapped encoder")
-	}
-	if e.Quantizer().Name() != "bipolar" {
-		t.Error("Quantizer() wrong")
-	}
-	in := make([]float64, cfg.Features)
-	for i := range in {
-		in[i] = float64(i) / float64(cfg.Features)
-	}
-	h := e.Encode(in)
-	for _, x := range h {
-		if x != 1 && x != -1 {
-			t.Fatalf("wrapped encoding emitted %v, want ±1", x)
-		}
-	}
-	// Must equal quantize-after-encode.
-	want := Bipolar{}.Quantize(inner.Encode(in))
-	for j := range want {
-		if h[j] != want[j] {
-			t.Fatal("wrapper disagrees with manual quantize")
-		}
-	}
-}
-
 func TestQuantizeBatch(t *testing.T) {
 	encs := [][]float64{{1, -1, 0.5}, {-3, 2, 0}}
 	got := QuantizeBatch(Bipolar{}, encs)
