@@ -64,7 +64,8 @@ func serveTest(t *testing.T, reg *Registry) string {
 // the full-precision query form on every topology that can carry it. A
 // DP release (WithNoise) runs the plain and masked edges on every
 // topology, sharded included: its rounded classes score on the same
-// integer path as any other model.
+// integer path as any other model. A scalar-encoded model runs the plain
+// and masked edges on every topology too.
 func TestTopologiesMatchLocalPrediction(t *testing.T) {
 	const dim = 2000
 	data, err := LoadDataset("isolet-s", true)
@@ -88,6 +89,10 @@ func TestTopologiesMatchLocalPrediction(t *testing.T) {
 	}{
 		{"m", "", train(), true},
 		{"dp", "dp/", train(WithNoise(4, 1e-5)), false},
+		// A scalar-encoded edge takes the integer-numerator sign path and
+		// masks afterwards, bypassing the level edge's comparator and
+		// compacted memory.
+		{"scalar", "scalar/", train(WithEncoding(Scalar)), false},
 	}
 
 	whole := NewRegistry()

@@ -158,8 +158,9 @@
 // one bit per dimension and both paper encodings are evaluated by
 // carry-save-adder popcount accumulation over transposed bit-planes
 // instead of a per-feature float64 multiply-add — with a fused path that
-// derives the quantized −2…+1 query straight from the integer counts, and
-// a batch kernel that amortizes each pass over the item memory across
+// derives the quantized −2…+1 query straight from the integer counts (the
+// edge's 1-bit level query from a sign comparator on the counters, over
+// its kept dimensions only), and a batch kernel that amortizes each pass over the item memory across
 // several rows (training, PredictBatch). Scoring consumes the packed
 // query against class planes derived once per model publication: blocks
 // of 256 dimensions in the narrowest of int8, int16 and int32 that fits,

@@ -40,9 +40,13 @@ type Edge struct {
 	cfg     EdgeConfig
 	encoder hdc.Encoder
 	// packed is the encoder's fused bit-sliced path, non-nil when the
-	// device can derive the 1-bit query straight from popcounts.
+	// device can derive the 1-bit query straight from the engine's
+	// counters.
 	packed hdc.PackedEncoder
-	mask   *prune.Mask // nil when MaskDims == 0
+	// kept is the level engine restricted to the mask's kept dimensions,
+	// non-nil on a quantizing, masked, engine-backed level edge.
+	kept *hdc.RestrictedEncoder
+	mask *prune.Mask // nil when MaskDims == 0
 	// scratch pools the packed-query buffer Prepare widens from.
 	scratch sync.Pool
 }
@@ -64,6 +68,11 @@ func NewEdge(cfg EdgeConfig) (*Edge, error) {
 	if cfg.MaskDims > 0 {
 		src := hrand.New(cfg.MaskSeed)
 		e.mask = prune.RandomMask(cfg.HD.Dim, cfg.MaskDims, src.SampleK)
+		if le, ok := enc.(*hdc.LevelEncoder); ok && cfg.Quantize {
+			if e.kept, err = le.Restrict(e.mask.Keep); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return e, nil
 }
@@ -98,14 +107,21 @@ func (e *Edge) Prepare(x []float64) []float64 {
 
 // PreparePackedInto writes the obfuscated 1-bit query for one input into
 // dst (length Dim) — the packed −1/0/+1 symbols that cross the network:
-// encode, bipolar-quantize, then zero the masked dimensions. With an
-// engine-backed encoder the sign bits come straight from integer popcounts
-// (bit-identical to encode-then-quantize) and nothing is allocated. It
-// reports false, writing nothing, when the edge does not quantize: its
-// queries are full precision and have no packed form.
+// the bipolar quantization of the encoding with the masked dimensions
+// zeroed. With an engine-backed encoder nothing is allocated and the
+// result is bit-identical to encode, quantize, then mask. A level edge
+// reads each sign straight off the engine's counters, and a masked one
+// encodes only the kept dimensions, from a memory compacted once in
+// NewEdge; a scalar edge derives the signs from its integer numerators
+// and then masks. It reports false, writing nothing, when the edge does
+// not quantize: its queries are full precision and have no packed form.
 func (e *Edge) PreparePackedInto(x []float64, dst []int8) bool {
 	if !e.cfg.Quantize {
 		return false
+	}
+	if e.kept != nil {
+		e.kept.EncodeBipolarInto(x, dst)
+		return true
 	}
 	if e.packed == nil || !e.packed.EncodePackedInto(x, encslice.SchemeBipolar, dst) {
 		// Geometries the engine rejects quantize the reference encoding;

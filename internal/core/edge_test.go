@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"privehd/internal/attack"
@@ -135,4 +136,60 @@ func TestEdgePrepareBatchMatchesPrepare(t *testing.T) {
 	if raw.PreparePackedInto(X[0], make([]int8, edgeHD().Dim)) || raw.PreparePackedBatch(X, 2) != nil {
 		t.Fatal("non-quantizing edge produced a packed query")
 	}
+}
+
+// TestEdgeConcurrentBatchMasked shares one masked level edge — and so its
+// compacted engine — between goroutines mixing PreparePackedBatch (itself
+// parallel) and PreparePackedInto; every query must equal the serial one.
+func TestEdgeConcurrentBatchMasked(t *testing.T) {
+	cfg := edgeHD()
+	e, err := NewEdge(EdgeConfig{HD: cfg, Quantize: true, MaskDims: cfg.Dim / 4, MaskSeed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	X := make([][]float64, 16)
+	for i := range X {
+		X[i] = make([]float64, cfg.Features)
+		for k := range X[i] {
+			X[i][k] = float64((i*k+3*i+k)%17) / 17
+		}
+	}
+	want := make([][]int8, len(X))
+	for i, x := range X {
+		want[i] = make([]int8, cfg.Dim)
+		e.PreparePackedInto(x, want[i])
+	}
+	same := func(a, b []int8) bool {
+		for j := range a {
+			if a[j] != b[j] {
+				return false
+			}
+		}
+		return true
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			q := make([]int8, cfg.Dim)
+			for round := 0; round < 4; round++ {
+				for i, got := range e.PreparePackedBatch(X, 3) {
+					if !same(got, want[i]) {
+						t.Errorf("goroutine %d: batch query %d differs from serial", g, i)
+						return
+					}
+				}
+				for i := range X {
+					i := (i + g) % len(X)
+					e.PreparePackedInto(X[i], q)
+					if !same(q, want[i]) {
+						t.Errorf("goroutine %d: query %d differs from serial", g, i)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

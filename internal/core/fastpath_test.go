@@ -8,6 +8,7 @@ import (
 	"privehd/internal/dp"
 	"privehd/internal/hdc"
 	"privehd/internal/hrand"
+	"privehd/internal/intscore"
 	"privehd/internal/quant"
 )
 
@@ -179,13 +180,15 @@ func TestConcurrentBatchOnFloatModel(t *testing.T) {
 }
 
 // TestEdgePrepareFusedMatchesReference checks the edge's fused 1-bit path
-// against encode-then-quantize-then-mask done by hand, with and without
-// dimension masking, on both encodings.
+// against encode-then-quantize-then-mask done by hand, on both encodings,
+// unmasked, with a quarter masked and with all but one dimension masked
+// (a level edge then encodes from its compacted memory).
 func TestEdgePrepareFusedMatchesReference(t *testing.T) {
+	const dim = 310
 	for _, enc := range []Encoding{EncodingLevel, EncodingScalar} {
-		for _, maskDims := range []int{0, 100} {
+		for _, maskDims := range []int{0, dim / 4, dim - 1} {
 			e, err := NewEdge(EdgeConfig{
-				HD:       hdc.Config{Dim: 310, Features: 21, Levels: 10, Seed: 8},
+				HD:       hdc.Config{Dim: dim, Features: 21, Levels: 10, Seed: 8},
 				Encoding: enc,
 				Quantize: true,
 				MaskDims: maskDims,
@@ -195,16 +198,29 @@ func TestEdgePrepareFusedMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			X, _ := fastPathData(21)
+			packed := make([]int8, dim)
 			for i, x := range X[:8] {
 				want := quant.Bipolar{}.Quantize(e.Encoder().Encode(x))
+				wantPk, _ := intscore.PackInto(want, nil)
 				if m := e.Mask(); m != nil {
 					m.Apply(want)
+					maskPacked(wantPk, m)
 				}
 				got := e.Prepare(x)
 				for j := range want {
 					if got[j] != want[j] {
 						t.Fatalf("enc=%v mask=%d sample %d dim %d: fused %v, reference %v",
 							enc, maskDims, i, j, got[j], want[j])
+					}
+				}
+				for j := range packed {
+					packed[j] = 7 // stale bytes must be overwritten
+				}
+				e.PreparePackedInto(x, packed)
+				for j := range wantPk {
+					if packed[j] != wantPk[j] {
+						t.Fatalf("enc=%v mask=%d sample %d dim %d: packed %d, reference %d",
+							enc, maskDims, i, j, packed[j], wantPk[j])
 					}
 				}
 			}

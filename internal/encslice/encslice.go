@@ -18,11 +18,13 @@
 //
 // For 64 dimensions at a time the engine counts, per bit lane, how many of
 // the F partial-product planes have the bit set. Planes are consumed eight
-// at a time through a CSA tree into one-weight/two-weight/four-weight
-// bit-slices; each tree emits a single eight-weight carry word that ripples
-// into a small stack of higher-order counter planes. After all planes are
-// absorbed, lane j's count is simply the binary number assembled from the
-// slices:
+// at a time through a tree of seven CSAs into one-weight/two-weight/
+// four-weight bit-slices; each tree emits a single eight-weight carry word
+// added into the eights slice, whose own carry ripples into a small stack
+// of higher-order counter planes. The four low slices live in registers for
+// a whole column; only that sixteen-weight ripple touches memory. After all
+// planes are absorbed, lane j's count is simply the binary number
+// assembled from the slices:
 //
 //	cnt(j) = ones_j + 2·twos_j + 4·fours_j + 8·eights_j + 16·Σ_l hi[l]_j·2^l
 //
@@ -58,6 +60,26 @@
 // range never collide after the division), so ranking the integers with the
 // same tie-by-index order produces output bit-identical to running
 // quant.QuantizeInto on the float encoding.
+//
+// The level-mode bipolar query — the edge's 1-bit obfuscation — never forms
+// a count at all. Its sign is +1 exactly when 2·cnt − F ≥ 0, that is when
+// cnt ≥ ⌈F/2⌉: the majority of the XNOR planes, the paper's Fig. 7a circuit
+// (see internal/fpga.ExactMajority) and the threshold step of binarized
+// bundling. A comparator walks the counter slices MSB first against that
+// constant, keeping a greater-than mask and an equal mask, and yields 64
+// sign bits per word column; a 256-entry table spells each sign byte as
+// eight symbols. Scalar mode keeps the numerator read-off, because its sign
+// is a weighted sum over digit groups rather than one threshold.
+//
+// # Compaction
+//
+// A query mask fixed at setup zeroes the same dimensions of every query,
+// so there is no need to encode them. Restrict gathers the kept
+// dimensions' bits out of a level engine's memory into a compacted
+// transposed memory, once; the comparator then runs over ⌈kept/64⌉ word
+// columns and scatters each sign to its dimension, leaving 0 at every
+// masked one. The result is bit-identical to quantizing the full encoding
+// and masking it.
 //
 // Engines are immutable after construction and safe for concurrent use;
 // per-call working sets come from an internal sync.Pool, so the encoding
@@ -352,10 +374,149 @@ func (e *Engine) EncodePackedInto(lvi []uint16, scheme Scheme, dst []int8) {
 	if len(dst) != e.dim {
 		panic(fmt.Sprintf("encslice: EncodePackedInto buffer has dim %d, want %d", len(dst), e.dim))
 	}
+	if scheme == SchemeBipolar && !e.scalar {
+		e.signInto(lvi, nil, dst)
+		return
+	}
 	s := e.get()
 	e.countsInto(lvi, s)
 	quantizeInts(s, scheme, dst)
 	e.scratch.Put(s)
+}
+
+// signInto writes the level-mode bipolar query straight off the counters,
+// never forming a count: per word column the comparator yields 64 sign
+// bits, spelled out eight symbols at a time through signSyms. With kept
+// nil, engine dimension i lands at dst[i]; otherwise it is scattered to
+// dst[kept[i]] and the rest of dst is left as it is.
+func (e *Engine) signInto(lvi []uint16, kept []int32, dst []int8) {
+	F, L, dim := e.features, e.levels, e.dim
+	half := uint((F + 1) / 2)
+	for w := 0; w < e.words; w++ {
+		pl := accumXnor(e.baseT[w*F:w*F+F], e.lvlT[w*L:w*L+L], lvi)
+		sign := pl.atLeast(half, e.hi)
+		off := w * 64
+		end := min(off+64, dim)
+		if kept == nil {
+			for j := off; j < end; j += 8 {
+				copy(dst[j:end], signSyms[uint8(sign>>(j-off))][:])
+			}
+			continue
+		}
+		for b, pos := range kept[off:end] {
+			dst[pos] = int8(sign>>b&1)<<1 - 1
+		}
+	}
+}
+
+// atLeast returns the lanes whose plane count is at least t (hiN is the
+// engine's high-plane depth). It compares the counter slices against the
+// constant MSB first: gt holds the lanes already known to exceed t, eq the
+// lanes equal to it so far. With t = ⌈F/2⌉ this is the Fig. 7a majority of
+// the XNOR planes, 64 dimensions at a time: lane j is set exactly when
+// 2·cnt_j − F ≥ 0, the bipolar sign with zero mapped to +1.
+func (pl *planes) atLeast(t uint, hiN int) uint64 {
+	gt, eq := uint64(0), ^uint64(0)
+	for l := hiN - 1; l >= 0; l-- {
+		gt, eq = cmpBit(gt, eq, pl.hi[l], t>>(4+l)&1)
+	}
+	gt, eq = cmpBit(gt, eq, pl.eights, t>>3&1)
+	gt, eq = cmpBit(gt, eq, pl.fours, t>>2&1)
+	gt, eq = cmpBit(gt, eq, pl.twos, t>>1&1)
+	gt, eq = cmpBit(gt, eq, pl.ones, t&1)
+	return gt | eq
+}
+
+// cmpBit is one comparator step against constant bit tb: lanes still equal
+// whose counter bit p exceeds tb become greater, and lanes whose bit
+// differs from tb leave the equal set.
+func cmpBit(gt, eq, p uint64, tb uint) (uint64, uint64) {
+	if tb != 0 {
+		return gt, eq & p
+	}
+	return gt | eq&p, eq &^ p
+}
+
+// signSyms[b] spells sign byte b as eight bipolar symbols: bit j becomes
+// symbol j, +1 for a set bit and −1 for a clear one.
+var signSyms = func() (t [256][8]int8) {
+	for b := range t {
+		for j := range t[b] {
+			t[b][j] = int8(b>>j&1)<<1 - 1
+		}
+	}
+	return t
+}()
+
+// Restricted is a level engine confined to a fixed set of kept dimensions:
+// its transposed base and level memory hold only those dimensions' words,
+// so a query costs ⌈kept/64⌉ word columns instead of ⌈Dim/64⌉. It emits
+// the masked bipolar query — sign at the kept dimensions, zero elsewhere —
+// and, like Engine, is immutable and safe for concurrent use.
+type Restricted struct {
+	eng  *Engine // level engine over the kept dimensions, in order
+	kept []int32 // kept[i] is the full-vector position of eng's dimension i
+	dim  int     // full dimensionality
+}
+
+// Restrict gathers the words of the dimensions keep marks true (keep has
+// length Dim) out of a level engine's memory into a Restricted engine.
+// Scalar engines have no restricted form: their sign is a weighted sum over
+// digit groups, not one threshold per dimension.
+func (e *Engine) Restrict(keep []bool) (*Restricted, error) {
+	if e.scalar {
+		return nil, fmt.Errorf("encslice: Restrict needs a level engine")
+	}
+	if len(keep) != e.dim {
+		return nil, fmt.Errorf("encslice: keep set has %d dimensions, engine has %d", len(keep), e.dim)
+	}
+	n := 0
+	for _, k := range keep {
+		if k {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil, fmt.Errorf("encslice: keep set is empty")
+	}
+	kept := make([]int32, 0, n)
+	for j, k := range keep {
+		if k {
+			kept = append(kept, int32(j))
+		}
+	}
+	r, err := newEngine(n, e.features, e.levels, false)
+	if err != nil {
+		return nil, err
+	}
+	gatherDims(r.baseT, e.baseT, e.features, kept)
+	gatherDims(r.lvlT, e.lvlT, e.levels, kept)
+	return &Restricted{eng: r, kept: kept, dim: e.dim}, nil
+}
+
+// gatherDims copies the bits of dimensions kept out of the n-vector
+// transposed memory src into dst, where kept[i] becomes dimension i.
+func gatherDims(dst, src []uint64, n int, kept []int32) {
+	for i, j := range kept {
+		dw, db := i/64*n, uint(i%64)
+		sw, sb := int(j)/64*n, uint(j%64)
+		for v := 0; v < n; v++ {
+			dst[dw+v] |= src[sw+v] >> sb & 1 << db
+		}
+	}
+}
+
+// EncodeBipolarInto writes the masked bipolar query for the level indices
+// into dst (length Dim of the unrestricted engine): at every kept dimension
+// the symbol EncodePackedInto(lvi, SchemeBipolar, …) of the unrestricted
+// engine writes there, and 0 at every other dimension.
+func (r *Restricted) EncodeBipolarInto(lvi []uint16, dst []int8) {
+	r.eng.checkLvi(lvi)
+	if len(dst) != r.dim {
+		panic(fmt.Sprintf("encslice: EncodeBipolarInto buffer has dim %d, want %d", len(dst), r.dim))
+	}
+	clear(dst)
+	r.eng.signInto(lvi, r.kept, dst)
 }
 
 // countsInto fills s.v with the per-dimension integer numerators:
@@ -440,23 +601,29 @@ const maxLevelBits = 16
 
 // accumXnor absorbs the F planes ^(lw[lvi[k]] ^ bw[k]) — the packed Eq. 2b
 // partial products over one 64-dimension word column — into CSA counter
-// slices. Planes are consumed eight at a time: a carry-save tree compresses
-// them into the ones/twos/fours slices and one eight-weight carry that
-// ripples into the high counter stack; leftovers ripple in individually.
+// slices. Planes are consumed eight at a time: seven carry-save adders in
+// three layers compress them against the running ones/twos/fours slices
+// and emit one eight-weight carry e, added into eights; leftovers ripple in
+// individually. The four low slices stay in locals for the whole column,
+// so only eights' own carry ripples through memory, into the high counter
+// stack.
 func accumXnor(bw, lw []uint64, lvi []uint16) (pl planes) {
 	F := len(bw)
+	var ones, twos, fours, eights uint64
 	k := 0
 	for ; k+8 <= F; k += 8 {
-		x0 := ^(lw[lvi[k]] ^ bw[k])
-		x1 := ^(lw[lvi[k+1]] ^ bw[k+1])
-		x2 := ^(lw[lvi[k+2]] ^ bw[k+2])
-		x3 := ^(lw[lvi[k+3]] ^ bw[k+3])
-		x4 := ^(lw[lvi[k+4]] ^ bw[k+4])
-		x5 := ^(lw[lvi[k+5]] ^ bw[k+5])
-		x6 := ^(lw[lvi[k+6]] ^ bw[k+6])
-		x7 := ^(lw[lvi[k+7]] ^ bw[k+7])
-		pl.add8(x0, x1, x2, x3, x4, x5, x6, x7)
+		var t0, t1, f0, f1, e uint64
+		ones, t0 = csa(ones, ^(lw[lvi[k]] ^ bw[k]), ^(lw[lvi[k+1]] ^ bw[k+1]))
+		ones, t1 = csa(ones, ^(lw[lvi[k+2]] ^ bw[k+2]), ^(lw[lvi[k+3]] ^ bw[k+3]))
+		twos, f0 = csa(twos, t0, t1)
+		ones, t0 = csa(ones, ^(lw[lvi[k+4]] ^ bw[k+4]), ^(lw[lvi[k+5]] ^ bw[k+5]))
+		ones, t1 = csa(ones, ^(lw[lvi[k+6]] ^ bw[k+6]), ^(lw[lvi[k+7]] ^ bw[k+7]))
+		twos, f1 = csa(twos, t0, t1)
+		fours, e = csa(fours, f0, f1)
+		pl.carry(eights & e)
+		eights ^= e
 	}
+	pl.ones, pl.twos, pl.fours, pl.eights = ones, twos, fours, eights
 	for ; k < F; k++ {
 		pl.add1(^(lw[lvi[k]] ^ bw[k]))
 	}
@@ -466,52 +633,38 @@ func accumXnor(bw, lw []uint64, lvi []uint16) (pl planes) {
 // accumList is accumXnor for scalar digit groups: the planes are the base
 // vectors themselves, selected by the group's feature list.
 func accumList(bw []uint64, list []uint16) (pl planes) {
+	var ones, twos, fours, eights uint64
 	i := 0
 	for ; i+8 <= len(list); i += 8 {
-		pl.add8(
-			bw[list[i]], bw[list[i+1]], bw[list[i+2]], bw[list[i+3]],
-			bw[list[i+4]], bw[list[i+5]], bw[list[i+6]], bw[list[i+7]])
+		var t0, t1, f0, f1, e uint64
+		ones, t0 = csa(ones, bw[list[i]], bw[list[i+1]])
+		ones, t1 = csa(ones, bw[list[i+2]], bw[list[i+3]])
+		twos, f0 = csa(twos, t0, t1)
+		ones, t0 = csa(ones, bw[list[i+4]], bw[list[i+5]])
+		ones, t1 = csa(ones, bw[list[i+6]], bw[list[i+7]])
+		twos, f1 = csa(twos, t0, t1)
+		fours, e = csa(fours, f0, f1)
+		pl.carry(eights & e)
+		eights ^= e
 	}
+	pl.ones, pl.twos, pl.fours, pl.eights = ones, twos, fours, eights
 	for ; i < len(list); i++ {
 		pl.add1(bw[list[i]])
 	}
 	return pl
 }
 
-// add8 absorbs eight planes through a carry-save adder tree: three CSA
-// layers compress them against the running ones/twos/fours slices, emitting
-// one eight-weight carry word that ripples into eights and the high stack.
-// Each CSA is sum = a⊕b⊕c, carry = maj(a,b,c), evaluated lane-wise over 64
-// dimensions at once.
-func (pl *planes) add8(x0, x1, x2, x3, x4, x5, x6, x7 uint64) {
-	u := pl.ones ^ x0
-	t0 := (pl.ones & x0) | (u & x1)
-	pl.ones = u ^ x1
-	u = pl.ones ^ x2
-	t1 := (pl.ones & x2) | (u & x3)
-	pl.ones = u ^ x3
-	u = pl.twos ^ t0
-	f0 := (pl.twos & t0) | (u & t1)
-	pl.twos = u ^ t1
+// csa is one carry-save adder, evaluated lane-wise over 64 dimensions:
+// sum = a⊕b⊕c, carry = maj(a,b,c).
+func csa(a, b, c uint64) (sum, carry uint64) {
+	u := a ^ b
+	return u ^ c, (a & b) | (u & c)
+}
 
-	u = pl.ones ^ x4
-	t0 = (pl.ones & x4) | (u & x5)
-	pl.ones = u ^ x5
-	u = pl.ones ^ x6
-	t1 = (pl.ones & x6) | (u & x7)
-	pl.ones = u ^ x7
-	u = pl.twos ^ t0
-	f1 := (pl.twos & t0) | (u & t1)
-	pl.twos = u ^ t1
-
-	u = pl.fours ^ f0
-	e0 := (pl.fours & f0) | (u & f1)
-	pl.fours = u ^ f1
-
-	carry := pl.eights & e0
-	pl.eights ^= e0
-	for l := 0; carry != 0; l++ {
-		pl.hi[l], carry = pl.hi[l]^carry, pl.hi[l]&carry
+// carry ripples a sixteen-weight carry word up the high counter stack.
+func (pl *planes) carry(c uint64) {
+	for l := 0; c != 0; l++ {
+		pl.hi[l], c = pl.hi[l]^c, pl.hi[l]&c
 	}
 }
 
@@ -521,9 +674,7 @@ func (pl *planes) add1(x uint64) {
 	pl.twos, x = pl.twos^x, pl.twos&x
 	pl.fours, x = pl.fours^x, pl.fours&x
 	pl.eights, x = pl.eights^x, pl.eights&x
-	for l := 0; x != 0; l++ {
-		pl.hi[l], x = pl.hi[l]^x, pl.hi[l]&x
-	}
+	pl.carry(x)
 }
 
 // quantizeInts maps the integer numerators onto the scheme's packed

@@ -97,6 +97,13 @@ func BenchmarkEncode(b *testing.B) {
 			le.EncodePackedInto(x, encslice.SchemeBiasedTernary, pk)
 		}
 	})
+	b.Run("level-bipolar", func(b *testing.B) {
+		// The edge's 1-bit query: the sign comparator on the counters.
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			le.EncodePackedInto(x, encslice.SchemeBipolar, pk)
+		}
+	})
 	b.Run("scalar-packed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -237,6 +237,43 @@ func (e *LevelEncoder) EncodePackedInto(features []float64, scheme encslice.Sche
 	return true
 }
 
+// Restrict builds the encoder of the masked bipolar query over the
+// dimensions keep (length Dim) marks true: its engine memory holds only
+// the kept dimensions, so each query encodes only what it sends. It
+// returns nil, nil when the geometry has no engine.
+func (e *LevelEncoder) Restrict(keep []bool) (*RestrictedEncoder, error) {
+	if e.engine == nil {
+		return nil, nil
+	}
+	r, err := e.engine.Restrict(keep)
+	if err != nil {
+		return nil, err
+	}
+	return &RestrictedEncoder{cfg: e.cfg, engine: r}, nil
+}
+
+// RestrictedEncoder is a LevelEncoder confined to a fixed dimension mask,
+// built once by LevelEncoder.Restrict. It is immutable and safe for
+// concurrent use.
+type RestrictedEncoder struct {
+	cfg    Config
+	engine *encslice.Restricted
+}
+
+// EncodeBipolarInto writes the masked 1-bit query into dst (length Dim):
+// the bipolar quantization of the Eq. 2b encoding at every kept dimension
+// and 0 at every masked one — bit-identical to quantizing the full
+// encoding and then zeroing the masked dimensions, at the cost of the kept
+// dimensions alone.
+func (r *RestrictedEncoder) EncodeBipolarInto(features []float64, dst []int8) {
+	if len(features) != r.cfg.Features {
+		panic(fmt.Sprintf("hdc: RestrictedEncoder got %d features, want %d", len(features), r.cfg.Features))
+	}
+	p := getLvi(r.cfg.Features)
+	r.engine.EncodeBipolarInto(fillLvi(*p, features, r.cfg.Levels), dst)
+	putLvi(p)
+}
+
 // encodeRows encodes len(X) feature rows into the contiguous buffer h on
 // the engine's batch kernel, which streams each 64-dimension column of the
 // item memory once for the whole chunk of rows.
@@ -334,8 +371,10 @@ type IntoEncoder interface {
 }
 
 // PackedEncoder is implemented by encoders with a bit-sliced engine that
-// can emit the quantized, packed −2…+1 query directly from integer counts —
-// the fused fast path serving Predict runs per query.
+// can emit the quantized, packed −2…+1 query directly from the engine's
+// counters — the fused fast path serving Predict runs per query. A level
+// encoder's bipolar query never forms a count at all: a comparator reads
+// each dimension's sign off the counter slices.
 type PackedEncoder interface {
 	Encoder
 	// EncodePackedInto writes the packed quantization of the encoding into
