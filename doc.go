@@ -162,10 +162,12 @@
 // edge's 1-bit level query from a sign comparator on the counters, over
 // its kept dimensions only), and a batch kernel that amortizes each pass over the item memory across
 // several rows (training, PredictBatch). Scoring consumes the packed
-// query against class planes derived once per model publication: blocks
-// of 256 dimensions in the narrowest of int8, int16 and int32 that fits,
-// scored by one dense and one gather kernel, each generic over that
-// width — no float64 expansion, no float dot, no per-query heap
+// query against class planes derived once per model publication: classes
+// that fit int8 (every served model) become two's-complement bit-planes
+// scored by AND and popcount against the query's two symbol bit-planes;
+// wider ones become blocks of 256 dimensions in int16 or int32, scored by
+// one dense and one gather kernel, each generic over that width — no
+// float64 expansion, no float dot, no per-query heap
 // allocation, and bit-identical results to the float reference path at
 // every stage (see internal/encslice and
 // internal/intscore for the exactness arguments). Registry entries carry

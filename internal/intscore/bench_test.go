@@ -43,7 +43,7 @@ func benchSetup() (*hdc.Model, *intscore.Engine, []int8) {
 // what the server did before the integer engine) and on the integer-domain
 // engine. The engine sub-benchmarks are the zero-alloc serving paths the CI
 // benchmark gate holds at 0 allocs/op; the per-width ones time each kernel
-// at each plane width.
+// at each plane width, and the paper ones the served models' geometry.
 func BenchmarkScoresPacked(b *testing.B) {
 	m, e, q := benchSetup()
 	out := make([]float64, m.NumClasses())
@@ -72,9 +72,9 @@ func BenchmarkScoresPacked(b *testing.B) {
 	})
 
 	// One engine per plane width at the same geometry, each timed on a
-	// bipolar query (dense kernel) and a half-zero query (gather kernel).
-	// The served models are int8: bundling a few dozen quantized encodings
-	// per class keeps |v| far below 127.
+	// bipolar query and a half-zero query. At int16 and int32 these take
+	// the dense and the gather kernel; int8 engines score both on the
+	// bit-plane kernel, here with 8 planes (|v| ≤ 100).
 	rng := rand.New(rand.NewSource(100))
 	dense, gather := make([]int8, len(q)), make([]int8, len(q))
 	for i := range dense {
@@ -104,5 +104,34 @@ func BenchmarkScoresPacked(b *testing.B) {
 				}
 			})
 		}
+	}
+
+	// The served models are int8-width: bundling a few dozen quantized
+	// encodings per class keeps |v| < 32, so they score on 6 bit-planes.
+	// The edge sends a bipolar query, or with a query mask one whose
+	// masked half is zero.
+	raw := make([][]float64, m.NumClasses())
+	for l := range raw {
+		raw[l] = make([]float64, len(q))
+		for i := range raw[l] {
+			raw[l][i] = float64(rng.Intn(63) - 31)
+		}
+	}
+	pe := intscore.Prepare(raw)
+	masked := make([]int8, len(q))
+	copy(masked, dense)
+	for _, i := range rng.Perm(len(q))[:len(q)/2] {
+		masked[i] = 0
+	}
+	for _, k := range []struct {
+		name string
+		q    []int8
+	}{{"bipolar", dense}, {"masked", masked}} {
+		b.Run("paper-"+k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pe.ScoresPackedInto(k.q, out)
+			}
+		})
 	}
 }

@@ -8,18 +8,28 @@
 // dot per class. This package removes both costs. The class prototypes a
 // model was trained from are sums of quantized (integer) encodings, and a
 // DP release rounds its noised classes to integers, so every served class
-// vector is integer-valued; Prepare lays the classes out as cache-blocked
-// panels of 256 dimensions, in the narrowest of int8, int16 and int32 that
-// holds every coordinate. Scoring a packed query is then a pure integer
+// vector is integer-valued. Scoring a packed query is then a pure integer
 // dot per class, finished by one float division per class with the same
 // ℓ2 norm the float path divides by.
 //
-// There is one pair of kernels, written once and instantiated per plane
-// width: a dense 4-class-wide int64 multiply-accumulate for zero-poor
-// (bipolar) queries, and a multiplication-free gather over the non-zero
-// symbols for zero-rich ones (ternary, biased ternary, 2-bit). Each query
-// takes whichever suits it; integer sums are exact, so the choice never
-// changes a score bit.
+// Prepare picks the layout, and with it the kernel, from the class
+// magnitudes alone. When every coordinate fits int8 — every served model
+// does, since bundling keeps |v| < 32 — each class is stored as
+// B = bits.Len(max|v|)+1 two's-complement bit-planes, and the kernel
+// splits the query into the lo and hi bits of its 2-bit symbols
+// (s = lo − 2·hi) and sums popcnt(lo ∧ C_b) − 2·popcnt(hi ∧ C_b) at each
+// plane's weight (2^b, and −2^(B−1) for the top plane). Its cost does not
+// depend on the query's zero fraction. It reads only a symbol's two low
+// bits, so, as on every path, symbols outside the −2…+1 alphabet are
+// undefined behaviour; servers validate them at the wire. Wider classes
+// are laid out as cache-blocked int16 or int32 panels of 256 dimensions,
+// with two kernels written once and instantiated per width: a dense
+// 4-class-wide int64 multiply-accumulate for zero-poor (bipolar) queries,
+// and a multiplication-free gather over the non-zero symbols for
+// zero-rich ones (ternary, biased ternary, 2-bit, masked). Each query
+// takes whichever suits it. The popcount kernel's cost grows with B, so
+// at these widths it would lose to them. Integer sums are exact, so no
+// choice ever changes a score bit.
 //
 // # Fidelity to the float path
 //
@@ -43,6 +53,7 @@ package intscore
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"privehd/internal/vecmath"
@@ -56,7 +67,7 @@ const (
 	MaxSymbol int8 = 1
 )
 
-// blockDim is the dimensions-per-panel block size: with int16 planes and a
+// blockDim is the dimensions-per-panel block size: with int16 panels and a
 // few dozen classes, one block panel plus the query block stays within a
 // typical 32 KiB L1 data cache. It must not exceed 256: the gather kernel
 // indexes panel rows with uint8 (enforced by the constant conversion below).
@@ -73,15 +84,15 @@ const (
 	maxAbsVal  = 1 << 26
 )
 
-// element is a class plane's integer type.
-type element interface{ ~int8 | ~int16 | ~int32 }
+// element is a wide class panel's integer type.
+type element interface{ ~int16 | ~int32 }
 
 // kernels adds every class's integer dot with a query into acc (one slot
-// per class). panels is its only implementation, one instantiation per
-// plane width; the engine holds the one Prepare picked.
+// per class). bitPlanes serves int8-width models and panels, one
+// instantiation per element width, the wider ones; the engine holds the
+// one Prepare picked.
 type kernels interface {
-	dense(q []int8, acc []int64)
-	gather(q []int8, acc []int64, s *engineScratch)
+	accumulate(q []int8, acc []int64, s *engineScratch)
 }
 
 // panels holds the classes block-major then row-major:
@@ -94,7 +105,7 @@ type panels[T element] []T
 type Engine struct {
 	dim     int
 	classes int
-	bits    int // plane element width; 0 for an engine over no classes
+	bits    int // width the coordinates fit, see PlaneBits
 
 	// norms[l] is ‖C_l‖₂, computed exactly as the float scoring path
 	// computes it; 0 marks an empty class, scored −Inf.
@@ -116,6 +127,9 @@ type Engine struct {
 type engineScratch struct {
 	acc    []int64
 	scores []float64
+	// lo/hi are the query's bit-planes, one word per 64 dimensions, on the
+	// bit-plane path.
+	lo, hi []uint64
 	// pos/neg/neg2 are block-local index lists of the query's +1/−1/−2
 	// symbols, rebuilt per block on the gather path. Elements are uint8 —
 	// a block index always fits — so the gather kernel can prove every
@@ -134,7 +148,7 @@ func Prepare(classes [][]float64) *Engine {
 		normsSq: make([]float64, len(classes)),
 	}
 	if len(classes) == 0 {
-		e.planes = panels[int8](nil)
+		e.planes = bitPlanes{}
 		return e
 	}
 	e.dim = len(classes[0])
@@ -165,7 +179,7 @@ func Prepare(classes [][]float64) *Engine {
 	}
 	switch {
 	case maxAbs <= math.MaxInt8:
-		e.bits, e.planes = 8, newPanels[int8](classes)
+		e.bits, e.planes = 8, newBitPlanes(classes, bits.Len(uint(maxAbs))+1)
 	case maxAbs <= math.MaxInt16:
 		e.bits, e.planes = 16, newPanels[int16](classes)
 	default:
@@ -194,17 +208,21 @@ func (e *Engine) Dim() int { return e.dim }
 // NumClasses returns the number of classes the engine scores.
 func (e *Engine) NumClasses() int { return e.classes }
 
-// PlaneBits returns the integer plane element width in bits (8, 16 or 32),
-// or 0 for an engine over no classes.
+// PlaneBits returns the width the class coordinates fit: 8 means they fit
+// int8 and are scored as at most 8 bit-planes, 16 and 32 mean int16 and
+// int32 panels. It is 0 for an engine over no classes.
 func (e *Engine) PlaneBits() int { return e.bits }
 
 func (e *Engine) getScratch() *engineScratch {
 	if s, ok := e.scratch.Get().(*engineScratch); ok {
 		return s
 	}
+	words := (e.dim + 63) / 64
 	return &engineScratch{
 		acc:    make([]int64, e.classes),
 		scores: make([]float64, e.classes),
+		lo:     make([]uint64, words),
+		hi:     make([]uint64, words),
 	}
 }
 
@@ -247,35 +265,13 @@ func (e *Engine) scoresInto(q []int8, out []float64, s *engineScratch) {
 	for l := range acc {
 		acc[l] = 0
 	}
-	e.accumulateAdaptive(q, acc, s)
+	e.planes.accumulate(q, acc, s)
 	for l, n := range e.norms {
 		if n == 0 {
 			out[l] = math.Inf(-1)
 			continue
 		}
 		out[l] = float64(acc[l]) / n
-	}
-}
-
-// accumulateAdaptive picks the integer kernel for q and adds every class's
-// dot into acc. Count zero symbols branchlessly ((sym|−sym)>>7&1 is
-// 1 iff sym≠0) over a leading sample — rank-based quantization scatters its
-// zeros across positions, so a prefix is representative, and the choice
-// only affects speed, never the (exact) result. Queries with an
-// appreciable zero fraction — the paper's ternary, biased-ternary and
-// 2-bit schemes — take the gather kernel that indexes only the non-zero
-// symbols and needs no multiplies; zero-poor (bipolar) queries keep the
-// dense multiply-accumulate kernel.
-func (e *Engine) accumulateAdaptive(q []int8, acc []int64, s *engineScratch) {
-	sample := min(len(q), 512)
-	nonzero := 0
-	for _, sym := range q[:sample] {
-		nonzero += int((sym | -sym) >> 7 & 1)
-	}
-	if sample-nonzero >= sample/8 {
-		e.planes.gather(q, acc, s)
-	} else {
-		e.planes.dense(q, acc)
 	}
 }
 
@@ -305,9 +301,147 @@ func (e *Engine) PartialsPackedInto(q []int8, out []int64) []int64 {
 		out[l] = 0
 	}
 	s := e.getScratch()
-	e.accumulateAdaptive(q, out, s)
+	e.planes.accumulate(q, out, s)
 	e.scratch.Put(s)
 	return out
+}
+
+// bitPlanes holds int8-width classes as b two's-complement bit-planes
+// each, class-major, then plane, then word: p[(l·b+j)·words+w] carries
+// bit j of class l's dimensions [64w, 64w+64), dimension 64w+i at bit i.
+// The tail word is zero-padded. Plane j weighs 2^j, except the top one,
+// which weighs −2^(b−1).
+type bitPlanes struct {
+	b, words int
+	p        []uint64
+}
+
+// newBitPlanes copies classes, whose coordinates all fit b-bit two's
+// complement, into b bit-planes per class. It packs eight coordinates'
+// int8 bytes into one word, so each plane takes their bit j eight at a
+// time, as splitPlanes does with the query's symbols.
+func newBitPlanes(classes [][]float64, b int) bitPlanes {
+	words := (len(classes[0]) + 63) / 64
+	bp := bitPlanes{b: b, words: words, p: make([]uint64, len(classes)*b*words)}
+	for l, c := range classes {
+		row := bp.p[l*b*words : (l+1)*b*words]
+		for i := 0; i < len(c); i += 8 {
+			var x uint64
+			for k, v := range c[i:min(i+8, len(c))] {
+				x |= uint64(uint8(int8(v))) << (8 * k)
+			}
+			for j := 0; j < b; j++ {
+				row[j*words+i/64] |= bitOfBytes(x, j) << (i % 64)
+			}
+		}
+	}
+	return bp
+}
+
+// accumulate is the bit-plane kernel — the paper's observation that a
+// quantized query turns the associative search into bit logic
+// (§III-B2 / Table I): AND, then popcount. It splits the query into the
+// lo and hi planes of its 2-bit two's-complement symbols (s = lo − 2·hi),
+// so each class plane c contributes popcnt(lo ∧ c) − 2·popcnt(hi ∧ c) at
+// the plane's weight. The sums are exact integers, and the cost does not
+// depend on the query's zero fraction. Planes go two at a time, so each
+// query word loaded feeds four popcounts; an odd last plane is paired with
+// itself.
+func (bp bitPlanes) accumulate(q []int8, acc []int64, s *engineScratch) {
+	ws := bp.words
+	lo, hi := s.lo[:ws], s.hi[:ws]
+	splitPlanes(q, lo, hi)
+	stride := bp.b * ws
+	for l := range acc {
+		row := bp.p[l*stride : (l+1)*stride]
+		var n [8]int // n[j] = Σ s·bit over plane j
+		j := 0
+		for ; j+2 <= bp.b; j += 2 {
+			n[j], n[j+1] = planeDot2(lo, hi, row[j*ws:(j+1)*ws], row[(j+1)*ws:(j+2)*ws])
+		}
+		if j < bp.b {
+			n[j], _ = planeDot2(lo, hi, row[j*ws:], row[j*ws:])
+		}
+		dot := -int64(n[bp.b-1]) << (bp.b - 1)
+		for j := 0; j < bp.b-1; j++ {
+			dot += int64(n[j]) << j
+		}
+		acc[l] += dot
+	}
+}
+
+// planeDot2 returns Σ s·c over two class planes c0 and c1:
+// popcnt(lo ∧ c) − 2·popcnt(hi ∧ c), word by word.
+func planeDot2(lo, hi, c0, c1 []uint64) (n0, n1 int) {
+	lo, hi, c1 = lo[:len(c0)], hi[:len(c0)], c1[:len(c0)]
+	var l0, h0, l1, h1 int
+	for w, x := range c0 {
+		l, h, y := lo[w], hi[w], c1[w]
+		l0 += bits.OnesCount64(l & x)
+		h0 += bits.OnesCount64(h & x)
+		l1 += bits.OnesCount64(l & y)
+		h1 += bits.OnesCount64(h & y)
+	}
+	return l0 - 2*h0, l1 - 2*h1
+}
+
+// lsbGather packs the low bit of each of a word's 8 bytes into one byte,
+// byte i to bit i.
+const (
+	lsbMask   = 0x0101010101010101
+	lsbGather = 0x0102040810204080
+)
+
+// bitOfBytes gathers bit j of each of x's 8 bytes into one byte, byte i to
+// bit i.
+func bitOfBytes(x uint64, j int) uint64 { return (x >> j & lsbMask) * lsbGather >> 56 }
+
+// splitPlanes writes q's lo and hi bit-planes, 64 symbols per word: bit i
+// of a word is bit 0 (lo) or bit 1 (hi) of its symbol. Only a symbol's two
+// low bits are read, so symbols outside −2…+1 score as whatever those
+// bits spell.
+func splitPlanes(q []int8, lo, hi []uint64) {
+	full := len(q) / 64
+	for w := 0; w < full; w++ {
+		var l, h uint64
+		for g := 0; g < 8; g++ {
+			s := q[64*w+8*g : 64*w+8*g+8 : 64*w+8*g+8]
+			x := uint64(uint8(s[0])) | uint64(uint8(s[1]))<<8 | uint64(uint8(s[2]))<<16 | uint64(uint8(s[3]))<<24 |
+				uint64(uint8(s[4]))<<32 | uint64(uint8(s[5]))<<40 | uint64(uint8(s[6]))<<48 | uint64(uint8(s[7]))<<56
+			l |= bitOfBytes(x, 0) << (8 * g)
+			h |= bitOfBytes(x, 1) << (8 * g)
+		}
+		lo[w], hi[w] = l, h
+	}
+	if full < len(lo) {
+		var l, h uint64
+		for i, s := range q[64*full:] {
+			l |= uint64(s&1) << i
+			h |= uint64(s>>1&1) << i
+		}
+		lo[full], hi[full] = l, h
+	}
+}
+
+// accumulate picks the panel kernel for q. Count zero symbols
+// branchlessly ((sym|−sym)>>7&1 is 1 iff sym≠0) over a leading sample —
+// rank-based quantization scatters its zeros across positions, so a prefix
+// is representative, and the choice only affects speed, never the (exact)
+// result. Queries with an appreciable zero fraction — the paper's ternary,
+// biased-ternary and 2-bit schemes — take the gather kernel that indexes
+// only the non-zero symbols and needs no multiplies; zero-poor (bipolar)
+// queries keep the dense multiply-accumulate kernel.
+func (p panels[T]) accumulate(q []int8, acc []int64, s *engineScratch) {
+	sample := min(len(q), 512)
+	nonzero := 0
+	for _, sym := range q[:sample] {
+		nonzero += int((sym | -sym) >> 7 & 1)
+	}
+	if sample-nonzero >= sample/8 {
+		p.gather(q, acc, s)
+	} else {
+		p.dense(q, acc)
+	}
 }
 
 // dense walks the blocked panels so each query block is reused across all

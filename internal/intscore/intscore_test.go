@@ -322,14 +322,19 @@ func TestZeroAllocScoring(t *testing.T) {
 }
 
 // FuzzScoresPacked fuzzes the packed alphabet against the float64-expansion
-// reference on a fixed integer model with one zero class. Inputs reach both
-// kernels: the all-±1 seed takes the dense one, the zero-rich seed the
-// gather one.
+// reference on two fixed integer models with one zero class each: an
+// int16-width one (|v| ≤ 2000) and an int8-width one (|v| ≤ 31). Every
+// input is scored on both, so it reaches all three kernels: on the int16
+// engine the all-±1 seed takes the dense one and the zero-rich seed the
+// gather one; the int8 engine scores every input on its bit-planes. At dim
+// 97 the last query word is partial.
 func FuzzScoresPacked(f *testing.F) {
 	const dim = 97
 	rng := rand.New(rand.NewSource(8))
-	classes := randIntClasses(rng, 4, dim, 2000, true)
-	e := intscore.Prepare(classes)
+	wide := randIntClasses(rng, 4, dim, 2000, true)
+	narrow := randIntClasses(rng, 4, dim, 31, true)
+	engines := []*intscore.Engine{intscore.Prepare(wide), intscore.Prepare(narrow)}
+	models := [][][]float64{wide, narrow}
 	f.Add([]byte{0, 1, 2, 3, 255})
 	f.Add(make([]byte, dim))
 	f.Add([]byte{1, 3, 3, 1, 3})    // −1/+1 only: dense
@@ -343,7 +348,9 @@ func FuzzScoresPacked(f *testing.F) {
 			}
 			q[i] = int8(b%4) - 2 // map every byte into −2…+1
 		}
-		got := e.ScoresPackedInto(q, make([]float64, len(classes)))
-		checkClose(t, got, refScores(classes, q))
+		for k, e := range engines {
+			got := e.ScoresPackedInto(q, make([]float64, len(models[k])))
+			checkClose(t, got, refScores(models[k], q))
+		}
 	})
 }

@@ -2,24 +2,34 @@ package intscore
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
 	"privehd/internal/quant"
 )
 
-// TestDenseMatchesGather runs the dense and the gather kernel on the same
-// query and requires both to produce the exact int64 dot of every class, at
-// every plane width and for every quantization alphabet — including the 0
-// and −2 symbols the adaptive choice would never send to the dense kernel.
-// Class counts cover the 4-row kernel and each number of leftover rows;
-// dims cover a partial block, exact blocks and a block plus a tail.
+// panelKernels is the pair of kernels a panels instantiation carries.
+type panelKernels interface {
+	dense(q []int8, acc []int64)
+	gather(q []int8, acc []int64, s *engineScratch)
+}
+
+// TestDenseMatchesGather requires every kernel to produce the exact int64
+// dot of every class against a naive oracle, for every quantization
+// alphabet, −2 included. At the int16 and int32 panel widths it runs the
+// dense and the gather kernel on the same query — including the 0 and −2
+// symbols the adaptive choice would never send to the dense kernel; class
+// counts cover the 4-row kernel and each number of leftover rows, dims a
+// partial block, exact blocks and a block plus a tail. At int8 width it
+// runs the bit-plane kernel (see testBitPlanes).
 func TestDenseMatchesGather(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
+	testBitPlanes(t, rng)
 	widths := []struct {
 		bits int
 		mag  int64
-	}{{8, 127}, {16, 30000}, {32, 1 << 20}}
+	}{{16, 30000}, {32, 1 << 20}}
 	for _, w := range widths {
 		for _, scheme := range quant.Schemes() {
 			alphabet := scheme.Alphabet()
@@ -51,11 +61,73 @@ func TestDenseMatchesGather(t *testing.T) {
 						}
 					}
 					dense, gather := make([]int64, nclasses), make([]int64, nclasses)
-					e.planes.dense(q, dense)
-					e.planes.gather(q, gather, e.getScratch())
+					p := e.planes.(panelKernels)
+					p.dense(q, dense)
+					p.gather(q, gather, e.getScratch())
 					for l := range want {
 						if dense[l] != want[l] || gather[l] != want[l] {
 							t.Fatalf("%s class %d: dense %d, gather %d, want %d", name, l, dense[l], gather[l], want[l])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// testBitPlanes checks the int8-width bit-plane kernel. Each magnitude is
+// pinned at +mag on one coordinate and −mag on another, so the plane count
+// b = bits.Len(mag)+1 takes every value from 1 to 8 and each count's
+// largest and smallest representable magnitudes are both scored. Dims
+// cover a partial word, exact words and a word plus a tail. The kernel
+// must add into acc, and must not read query planes left in the scratch
+// by an earlier call.
+func testBitPlanes(t *testing.T, rng *rand.Rand) {
+	for _, mag := range []int64{0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 126, 127} {
+		for _, scheme := range quant.Schemes() {
+			alphabet := scheme.Alphabet()
+			for _, dim := range []int{1, 63, 64, 65, 255, 257, 4001} {
+				for _, nclasses := range []int{1, 3, 4, 5, 26} {
+					name := fmt.Sprintf("int8/mag=%d/%s/dim=%d/classes=%d", mag, scheme.Name(), dim, nclasses)
+					classes := make([][]float64, nclasses)
+					for l := range classes {
+						classes[l] = make([]float64, dim)
+						for i := range classes[l] {
+							classes[l][i] = float64(rng.Int63n(2*mag+1) - mag)
+						}
+					}
+					classes[0][0] = float64(mag)
+					classes[nclasses-1][dim-1] = float64(-mag)
+					e := Prepare(classes)
+					if e.PlaneBits() != 8 {
+						t.Fatalf("%s: PlaneBits = %d", name, e.PlaneBits())
+					}
+					p, ok := e.planes.(bitPlanes)
+					if !ok || p.b != bits.Len64(uint64(mag))+1 {
+						t.Fatalf("%s: kernel %T, want %d bit-planes", name, e.planes, bits.Len64(uint64(mag))+1)
+					}
+					q := make([]int8, dim)
+					for i := range q {
+						q[i] = int8(alphabet[rng.Intn(len(alphabet))])
+					}
+					const bias = 1 << 40
+					want := make([]int64, nclasses)
+					got := make([]int64, nclasses)
+					for l, c := range classes {
+						want[l] = bias
+						got[l] = bias
+						for i, v := range c {
+							want[l] += int64(q[i]) * int64(v)
+						}
+					}
+					s := e.getScratch()
+					for w := range s.lo {
+						s.lo[w], s.hi[w] = ^uint64(0), ^uint64(0)
+					}
+					p.accumulate(q, got, s)
+					for l := range want {
+						if got[l] != want[l] {
+							t.Fatalf("%s class %d: bit-planes %d, want %d", name, l, got[l]-bias, want[l]-bias)
 						}
 					}
 				}
