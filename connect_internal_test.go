@@ -65,7 +65,10 @@ func serveTest(t *testing.T, reg *Registry) string {
 // DP release (WithNoise) runs the plain and masked edges on every
 // topology, sharded included: its rounded classes score on the same
 // integer path as any other model. A scalar-encoded model runs the plain
-// and masked edges on every topology too.
+// and masked edges on every topology too. The cluster and a sharded fleet
+// of two replicas per slice also run hedged ("+hedge"): at loopback
+// latency most calls beat the hedge delay, so these rows pin the hedged
+// path's results bit-identical rather than exercise the race itself.
 func TestTopologiesMatchLocalPrediction(t *testing.T) {
 	const dim = 2000
 	data, err := LoadDataset("isolet-s", true)
@@ -110,6 +113,8 @@ func TestTopologiesMatchLocalPrediction(t *testing.T) {
 	}
 	wholeAddrs := []string{serveTest(t, whole), serveTest(t, whole)}
 	shardAddrs := []string{serveTest(t, shards[0]), serveTest(t, shards[1])}
+	// Two replicas per slice, so each shard group has a replica to hedge to.
+	replicatedShardAddrs := []string{shardAddrs[0], shardAddrs[1], serveTest(t, shards[0]), serveTest(t, shards[1])}
 
 	X := data.TestX
 	edges := []struct {
@@ -127,6 +132,8 @@ func TestTopologiesMatchLocalPrediction(t *testing.T) {
 			{Addrs: wholeAddrs[:1], Topology: TopologyPool, Model: m.name},
 			{Addrs: wholeAddrs, Topology: TopologyCluster, Model: m.name},
 			{Addrs: shardAddrs, Topology: TopologySharded, Model: m.name},
+			{Addrs: wholeAddrs, Topology: TopologyCluster, Model: m.name, Hedge: true},
+			{Addrs: replicatedShardAddrs, Topology: TopologySharded, Model: m.name, Hedge: true},
 		}
 		for _, ec := range edges {
 			edge, err := p.Edge(ec.opts...)
@@ -168,7 +175,11 @@ func TestTopologiesMatchLocalPrediction(t *testing.T) {
 				if raw && target.Topology == TopologySharded {
 					continue // refused at Connect; pinned below
 				}
-				t.Run(fmt.Sprintf("%v/%s%s", target.Topology, m.prefix, ec.name), func(t *testing.T) {
+				name := fmt.Sprintf("%v/%s%s", target.Topology, m.prefix, ec.name)
+				if target.Hedge {
+					name += "+hedge"
+				}
+				t.Run(name, func(t *testing.T) {
 					c, err := Connect(context.Background(), target, WithEdge(edge))
 					if err != nil {
 						t.Fatal(err)

@@ -431,13 +431,24 @@ func (p *Pool) dialBackoffLeft() time.Duration {
 	return 0
 }
 
-// do runs one operation on a pooled connection. A standalone pool retries
-// a transport failure once on a different (or freshly dialed) connection —
-// safe because classification and listing are idempotent; a cluster's
-// pool makes one attempt and leaves retrying to the cluster's failover
-// loop. Protocol errors are returned as-is.
-func (p *Pool) do(ctx context.Context, op func(*offload.Client) error) error {
-	var lastErr error
+// Op is one idempotent operation on a pooled connection, returning its
+// result. It must use the context it is handed: a hedged loser's context
+// is canceled. Every pool and cluster call runs an Op, and a hedged pair
+// runs the same Op concurrently, so an Op keeps no state of its own beyond
+// what it returns.
+type Op[T any] func(context.Context, *offload.Client) (T, error)
+
+// call runs op on one pooled connection of p and returns its result. A
+// standalone pool retries a transport failure once on a different (or
+// freshly dialed) connection — safe because every Op is idempotent; a
+// cluster's pool makes one attempt and leaves retrying to the cluster's
+// failover loop. Protocol errors are returned as-is, and a failed call
+// returns T's zero value.
+func call[T any](ctx context.Context, p *Pool, op Op[T]) (T, error) {
+	var (
+		zero    T
+		lastErr error
+	)
 	for attempt := 0; attempt < p.attempts; attempt++ {
 		if attempt > 0 {
 			cmPoolRetries.With(p.cfg.Addr).Inc()
@@ -445,28 +456,44 @@ func (p *Pool) do(ctx context.Context, op func(*offload.Client) error) error {
 		pc, err := p.acquire(ctx)
 		if err != nil {
 			if lastErr != nil {
-				return lastErr
+				return zero, lastErr
 			}
-			return err
+			return zero, err
 		}
-		err = op(pc.c)
+		v, err := op(ctx, pc.c)
 		p.release(pc, err)
-		if err == nil || !errors.Is(err, offload.ErrTransport) {
-			return err
+		if err == nil {
+			return v, nil
+		}
+		if !errors.Is(err, offload.ErrTransport) {
+			return zero, err
 		}
 		lastErr = err
 	}
-	return lastErr
+	return zero, lastErr
 }
 
-// Do runs op on one pooled connection with the pool's usual
-// transport-retry discipline (see do). It exists for callers that need
-// raw client access through the pool — the shard coordinator issues
-// partial-score frames this way — and follows the same contract as every
-// pool method: op must be idempotent, and typed protocol errors are
-// returned as-is.
-func (p *Pool) Do(ctx context.Context, op func(*offload.Client) error) error {
-	return p.do(ctx, op)
+// The shared operations behind Pool's and Cluster's methods.
+
+func serverHello(_ context.Context, c *offload.Client) (offload.ServerHello, error) {
+	return c.ServerHello(), nil
+}
+
+func classify(q offload.Query) Op[offload.Result] {
+	return func(ctx context.Context, c *offload.Client) (r offload.Result, err error) {
+		r.Label, r.Scores, err = c.ClassifyContext(ctx, q)
+		return r, err
+	}
+}
+
+func classifyBatch(qs []offload.Query) Op[[]offload.Result] {
+	return func(ctx context.Context, c *offload.Client) ([]offload.Result, error) {
+		return c.ClassifyBatchScoresContext(ctx, qs)
+	}
+}
+
+func listModels(_ context.Context, c *offload.Client) ([]offload.ModelListing, error) {
+	return c.ListModels()
 }
 
 // Hello dials (at most) one connection and returns the server's accepted
@@ -474,48 +501,26 @@ func (p *Pool) Do(ctx context.Context, op func(*offload.Client) error) error {
 // edges that auto-configure. Subsequent calls are free.
 func (p *Pool) Hello(ctx context.Context) (offload.ServerHello, error) {
 	p.mu.Lock()
-	if p.haveHello {
-		h := p.hello
-		p.mu.Unlock()
+	h, ok := p.hello, p.haveHello
+	p.mu.Unlock()
+	if ok {
 		return h, nil
 	}
-	p.mu.Unlock()
-	err := p.do(ctx, func(*offload.Client) error { return nil })
-	if err != nil {
-		return offload.ServerHello{}, err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.hello, nil
+	return call(ctx, p, serverHello)
 }
 
 // Classify classifies one prepared query through the pool. The context's
 // deadline, if any, rides the frame as its budget (offload.BudgetNs) and
 // bounds the wait.
 func (p *Pool) Classify(ctx context.Context, q offload.Query) (int, []float64, error) {
-	var label int
-	var scores []float64
-	err := p.do(ctx, func(c *offload.Client) error {
-		var err error
-		label, scores, err = c.ClassifyContext(ctx, q)
-		return err
-	})
-	return label, scores, err
+	r, err := call(ctx, p, classify(q))
+	return r.Label, r.Scores, err
 }
 
 // ClassifyBatchScores classifies a batch of prepared queries through one
 // pooled connection (chunks pipelined).
 func (p *Pool) ClassifyBatchScores(ctx context.Context, qs []offload.Query) ([]offload.Result, error) {
-	var results []offload.Result
-	err := p.do(ctx, func(c *offload.Client) error {
-		var err error
-		results, err = c.ClassifyBatchScoresContext(ctx, qs)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	return call(ctx, p, classifyBatch(qs))
 }
 
 // ClassifyBatch is ClassifyBatchScores returning labels only.
@@ -529,16 +534,7 @@ func (p *Pool) ClassifyBatch(ctx context.Context, qs []offload.Query) ([]int, er
 
 // ListModels asks the pooled server for its registry listing.
 func (p *Pool) ListModels(ctx context.Context) ([]offload.ModelListing, error) {
-	var models []offload.ModelListing
-	err := p.do(ctx, func(c *offload.Client) error {
-		var err error
-		models, err = c.ListModels()
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return models, nil
+	return call(ctx, p, listModels)
 }
 
 // PoolStats is a snapshot of a pool's connection state.
@@ -681,8 +677,10 @@ type ClusterConfig struct {
 	// ProbeTimeout bounds one probe's dial+handshake (default 2s).
 	ProbeTimeout time.Duration
 	// Hedge opts the cluster into hedged requests on the hedgeable paths
-	// (Classify, DoHedged): a backup attempt on a second replica after an
-	// adaptive delay, first reply wins (see DoHedged).
+	// (Classify, and the shard coordinator's gathers through Hedged): a
+	// backup attempt on a second replica after an adaptive delay, first
+	// reply wins (see Hedged). Batch chunks, Hello and ListModels are
+	// never hedged.
 	Hedge bool
 	// Logger receives structured health-transition events (replica
 	// ejected / re-admitted, with address and reason). Nil discards them.
@@ -809,34 +807,30 @@ func (cl *Cluster) pick(tried map[*replica]bool) *replica {
 	}
 }
 
-// do runs one idempotent operation with failover under a fresh per-call
-// allowance (see doAttempt). prefer, when non-nil, is tried before the
-// policy picks: the batch scatter uses it to pin each chunk to a distinct
-// replica — policy picks race when chunks launch together (everyone
-// samples zero in-flight and piles onto the same replica) — while keeping
-// chunk-level failover.
-func (cl *Cluster) do(ctx context.Context, prefer *replica, op func(*Pool) error) error {
+// do runs op with failover under a fresh per-call allowance (see
+// failover). prefer, when non-nil, is tried before the policy picks: the
+// batch scatter uses it to pin each chunk to a distinct replica — policy
+// picks race when chunks launch together (everyone samples zero in-flight
+// and piles onto the same replica) — while keeping chunk-level failover.
+func do[T any](ctx context.Context, cl *Cluster, prefer *replica, op Op[T]) (T, error) {
 	left := cl.callAllowance()
-	return cl.doAttempt(ctx, &left, prefer, nil,
-		func(_ context.Context, p *Pool) error { return op(p) })
+	return failover(ctx, cl, &left, prefer, nil, op)
 }
 
-// doAttempt is the one retry loop of a cluster call, behind do and
-// DoHedged: try replicas (prefer first, then policy picks) until one
-// answers, a typed protocol error arrives — a live server answered, and
-// every replica would answer the same — the call's allowance runs dry,
-// or ctx ends. An undeadlined call also stops after a sweep in which every
-// replica was inside its dial backoff. A replica whose transport fails is
-// ejected, and each such failure spends one unit of *left, a counter only
-// a hedged pair shares, so one call makes at most 1 + callAllowance
-// attempts. onPick, when non-nil, is told each replica just before its
-// attempt — DoHedged uses it to aim the backup attempt at a different
-// replica than the primary is on. Failovers past the first pause with
-// jitter (failoverPause) so a call sweeping a sick fleet does not hammer it
-// in a tight loop. op receives the attempt's context — hedged attempts run
-// under a cancellable child, so an op must use the context it is handed,
-// not one it captured.
-func (cl *Cluster) doAttempt(ctx context.Context, left *int64, prefer *replica, onPick func(*replica), op func(context.Context, *Pool) error) error {
+// failover is the one retry loop of a cluster call, behind do and Hedged:
+// run op on replicas (prefer first, then policy picks) until one answers, a
+// typed protocol error arrives — a live server answered, and every replica
+// would answer the same — the call's allowance runs dry, or ctx ends. An
+// undeadlined call also stops after a sweep in which every replica was
+// inside its dial backoff. A replica whose transport fails is ejected, and
+// each such failure spends one unit of *left, a counter only a hedged pair
+// shares, so one call makes at most 1 + callAllowance attempts. onPick,
+// when non-nil, is told each replica just before its attempt — Hedged uses
+// it to aim the backup attempt at a different replica than the primary is
+// on. Failovers past the first pause with jitter (failoverPause) so a call
+// sweeping a sick fleet does not hammer it in a tight loop.
+func failover[T any](ctx context.Context, cl *Cluster, left *int64, prefer *replica, onPick func(*replica), op Op[T]) (T, error) {
+	var zero T
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -856,22 +850,22 @@ func (cl *Cluster) doAttempt(ctx context.Context, left *int64, prefer *replica, 
 				onPick(r)
 			}
 			attemptStart := time.Now()
-			err := op(ctx, r.pool)
+			v, err := call(ctx, r.pool, op)
 			if err == nil {
 				cl.recordSuccess(r, false)
 				if cl.cfg.Hedge {
 					cl.observeLatency(time.Since(attemptStart))
 				}
-				return nil
+				return v, nil
 			}
 			if !errors.Is(err, offload.ErrTransport) {
-				return err
+				return zero, err
 			}
 			if ctx.Err() != nil {
 				// The caller gave up, the replica didn't fail: surface the
 				// cancellation without ejecting anyone or burning retries on
 				// a context that is already dead.
-				return fmt.Errorf("%w: %w", offload.ErrTransport, ctx.Err())
+				return zero, fmt.Errorf("%w: %w", offload.ErrTransport, ctx.Err())
 			}
 			if errors.Is(err, errDialBackoff) {
 				// The pool rejected without touching the network: the
@@ -889,7 +883,7 @@ func (cl *Cluster) doAttempt(ctx context.Context, left *int64, prefer *replica, 
 			lastErr = err
 			if atomic.AddInt64(left, -1) < 0 {
 				cmRetryBudgetExhausted.Inc()
-				return fmt.Errorf("%w: retry allowance exhausted after %d attempts, last: %v",
+				return zero, fmt.Errorf("%w: retry allowance exhausted after %d attempts, last: %v",
 					ErrNoHealthyReplicas, attempt, lastErr)
 			}
 			if pause := failoverPause(attempt + 1); pause > 0 {
@@ -898,7 +892,7 @@ func (cl *Cluster) doAttempt(ctx context.Context, left *int64, prefer *replica, 
 				case <-t.C:
 				case <-ctx.Done():
 					t.Stop()
-					return fmt.Errorf("%w: %w", offload.ErrTransport, ctx.Err())
+					return zero, fmt.Errorf("%w: %w", offload.ErrTransport, ctx.Err())
 				}
 			}
 		}
@@ -926,10 +920,10 @@ func (cl *Cluster) doAttempt(ctx context.Context, left *int64, prefer *replica, 
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			return fmt.Errorf("%w: %w", offload.ErrTransport, ctx.Err())
+			return zero, fmt.Errorf("%w: %w", offload.ErrTransport, ctx.Err())
 		}
 	}
-	return fmt.Errorf("%w: all %d replicas failed, last: %v", ErrNoHealthyReplicas, len(cl.replicas), lastErr)
+	return zero, fmt.Errorf("%w: all %d replicas failed, last: %v", ErrNoHealthyReplicas, len(cl.replicas), lastErr)
 }
 
 // minDialBackoffLeft reports the shortest remaining dial-backoff window
@@ -947,33 +941,15 @@ func (cl *Cluster) minDialBackoffLeft() time.Duration {
 
 // Hello returns the accepted handshake of the first replica that answers.
 func (cl *Cluster) Hello(ctx context.Context) (offload.ServerHello, error) {
-	var hello offload.ServerHello
-	err := cl.do(ctx, nil, func(p *Pool) error {
-		var err error
-		hello, err = p.Hello(ctx)
-		return err
-	})
-	return hello, err
+	return do(ctx, cl, nil, serverHello)
 }
 
 // Classify classifies one prepared query on some healthy replica. With
 // Hedge set, a straggling call is hedged to a second replica and the
 // first reply wins.
 func (cl *Cluster) Classify(ctx context.Context, q offload.Query) (int, []float64, error) {
-	var label int
-	var scores []float64
-	err := cl.DoHedged(ctx, nil, func() (func(context.Context, *Pool) error, func()) {
-		var l int
-		var s []float64
-		op := func(actx context.Context, p *Pool) error {
-			var err error
-			l, s, err = p.Classify(actx, q)
-			return err
-		}
-		commit := func() { label, scores = l, s }
-		return op, commit
-	})
-	return label, scores, err
+	r, err := Hedged(ctx, cl, nil, classify(q))
+	return r.Label, r.Scores, err
 }
 
 // ClassifyBatchScores classifies a batch by scattering contiguous chunks
@@ -1002,16 +978,7 @@ func (cl *Cluster) ClassifyBatchScores(ctx context.Context, qs []offload.Query) 
 	if chunk >= n {
 		// Degenerate scatter (one replica, or batch smaller than the
 		// fleet ÷ 1): keep the simple single-flight path.
-		var results []offload.Result
-		err := cl.do(ctx, nil, func(p *Pool) error {
-			var err error
-			results, err = p.ClassifyBatchScores(ctx, qs)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		return results, nil
+		return do(ctx, cl, nil, classifyBatch(qs))
 	}
 	results := make([]offload.Result, n)
 	var (
@@ -1031,17 +998,13 @@ func (cl *Cluster) ClassifyBatchScores(ctx context.Context, qs []offload.Query) 
 		wg.Add(1)
 		go func(start, end int, prefer *replica) {
 			defer wg.Done()
-			err := cl.do(ctx, prefer, func(p *Pool) error {
-				rs, err := p.ClassifyBatchScores(ctx, qs[start:end])
-				if err != nil {
-					return err
-				}
-				if len(rs) != end-start {
-					return fmt.Errorf("%w: replica answered %d of %d chunk queries",
+			rs, err := do(ctx, cl, prefer, func(ctx context.Context, c *offload.Client) ([]offload.Result, error) {
+				rs, err := c.ClassifyBatchScoresContext(ctx, qs[start:end])
+				if err == nil && len(rs) != end-start {
+					return nil, fmt.Errorf("%w: replica answered %d of %d chunk queries",
 						offload.ErrTransport, len(rs), end-start)
 				}
-				copy(results[start:end], rs)
-				return nil
+				return rs, err
 			})
 			if err != nil {
 				errMu.Lock()
@@ -1050,6 +1013,7 @@ func (cl *Cluster) ClassifyBatchScores(ctx context.Context, qs []offload.Query) 
 				}
 				errMu.Unlock()
 			} else {
+				copy(results[start:end], rs)
 				cmScatterChunks.Inc()
 			}
 		}(start, end, prefer)
@@ -1073,16 +1037,7 @@ func (cl *Cluster) ClassifyBatch(ctx context.Context, qs []offload.Query) ([]int
 // ListModels returns the registry listing of the first healthy replica
 // that answers.
 func (cl *Cluster) ListModels(ctx context.Context) ([]offload.ModelListing, error) {
-	var models []offload.ModelListing
-	err := cl.do(ctx, nil, func(p *Pool) error {
-		var err error
-		models, err = p.ListModels(ctx)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return models, nil
+	return do(ctx, cl, nil, listModels)
 }
 
 // probeLoop periodically probes every replica: ejected replicas are

@@ -224,9 +224,9 @@ func TestPoolRetriesOnlyStandalone(t *testing.T) {
 	} {
 		defer tc.p.Close()
 		calls := 0
-		err := tc.p.Do(context.Background(), func(*offload.Client) error {
+		_, err := call(context.Background(), tc.p, func(context.Context, *offload.Client) (struct{}, error) {
 			calls++
-			return fmt.Errorf("%w: synthetic failure", offload.ErrTransport)
+			return struct{}{}, fmt.Errorf("%w: synthetic failure", offload.ErrTransport)
 		})
 		if !errors.Is(err, offload.ErrTransport) {
 			t.Fatalf("%s: err = %v, want ErrTransport", tc.name, err)

@@ -46,7 +46,7 @@ var (
 		"Batch chunks answered by the fleet-wide batch scatter (only batches large enough to split count).")
 	cmHedges = metrics.Default.NewCounterVec(
 		"privehd_cluster_hedges_total",
-		"Hedged backup requests by outcome: won (the hedge answered first), lost (the primary answered first after the hedge also finished), canceled (the primary answered first and the hedge was abandoned mid-flight).",
+		"Hedged backup requests by outcome: won (the hedge answered first), lost (the primary answered first after the hedge also finished), canceled (the primary answered first and the hedge was abandoned mid-flight or had failed, or both attempts failed and the call failed).",
 		"outcome")
 	cmPoolPings = metrics.Default.NewCounterVec(
 		"privehd_pool_pings_total",

@@ -8,8 +8,10 @@
 // retry loop of a cluster call — a cluster's pools make one attempt per
 // visit. The allowance is a plain counter that bounds how many failovers
 // one call may burn; only a hedged pair shares one. Hedging rides on the
-// same failover primitive with a private-result/commit-once discipline so
-// concurrent attempts never race on caller state.
+// same failover primitive: every call runs an Op that returns its result,
+// and a hedged pair's two attempts each carry their own result back over a
+// channel, so concurrent attempts share no caller state and the winner's
+// result is simply returned.
 package cluster
 
 import (
@@ -203,33 +205,17 @@ func (cl *Cluster) hedgeDelay() time.Duration {
 	return min(max(time.Duration(cl.hedgeDelayNs.Load()), hedgeDelayMin), hedgeDelayMax)
 }
 
-// HedgedOp builds one independent attempt of a hedgeable operation: op
-// must write results only into state private to that attempt (and must
-// use the context it is handed — the loser's is canceled), and commit
-// publishes that private state to the caller. DoHedged calls commit at
-// most once — for the winning attempt — so concurrent attempts never race
-// on the caller's variables.
-type HedgedOp func() (op func(context.Context, *Pool) error, commit func())
-
-// DoHedged runs mk's operation with tail-latency hedging when the cluster
-// has Hedge set (plain failover otherwise): the primary attempt runs
-// the usual failover path, and if it has not resolved after the hedge
-// delay a backup attempt launches against a replica distinct from the one
-// the primary is on. First success wins and commits; the loser's context
-// is canceled and its late outcome discarded. Both attempts spend one
-// shared allowance, so hedging cannot double a call's failovers. span
-// (nil-safe) gets the hedge's in-flight window as StageHedge.
-func (cl *Cluster) DoHedged(ctx context.Context, span *trace.Span, mk HedgedOp) error {
+// Hedged runs op with tail-latency hedging when the cluster has Hedge set
+// (plain failover otherwise) and returns the winning attempt's result: the
+// primary attempt runs the usual failover path, and if it has not resolved
+// after the hedge delay a backup attempt of the same op launches against a
+// replica distinct from the one the primary is on. First success wins; the
+// loser's context is canceled and its late result discarded. Both attempts
+// spend one shared allowance, so hedging cannot double a call's failovers.
+// span (nil-safe) gets the hedge's in-flight window as StageHedge.
+func Hedged[T any](ctx context.Context, cl *Cluster, span *trace.Span, op Op[T]) (T, error) {
 	if !cl.cfg.Hedge || len(cl.replicas) < 2 {
-		// Declared per path: the hedged pair's goroutines move their
-		// counter to the heap, this one stays on the stack.
-		left := cl.callAllowance()
-		op, commit := mk()
-		if err := cl.doAttempt(ctx, &left, nil, nil, op); err != nil {
-			return err
-		}
-		commit()
-		return nil
+		return do(ctx, cl, nil, op)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -237,30 +223,33 @@ func (cl *Cluster) DoHedged(ctx context.Context, span *trace.Span, mk HedgedOp) 
 	left := cl.callAllowance()
 
 	type outcome struct {
-		err    error
-		commit func()
-		hedge  bool
+		v     T
+		err   error
+		hedge bool
 	}
 	resCh := make(chan outcome, 2)
 
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
+	// One context for both attempts: they are only ever canceled together,
+	// once the verdict is in.
+	actx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	var primaryOn atomic.Pointer[replica]
-	pop, pcommit := mk()
 	go func() {
-		err := cl.doAttempt(pctx, &left, nil, primaryOn.Store, pop)
-		resCh <- outcome{err: err, commit: pcommit, hedge: false}
+		v, err := failover(actx, cl, &left, nil, primaryOn.Store, op)
+		resCh <- outcome{v: v, err: err}
 	}()
 
 	timer := time.NewTimer(cl.hedgeDelay())
 	defer timer.Stop()
-	hctx, hcancel := context.WithCancel(ctx)
-	defer hcancel()
 	var (
 		hedgeStart  time.Time
 		hedgeFlight bool
 	)
 
+	// first is the verdict; second, once a hedge is in flight, is the other
+	// attempt's outcome. An attempt that fails while the other may still
+	// win is held as second, so first is a success whenever either attempt
+	// succeeded.
 	var first, second *outcome
 	for first == nil {
 		select {
@@ -276,10 +265,9 @@ func (cl *Cluster) DoHedged(ctx context.Context, span *trace.Span, mk HedgedOp) 
 			if avoid := primaryOn.Load(); avoid != nil {
 				prefer = cl.pick(map[*replica]bool{avoid: true})
 			}
-			hop, hcommit := mk()
 			go func() {
-				err := cl.doAttempt(hctx, &left, prefer, nil, hop)
-				resCh <- outcome{err: err, commit: hcommit, hedge: true}
+				v, err := failover(actx, cl, &left, prefer, nil, op)
+				resCh <- outcome{v: v, err: err, hedge: true}
 			}()
 		case out := <-resCh:
 			if out.err != nil && hedgeFlight && second == nil {
@@ -298,47 +286,32 @@ func (cl *Cluster) DoHedged(ctx context.Context, span *trace.Span, mk HedgedOp) 
 	// Resolve the loser: cancel it and drain its outcome so no goroutine
 	// outlives the call and the hedge metrics can tell lost from canceled.
 	if hedgeFlight && second == nil {
-		hcancel()
-		pcancel()
+		cancel()
 		o := <-resCh
 		second = &o
 	}
 
-	winner := first
-	if winner.err != nil && second != nil && second.err == nil {
-		winner = second
-	}
 	if hedgeFlight {
 		span.ObserveSince(trace.StageHedge, hedgeStart)
 		switch {
-		case winner.err != nil:
+		case first.err != nil:
 			cmHedges.With("canceled").Inc()
-		case winner.hedge:
+		case first.hedge:
 			cmHedges.With("won").Inc()
+		case second.err == nil:
+			// The primary won and second is the hedge, which also answered.
+			cmHedges.With("lost").Inc()
 		default:
-			var loser *outcome
-			if first.hedge {
-				loser = second
-			} else if second != nil && second.hedge {
-				loser = second
-			}
-			if loser != nil && loser.err == nil {
-				cmHedges.With("lost").Inc()
-			} else {
-				cmHedges.With("canceled").Inc()
-			}
+			cmHedges.With("canceled").Inc()
 		}
 	}
-	if winner.err != nil {
-		// Prefer a typed verdict over a cancellation artifact: if the
-		// other attempt failed with a real answer, surface that.
-		if second != nil && !errors.Is(winner.err, context.Canceled) && !errors.Is(second.err, offload.ErrTransport) && errors.Is(winner.err, offload.ErrTransport) {
-			return second.err
-		}
-		return winner.err
+	// Prefer a typed verdict over a cancellation artifact: if the other
+	// attempt failed with a real answer, surface that.
+	err := first.err
+	if err != nil && second != nil && !errors.Is(err, context.Canceled) && !errors.Is(second.err, offload.ErrTransport) && errors.Is(err, offload.ErrTransport) {
+		err = second.err
 	}
-	winner.commit()
-	return nil
+	return first.v, err
 }
 
 // Ping interval defaults (see PoolConfig.PingInterval).

@@ -267,9 +267,9 @@ func TestRetryBudgetBoundsAttempts(t *testing.T) {
 	// stops with ErrNoHealthyReplicas instead of sweeping forever.
 	before := cmRetryBudgetExhausted.Value()
 	var calls atomic.Int32
-	err = cl.do(context.Background(), nil, func(p *Pool) error {
+	_, err = do(context.Background(), cl, nil, func(context.Context, *offload.Client) (struct{}, error) {
 		calls.Add(1)
-		return fmt.Errorf("%w: synthetic failure", offload.ErrTransport)
+		return struct{}{}, fmt.Errorf("%w: synthetic failure", offload.ErrTransport)
 	})
 	if got := calls.Load(); got != 13 {
 		t.Fatalf("op ran %d times against 3 failing replicas, want exactly 13", got)
@@ -526,8 +526,9 @@ func TestPoolPingKeepsLiveConn(t *testing.T) {
 func TestGoAwayDrainRacesHedgedRequests(t *testing.T) {
 	// One replica drains gracefully (v5 GoAway push) while hedged,
 	// retried traffic hammers the fleet: every request must still succeed
-	// with the right answer, and commit-once must hold — no call observes
-	// a result assembled from two racing attempts.
+	// with the right answer, and each call must return one attempt's
+	// result whole — never a label and scores taken from two racing
+	// attempts.
 	const dim = 16
 	type member struct {
 		addr string

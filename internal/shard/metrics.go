@@ -22,6 +22,6 @@ var (
 		"shard")
 	smPartialRetries = metrics.Default.NewCounterVec(
 		"privehd_shard_partial_retries_total",
-		"Partial-score calls re-issued to another replica of the same shard after a failure — only the missing shard is retried, never the whole scatter.",
+		"Partial-score calls issued to a shard beyond the first of one gather, by shard descriptor: re-issued to another replica of the same shard after a failure, or sent as a hedged backup (counted even when nothing failed). Only the missing shard is retried, never the whole scatter.",
 		"shard")
 )

@@ -286,10 +286,12 @@ func (r *gatherResult) check(n int) error {
 }
 
 // scatter fans the packed batch across every shard group and gathers the
-// partial answers. Each group retries internally across its own replicas
-// (cluster failover); a group that exhausts its replicas, or answers in a
-// shape its descriptor does not allow, fails the whole gather. The span's
-// gather stage records the slowest group's round trip.
+// partial answers. Each group's gather is one cluster.Hedged call whose op
+// returns that group's gatherResult: the group retries internally across
+// its own replicas (cluster failover) and, with Config.Hedge, races a
+// straggler against a backup. A group that exhausts its replicas, or
+// answers in a shape its descriptor does not allow, fails the whole
+// gather. The span's gather stage records the slowest group's round trip.
 func (co *Coordinator) scatter(ctx context.Context, packed [][]int8, span *trace.Span) ([]gatherResult, error) {
 	results := make([]gatherResult, len(co.groups))
 	errs := make([]error, len(co.groups))
@@ -303,32 +305,22 @@ func (co *Coordinator) scatter(ctx context.Context, packed [][]int8, span *trace
 				sub[q] = p[g.info.DimOffset : g.info.DimOffset+g.info.DimLen]
 			}
 			t0 := time.Now()
-			// Hedged gather: each attempt accumulates into private state
-			// and only the winner's commit publishes into results[i], so
-			// a primary and its hedge can never race on the shared slot.
-			// The attempt counter is deliberately shared — it counts every
-			// partial-score try this shard burned, hedged or not.
+			// Hedged gather: each attempt returns its own gatherResult and
+			// only the winner's comes back, so a primary and its hedge
+			// never share state. The attempt counter is deliberately
+			// shared — it counts every partial-score call this shard
+			// issued, failover or hedge.
 			var attempts atomic.Int64
-			err := g.cl.DoHedged(ctx, span, func() (func(context.Context, *cluster.Pool) error, func()) {
-				var res gatherResult
-				op := func(actx context.Context, p *cluster.Pool) error {
-					attempts.Add(1)
-					return p.Do(actx, func(c *offload.Client) error {
-						partials, normSq, err := c.PartialScoresContext(actx, sub)
-						if err != nil {
-							return err
-						}
-						res = gatherResult{info: g.info, partials: partials, normSq: normSq}
-						return nil
-					})
-				}
-				commit := func() { results[i] = res }
-				return op, commit
+			res, err := cluster.Hedged(ctx, g.cl, span, func(actx context.Context, c *offload.Client) (gatherResult, error) {
+				attempts.Add(1)
+				partials, normSq, err := c.PartialScoresContext(actx, sub)
+				return gatherResult{info: g.info, partials: partials, normSq: normSq}, err
 			})
 			d := time.Since(t0)
 			span.ObserveMax(trace.StageGather, d)
 			if err == nil {
-				err = results[i].check(len(packed))
+				results[i] = res
+				err = res.check(len(packed))
 			}
 			if err != nil {
 				smGatherErrors.With(g.key).Inc()
