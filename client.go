@@ -125,19 +125,6 @@ func ParseTopology(s string) (Topology, error) {
 // converted to this: they come from a live server and surface unchanged.
 var ErrNoHealthyReplicas = cluster.ErrNoHealthyReplicas
 
-// BalancePolicy selects how cluster and sharded clients spread requests
-// over healthy replicas.
-type BalancePolicy = cluster.Policy
-
-const (
-	// LeastInFlight sends each request to the healthy replica with the
-	// fewest outstanding requests (the default) — adaptive to replicas of
-	// unequal speed.
-	LeastInFlight = cluster.LeastInFlight
-	// RoundRobin cycles through healthy replicas in order.
-	RoundRobin = cluster.RoundRobin
-)
-
 // Target names what Connect should reach: where the servers are, which
 // model to bind to, and how to arrange connections over them.
 type Target struct {
@@ -167,7 +154,6 @@ type connectConfig struct {
 	edge     *Edge
 	edgeOpts []Option
 	pool     poolConfig
-	policy   BalancePolicy
 	probe    time.Duration
 	logger   *slog.Logger
 }
@@ -197,12 +183,6 @@ func WithConnectPool(opts ...PoolOption) ConnectOption {
 	}
 }
 
-// WithConnectPolicy selects the replica balancing policy for cluster and
-// sharded topologies (default LeastInFlight).
-func WithConnectPolicy(p BalancePolicy) ConnectOption {
-	return func(c *connectConfig) { c.policy = p }
-}
-
 // WithConnectProbeInterval sets how often cluster and sharded topologies
 // health-probe replicas and re-admit ejected ones (default 2s); d ≤ 0
 // disables probing — a dead replica then only recovers when all replicas
@@ -229,21 +209,14 @@ func WithConnectLogger(log *slog.Logger) ConnectOption {
 type PoolOption func(*poolConfig)
 
 type poolConfig struct {
-	size        int
-	maxPerConn  int
-	ioTimeout   time.Duration
-	idleTimeout time.Duration
+	size      int
+	ioTimeout time.Duration
 }
 
 // toInternal maps the public options to the internal pool configuration
 // (0 = internal default, negative = disabled).
 func (c poolConfig) toInternal() cluster.PoolConfig {
-	return cluster.PoolConfig{
-		Size:               c.size,
-		MaxInFlightPerConn: c.maxPerConn,
-		IOTimeout:          c.ioTimeout,
-		IdleTimeout:        c.idleTimeout,
-	}
+	return cluster.PoolConfig{Size: c.size, IOTimeout: c.ioTimeout}
 }
 
 // WithPoolSize bounds how many connections a pool keeps (default 4).
@@ -251,16 +224,6 @@ func WithPoolSize(n int) PoolOption {
 	return func(c *poolConfig) {
 		if n > 0 {
 			c.size = n
-		}
-	}
-}
-
-// WithPoolMaxInFlight sets how many requests may be outstanding on one
-// pooled connection before the pool prefers opening another (default 32).
-func WithPoolMaxInFlight(n int) PoolOption {
-	return func(c *poolConfig) {
-		if n > 0 {
-			c.maxPerConn = n
 		}
 	}
 }
@@ -278,19 +241,6 @@ func WithPoolIOTimeout(d time.Duration) PoolOption {
 			return
 		}
 		c.ioTimeout = d
-	}
-}
-
-// WithPoolIdleTimeout sets how long an unused pooled connection may linger
-// before being closed (default 90s); pass d ≤ 0 to keep idle connections
-// forever.
-func WithPoolIdleTimeout(d time.Duration) PoolOption {
-	return func(c *poolConfig) {
-		if d <= 0 {
-			c.idleTimeout = -1
-			return
-		}
-		c.idleTimeout = d
 	}
 }
 
@@ -418,7 +368,6 @@ func dialBackend(ctx context.Context, topo Topology, t Target, cfg connectConfig
 			Addrs:         t.Addrs,
 			Hello:         hello,
 			Pool:          cfg.pool.toInternal(),
-			Policy:        cfg.policy,
 			ProbeInterval: cfg.probe,
 			Hedge:         t.Hedge,
 			Logger:        cfg.logger,
@@ -433,7 +382,6 @@ func dialBackend(ctx context.Context, topo Topology, t Target, cfg connectConfig
 			Addrs:         t.Addrs,
 			Model:         t.Model,
 			Pool:          cfg.pool.toInternal(),
-			Policy:        cfg.policy,
 			ProbeInterval: cfg.probe,
 			Hedge:         t.Hedge,
 			Logger:        cfg.logger,

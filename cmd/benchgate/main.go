@@ -18,9 +18,9 @@
 // is the one a relative gate cannot see; the absolute history lives in the
 // uploaded results artifacts.)
 //
-// allocs/op needs no normalization and is compared strictly: any increase
-// on a zero-alloc baseline path fails, and other increases are reported as
-// warnings.
+// allocs/op needs no normalization and is compared strictly: a count is
+// deterministic for a given code path, so any increase over a recorded
+// baseline fails, whether the baseline is zero or not.
 //
 // Usage:
 //
@@ -251,10 +251,8 @@ func compare(base, cur map[string]Entry, threshold float64) []finding {
 				// that stops calling ReportAllocs would otherwise skip
 				// this check forever.
 				out = append(out, finding{true, fmt.Sprintf("ALLOCS    %s: baseline records allocs/op but the current run reports none — ReportAllocs removed? (refresh with -update if intentional)", name)})
-			case *b.AllocsPerOp == 0 && *c.AllocsPerOp > 0:
-				out = append(out, finding{true, fmt.Sprintf("ALLOCS    %s: %.0f allocs/op on a zero-alloc path", name, *c.AllocsPerOp)})
 			case *c.AllocsPerOp > *b.AllocsPerOp:
-				out = append(out, finding{false, fmt.Sprintf("warning:  %s: allocs/op %.0f vs baseline %.0f", name, *c.AllocsPerOp, *b.AllocsPerOp)})
+				out = append(out, finding{true, fmt.Sprintf("ALLOCS    %s: %.0f allocs/op vs baseline %.0f (refresh with -update if intentional)", name, *c.AllocsPerOp, *b.AllocsPerOp)})
 			}
 		}
 	}

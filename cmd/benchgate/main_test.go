@@ -148,18 +148,25 @@ func TestCompareSingleRegression(t *testing.T) {
 }
 
 // TestCompareZeroAllocRegression: any alloc on a zero-alloc path fails,
-// regardless of timing.
+// regardless of timing, and so does any increase over a non-zero baseline.
 func TestCompareZeroAllocRegression(t *testing.T) {
 	base := entries(map[string]float64{"a": 100, "b": 100}, map[string]float64{"a": 0})
 	cur := entries(map[string]float64{"a": 100, "b": 100}, map[string]float64{"a": 1})
 	if !hasFatal(compare(base, cur, 1.2)) {
 		t.Fatal("alloc increase on zero-alloc path must fail the gate")
 	}
-	// A non-zero baseline growing allocs only warns.
+	// A non-zero baseline growing allocs fails too; holding or falling
+	// passes.
 	base = entries(map[string]float64{"a": 100}, map[string]float64{"a": 2})
 	cur = entries(map[string]float64{"a": 100}, map[string]float64{"a": 3})
-	if hasFatal(compare(base, cur, 1.2)) {
-		t.Fatal("alloc increase on non-zero path should warn, not fail")
+	if !hasFatal(compare(base, cur, 1.2)) {
+		t.Fatal("alloc increase on a non-zero path must fail the gate")
+	}
+	for _, a := range []float64{1, 2} {
+		cur = entries(map[string]float64{"a": 100}, map[string]float64{"a": a})
+		if hasFatal(compare(base, cur, 1.2)) {
+			t.Fatalf("%v allocs/op against a baseline of 2 must pass", a)
+		}
 	}
 	// A benchmark that stops reporting allocs while the baseline records
 	// them fails — the contract must not rot silently.

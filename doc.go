@@ -127,11 +127,11 @@
 // pipelined connections to one address — dial-on-demand, idle reaping,
 // redial with backoff, and one transparent retry of idempotent queries on
 // transport failure. A cluster serves one model from many replica
-// addresses: least-in-flight or round-robin balancing over per-replica
-// pools, ejection of replicas whose transport fails, periodic health
-// probes that re-admit them, and transparent failover — callers only see
-// ErrNoHealthyReplicas when the whole fleet is down, or a typed protocol
-// error a live server actually answered:
+// addresses: least-in-flight balancing (ties rotate across replicas)
+// over per-replica pools, ejection of replicas whose transport fails,
+// periodic health probes that re-admit them, and transparent failover —
+// callers only see ErrNoHealthyReplicas when the whole fleet is down, or
+// a typed protocol error a live server actually answered:
 //
 //	cl, err := privehd.Connect(ctx, privehd.Target{ // edge auto-configured
 //	    Addrs: addrs, Model: "isolet", Topology: privehd.TopologyCluster})

@@ -18,12 +18,13 @@
 //     the only retry loop of a cluster call.
 //
 //   - Cluster balances operations across a set of replica addresses, each
-//     behind its own Pool: least-in-flight (default) or round-robin
-//     selection, ejection of a replica on transport failure, periodic
-//     lightweight health probes that re-admit it once it answers the
-//     handshake again, and transparent failover — an operation that dies
-//     with a replica is retried on the next one, so callers only see an
-//     error when every distinct replica has failed (ErrNoHealthyReplicas)
+//     behind its own Pool: every attempt goes to the least-in-flight
+//     replica, ties broken by a rotating start so an idle fleet shares
+//     sequential calls evenly. A replica is ejected on transport failure,
+//     periodic lightweight health probes re-admit it once it answers the
+//     handshake again, and failover is transparent — an operation that
+//     dies with a replica is retried on the next one, so callers only see
+//     an error when every distinct replica has failed (ErrNoHealthyReplicas)
 //     or a live server answered with a typed protocol error.
 //
 // Typed protocol rejections (unknown model, geometry, oversized batch …)
@@ -49,11 +50,6 @@ const (
 	// DefaultSize is the largest number of connections a Pool keeps to its
 	// address.
 	DefaultSize = 4
-	// DefaultMaxInFlightPerConn is how many requests may be outstanding on
-	// one connection before the pool prefers dialing another (pipelining
-	// means a connection is never blocked, but spreading load shortens
-	// per-reply latency under bursts).
-	DefaultMaxInFlightPerConn = 32
 	// DefaultIOTimeout bounds reply progress on pooled connections; a
 	// negative PoolConfig.IOTimeout disables the bound.
 	DefaultIOTimeout = 30 * time.Second
@@ -68,6 +64,13 @@ const (
 
 	// backoffBase seeds the exponential redial backoff.
 	backoffBase = 50 * time.Millisecond
+	// maxInFlightPerConn is how many requests may be outstanding on one
+	// connection before the pool prefers dialing another (pipelining means
+	// a connection is never blocked, but spreading load shortens per-reply
+	// latency under bursts).
+	maxInFlightPerConn = 32
+	// probeTimeout bounds one health probe's dial+handshake.
+	probeTimeout = 2 * time.Second
 )
 
 // ErrPoolClosed reports an operation on a closed Pool (or Cluster). It
@@ -91,9 +94,6 @@ type PoolConfig struct {
 	Hello offload.Hello
 	// Size bounds how many connections the pool keeps.
 	Size int
-	// MaxInFlightPerConn is the saturation point past which the pool
-	// prefers opening another connection.
-	MaxInFlightPerConn int
 	// IOTimeout is handed to every connection as offload.WithIOTimeout.
 	IOTimeout time.Duration
 	// IdleTimeout is how long an unused connection survives.
@@ -114,9 +114,6 @@ type PoolConfig struct {
 func (c PoolConfig) withDefaults() PoolConfig {
 	if c.Size <= 0 {
 		c.Size = DefaultSize
-	}
-	if c.MaxInFlightPerConn <= 0 {
-		c.MaxInFlightPerConn = DefaultMaxInFlightPerConn
 	}
 	switch {
 	case c.IOTimeout == 0:
@@ -171,10 +168,8 @@ type Pool struct {
 	dials       int
 	changed     chan struct{} // closed+replaced when a dial lands or fails
 
-	stopReaper chan struct{}
-	reaperDone chan struct{}
-	stopPinger chan struct{}
-	pingerDone chan struct{}
+	stopUpkeep chan struct{} // nil when neither reaping nor pinging is on
+	upkeepDone chan struct{}
 }
 
 // NewPool returns a pool for the configured address. No connection is
@@ -185,15 +180,10 @@ func NewPool(cfg PoolConfig) *Pool { return newPool(cfg, 2) }
 // newPool is NewPool making at most attempts tries per operation.
 func newPool(cfg PoolConfig, attempts int) *Pool {
 	p := &Pool{cfg: cfg.withDefaults(), attempts: attempts, changed: make(chan struct{})}
-	if p.cfg.IdleTimeout > 0 {
-		p.stopReaper = make(chan struct{})
-		p.reaperDone = make(chan struct{})
-		go p.reapLoop()
-	}
-	if p.cfg.PingInterval > 0 {
-		p.stopPinger = make(chan struct{})
-		p.pingerDone = make(chan struct{})
-		go p.pingLoop()
+	if p.cfg.IdleTimeout > 0 || p.cfg.PingInterval > 0 {
+		p.stopUpkeep = make(chan struct{})
+		p.upkeepDone = make(chan struct{})
+		go p.upkeepLoop()
 	}
 	return p
 }
@@ -260,7 +250,7 @@ func (p *Pool) acquireConn(ctx context.Context) (*poolConn, error) {
 			}
 		}
 		room := len(p.conns)+p.dialing < p.cfg.Size
-		if best != nil && (best.inflight < p.cfg.MaxInFlightPerConn || !room) {
+		if best != nil && (best.inflight < maxInFlightPerConn || !room) {
 			best.inflight++
 			best.lastUse = time.Now()
 			p.syncGauges()
@@ -582,21 +572,35 @@ func (p *Pool) resetBackoff() {
 	p.mu.Unlock()
 }
 
-// reapLoop closes connections that sit idle past IdleTimeout.
-func (p *Pool) reapLoop() {
-	defer close(p.reaperDone)
-	interval := p.cfg.IdleTimeout / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
+// upkeepLoop is the pool's one background goroutine. It ticks at the
+// shorter of the ping interval and the reap interval (a quarter of
+// IdleTimeout, at least 10ms), closes connections idle past IdleTimeout,
+// then pings the idle survivors (see pingIdle). When the reap tick is the
+// shorter one, a connection idle past PingInterval is pinged on each tick
+// until it is reaped — at most four pings, since the tick is a quarter of
+// IdleTimeout.
+func (p *Pool) upkeepLoop() {
+	defer close(p.upkeepDone)
+	interval := p.cfg.PingInterval
+	if p.cfg.IdleTimeout > 0 {
+		reap := max(p.cfg.IdleTimeout/4, 10*time.Millisecond)
+		if interval == 0 || reap < interval {
+			interval = reap
+		}
 	}
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-p.stopReaper:
+		case <-p.stopUpkeep:
 			return
-		case <-ticker.C:
-			p.reap(time.Now())
+		case now := <-ticker.C:
+			if p.cfg.IdleTimeout > 0 {
+				p.reap(now)
+			}
+			if p.cfg.PingInterval > 0 {
+				p.pingIdle(now)
+			}
 		}
 	}
 }
@@ -619,8 +623,8 @@ func (p *Pool) reap(now time.Time) {
 	closeAll(idle)
 }
 
-// Close closes every pooled connection and stops the reaper. In-flight
-// operations fail with transport errors.
+// Close closes every pooled connection and stops the upkeep goroutine.
+// In-flight operations fail with transport errors.
 func (p *Pool) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -633,28 +637,13 @@ func (p *Pool) Close() error {
 	p.syncGauges()
 	p.signalChanged()
 	p.mu.Unlock()
-	if p.stopReaper != nil {
-		close(p.stopReaper)
-		<-p.reaperDone
-	}
-	if p.stopPinger != nil {
-		close(p.stopPinger)
-		<-p.pingerDone
+	if p.stopUpkeep != nil {
+		close(p.stopUpkeep)
+		<-p.upkeepDone
 	}
 	closeAll(conns)
 	return nil
 }
-
-// Policy selects how a Cluster spreads operations over healthy replicas.
-type Policy int
-
-const (
-	// LeastInFlight picks the healthy replica with the fewest outstanding
-	// operations — adaptive to replicas of unequal speed.
-	LeastInFlight Policy = iota
-	// RoundRobin cycles through healthy replicas in order.
-	RoundRobin
-)
 
 // ClusterConfig configures a Cluster.
 type ClusterConfig struct {
@@ -667,15 +656,11 @@ type ClusterConfig struct {
 	// Pool is the per-replica pool template; Network/Addr/Hello are
 	// overridden per replica.
 	Pool PoolConfig
-	// Policy selects the balancing strategy (default LeastInFlight).
-	Policy Policy
 	// ProbeInterval is how often unreachable replicas are re-probed (and
 	// healthy ones lightly verified). Default 2s; negative disables
 	// probing (ejected replicas then only recover via the all-unhealthy
-	// fallback path).
+	// fallback path). One probe's dial+handshake is bounded at 2s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe's dial+handshake (default 2s).
-	ProbeTimeout time.Duration
 	// Hedge opts the cluster into hedged requests on the hedgeable paths
 	// (Classify, and the shard coordinator's gathers through Hedged): a
 	// backup attempt on a second replica after an adaptive delay, first
@@ -716,8 +701,8 @@ type Cluster struct {
 	log      *slog.Logger
 	replicas []*replica
 
-	rrMu sync.Mutex
-	rr   uint64
+	// next rotates pick's starting replica, breaking in-flight ties.
+	next atomic.Uint64
 
 	// Adaptive hedge-delay state: a ring of recent per-attempt latencies
 	// and the cached ~p90 the hedge timer reads (see resilience.go).
@@ -740,9 +725,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = 2 * time.Second
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
 	}
 	cl := &Cluster{cfg: cfg, log: cfg.Logger}
 	if cl.log == nil {
@@ -768,57 +750,48 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return cl, nil
 }
 
-// pick selects the next replica to try, preferring healthy ones and
-// falling back to ejected ones when nothing healthy remains (a dead
-// cluster heals faster through traffic than through probes alone).
+// pick selects the next replica to try among those not yet tried, or nil
+// when every replica was tried. A healthy replica beats an ejected one —
+// ejected replicas are picked only when nothing healthy is left, since a
+// dead cluster heals faster through traffic than through probes alone —
+// and among equals the fewest in-flight operations wins. The scan starts
+// at a rotating index, so ties go to each replica in turn: an idle fleet
+// shares sequential calls evenly, and chunks of a batch launched together
+// spread before any of them registers load.
 func (cl *Cluster) pick(tried map[*replica]bool) *replica {
-	var candidates []*replica
-	for _, r := range cl.replicas {
-		if !tried[r] && r.isHealthy() {
-			candidates = append(candidates, r)
+	n := len(cl.replicas)
+	start := int((cl.next.Add(1) - 1) % uint64(n))
+	var (
+		best        *replica
+		bestHealthy bool
+		bestLoad    int
+	)
+	for i := range n {
+		r := cl.replicas[(start+i)%n]
+		if tried[r] {
+			continue
+		}
+		healthy := r.isHealthy()
+		if best != nil && bestHealthy && !healthy {
+			continue
+		}
+		load := r.pool.InFlight()
+		if best == nil || healthy && !bestHealthy || load < bestLoad {
+			best, bestHealthy, bestLoad = r, healthy, load
 		}
 	}
-	if len(candidates) == 0 {
-		for _, r := range cl.replicas {
-			if !tried[r] {
-				candidates = append(candidates, r)
-			}
-		}
-	}
-	if len(candidates) == 0 {
-		return nil
-	}
-	switch cl.cfg.Policy {
-	case RoundRobin:
-		cl.rrMu.Lock()
-		idx := cl.rr
-		cl.rr++
-		cl.rrMu.Unlock()
-		return candidates[idx%uint64(len(candidates))]
-	default: // LeastInFlight
-		best := candidates[0]
-		bestLoad := best.pool.InFlight()
-		for _, r := range candidates[1:] {
-			if load := r.pool.InFlight(); load < bestLoad {
-				best, bestLoad = r, load
-			}
-		}
-		return best
-	}
+	return best
 }
 
 // do runs op with failover under a fresh per-call allowance (see
-// failover). prefer, when non-nil, is tried before the policy picks: the
-// batch scatter uses it to pin each chunk to a distinct replica — policy
-// picks race when chunks launch together (everyone samples zero in-flight
-// and piles onto the same replica) — while keeping chunk-level failover.
-func do[T any](ctx context.Context, cl *Cluster, prefer *replica, op Op[T]) (T, error) {
+// failover).
+func do[T any](ctx context.Context, cl *Cluster, op Op[T]) (T, error) {
 	left := cl.callAllowance()
-	return failover(ctx, cl, &left, prefer, nil, op)
+	return failover(ctx, cl, &left, nil, nil, op)
 }
 
 // failover is the one retry loop of a cluster call, behind do and Hedged:
-// run op on replicas (prefer first, then policy picks) until one answers, a
+// run op on replicas (prefer first, if set, then picks) until one answers, a
 // typed protocol error arrives — a live server answered, and every replica
 // would answer the same — the call's allowance runs dry, or ctx ends. An
 // undeadlined call also stops after a sweep in which every replica was
@@ -941,7 +914,7 @@ func (cl *Cluster) minDialBackoffLeft() time.Duration {
 
 // Hello returns the accepted handshake of the first replica that answers.
 func (cl *Cluster) Hello(ctx context.Context) (offload.ServerHello, error) {
-	return do(ctx, cl, nil, serverHello)
+	return do(ctx, cl, serverHello)
 }
 
 // Classify classifies one prepared query on some healthy replica. With
@@ -964,13 +937,12 @@ func (cl *Cluster) ClassifyBatchScores(ctx context.Context, qs []offload.Query) 
 	if n == 0 {
 		return nil, nil
 	}
-	var healthy []*replica
+	ways := 0
 	for _, r := range cl.replicas {
 		if r.isHealthy() {
-			healthy = append(healthy, r)
+			ways++
 		}
 	}
-	ways := len(healthy)
 	if ways < 1 {
 		ways = 1 // all ejected: one chunk, let do() heal through traffic
 	}
@@ -978,7 +950,7 @@ func (cl *Cluster) ClassifyBatchScores(ctx context.Context, qs []offload.Query) 
 	if chunk >= n {
 		// Degenerate scatter (one replica, or batch smaller than the
 		// fleet ÷ 1): keep the simple single-flight path.
-		return do(ctx, cl, nil, classifyBatch(qs))
+		return do(ctx, cl, classifyBatch(qs))
 	}
 	results := make([]offload.Result, n)
 	var (
@@ -986,19 +958,14 @@ func (cl *Cluster) ClassifyBatchScores(ctx context.Context, qs []offload.Query) 
 		errMu    sync.Mutex
 		firstErr error
 	)
-	for idx, start := 0, 0; start < n; idx, start = idx+1, start+chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		// Deal chunks across the healthy fleet deterministically: chunk i
-		// prefers replica i mod ways, so the scatter genuinely spreads even
-		// though every chunk launches before any registers in-flight load.
-		prefer := healthy[idx%len(healthy)]
+	for start := 0; start < n; start += chunk {
+		end := min(start+chunk, n)
+		// pick's rotating start deals chunks launched together to
+		// distinct replicas even before any of them registers load.
 		wg.Add(1)
-		go func(start, end int, prefer *replica) {
+		go func(start, end int) {
 			defer wg.Done()
-			rs, err := do(ctx, cl, prefer, func(ctx context.Context, c *offload.Client) ([]offload.Result, error) {
+			rs, err := do(ctx, cl, func(ctx context.Context, c *offload.Client) ([]offload.Result, error) {
 				rs, err := c.ClassifyBatchScoresContext(ctx, qs[start:end])
 				if err == nil && len(rs) != end-start {
 					return nil, fmt.Errorf("%w: replica answered %d of %d chunk queries",
@@ -1016,7 +983,7 @@ func (cl *Cluster) ClassifyBatchScores(ctx context.Context, qs []offload.Query) 
 				copy(results[start:end], rs)
 				cmScatterChunks.Inc()
 			}
-		}(start, end, prefer)
+		}(start, end)
 	}
 	wg.Wait()
 	if firstErr != nil {
@@ -1037,7 +1004,7 @@ func (cl *Cluster) ClassifyBatch(ctx context.Context, qs []offload.Query) ([]int
 // ListModels returns the registry listing of the first healthy replica
 // that answers.
 func (cl *Cluster) ListModels(ctx context.Context) ([]offload.ModelListing, error) {
-	return do(ctx, cl, nil, listModels)
+	return do(ctx, cl, listModels)
 }
 
 // probeLoop periodically probes every replica: ejected replicas are
@@ -1069,7 +1036,7 @@ func (cl *Cluster) probeLoop() {
 // handshake rejection still proves the process is alive and answering, so
 // only transport failures mark the replica down.
 func (cl *Cluster) probe(r *replica) {
-	ctx, cancel := context.WithTimeout(context.Background(), cl.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	hello := offload.Hello{Model: cl.cfg.Hello.Model}
 	c, err := offload.Dial(ctx, cl.cfg.Network, r.addr, hello)

@@ -415,14 +415,108 @@ func TestClusterFailoverUnderConcurrentLoad(t *testing.T) {
 	}
 }
 
+// pickCluster is a cluster over fake replicas for unit tests of pick: each
+// replica's pool holds one connection carrying loads[i] operations, and
+// replica i is healthy unless ejected[i].
+func pickCluster(loads []int, ejected ...int) *Cluster {
+	cl := &Cluster{}
+	for i, load := range loads {
+		cl.replicas = append(cl.replicas, &replica{
+			addr:    fmt.Sprintf("r%d", i),
+			pool:    &Pool{conns: []*poolConn{{inflight: load}}},
+			healthy: true,
+		})
+	}
+	for _, i := range ejected {
+		cl.replicas[i].healthy = false
+	}
+	return cl
+}
+
+func TestPickRule(t *testing.T) {
+	t.Run("least in flight wins whatever the rotation", func(t *testing.T) {
+		cl := pickCluster([]int{3, 1, 2, 1})
+		for i := 0; i < 12; i++ {
+			got := cl.pick(nil)
+			if got != cl.replicas[1] && got != cl.replicas[3] {
+				t.Fatalf("pick %d chose %s, want a least-loaded replica (r1 or r3)", i, got.addr)
+			}
+		}
+		cl = pickCluster([]int{3, 1, 2})
+		for i := 0; i < 9; i++ {
+			if got := cl.pick(nil); got != cl.replicas[1] {
+				t.Fatalf("pick %d chose %s, want r1", i, got.addr)
+			}
+		}
+	})
+	t.Run("ties rotate over every replica", func(t *testing.T) {
+		cl := pickCluster([]int{2, 2, 2})
+		counts := map[*replica]int{}
+		for i := 0; i < 30; i++ {
+			counts[cl.pick(nil)]++
+		}
+		for _, r := range cl.replicas {
+			if counts[r] != 10 {
+				t.Fatalf("30 tied picks: %s chosen %d times, want 10 (counts %v)", r.addr, counts[r], counts)
+			}
+		}
+	})
+	t.Run("ejected only when no healthy untried replica is left", func(t *testing.T) {
+		// r0 is ejected and idle; the healthy replicas are busier.
+		cl := pickCluster([]int{0, 5, 7}, 0)
+		for i := 0; i < 6; i++ {
+			if got := cl.pick(nil); got != cl.replicas[1] {
+				t.Fatalf("pick %d chose %s, want the healthy least-loaded r1", i, got.addr)
+			}
+			if got := cl.pick(map[*replica]bool{cl.replicas[1]: true}); got != cl.replicas[2] {
+				t.Fatalf("pick %d with r1 tried chose %s, want healthy r2", i, got.addr)
+			}
+			if got := cl.pick(map[*replica]bool{cl.replicas[1]: true, cl.replicas[2]: true}); got != cl.replicas[0] {
+				t.Fatalf("pick %d with every healthy replica tried chose %v, want ejected r0", i, got)
+			}
+		}
+		// With every replica ejected the least-loaded one still wins.
+		cl = pickCluster([]int{4, 2, 3}, 0, 1, 2)
+		for i := 0; i < 6; i++ {
+			if got := cl.pick(nil); got != cl.replicas[1] {
+				t.Fatalf("all ejected: pick %d chose %s, want r1", i, got.addr)
+			}
+		}
+	})
+	t.Run("tried replicas are never returned", func(t *testing.T) {
+		cl := pickCluster([]int{1, 0, 2, 0}, 2)
+		for mask := 0; mask < 1<<len(cl.replicas); mask++ {
+			tried := map[*replica]bool{}
+			for i, r := range cl.replicas {
+				if mask&(1<<i) != 0 {
+					tried[r] = true
+				}
+			}
+			for rot := 0; rot < len(cl.replicas); rot++ {
+				got := cl.pick(tried)
+				if len(tried) == len(cl.replicas) {
+					if got != nil {
+						t.Fatalf("every replica tried, pick returned %s", got.addr)
+					}
+					continue
+				}
+				if got == nil || tried[got] {
+					t.Fatalf("tried mask %04b: pick returned %v", mask, got)
+				}
+			}
+		}
+	})
+}
+
 func TestClusterBalancesAcrossReplicas(t *testing.T) {
+	// Sequential calls on an idle fleet tie at zero in flight every time,
+	// so the rotating tie-break alone spreads them: exactly evenly.
 	const dim = 32
 	reps := []*testReplica{startReplica(t, dim), startReplica(t, dim), startReplica(t, dim)}
 	cl, err := NewCluster(ClusterConfig{
 		Network: "tcp",
 		Addrs:   []string{reps[0].addr, reps[1].addr, reps[2].addr},
 		Hello:   offload.Hello{Dim: dim},
-		Policy:  RoundRobin,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -435,8 +529,8 @@ func TestClusterBalancesAcrossReplicas(t *testing.T) {
 		}
 	}
 	for i, r := range reps {
-		if r.Served() == 0 {
-			t.Errorf("replica %d served nothing under round-robin", i)
+		if got := r.Served(); got != n/len(reps) {
+			t.Errorf("replica %d served %d of %d sequential calls, want %d", i, got, n, n/len(reps))
 		}
 	}
 	if got := reps[0].Served() + reps[1].Served() + reps[2].Served(); got != n {

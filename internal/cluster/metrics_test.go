@@ -45,7 +45,6 @@ func TestHealthTransitionLogsAndMetrics(t *testing.T) {
 		Addrs:         []string{r1.addr, r2.addr},
 		Hello:         offload.Hello{Dim: 8},
 		ProbeInterval: 50 * time.Millisecond,
-		ProbeTimeout:  time.Second,
 		Logger:        slog.New(slog.NewTextHandler(&buf, nil)),
 	})
 	if err != nil {

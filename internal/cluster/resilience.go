@@ -215,7 +215,7 @@ func (cl *Cluster) hedgeDelay() time.Duration {
 // span (nil-safe) gets the hedge's in-flight window as StageHedge.
 func Hedged[T any](ctx context.Context, cl *Cluster, span *trace.Span, op Op[T]) (T, error) {
 	if !cl.cfg.Hedge || len(cl.replicas) < 2 {
-		return do(ctx, cl, nil, op)
+		return do(ctx, cl, op)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -325,24 +325,9 @@ const (
 	pingTimeout = 2 * time.Second
 )
 
-// pingLoop drives in-band liveness pings on idle connections.
-func (p *Pool) pingLoop() {
-	defer close(p.pingerDone)
-	ticker := time.NewTicker(p.cfg.PingInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-p.stopPinger:
-			return
-		case <-ticker.C:
-			p.pingIdle(time.Now())
-		}
-	}
-}
-
 // pingIdle pings every connection that has sat idle for at least one ping
 // interval. A connection is held (in-flight incremented) across its ping
-// so the reaper and acquire see consistent state, but lastUse is
+// so acquire sees it busy, but lastUse is
 // deliberately NOT updated: a ping is not use, and a conn nobody needs
 // must still age out. Any ping error — transport, timeout, or a typed
 // refusal of the op, which no v6 server sends — means the peer's serve

@@ -267,7 +267,7 @@ func TestRetryBudgetBoundsAttempts(t *testing.T) {
 	// stops with ErrNoHealthyReplicas instead of sweeping forever.
 	before := cmRetryBudgetExhausted.Value()
 	var calls atomic.Int32
-	_, err = do(context.Background(), cl, nil, func(context.Context, *offload.Client) (struct{}, error) {
+	_, err = do(context.Background(), cl, func(context.Context, *offload.Client) (struct{}, error) {
 		calls.Add(1)
 		return struct{}{}, fmt.Errorf("%w: synthetic failure", offload.ErrTransport)
 	})
@@ -429,9 +429,9 @@ func TestHedgeWinsOnStalledReplica(t *testing.T) {
 	hung := startHungServer(t, dim)
 	rep := startReplica(t, dim)
 
-	// The hung replica is listed first: least-in-flight ties break to the
-	// first address, so an idle cluster's primary attempt lands on the
-	// stall and only the hedge can answer.
+	// Every call starts idle, so the rotating tie-break starts calls on the
+	// stalled replica in turn; those primaries hang and only the hedge can
+	// answer.
 	cl, err := NewCluster(ClusterConfig{
 		Network: "tcp", Addrs: []string{hung, rep.addr},
 		Hello:         offload.Hello{Dim: dim},
@@ -520,6 +520,38 @@ func TestPoolPingKeepsLiveConn(t *testing.T) {
 	}
 	if got := p.Stats().Conns; got != 1 {
 		t.Fatalf("a passing ping must keep the conn pooled, Conns = %d", got)
+	}
+}
+
+func TestPoolUpkeepPingsThenReaps(t *testing.T) {
+	// One upkeep goroutine serves both jobs: an idle connection is pinged
+	// while it lingers, yet pings are not use, so it is still reaped once
+	// it has sat idle past IdleTimeout.
+	const dim = 16
+	rep := startReplica(t, dim)
+	p := NewPool(PoolConfig{
+		Network: "tcp", Addr: rep.addr,
+		Hello:        offload.Hello{Dim: dim},
+		PingInterval: 20 * time.Millisecond,
+		IdleTimeout:  300 * time.Millisecond,
+	})
+	defer p.Close()
+
+	okBefore := cmPoolPings.With(rep.addr, "ok").Value()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := p.Hello(ctx); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for p.Stats().Conns != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("pinged idle conn never reaped: %+v", p.Stats())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if cmPoolPings.With(rep.addr, "ok").Value() <= okBefore {
+		t.Fatal("the idle conn was reaped without ever being pinged")
 	}
 }
 

@@ -61,8 +61,6 @@ type Config struct {
 	// Pool is the per-replica pool template (Network/Addr/Hello are
 	// overridden per replica).
 	Pool cluster.PoolConfig
-	// Policy selects the per-group balancing strategy.
-	Policy cluster.Policy
 	// ProbeInterval configures per-group health probing (cluster.
 	// ClusterConfig semantics; probes use the cluster's default timeout).
 	ProbeInterval time.Duration
@@ -139,7 +137,6 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 			Addrs:         addrsByKey[g.key],
 			Hello:         offload.Hello{Model: cfg.Model},
 			Pool:          cfg.Pool,
-			Policy:        cfg.Policy,
 			ProbeInterval: cfg.ProbeInterval,
 			Hedge:         cfg.Hedge,
 			Logger:        cfg.Logger,

@@ -53,10 +53,11 @@ type managerConfig struct {
 	logger    *slog.Logger
 }
 
-// WithStoreRetain bounds how many versions the store keeps per model
-// (default 8): when a Publish or Upload pushes a model past the limit, the
-// oldest non-active versions are garbage-collected. The active version is
-// never collected.
+// WithStoreRetain bounds how many versions the store keeps per model. By
+// default there is no bound and every version is kept. With n > 0, when a
+// Publish or Upload pushes a model past the limit, the oldest non-active
+// versions are garbage-collected; n ≤ 0 keeps the default. The active
+// version is never collected.
 func WithStoreRetain(n int) ManagerOption {
 	return func(c *managerConfig) { c.storeOpts = append(c.storeOpts, store.WithRetain(n)) }
 }
