@@ -14,6 +14,7 @@ import (
 	"privehd"
 
 	"privehd/internal/chaos"
+	"privehd/internal/intscore"
 	"privehd/internal/offload"
 )
 
@@ -178,7 +179,7 @@ func shedOneFrame(addr string) bool {
 	req := offload.Request{ID: 1, BudgetNs: int64(100 * time.Microsecond),
 		Queries: make([]offload.Query, 512)}
 	for i := range req.Queries {
-		req.Queries[i] = offload.Query{Packed: q}
+		req.Queries[i] = offload.Query{Packed: intscore.Split(q)}
 	}
 	if err := offload.WriteRequest(conn, req); err != nil {
 		return false

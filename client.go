@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"privehd/internal/cluster"
+	"privehd/internal/intscore"
 	"privehd/internal/offload"
 	"privehd/internal/shard"
 )
@@ -460,11 +461,11 @@ func (c *client) PredictPreparedContext(ctx context.Context, q []float64) (int, 
 
 // preparedQuery is the one place a caller's float query is packed: a
 // vector of protocol symbols (the output of a quantizing Edge.Prepare)
-// travels in the packed one-byte-per-dimension form, anything else in full
-// precision.
+// travels as its two bit-planes, split from one int8 per dimension,
+// anything else in full precision.
 func preparedQuery(v []float64) offload.Query {
 	if p, ok := offload.PackQuery(v); ok {
-		return offload.Query{Packed: p}
+		return offload.Query{Packed: intscore.Split(p)}
 	}
 	return offload.Query{Vector: v}
 }

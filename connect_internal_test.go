@@ -65,10 +65,14 @@ func serveTest(t *testing.T, reg *Registry) string {
 // DP release (WithNoise) runs the plain and masked edges on every
 // topology, sharded included: its rounded classes score on the same
 // integer path as any other model. A scalar-encoded model runs the plain
-// and masked edges on every topology too. The cluster and a sharded fleet
-// of two replicas per slice also run hedged ("+hedge"): at loopback
-// latency most calls beat the hedge delay, so these rows pin the hedged
-// path's results bit-identical rather than exercise the race itself.
+// and masked edges on every topology too, and so does one model per other
+// paper quantizer (bipolar, ternary, 2-bit) beside the default biased
+// ternary. The cluster and a sharded fleet of two replicas per slice also
+// run hedged ("+hedge"): at loopback latency most calls beat the hedge
+// delay, so these rows pin the hedged path's results bit-identical rather
+// than exercise the race itself. A second sharded fleet splits at 1001
+// ("sharded-1001"), a boundary on no byte or word of the query planes, so
+// every query is sliced with shifted words and a padded last byte.
 func TestTopologiesMatchLocalPrediction(t *testing.T) {
 	const dim = 2000
 	data, err := LoadDataset("isolet-s", true)
@@ -89,18 +93,28 @@ func TestTopologiesMatchLocalPrediction(t *testing.T) {
 		name, prefix string
 		p            *Pipeline
 		raw          bool // also run the WithRawQueries edge
+		// quantizer marks the per-quantizer models, which run the single
+		// and unhedged sharded topologies only: their classes differ, the
+		// serving path does not.
+		quantizer bool
 	}{
-		{"m", "", train(), true},
-		{"dp", "dp/", train(WithNoise(4, 1e-5)), false},
+		{"m", "", train(), true, false},
+		{"dp", "dp/", train(WithNoise(4, 1e-5)), false, false},
 		// A scalar-encoded edge takes the integer-numerator sign path and
 		// masks afterwards, bypassing the level edge's comparator and
 		// compacted memory.
-		{"scalar", "scalar/", train(WithEncoding(Scalar)), false},
+		{"scalar", "scalar/", train(WithEncoding(Scalar)), false, false},
+		{"bipolar", "bipolar/", train(WithQuantizer("bipolar")), false, true},
+		{"ternary", "ternary/", train(WithQuantizer("ternary")), false, true},
+		{"2bit", "2bit/", train(WithQuantizer("2bit")), false, true},
 	}
 
 	whole := NewRegistry()
-	shards := []*Registry{NewRegistry(), NewRegistry()}
-	slices := []ShardSlice{{DimOffset: 0, DimLen: dim / 2}, {DimOffset: dim / 2, DimLen: dim / 2}}
+	shards := []*Registry{NewRegistry(), NewRegistry(), NewRegistry(), NewRegistry()}
+	slices := []ShardSlice{
+		{DimOffset: 0, DimLen: dim / 2}, {DimOffset: dim / 2, DimLen: dim / 2},
+		{DimOffset: 0, DimLen: 1001}, {DimOffset: 1001, DimLen: dim - 1001},
+	}
 	for _, m := range models {
 		if err := whole.Register(m.name, m.p); err != nil {
 			t.Fatal(err)
@@ -113,6 +127,7 @@ func TestTopologiesMatchLocalPrediction(t *testing.T) {
 	}
 	wholeAddrs := []string{serveTest(t, whole), serveTest(t, whole)}
 	shardAddrs := []string{serveTest(t, shards[0]), serveTest(t, shards[1])}
+	oddShardAddrs := []string{serveTest(t, shards[2]), serveTest(t, shards[3])}
 	// Two replicas per slice, so each shard group has a replica to hedge to.
 	replicatedShardAddrs := []string{shardAddrs[0], shardAddrs[1], serveTest(t, shards[0]), serveTest(t, shards[1])}
 
@@ -134,6 +149,7 @@ func TestTopologiesMatchLocalPrediction(t *testing.T) {
 			{Addrs: shardAddrs, Topology: TopologySharded, Model: m.name},
 			{Addrs: wholeAddrs, Topology: TopologyCluster, Model: m.name, Hedge: true},
 			{Addrs: replicatedShardAddrs, Topology: TopologySharded, Model: m.name, Hedge: true},
+			{Addrs: oddShardAddrs, Topology: TopologySharded, Model: m.name},
 		}
 		for _, ec := range edges {
 			edge, err := p.Edge(ec.opts...)
@@ -175,7 +191,13 @@ func TestTopologiesMatchLocalPrediction(t *testing.T) {
 				if raw && target.Topology == TopologySharded {
 					continue // refused at Connect; pinned below
 				}
+				if m.quantizer && (target.Hedge || target.Topology != TopologySingle && target.Topology != TopologySharded) {
+					continue
+				}
 				name := fmt.Sprintf("%v/%s%s", target.Topology, m.prefix, ec.name)
+				if len(target.Addrs) == 2 && target.Addrs[0] == oddShardAddrs[0] {
+					name = fmt.Sprintf("sharded-1001/%s%s", m.prefix, ec.name)
+				}
 				if target.Hedge {
 					name += "+hedge"
 				}

@@ -26,12 +26,14 @@
 // privehd.Connect: a versioned wire protocol with
 // goroutine-per-connection reads, a bound on concurrent scoring shared
 // across connections (WithServerWorkers), context cancellation, graceful
-// shutdown and batched queries. A quantizing edge encodes each query
-// straight into its packed int8 form, and the codec ships that slice as
-// two bit-planes — the low and high bit of each symbol's 2-bit two's
-// complement, D/4 bytes for D dimensions — which the server decodes from
-// pooled buffers straight back into the int8 form its integer kernel
-// scores, never widened to float64 on the way.
+// shutdown and batched queries. A quantized query has one form from the
+// edge's encoder to the server's kernel: two bit-planes of ⌈D/64⌉ words,
+// the low and high bit of each symbol's 2-bit two's complement. The edge
+// writes them straight off its encoder's counters, the codec copies their
+// words into the frame — D/4 bytes for D dimensions — and the server
+// copies them back out of pooled buffers into the planes its integer
+// kernel scores, never widened to int8 or float64 on the way. A sharded
+// client slices the planes at any dimension while writing the frame.
 //
 // The protocol is at v6, the one version servers speak. Each side opens
 // with a "PHD"+version header, and every message after it is one
@@ -161,10 +163,10 @@
 // derives the quantized −2…+1 query straight from the integer counts (the
 // edge's 1-bit level query from a sign comparator on the counters, over
 // its kept dimensions only), and a batch kernel that amortizes each pass over the item memory across
-// several rows (training, PredictBatch). Scoring consumes the packed
-// query against class planes derived once per model publication: classes
-// that fit int8 (every served model) become two's-complement bit-planes
-// scored by AND and popcount against the query's two symbol bit-planes;
+// several rows (training, PredictBatch). Scoring consumes the query's two
+// bit-planes against class planes derived once per model publication:
+// classes that fit int8 (every served model) become two's-complement
+// bit-planes scored by AND and popcount against the query's planes;
 // wider ones become blocks of 256 dimensions in int16 or int32, scored by
 // one dense and one gather kernel, each generic over that width — no
 // float64 expansion, no float dot, no per-query heap

@@ -7,6 +7,7 @@ import (
 	"privehd/internal/attack"
 	"privehd/internal/core"
 	"privehd/internal/hdc"
+	"privehd/internal/intscore"
 	"privehd/internal/offload"
 )
 
@@ -99,7 +100,7 @@ func (e *Edge) Features() int { return e.cfg.features }
 
 // Prepare returns the obfuscated query hypervector for one input — what
 // actually crosses the network — as float64s. Clients send a quantizing
-// edge's query in its packed one-byte-per-dimension form without ever
+// edge's query as the two bit-planes its encoder writes, without ever
 // widening it; Prepare is the float view for callers that inspect it.
 func (e *Edge) Prepare(x []float64) ([]float64, error) {
 	if err := e.check(x); err != nil {
@@ -134,10 +135,10 @@ func (e *Edge) checkBatch(X [][]float64) error {
 }
 
 // query prepares one input in its wire form: on a quantizing edge the
-// packed query, encoded, quantized and masked straight into the one
-// D-byte slice that becomes the frame payload; under WithRawQueries the
-// full-precision vector. The slice is never pooled — a hedged or retried
-// attempt may still hold it after the call returns.
+// packed query, encoded, quantized and masked straight into the two
+// ⌈D/64⌉-word bit-planes whose bytes become the frame payload; under
+// WithRawQueries the full-precision vector. The planes are never pooled —
+// a hedged or retried attempt may still hold them after the call returns.
 func (e *Edge) query(x []float64) (offload.Query, error) {
 	if err := e.check(x); err != nil {
 		return offload.Query{}, err
@@ -145,7 +146,7 @@ func (e *Edge) query(x []float64) (offload.Query, error) {
 	if e.cfg.rawQueries {
 		return offload.Query{Vector: e.core.Prepare(x)}, nil
 	}
-	q := make([]int8, e.cfg.dim)
+	q := intscore.NewPlanes(e.cfg.dim)
 	e.core.PreparePackedInto(x, q)
 	return offload.Query{Packed: q}, nil
 }

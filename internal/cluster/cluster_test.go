@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"privehd/internal/hdc"
+	"privehd/internal/intscore"
 	"privehd/internal/offload"
 	"privehd/internal/registry"
 )
@@ -39,7 +40,7 @@ func classQuery(dim, class int) offload.Query {
 	for i := range q {
 		q[i] = v
 	}
-	return offload.Query{Packed: q}
+	return offload.Query{Packed: intscore.Split(q)}
 }
 
 // testReplica is one loopback server that can be killed and restarted on

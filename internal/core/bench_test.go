@@ -5,6 +5,7 @@ import (
 
 	"privehd/internal/hdc"
 	"privehd/internal/hrand"
+	"privehd/internal/intscore"
 	"privehd/internal/quant"
 )
 
@@ -80,7 +81,7 @@ func BenchmarkEncodeEdge(b *testing.B) {
 	for k := range x {
 		x[k] = src.Float64()
 	}
-	dst := make([]int8, dim)
+	dst := intscore.NewPlanes(dim)
 	b.Run("d10000-mask5000", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -22,7 +22,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"privehd/internal/dataset"
@@ -31,7 +30,6 @@ import (
 	"privehd/internal/hdc"
 	"privehd/internal/hrand"
 	"privehd/internal/intscore"
-	"privehd/internal/par"
 	"privehd/internal/prune"
 	"privehd/internal/quant"
 	"privehd/internal/vecmath"
@@ -137,12 +135,13 @@ type Pipeline struct {
 	encoder hdc.Encoder
 	model   *hdc.Model
 	mask    *prune.Mask // nil when unpruned
+	keep    []uint64    // mask.Words(), the query planes' AND mask
 	report  PrivacyReport
 
 	// packedEnc + scheme enable the fused bit-sliced encode→quantize fast
 	// path: when the configured quantizer maps onto a packed scheme and the
-	// encoder carries an encslice engine, Predict derives the packed −2…+1
-	// query straight from integer popcounts — no float hypervector, no
+	// encoder carries an encslice engine, Predict derives the −2…+1 query's
+	// bit-planes straight from integer popcounts — no float hypervector, no
 	// separate quantization pass. Resolved once at construction.
 	packedEnc hdc.PackedEncoder
 	scheme    encslice.Scheme
@@ -156,10 +155,11 @@ type Pipeline struct {
 
 // predictScratch is one goroutine's reusable Predict working set.
 type predictScratch struct {
-	h      []float64 // raw encoding
-	q      []float64 // quantized query
-	packed []int8    // packed-alphabet form of q for the integer engine
-	scores []float64 // per-class similarities
+	h      []float64       // raw encoding
+	q      []float64       // quantized query
+	planes intscore.Planes // the fused path's query
+	packed []int8          // packed-alphabet form of q for the integer engine
+	scores []float64       // per-class similarities
 }
 
 // getScratch returns a scratch sized for the pipeline's geometry.
@@ -170,6 +170,7 @@ func (p *Pipeline) getScratch() *predictScratch {
 	return &predictScratch{
 		h:      make([]float64, p.cfg.HD.Dim),
 		q:      make([]float64, p.cfg.HD.Dim),
+		planes: intscore.NewPlanes(p.cfg.HD.Dim),
 		packed: make([]int8, p.cfg.HD.Dim),
 		scores: make([]float64, p.model.NumClasses()),
 	}
@@ -192,9 +193,13 @@ func packedScheme(q quant.Quantizer) (encslice.Scheme, bool) {
 	return encslice.SchemeNone, false
 }
 
-// initFastPath resolves the fused encode→quantize route once so Predict
-// only pays a nil check per query.
+// initFastPath resolves the fused encode→quantize route, and the mask's
+// plane words, once so Predict only pays a nil check per query. It runs
+// once the pruning mask is final.
 func (p *Pipeline) initFastPath() {
+	if p.mask != nil {
+		p.keep = p.mask.Words()
+	}
 	pe, ok := p.encoder.(hdc.PackedEncoder)
 	if !ok {
 		return
@@ -204,16 +209,6 @@ func (p *Pipeline) initFastPath() {
 		return
 	}
 	p.packedEnc, p.scheme = pe, s
-}
-
-// maskPacked zeroes the pruned dimensions of a packed query — the int8
-// form of mask.Apply, run after quantization exactly like the float path.
-func maskPacked(q []int8, m *prune.Mask) {
-	for j, keep := range m.Keep {
-		if !keep {
-			q[j] = 0
-		}
-	}
 }
 
 // Train runs the full §III-B pipeline on the dataset's training split.
@@ -252,7 +247,6 @@ func TrainData(cfg Config, X [][]float64, y []int, classes int) (*Pipeline, erro
 	}
 
 	p := &Pipeline{cfg: cfg, encoder: enc, model: model}
-	p.initFastPath()
 	keep := cfg.HD.Dim
 	if cfg.KeepDims > 0 && cfg.KeepDims < cfg.HD.Dim {
 		keep = cfg.KeepDims
@@ -271,6 +265,7 @@ func TrainData(cfg Config, X [][]float64, y []int, classes int) (*Pipeline, erro
 		}
 	}
 
+	p.initFastPath()
 	p.report = PrivacyReport{
 		Quantizer: cfg.Quantizer.Name(),
 		Dim:       cfg.HD.Dim,
@@ -429,29 +424,25 @@ func (p *Pipeline) PrepareQuery(x []float64) []float64 {
 // chain runs on pooled scratch buffers, so the serving hot path does not
 // allocate per query. With a paper quantizer and an engine-backed encoder
 // the chain never leaves the integer domain: the bit-sliced engine derives
-// the packed −2…+1 query straight from popcounts (no float hypervector, no
-// separate quantization pass) and the integer scoring engine consumes it —
-// both stages bit-identical to the float reference path.
+// the −2…+1 query's bit-planes straight from popcounts (no float
+// hypervector, no separate quantization pass), the mask is one AND per
+// word, and the integer scoring engine consumes the planes — every stage
+// bit-identical to the float reference path.
 func (p *Pipeline) Predict(x []float64) int {
 	s := p.getScratch()
 	defer p.scratch.Put(s)
-	if p.packedEnc != nil && p.packedEnc.EncodePackedInto(x, p.scheme, s.packed) {
-		if p.mask != nil {
-			maskPacked(s.packed, p.mask)
+	if p.packedEnc != nil && p.packedEnc.EncodePackedInto(x, p.scheme, s.planes) {
+		if p.keep != nil {
+			s.planes.And(p.keep)
 		}
-		return vecmath.ArgMax(p.model.ScoresPackedInto(s.packed, s.scores))
+		return vecmath.ArgMax(p.model.ScoresPlanesInto(s.planes, s.scores))
 	}
 	h := hdc.EncodeInto(p.encoder, x, s.h)
 	quant.QuantizeInto(p.cfg.Quantizer, s.q, h)
 	if p.mask != nil {
 		p.mask.Apply(s.q)
 	}
-	if e := p.model.PackedScorer(); e != nil {
-		if pk, ok := intscore.PackInto(s.q, s.packed); ok {
-			return vecmath.ArgMax(e.ScoresPackedInto(pk, s.scores))
-		}
-	}
-	return vecmath.ArgMax(p.model.ScoresInto(s.q, s.scores))
+	return p.scoreVector(s.q, s)
 }
 
 // PredictBatch classifies every row of X concurrently (workers from the
@@ -470,11 +461,7 @@ func (p *Pipeline) PredictBatch(X [][]float64) []int {
 		// lazy caches.
 		p.model.Precompute()
 	}
-	workers := p.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	par.ForEach(len(X), workers, func(i int) {
+	forEachRow(len(X), p.cfg.Workers, func(i int) {
 		out[i] = p.Predict(X[i])
 	})
 	return out
@@ -489,6 +476,12 @@ func (p *Pipeline) PredictBatch(X [][]float64) []int {
 func (p *Pipeline) PredictVector(h []float64) int {
 	s := p.getScratch()
 	defer p.scratch.Put(s)
+	return p.scoreVector(h, s)
+}
+
+// scoreVector scores an encoded vector on s: on the integer engine when
+// it fits the packed alphabet, on the float path otherwise.
+func (p *Pipeline) scoreVector(h []float64, s *predictScratch) int {
 	if e := p.model.PackedScorer(); e != nil {
 		if pk, ok := intscore.PackInto(h, s.packed); ok {
 			return vecmath.ArgMax(e.ScoresPackedInto(pk, s.scores))

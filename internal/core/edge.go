@@ -47,7 +47,8 @@ type Edge struct {
 	// non-nil on a quantizing, masked, engine-backed level edge.
 	kept *hdc.RestrictedEncoder
 	mask *prune.Mask // nil when MaskDims == 0
-	// scratch pools the packed-query buffer Prepare widens from.
+	keep []uint64    // mask.Words(), the planes' AND mask
+	// scratch pools the query planes Prepare widens from.
 	scratch sync.Pool
 }
 
@@ -68,6 +69,7 @@ func NewEdge(cfg EdgeConfig) (*Edge, error) {
 	if cfg.MaskDims > 0 {
 		src := hrand.New(cfg.MaskSeed)
 		e.mask = prune.RandomMask(cfg.HD.Dim, cfg.MaskDims, src.SampleK)
+		e.keep = e.mask.Words()
 		if le, ok := enc.(*hdc.LevelEncoder); ok && cfg.Quantize {
 			if e.kept, err = le.Restrict(e.mask.Keep); err != nil {
 				return nil, err
@@ -84,9 +86,9 @@ func (e *Edge) Encoder() hdc.Encoder { return e.encoder }
 func (e *Edge) Mask() *prune.Mask { return e.mask }
 
 // Prepare returns the obfuscated query hypervector for one input as
-// float64s. On a quantizing edge it is a view of PreparePackedInto, so
-// quantization and masking happen in one place; an edge that does not
-// quantize returns the masked full-precision encoding.
+// float64s. On a quantizing edge it is the expansion of PreparePackedInto's
+// planes, so quantization and masking happen in one place; an edge that
+// does not quantize returns the masked full-precision encoding.
 func (e *Edge) Prepare(x []float64) []float64 {
 	if !e.cfg.Quantize {
 		h := e.encoder.Encode(x)
@@ -95,27 +97,27 @@ func (e *Edge) Prepare(x []float64) []float64 {
 		}
 		return h
 	}
-	pk := e.getPacked()
+	pk := e.getPlanes()
 	e.PreparePackedInto(x, *pk)
-	h := make([]float64, len(*pk))
-	for j, s := range *pk {
-		h[j] = float64(s)
+	h := make([]float64, pk.Dim)
+	for j := range h {
+		h[j] = float64(pk.Symbol(j))
 	}
 	e.scratch.Put(pk)
 	return h
 }
 
 // PreparePackedInto writes the obfuscated 1-bit query for one input into
-// dst (length Dim) — the packed −1/0/+1 symbols that cross the network:
-// the bipolar quantization of the encoding with the masked dimensions
-// zeroed. With an engine-backed encoder nothing is allocated and the
-// result is bit-identical to encode, quantize, then mask. A level edge
-// reads each sign straight off the engine's counters, and a masked one
-// encodes only the kept dimensions, from a memory compacted once in
-// NewEdge; a scalar edge derives the signs from its integer numerators
-// and then masks. It reports false, writing nothing, when the edge does
+// the planes dst (Dim dimensions) — the form that crosses the network: the
+// bipolar quantization of the encoding with the masked dimensions zeroed.
+// With an engine-backed encoder nothing is allocated and the result is
+// bit-identical to encode, quantize, then mask. A level edge reads each
+// sign straight off the engine's counters, and a masked one encodes only
+// the kept dimensions, from a memory compacted once in NewEdge; a scalar
+// edge derives the signs from its integer numerators and then masks with
+// one AND per word. It reports false, writing nothing, when the edge does
 // not quantize: its queries are full precision and have no packed form.
-func (e *Edge) PreparePackedInto(x []float64, dst []int8) bool {
+func (e *Edge) PreparePackedInto(x []float64, dst intscore.Planes) bool {
 	if !e.cfg.Quantize {
 		return false
 	}
@@ -126,20 +128,21 @@ func (e *Edge) PreparePackedInto(x []float64, dst []int8) bool {
 	if e.packed == nil || !e.packed.EncodePackedInto(x, encslice.SchemeBipolar, dst) {
 		// Geometries the engine rejects quantize the reference encoding;
 		// bipolar symbols always pack.
-		intscore.PackInto(quant.Bipolar{}.Quantize(e.encoder.Encode(x)), dst)
+		q, _ := intscore.PackInto(quant.Bipolar{}.Quantize(e.encoder.Encode(x)), nil)
+		intscore.SplitInto(q, dst)
 	}
-	if e.mask != nil {
-		maskPacked(dst, e.mask)
+	if e.keep != nil {
+		dst.And(e.keep)
 	}
 	return true
 }
 
-func (e *Edge) getPacked() *[]int8 {
-	if p, ok := e.scratch.Get().(*[]int8); ok {
+func (e *Edge) getPlanes() *intscore.Planes {
+	if p, ok := e.scratch.Get().(*intscore.Planes); ok {
 		return p
 	}
-	s := make([]int8, e.cfg.HD.Dim)
-	return &s
+	p := intscore.NewPlanes(e.cfg.HD.Dim)
+	return &p
 }
 
 // PrepareBatch obfuscates a batch of inputs, spreading Prepare over
@@ -153,17 +156,18 @@ func (e *Edge) PrepareBatch(X [][]float64, workers int) [][]float64 {
 }
 
 // PreparePackedBatch is PreparePackedInto over a batch, spread over
-// workers like PrepareBatch; the queries share one allocation. It returns
-// nil when the edge does not quantize.
-func (e *Edge) PreparePackedBatch(X [][]float64, workers int) [][]int8 {
+// workers like PrepareBatch; the queries' planes share one allocation. It
+// returns nil when the edge does not quantize.
+func (e *Edge) PreparePackedBatch(X [][]float64, workers int) []intscore.Planes {
 	if !e.cfg.Quantize {
 		return nil
 	}
 	dim := e.cfg.HD.Dim
-	buf := make([]int8, len(X)*dim)
-	out := make([][]int8, len(X))
+	n := 2 * intscore.Words(dim)
+	buf := make([]uint64, len(X)*n)
+	out := make([]intscore.Planes, len(X))
 	forEachRow(len(X), workers, func(i int) {
-		out[i] = buf[i*dim : (i+1)*dim : (i+1)*dim]
+		out[i] = intscore.Planes{Dim: dim, Bits: buf[i*n : (i+1)*n : (i+1)*n]}
 		e.PreparePackedInto(X[i], out[i])
 	})
 	return out

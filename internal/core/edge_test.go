@@ -1,11 +1,13 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
 	"privehd/internal/attack"
 	"privehd/internal/hdc"
+	"privehd/internal/intscore"
 	"privehd/internal/vecmath"
 )
 
@@ -122,7 +124,7 @@ func TestEdgePrepareBatchMatchesPrepare(t *testing.T) {
 			if batch[i][j] != single[j] {
 				t.Fatalf("batch/single mismatch at sample %d dim %d", i, j)
 			}
-			if float64(packed[i][j]) != single[j] {
+			if float64(packed[i].Symbol(j)) != single[j] {
 				t.Fatalf("packed batch/single mismatch at sample %d dim %d", i, j)
 			}
 		}
@@ -133,7 +135,7 @@ func TestEdgePrepareBatchMatchesPrepare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raw.PreparePackedInto(X[0], make([]int8, edgeHD().Dim)) || raw.PreparePackedBatch(X, 2) != nil {
+	if raw.PreparePackedInto(X[0], intscore.NewPlanes(edgeHD().Dim)) || raw.PreparePackedBatch(X, 2) != nil {
 		t.Fatal("non-quantizing edge produced a packed query")
 	}
 }
@@ -154,25 +156,18 @@ func TestEdgeConcurrentBatchMasked(t *testing.T) {
 			X[i][k] = float64((i*k+3*i+k)%17) / 17
 		}
 	}
-	want := make([][]int8, len(X))
+	want := make([]intscore.Planes, len(X))
 	for i, x := range X {
-		want[i] = make([]int8, cfg.Dim)
+		want[i] = intscore.NewPlanes(cfg.Dim)
 		e.PreparePackedInto(x, want[i])
 	}
-	same := func(a, b []int8) bool {
-		for j := range a {
-			if a[j] != b[j] {
-				return false
-			}
-		}
-		return true
-	}
+	same := func(a, b intscore.Planes) bool { return slices.Equal(a.Bits, b.Bits) }
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			q := make([]int8, cfg.Dim)
+			q := intscore.NewPlanes(cfg.Dim)
 			for round := 0; round < 4; round++ {
 				for i, got := range e.PreparePackedBatch(X, 3) {
 					if !same(got, want[i]) {

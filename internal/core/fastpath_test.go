@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -198,14 +199,13 @@ func TestEdgePrepareFusedMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			X, _ := fastPathData(21)
-			packed := make([]int8, dim)
+			packed := intscore.NewPlanes(dim)
 			for i, x := range X[:8] {
 				want := quant.Bipolar{}.Quantize(e.Encoder().Encode(x))
-				wantPk, _ := intscore.PackInto(want, nil)
 				if m := e.Mask(); m != nil {
 					m.Apply(want)
-					maskPacked(wantPk, m)
 				}
+				wantPk, _ := intscore.PackInto(want, nil)
 				got := e.Prepare(x)
 				for j := range want {
 					if got[j] != want[j] {
@@ -213,15 +213,12 @@ func TestEdgePrepareFusedMatchesReference(t *testing.T) {
 							enc, maskDims, i, j, got[j], want[j])
 					}
 				}
-				for j := range packed {
-					packed[j] = 7 // stale bytes must be overwritten
+				for w := range packed.Bits {
+					packed.Bits[w] = ^uint64(0) // stale bits must be overwritten
 				}
 				e.PreparePackedInto(x, packed)
-				for j := range wantPk {
-					if packed[j] != wantPk[j] {
-						t.Fatalf("enc=%v mask=%d sample %d dim %d: packed %d, reference %d",
-							enc, maskDims, i, j, packed[j], wantPk[j])
-					}
+				if !slices.Equal(packed.Bits, intscore.Split(wantPk).Bits) {
+					t.Fatalf("enc=%v mask=%d sample %d: planes differ from the reference's", enc, maskDims, i)
 				}
 			}
 			// PrepareBatch must agree with Prepare row by row.
@@ -255,13 +252,13 @@ func TestEdgePreparePackedReferencePath(t *testing.T) {
 	x := []float64{0.1, 0.9, 0.4, 0.7, 0.3}
 	want := quant.Bipolar{}.Quantize(e.Encoder().Encode(x))
 	e.Mask().Apply(want)
-	got := make([]int8, 130)
+	got := intscore.NewPlanes(130)
 	if !e.PreparePackedInto(x, got) {
 		t.Fatal("quantizing edge reported no packed form")
 	}
 	for j := range want {
-		if float64(got[j]) != want[j] {
-			t.Fatalf("dim %d: packed %d, reference %v", j, got[j], want[j])
+		if float64(got.Symbol(j)) != want[j] {
+			t.Fatalf("dim %d: packed %d, reference %v", j, got.Symbol(j), want[j])
 		}
 	}
 }

@@ -55,11 +55,13 @@
 //
 // Serving's Predict path needs only the quantized −2…+1 query, so
 // EncodePackedInto derives it straight from the integer numerators without
-// materializing a float hypervector: the quantizers' sign and rank rules
-// commute with the strictly monotone map n ↦ n/(ℓ−1) (distinct integers in
-// range never collide after the division), so ranking the integers with the
-// same tie-by-index order produces output bit-identical to running
-// quant.QuantizeInto on the float encoding.
+// materializing a float hypervector, and writes it in the serving path's
+// one query form: two bit-planes of ⌈D/64⌉ words, lo then hi, with symbol
+// s = lo − 2·hi (the intscore.Planes layout). The quantizers' sign and
+// rank rules commute with the strictly monotone map n ↦ n/(ℓ−1) (distinct
+// integers in range never collide after the division), so ranking the
+// integers with the same tie-by-index order produces output bit-identical
+// to running quant.QuantizeInto on the float encoding.
 //
 // The level-mode bipolar query — the edge's 1-bit obfuscation — never forms
 // a count at all. Its sign is +1 exactly when 2·cnt − F ≥ 0, that is when
@@ -67,9 +69,10 @@
 // (see internal/fpga.ExactMajority) and the threshold step of binarized
 // bundling. A comparator walks the counter slices MSB first against that
 // constant, keeping a greater-than mask and an equal mask, and yields 64
-// sign bits per word column; a 256-entry table spells each sign byte as
-// eight symbols. Scalar mode keeps the numerator read-off, because its sign
-// is a weighted sum over digit groups rather than one threshold.
+// sign bits per word column, which are the query's planes already: every
+// dimension is odd (lo set) and the clear sign bits are the negative ones
+// (hi set). Scalar mode keeps the numerator read-off, because its sign is
+// a weighted sum over digit groups rather than one threshold.
 //
 // # Compaction
 //
@@ -77,9 +80,9 @@
 // so there is no need to encode them. Restrict gathers the kept
 // dimensions' bits out of a level engine's memory into a compacted
 // transposed memory, once; the comparator then runs over ⌈kept/64⌉ word
-// columns and scatters each sign to its dimension, leaving 0 at every
-// masked one. The result is bit-identical to quantizing the full encoding
-// and masking it.
+// columns. The lo plane is the kept set itself, and each clear sign bit
+// sets the hi bit of its dimension, leaving 0 at every masked one. The
+// result is bit-identical to quantizing the full encoding and masking it.
 //
 // Engines are immutable after construction and safe for concurrent use;
 // per-call working sets come from an internal sync.Pool, so the encoding
@@ -364,47 +367,54 @@ func (e *Engine) EncodeBatchInto(lvi []uint16, rows int, h []float64) {
 	}
 }
 
-// EncodePackedInto fuses encode and quantize: it derives the packed −2…+1
-// query for the given scheme straight from the integer counts, never
-// materializing the float encoding — the Predict hot path's form. Output is
-// bit-identical to encoding with EncodeInto and quantizing the float result
-// with the corresponding quant scheme.
-func (e *Engine) EncodePackedInto(lvi []uint16, scheme Scheme, dst []int8) {
+// EncodePackedInto fuses encode and quantize: it derives the −2…+1 query
+// for the given scheme straight from the integer counts, never
+// materializing the float encoding — the Predict hot path's form. It
+// writes the query's lo plane into dst[:w] and its hi plane into
+// dst[w:2w], w = ⌈Dim/64⌉ (the intscore.Planes layout), overwriting every
+// word and leaving the bits past Dim clear. Output is bit-identical to
+// encoding with EncodeInto and quantizing the float result with the
+// corresponding quant scheme.
+func (e *Engine) EncodePackedInto(lvi []uint16, scheme Scheme, dst []uint64) {
 	e.checkLvi(lvi)
-	if len(dst) != e.dim {
-		panic(fmt.Sprintf("encslice: EncodePackedInto buffer has dim %d, want %d", len(dst), e.dim))
+	if len(dst) != 2*e.words {
+		panic(fmt.Sprintf("encslice: EncodePackedInto buffer has %d words, want %d", len(dst), 2*e.words))
 	}
+	lo, hi := dst[:e.words], dst[e.words:]
 	if scheme == SchemeBipolar && !e.scalar {
-		e.signInto(lvi, nil, dst)
+		e.signInto(lvi, nil, lo, hi)
 		return
 	}
+	clear(dst)
 	s := e.get()
 	e.countsInto(lvi, s)
-	quantizeInts(s, scheme, dst)
+	quantizeInts(s, scheme, lo, hi)
 	e.scratch.Put(s)
 }
 
 // signInto writes the level-mode bipolar query straight off the counters,
 // never forming a count: per word column the comparator yields 64 sign
-// bits, spelled out eight symbols at a time through signSyms. With kept
-// nil, engine dimension i lands at dst[i]; otherwise it is scattered to
-// dst[kept[i]] and the rest of dst is left as it is.
-func (e *Engine) signInto(lvi []uint16, kept []int32, dst []int8) {
-	F, L, dim := e.features, e.levels, e.dim
+// bits, and a clear one is a −1. With kept nil, engine dimension i is
+// dimension i of the planes: every lo bit within Dim is set, and hi is the
+// clear sign bits. Otherwise engine dimension i is dimension kept[i]: a
+// clear sign bit sets its hi bit, and lo is the caller's.
+func (e *Engine) signInto(lvi []uint16, kept []int32, lo, hi []uint64) {
+	F, L := e.features, e.levels
 	half := uint((F + 1) / 2)
 	for w := 0; w < e.words; w++ {
 		pl := accumXnor(e.baseT[w*F:w*F+F], e.lvlT[w*L:w*L+L], lvi)
-		sign := pl.atLeast(half, e.hi)
-		off := w * 64
-		end := min(off+64, dim)
+		valid := ^uint64(0)
+		if r := e.dim - 64*w; r < 64 {
+			valid = 1<<r - 1
+		}
+		neg := ^pl.atLeast(half, e.hi) & valid
 		if kept == nil {
-			for j := off; j < end; j += 8 {
-				copy(dst[j:end], signSyms[uint8(sign>>(j-off))][:])
-			}
+			lo[w], hi[w] = valid, neg
 			continue
 		}
-		for b, pos := range kept[off:end] {
-			dst[pos] = int8(sign>>b&1)<<1 - 1
+		for ; neg != 0; neg &= neg - 1 {
+			pos := kept[64*w+bits.TrailingZeros64(neg)]
+			hi[pos/64] |= 1 << (pos % 64)
 		}
 	}
 }
@@ -437,26 +447,15 @@ func cmpBit(gt, eq, p uint64, tb uint) (uint64, uint64) {
 	return gt | eq&p, eq &^ p
 }
 
-// signSyms[b] spells sign byte b as eight bipolar symbols: bit j becomes
-// symbol j, +1 for a set bit and −1 for a clear one.
-var signSyms = func() (t [256][8]int8) {
-	for b := range t {
-		for j := range t[b] {
-			t[b][j] = int8(b>>j&1)<<1 - 1
-		}
-	}
-	return t
-}()
-
 // Restricted is a level engine confined to a fixed set of kept dimensions:
 // its transposed base and level memory hold only those dimensions' words,
 // so a query costs ⌈kept/64⌉ word columns instead of ⌈Dim/64⌉. It emits
 // the masked bipolar query — sign at the kept dimensions, zero elsewhere —
 // and, like Engine, is immutable and safe for concurrent use.
 type Restricted struct {
-	eng  *Engine // level engine over the kept dimensions, in order
-	kept []int32 // kept[i] is the full-vector position of eng's dimension i
-	dim  int     // full dimensionality
+	eng  *Engine  // level engine over the kept dimensions, in order
+	kept []int32  // kept[i] is the full-vector position of eng's dimension i
+	keep []uint64 // the kept set as ⌈Dim/64⌉ words, the query's lo plane
 }
 
 // Restrict gathers the words of the dimensions keep marks true (keep has
@@ -470,28 +469,24 @@ func (e *Engine) Restrict(keep []bool) (*Restricted, error) {
 	if len(keep) != e.dim {
 		return nil, fmt.Errorf("encslice: keep set has %d dimensions, engine has %d", len(keep), e.dim)
 	}
-	n := 0
-	for _, k := range keep {
-		if k {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("encslice: keep set is empty")
-	}
-	kept := make([]int32, 0, n)
+	var kept []int32
+	words := make([]uint64, e.words)
 	for j, k := range keep {
 		if k {
 			kept = append(kept, int32(j))
+			words[j/64] |= 1 << (j % 64)
 		}
 	}
-	r, err := newEngine(n, e.features, e.levels, false)
+	if len(kept) == 0 {
+		return nil, fmt.Errorf("encslice: keep set is empty")
+	}
+	r, err := newEngine(len(kept), e.features, e.levels, false)
 	if err != nil {
 		return nil, err
 	}
 	gatherDims(r.baseT, e.baseT, e.features, kept)
 	gatherDims(r.lvlT, e.lvlT, e.levels, kept)
-	return &Restricted{eng: r, kept: kept, dim: e.dim}, nil
+	return &Restricted{eng: r, kept: kept, keep: words}, nil
 }
 
 // gatherDims copies the bits of dimensions kept out of the n-vector
@@ -507,16 +502,19 @@ func gatherDims(dst, src []uint64, n int, kept []int32) {
 }
 
 // EncodeBipolarInto writes the masked bipolar query for the level indices
-// into dst (length Dim of the unrestricted engine): at every kept dimension
-// the symbol EncodePackedInto(lvi, SchemeBipolar, …) of the unrestricted
-// engine writes there, and 0 at every other dimension.
-func (r *Restricted) EncodeBipolarInto(lvi []uint16, dst []int8) {
+// into dst in EncodePackedInto's plane layout over the unrestricted
+// engine's Dim: at every kept dimension the symbol EncodePackedInto(lvi,
+// SchemeBipolar, …) of the unrestricted engine writes there, and 0 at
+// every other dimension.
+func (r *Restricted) EncodeBipolarInto(lvi []uint16, dst []uint64) {
 	r.eng.checkLvi(lvi)
-	if len(dst) != r.dim {
-		panic(fmt.Sprintf("encslice: EncodeBipolarInto buffer has dim %d, want %d", len(dst), r.dim))
+	w := len(r.keep)
+	if len(dst) != 2*w {
+		panic(fmt.Sprintf("encslice: EncodeBipolarInto buffer has %d words, want %d", len(dst), 2*w))
 	}
-	clear(dst)
-	r.eng.signInto(lvi, r.kept, dst)
+	copy(dst, r.keep)
+	clear(dst[w:])
+	r.eng.signInto(lvi, r.kept, nil, dst[w:])
 }
 
 // countsInto fills s.v with the per-dimension integer numerators:
@@ -677,19 +675,24 @@ func (pl *planes) add1(x uint64) {
 	pl.carry(x)
 }
 
-// quantizeInts maps the integer numerators onto the scheme's packed
-// alphabet, mirroring quant.QuantizeInto on the float encoding exactly: the
-// numerator-to-float map is strictly monotone (and zero-preserving), so
-// sign tests and rank orders — including the tie-by-index rule — coincide.
-func quantizeInts(s *scratch, scheme Scheme, dst []int8) {
+// quantizeInts sets the planes' bits of the scheme's symbol for every
+// numerator (lo and hi start clear), mirroring quant.QuantizeInto on the
+// float encoding exactly: the numerator-to-float map is strictly monotone
+// (and zero-preserving), so sign tests and rank orders — including the
+// tie-by-index rule — coincide.
+func quantizeInts(s *scratch, scheme Scheme, lo, hi []uint64) {
 	v := s.v
+	set := func(i int, sym int8) {
+		lo[i/64] |= uint64(sym&1) << (i % 64)
+		hi[i/64] |= uint64(sym>>1&1) << (i % 64)
+	}
 	switch scheme {
 	case SchemeBipolar:
 		for j, n := range v {
 			if n >= 0 {
-				dst[j] = 1
+				set(j, 1)
 			} else {
-				dst[j] = -1
+				set(j, -1)
 			}
 		}
 	case SchemeTernary, SchemeBiasedTernary:
@@ -705,11 +708,10 @@ func quantizeInts(s *scratch, scheme Scheme, dst []int8) {
 			x := v[i]
 			switch {
 			case r < nz || x == 0:
-				dst[i] = 0
 			case x > 0:
-				dst[i] = 1
+				set(i, 1)
 			default:
-				dst[i] = -1
+				set(i, -1)
 			}
 		}
 	case SchemeTwoBit:
@@ -717,7 +719,7 @@ func quantizeInts(s *scratch, scheme Scheme, dst []int8) {
 		n := len(v)
 		symbols := [4]int8{-2, -1, 0, 1}
 		for r, i := range idx {
-			dst[i] = symbols[4*r/n]
+			set(i, symbols[4*r/n])
 		}
 	default:
 		panic(fmt.Sprintf("encslice: unknown quantization scheme %d", scheme))

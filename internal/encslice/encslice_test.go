@@ -10,6 +10,35 @@ import (
 	"privehd/internal/quant"
 )
 
+// stalePlanes returns the plane words of a dim-dimensional query with
+// every bit set, so an encoder that fails to overwrite one shows.
+func stalePlanes(dim int) []uint64 {
+	p := intscore.NewPlanes(dim)
+	for w := range p.Bits {
+		p.Bits[w] = ^uint64(0)
+	}
+	return p.Bits
+}
+
+// symbols expands an encoder's plane words to one symbol per dimension,
+// failing the test if a bit past dim is set.
+func symbols(t *testing.T, words []uint64, dim int) []int8 {
+	t.Helper()
+	p := intscore.Planes{Dim: dim, Bits: words}
+	if r := dim % 64; r != 0 {
+		for _, plane := range [][]uint64{p.Lo(), p.Hi()} {
+			if plane[len(plane)-1]>>r != 0 {
+				t.Fatalf("dim %d: bits set past the last dimension", dim)
+			}
+		}
+	}
+	out := make([]int8, dim)
+	for i := range out {
+		out[i] = p.Symbol(i)
+	}
+	return out
+}
+
 // genVectors returns n random packed ±1 vectors of the given dimension and
 // their word slices.
 func genVectors(rng *rand.Rand, n, dim int) ([]*bitvec.Vector, [][]uint64) {
@@ -203,8 +232,9 @@ func TestEncodePackedMatchesQuantize(t *testing.T) {
 					if !ok {
 						t.Fatalf("%s: quantized reference does not pack", sc.name)
 					}
-					got := make([]int8, g.dim)
-					e.EncodePackedInto(lvi, sc.scheme, got)
+					pl := stalePlanes(g.dim)
+					e.EncodePackedInto(lvi, sc.scheme, pl)
+					got := symbols(t, pl, g.dim)
 					for j := range want {
 						if got[j] != want[j] {
 							t.Fatalf("%+v %s dim %d: fused %d, quantized float %d (h=%v)",
@@ -296,7 +326,7 @@ func TestEncodeAllocsZero(t *testing.T) {
 	}
 	lvi := genIndices(rng, features, levels)
 	h := make([]float64, dim)
-	pk := make([]int8, dim)
+	pk := stalePlanes(dim)
 	for name, e := range map[string]*encslice.Engine{"level": le, "scalar": se} {
 		e.EncodeInto(lvi, h) // warm the pool
 		if n := testing.AllocsPerRun(20, func() { e.EncodeInto(lvi, h) }); n != 0 {
@@ -364,8 +394,9 @@ func FuzzEncodeAgainstReference(f *testing.F) {
 			if !ok {
 				t.Fatal("reference quantization does not pack")
 			}
-			gotPk := make([]int8, dim)
-			e.EncodePackedInto(lvi, sc.scheme, gotPk)
+			pl := stalePlanes(dim)
+			e.EncodePackedInto(lvi, sc.scheme, pl)
+			gotPk := symbols(t, pl, dim)
 			for j := range wantPk {
 				if gotPk[j] != wantPk[j] {
 					t.Fatalf("%s dim %d: fused %d vs %d", sc.name, j, gotPk[j], wantPk[j])

@@ -86,19 +86,17 @@ func checkSign(t *testing.T, name string, rng *rand.Rand, base, lvl []*bitvec.Ve
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	got := make([]int8, dim)
-	e.EncodePackedInto(lvi, encslice.SchemeBipolar, got)
-	compareSign(t, name+"/unmasked", got, refSign(base, lvl, lvi, dim, nil))
+	pl := stalePlanes(dim)
+	e.EncodePackedInto(lvi, encslice.SchemeBipolar, pl)
+	compareSign(t, name+"/unmasked", symbols(t, pl, dim), refSign(base, lvl, lvi, dim, nil))
 	for kn, keep := range keepSets(rng, dim) {
 		r, err := e.Restrict(keep)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", name, kn, err)
 		}
-		for j := range got {
-			got[j] = 7 // stale bytes must be overwritten
-		}
-		r.EncodeBipolarInto(lvi, got)
-		compareSign(t, name+"/"+kn, got, refSign(base, lvl, lvi, dim, keep))
+		pl := stalePlanes(dim) // stale bits must be overwritten
+		r.EncodeBipolarInto(lvi, pl)
+		compareSign(t, name+"/"+kn, symbols(t, pl, dim), refSign(base, lvl, lvi, dim, keep))
 	}
 }
 
@@ -181,7 +179,7 @@ func TestEncodeSignAllocsZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	lvi := genIndices(rng, features, levels)
-	pk := make([]int8, dim)
+	pk := stalePlanes(dim)
 	if n := testing.AllocsPerRun(20, func() { le.EncodePackedInto(lvi, encslice.SchemeBipolar, pk) }); n != 0 {
 		t.Errorf("bipolar EncodePackedInto allocates %v per run", n)
 	}
@@ -222,14 +220,15 @@ func FuzzEncodeSign(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := make([]int8, dim)
-		e.EncodePackedInto(lvi, encslice.SchemeBipolar, got)
-		compareSign(t, "unmasked", got, refSign(base, lvl, lvi, dim, nil))
+		pl := stalePlanes(dim)
+		e.EncodePackedInto(lvi, encslice.SchemeBipolar, pl)
+		compareSign(t, "unmasked", symbols(t, pl, dim), refSign(base, lvl, lvi, dim, nil))
 		r, err := e.Restrict(keep)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.EncodeBipolarInto(lvi, got)
-		compareSign(t, "restricted", got, refSign(base, lvl, lvi, dim, keep))
+		pl = stalePlanes(dim)
+		r.EncodeBipolarInto(lvi, pl)
+		compareSign(t, "restricted", symbols(t, pl, dim), refSign(base, lvl, lvi, dim, keep))
 	})
 }

@@ -5,6 +5,7 @@ import (
 
 	"privehd/internal/encslice"
 	"privehd/internal/hrand"
+	"privehd/internal/intscore"
 )
 
 // Kernel benchmarks at the paper's geometry: ISOLET-shaped inputs
@@ -61,7 +62,7 @@ func BenchmarkEncode(b *testing.B) {
 	}
 	x := benchFeatures(cfg.Features)
 	h := make([]float64, cfg.Dim)
-	pk := make([]int8, cfg.Dim)
+	pk := intscore.NewPlanes(cfg.Dim)
 
 	b.Run("level", func(b *testing.B) {
 		b.ReportAllocs()

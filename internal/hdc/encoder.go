@@ -8,6 +8,7 @@ import (
 	"privehd/internal/bitvec"
 	"privehd/internal/encslice"
 	"privehd/internal/hrand"
+	"privehd/internal/intscore"
 	"privehd/internal/par"
 )
 
@@ -107,17 +108,18 @@ func (e *ScalarEncoder) encodeRefInto(features, h []float64) []float64 {
 }
 
 // EncodePackedInto fuses encode and quantize on the bit-sliced engine,
-// writing the packed −2…+1 query for the scheme into dst (length Dim) —
-// bit-identical to encoding and then quantizing the float hypervector. It
+// writing the −2…+1 query for the scheme into the planes dst (Dim
+// dimensions) — bit-identical to encoding and then quantizing the float
+// hypervector. It
 // reports false (writing nothing) when no engine is available for the
 // geometry or the scheme is SchemeNone; callers then take the float path.
-func (e *ScalarEncoder) EncodePackedInto(features []float64, scheme encslice.Scheme, dst []int8) bool {
+func (e *ScalarEncoder) EncodePackedInto(features []float64, scheme encslice.Scheme, dst intscore.Planes) bool {
 	if e.engine == nil || scheme == encslice.SchemeNone {
 		return false
 	}
-	e.check(features, len(dst))
+	e.check(features, dst.Dim)
 	p := getLvi(e.cfg.Features)
-	e.engine.EncodePackedInto(fillLvi(*p, features, e.cfg.Levels), scheme, dst)
+	e.engine.EncodePackedInto(fillLvi(*p, features, e.cfg.Levels), scheme, dst.Bits)
 	putLvi(p)
 	return true
 }
@@ -226,13 +228,13 @@ func (e *LevelEncoder) encodeRefInto(features, h []float64) []float64 {
 
 // EncodePackedInto fuses encode and quantize on the bit-sliced engine; see
 // ScalarEncoder.EncodePackedInto.
-func (e *LevelEncoder) EncodePackedInto(features []float64, scheme encslice.Scheme, dst []int8) bool {
+func (e *LevelEncoder) EncodePackedInto(features []float64, scheme encslice.Scheme, dst intscore.Planes) bool {
 	if e.engine == nil || scheme == encslice.SchemeNone {
 		return false
 	}
-	e.check(features, len(dst))
+	e.check(features, dst.Dim)
 	p := getLvi(e.cfg.Features)
-	e.engine.EncodePackedInto(fillLvi(*p, features, e.cfg.Levels), scheme, dst)
+	e.engine.EncodePackedInto(fillLvi(*p, features, e.cfg.Levels), scheme, dst.Bits)
 	putLvi(p)
 	return true
 }
@@ -260,17 +262,19 @@ type RestrictedEncoder struct {
 	engine *encslice.Restricted
 }
 
-// EncodeBipolarInto writes the masked 1-bit query into dst (length Dim):
+// EncodeBipolarInto writes the masked 1-bit query into the planes dst (Dim
+// dimensions):
 // the bipolar quantization of the Eq. 2b encoding at every kept dimension
 // and 0 at every masked one — bit-identical to quantizing the full
 // encoding and then zeroing the masked dimensions, at the cost of the kept
 // dimensions alone.
-func (r *RestrictedEncoder) EncodeBipolarInto(features []float64, dst []int8) {
-	if len(features) != r.cfg.Features {
-		panic(fmt.Sprintf("hdc: RestrictedEncoder got %d features, want %d", len(features), r.cfg.Features))
+func (r *RestrictedEncoder) EncodeBipolarInto(features []float64, dst intscore.Planes) {
+	if len(features) != r.cfg.Features || dst.Dim != r.cfg.Dim {
+		panic(fmt.Sprintf("hdc: RestrictedEncoder got %d features into dim %d, want %d into %d",
+			len(features), dst.Dim, r.cfg.Features, r.cfg.Dim))
 	}
 	p := getLvi(r.cfg.Features)
-	r.engine.EncodeBipolarInto(fillLvi(*p, features, r.cfg.Levels), dst)
+	r.engine.EncodeBipolarInto(fillLvi(*p, features, r.cfg.Levels), dst.Bits)
 	putLvi(p)
 }
 
@@ -371,17 +375,17 @@ type IntoEncoder interface {
 }
 
 // PackedEncoder is implemented by encoders with a bit-sliced engine that
-// can emit the quantized, packed −2…+1 query directly from the engine's
-// counters — the fused fast path serving Predict runs per query. A level
-// encoder's bipolar query never forms a count at all: a comparator reads
-// each dimension's sign off the counter slices.
+// can emit the quantized −2…+1 query, as bit-planes, directly from the
+// engine's counters — the fused fast path serving Predict runs per query.
+// A level encoder's bipolar query never forms a count at all: a comparator
+// reads each dimension's sign off the counter slices.
 type PackedEncoder interface {
 	Encoder
-	// EncodePackedInto writes the packed quantization of the encoding into
-	// dst (length Dim) and reports whether the fused path was available;
-	// on false, nothing is written and the caller must encode + quantize
-	// through the float path.
-	EncodePackedInto(features []float64, scheme encslice.Scheme, dst []int8) bool
+	// EncodePackedInto writes the quantization of the encoding into the
+	// planes dst (Dim dimensions) and reports whether the fused path was
+	// available; on false, nothing is written and the caller must encode +
+	// quantize through the float path.
+	EncodePackedInto(features []float64, scheme encslice.Scheme, dst intscore.Planes) bool
 }
 
 // rowsEncoder is the internal batch hook: encode a chunk of rows into one

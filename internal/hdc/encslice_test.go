@@ -6,6 +6,7 @@ import (
 
 	"privehd/internal/encslice"
 	"privehd/internal/hrand"
+	"privehd/internal/intscore"
 )
 
 // engineGeometries stresses the word tiling: dimensions around the 64-bit
@@ -105,7 +106,7 @@ func TestEncodePackedIntoMatchesEncodeQuantize(t *testing.T) {
 	for _, cfg := range engineGeometries {
 		for _, enc := range []PackedEncoder{mustLevel(t, cfg), mustScalar(t, cfg)} {
 			x := engineInputs(cfg, 0)
-			dst := make([]int8, cfg.Dim)
+			dst := intscore.NewPlanes(cfg.Dim)
 			if !enc.EncodePackedInto(x, encslice.SchemeBipolar, dst) {
 				t.Fatalf("%+v: fused path unavailable", cfg)
 			}
@@ -115,8 +116,8 @@ func TestEncodePackedIntoMatchesEncodeQuantize(t *testing.T) {
 				if v < 0 {
 					want = -1
 				}
-				if dst[j] != want {
-					t.Fatalf("%+v dim %d: fused %d, sign(%v) = %d", cfg, j, dst[j], v, want)
+				if dst.Symbol(j) != want {
+					t.Fatalf("%+v dim %d: fused %d, sign(%v) = %d", cfg, j, dst.Symbol(j), v, want)
 				}
 			}
 		}
@@ -126,7 +127,7 @@ func TestEncodePackedIntoMatchesEncodeQuantize(t *testing.T) {
 func TestEncodePackedIntoRejectsSchemeNone(t *testing.T) {
 	cfg := engineGeometries[3]
 	enc := mustLevel(t, cfg)
-	dst := make([]int8, cfg.Dim)
+	dst := intscore.NewPlanes(cfg.Dim)
 	if enc.EncodePackedInto(engineInputs(cfg, 0), encslice.SchemeNone, dst) {
 		t.Fatal("EncodePackedInto accepted SchemeNone")
 	}

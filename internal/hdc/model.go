@@ -172,25 +172,25 @@ func (m *Model) ScoresInto(h, out []float64) []float64 {
 	return out
 }
 
-// ScoresPackedInto is ScoresInto for a packed small-alphabet query: scores
-// are computed in the integer domain on the engine the last Precompute
-// derived (bit-identical to ScoresInto on the float64 expansion of q — see
-// the intscore package for the exactness argument), without ever expanding
-// the query. Without an engine — a non-integer model, or one mutated since
-// Precompute — it scores the packed symbols directly against the float
-// class vectors: still no expansion and still bit-identical, but on a
-// mutated model with the lazy norm refresh that makes it unsafe for
-// concurrent use until the next Precompute.
-func (m *Model) ScoresPackedInto(q []int8, out []float64) []float64 {
-	if len(q) != m.dim {
+// ScoresPlanesInto is ScoresInto for a quantized query in its bit-plane
+// form: scores are computed in the integer domain on the engine the last
+// Precompute derived (bit-identical to ScoresInto on the float64 expansion
+// of q — see the intscore package for the exactness argument), without
+// ever expanding the query. Without an engine — a non-integer model, or
+// one mutated since Precompute — it scores the planes' symbols directly
+// against the float class vectors: still no expansion and still
+// bit-identical, but on a mutated model with the lazy norm refresh that
+// makes it unsafe for concurrent use until the next Precompute.
+func (m *Model) ScoresPlanesInto(q intscore.Planes, out []float64) []float64 {
+	if q.Dim != m.dim {
 		panic(ErrDimension)
 	}
 	if len(out) != len(m.classes) {
-		panic(fmt.Sprintf("hdc: ScoresPackedInto buffer has %d slots, model has %d classes",
+		panic(fmt.Sprintf("hdc: ScoresPlanesInto buffer has %d slots, model has %d classes",
 			len(out), len(m.classes)))
 	}
 	if e := m.PackedScorer(); e != nil {
-		return e.ScoresPackedInto(q, out)
+		return e.ScoresInto(q, out)
 	}
 	for l := range m.classes {
 		n := m.norm(l)
@@ -198,7 +198,7 @@ func (m *Model) ScoresPackedInto(q []int8, out []float64) []float64 {
 			out[l] = math.Inf(-1)
 			continue
 		}
-		out[l] = intscore.DotPacked(q, m.classes[l]) / n
+		out[l] = intscore.DotPlanes(q, m.classes[l]) / n
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 
 	"privehd/internal/hdc"
 	"privehd/internal/intscore"
+	"privehd/internal/vecmath"
 )
 
 // benchSetup builds the acceptance geometry: D=4000, 26 classes (ISOLET-
@@ -42,11 +43,14 @@ func benchSetup() (*hdc.Model, *intscore.Engine, []int8) {
 // class on the legacy path (expand to []float64, float64 dot per class —
 // what the server did before the integer engine) and on the integer-domain
 // engine. The engine sub-benchmarks are the zero-alloc serving paths the CI
-// benchmark gate holds at 0 allocs/op; the per-width ones time each kernel
-// at each plane width, and the paper ones the served models' geometry.
+// benchmark gate holds at 0 allocs/op: "intscore" times the int8 adapter,
+// which splits the query into planes first, and every other row the planes
+// entry the server scores with. The per-width ones time each kernel at
+// each plane width, and the paper ones the served models' geometry.
 func BenchmarkScoresPacked(b *testing.B) {
 	m, e, q := benchSetup()
 	out := make([]float64, m.NumClasses())
+	pq := intscore.Split(q)
 
 	b.Run("float64-expand", func(b *testing.B) {
 		b.ReportAllocs()
@@ -67,20 +71,22 @@ func BenchmarkScoresPacked(b *testing.B) {
 	b.Run("intscore-predict", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			e.PredictPacked(q)
+			vecmath.ArgMax(e.ScoresInto(pq, out))
 		}
 	})
 
 	// One engine per plane width at the same geometry, each timed on a
 	// bipolar query and a half-zero query. At int16 and int32 these take
-	// the dense and the gather kernel; int8 engines score both on the
-	// bit-plane kernel, here with 8 planes (|v| ≤ 100).
+	// the dense and the gather kernel, and the rows are named after them;
+	// int8 engines score both on the bit-plane kernel, here with 8 planes
+	// (|v| ≤ 100), and the rows are named after the query.
 	rng := rand.New(rand.NewSource(100))
 	dense, gather := make([]int8, len(q)), make([]int8, len(q))
 	for i := range dense {
 		dense[i] = int8(2*rng.Intn(2) - 1)
 		gather[i] = int8(rng.Intn(2) * (2*rng.Intn(2) - 1))
 	}
+	pdense, pgather := intscore.Split(dense), intscore.Split(gather)
 	for _, w := range []struct {
 		name string
 		mag  int
@@ -93,14 +99,15 @@ func BenchmarkScoresPacked(b *testing.B) {
 			}
 		}
 		we := intscore.Prepare(raw)
-		for _, k := range []struct {
-			name string
-			q    []int8
-		}{{"dense", dense}, {"gather", gather}} {
-			b.Run(w.name+"-"+k.name, func(b *testing.B) {
+		names := [2]string{"dense", "gather"}
+		if w.name == "int8" {
+			names = [2]string{"bipolar", "halfzero"}
+		}
+		for k, pq := range []intscore.Planes{pdense, pgather} {
+			b.Run(w.name+"-"+names[k], func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					we.ScoresPackedInto(k.q, out)
+					we.ScoresInto(pq, out)
 				}
 			})
 		}
@@ -125,12 +132,12 @@ func BenchmarkScoresPacked(b *testing.B) {
 	}
 	for _, k := range []struct {
 		name string
-		q    []int8
-	}{{"bipolar", dense}, {"masked", masked}} {
+		q    intscore.Planes
+	}{{"bipolar", pdense}, {"masked", intscore.Split(masked)}} {
 		b.Run("paper-"+k.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				pe.ScoresPackedInto(k.q, out)
+				pe.ScoresInto(k.q, out)
 			}
 		})
 	}

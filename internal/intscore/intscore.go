@@ -3,31 +3,32 @@
 // Eq. 4 without ever expanding the query back to float64.
 //
 // Prive-HD's offloaded queries are quantized onto the −2…+1 alphabet
-// (§III-B2/III-C) and travel packed as one int8 per dimension, yet a naive
-// server pays float bandwidth anyway: expand to []float64, then a float64
-// dot per class. This package removes both costs. The class prototypes a
-// model was trained from are sums of quantized (integer) encodings, and a
-// DP release rounds its noised classes to integers, so every served class
-// vector is integer-valued. Scoring a packed query is then a pure integer
-// dot per class, finished by one float division per class with the same
-// ℓ2 norm the float path divides by.
+// (§III-B2/III-C), yet a naive server pays float bandwidth anyway: expand
+// to []float64, then a float64 dot per class. This package removes both
+// costs. A quantized query has one form from the edge's encoder to these
+// kernels, Planes: the lo and hi bits of every symbol's 2-bit two's
+// complement (s = lo − 2·hi). ScoresPackedInto and PartialsPackedInto
+// remain as adapters for callers holding one int8 per dimension. The class
+// prototypes a model was trained from are sums of quantized (integer)
+// encodings, and a DP release rounds its noised classes to integers, so
+// every served class vector is integer-valued. Scoring a packed query is
+// then a pure integer dot per class, finished by one float division per
+// class with the same ℓ2 norm the float path divides by.
 //
 // Prepare picks the layout, and with it the kernel, from the class
 // magnitudes alone. When every coordinate fits int8 — every served model
 // does, since bundling keeps |v| < 32 — each class is stored as
-// B = bits.Len(max|v|)+1 two's-complement bit-planes, and the kernel
-// splits the query into the lo and hi bits of its 2-bit symbols
-// (s = lo − 2·hi) and sums popcnt(lo ∧ C_b) − 2·popcnt(hi ∧ C_b) at each
-// plane's weight (2^b, and −2^(B−1) for the top plane). Its cost does not
-// depend on the query's zero fraction. It reads only a symbol's two low
-// bits, so, as on every path, symbols outside the −2…+1 alphabet are
-// undefined behaviour; servers validate them at the wire. Wider classes
-// are laid out as cache-blocked int16 or int32 panels of 256 dimensions,
-// with two kernels written once and instantiated per width: a dense
-// 4-class-wide int64 multiply-accumulate for zero-poor (bipolar) queries,
-// and a multiplication-free gather over the non-zero symbols for
-// zero-rich ones (ternary, biased ternary, 2-bit, masked). Each query
-// takes whichever suits it. The popcount kernel's cost grows with B, so
+// B = bits.Len(max|v|)+1 two's-complement bit-planes, and the kernel sums
+// popcnt(lo ∧ C_b) − 2·popcnt(hi ∧ C_b) at each plane's weight (2^b, and
+// −2^(B−1) for the top plane). Its cost does not depend on the query's
+// zero fraction. Wider classes are laid out as cache-blocked int16 or
+// int32 panels of 256 dimensions, with two kernels written once and
+// instantiated per width: a dense 4-class-wide int64 multiply-accumulate
+// for zero-poor (bipolar) queries, which expands one block of the planes
+// to int8 symbols at a time, and a multiplication-free gather for
+// zero-rich ones (ternary, biased ternary, 2-bit, masked), which walks the
+// set bits of lo∧¬hi, lo∧hi and hi∧¬lo. Each query takes whichever suits
+// it. The popcount kernel's cost grows with B, so
 // at these widths it would lose to them. Integer sums are exact, so no
 // choice ever changes a score bit.
 //
@@ -61,7 +62,8 @@ import (
 
 // MinSymbol and MaxSymbol bound the packed-query alphabet: −2…+1 covers
 // every quantization scheme in the quant package (bipolar, ternary, biased
-// ternary and 2-bit). The offload protocol advertises the same bounds.
+// ternary and 2-bit), and is exactly what two bit-planes can spell. The
+// offload protocol advertises the same bounds.
 const (
 	MinSymbol int8 = -2
 	MaxSymbol int8 = 1
@@ -71,6 +73,7 @@ const (
 // few dozen classes, one block panel plus the query block stays within a
 // typical 32 KiB L1 data cache. It must not exceed 256: the gather kernel
 // indexes panel rows with uint8 (enforced by the constant conversion below).
+// It is a multiple of 64, so a block is a whole number of plane words.
 const blockDim = 256
 
 const _ = uint8(blockDim - 1) // compile-time guard for uint8 indices
@@ -84,6 +87,82 @@ const (
 	maxAbsVal  = 1 << 26
 )
 
+// Planes is a quantized query in the one form the serving path carries
+// from the edge's encoder to the scoring kernels: Bits holds Words(Dim)
+// lo-plane words, then Words(Dim) hi-plane words; bit i of word w is
+// dimension 64w+i, whose symbol is lo − 2·hi, and the bits past Dim are
+// zero. Two bits spell only −2…+1, so no other symbol can be carried.
+type Planes struct {
+	Dim  int
+	Bits []uint64
+}
+
+// Words returns the words one plane of a dim-dimensional query takes.
+func Words(dim int) int { return (dim + 63) / 64 }
+
+// NewPlanes returns an all-zero query of dim dimensions.
+func NewPlanes(dim int) Planes { return Planes{Dim: dim, Bits: make([]uint64, 2*Words(dim))} }
+
+// Lo returns the lo plane: the set bits are the odd symbols, +1 and −1.
+func (p Planes) Lo() []uint64 { n := Words(p.Dim); return p.Bits[:n:n] }
+
+// Hi returns the hi plane: the set bits are the negative symbols, −1 and −2.
+func (p Planes) Hi() []uint64 { n := Words(p.Dim); return p.Bits[n : 2*n : 2*n] }
+
+// Symbol returns dimension i's symbol.
+func (p Planes) Symbol(i int) int8 {
+	n := Words(p.Dim)
+	return int8(p.Bits[i/64]>>(i%64)&1) - 2*int8(p.Bits[n+i/64]>>(i%64)&1)
+}
+
+// And zeroes every dimension whose bit in keep (Words(Dim) words) is
+// clear: a query mask applied with one AND per word and plane.
+func (p Planes) And(keep []uint64) {
+	lo, hi := p.Lo(), p.Hi()
+	for w, k := range keep[:len(lo)] {
+		lo[w] &= k
+		hi[w] &= k
+	}
+}
+
+// Split returns q's planes in a new allocation; see SplitInto.
+func Split(q []int8) Planes {
+	p := NewPlanes(len(q))
+	SplitInto(q, p)
+	return p
+}
+
+// SplitInto overwrites p (Dim len(q)) with the planes of q, one int8 per
+// dimension: the one int8→planes conversion, behind every int8 adapter.
+// Only a symbol's two low bits are read, so callers taking int8 symbols
+// from outside validate them first.
+func SplitInto(q []int8, p Planes) {
+	if p.Dim != len(q) {
+		panic(fmt.Sprintf("intscore: %d symbols split into planes of dim %d", len(q), p.Dim))
+	}
+	lo, hi := p.Lo(), p.Hi()
+	full := len(q) / 64
+	for w := 0; w < full; w++ {
+		var l, h uint64
+		for g := 0; g < 8; g++ {
+			s := q[64*w+8*g : 64*w+8*g+8 : 64*w+8*g+8]
+			x := uint64(uint8(s[0])) | uint64(uint8(s[1]))<<8 | uint64(uint8(s[2]))<<16 | uint64(uint8(s[3]))<<24 |
+				uint64(uint8(s[4]))<<32 | uint64(uint8(s[5]))<<40 | uint64(uint8(s[6]))<<48 | uint64(uint8(s[7]))<<56
+			l |= bitOfBytes(x, 0) << (8 * g)
+			h |= bitOfBytes(x, 1) << (8 * g)
+		}
+		lo[w], hi[w] = l, h
+	}
+	if full < len(lo) {
+		var l, h uint64
+		for i, s := range q[64*full:] {
+			l |= uint64(s&1) << i
+			h |= uint64(s>>1&1) << i
+		}
+		lo[full], hi[full] = l, h
+	}
+}
+
 // element is a wide class panel's integer type.
 type element interface{ ~int16 | ~int32 }
 
@@ -92,7 +171,7 @@ type element interface{ ~int16 | ~int32 }
 // instantiation per element width, the wider ones; the engine holds the
 // one Prepare picked.
 type kernels interface {
-	accumulate(q []int8, acc []int64, s *engineScratch)
+	accumulate(q Planes, acc []int64, s *engineScratch)
 }
 
 // panels holds the classes block-major then row-major:
@@ -100,8 +179,8 @@ type kernels interface {
 // [b·blockDim, (b+1)·blockDim) of class l. The tail block is zero-padded.
 type panels[T element] []T
 
-// Engine scores packed queries against one model's prepared class planes.
-// It is immutable after Prepare and safe for concurrent use.
+// Engine scores quantized queries against one model's prepared class
+// planes. It is immutable after Prepare and safe for concurrent use.
 type Engine struct {
 	dim     int
 	classes int
@@ -125,11 +204,12 @@ type Engine struct {
 
 // engineScratch is one call's pooled working set.
 type engineScratch struct {
-	acc    []int64
-	scores []float64
-	// lo/hi are the query's bit-planes, one word per 64 dimensions, on the
-	// bit-plane path.
-	lo, hi []uint64
+	acc []int64
+	// q holds an int8 adapter's query once split into planes.
+	q Planes
+	// sym is one block of the query expanded to symbols, on the dense
+	// path.
+	sym [blockDim]int8
 	// pos/neg/neg2 are block-local index lists of the query's +1/−1/−2
 	// symbols, rebuilt per block on the gather path. Elements are uint8 —
 	// a block index always fits — so the gather kernel can prove every
@@ -217,61 +297,48 @@ func (e *Engine) getScratch() *engineScratch {
 	if s, ok := e.scratch.Get().(*engineScratch); ok {
 		return s
 	}
-	words := (e.dim + 63) / 64
 	return &engineScratch{
-		acc:    make([]int64, e.classes),
-		scores: make([]float64, e.classes),
-		lo:     make([]uint64, words),
-		hi:     make([]uint64, words),
+		acc: make([]int64, e.classes),
+		q:   NewPlanes(e.dim),
 	}
 }
 
-// ScoresPackedInto writes the norm-adjusted similarity of the packed query
-// against every class into out (length NumClasses) and returns out — the
-// packed-domain twin of hdc.Model.ScoresInto, with no float64 expansion of
-// the query and zero heap allocations. Symbols must already be within the
-// protocol alphabet; the engine does not re-validate them (the server does
-// at the wire). Empty classes score −Inf so they never win the argmax.
-func (e *Engine) ScoresPackedInto(q []int8, out []float64) []float64 {
-	if len(q) != e.dim {
-		panic(fmt.Sprintf("intscore: query has dim %d, engine dim %d", len(q), e.dim))
-	}
-	if len(out) != e.classes {
-		panic(fmt.Sprintf("intscore: scores buffer has %d slots, engine has %d classes", len(out), e.classes))
-	}
+// ScoresInto writes the norm-adjusted similarity of the query against
+// every class into out (length NumClasses) and returns out — the
+// integer-domain twin of hdc.Model.ScoresInto on the query's float64
+// expansion, with zero heap allocations. Empty classes score −Inf so they
+// never win the argmax.
+func (e *Engine) ScoresInto(q Planes, out []float64) []float64 {
+	e.check(q.Dim, len(q.Bits), len(out))
 	s := e.getScratch()
-	e.scoresInto(q, out, s)
-	e.scratch.Put(s)
-	return out
-}
-
-// PredictPacked returns the argmax label for the packed query, scoring into
-// pooled scratch — the fully allocation-free serving path for callers that
-// do not need the per-class scores.
-func (e *Engine) PredictPacked(q []int8) int {
-	if len(q) != e.dim {
-		panic(fmt.Sprintf("intscore: query has dim %d, engine dim %d", len(q), e.dim))
-	}
-	s := e.getScratch()
-	e.scoresInto(q, s.scores, s)
-	label := vecmath.ArgMax(s.scores)
-	e.scratch.Put(s)
-	return label
-}
-
-// scoresInto scores q into out using the caller's scratch.
-func (e *Engine) scoresInto(q []int8, out []float64, s *engineScratch) {
-	acc := s.acc
-	for l := range acc {
-		acc[l] = 0
-	}
-	e.planes.accumulate(q, acc, s)
+	acc := e.partialsInto(q, s.acc, s)
 	for l, n := range e.norms {
 		if n == 0 {
 			out[l] = math.Inf(-1)
 			continue
 		}
 		out[l] = float64(acc[l]) / n
+	}
+	e.scratch.Put(s)
+	return out
+}
+
+// ScoresPackedInto is ScoresInto for a query held one symbol per byte: it
+// splits q into pooled planes and scores those. Symbols must already be
+// within the alphabet; the engine does not re-validate them.
+func (e *Engine) ScoresPackedInto(q []int8, out []float64) []float64 {
+	s := e.getScratch()
+	defer e.scratch.Put(s)
+	SplitInto(q, s.q)
+	return e.ScoresInto(s.q, out)
+}
+
+// check panics unless a query of dim dimensions in words plane words and
+// an out buffer of n slots fit the engine.
+func (e *Engine) check(dim, words, n int) {
+	if dim != e.dim || words != 2*Words(e.dim) || n != e.classes {
+		panic(fmt.Sprintf("intscore: query of dim %d in %d words, %d output slots; engine has dim %d, %d classes",
+			dim, words, n, e.dim, e.classes))
 	}
 }
 
@@ -285,24 +352,33 @@ func (e *Engine) PartialCapable() bool { return e != nil }
 // engine's backing storage: read-only.
 func (e *Engine) NormsSq() []float64 { return e.normsSq }
 
-// PartialsPackedInto writes the raw integer dot ⟨q, C_l⟩ for every class
-// into out (length NumClasses) and returns out — the sharded-serving
-// primitive: a replica holding a dimension slice of the model scores its
-// slice of the query, and the coordinator sums the int64 partials across
-// shards (exactly) before the single norm division.
-func (e *Engine) PartialsPackedInto(q []int8, out []int64) []int64 {
-	if len(q) != e.dim {
-		panic(fmt.Sprintf("intscore: query has dim %d, engine dim %d", len(q), e.dim))
-	}
-	if len(out) != e.classes {
-		panic(fmt.Sprintf("intscore: partials buffer has %d slots, engine has %d classes", len(out), e.classes))
-	}
-	for l := range out {
-		out[l] = 0
-	}
+// PartialsInto writes the raw integer dot ⟨q, C_l⟩ for every class into
+// out (length NumClasses) and returns out — the sharded-serving primitive:
+// a replica holding a dimension slice of the model scores its slice of the
+// query, and the coordinator sums the int64 partials across shards
+// (exactly) before the single norm division.
+func (e *Engine) PartialsInto(q Planes, out []int64) []int64 {
+	e.check(q.Dim, len(q.Bits), len(out))
 	s := e.getScratch()
-	e.planes.accumulate(q, out, s)
+	e.partialsInto(q, out, s)
 	e.scratch.Put(s)
+	return out
+}
+
+// PartialsPackedInto is PartialsInto for a query held one symbol per byte,
+// split into pooled planes like ScoresPackedInto's.
+func (e *Engine) PartialsPackedInto(q []int8, out []int64) []int64 {
+	s := e.getScratch()
+	defer e.scratch.Put(s)
+	SplitInto(q, s.q)
+	return e.PartialsInto(s.q, out)
+}
+
+// partialsInto zeroes out, accumulates q's class dots into it and
+// returns it.
+func (e *Engine) partialsInto(q Planes, out []int64, s *engineScratch) []int64 {
+	clear(out)
+	e.planes.accumulate(q, out, s)
 	return out
 }
 
@@ -319,9 +395,9 @@ type bitPlanes struct {
 // newBitPlanes copies classes, whose coordinates all fit b-bit two's
 // complement, into b bit-planes per class. It packs eight coordinates'
 // int8 bytes into one word, so each plane takes their bit j eight at a
-// time, as splitPlanes does with the query's symbols.
+// time, as SplitInto does with a query's symbols.
 func newBitPlanes(classes [][]float64, b int) bitPlanes {
-	words := (len(classes[0]) + 63) / 64
+	words := Words(len(classes[0]))
 	bp := bitPlanes{b: b, words: words, p: make([]uint64, len(classes)*b*words)}
 	for l, c := range classes {
 		row := bp.p[l*b*words : (l+1)*b*words]
@@ -340,17 +416,14 @@ func newBitPlanes(classes [][]float64, b int) bitPlanes {
 
 // accumulate is the bit-plane kernel — the paper's observation that a
 // quantized query turns the associative search into bit logic
-// (§III-B2 / Table I): AND, then popcount. It splits the query into the
-// lo and hi planes of its 2-bit two's-complement symbols (s = lo − 2·hi),
-// so each class plane c contributes popcnt(lo ∧ c) − 2·popcnt(hi ∧ c) at
-// the plane's weight. The sums are exact integers, and the cost does not
-// depend on the query's zero fraction. Planes go two at a time, so each
-// query word loaded feeds four popcounts; an odd last plane is paired with
-// itself.
-func (bp bitPlanes) accumulate(q []int8, acc []int64, s *engineScratch) {
+// (§III-B2 / Table I): AND, then popcount. With s = lo − 2·hi, each class
+// plane c contributes popcnt(lo ∧ c) − 2·popcnt(hi ∧ c) at the plane's
+// weight. The sums are exact integers, and the cost does not depend on
+// the query's zero fraction. Planes go two at a time, so each query word
+// loaded feeds four popcounts; an odd last plane is paired with itself.
+func (bp bitPlanes) accumulate(q Planes, acc []int64, _ *engineScratch) {
 	ws := bp.words
-	lo, hi := s.lo[:ws], s.hi[:ws]
-	splitPlanes(q, lo, hi)
+	lo, hi := q.Lo(), q.Hi()
 	stride := bp.b * ws
 	for l := range acc {
 		row := bp.p[l*stride : (l+1)*stride]
@@ -396,64 +469,57 @@ const (
 // bit i.
 func bitOfBytes(x uint64, j int) uint64 { return (x >> j & lsbMask) * lsbGather >> 56 }
 
-// splitPlanes writes q's lo and hi bit-planes, 64 symbols per word: bit i
-// of a word is bit 0 (lo) or bit 1 (hi) of its symbol. Only a symbol's two
-// low bits are read, so symbols outside −2…+1 score as whatever those
-// bits spell.
-func splitPlanes(q []int8, lo, hi []uint64) {
-	full := len(q) / 64
-	for w := 0; w < full; w++ {
-		var l, h uint64
-		for g := 0; g < 8; g++ {
-			s := q[64*w+8*g : 64*w+8*g+8 : 64*w+8*g+8]
-			x := uint64(uint8(s[0])) | uint64(uint8(s[1]))<<8 | uint64(uint8(s[2]))<<16 | uint64(uint8(s[3]))<<24 |
-				uint64(uint8(s[4]))<<32 | uint64(uint8(s[5]))<<40 | uint64(uint8(s[6]))<<48 | uint64(uint8(s[7]))<<56
-			l |= bitOfBytes(x, 0) << (8 * g)
-			h |= bitOfBytes(x, 1) << (8 * g)
-		}
-		lo[w], hi[w] = l, h
-	}
-	if full < len(lo) {
-		var l, h uint64
-		for i, s := range q[64*full:] {
-			l |= uint64(s&1) << i
-			h |= uint64(s>>1&1) << i
-		}
-		lo[full], hi[full] = l, h
-	}
+// spreadBits is bitOfBytes' inverse for the low byte b: byte i of the
+// result is bit i of b. Replicating b isolates bit i in byte i, and adding
+// 0x7F moves any set bit of a byte to its top bit, with no carry out.
+func spreadBits(b uint64) uint64 {
+	return ((b * lsbMask & 0x8040201008040201) + 0x7F7F7F7F7F7F7F7F) >> 7 & lsbMask
 }
 
-// accumulate picks the panel kernel for q. Count zero symbols
-// branchlessly ((sym|−sym)>>7&1 is 1 iff sym≠0) over a leading sample —
-// rank-based quantization scatters its zeros across positions, so a prefix
-// is representative, and the choice only affects speed, never the (exact)
-// result. Queries with an appreciable zero fraction — the paper's ternary,
-// biased-ternary and 2-bit schemes — take the gather kernel that indexes
-// only the non-zero symbols and needs no multiplies; zero-poor (bipolar)
-// queries keep the dense multiply-accumulate kernel.
-func (p panels[T]) accumulate(q []int8, acc []int64, s *engineScratch) {
-	sample := min(len(q), 512)
+// accumulate picks the panel kernel for q by the non-zero count of its
+// first 512 dimensions (lo ∨ hi marks them) — rank-based quantization
+// scatters its zeros across positions, so a prefix is representative, and
+// the choice only affects speed, never the (exact) result. Queries with an
+// appreciable zero fraction — the paper's ternary, biased-ternary and
+// 2-bit schemes — take the gather kernel that indexes only the non-zero
+// symbols and needs no multiplies; zero-poor (bipolar) queries keep the
+// dense multiply-accumulate kernel.
+func (p panels[T]) accumulate(q Planes, acc []int64, s *engineScratch) {
+	lo, hi := q.Lo(), q.Hi()
 	nonzero := 0
-	for _, sym := range q[:sample] {
-		nonzero += int((sym | -sym) >> 7 & 1)
+	for w := range lo[:min(len(lo), 512/64)] {
+		nonzero += bits.OnesCount64(lo[w] | hi[w])
 	}
-	if sample-nonzero >= sample/8 {
-		p.gather(q, acc, s)
+	if sample := min(q.Dim, 512); sample-nonzero >= sample/8 {
+		p.gather(lo, hi, acc, s)
 	} else {
-		p.dense(q, acc)
+		p.dense(q.Dim, lo, hi, acc, s)
 	}
 }
 
 // dense walks the blocked panels so each query block is reused across all
-// classes while it is hot in L1. Classes are consumed four at a time: each
-// loaded (and sign-extended) query symbol feeds four multiply-accumulates,
-// which is what pushes the kernel past the float path rather than merely
-// matching it.
-func (p panels[T]) dense(q []int8, acc []int64) {
+// classes while it is hot in L1. Each block of the planes is expanded to
+// int8 symbols in scratch once, then classes are consumed four at a time:
+// each loaded (and sign-extended) query symbol feeds four multiply-
+// accumulates, which is what pushes the kernel past the float path rather
+// than merely matching it.
+func (p panels[T]) dense(dim int, lo, hi []uint64, acc []int64, s *engineScratch) {
 	const bd = blockDim
-	for base, off := 0, 0; off < len(q); base, off = base+len(acc)*bd, off+bd {
-		qb := q[off:min(off+bd, len(q))]
-		n := len(qb)
+	for base, off := 0, 0; off < dim; base, off = base+len(acc)*bd, off+bd {
+		n := min(bd, dim-off)
+		for k := 0; k < bd; k += 8 {
+			w, sh := (off+k)/64, uint(k%64)
+			if w >= len(lo) {
+				break
+			}
+			// A set hi bit spreads to the byte 0xFE (−2) and a set lo bit
+			// to 0x01 (+1), so their OR spells each symbol's byte.
+			x := spreadBits(lo[w]>>sh&0xFF) | spreadBits(hi[w]>>sh&0xFF)*0xFE
+			d := (*[8]int8)(s.sym[k:])
+			d[0], d[1], d[2], d[3] = int8(x), int8(x>>8), int8(x>>16), int8(x>>24)
+			d[4], d[5], d[6], d[7] = int8(x>>32), int8(x>>40), int8(x>>48), int8(x>>56)
+		}
+		qb := s.sym[:n]
 		k := 0
 		for ; k+4 <= len(acc); k += 4 {
 			at := base + k*bd
@@ -471,21 +537,26 @@ func (p panels[T]) dense(q []int8, acc []int64) {
 }
 
 // gather is the multiplication-free kernel for queries with an appreciable
-// zero fraction: per block it partitions the query symbols into +1/−1/−2
-// index lists once (shared by every class), then each class row needs only
-// indexed loads and adds — Σ s·p = Σ_{+1} p − Σ_{−1} p − 2·Σ_{−2} p — and
-// zero symbols cost nothing at all. This is the software form of the
-// paper's hardware observation that a quantized query turns the
-// associative-memory search into adder trees (§III-B2 / Table I). Indices
-// are uint8 against *[blockDim]-array rows (the layout zero-pads the tail
-// block to a full panel), so every access is provably in bounds and the
-// kernel carries no checks. Symbols outside the −2…+1 alphabet are
-// undefined behaviour for the engine (servers validate at the wire); this
-// path treats them as −2.
-func (p panels[T]) gather(q []int8, acc []int64, s *engineScratch) {
-	const bd = blockDim
-	for base, off := 0, 0; off < len(q); base, off = base+len(acc)*bd, off+bd {
-		pos, neg, neg2 := s.partition(q[off:min(off+bd, len(q))])
+// zero fraction: per block it lists the +1/−1/−2 dimensions once (shared
+// by every class) by walking the set bits of lo∧¬hi, lo∧hi and hi∧¬lo,
+// then each class row needs only indexed loads and adds —
+// Σ s·p = Σ_{+1} p − Σ_{−1} p − 2·Σ_{−2} p — and zero symbols cost nothing
+// at all. This is the software form of the paper's hardware observation
+// that a quantized query turns the associative-memory search into adder
+// trees (§III-B2 / Table I). Indices are uint8 against *[blockDim]-array
+// rows (the layout zero-pads the tail block to a full panel), so every
+// access is provably in bounds and the kernel carries no checks.
+func (p panels[T]) gather(lo, hi []uint64, acc []int64, s *engineScratch) {
+	const bd, wpb = blockDim, blockDim / 64
+	for base, w := 0, 0; w < len(lo); base, w = base+len(acc)*bd, w+wpb {
+		np, nn, n2 := 0, 0, 0
+		for k := range lo[w:min(w+wpb, len(lo))] {
+			l, h := lo[w+k], hi[w+k]
+			np = setBits(&s.pos, np, l&^h, 64*k)
+			nn = setBits(&s.neg, nn, l&h, 64*k)
+			n2 = setBits(&s.neg2, n2, h&^l, 64*k)
+		}
+		pos, neg, neg2 := s.pos[:np], s.neg[:nn], s.neg2[:n2]
 		k := 0
 		for ; k+4 <= len(acc); k += 4 {
 			at := base + k*bd
@@ -508,24 +579,14 @@ func (p panels[T]) gather(q []int8, acc []int64, s *engineScratch) {
 	}
 }
 
-// partition splits one query block's symbols into +1/−1/−2 index lists
-// branchlessly: the symbol's sign and low bits select which list's cursor
-// advances, and every list unconditionally records the index at its
-// cursor — random symbols would make a branchy switch mispredict on nearly
-// every element.
-func (s *engineScratch) partition(qb []int8) (pos, neg, neg2 []uint8) {
-	const bd = blockDim
-	np, nn, n2 := 0, 0, 0
-	for j, sym := range qb {
-		s.pos[np&(bd-1)] = uint8(j)
-		s.neg[nn&(bd-1)] = uint8(j)
-		s.neg2[n2&(bd-1)] = uint8(j)
-		isNeg := int(sym>>7) & 1  // 1 for −1/−2
-		np += int(sym&1) &^ isNeg // odd and non-negative → +1
-		nn += int(sym&1) & isNeg  // odd and negative → −1
-		n2 += int(^sym&1) & isNeg // even and negative → −2
+// setBits appends base plus the index of every set bit of x to list, whose
+// first n entries are taken, and returns the new length.
+func setBits(list *[blockDim]uint8, n int, x uint64, base int) int {
+	for ; x != 0; x &= x - 1 {
+		list[n&(blockDim-1)] = uint8(base + bits.TrailingZeros64(x))
+		n++
 	}
-	return s.pos[:np], s.neg[:nn], s.neg2[:n2]
+	return n
 }
 
 // dot4 multiply-accumulates one query block against four class rows at
@@ -591,17 +652,17 @@ func gather1[T element](idx []uint8, p *[blockDim]T) (s int64) {
 	return
 }
 
-// DotPacked returns Σ q[i]·c[i] without expanding q, accumulated in index
+// DotPlanes returns Σ q[i]·c[i] without expanding q, accumulated in index
 // order with a single accumulator so the result is bit-identical to
 // vecmath.Dot on the float64 expansion of q — hdc.Model's kernel for the
 // non-integer models Prepare refuses.
-func DotPacked(q []int8, c []float64) float64 {
-	if len(q) != len(c) {
-		panic("intscore: DotPacked length mismatch")
+func DotPlanes(q Planes, c []float64) float64 {
+	if q.Dim != len(c) {
+		panic("intscore: DotPlanes length mismatch")
 	}
 	var s float64
-	for i, v := range q {
-		s += float64(v) * c[i]
+	for i, v := range c {
+		s += float64(q.Symbol(i)) * v
 	}
 	return s
 }

@@ -94,8 +94,8 @@ func checkClose(t *testing.T, got, want []float64) {
 
 // TestEquivalence sweeps geometries that do and do not divide the block
 // size, every packed alphabet, all three plane widths, and zero-norm
-// classes, asserting ScoresPackedInto matches the float64-expansion
-// reference.
+// classes, asserting the planes entry and the int8 adapter both match the
+// float64-expansion reference.
 func TestEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	dims := []int{1, 3, 7, 63, 64, 255, 256, 257, 1000, 4001}
@@ -109,8 +109,9 @@ func TestEquivalence(t *testing.T) {
 					t.Fatalf("%s dim=%d %s: Prepare refused an integer model", name, dim, magName)
 				}
 				q := randPacked(rng, dim, alphabet)
-				got := e.ScoresPackedInto(q, make([]float64, len(classes)))
-				checkClose(t, got, refScores(classes, q))
+				want := refScores(classes, q)
+				checkClose(t, e.ScoresInto(intscore.Split(q), make([]float64, len(classes))), want)
+				checkClose(t, e.ScoresPackedInto(q, make([]float64, len(classes))), want)
 			}
 		}
 	}
@@ -182,7 +183,7 @@ func TestPrepareExactnessBound(t *testing.T) {
 }
 
 // TestBitIdenticalToModel asserts the strongest form of the contract: on a
-// precomputed hdc.Model with integer class vectors, ScoresPackedInto is
+// precomputed hdc.Model with integer class vectors, ScoresPlanesInto is
 // bit-for-bit identical to ScoresInto on the expanded query.
 func TestBitIdenticalToModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
@@ -215,7 +216,7 @@ func checkModelBitIdentical(t *testing.T, rng *rand.Rand, m *hdc.Model, trials i
 			v[i] = float64(s)
 		}
 		want := m.ScoresInto(v, make([]float64, m.NumClasses()))
-		got := m.ScoresPackedInto(q, make([]float64, m.NumClasses()))
+		got := m.ScoresPlanesInto(intscore.Split(q), make([]float64, m.NumClasses()))
 		for l := range want {
 			if got[l] != want[l] {
 				t.Fatalf("trial %d class %d: packed %v != float %v", trial, l, got[l], want[l])
@@ -245,7 +246,7 @@ func TestModelMutationDropsScorer(t *testing.T) {
 	}
 	q := randPacked(rng, 64, []int8{-1, 0, 1})
 	classes := [][]float64{m.Class(0), m.Class(1), m.Class(2)}
-	checkClose(t, m.ScoresPackedInto(q, make([]float64, 3)), refScores(classes, q))
+	checkClose(t, m.ScoresPlanesInto(intscore.Split(q), make([]float64, 3)), refScores(classes, q))
 	m.Precompute()
 	if m.PackedScorer() == nil {
 		t.Fatal("no scorer after re-Precompute")
@@ -300,8 +301,9 @@ func TestPackInto(t *testing.T) {
 	}
 }
 
-// TestZeroAllocScoring pins the hot-path allocation contract: ScoresPacked-
-// Into with a caller buffer and PredictPacked allocate nothing per query.
+// TestZeroAllocScoring pins the hot-path allocation contract: ScoresInto,
+// PartialsInto and the int8 adapter ScoresPackedInto, each with a caller
+// buffer, allocate nothing per query.
 func TestZeroAllocScoring(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under the race detector")
@@ -309,32 +311,42 @@ func TestZeroAllocScoring(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	classes := randIntClasses(rng, 26, 4000, 1000, false)
 	e := intscore.Prepare(classes)
-	out := make([]float64, 26)
+	out, partials := make([]float64, 26), make([]int64, 26)
 	for _, alphabet := range [][]int8{{-2, -1, 0, 1}, {-1, 1}} { // gather, dense
 		q := randPacked(rng, 4000, alphabet)
+		pq := intscore.Split(q)
+		if n := testing.AllocsPerRun(50, func() { e.ScoresInto(pq, out) }); n != 0 {
+			t.Fatalf("ScoresInto allocates %v per op, want 0", n)
+		}
+		if n := testing.AllocsPerRun(50, func() { e.PartialsInto(pq, partials) }); n != 0 {
+			t.Fatalf("PartialsInto allocates %v per op, want 0", n)
+		}
 		if n := testing.AllocsPerRun(50, func() { e.ScoresPackedInto(q, out) }); n != 0 {
 			t.Fatalf("ScoresPackedInto allocates %v per op, want 0", n)
-		}
-		if n := testing.AllocsPerRun(50, func() { e.PredictPacked(q) }); n != 0 {
-			t.Fatalf("PredictPacked allocates %v per op, want 0", n)
 		}
 	}
 }
 
 // FuzzScoresPacked fuzzes the packed alphabet against the float64-expansion
-// reference on two fixed integer models with one zero class each: an
-// int16-width one (|v| ≤ 2000) and an int8-width one (|v| ≤ 31). Every
-// input is scored on both, so it reaches all three kernels: on the int16
-// engine the all-±1 seed takes the dense one and the zero-rich seed the
-// gather one; the int8 engine scores every input on its bit-planes. At dim
-// 97 the last query word is partial.
+// reference on three fixed integer models with one zero class each, one
+// per class width: int32 (|v| ≤ 2^20), int16 (|v| ≤ 2000) and int8
+// (|v| ≤ 31). Every input is scored on each through the planes entry and
+// the int8 adapter, so it reaches every kernel: on the int16 and int32
+// engines the all-±1 seed takes the dense one (expanding the planes a
+// block at a time) and the zero-rich seed the gather one (walking their
+// set bits); the int8 engine scores every input on its bit-planes. At dim
+// 97 the last query word is partial, and the dim is no multiple of 64.
 func FuzzScoresPacked(f *testing.F) {
 	const dim = 97
 	rng := rand.New(rand.NewSource(8))
 	wide := randIntClasses(rng, 4, dim, 2000, true)
 	narrow := randIntClasses(rng, 4, dim, 31, true)
-	engines := []*intscore.Engine{intscore.Prepare(wide), intscore.Prepare(narrow)}
-	models := [][][]float64{wide, narrow}
+	widest := randIntClasses(rng, 4, dim, 1<<20, true)
+	models := [][][]float64{wide, narrow, widest}
+	engines := make([]*intscore.Engine, len(models))
+	for k, m := range models {
+		engines[k] = intscore.Prepare(m)
+	}
 	f.Add([]byte{0, 1, 2, 3, 255})
 	f.Add(make([]byte, dim))
 	f.Add([]byte{1, 3, 3, 1, 3})    // −1/+1 only: dense
@@ -348,9 +360,11 @@ func FuzzScoresPacked(f *testing.F) {
 			}
 			q[i] = int8(b%4) - 2 // map every byte into −2…+1
 		}
+		pq := intscore.Split(q)
 		for k, e := range engines {
-			got := e.ScoresPackedInto(q, make([]float64, len(models[k])))
-			checkClose(t, got, refScores(models[k], q))
+			want := refScores(models[k], q)
+			checkClose(t, e.ScoresInto(pq, make([]float64, len(models[k]))), want)
+			checkClose(t, e.ScoresPackedInto(q, make([]float64, len(models[k]))), want)
 		}
 	})
 }

@@ -11,8 +11,8 @@ import (
 
 // panelKernels is the pair of kernels a panels instantiation carries.
 type panelKernels interface {
-	dense(q []int8, acc []int64)
-	gather(q []int8, acc []int64, s *engineScratch)
+	dense(dim int, lo, hi []uint64, acc []int64, s *engineScratch)
+	gather(lo, hi []uint64, acc []int64, s *engineScratch)
 }
 
 // TestDenseMatchesGather requires every kernel to produce the exact int64
@@ -61,9 +61,9 @@ func TestDenseMatchesGather(t *testing.T) {
 						}
 					}
 					dense, gather := make([]int64, nclasses), make([]int64, nclasses)
-					p := e.planes.(panelKernels)
-					p.dense(q, dense)
-					p.gather(q, gather, e.getScratch())
+					p, pq := e.planes.(panelKernels), Split(q)
+					p.dense(dim, pq.Lo(), pq.Hi(), dense, e.getScratch())
+					p.gather(pq.Lo(), pq.Hi(), gather, e.getScratch())
 					for l := range want {
 						if dense[l] != want[l] || gather[l] != want[l] {
 							t.Fatalf("%s class %d: dense %d, gather %d, want %d", name, l, dense[l], gather[l], want[l])
@@ -80,8 +80,8 @@ func TestDenseMatchesGather(t *testing.T) {
 // b = bits.Len(mag)+1 takes every value from 1 to 8 and each count's
 // largest and smallest representable magnitudes are both scored. Dims
 // cover a partial word, exact words and a word plus a tail. The kernel
-// must add into acc, and must not read query planes left in the scratch
-// by an earlier call.
+// must add into acc, and must not read a query left in the scratch by an
+// earlier call.
 func testBitPlanes(t *testing.T, rng *rand.Rand) {
 	for _, mag := range []int64{0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 126, 127} {
 		for _, scheme := range quant.Schemes() {
@@ -121,10 +121,10 @@ func testBitPlanes(t *testing.T, rng *rand.Rand) {
 						}
 					}
 					s := e.getScratch()
-					for w := range s.lo {
-						s.lo[w], s.hi[w] = ^uint64(0), ^uint64(0)
+					for w := range s.q.Bits {
+						s.q.Bits[w] = ^uint64(0)
 					}
-					p.accumulate(q, got, s)
+					p.accumulate(Split(q), got, s)
 					for l := range want {
 						if got[l] != want[l] {
 							t.Fatalf("%s class %d: bit-planes %d, want %d", name, l, got[l]-bias, want[l]-bias)

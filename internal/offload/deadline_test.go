@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"privehd/internal/hdc"
+	"privehd/internal/intscore"
 )
 
 // manyClassModel is slow enough that a large batch's scoring visibly outlasts a
@@ -250,7 +251,7 @@ func BenchmarkPredictWithDeadline(b *testing.B) {
 	// allocation-free: it runs on every frame of every deadlined call.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
-	req := Request{Queries: []Query{{Packed: []int8{1, 0, 0, 0}}}}
+	req := Request{Queries: []Query{{Packed: intscore.Split([]int8{1, 0, 0, 0})}}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"privehd/internal/intscore"
 	"privehd/internal/registry"
 )
 
@@ -44,8 +45,8 @@ var fuzzModels = []string{"int", "fractional", "missing"}
 // fuzzRequest decodes fuzz inputs into a frame. Each query's shape byte
 // (shape rotated by the query index) picks its wire form: bit 0 a Vector
 // instead of Packed, bit 1 both, bit 2 a wrong dimension, bit 3 neither
-// field. Packed symbols and vector values cycle through symbols, so they
-// may fall outside the −2…+1 alphabet.
+// field. Packed symbols and vector values cycle through symbols; a byte
+// outside the −2…+1 alphabet keeps only its two low bits in the planes.
 func fuzzRequest(op, n, shape uint8, budget int64, symbols []byte, dim int) Request {
 	req := Request{ID: 1, Op: fuzzOps[int(op)%len(fuzzOps)], BudgetNs: budget}
 	batch := int(n) % (fuzzMaxBatch + 3)
@@ -67,11 +68,11 @@ func fuzzRequest(op, n, shape uint8, budget int64, symbols []byte, dim int) Requ
 		switch {
 		case qs&8 != 0:
 		case qs&2 != 0:
-			q = Query{Vector: vector, Packed: packed}
+			q = Query{Vector: vector, Packed: intscore.Split(packed)}
 		case qs&1 != 0:
 			q = Query{Vector: vector}
 		default:
-			q = Query{Packed: packed}
+			q = Query{Packed: intscore.Split(packed)}
 		}
 		req.Queries = append(req.Queries, q)
 	}
@@ -90,7 +91,7 @@ func FuzzAnswer(f *testing.F) {
 	f.Add(uint8(3), uint8(0), uint8(0), uint8(0), int64(0), valid)     // list models
 	f.Add(uint8(4), uint8(0), uint8(1), uint8(0), int64(0), valid)     // codeBadOp
 	f.Add(uint8(0), uint8(0), uint8(6), uint8(0), int64(0), valid)     // codeBatch
-	f.Add(uint8(0), uint8(0), uint8(2), uint8(0), int64(0), []byte{5}) // codeSymbol
+	f.Add(uint8(0), uint8(0), uint8(2), uint8(0), int64(0), []byte{5}) // a byte past the alphabet
 	f.Add(uint8(0), uint8(0), uint8(1), uint8(4), int64(0), valid)     // codeDim
 	f.Add(uint8(0), uint8(0), uint8(1), uint8(8), int64(0), valid)     // codeDim, empty query
 	f.Add(uint8(1), uint8(0), uint8(1), uint8(1), int64(0), valid)     // codePartial: Vector query
@@ -195,7 +196,7 @@ func FuzzServerFrame(f *testing.F) {
 	const dim = 8
 	limit := requestCap(dim, fuzzMaxBatch)
 	must := mustFrame(f)
-	packed := Query{Packed: []int8{1, 0, -1, -2, 1, 1, 0, -1}}
+	packed := Query{Packed: intscore.Split([]int8{1, 0, -1, -2, 1, 1, 0, -1})}
 	vector := Query{Vector: []float64{0.5, 0, -1, 2, 0, 0, 1, 0}}
 	for _, req := range []Request{
 		{ID: 1, Queries: []Query{packed, packed}},                  // classify
@@ -204,10 +205,10 @@ func FuzzServerFrame(f *testing.F) {
 		{ID: 4, Op: OpPing},       // ping
 		{ID: 5, Op: OpListModels}, // list models
 		{ID: 6, Op: 200},          // codeBadOp
-		{ID: 7, Queries: []Query{packed, packed, packed, packed, packed}}, // codeBatch
-		{ID: 8, Queries: []Query{{Packed: []int8{1, 0, 1}}}},              // codeDim
-		{ID: 9, Op: OpPartialScores, Queries: []Query{vector}},            // codePartial
-		{ID: 10, Queries: []Query{packed}, BudgetNs: 1},                   // codeDeadline
+		{ID: 7, Queries: []Query{packed, packed, packed, packed, packed}},    // codeBatch
+		{ID: 8, Queries: []Query{{Packed: intscore.Split([]int8{1, 0, 1})}}}, // codeDim
+		{ID: 9, Op: OpPartialScores, Queries: []Query{vector}},               // codePartial
+		{ID: 10, Queries: []Query{packed}, BudgetNs: 1},                      // codeDeadline
 	} {
 		f.Add(must(appendRequest(nil, &req)))
 	}

@@ -8,6 +8,7 @@ import (
 
 	"privehd/internal/cluster"
 	"privehd/internal/hdc"
+	"privehd/internal/intscore"
 	"privehd/internal/offload"
 )
 
@@ -38,7 +39,7 @@ func TestPingingPoolConnectionNeverIdledOut(t *testing.T) {
 	})
 	defer pool.Close()
 	ctx := context.Background()
-	q := offload.Query{Packed: []int8{1, 1, 0, 0}}
+	q := offload.Query{Packed: intscore.Split([]int8{1, 1, 0, 0})}
 	if _, _, err := pool.Classify(ctx, q); err != nil {
 		t.Fatal(err)
 	}

@@ -68,10 +68,13 @@
 // Quantized queries travel packed as two bit-planes — the low and high bit
 // of every symbol's 2-bit two's complement, D/4 bytes for D dimensions —
 // which is exactly the −2…+1 alphabet the server advertises, so no other
-// symbol can be sent. Every length prefix is checked against a cap before
-// anything is allocated for it: request frames against the largest full
-// batch of the connection's model, so a peer declaring an oversized frame
-// gets a typed refusal and is disconnected.
+// symbol can be sent. The planes are the one form a quantized query takes
+// from the edge's encoder to the server's kernel (intscore.Planes): the
+// codec copies their words to and from the frame's plane bytes, and the
+// server scores what it decoded. Every length prefix is checked against a
+// cap before anything is allocated for it: request frames against the
+// largest full batch of the connection's model, so a peer declaring an
+// oversized frame gets a typed refusal and is disconnected.
 //
 // The models behind a server live in a registry (internal/registry): each
 // Request frame resolves its model name against the current registry
@@ -122,9 +125,11 @@ const DefaultMaxBatch = 256
 
 // MinSymbol and MaxSymbol bound the packed-query alphabet: −2…+1 covers
 // every quantization scheme in the quant package (bipolar, ternary, biased
-// ternary and 2-bit). Servers advertise these bounds in the handshake and
-// reject packed symbols outside them. They alias the intscore bounds, since
-// the integer scoring engine is specified over the same alphabet.
+// ternary and 2-bit). Servers advertise these bounds in the handshake; the
+// two bit-planes a packed query travels as spell nothing else, and
+// PartialScores refuses int8 symbols outside them. They alias the intscore
+// bounds, since the integer scoring engine is specified over the same
+// alphabet.
 const (
 	MinSymbol = intscore.MinSymbol
 	MaxSymbol = intscore.MaxSymbol
@@ -142,9 +147,12 @@ var (
 	// ErrBadMagic reports a peer that is not speaking the privehd protocol
 	// at all.
 	ErrBadMagic = errors.New("offload: peer is not speaking the privehd protocol")
-	// ErrSymbolOutOfRange reports a packed query carrying a symbol outside
-	// the advertised alphabet.
+	// ErrSymbolOutOfRange reports an int8 query (PartialScores) carrying a
+	// symbol outside the advertised alphabet.
 	ErrSymbolOutOfRange = errors.New("offload: packed symbol outside advertised alphabet")
+	// ErrServerClosed is what Serve returns on a server already closed or
+	// shut down; the listener it was handed is closed too.
+	ErrServerClosed = errors.New("offload: server closed")
 	// ErrBatchTooLarge reports a request exceeding the server's advertised
 	// batch limit.
 	ErrBatchTooLarge = errors.New("offload: batch exceeds server limit")
@@ -299,53 +307,46 @@ type ServerHello struct {
 }
 
 // Query is one encoded (and obfuscated) query hypervector. Exactly one of
-// Vector and Packed is set. A quantizing edge produces the Packed form
-// directly; the codec bit-packs it into the frame and the server decodes
-// it back into the same form for its integer scoring kernel. Vector is the
-// unquantized baseline (WithRawQueries). Each attempt encodes the caller's
-// Query when it is submitted, and pools, clusters and hedges may submit it
-// again, so a caller must not reuse it while any attempt may still hold
-// it.
+// Vector and Packed is set. A quantizing edge writes the Packed form
+// directly; the codec copies its plane words into the frame and the server
+// decodes them back into the same form for its integer scoring kernel.
+// Vector is the unquantized baseline (WithRawQueries). Each attempt encodes
+// the caller's Query when it is submitted, and pools, clusters and hedges
+// may submit it again, so a caller must not reuse it while any attempt may
+// still hold it.
 type Query struct {
 	// Vector is the offloaded query hypervector in full precision.
 	Vector []float64
-	// Packed carries a small-alphabet (quantized) query, one symbol per
-	// dimension. It travels as two bit-planes, 2 bits per dimension — a
-	// 32× wire saving over float64 that §III-C's quantization makes
-	// possible ("transferring the least amount of information"). Only
-	// symbols within the advertised alphabet ([MinSymbol, MaxSymbol], i.e.
-	// −2…+1) can be encoded; a client refuses anything else with
-	// ErrSymbolOutOfRange before sending.
-	Packed []int8
+	// Packed carries a quantized query as its lo/hi bit-planes, 2 bits per
+	// dimension on the wire — a 32× saving over float64 that §III-C's
+	// quantization makes possible ("transferring the least amount of
+	// information"). Two bits spell exactly the −2…+1 alphabet, so a
+	// Packed query cannot carry a symbol outside it.
+	Packed intscore.Planes
+	// off is the first dimension of Packed's planes the query sends, set by
+	// Slice; Packed.Dim then counts the dimensions from there.
+	off int
 }
 
-// vecScratch recycles float64 expansion buffers for the non-hot paths that
-// still need a packed query as a float vector (the wiretap record path); the
-// scoring hot path no longer expands at all.
-var vecScratch = sync.Pool{New: func() any { return new([]float64) }}
-
-// vectorInto returns the query as float64s regardless of wire form,
-// expanding packed queries into *buf (grown as needed) instead of
-// allocating per call. The returned slice aliases either q.Vector or *buf
-// and is only valid until the buffer's next use.
-func (q Query) vectorInto(buf *[]float64) []float64 {
-	if q.Vector != nil {
-		return q.Vector
+// Slice returns the query that sends dimensions [off, off+n) of q's packed
+// planes as its dimensions [0, n) — a shard coordinator's slice of a full
+// query. The codec shifts the bits as it writes the frame, so slicing
+// copies nothing.
+func (q Query) Slice(off, n int) Query {
+	if off < 0 || n < 0 || off+n > q.Packed.Dim {
+		panic(fmt.Sprintf("offload: slice [%d,%d) of a %d-dimension query", off, off+n, q.Packed.Dim))
 	}
-	if cap(*buf) < len(q.Packed) {
-		*buf = make([]float64, len(q.Packed))
-	}
-	v := (*buf)[:len(q.Packed)]
-	for i, s := range q.Packed {
-		v[i] = float64(s)
-	}
-	return v
+	q.off += off
+	q.Packed.Dim = n
+	return q
 }
 
-// PackQuery converts a quantized hypervector to the compact wire form. It
-// returns false if any value is not an integer within the protocol alphabet
-// [MinSymbol, MaxSymbol] — i.e. the query was not actually quantized by one
-// of the paper's schemes and must travel full-precision.
+// PackQuery converts a quantized hypervector to one int8 symbol per
+// dimension, the form PartialScores takes; intscore.Split turns it into a
+// Query's planes. It returns false if any value is not an integer within
+// the protocol alphabet [MinSymbol, MaxSymbol] — i.e. the query was not
+// actually quantized by one of the paper's schemes and must travel
+// full-precision.
 func PackQuery(h []float64) ([]int8, bool) {
 	return intscore.PackInto(h, nil)
 }
@@ -774,12 +775,14 @@ func (c *srvConn) drainRefused(r io.Reader) {
 
 // Serve accepts connections until the listener closes, the context is
 // cancelled, or Close/Shutdown is called. Each connection may stream any
-// number of Request frames. Serve returns nil after a clean stop.
+// number of Request frames. Serve returns nil after a clean stop; on a
+// server already closed it closes lis and returns ErrServerClosed.
 func (s *Server) Serve(ctx context.Context, lis net.Listener) error {
 	s.mu.Lock()
 	if s.closing {
 		s.mu.Unlock()
-		return errors.New("offload: server already closed")
+		lis.Close()
+		return ErrServerClosed
 	}
 	s.lis = lis
 	s.mu.Unlock()
@@ -1302,7 +1305,7 @@ func deadlineReply(budget int64) Reply {
 // answerQueries scores one classification or partial-score frame on the
 // frame's own goroutine, a batch spread over at most workers goroutines.
 // Both ops share the registry lookup, the batch limit, the per-query
-// symbol and dimension validation, the deadline shedding and the
+// dimension validation, the deadline shedding and the
 // served-query accounting; only the partial-score refusals and the result
 // shape differ. Partial scores are the scatter half of sharded scoring:
 // the raw int64 dot of every packed query against every served class, plus
@@ -1339,17 +1342,10 @@ func (s *Server) answerQueries(modelName string, req Request, span *trace.Span, 
 			return Reply{Code: codePartial,
 				Detail: fmt.Sprintf("query %d is full-precision; partial scoring is integer-domain only", i)}
 		}
-		for j, sym := range q.Packed {
-			if sym < MinSymbol || sym > MaxSymbol {
-				return Reply{Code: codeSymbol,
-					Detail: fmt.Sprintf("query %d dimension %d carries symbol %d, alphabet is [%d,%d]",
-						i, j, sym, MinSymbol, MaxSymbol)}
-			}
-		}
 		// Effective wire length mirrors the scoring path: Vector wins when
 		// both fields are (ab)used, so a malformed query can never reach
 		// the scorer with the wrong dimensionality.
-		n := len(q.Packed)
+		n := q.Packed.Dim
 		if q.Vector != nil {
 			n = len(q.Vector)
 		}
@@ -1456,9 +1452,10 @@ func (b *batch) score(lo, hi int) bool {
 }
 
 // scoreOne scores query i into its reply slot. Packed queries are scored
-// in the integer domain on the entry's prepared planes — no float64
-// expansion, no float dot — falling back to the model's expansion-free
-// packed path when the entry has no engine (a non-integer model). Vector
+// in the integer domain on the entry's prepared planes, straight from the
+// planes the frame decoded into — no float64 expansion, no float dot —
+// falling back to the model's expansion-free planes path when the entry
+// has no engine (a non-integer model). Vector
 // wins when both wire fields are (ab)used, exactly as answerQueries
 // validated the frame's dimensionality, so a frame carrying a valid Vector
 // plus a wrong-length Packed can never reach the packed scorer and panic
@@ -1468,7 +1465,7 @@ func (b *batch) scoreOne(i int) {
 	q := b.queries[i]
 	if b.partials != nil {
 		out := make([]int64, b.scorer.NumClasses())
-		b.scorer.PartialsPackedInto(q.Packed, out)
+		b.scorer.PartialsInto(q.Packed, out)
 		b.partials[i] = out
 		return
 	}
@@ -1477,9 +1474,9 @@ func (b *batch) scoreOne(i int) {
 	case q.Vector != nil:
 		b.model.ScoresInto(q.Vector, scores)
 	case b.scorer != nil:
-		b.scorer.ScoresPackedInto(q.Packed, scores)
+		b.scorer.ScoresInto(q.Packed, scores)
 	default:
-		b.model.ScoresPackedInto(q.Packed, scores)
+		b.model.ScoresPlanesInto(q.Packed, scores)
 	}
 	b.results[i] = Result{Label: vecmath.ArgMax(scores), Scores: scores}
 }
@@ -1666,8 +1663,8 @@ func (c *Client) submitCtx(ctx context.Context, req Request) (*pending, error) {
 
 // submit encodes the request, assigns it an ID, registers it in the
 // in-flight table and hands it to the send goroutine. The caller waits on
-// the returned pending. A query the codec cannot represent (a packed
-// symbol outside the alphabet) fails here, typed, before anything is sent
+// the returned pending. A query the codec cannot represent (packed planes
+// too short for their dimensions) fails here before anything is sent
 // — and the caller's queries are free for reuse as soon as submit returns.
 func (c *Client) submit(req Request) (*pending, error) {
 	p := &pending{req: req, done: make(chan struct{})}
@@ -2004,8 +2001,8 @@ func (c *Client) ServerHello() ServerHello { return c.hello }
 
 // Classify sends one prepared (already obfuscated) query and returns the
 // predicted label and scores. The query travels in the form the caller
-// built it: a Packed query as one byte per dimension, a Vector query in
-// full precision.
+// built it: a Packed query as its two bit-planes, a Vector query in full
+// precision.
 func (c *Client) Classify(q Query) (int, []float64, error) {
 	return c.ClassifyContext(nil, q)
 }
@@ -2116,24 +2113,35 @@ func (c *Client) ListModels() ([]ModelListing, error) {
 	return reply.Models, nil
 }
 
-// PartialScores asks the server for the raw int64 dot of every packed
-// query against every class of its served (possibly sliced) model, plus
-// the per-class Σv² (OpPartialScores). The queries must already be
-// sliced to the server's dimension range. Partial-incapable models are
-// refused with ErrPartialUnsupported; transport failures wrap ErrTransport
-// and may be retried on another replica of the same shard.
+// PartialScores asks the server for the raw int64 dot of every query
+// against every class of its served (possibly sliced) model, plus the
+// per-class Σv² (OpPartialScores). It is the int8 adapter of
+// PartialScoresContext: each query, one symbol per dimension and already
+// sliced to the server's dimension range, is checked against the alphabet
+// (ErrSymbolOutOfRange, before anything is sent) and split into planes.
 func (c *Client) PartialScores(packed [][]int8) ([][]int64, []float64, error) {
-	return c.PartialScoresContext(nil, packed)
+	qs := make([]Query, len(packed))
+	for i, q := range packed {
+		for j, sym := range q {
+			if sym < MinSymbol || sym > MaxSymbol {
+				return nil, nil, fmt.Errorf("%w: query %d dimension %d carries symbol %d, alphabet is [%d,%d]",
+					ErrSymbolOutOfRange, i, j, sym, MinSymbol, MaxSymbol)
+			}
+		}
+		qs[i] = Query{Packed: intscore.Split(q)}
+	}
+	return c.PartialScoresContext(nil, qs)
 }
 
-// PartialScoresContext is PartialScores bounded by ctx: the frame carries
-// the remaining budget and the wait aborts on expiry or cancellation.
-func (c *Client) PartialScoresContext(ctx context.Context, packed [][]int8) ([][]int64, []float64, error) {
-	req := Request{Op: OpPartialScores, Queries: make([]Query, len(packed))}
-	for i, q := range packed {
-		req.Queries[i] = Query{Packed: q}
-	}
-	p, err := c.submitCtx(ctx, req)
+// PartialScoresContext asks the server for the partial scores of packed
+// queries (see PartialScores), bounded by ctx: the frame carries the
+// remaining budget and the wait aborts on expiry or cancellation. A shard
+// coordinator sends each full query's Slice for the server's dimension
+// range. Partial-incapable models and full-precision queries are refused
+// with ErrPartialUnsupported; transport failures wrap ErrTransport and may
+// be retried on another replica of the same shard.
+func (c *Client) PartialScoresContext(ctx context.Context, qs []Query) ([][]int64, []float64, error) {
+	p, err := c.submitCtx(ctx, Request{Op: OpPartialScores, Queries: qs})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -2144,9 +2152,9 @@ func (c *Client) PartialScoresContext(ctx context.Context, packed [][]int8) ([][
 	if reply.Code != "" {
 		return nil, nil, codeError(reply.Code, reply.Detail)
 	}
-	if len(reply.Partials) != len(packed) {
+	if len(reply.Partials) != len(qs) {
 		return nil, nil, fmt.Errorf("offload: server answered %d of %d partial-score queries",
-			len(reply.Partials), len(packed))
+			len(reply.Partials), len(qs))
 	}
 	return reply.Partials, reply.NormSq, nil
 }
@@ -2216,10 +2224,19 @@ func (w *Wiretap) Queries() [][]float64 {
 	return out
 }
 
-func (w *Wiretap) record(v []float64) {
+// record keeps a copy of a decoded query, a packed one expanded to its
+// symbol values.
+func (w *Wiretap) record(q Query) {
+	v := append([]float64(nil), q.Vector...)
+	if q.Vector == nil {
+		v = make([]float64, q.Packed.Dim)
+		for i := range v {
+			v[i] = float64(q.Packed.Symbol(i))
+		}
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.queries = append(w.queries, append([]float64(nil), v...))
+	w.queries = append(w.queries, v)
 }
 
 // decode records every query in one connection's client-to-server stream.
@@ -2238,11 +2255,6 @@ func (w *Wiretap) decode(pr *io.PipeReader) {
 	if _, err := readHelloFrame(br); err != nil {
 		return
 	}
-	// Expand packed queries through one scratch buffer for the life of the
-	// connection (record copies what it keeps) instead of allocating a
-	// fresh float64 vector per observed query.
-	buf := vecScratch.Get().(*[]float64)
-	defer vecScratch.Put(buf)
 	fb := new(frameBufs)
 	var body []byte
 	for {
@@ -2258,7 +2270,7 @@ func (w *Wiretap) decode(pr *io.PipeReader) {
 			continue
 		}
 		for _, q := range req.Queries {
-			w.record(q.vectorInto(buf))
+			w.record(q)
 		}
 	}
 }

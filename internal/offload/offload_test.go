@@ -16,6 +16,7 @@ import (
 	"privehd/internal/core"
 	"privehd/internal/dataset"
 	"privehd/internal/hdc"
+	"privehd/internal/intscore"
 	"privehd/internal/registry"
 	"privehd/internal/vecmath"
 )
@@ -62,7 +63,7 @@ func startServerOn(t *testing.T, lis net.Listener, m *hdc.Model, opts ...ServerO
 // precision otherwise.
 func asQuery(v []float64) Query {
 	if p, ok := PackQuery(v); ok {
-		return Query{Packed: p}
+		return Query{Packed: intscore.Split(p)}
 	}
 	return Query{Vector: v}
 }
@@ -246,29 +247,20 @@ func TestHandshakeRejectsBadMagic(t *testing.T) {
 func TestServerRejectsOutOfAlphabetSymbols(t *testing.T) {
 	addr, srv, cleanup := startServer(t, toyModel())
 	defer cleanup()
-	// A packed symbol outside the advertised −2…+1 alphabet has no 2-bit
-	// encoding: the codec refuses the frame before a byte is sent, and a
-	// client surfaces the same typed error without breaking its
-	// connection.
-	bad := Request{Queries: []Query{{Packed: []int8{1, 0, 5, 0}}}}
-	if _, err := appendRequest(nil, &bad); !errors.Is(err, ErrSymbolOutOfRange) {
-		t.Errorf("encoding symbol 5: err = %v, want ErrSymbolOutOfRange", err)
-	}
+	// A symbol outside the advertised −2…+1 alphabet has no 2-bit
+	// encoding, so a packed Query cannot hold one. Where int8 queries
+	// enter the package, PartialScores refuses it before a byte is sent,
+	// typed, without breaking the connection.
 	c := dialToy(t, addr)
 	defer c.Close()
-	if _, _, err := c.Classify(bad.Queries[0]); !errors.Is(err, ErrSymbolOutOfRange) || errors.Is(err, ErrTransport) {
-		t.Errorf("Classify with symbol 5: err = %v, want ErrSymbolOutOfRange (not transport)", err)
+	if _, _, err := c.PartialScores([][]int8{{1, 0, 5, 0}}); !errors.Is(err, ErrSymbolOutOfRange) || errors.Is(err, ErrTransport) {
+		t.Errorf("PartialScores with symbol 5: err = %v, want ErrSymbolOutOfRange (not transport)", err)
 	}
 	if _, _, err := c.Classify(asQuery([]float64{1, 1, 0, 0})); err != nil {
 		t.Fatalf("connection unusable after a refused query: %v", err)
 	}
-	// The answer path still validates symbols for callers that bypass the
-	// codec.
-	reply := srv.answer("", bad, nil)
-	if reply.Code != codeSymbol {
-		t.Errorf("reply.Code = %q, want %q", reply.Code, codeSymbol)
-	}
-	if err := codeError(reply.Code, reply.Detail); !errors.Is(err, ErrSymbolOutOfRange) {
+	// The wire's symbol code still decodes typed.
+	if err := codeError(codeSymbol, "symbol 5"); !errors.Is(err, ErrSymbolOutOfRange) {
 		t.Errorf("codeError = %v, want ErrSymbolOutOfRange", err)
 	}
 	if srv.Served() != 1 {
@@ -306,7 +298,7 @@ func TestServerRejectsOversizedBatch(t *testing.T) {
 		q    Query
 		want error
 	}{
-		{Query{Packed: []int8{1, 0, 0, 0}}, ErrBatchTooLarge},
+		{Query{Packed: intscore.Split([]int8{1, 0, 0, 0})}, ErrBatchTooLarge},
 		{Query{Vector: []float64{1, 0, 0, 0}}, ErrFrameTooLarge},
 	} {
 		_, renc, rdec := rawHandshake(t, addr, Hello{Dim: 4})
@@ -472,7 +464,7 @@ func TestClassifyBatch(t *testing.T) {
 		for j := range packed[i] {
 			packed[i][j] = int8(rng.Intn(4)) + MinSymbol
 		}
-		queries[i] = Query{Packed: packed[i]}
+		queries[i] = Query{Packed: intscore.Split(packed[i])}
 		if i%3 == 1 {
 			v := make([]float64, dim)
 			for j := range v {
@@ -602,7 +594,7 @@ func TestPackedWireIsSmaller(t *testing.T) {
 		t.Fatal("should pack")
 	}
 	floatBytes := sizeOf(Query{Vector: qFloat})
-	packedBytes := sizeOf(Query{Packed: packed})
+	packedBytes := sizeOf(Query{Packed: intscore.Split(packed)})
 	if packedBytes > dim/4+64 || packedBytes*30 > floatBytes {
 		t.Errorf("packed %dB vs float %dB: expected D/4 bytes, a ≥30× saving", packedBytes, floatBytes)
 	}
@@ -1031,7 +1023,7 @@ func TestMalformedQueryWithBothWireFormsRejected(t *testing.T) {
 	_, enc, dec := rawHandshake(t, addr, Hello{Dim: 4})
 	// len(Vector)+len(Packed) == model dim, but the effective (Vector)
 	// length is 2: must be rejected, and the server must survive.
-	if err := enc.Encode(Request{Queries: []Query{{Vector: []float64{1, 1}, Packed: []int8{0, 0}}}}); err != nil {
+	if err := enc.Encode(Request{Queries: []Query{{Vector: []float64{1, 1}, Packed: intscore.Split([]int8{0, 0})}}}); err != nil {
 		t.Fatal(err)
 	}
 	var reply Reply
@@ -1149,7 +1141,7 @@ func TestPipelinedRepliesOutOfOrder(t *testing.T) {
 	if !ok {
 		t.Fatal("query should pack")
 	}
-	if err := enc.Encode(Request{ID: 1, Queries: []Query{{Packed: packed}}}); err != nil {
+	if err := enc.Encode(Request{ID: 1, Queries: []Query{{Packed: intscore.Split(packed)}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Encode(Request{ID: 2, Op: OpPing}); err != nil {
@@ -1517,6 +1509,29 @@ func TestShutdownClosesMidHandshakeConnectionFully(t *testing.T) {
 		cancel()
 		if elapsed := time.Since(start); elapsed > time.Second {
 			t.Errorf("sent %q: Shutdown took %v, want an immediate close of the mid-handshake connection", sent, elapsed)
+		}
+	}
+}
+
+func TestServeAfterCloseReturnsSentinel(t *testing.T) {
+	// Serve on a server already closed or shut down refuses with the
+	// typed ErrServerClosed and closes the listener it was handed, so
+	// nothing is left accepting, as net/http does.
+	for name, stop := range map[string]func(*Server) error{
+		"close":    (*Server).Close,
+		"shutdown": func(s *Server) error { return s.Shutdown(context.Background()) },
+	} {
+		srv := NewServer(toyModel())
+		if err := stop(srv); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		lis := listen(t)
+		if err := srv.Serve(context.Background(), lis); !errors.Is(err, ErrServerClosed) {
+			t.Errorf("%s: Serve = %v, want ErrServerClosed", name, err)
+		}
+		if conn, err := lis.Accept(); err == nil {
+			conn.Close()
+			t.Errorf("%s: the listener still accepts after Serve refused", name)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"privehd/internal/hdc"
+	"privehd/internal/intscore"
 )
 
 // packedTestModel builds an integer-valued model of the kind training
@@ -50,7 +51,7 @@ func TestServerScoresPackedOnIntegerEngine(t *testing.T) {
 			packed[i] = int8(rng.Intn(4)) - 2
 			vector[i] = float64(packed[i])
 		}
-		pr := s.answer("", Request{Queries: []Query{{Packed: packed}}}, nil)
+		pr := s.answer("", Request{Queries: []Query{{Packed: intscore.Split(packed)}}}, nil)
 		vr := s.answer("", Request{Queries: []Query{{Vector: vector}}}, nil)
 		if pr.Code != "" || vr.Code != "" {
 			t.Fatalf("unexpected reply codes %q / %q", pr.Code, vr.Code)
@@ -83,7 +84,7 @@ func TestServerAbusedQueryBothFields(t *testing.T) {
 	}
 	// Packed deliberately has the wrong length AND would classify
 	// differently if it were ever consulted.
-	abused := Query{Vector: vector, Packed: []int8{1, -1, 1}}
+	abused := Query{Vector: vector, Packed: intscore.Split([]int8{1, -1, 1})}
 	got := s.answer("", Request{Queries: []Query{abused}}, nil)
 	want := s.answer("", Request{Queries: []Query{{Vector: vector}}}, nil)
 	if got.Code != "" || want.Code != "" {

@@ -3,6 +3,7 @@ package offload
 import (
 	"testing"
 
+	"privehd/internal/intscore"
 	"privehd/internal/trace"
 )
 
@@ -17,7 +18,7 @@ func TestTracedRequestGetsTimingUntracedDoesNot(t *testing.T) {
 	conn, enc, dec := rawHandshake(t, addr, Hello{Dim: 4})
 	defer conn.Close()
 
-	if err := enc.Encode(Request{ID: 1, Trace: 0xabcdef, Queries: []Query{{Packed: []int8{1, 1, 0, 0}}}}); err != nil {
+	if err := enc.Encode(Request{ID: 1, Trace: 0xabcdef, Queries: []Query{{Packed: intscore.Split([]int8{1, 1, 0, 0})}}}); err != nil {
 		t.Fatal(err)
 	}
 	var traced Reply
@@ -35,7 +36,7 @@ func TestTracedRequestGetsTimingUntracedDoesNot(t *testing.T) {
 			traced.Timing.QueueNs, traced.Timing.ScoreNs, traced.Timing.TotalNs)
 	}
 
-	if err := enc.Encode(Request{ID: 2, Queries: []Query{{Packed: []int8{1, 1, 0, 0}}}}); err != nil {
+	if err := enc.Encode(Request{ID: 2, Queries: []Query{{Packed: intscore.Split([]int8{1, 1, 0, 0})}}}); err != nil {
 		t.Fatal(err)
 	}
 	var untraced Reply

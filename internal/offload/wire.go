@@ -24,11 +24,14 @@ package offload
 //
 // A packed symbol s ∈ [−2, 1] is its 2-bit two's complement: bit i%8 of
 // plane byte i/8 holds symbol i's low bit in the lo plane and its high bit
-// in the hi plane, so a D-dimensional query costs D/4 bytes. Optional
-// fields (trace ID, budget, and every reply section) are present exactly
-// when their flag bit is set, and each decoder is strict — no unknown flag
-// bits, no empty flagged section, no stray padding bits, no trailing bytes
-// — so re-encoding any accepted frame reproduces its bytes exactly.
+// in the hi plane, so a D-dimensional query costs D/4 bytes. These are the
+// little-endian bytes of the query's intscore.Planes words, so encoding
+// and decoding a packed query copies words, shifted when a shard slice
+// starts off a word boundary. Optional fields (trace ID, budget, and every
+// reply section) are present exactly when their flag bit is set, and each
+// decoder is strict — no unknown flag bits, no empty flagged section, no
+// stray padding bits, no trailing bytes — so re-encoding any accepted
+// frame reproduces its bytes exactly.
 //
 // Every reader checks a frame's length prefix against a cap before it
 // allocates: handshakeFrameCap for the handshake, requestCap for request
@@ -45,6 +48,7 @@ import (
 	"math"
 	"sync"
 
+	"privehd/internal/intscore"
 	"privehd/internal/registry"
 )
 
@@ -52,8 +56,9 @@ import (
 // a reply frame gets for its detail string and model listing.
 const handshakeFrameCap = 64 << 10
 
-// maxFrameLen is the largest body a length prefix can declare.
-const maxFrameLen = math.MaxUint32
+// maxFrameLen is the largest body a length prefix can declare that an int
+// can hold: the u32 prefix's whole range, less on 32-bit platforms.
+const maxFrameLen = min(math.MaxUint32, math.MaxInt)
 
 const (
 	// requestHeaderMax is the longest fixed request header: ID, op,
@@ -94,7 +99,10 @@ var errMalformed = errors.New("offload: malformed frame")
 
 // errFrameTooLarge reports a length prefix over the reader's cap. The
 // frame's body is still unread.
-type errFrameTooLarge struct{ n, limit int }
+type errFrameTooLarge struct {
+	n     uint64
+	limit int
+}
 
 func (e *errFrameTooLarge) Error() string {
 	return fmt.Sprintf("offload: frame of %d bytes exceeds the %d-byte cap", e.n, e.limit)
@@ -163,10 +171,11 @@ func readFrame(r io.Reader, buf []byte, limit int) ([]byte, error) {
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
 		return buf, err
 	}
-	n := int(binary.LittleEndian.Uint32(pre[:]))
-	if n > limit {
-		return buf, &errFrameTooLarge{n: n, limit: limit}
+	n64 := uint64(binary.LittleEndian.Uint32(pre[:]))
+	if n64 > uint64(limit) {
+		return buf, &errFrameTooLarge{n: n64, limit: limit}
 	}
+	n := int(n64)
 	if n <= cap(buf) {
 		buf = buf[:n]
 		_, err := io.ReadFull(r, buf)
@@ -446,9 +455,9 @@ func ReadServerHello(r io.Reader) (ServerHello, error) {
 // planeLen is the byte length of one bit-plane of a dim-symbol query.
 func planeLen(dim int) int { return (dim + 7) / 8 }
 
-// appendRequest appends req as one frame. A packed symbol outside the
-// 2-bit alphabet cannot be encoded and fails with ErrSymbolOutOfRange
-// before anything is sent.
+// appendRequest appends req as one frame. A packed query whose planes are
+// too short for its dimensions cannot be encoded and fails before
+// anything is sent.
 func appendRequest(b []byte, req *Request) ([]byte, error) {
 	b, at := beginFrame(b)
 	b = appendU64(b, req.ID)
@@ -477,107 +486,57 @@ func appendRequest(b []byte, req *Request) ([]byte, error) {
 			}
 			continue
 		}
-		b = append(b, kindPacked)
-		b = appendU32(b, len(q.Packed))
-		var bad int
-		if b, bad = appendPlanes(b, q.Packed); bad >= 0 {
-			return b[:at], fmt.Errorf("%w: query %d dimension %d carries symbol %d, alphabet is [%d,%d]",
-				ErrSymbolOutOfRange, i, bad, q.Packed[bad], MinSymbol, MaxSymbol)
+		p := q.Packed
+		words := len(p.Bits) / 2
+		if len(p.Bits)%2 != 0 || p.Dim < 0 || q.off+p.Dim > 64*words {
+			return b[:at], fmt.Errorf("offload: query %d: %d plane words cannot hold dimensions [%d,%d)",
+				i, len(p.Bits), q.off, q.off+p.Dim)
 		}
+		b = append(b, kindPacked)
+		b = appendU32(b, p.Dim)
+		b = appendPlane(b, p.Bits[:words], q.off, p.Dim)
+		b = appendPlane(b, p.Bits[words:], q.off, p.Dim)
 	}
 	return endFrame(b, at)
 }
 
-// lsbGather packs the low bit of each of a word's 8 bytes into one byte,
-// byte i to bit i.
-const (
-	lsbMask   = 0x0101010101010101
-	lsbGather = 0x0102040810204080
-	// signBits marks bits 2–7 of every byte: a byte is a 2-bit two's
-	// complement symbol exactly when bits 1–7 all agree.
-	signBits = 0xFCFCFCFCFCFCFCFC
-)
-
-// appendPlanes appends q's lo and hi bit-planes. It returns the index of
-// the first symbol outside [−2, 1], or −1.
-func appendPlanes(b []byte, q []int8) ([]byte, int) {
-	n := planeLen(len(q))
-	start := len(b)
-	b = append(b, make([]byte, 2*n)...)
-	lo, hi := b[start:start+n], b[start+n:start+2*n]
-	full := len(q) / 8
-	for k := 0; k < full; k++ {
-		s := q[8*k : 8*k+8 : 8*k+8]
-		x := uint64(uint8(s[0])) | uint64(uint8(s[1]))<<8 | uint64(uint8(s[2]))<<16 | uint64(uint8(s[3]))<<24 |
-			uint64(uint8(s[4]))<<32 | uint64(uint8(s[5]))<<40 | uint64(uint8(s[6]))<<48 | uint64(uint8(s[7]))<<56
-		if (x^x<<1)&signBits != 0 {
-			return b, firstBadSymbol(q)
+// appendPlane appends bits [off, off+n) of plane as ⌈n/8⌉ little-endian
+// bytes, bit j of byte k holding plane bit off+8k+j; the padding bits of
+// the last byte are clear.
+func appendPlane(b []byte, plane []uint64, off, n int) []byte {
+	plane, s := plane[off/64:], uint(off%64)
+	for k := 0; k < n; k += 64 {
+		w := plane[k/64] >> s
+		if s != 0 && k/64+1 < len(plane) {
+			w |= plane[k/64+1] << (64 - s)
 		}
-		lo[k] = byte((x & lsbMask) * lsbGather >> 56)
-		hi[k] = byte((x >> 1 & lsbMask) * lsbGather >> 56)
-	}
-	for i := 8 * full; i < len(q); i++ {
-		s := q[i]
-		if s < MinSymbol || s > MaxSymbol {
-			return b, i
+		if left := n - k; left < 64 {
+			w &= 1<<left - 1
 		}
-		lo[full] |= byte(s&1) << (i & 7)
-		hi[full] |= byte(s>>1&1) << (i & 7)
+		end := len(b) + min(8, planeLen(n-k))
+		b = binary.LittleEndian.AppendUint64(b, w)[:end]
 	}
-	return b, -1
+	return b
 }
 
-func firstBadSymbol(q []int8) int {
-	for i, s := range q {
-		if s < MinSymbol || s > MaxSymbol {
-			return i
-		}
+// readPlane copies the plane bytes src into the words of plane, which has
+// room for them. It reports false if a padding bit past dim is set.
+func readPlane(plane []uint64, src []byte, dim int) bool {
+	for w := range plane {
+		var word [8]byte
+		copy(word[:], src[8*w:])
+		plane[w] = binary.LittleEndian.Uint64(word[:])
 	}
-	return -1
-}
-
-// spread maps a plane byte to a word whose byte i is bit i of the plane
-// byte.
-var spread = func() (t [256]uint64) {
-	for v := range t {
-		for i := 0; i < 8; i++ {
-			t[v] |= uint64(v>>i&1) << (8 * i)
-		}
-	}
-	return t
-}()
-
-// decodePlanes expands lo and hi bit-planes into dst, one symbol per
-// element. It reports false if a padding bit past len(dst) is set.
-func decodePlanes(dst []int8, lo, hi []byte) bool {
-	full := len(dst) / 8
-	for k := 0; k < full; k++ {
-		// A set hi bit contributes −2 (0xFE) and a set lo bit +1, with no
-		// carry between bytes: 0x01, 0xFE and 0xFF are the symbols 1, −2
-		// and −1.
-		x := spread[lo[k]] | spread[hi[k]]*0xFE
-		d := dst[8*k : 8*k+8 : 8*k+8]
-		d[0], d[1], d[2], d[3] = int8(x), int8(x>>8), int8(x>>16), int8(x>>24)
-		d[4], d[5], d[6], d[7] = int8(x>>32), int8(x>>40), int8(x>>48), int8(x>>56)
-	}
-	if r := len(dst) % 8; r != 0 {
-		l, h := lo[full], hi[full]
-		if l>>r != 0 || h>>r != 0 {
-			return false
-		}
-		for i := 0; i < r; i++ {
-			dst[8*full+i] = int8(l>>i&1) - 2*int8(h>>i&1)
-		}
-	}
-	return true
+	r := dim % 8
+	return r == 0 || src[len(src)-1]>>r == 0
 }
 
 // frameBufs is the pooled storage a decoded request's queries live in:
-// the query headers, every packed symbol and every vector value of one
-// frame. The Request aliases it until release.
+// the query headers, every packed query's plane words and every vector
+// value of one frame. The Request aliases it until release.
 type frameBufs struct {
 	queries []Query
-	packed  []int8
+	words   []uint64
 	floats  []float64
 }
 
@@ -618,13 +577,13 @@ func decodeRequest(body []byte, fb *frameBufs) (Request, error) {
 	// First pass: validate every query's extent and size the slabs, so
 	// nothing is allocated for bytes the frame does not hold.
 	scan := r
-	symbols, floats := 0, 0
+	words, floats := 0, 0
 	for i := 0; i < n && scan.err == nil; i++ {
 		kind, dim := scan.u8(), uint64(scan.u32())
 		switch kind {
 		case kindPacked:
 			scan.take(payloadLen(2*((dim+7)/8), len(scan.b)))
-			symbols += int(dim)
+			words += 2 * intscore.Words(int(dim))
 		case kindVector:
 			scan.take(payloadLen(8*dim, len(scan.b)))
 			floats += int(dim)
@@ -639,22 +598,22 @@ func decodeRequest(body []byte, fb *frameBufs) (Request, error) {
 		return req, nil
 	}
 	fb.queries = grow(fb.queries, n)
-	fb.packed = grow(fb.packed, symbols)
+	fb.words = grow(fb.words, words)
 	fb.floats = grow(fb.floats, floats)
 	req.Queries = fb.queries
-	packed, vals := fb.packed, fb.floats
+	packed, vals := fb.words, fb.floats
 	for i := range req.Queries {
 		kind, dim := r.u8(), r.int()
 		if kind == kindPacked {
-			p := planeLen(dim)
-			planes := r.take(2 * p)
-			q := packed[:dim:dim]
-			packed = packed[dim:]
-			if !decodePlanes(q, planes[:p], planes[p:]) {
-				return Request{}, fmt.Errorf("%w: query %d sets padding bits", errMalformed, i)
-			}
-			if dim == 0 {
-				q = nil
+			var q intscore.Planes
+			if dim > 0 {
+				w, p := intscore.Words(dim), planeLen(dim)
+				q = intscore.Planes{Dim: dim, Bits: packed[: 2*w : 2*w]}
+				packed = packed[2*w:]
+				planes := r.take(2 * p)
+				if !readPlane(q.Lo(), planes[:p], dim) || !readPlane(q.Hi(), planes[p:], dim) {
+					return Request{}, fmt.Errorf("%w: query %d sets padding bits", errMalformed, i)
+				}
 			}
 			req.Queries[i] = Query{Packed: q}
 			continue
@@ -690,8 +649,8 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// WriteRequest writes req as one frame. Out-of-alphabet packed symbols
-// fail with ErrSymbolOutOfRange and nothing is written.
+// WriteRequest writes req as one frame. A malformed packed query fails and
+// nothing is written.
 func WriteRequest(w io.Writer, req Request) error {
 	b, err := appendRequest(nil, &req)
 	if err != nil {

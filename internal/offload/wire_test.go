@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"privehd/internal/intscore"
 	"reflect"
 	"runtime"
 	"testing"
@@ -45,7 +46,7 @@ var (
 func TestRequestGoldenBytesWithoutTraceOrBudget(t *testing.T) {
 	// An untraced, undeadlined request carries no trace or budget bytes,
 	// and its query is exactly two 2-byte bit-planes at D=16.
-	got, err := appendRequest(nil, &Request{ID: 9, Queries: []Query{{Packed: goldenSymbols}}})
+	got, err := appendRequest(nil, &Request{ID: 9, Queries: []Query{{Packed: intscore.Split(goldenSymbols)}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestRequestGoldenBytesWithoutTraceOrBudget(t *testing.T) {
 	if req.ID != 9 || req.Op != OpClassify || req.Trace != 0 || req.BudgetNs != 0 || len(req.Queries) != 1 {
 		t.Fatalf("decoded %+v", req)
 	}
-	if !reflect.DeepEqual(req.Queries[0].Packed, goldenSymbols) || req.Queries[0].Vector != nil {
+	if !reflect.DeepEqual(req.Queries[0].Packed, intscore.Split(goldenSymbols)) || req.Queries[0].Vector != nil {
 		t.Fatalf("decoded query %+v, want packed %v", req.Queries[0], goldenSymbols)
 	}
 }
@@ -67,7 +68,7 @@ func TestRequestGoldenBytesWithoutTraceOrBudget(t *testing.T) {
 func TestTraceAndBudgetFlagsRoundTrip(t *testing.T) {
 	// The trace ID and the budget each ride the frame only when set, and
 	// every field survives the round trip.
-	qs := []Query{{Packed: []int8{1, -1, 0, -2, 1}}, {Vector: []float64{0.5, -1.25, math.Inf(1)}}}
+	qs := []Query{{Packed: intscore.Split([]int8{1, -1, 0, -2, 1})}, {Vector: []float64{0.5, -1.25, math.Inf(1)}}}
 	plain, err := appendRequest(nil, &Request{ID: 3, Op: OpPartialScores, Queries: qs})
 	if err != nil {
 		t.Fatal(err)
@@ -110,35 +111,69 @@ func TestTraceAndBudgetFlagsRoundTrip(t *testing.T) {
 }
 
 func TestPackedPlanesRoundTripEveryLength(t *testing.T) {
-	// Every symbol at every position, over lengths that exercise both the
-	// 8-symbol words and the ragged tail; a set padding bit is refused.
-	for dim := 0; dim <= 41; dim++ {
+	// Every symbol at every position, over lengths that exercise whole
+	// plane words, whole bytes and the ragged tail; a set padding bit is
+	// refused.
+	for dim := 0; dim <= 140; dim++ {
 		q := make([]int8, dim)
 		for i := range q {
 			q[i] = int8((i*7+dim)%4) - 2
 		}
-		b, bad := appendPlanes(nil, q)
-		if bad >= 0 || len(b) != 2*planeLen(dim) {
-			t.Fatalf("dim %d: %d plane bytes, bad symbol %d", dim, len(b), bad)
+		p := intscore.Split(q)
+		b := appendPlane(appendPlane(nil, p.Lo(), 0, dim), p.Hi(), 0, dim)
+		if len(b) != 2*planeLen(dim) {
+			t.Fatalf("dim %d: %d plane bytes, want %d", dim, len(b), 2*planeLen(dim))
 		}
-		got := make([]int8, dim)
-		if !decodePlanes(got, b[:planeLen(dim)], b[planeLen(dim):]) || !reflect.DeepEqual(got, q) {
-			t.Fatalf("dim %d: decoded %v, want %v", dim, got, q)
+		got := intscore.NewPlanes(dim)
+		n := planeLen(dim)
+		if !readPlane(got.Lo(), b[:n], dim) || !readPlane(got.Hi(), b[n:], dim) || !reflect.DeepEqual(got, p) {
+			t.Fatalf("dim %d: decoded %v, want %v", dim, got, p)
 		}
 		if r := dim % 8; r != 0 {
-			b[planeLen(dim)-1] |= 1 << r
-			if decodePlanes(got, b[:planeLen(dim)], b[planeLen(dim):]) {
+			b[n-1] |= 1 << r
+			if readPlane(got.Lo(), b[:n], dim) {
 				t.Fatalf("dim %d: a set padding bit decoded", dim)
 			}
 		}
 	}
-	for _, s := range []int8{2, -3, 5, 127, -128} {
-		q := []int8{0, 1, -1, -2, 0, 1, 0, 0, 1}
-		for pos := range q {
-			q2 := append([]int8(nil), q...)
-			q2[pos] = s
-			if _, bad := appendPlanes(nil, q2); bad != pos {
-				t.Fatalf("symbol %d at %d: reported position %d", s, pos, bad)
+	// Planes too short for their dimensions cannot be encoded.
+	short := Query{Packed: intscore.Planes{Dim: 65, Bits: make([]uint64, 2)}}
+	if _, err := appendRequest(nil, &Request{Queries: []Query{short}}); err == nil {
+		t.Fatal("planes of one word per plane encoded 65 dimensions")
+	}
+}
+
+func TestPlanesSliceMatchesInt8Slice(t *testing.T) {
+	// A query's Slice at (off, n) goes on the wire exactly as the planes of
+	// the int8 slice q[off:off+n] do, for offsets on and off word and byte
+	// boundaries — perfbench's D = 10 000 split at 5 000 among them — and
+	// a slice of a slice adds its offsets.
+	for _, tc := range []struct{ dim, off, n int }{
+		{200, 0, 200}, {200, 0, 0}, {200, 5, 100}, {130, 63, 67}, {130, 64, 1},
+		{64, 63, 1}, {129, 1, 128}, {2000, 0, 1001}, {2000, 1001, 999}, {10000, 5000, 5000},
+	} {
+		q := make([]int8, tc.dim)
+		for i := range q {
+			q[i] = int8((i*5+tc.off)%4) - 2
+		}
+		want, err := appendRequest(nil, &Request{Queries: []Query{{Packed: intscore.Split(q[tc.off : tc.off+tc.n])}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := Query{Packed: intscore.Split(q)}
+		got, err := appendRequest(nil, &Request{Queries: []Query{full.Slice(tc.off, tc.n)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("dim %d slice [%d,%d): frame differs from the int8 slice's", tc.dim, tc.off, tc.off+tc.n)
+		}
+		if tc.n > 2 {
+			twice := full.Slice(tc.off, tc.n).Slice(1, tc.n-2)
+			got, _ := appendRequest(nil, &Request{Queries: []Query{twice}})
+			want, _ := appendRequest(nil, &Request{Queries: []Query{{Packed: intscore.Split(q[tc.off+1 : tc.off+tc.n-1])}}})
+			if !bytes.Equal(got, want) {
+				t.Errorf("dim %d slice [%d,%d) resliced: frame differs from the int8 slice's", tc.dim, tc.off, tc.off+tc.n)
 			}
 		}
 	}
@@ -239,7 +274,7 @@ func TestIdleBoundSparesInFlightFrames(t *testing.T) {
 	for id := uint64(1); id <= frames; id++ {
 		req := Request{ID: id, Queries: make([]Query, batch)}
 		for i := range req.Queries {
-			req.Queries[i] = Query{Packed: q}
+			req.Queries[i] = Query{Packed: intscore.Split(q)}
 		}
 		var err error
 		if stream, err = appendRequest(stream, &req); err != nil {
@@ -323,7 +358,7 @@ func TestWiretapSkipsControlFrames(t *testing.T) {
 	if _, _, err := c.PartialScores([][]int8{{1, -2, 0, 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Classify(Query{Packed: []int8{-1, 0, 1, 1}}); err != nil {
+	if _, _, err := c.Classify(Query{Packed: intscore.Split([]int8{-1, 0, 1, 1})}); err != nil {
 		t.Fatal(err)
 	}
 	want := [][]float64{{1, -2, 0, 1}, {-1, 0, 1, 1}}

@@ -62,6 +62,18 @@ func (m *Mask) Apply(v []float64) {
 	}
 }
 
+// Words returns the kept set as ⌈Dim/64⌉ words, bit j%64 of word j/64 set
+// when dimension j is kept: the AND mask of a query's bit-planes.
+func (m *Mask) Words() []uint64 {
+	w := make([]uint64, (len(m.Keep)+63)/64)
+	for j, keep := range m.Keep {
+		if keep {
+			w[j/64] |= 1 << (j % 64)
+		}
+	}
+	return w
+}
+
 // AppliedCopy returns a masked copy of v, leaving v untouched.
 func (m *Mask) AppliedCopy(v []float64) []float64 {
 	out := vecmath.Clone(v)

@@ -10,8 +10,11 @@
 // every group, gathers exact integer partial dot products and per-class
 // Σv², reduces them, and takes the argmax over whole-model scores.
 //
+// A query's slice is its bit-planes sent from the slice's first dimension
+// (offload.Query.Slice), shifted as the frame is written: nothing copied.
+//
 // The reduction is bit-identical to whole-model serving: partial dots are
-// int64 sums of int8×(small integer) products, so summing them across
+// int64 sums of symbol×(small integer) products, so summing them across
 // dimension shards is exact and order-free; Σv² per class is an exact
 // integer below 2⁵³ on every partial-capable engine, so the float64 sum
 // across shards is exact too, and math.Sqrt of an identical float64 is
@@ -37,6 +40,7 @@ import (
 	"time"
 
 	"privehd/internal/cluster"
+	"privehd/internal/intscore"
 	"privehd/internal/offload"
 	"privehd/internal/registry"
 	"privehd/internal/trace"
@@ -289,7 +293,7 @@ func (r *gatherResult) check(n int) error {
 // straggler against a backup. A group that exhausts its replicas, or
 // answers in a shape its descriptor does not allow, fails the whole
 // gather. The span's gather stage records the slowest group's round trip.
-func (co *Coordinator) scatter(ctx context.Context, packed [][]int8, span *trace.Span) ([]gatherResult, error) {
+func (co *Coordinator) scatter(ctx context.Context, packed []intscore.Planes, span *trace.Span) ([]gatherResult, error) {
 	results := make([]gatherResult, len(co.groups))
 	errs := make([]error, len(co.groups))
 	var wg sync.WaitGroup
@@ -297,9 +301,9 @@ func (co *Coordinator) scatter(ctx context.Context, packed [][]int8, span *trace
 		wg.Add(1)
 		go func(i int, g *group) {
 			defer wg.Done()
-			sub := make([][]int8, len(packed))
+			sub := make([]offload.Query, len(packed))
 			for q, p := range packed {
-				sub[q] = p[g.info.DimOffset : g.info.DimOffset+g.info.DimLen]
+				sub[q] = offload.Query{Packed: p}.Slice(g.info.DimOffset, g.info.DimLen)
 			}
 			t0 := time.Now()
 			// Hedged gather: each attempt returns its own gatherResult and
@@ -369,8 +373,8 @@ func reduce(results []gatherResult, q int, dots []int64, normSq, scores []float6
 
 // PredictPacked classifies one packed query against the sharded fleet,
 // returning the whole-model label and per-class scores.
-func (co *Coordinator) PredictPacked(ctx context.Context, packed []int8) (int, []float64, error) {
-	labels, scores, err := co.PredictPackedBatch(ctx, [][]int8{packed})
+func (co *Coordinator) PredictPacked(ctx context.Context, packed intscore.Planes) (int, []float64, error) {
+	labels, scores, err := co.PredictPackedBatch(ctx, []intscore.Planes{packed})
 	if err != nil {
 		return 0, nil, err
 	}
@@ -379,13 +383,13 @@ func (co *Coordinator) PredictPacked(ctx context.Context, packed []int8) (int, [
 
 // PredictPackedBatch classifies a batch of packed queries against the
 // sharded fleet. Every query must be FullDim long.
-func (co *Coordinator) PredictPackedBatch(ctx context.Context, packed [][]int8) ([]int, [][]float64, error) {
+func (co *Coordinator) PredictPackedBatch(ctx context.Context, packed []intscore.Planes) ([]int, [][]float64, error) {
 	if len(packed) == 0 {
 		return nil, nil, nil
 	}
 	for i, p := range packed {
-		if len(p) != co.hello.Dim {
-			return nil, nil, fmt.Errorf("shard: query %d has dim %d, model dim %d", i, len(p), co.hello.Dim)
+		if p.Dim != co.hello.Dim {
+			return nil, nil, fmt.Errorf("shard: query %d has dim %d, model dim %d", i, p.Dim, co.hello.Dim)
 		}
 	}
 	span := trace.Start()

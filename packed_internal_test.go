@@ -6,6 +6,7 @@ package privehd
 import (
 	"context"
 	"math"
+	"privehd/internal/intscore"
 	"runtime"
 	"testing"
 )
@@ -93,7 +94,7 @@ func TestPreparePackedIntoAllocationFree(t *testing.T) {
 	for k := range x {
 		x[k] = 0.3
 	}
-	dst := make([]int8, dim)
+	dst := intscore.NewPlanes(dim)
 	for _, mask := range []int{0, dim / 4} {
 		var opts []Option
 		if mask > 0 {

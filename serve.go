@@ -26,8 +26,9 @@ var (
 	// ErrGeometryMismatch reports an edge whose encoder dimensionality or
 	// class count does not match the served model.
 	ErrGeometryMismatch = offload.ErrGeometryMismatch
-	// ErrSymbolOutOfRange reports a packed query carrying a symbol outside
-	// the advertised −2…+1 alphabet.
+	// ErrSymbolOutOfRange reports a one-int8-per-dimension query carrying a
+	// symbol outside the advertised −2…+1 alphabet. A quantized query's
+	// two bit-planes cannot carry one.
 	ErrSymbolOutOfRange = offload.ErrSymbolOutOfRange
 	// ErrBatchTooLarge reports a request exceeding the server's advertised
 	// batch limit.
@@ -56,6 +57,10 @@ var (
 	// deliberately does NOT wrap ErrTransport — retrying a request that is
 	// already out of time only wastes fleet capacity.
 	ErrDeadlineExceeded = offload.ErrDeadlineExceeded
+	// ErrServerClosed is what Serve returns on a server already closed or
+	// shut down; the listener it was handed is closed too, as net/http
+	// does.
+	ErrServerClosed = offload.ErrServerClosed
 )
 
 // ServerOption configures a Server.
@@ -120,7 +125,8 @@ func (s *Server) Registry() *Registry { return s.reg }
 // Serve accepts connections on lis until ctx is cancelled, the listener
 // fails, or Close/Shutdown is called. Each connection is handled on its
 // own goroutine and may stream any number of batched requests. Serve
-// returns nil after a clean stop.
+// returns nil after a clean stop, and ErrServerClosed, closing lis, when
+// the server was already closed.
 func (s *Server) Serve(ctx context.Context, lis net.Listener) error {
 	return s.inner.Serve(ctx, lis)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"privehd/internal/intscore"
 	"privehd/internal/offload"
 	"privehd/internal/registry"
 	"privehd/internal/shard"
@@ -55,16 +56,16 @@ var errUnpacked = fmt.Errorf("%w: query is not quantized (WithRawQueries is inco
 	ErrPartialUnsupported)
 
 func (b shardBackend) Classify(ctx context.Context, q offload.Query) (int, []float64, error) {
-	if q.Packed == nil {
+	if q.Packed.Bits == nil {
 		return 0, nil, errUnpacked
 	}
 	return b.co.PredictPacked(ctx, q.Packed)
 }
 
 func (b shardBackend) ClassifyBatch(ctx context.Context, qs []offload.Query) ([]int, error) {
-	packed := make([][]int8, len(qs))
+	packed := make([]intscore.Planes, len(qs))
 	for i, q := range qs {
-		if q.Packed == nil {
+		if q.Packed.Bits == nil {
 			return nil, errUnpacked
 		}
 		packed[i] = q.Packed
