@@ -8,11 +8,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"testing"
 	"time"
 
 	"privehd/internal/cluster"
+	"privehd/internal/intscore"
 )
 
 func trainToy(t *testing.T) *Pipeline {
@@ -67,7 +69,13 @@ func serveTest(t *testing.T, reg *Registry) string {
 // integer path as any other model. A scalar-encoded model runs the plain
 // and masked edges on every topology too, and so does one model per other
 // paper quantizer (bipolar, ternary, 2-bit) beside the default biased
-// ternary. The cluster and a sharded fleet of two replicas per slice also
+// ternary. Two models whose classes are not integers run the plain and
+// masked edges on every topology as well: privehd-serve's default, scalar
+// encoding with the "full" quantizer, and a TrainOnline model. Their
+// engines score in fixed point, so local scoring means the engine's scores
+// (which must also stay within 1e-5 of the largest float score), and their
+// shards must agree with the whole model bit for bit.
+// The cluster and a sharded fleet of two replicas per slice also
 // run hedged ("+hedge"): at loopback latency most calls beat the hedge
 // delay, so these rows pin the hedged path's results bit-identical rather
 // than exercise the race itself. A second sharded fleet splits at 1001
@@ -89,6 +97,16 @@ func TestTopologiesMatchLocalPrediction(t *testing.T) {
 		}
 		return p
 	}
+	trainOnline := func() *Pipeline {
+		p, err := New(WithDim(dim), WithLevels(20), WithSeed(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.TrainOnline(data.TrainX, data.TrainY); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
 	models := []struct {
 		name, prefix string
 		p            *Pipeline
@@ -97,16 +115,20 @@ func TestTopologiesMatchLocalPrediction(t *testing.T) {
 		// and unhedged sharded topologies only: their classes differ, the
 		// serving path does not.
 		quantizer bool
+		// fixed marks the models with non-integer classes.
+		fixed bool
 	}{
-		{"m", "", train(), true, false},
-		{"dp", "dp/", train(WithNoise(4, 1e-5)), false, false},
+		{"m", "", train(), true, false, false},
+		{"dp", "dp/", train(WithNoise(4, 1e-5)), false, false, false},
 		// A scalar-encoded edge takes the integer-numerator sign path and
 		// masks afterwards, bypassing the level edge's comparator and
 		// compacted memory.
-		{"scalar", "scalar/", train(WithEncoding(Scalar)), false, false},
-		{"bipolar", "bipolar/", train(WithQuantizer("bipolar")), false, true},
-		{"ternary", "ternary/", train(WithQuantizer("ternary")), false, true},
-		{"2bit", "2bit/", train(WithQuantizer("2bit")), false, true},
+		{"scalar", "scalar/", train(WithEncoding(Scalar)), false, false, false},
+		{"bipolar", "bipolar/", train(WithQuantizer("bipolar")), false, true, false},
+		{"ternary", "ternary/", train(WithQuantizer("ternary")), false, true, false},
+		{"2bit", "2bit/", train(WithQuantizer("2bit")), false, true, false},
+		{"full", "full/", train(WithEncoding(Scalar), WithQuantizer("full")), false, false, true},
+		{"online", "online/", trainOnline(), false, false, true},
 	}
 
 	whole := NewRegistry()
@@ -171,6 +193,9 @@ func TestTopologiesMatchLocalPrediction(t *testing.T) {
 					t.Fatal(err)
 				}
 				wantScores[i] = p.core.Model().Scores(prepared[i])
+				if m.fixed {
+					wantScores[i] = fixedScores(t, p, prepared[i], wantScores[i])
+				}
 			}
 			check := func(t *testing.T, how string, i, label int, scores []float64) {
 				t.Helper()
@@ -242,6 +267,28 @@ func TestTopologiesMatchLocalPrediction(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fixedScores returns the scores p's fixed-point engine gives the packed
+// query q, after checking each lies within 1e-5 of the largest of the float
+// path's scores float.
+func fixedScores(t *testing.T, p *Pipeline, q, float []float64) []float64 {
+	t.Helper()
+	packed, ok := intscore.PackInto(q, nil)
+	if !ok {
+		t.Fatal("edge query is not in the packed alphabet")
+	}
+	got := p.core.Model().PackedScorer().ScoresPackedInto(packed, make([]float64, len(float)))
+	var top float64
+	for _, f := range float {
+		top = max(top, math.Abs(f))
+	}
+	for l := range got {
+		if math.Abs(got[l]-float[l]) > 1e-5*top {
+			t.Fatalf("class %d: fixed-point score %v, float %v", l, got[l], float[l])
+		}
+	}
+	return got
 }
 
 func TestConnectSingleIOTimeoutDefault(t *testing.T) {

@@ -104,11 +104,12 @@
 // partition. Replicas serving the same slice form a failover group, so a
 // replica dying mid-gather retries only its own shard. Connect validates
 // that the fleet's descriptors tile the full model exactly
-// (ErrShardTiling). DP models shard like any other, since their noised
-// classes are rounded to integers. Only a model whose classes are not
-// integers (unquantized scalar encoding, or online training) cannot be
-// partial-scored; a sharded Connect to one fails with
-// ErrPartialUnsupported.
+// (ErrShardTiling). Every model kind shards: DP models round their noised
+// classes to integers, and a model whose classes are not integers
+// (unquantized scalar encoding, or online training) is served in fixed
+// point at one scale for the whole model, which its slices share. Only
+// full-precision (WithRawQueries) queries cannot be partial-scored; a
+// sharded Connect over such an edge fails with ErrPartialUnsupported.
 //
 // Production deployments serve many models behind one listener through a
 // Registry of named, versioned pipelines: clients select one in the

@@ -275,9 +275,10 @@ func main() {
 	}
 
 	// --- Shard: the protocol splits one logical model across slice
-	// replicas. A quantized publication is what makes this exact — integer
-	// class vectors give integer partial dot products, and integers sum
-	// associatively — so the dimension halves below, each served from its
+	// replicas. Integer class vectors make this exact — they give integer
+	// partial dot products, and integers sum associatively (a model whose
+	// classes are not integers is served in fixed point, at one scale its
+	// slices share) — so the dimension halves below, each served from its
 	// own listener whose handshake advertises its slice, answer
 	// bit-identically to a whole-model server. Connect with the default
 	// auto topology sniffs the shard descriptors and builds the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -287,7 +288,10 @@ func TestRetryBudgetBoundsAttempts(t *testing.T) {
 // 2 s deadlines. While the whole fleet is down every pool fast-fails from
 // inside its dial-backoff window; a call must wait out the nearest window
 // and re-sweep rather than fail with most of its deadline unspent, so
-// every call of the run succeeds.
+// every call of the run succeeds. A failure lists every failed call with
+// when it started (from the kill) and how long it took, so a call that
+// ran out its 2 s deadline on a starved runner reads differently from a
+// fast failover fault.
 func TestClusterRidesOutFleetOutage(t *testing.T) {
 	const (
 		dim     = 16
@@ -325,11 +329,16 @@ func TestClusterRidesOutFleetOutage(t *testing.T) {
 	}
 
 	stop := make(chan struct{})
+	type failure struct {
+		start time.Time
+		took  time.Duration
+		err   error
+	}
 	var (
-		wg           sync.WaitGroup
-		calls, fails atomic.Int64
-		errMu        sync.Mutex
-		firstErr     error
+		wg       sync.WaitGroup
+		calls    atomic.Int64
+		errMu    sync.Mutex
+		failures []failure
 	)
 	for c := 0; c < callers; c++ {
 		wg.Add(1)
@@ -342,12 +351,10 @@ func TestClusterRidesOutFleetOutage(t *testing.T) {
 				default:
 				}
 				calls.Add(1)
+				start := time.Now()
 				if err := classify(class); err != nil {
-					fails.Add(1)
 					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
+					failures = append(failures, failure{start, time.Since(start), err})
 					errMu.Unlock()
 				}
 			}
@@ -355,6 +362,7 @@ func TestClusterRidesOutFleetOutage(t *testing.T) {
 	}
 
 	time.Sleep(50 * time.Millisecond)
+	killed := time.Now()
 	for _, r := range reps {
 		r.Kill()
 	}
@@ -370,9 +378,12 @@ func TestClusterRidesOutFleetOutage(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if n := fails.Load(); n > 0 {
-		t.Fatalf("%d of %d calls failed through a %v fleet outage; first: %v",
-			n, calls.Load(), outage, firstErr)
+	if len(failures) > 0 {
+		var b strings.Builder
+		for _, f := range failures {
+			fmt.Fprintf(&b, "\n  started %v after the kill, failed after %v: %v", f.start.Sub(killed), f.took, f.err)
+		}
+		t.Fatalf("%d of %d calls failed through a %v fleet outage:%s", len(failures), calls.Load(), outage, b.String())
 	}
 }
 

@@ -455,7 +455,7 @@ func (p *Pipeline) PredictBatch(X [][]float64) []int {
 	if len(X) == 0 {
 		return out
 	}
-	if !p.model.Precomputed() {
+	if p.model.PackedScorer() == nil {
 		// Never precomputed, or mutated since: freeze norms (and derive the
 		// integer scorer) so concurrent Predict calls don't race on the
 		// lazy caches.

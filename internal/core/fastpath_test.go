@@ -124,11 +124,11 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 }
 
 // TestConcurrentBatchOnFloatModel runs PredictBatch and Predict at once on
-// an unquantized scalar pipeline, whose classes are not integers and so
-// get no integer engine. PredictBatch keys its freeze on the model's
-// precomputed state, not on the (nil) engine, so a frozen float model is
-// never re-frozen under concurrent readers. Run under -race; every label
-// must match the sequential answer.
+// an unquantized scalar pipeline, whose classes are not integers. Its
+// engine scores them in fixed point, so once PredictBatch has frozen the
+// model the engine is there and no later call re-freezes it under
+// concurrent readers. Run under -race; every label must match the
+// sequential answer.
 func TestConcurrentBatchOnFloatModel(t *testing.T) {
 	cfg := Config{
 		HD:        hdc.Config{Dim: 450, Features: 19, Levels: 12, Seed: 5},
@@ -142,9 +142,8 @@ func TestConcurrentBatchOnFloatModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := p.PredictBatch(X) // freezes the model
-	if !p.Model().Precomputed() || p.Model().PackedScorer() != nil {
-		t.Fatalf("Precomputed = %v, PackedScorer = %v; want true, nil",
-			p.Model().Precomputed(), p.Model().PackedScorer())
+	if e := p.Model().PackedScorer(); e == nil || e.PlaneBits() != 32 {
+		t.Fatalf("PackedScorer = %v; want a fixed-point (int32-width) engine", e)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)

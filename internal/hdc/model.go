@@ -20,18 +20,11 @@ type Model struct {
 	norms   []float64
 	dirty   []bool
 
-	// frozen is set by Precompute and cleared by any mutation — the same
-	// freshness discipline as the norm caches, but tracked with an atomic
-	// pointer so concurrent readers never see a half-prepared state. It
-	// carries the integer-domain scoring engine, which is nil for a model
-	// intscore.Prepare refuses, so a nil engine never means "not
-	// precomputed".
-	frozen atomic.Pointer[precomputed]
-}
-
-// precomputed is what Precompute derives beyond the norm caches.
-type precomputed struct {
-	scorer *intscore.Engine
+	// scorer is the integer-domain scoring engine, set by Precompute and
+	// cleared by any mutation — the same freshness discipline as the norm
+	// caches, but an atomic pointer, so concurrent readers never see a
+	// half-prepared engine.
+	scorer atomic.Pointer[intscore.Engine]
 }
 
 // NewModel returns an empty model with the given number of classes and
@@ -72,7 +65,7 @@ func (m *Model) Class(l int) []float64 { return m.classes[l] }
 // (pruning and the DP privatizer edit class vectors in place).
 func (m *Model) Invalidate(l int) {
 	m.dirty[l] = true
-	m.frozen.Store(nil)
+	m.scorer.Store(nil)
 }
 
 // InvalidateAll marks every cached norm stale.
@@ -80,7 +73,7 @@ func (m *Model) InvalidateAll() {
 	for l := range m.dirty {
 		m.dirty[l] = true
 	}
-	m.frozen.Store(nil)
+	m.scorer.Store(nil)
 }
 
 // Add bundles encoding h into class l (Eq. 3 / first half of Eq. 5).
@@ -91,7 +84,7 @@ func (m *Model) Add(l int, h []float64) {
 	vecmath.Add(m.classes[l], h)
 	m.counts[l]++
 	m.dirty[l] = true
-	m.frozen.Store(nil)
+	m.scorer.Store(nil)
 }
 
 // Sub removes encoding h from class l (second half of Eq. 5).
@@ -102,7 +95,7 @@ func (m *Model) Sub(l int, h []float64) {
 	vecmath.Sub(m.classes[l], h)
 	m.counts[l]--
 	m.dirty[l] = true
-	m.frozen.Store(nil)
+	m.scorer.Store(nil)
 }
 
 // norm returns the cached ℓ2 norm of class l, refreshing it if stale.
@@ -124,23 +117,14 @@ func (m *Model) Precompute() {
 	for l := range m.classes {
 		m.norm(l)
 	}
-	m.frozen.Store(&precomputed{scorer: intscore.Prepare(m.classes)})
+	m.scorer.Store(intscore.Prepare(m.classes))
 }
-
-// Precomputed reports whether Precompute ran and no mutation followed it,
-// i.e. whether scoring the model is read-only.
-func (m *Model) Precomputed() bool { return m.frozen.Load() != nil }
 
 // PackedScorer returns the integer scoring engine derived by the last
 // Precompute, or nil if the model was mutated (or never precomputed) since
-// or its classes are not integer-valued (see intscore.Prepare). The engine
-// is immutable and safe for concurrent use.
-func (m *Model) PackedScorer() *intscore.Engine {
-	if f := m.frozen.Load(); f != nil {
-		return f.scorer
-	}
-	return nil
-}
+// or has a non-finite class coordinate. The engine is immutable and safe
+// for concurrent use.
+func (m *Model) PackedScorer() *intscore.Engine { return m.scorer.Load() }
 
 // Scores returns the norm-adjusted similarity H·C_l/‖C_l‖ for every class.
 // Per Eq. 4 the query-norm factor is identical across classes and omitted,
@@ -173,34 +157,19 @@ func (m *Model) ScoresInto(h, out []float64) []float64 {
 }
 
 // ScoresPlanesInto is ScoresInto for a quantized query in its bit-plane
-// form: scores are computed in the integer domain on the engine the last
-// Precompute derived (bit-identical to ScoresInto on the float64 expansion
-// of q — see the intscore package for the exactness argument), without
-// ever expanding the query. Without an engine — a non-integer model, or
-// one mutated since Precompute — it scores the planes' symbols directly
-// against the float class vectors: still no expansion and still
-// bit-identical, but on a mutated model with the lazy norm refresh that
-// makes it unsafe for concurrent use until the next Precompute.
+// form, scored on the integer engine (see the intscore package for how
+// closely it follows ScoresInto on the float64 expansion of q) without
+// ever expanding the query. A model mutated since Precompute precomputes
+// first, which is not safe concurrently with other inference. A model with
+// a non-finite class coordinate has no engine, and panics.
 func (m *Model) ScoresPlanesInto(q intscore.Planes, out []float64) []float64 {
 	if q.Dim != m.dim {
 		panic(ErrDimension)
 	}
-	if len(out) != len(m.classes) {
-		panic(fmt.Sprintf("hdc: ScoresPlanesInto buffer has %d slots, model has %d classes",
-			len(out), len(m.classes)))
+	if m.PackedScorer() == nil {
+		m.Precompute()
 	}
-	if e := m.PackedScorer(); e != nil {
-		return e.ScoresInto(q, out)
-	}
-	for l := range m.classes {
-		n := m.norm(l)
-		if n == 0 {
-			out[l] = math.Inf(-1)
-			continue
-		}
-		out[l] = intscore.DotPlanes(q, m.classes[l]) / n
-	}
-	return out
+	return m.PackedScorer().ScoresInto(q, out)
 }
 
 // Predict returns the label with the highest similarity score for the
@@ -220,10 +189,14 @@ func (m *Model) Cosine(h []float64, l int) float64 {
 
 // Slice returns a new model holding classes [classOff, classOff+classCount)
 // restricted to dimensions [dimOff, dimOff+dimLen) — the shard a replica
-// serves when one logical model is split across a fleet. The slice is a
-// deep copy (mutating it never touches the parent) and is not precomputed;
-// registering it derives its own scoring engine over the sub-ranges.
-// Counts carry over so diagnostics still report training volume.
+// serves when one logical model is split across a fleet. It is cut from
+// the parent's integer serving form (intscore.Fixed), so a non-integer
+// model's slices share the whole model's fixed-point scale and their
+// partial scores add up across a fleet; an integer model's are plain
+// copies. The slice is a deep copy (mutating it never touches the parent)
+// and is not precomputed; registering it derives its own scoring engine
+// over the sub-ranges. Counts carry over so diagnostics still report
+// training volume.
 func (m *Model) Slice(dimOff, dimLen, classOff, classCount int) *Model {
 	if dimOff < 0 || dimLen <= 0 || dimOff+dimLen > m.dim {
 		panic(fmt.Sprintf("hdc: Slice dims [%d:%d) outside model dim %d", dimOff, dimOff+dimLen, m.dim))
@@ -232,9 +205,13 @@ func (m *Model) Slice(dimOff, dimLen, classOff, classCount int) *Model {
 		panic(fmt.Sprintf("hdc: Slice classes [%d:%d) outside model's %d classes",
 			classOff, classOff+classCount, len(m.classes)))
 	}
+	src := intscore.Fixed(m.classes)
+	if src == nil {
+		src = m.classes // non-finite: refused when the slice is published
+	}
 	s := NewModel(classCount, dimLen)
 	for k := 0; k < classCount; k++ {
-		copy(s.classes[k], m.classes[classOff+k][dimOff:dimOff+dimLen])
+		copy(s.classes[k], src[classOff+k][dimOff:dimOff+dimLen])
 		s.counts[k] = m.counts[classOff+k]
 	}
 	return s

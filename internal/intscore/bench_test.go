@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"privehd/internal/hdc"
 	"privehd/internal/intscore"
 	"privehd/internal/vecmath"
 )
@@ -12,10 +11,9 @@ import (
 // benchSetup builds the acceptance geometry: D=4000, 26 classes (ISOLET-
 // shaped), integer class prototypes as bundling produces, and a biased-
 // ternary-shaped packed query.
-func benchSetup() (*hdc.Model, *intscore.Engine, []int8) {
+func benchSetup() (*intscore.Engine, []int8) {
 	const classes, dim = 26, 4000
 	rng := rand.New(rand.NewSource(99))
-	m := hdc.NewModel(classes, dim)
 	raw := make([][]float64, classes)
 	for l := 0; l < classes; l++ {
 		h := make([]float64, dim)
@@ -23,9 +21,7 @@ func benchSetup() (*hdc.Model, *intscore.Engine, []int8) {
 			h[i] = float64(rng.Intn(801) - 400)
 		}
 		raw[l] = h
-		m.Add(l, h)
 	}
-	m.Precompute()
 	q := make([]int8, dim)
 	for i := range q {
 		// p(0)=1/2, p(±1)=1/4 — the paper-default biased ternary occupancy.
@@ -36,32 +32,21 @@ func benchSetup() (*hdc.Model, *intscore.Engine, []int8) {
 			q[i] = -1
 		}
 	}
-	return m, intscore.Prepare(raw), q
+	return intscore.Prepare(raw), q
 }
 
-// BenchmarkScoresPacked compares scoring one packed query against every
-// class on the legacy path (expand to []float64, float64 dot per class —
-// what the server did before the integer engine) and on the integer-domain
-// engine. The engine sub-benchmarks are the zero-alloc serving paths the CI
-// benchmark gate holds at 0 allocs/op: "intscore" times the int8 adapter,
-// which splits the query into planes first, and every other row the planes
-// entry the server scores with. The per-width ones time each kernel at
-// each plane width, and the paper ones the served models' geometry.
+// BenchmarkScoresPacked times scoring one packed query against every
+// class on the integer-domain engine. Every row is a zero-alloc serving
+// path the CI benchmark gate holds at 0 allocs/op: "intscore" times the
+// int8 adapter, which splits the query into planes first, and every other
+// row the planes entry the server scores with. The per-width ones time
+// each kernel at each plane width, and the paper ones the served models'
+// geometry.
 func BenchmarkScoresPacked(b *testing.B) {
-	m, e, q := benchSetup()
-	out := make([]float64, m.NumClasses())
+	e, q := benchSetup()
+	out := make([]float64, e.NumClasses())
 	pq := intscore.Split(q)
 
-	b.Run("float64-expand", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			v := make([]float64, len(q)) // the per-query expansion the old path paid
-			for j, s := range q {
-				v[j] = float64(s)
-			}
-			m.ScoresInto(v, out)
-		}
-	})
 	b.Run("intscore", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -91,7 +76,7 @@ func BenchmarkScoresPacked(b *testing.B) {
 		name string
 		mag  int
 	}{{"int8", 100}, {"int16", 400}, {"int32", 40000}} {
-		raw := make([][]float64, m.NumClasses())
+		raw := make([][]float64, e.NumClasses())
 		for l := range raw {
 			raw[l] = make([]float64, len(q))
 			for i := range raw[l] {
@@ -117,7 +102,7 @@ func BenchmarkScoresPacked(b *testing.B) {
 	// encodings per class keeps |v| < 32, so they score on 6 bit-planes.
 	// The edge sends a bipolar query, or with a query mask one whose
 	// masked half is zero.
-	raw := make([][]float64, m.NumClasses())
+	raw := make([][]float64, e.NumClasses())
 	for l := range raw {
 		raw[l] = make([]float64, len(q))
 		for i := range raw[l] {

@@ -10,41 +10,43 @@
 // complement (s = lo − 2·hi). ScoresPackedInto and PartialsPackedInto
 // remain as adapters for callers holding one int8 per dimension. The class
 // prototypes a model was trained from are sums of quantized (integer)
-// encodings, and a DP release rounds its noised classes to integers, so
-// every served class vector is integer-valued. Scoring a packed query is
-// then a pure integer dot per class, finished by one float division per
-// class with the same ℓ2 norm the float path divides by.
+// encodings, and a DP release rounds its noised classes to integers; any
+// other model (unquantized scalar-encoded or online-trained, whose classes
+// are sums of fractions) is served in fixed point as round(2^k·C), with one
+// k for the whole model (see Fixed), and the scale cancels in h·C/‖C‖. So
+// every engine scores integer classes: a pure integer dot per class,
+// finished by one float division per class by its ℓ2 norm.
 //
 // Prepare picks the layout, and with it the kernel, from the class
-// magnitudes alone. When every coordinate fits int8 — every served model
+// magnitudes alone. When every coordinate fits int8 — every integer model
 // does, since bundling keeps |v| < 32 — each class is stored as
 // B = bits.Len(max|v|)+1 two's-complement bit-planes, and the kernel sums
 // popcnt(lo ∧ C_b) − 2·popcnt(hi ∧ C_b) at each plane's weight (2^b, and
 // −2^(B−1) for the top plane). Its cost does not depend on the query's
-// zero fraction. Wider classes are laid out as cache-blocked int16 or
-// int32 panels of 256 dimensions, with two kernels written once and
-// instantiated per width: a dense 4-class-wide int64 multiply-accumulate
-// for zero-poor (bipolar) queries, which expands one block of the planes
-// to int8 symbols at a time, and a multiplication-free gather for
-// zero-rich ones (ternary, biased ternary, 2-bit, masked), which walks the
-// set bits of lo∧¬hi, lo∧hi and hi∧¬lo. Each query takes whichever suits
-// it. The popcount kernel's cost grows with B, so
-// at these widths it would lose to them. Integer sums are exact, so no
-// choice ever changes a score bit.
+// zero fraction. Wider classes (fixed-point ones are int32) are laid out
+// as cache-blocked int16 or int32 panels of 256 dimensions, with two
+// kernels written once and instantiated per width: a dense 4-class-wide
+// int64 multiply-accumulate for zero-poor (bipolar) queries, which expands
+// one block of the planes to int8 symbols at a time, and a
+// multiplication-free gather for zero-rich ones (ternary, biased ternary,
+// 2-bit, masked), which walks the set bits of lo∧¬hi, lo∧hi and hi∧¬lo.
+// Each query takes whichever suits it. The popcount kernel's cost grows
+// with B, so at these widths it would lose to them. Integer sums are
+// exact, so no choice ever changes a score bit.
 //
 // # Fidelity to the float path
 //
-// The result is bit-identical to hdc.Model.ScoresInto on the float64
-// expansion of the query: every query·class product is an integer,
-// integer-valued float64 partial sums are exact below 2^53, and the final
-// division uses the identical norm value. Prepare therefore accepts a
-// model only if every class is integer-valued within one exactness bound
-// (|v| < 2^26, Σv² < 2^53 and 2·‖C‖₁ < 2^53, which no real model
-// approaches) and returns nil otherwise. The only models left without an
-// engine are unquantized scalar-encoded and online-trained ones, whose
-// classes are sums of fractions; hdc.Model scores those on its own float
-// path. The documented tolerance for callers is therefore 0; tests assert
-// ≤1e-9 to keep the contract robust to future reassociation.
+// An integer model's scores are bit-identical to hdc.Model.ScoresInto on
+// the float64 expansion of the query: every query·class product is an
+// integer, integer-valued float64 partial sums are exact below 2^53, and
+// the final division uses the identical norm value. Integer classes keep
+// scale 1 while they lie within one exactness bound (|v| < 2^26,
+// Σv² < 2^53 and 2·‖C‖₁ < 2^53, which no real model approaches); tests
+// assert ≤1e-9 to keep that contract robust to future reassociation. A
+// fixed-point model's scores carry only the rounding of its classes, at
+// most √D/2 away from 2^k·C, so class l's score on query q stays within
+// ‖q‖₂·√D/‖round(2^k·C_l)‖ of the float path's, and labels agree whenever
+// the float top-2 margin exceeds both classes' bounds.
 //
 // Engines are immutable once prepared and safe for concurrent use; per-call
 // accumulators come from an internal sync.Pool, so the scoring hot path
@@ -79,9 +81,9 @@ const blockDim = 256
 const _ = uint8(blockDim - 1) // compile-time guard for uint8 indices
 
 // exactLimit is 2^53, below which integer-valued float64 sums are exact.
-// Prepare refuses any class whose Σv² or worst-case |accumulator| (2·‖C‖₁)
-// could reach it, or with a coordinate of magnitude 2^26 or more, so both
-// whole-model scores and cross-shard partial sums never silently lose bits.
+// Every engine's classes have Σv² and worst-case |accumulator| (2·‖C‖₁)
+// below it and coordinates below maxAbsVal, so both whole-model scores and
+// cross-shard partial sums never silently lose bits.
 const (
 	exactLimit = 1 << 53
 	maxAbsVal  = 1 << 26
@@ -217,11 +219,15 @@ type engineScratch struct {
 	pos, neg, neg2 [blockDim]uint8
 }
 
-// Prepare derives an engine from a model's class prototypes, or returns nil
-// if some class is not integer-valued within the exactness bound (see the
-// package doc). The class slices are read once and copied into the blocked
+// Prepare derives an engine from a model's class prototypes, scoring their
+// serving form (see Fixed), or returns nil if some coordinate is not
+// finite. The class slices are read once and copied into the blocked
 // layout; callers must not mutate them afterwards without re-preparing.
 func Prepare(classes [][]float64) *Engine {
+	classes = Fixed(classes)
+	if classes == nil {
+		return nil
+	}
 	e := &Engine{
 		classes: len(classes),
 		norms:   make([]float64, len(classes)),
@@ -232,30 +238,13 @@ func Prepare(classes [][]float64) *Engine {
 		return e
 	}
 	e.dim = len(classes[0])
-
-	// First pass: norms, the exactness bound, and the narrowest width that
-	// holds every class.
 	var maxAbs float64
 	for l, c := range classes {
-		if len(c) != e.dim {
-			panic(fmt.Sprintf("intscore: class %d has dim %d, class 0 has %d", l, len(c), e.dim))
-		}
-		var norm1, normSq float64
 		for _, v := range c {
-			a := math.Abs(v)
-			if v != math.Trunc(v) || a >= maxAbsVal {
-				return nil
-			}
-			maxAbs = max(maxAbs, a)
-			norm1 += a
-			normSq += v * v
+			maxAbs = max(maxAbs, math.Abs(v))
 		}
-		// 2·‖C‖₁ bounds |Σ q·C| for q in −2…+1.
-		if 2*norm1 >= exactLimit || normSq >= exactLimit {
-			return nil
-		}
+		e.normsSq[l] = vecmath.Dot(c, c)
 		e.norms[l] = vecmath.Norm2(c)
-		e.normsSq[l] = normSq
 	}
 	switch {
 	case maxAbs <= math.MaxInt8:
@@ -266,6 +255,64 @@ func Prepare(classes [][]float64) *Engine {
 		e.bits, e.planes = 32, newPanels[int32](classes)
 	}
 	return e
+}
+
+// Fixed returns the integer classes an engine over classes scores: classes
+// itself when every coordinate is an integer within the exactness bound
+// (scale 1), and otherwise a copy rounded to round(2^k·C), where k is the
+// largest exponent for which 2^k·C stays within the bound with one bit to
+// spare (|v| < 2^25, Σv² < 2^52, 2·‖C‖₁ < 2^52), so rounding cannot push
+// it past. It returns nil if some coordinate is not finite. k depends on
+// the whole class set, so a dimension or class slice of the result is
+// integer within the bound and keeps scale 1: shards cut from it agree on
+// k by construction, which shards each scaling their own slice would not.
+func Fixed(classes [][]float64) [][]float64 {
+	var maxAbs float64
+	exact := true
+	for l, c := range classes {
+		if len(c) != len(classes[0]) {
+			panic(fmt.Sprintf("intscore: class %d has dim %d, class 0 has %d", l, len(c), len(classes[0])))
+		}
+		var norm1, normSq float64
+		for _, v := range c {
+			exact = exact && v == math.Trunc(v)
+			maxAbs = max(maxAbs, math.Abs(v)) // NaN or +Inf once non-finite
+			norm1 += math.Abs(v)
+			normSq += v * v
+		}
+		// 2·‖C‖₁ bounds |Σ q·C| for q in −2…+1.
+		exact = exact && 2*norm1 < exactLimit && normSq < exactLimit
+	}
+	if exact && maxAbs < maxAbsVal {
+		return classes
+	}
+	if math.IsNaN(maxAbs) || math.IsInf(maxAbs, 0) {
+		return nil
+	}
+	// maxAbs > 0, since all-zero classes are exact, and with
+	// maxAbs < 2^e, 2^k·maxAbs < 2^25 holds for every k ≤ 25−e.
+	_, e := math.Frexp(maxAbs)
+	k := 25 - e
+	for _, c := range classes {
+		var sq, abs float64
+		for _, v := range c {
+			x := math.Ldexp(v, k)
+			sq += x * x
+			abs += math.Abs(x)
+		}
+		for sq >= exactLimit/2 || 2*abs >= exactLimit/2 {
+			k--
+			sq, abs = sq/4, abs/2
+		}
+	}
+	out := make([][]float64, len(classes))
+	for l, c := range classes {
+		out[l] = make([]float64, len(c))
+		for i, v := range c {
+			out[l][i] = math.Round(math.Ldexp(v, k))
+		}
+	}
+	return out
 }
 
 // newPanels copies classes, whose coordinates all fit T, into the blocked
@@ -343,9 +390,8 @@ func (e *Engine) check(dim, words, n int) {
 }
 
 // PartialCapable reports whether the engine can answer sharded partial-
-// score requests: every engine can, since Prepare admits only classes
-// whose integer partial sums and Σv² are exact. It is nil-safe, so a model
-// Prepare refused (no engine) reports false.
+// score requests: every engine Prepare returns can, since its integer
+// partial sums and Σv² are exact. It is nil-safe, and false on nil.
 func (e *Engine) PartialCapable() bool { return e != nil }
 
 // NormsSq returns the per-class Σv² slice. The returned slice is the
@@ -650,21 +696,6 @@ func gather1[T element](idx []uint8, p *[blockDim]T) (s int64) {
 		s += int64(p[j])
 	}
 	return
-}
-
-// DotPlanes returns Σ q[i]·c[i] without expanding q, accumulated in index
-// order with a single accumulator so the result is bit-identical to
-// vecmath.Dot on the float64 expansion of q — hdc.Model's kernel for the
-// non-integer models Prepare refuses.
-func DotPlanes(q Planes, c []float64) float64 {
-	if q.Dim != len(c) {
-		panic("intscore: DotPlanes length mismatch")
-	}
-	var s float64
-	for i, v := range c {
-		s += float64(q.Symbol(i)) * v
-	}
-	return s
 }
 
 // PackInto packs a quantized hypervector into the one-int8-per-dimension

@@ -117,11 +117,75 @@ func TestEquivalence(t *testing.T) {
 	}
 }
 
-// TestNonIntegerModelHasNoEngine covers a model with one fractional class
-// (an unquantized scalar-encoded model, say): Prepare refuses it, and the
-// precomputed hdc.Model scores packed queries on its own float path,
-// bit-identical to ScoresInto on the expanded query.
-func TestNonIntegerModelHasNoEngine(t *testing.T) {
+// checkServingForm asserts classes are what every engine scores: integer
+// coordinates with |v| < 2^26, Σv² < 2^53 and 2·‖C‖₁ < 2^53 per class.
+func checkServingForm(t *testing.T, classes [][]float64) {
+	t.Helper()
+	for l, c := range classes {
+		var sq, abs float64
+		for i, v := range c {
+			if v != math.Trunc(v) || math.Abs(v) >= 1<<26 {
+				t.Fatalf("class %d dim %d: %v is no integer below 2^26", l, i, v)
+			}
+			sq += v * v
+			abs += math.Abs(v)
+		}
+		if sq >= 1<<53 || 2*abs >= 1<<53 {
+			t.Fatalf("class %d: Σv² = %v, 2·‖C‖₁ = %v, bound 2^53", l, sq, 2*abs)
+		}
+	}
+}
+
+// checkFixed asserts the scores got an engine over classes' fixed form
+// gave for q stay within the documented bound of the float path's,
+// ‖q‖₂·√D/‖round(2^k·C_l)‖ plus 1e-9 of the score for the float path's own
+// rounding, and that the label agrees whenever the float top score beats
+// every other by more than both their bounds. Classes the float path
+// cannot score (a norm that under- or overflows) or whose fixed form is
+// zero are skipped, and so is the label unless every class is comparable.
+func checkFixed(t *testing.T, classes, fixed [][]float64, q []int8, got []float64) {
+	t.Helper()
+	want := refScores(classes, q)
+	var qq float64
+	for _, s := range q {
+		qq += float64(s) * float64(s)
+	}
+	tol := make([]float64, len(fixed))
+	comparable := true
+	for l := range want {
+		tol[l] = math.Sqrt(qq)*math.Sqrt(float64(len(q)))/vecmath.Norm2(fixed[l]) + 1e-9*math.Max(1, math.Abs(want[l]))
+		if math.IsInf(want[l], -1) && math.IsInf(got[l], -1) {
+			continue
+		}
+		if n := vecmath.Norm2(classes[l]); n == 0 || math.IsInf(n, 0) || math.IsInf(tol[l], 0) {
+			comparable = false
+			continue
+		}
+		if math.Abs(got[l]-want[l]) > tol[l] {
+			t.Fatalf("class %d: fixed-point score %v, float %v (diff %g > bound %g)", l, got[l], want[l], got[l]-want[l], tol[l])
+		}
+	}
+	top := vecmath.ArgMax(want)
+	if !comparable || math.IsInf(want[top], -1) {
+		return
+	}
+	for l := range want {
+		if l != top && want[top]-tol[top] <= want[l]+tol[l] {
+			return // within the bound: either label may win
+		}
+	}
+	if label := vecmath.ArgMax(got); label != top {
+		t.Fatalf("fixed-point label %d, float label %d, though the margin exceeds the bound", label, top)
+	}
+}
+
+// TestNonIntegerModelServedInFixedPoint covers a model with one fractional
+// coordinate (an unquantized scalar-encoded model, say): Prepare serves it
+// as round(2^k·C) on an int32-width engine, the precomputed hdc.Model
+// scores packed queries on that engine, bit-identically to the float path
+// over the fixed form, and every score and label stays within the
+// documented bound of ScoresInto on the expanded query.
+func TestNonIntegerModelServedInFixedPoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const dim, nclasses = 513, 6
 	m := hdc.NewModel(nclasses, dim)
@@ -134,21 +198,30 @@ func TestNonIntegerModelHasNoEngine(t *testing.T) {
 	for l := 0; l < nclasses; l++ {
 		classes = append(classes, m.Class(l))
 	}
-	if e := intscore.Prepare(classes); e != nil {
-		t.Fatal("Prepare derived an engine for a model with a fractional class")
+	fixed := intscore.Fixed(classes)
+	if &fixed[1][0] == &classes[1][0] {
+		t.Fatal("Fixed kept a fractional model at scale 1")
 	}
+	checkServingForm(t, fixed)
 	m.Precompute()
-	if !m.Precomputed() || m.PackedScorer() != nil {
-		t.Fatalf("Precomputed = %v, PackedScorer = %v; want true, nil", m.Precomputed(), m.PackedScorer())
+	if e := m.PackedScorer(); e == nil || e.PlaneBits() != 32 {
+		t.Fatalf("PackedScorer = %v; want an int32-width engine", e)
 	}
-	checkModelBitIdentical(t, rng, m, 20)
+	for trial := 0; trial < 20; trial++ {
+		q := randPacked(rng, dim, []int8{-2, -1, 0, 1})
+		got := m.ScoresPlanesInto(intscore.Split(q), make([]float64, nclasses))
+		checkClose(t, got, refScores(fixed, q))
+		checkFixed(t, classes, fixed, q, got)
+	}
 }
 
-// TestPrepareExactnessBound pins the one bound Prepare admits a model
-// under: integer coordinates with |v| < 2^26, Σv² < 2^53 and 2·‖C‖₁ < 2^53
-// per class. Anything past it gets no engine, and a nil engine is not
-// partial-capable. (The ‖C‖₁ clause cannot trip first at an allocatable
-// size: integers have |v| ≤ v², so it needs 2^52 unit coordinates.)
+// TestPrepareExactnessBound pins the one bound under which Prepare serves
+// classes as they are (scale 1): integer coordinates with |v| < 2^26,
+// Σv² < 2^53 and 2·‖C‖₁ < 2^53 per class. Finite classes past it are
+// served in fixed point, inside the bound; non-finite ones get no engine,
+// and a nil engine is not partial-capable. (The ‖C‖₁ clause cannot trip
+// first at an allocatable size: integers have |v| ≤ v², so it needs 2^52
+// unit coordinates.)
 func TestPrepareExactnessBound(t *testing.T) {
 	const limit = 1 << 26
 	at := func(v float64, dim int) [][]float64 {
@@ -161,16 +234,17 @@ func TestPrepareExactnessBound(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		classes [][]float64
-		ok      bool
+		ok      bool // an engine
+		scale1  bool // served as they are
 	}{
-		{"max coordinate", at(limit-1, 1), true},
-		{"max negative coordinate", at(-(limit - 1), 1), true},
-		{"coordinate at 2^26", at(limit, 1), false},
-		{"fraction", at(0.5, 4), false},
-		{"NaN", at(math.NaN(), 4), false},
-		{"+Inf", at(math.Inf(1), 4), false},
-		{"Σv² below 2^53", at(1<<25, 7), true},
-		{"Σv² at 2^53", at(1<<25, 8), false},
+		{"max coordinate", at(limit-1, 1), true, true},
+		{"max negative coordinate", at(-(limit - 1), 1), true, true},
+		{"coordinate at 2^26", at(limit, 1), true, false},
+		{"fraction", at(0.5, 4), true, false},
+		{"NaN", at(math.NaN(), 4), false, false},
+		{"+Inf", at(math.Inf(1), 4), false, false},
+		{"Σv² below 2^53", at(1<<25, 7), true, true},
+		{"Σv² at 2^53", at(1<<25, 8), true, false},
 	} {
 		e := intscore.Prepare(tc.classes)
 		if (e != nil) != tc.ok {
@@ -179,6 +253,17 @@ func TestPrepareExactnessBound(t *testing.T) {
 		if e.PartialCapable() != tc.ok {
 			t.Errorf("%s: PartialCapable %v, want %v", tc.name, e.PartialCapable(), tc.ok)
 		}
+		fixed := intscore.Fixed(tc.classes)
+		if !tc.ok {
+			if fixed != nil {
+				t.Errorf("%s: Fixed returned classes for a non-finite model", tc.name)
+			}
+			continue
+		}
+		if scale1 := &fixed[1][0] == &tc.classes[1][0]; scale1 != tc.scale1 {
+			t.Errorf("%s: served as they are %v, want %v", tc.name, scale1, tc.scale1)
+		}
+		checkServingForm(t, fixed)
 	}
 }
 
@@ -226,8 +311,8 @@ func checkModelBitIdentical(t *testing.T, rng *rand.Rand, m *hdc.Model, trials i
 }
 
 // TestModelMutationDropsScorer asserts the engine follows the norm-cache
-// freshness discipline: any mutation invalidates it, and the fallback path
-// still scores correctly until the next Precompute.
+// freshness discipline: any mutation invalidates it, and scoring a packed
+// query on a mutated model precomputes it again first.
 func TestModelMutationDropsScorer(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := hdc.NewModel(3, 64)
@@ -237,22 +322,21 @@ func TestModelMutationDropsScorer(t *testing.T) {
 	}
 	m.Add(1, h)
 	m.Precompute()
-	if m.PackedScorer() == nil || !m.Precomputed() {
+	if m.PackedScorer() == nil {
 		t.Fatal("no scorer after Precompute")
 	}
 	m.Add(2, h)
-	if m.PackedScorer() != nil || m.Precomputed() {
+	if m.PackedScorer() != nil {
 		t.Fatal("scorer survived Add")
 	}
 	q := randPacked(rng, 64, []int8{-1, 0, 1})
 	classes := [][]float64{m.Class(0), m.Class(1), m.Class(2)}
 	checkClose(t, m.ScoresPlanesInto(intscore.Split(q), make([]float64, 3)), refScores(classes, q))
-	m.Precompute()
 	if m.PackedScorer() == nil {
-		t.Fatal("no scorer after re-Precompute")
+		t.Fatal("scoring a mutated model did not precompute it")
 	}
 	m.InvalidateAll()
-	if m.PackedScorer() != nil || m.Precomputed() {
+	if m.PackedScorer() != nil {
 		t.Fatal("scorer survived InvalidateAll")
 	}
 }
@@ -366,5 +450,63 @@ func FuzzScoresPacked(f *testing.F) {
 			checkClose(t, e.ScoresInto(pq, make([]float64, len(models[k]))), want)
 			checkClose(t, e.ScoresPackedInto(q, make([]float64, len(models[k]))), want)
 		}
+	})
+}
+
+// FuzzPrepareScale fuzzes the fixed-point rule: three classes of 70
+// coordinates, each a fuzzed int8 times 2^shift (shift from −1073, where
+// the coordinates are subnormal and k passes what math.Exp2 can hold, to
+// 925, where Σv² overflows), with one coordinate optionally nudged off the
+// integers. Prepare must return an engine for every such finite class set
+// and never panic; the engine's classes must lie inside the exactness
+// bound, its Σv² must be theirs exactly, and it must score a fuzzed query
+// bit-identically to the float path on them and, where the float path can
+// score it at all, within the documented bound of the float path on the
+// original classes.
+func FuzzPrepareScale(f *testing.F) {
+	const dim, nclasses = 70, 3
+	f.Add(int16(0), uint8(0), []byte{0})                 // all-zero classes
+	f.Add(int16(0), uint8(0), []byte{1, 255, 7, 128})    // small integers: scale 1
+	f.Add(int16(0), uint8(3), []byte{1, 255, 7, 128})    // one fractional coordinate
+	f.Add(int16(-1073), uint8(0), []byte{1, 2, 3, 255})  // subnormal
+	f.Add(int16(-999), uint8(9), []byte{5, 250, 9})      // tiny, and one fraction
+	f.Add(int16(18), uint8(0), []byte{127, 129, 100, 1}) // 2^25-scale integers past the bound
+	f.Add(int16(925), uint8(0), []byte{127, 129, 3})     // Σv² overflows float64
+	f.Fuzz(func(t *testing.T, shift int16, frac uint8, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		sh := int(shift)%1000 - 74
+		classes := make([][]float64, nclasses)
+		q := make([]int8, dim)
+		for l := range classes {
+			classes[l] = make([]float64, dim)
+			for i := range classes[l] {
+				b := data[(l*dim+i)%len(data)]
+				classes[l][i] = math.Ldexp(float64(int8(b)), sh)
+				q[i] = int8(b>>3%4) - 2
+			}
+		}
+		if frac != 0 {
+			classes[int(frac)%nclasses][int(frac)%dim] += math.Ldexp(float64(frac), sh-8)
+		}
+		e := intscore.Prepare(classes)
+		if e == nil {
+			t.Fatal("Prepare refused a finite class set")
+		}
+		fixed := intscore.Fixed(classes)
+		checkServingForm(t, fixed)
+		for l, c := range fixed {
+			var sq float64
+			for _, v := range c {
+				sq += v * v
+			}
+			if e.NormsSq()[l] != sq {
+				t.Fatalf("class %d: engine Σv² %v, fixed form's %v", l, e.NormsSq()[l], sq)
+			}
+		}
+		got := e.ScoresInto(intscore.Split(q), make([]float64, nclasses))
+		checkClose(t, got, refScores(fixed, q))
+		checkFixed(t, classes, fixed, q, got)
 	})
 }

@@ -3,8 +3,10 @@ package offload
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"privehd/internal/intscore"
@@ -16,9 +18,9 @@ import (
 const fuzzMaxBatch = 4
 
 // fuzzServer returns a server (not listening; the fuzz calls answer
-// directly) over two models: "int", an integer-valued model that can serve
-// partial scores and is the default, and "fractional", a non-integer one that
-// must refuse them.
+// directly) over two models: "int", an integer-valued model and the
+// default, and "fractional", a non-integer one served in fixed point. Both
+// answer partial scores.
 func fuzzServer(tb testing.TB) *Server {
 	tb.Helper()
 	reg := registry.New()
@@ -82,7 +84,9 @@ func fuzzRequest(op, n, shape uint8, budget int64, symbols []byte, dim int) Requ
 // FuzzAnswer is the contract of the server's single answer path: no frame,
 // however malformed, panics it, and every accepted frame is answered in
 // full — one result (or partial-score row) per query, each as wide as the
-// model has classes.
+// model has classes. Partial scores are refused only for a full-precision
+// query, on either model, and the ones answered reconstruct the model's
+// classify scores exactly.
 func FuzzAnswer(f *testing.F) {
 	valid := []byte{1, 0, 0xff, 0xfe}                                  // 1, 0, −1, −2
 	f.Add(uint8(0), uint8(0), uint8(3), uint8(0), int64(0), valid)     // classify
@@ -95,7 +99,7 @@ func FuzzAnswer(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(1), uint8(4), int64(0), valid)     // codeDim
 	f.Add(uint8(0), uint8(0), uint8(1), uint8(8), int64(0), valid)     // codeDim, empty query
 	f.Add(uint8(1), uint8(0), uint8(1), uint8(1), int64(0), valid)     // codePartial: Vector query
-	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), int64(0), valid)     // codePartial: fractional model
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), int64(0), valid)     // partial scores, fractional model
 	f.Add(uint8(0), uint8(2), uint8(1), uint8(0), int64(0), valid)     // codeUnknownModel
 	f.Add(uint8(0), uint8(0), uint8(4), uint8(0), int64(1), valid)     // codeDeadline
 	f.Add(uint8(0), uint8(1), uint8(4), uint8(2), int64(1e9), valid)   // both fields, budgeted
@@ -115,6 +119,9 @@ func FuzzAnswer(f *testing.F) {
 			}
 			if len(reply.Results) != 0 || len(reply.Partials) != 0 {
 				t.Fatalf("refusal %q carries %d results and %d partial rows", reply.Code, len(reply.Results), len(reply.Partials))
+			}
+			if reply.Code == codePartial && !slices.ContainsFunc(req.Queries, func(q Query) bool { return q.Vector != nil }) {
+				t.Fatalf("partial scores of packed queries on model %q refused: %s", name, reply.Detail)
 			}
 			return
 		}
@@ -143,6 +150,18 @@ func FuzzAnswer(f *testing.F) {
 			}
 			if len(reply.NormSq) != classes {
 				t.Fatalf("%d class norms, model has %d classes", len(reply.NormSq), classes)
+			}
+			entry, err := s.reg.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, q := range req.Queries {
+				want := entry.Scorer.ScoresInto(q.Packed, make([]float64, classes))
+				for l, d := range reply.Partials[i] {
+					if got := float64(d) / math.Sqrt(reply.NormSq[l]); got != want[l] {
+						t.Fatalf("query %d class %d: partials reconstruct %v, classify scores %v", i, l, got, want[l])
+					}
+				}
 			}
 		case OpListModels:
 			if len(reply.Models) != len(fuzzModels)-1 {

@@ -163,12 +163,11 @@ var (
 	// ErrUnsupportedOp reports a request frame naming an operation the
 	// server does not implement.
 	ErrUnsupportedOp = errors.New("offload: unsupported request op")
-	// ErrPartialUnsupported reports an OpPartialScores request against a
-	// model that cannot serve exact integer partial scores (its classes
-	// are not integers: an unquantized scalar-encoded or online-trained
-	// model), or a request carrying full-precision vectors. It is a
-	// protocol rejection, never retried.
-	ErrPartialUnsupported = errors.New("offload: model cannot serve partial scores")
+	// ErrPartialUnsupported reports an OpPartialScores request carrying
+	// full-precision vectors: partial scores are exact integer dots,
+	// defined for packed queries only, and every served model answers
+	// those. It is a protocol rejection, never retried.
+	ErrPartialUnsupported = errors.New("offload: full-precision queries cannot be partial-scored")
 	// ErrTransport reports a connection-level failure — dial, send,
 	// receive, i/o timeout, or the client being closed — as opposed to a
 	// typed protocol rejection. Classification is idempotent, so a caller
@@ -362,10 +361,10 @@ const (
 	// (Reply.Models) — client-side model discovery over the wire.
 	OpListModels
 	// OpPartialScores asks for raw per-class int64 dot products of
-	// each packed query against the served (possibly sliced) model, plus
-	// the per-class Σv² — the scatter half of sharded scoring. Queries
-	// must be packed; models that cannot answer exactly (non-integer
-	// classes) are refused with ErrPartialUnsupported.
+	// each packed query against the served (possibly sliced) model's
+	// integer classes, plus the per-class Σv² — the scatter half of
+	// sharded scoring. Queries must be packed; full-precision ones are
+	// refused with ErrPartialUnsupported.
 	OpPartialScores
 	// OpPing asks the server for an empty reply — an in-band liveness
 	// check pooled connections use to detect dead peers while idle,
@@ -573,8 +572,8 @@ func WithFlightRecorder(r *trace.Recorder) ServerOption {
 func NewServer(model *hdc.Model, opts ...ServerOption) *Server {
 	reg := registry.New()
 	if _, err := reg.Register(DefaultModelName, model, registry.EncoderInfo{}); err != nil {
-		// Register only fails on nil model or duplicate names; neither can
-		// happen on a fresh registry with a caller-supplied model.
+		// On a fresh registry, Register only fails on a nil model or one
+		// with a non-finite class coordinate: both caller errors.
 		panic(err)
 	}
 	return NewRegistryServer(reg, opts...)
@@ -1306,17 +1305,15 @@ func deadlineReply(budget int64) Reply {
 // frame's own goroutine, a batch spread over at most workers goroutines.
 // Both ops share the registry lookup, the batch limit, the per-query
 // dimension validation, the deadline shedding and the
-// served-query accounting; only the partial-score refusals and the result
+// served-query accounting; only the partial-score refusal and the result
 // shape differ. Partial scores are the scatter half of sharded scoring:
-// the raw int64 dot of every packed query against every served class, plus
-// the per-class Σv², both over whatever dimension slice this server's
-// entry holds — refused, typed and never retried, when the entry cannot
-// answer exactly (a model whose classes are not integer-valued, so it has
-// no integer engine) or a query is full-precision. The span collects the
-// batch's token waits and scoring time. A non-zero deadline sheds the
-// frame instead of scoring dead work: checked before scoring starts
-// (budget spent upstream) and as each query takes its scoring token
-// (budget spent waiting for one).
+// the raw int64 dot of every packed query against every served integer
+// class, plus the per-class Σv², both over whatever dimension slice this
+// server's entry holds — refused, typed and never retried, when a query is
+// full-precision. The span collects the batch's token waits and scoring
+// time. A non-zero deadline sheds the frame instead of scoring dead work:
+// checked before scoring starts (budget spent upstream) and as each query
+// takes its scoring token (budget spent waiting for one).
 func (s *Server) answerQueries(modelName string, req Request, span *trace.Span, deadline time.Time) Reply {
 	// Resolve the name fresh per frame: a Swap between frames serves the
 	// new model from the next frame on, while this frame keeps the entry
@@ -1326,10 +1323,6 @@ func (s *Server) answerQueries(modelName string, req Request, span *trace.Span, 
 		return Reply{Code: codeUnknownModel, Detail: err.Error()}
 	}
 	partial := req.Op == OpPartialScores
-	if partial && !entry.Scorer.PartialCapable() {
-		return Reply{Code: codePartial,
-			Detail: fmt.Sprintf("model %q has non-integer class vectors; partial scores would not be exact", entry.Name)}
-	}
 	if len(req.Queries) > s.maxBatch {
 		return Reply{Code: codeBatch,
 			Detail: fmt.Sprintf("%d queries, limit %d", len(req.Queries), s.maxBatch)}
@@ -1452,10 +1445,8 @@ func (b *batch) score(lo, hi int) bool {
 }
 
 // scoreOne scores query i into its reply slot. Packed queries are scored
-// in the integer domain on the entry's prepared planes, straight from the
-// planes the frame decoded into — no float64 expansion, no float dot —
-// falling back to the model's expansion-free planes path when the entry
-// has no engine (a non-integer model). Vector
+// in the integer domain on the entry's engine, straight from the planes
+// the frame decoded into — no float64 expansion, no float dot. Vector
 // wins when both wire fields are (ab)used, exactly as answerQueries
 // validated the frame's dimensionality, so a frame carrying a valid Vector
 // plus a wrong-length Packed can never reach the packed scorer and panic
@@ -1470,13 +1461,10 @@ func (b *batch) scoreOne(i int) {
 		return
 	}
 	scores := make([]float64, b.model.NumClasses())
-	switch {
-	case q.Vector != nil:
+	if q.Vector != nil {
 		b.model.ScoresInto(q.Vector, scores)
-	case b.scorer != nil:
+	} else {
 		b.scorer.ScoresInto(q.Packed, scores)
-	default:
-		b.model.ScoresPlanesInto(q.Packed, scores)
 	}
 	b.results[i] = Result{Label: vecmath.ArgMax(scores), Scores: scores}
 }
@@ -2137,9 +2125,9 @@ func (c *Client) PartialScores(packed [][]int8) ([][]int64, []float64, error) {
 // queries (see PartialScores), bounded by ctx: the frame carries the
 // remaining budget and the wait aborts on expiry or cancellation. A shard
 // coordinator sends each full query's Slice for the server's dimension
-// range. Partial-incapable models and full-precision queries are refused
-// with ErrPartialUnsupported; transport failures wrap ErrTransport and may
-// be retried on another replica of the same shard.
+// range. Full-precision queries are refused with ErrPartialUnsupported;
+// transport failures wrap ErrTransport and may be retried on another
+// replica of the same shard.
 func (c *Client) PartialScoresContext(ctx context.Context, qs []Query) ([][]int64, []float64, error) {
 	p, err := c.submitCtx(ctx, Request{Op: OpPartialScores, Queries: qs})
 	if err != nil {

@@ -177,11 +177,10 @@ func TestPartialScoresExactAndComposable(t *testing.T) {
 	}
 }
 
-func TestPartialScoresRefusedForNonIntegerModel(t *testing.T) {
-	// A model whose class planes are not integer-valued (e.g. unquantized
-	// scalar encoding) cannot answer exactly; the refusal is typed and must
-	// not look like a transport failure (a coordinator would otherwise
-	// retry it forever).
+func TestPartialScoresOfNonIntegerModel(t *testing.T) {
+	// A model whose classes are not integer-valued (e.g. unquantized scalar
+	// encoding) is served in fixed point, so it answers partial scores like
+	// any other, and they reconstruct its classify scores exactly.
 	m := labelModel(0)
 	m.Add(0, []float64{0.5, 0.25, 0, 0})
 	addr, _, cleanup := startServer(t, m)
@@ -189,12 +188,27 @@ func TestPartialScoresRefusedForNonIntegerModel(t *testing.T) {
 	c := dialToy(t, addr)
 	defer c.Close()
 
-	_, _, err := c.PartialScores([][]int8{{1, 1, 0, 0}})
-	if !errors.Is(err, ErrPartialUnsupported) {
-		t.Errorf("err = %v, want ErrPartialUnsupported", err)
+	q := []float64{1, 1, 0, -1}
+	packed, _ := PackQuery(q)
+	partials, normSq, err := c.PartialScores([][]int8{packed})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if errors.Is(err, ErrTransport) {
-		t.Errorf("typed refusal wraps ErrTransport: %v", err)
+	if len(partials) != 1 || len(partials[0]) != 2 || len(normSq) != 2 {
+		t.Fatalf("partials = %v, normSq = %v", partials, normSq)
+	}
+	_, scores, err := c.Classify(asQuery(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	float := m.Scores(q)
+	for l := range normSq {
+		if want := float64(partials[0][l]) / math.Sqrt(normSq[l]); scores[l] != want {
+			t.Errorf("class %d: classify score %v, partial reconstruction %v", l, scores[l], want)
+		}
+		if math.Abs(scores[l]-float[l]) > 1e-6*math.Abs(float[l]) {
+			t.Errorf("class %d: fixed-point score %v, float %v", l, scores[l], float[l])
+		}
 	}
 }
 

@@ -135,10 +135,10 @@ type Entry struct {
 	// at publication; it must not be mutated afterwards.
 	Model *hdc.Model
 	// Scorer is the integer-domain scoring engine for packed queries,
-	// derived from Model at publication together with the norm caches. It
-	// is immutable like the rest of the entry, so a query that resolved
-	// this entry can never score against half-prepared planes however the
-	// registry changes mid-flight.
+	// derived from Model at publication together with the norm caches;
+	// every published entry has one. It is immutable like the rest of the
+	// entry, so a query that resolved this entry can never score against
+	// half-prepared planes however the registry changes mid-flight.
 	Scorer *intscore.Engine
 	// Encoder is the model's public encoder setup (may be zero for
 	// bare-model entries).
@@ -242,9 +242,9 @@ func (r *Registry) RegisterShardVersion(name string, model *hdc.Model, info Enco
 	if err := shard.fits(model); err != nil {
 		return nil, err
 	}
-	// Freeze the norm caches and derive the packed-query integer planes so
-	// serving goroutines only ever read.
-	model.Precompute()
+	if err := freeze(model); err != nil {
+		return nil, err
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	next := r.clone()
@@ -260,6 +260,17 @@ func (r *Registry) RegisterShardVersion(name string, model *hdc.Model, info Enco
 	rmPublications.With(name).Inc()
 	rmActiveVersion.With(name).Set(int64(version))
 	return e, nil
+}
+
+// freeze precomputes model's norm caches and integer scoring engine, so
+// serving goroutines only ever read, and refuses a model with a
+// non-finite class coordinate, which has no engine.
+func freeze(model *hdc.Model) error {
+	model.Precompute()
+	if model.PackedScorer() == nil {
+		return errors.New("registry: model has a non-finite class coordinate")
+	}
+	return nil
 }
 
 // Swap atomically replaces the model published under name, bumping its
@@ -283,7 +294,9 @@ func (r *Registry) SwapVersion(name string, model *hdc.Model, info EncoderInfo, 
 	if version < 0 {
 		return nil, fmt.Errorf("registry: version must be non-negative, got %d", version)
 	}
-	model.Precompute()
+	if err := freeze(model); err != nil {
+		return nil, err
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	next := r.clone()

@@ -16,11 +16,14 @@
 // The reduction is bit-identical to whole-model serving: partial dots are
 // int64 sums of symbol×(small integer) products, so summing them across
 // dimension shards is exact and order-free; Σv² per class is an exact
-// integer below 2⁵³ on every partial-capable engine, so the float64 sum
-// across shards is exact too, and math.Sqrt of an identical float64 is
-// identical. Class sharding needs no cross-shard arithmetic at all — each
-// class's score comes entirely from the one column of groups holding it —
-// so the grid case composes from the same reduction.
+// integer below 2⁵³ on every engine, so the float64 sum across shards is
+// exact too, and math.Sqrt of an identical float64 is identical. A model
+// whose classes are not integers is served in fixed point, and its slices
+// are cut from the whole model's fixed-point form (hdc.Model.Slice), so
+// every shard's partials are in the same units. Class sharding needs no
+// cross-shard arithmetic at all — each class's score comes entirely from
+// the one column of groups holding it — so the grid case composes from the
+// same reduction.
 //
 // Each group is a cluster.Cluster, so a replica dying mid-gather is
 // retried on that shard's surviving replicas only; the other shards'
@@ -155,10 +158,7 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 }
 
 // discover dials one address, performs the handshake, and returns the
-// accepted ServerHello. One zero-query partial-score frame checks the
-// served model can answer exact partials at all, so a model that cannot
-// is refused here with offload.ErrPartialUnsupported instead of failing
-// every prediction. The connection is closed immediately — the real
+// accepted ServerHello. The connection is closed immediately — the real
 // traffic goes through the per-group pools.
 func discover(ctx context.Context, cfg Config, addr string) (offload.ServerHello, error) {
 	c, err := offload.Dial(ctx, cfg.Network, addr, offload.Hello{Model: cfg.Model})
@@ -166,11 +166,7 @@ func discover(ctx context.Context, cfg Config, addr string) (offload.ServerHello
 		return offload.ServerHello{}, err
 	}
 	h := c.ServerHello()
-	_, _, err = c.PartialScoresContext(ctx, nil)
 	c.Close()
-	if err != nil {
-		return offload.ServerHello{}, err
-	}
 	return h, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"privehd/internal/hdc"
 	"privehd/internal/intscore"
 	"privehd/internal/registry"
 )
@@ -112,6 +113,55 @@ func TestReduceMatchesWholeModelScores(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReduceFixedPointModelSharesScale pins the scale hazard of sharding a
+// model whose classes are not integers: each class's first half has
+// |v| < 1 and its second half |v| > 1, so a half scaled on its own would
+// pick another fixed-point exponent than the whole model, and its partials
+// and Σv² would come back in other units. Slices cut by hdc.Model.Slice
+// carry the whole model's scale, so the reduced scores must equal the
+// whole model's engine scores bit for bit.
+func TestReduceFixedPointModelSharesScale(t *testing.T) {
+	const dim, classes, queries = 128, 3, 8
+	rng := rand.New(rand.NewSource(5))
+	m := hdc.NewModel(classes, dim)
+	for l := 0; l < classes; l++ {
+		c := m.Class(l)
+		for i := range c {
+			mag := 0.5 + 0.4*rng.Float64() // below 2^0
+			if i >= dim/2 {
+				mag += 0.6 // above it
+			}
+			c[i] = mag * float64(2*rng.Intn(2)-1)
+		}
+	}
+	m.InvalidateAll()
+	m.Precompute()
+	whole := m.PackedScorer()
+	qs := testQueries(rng, queries, dim)
+	results := make([]gatherResult, 2)
+	for g := range results {
+		info := registry.ShardInfo{DimOffset: g * dim / 2, DimLen: dim / 2, ClassCount: classes, FullDim: dim, FullClasses: classes}
+		half := m.Slice(info.DimOffset, info.DimLen, 0, classes)
+		half.Precompute()
+		eng := half.PackedScorer()
+		results[g] = gatherResult{info: info, normSq: eng.NormsSq(), partials: make([][]int64, queries)}
+		for q, p := range qs {
+			results[g].partials[q] = eng.PartialsPackedInto(p[info.DimOffset:info.DimOffset+info.DimLen], make([]int64, classes))
+		}
+	}
+	dots := make([]int64, classes)
+	nsq := make([]float64, classes)
+	for q, p := range qs {
+		got := reduce(results, q, dots, nsq, make([]float64, classes))
+		want := whole.ScoresPackedInto(p, make([]float64, classes))
+		for l := range want {
+			if got[l] != want[l] {
+				t.Fatalf("query %d class %d: reduced %v, whole model %v — not bit-identical", q, l, got[l], want[l])
+			}
+		}
 	}
 }
 

@@ -12,13 +12,12 @@ import (
 
 // Sharded-serving errors; test with errors.Is.
 var (
-	// ErrPartialUnsupported reports a served model that cannot answer
-	// exact partial scores (its classes are not integers — an unquantized
-	// scalar-encoded or online-trained model — or are oversized), or
-	// a sharded client asked to carry full-precision (WithRawQueries)
-	// queries. A sharded Connect checks both up front and refuses with
-	// this error. From a live server it is a protocol verdict — never
-	// retried, every replica of the model would refuse the same way.
+	// ErrPartialUnsupported reports a sharded client asked to carry
+	// full-precision (WithRawQueries) queries: partial scores are exact
+	// integer dots, defined for packed queries only, though every served
+	// model answers those. A sharded Connect refuses such an edge up
+	// front with this error. From a live server it is a protocol verdict
+	// — never retried, every replica would refuse the same way.
 	ErrPartialUnsupported = offload.ErrPartialUnsupported
 	// ErrShardTiling reports a replica set whose shard descriptors do
 	// not tile the full model exactly (gaps, overlaps, or disagreeing

@@ -373,26 +373,61 @@ func TestConnectShardedRejectsRawQueries(t *testing.T) {
 	}
 }
 
-// TestConnectShardedRefusesNonIntegerModel: an unquantized scalar model
-// has non-integer classes, so no replica can answer exact partial scores.
-// Connect finds out during discovery and refuses with the typed error,
-// rather than succeeding and failing every Predict.
-func TestConnectShardedRefusesNonIntegerModel(t *testing.T) {
+// TestConnectShardedServesNonIntegerModel: an unquantized scalar model
+// has non-integer classes, which every replica serves in fixed point at
+// the whole model's scale. A sharded client over it connects, its labels
+// match local prediction, and its scores match the whole model's server
+// bit for bit.
+func TestConnectShardedServesNonIntegerModel(t *testing.T) {
 	const dim = 512
-	pipe, _, _ := toyPipeline(t, privehd.WithEncoding(privehd.Scalar), privehd.WithQuantizer("full"))
+	pipe, X, _ := toyPipeline(t, privehd.WithEncoding(privehd.Scalar), privehd.WithQuantizer("full"))
 	fleet := serveShardFleet(t, "m", pipe, halves(dim), 1)
+	wholeReg := privehd.NewRegistry()
+	if err := wholeReg.Register("m", pipe); err != nil {
+		t.Fatal(err)
+	}
+	whole := serveRegistry(t, wholeReg)
 
-	c, err := privehd.Connect(context.Background(), privehd.Target{
+	ctx := context.Background()
+	sc, err := privehd.Connect(ctx, privehd.Target{
 		Addrs:    fleetAddrs(fleet),
 		Model:    "m",
 		Topology: privehd.TopologySharded,
 	})
-	if err == nil {
-		c.Close()
-		t.Fatal("Connect built a sharded client over a model that cannot answer partial scores")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(err, privehd.ErrPartialUnsupported) {
-		t.Errorf("err = %v, want ErrPartialUnsupported", err)
+	defer sc.Close()
+	wc, err := privehd.Connect(ctx, privehd.Target{Addrs: []string{whole.addr}, Model: "m"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wc.Close()
+	for i, x := range X {
+		q, err := sc.Edge().Prepare(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := pipe.PredictVector(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label, scores, err := sc.PredictPrepared(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, wholeScores, err := wc.PredictPrepared(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if label != want {
+			t.Fatalf("query %d: sharded label %d, local %d", i, label, want)
+		}
+		for l := range scores {
+			if scores[l] != wholeScores[l] {
+				t.Fatalf("query %d class %d: sharded score %v, whole model %v", i, l, scores[l], wholeScores[l])
+			}
+		}
 	}
 }
 
