@@ -56,11 +56,11 @@
 // full batch of the connection's model in full precision, and a longer one
 // gets a typed frame-too-large refusal before the connection is closed. Per-
 // request IDs make connections pipelined: requests from any number of
-// goroutines interleave over one connection through dedicated send/recv
-// goroutines and replies may return out of order, matched by ID — so one
-// connection serves concurrent callers, large batches cost one round
-// trip, and the list-models op discovers the served registry over the
-// wire (Client.ListModels). The ServerHello carries the replica's shard
+// goroutines interleave over one connection, each caller writing its own
+// frame, and replies may return out of order, matched by ID by the
+// connection's one reader goroutine — so one connection serves concurrent
+// callers, large batches cost one round trip, and the list-models op
+// discovers the served registry over the wire (Client.ListModels). The ServerHello carries the replica's shard
 // descriptor when it serves a slice of a larger model, the partial-scores
 // op returns exact integer partial dot products plus class norm squares
 // for packed queries, and a draining server pushes one

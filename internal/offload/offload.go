@@ -34,11 +34,11 @@
 // ID is a client-chosen correlation number echoed on the Reply. The server
 // handles a connection's frames concurrently and MAY answer them out of
 // order, so clients pipeline many requests over one connection and match
-// replies by ID (the Client below runs dedicated send/recv goroutines with
-// an in-flight table). Op selects the frame's operation: OpClassify,
-// OpListModels for a registry listing (Reply.Models), OpPartialScores for
-// the scatter half of sharded scoring, OpPing for an in-band liveness
-// check.
+// replies by ID (the Client below has its callers write their own frames
+// and one reader goroutine route replies through an in-flight table). Op
+// selects the frame's operation: OpClassify, OpListModels for a registry
+// listing (Reply.Models), OpPartialScores for the scatter half of sharded
+// scoring, OpPing for an in-band liveness check.
 //
 // OpPartialScores answers with raw per-class int64 dot products
 // (Partials, one row per query) plus the per-class Σv² of the served slice
@@ -1470,11 +1470,11 @@ func (b *batch) scoreOne(i int) {
 }
 
 // Client is the edge-side connection to a classification server. It is
-// safe for concurrent use: a dedicated send goroutine serializes outgoing
-// frames, a dedicated recv goroutine routes replies by request ID through
-// an in-flight table, and any number of goroutines may pipeline
-// Classify/ClassifyBatch calls over the one connection without waiting on
-// each other's round trips.
+// safe for concurrent use: each caller writes its own frame under a write
+// lock, one reader goroutine — the only goroutine a Client runs — routes
+// replies by request ID through an in-flight table, and any number of
+// goroutines may pipeline Classify/ClassifyBatch calls over the one
+// connection without waiting on each other's round trips.
 type Client struct {
 	conn      net.Conn
 	hello     ServerHello
@@ -1484,8 +1484,7 @@ type Client struct {
 	br         *bufio.Reader // owned by recvLoop after the handshake
 	replyLimit int           // reply frame cap implied by the handshake
 
-	sendCh chan *pending
-	broken chan struct{} // closed on the first transport failure (or Close)
+	writeMu sync.Mutex // serializes frame writes
 
 	// draining is set when the server pushes a GoAway drain notice:
 	// the connection still answers what is in flight, but pools and
@@ -1495,18 +1494,17 @@ type Client struct {
 	mu       sync.Mutex
 	inflight map[uint64]*pending
 	nextID   uint64
-	err      error // sticky transport error; set once, before broken closes
+	err      error // sticky transport error; set once
 }
 
-// pending is one in-flight request: the frame to send and the slot its
-// routed reply (or the connection's terminal error) lands in. Sampled
-// requests additionally carry their client-side trace state: the submit
-// time and the send-queue wait, stamped by the send goroutine (atomically,
-// because the recv goroutine reads it with no other synchronization
-// between the two).
+// pending is one in-flight request: the request and the slot its routed
+// reply (or the connection's terminal error) lands in. Sampled requests
+// additionally carry their client-side trace state: the submit time and
+// the queue wait until the frame's write starts, stamped by the submitting
+// caller (atomically, because the recv goroutine reads it with no other
+// synchronization between the two).
 type pending struct {
 	req   Request
-	frame *[]byte // the encoded request, pooled; owned by sendLoop once queued
 	reply Reply
 	err   error
 	done  chan struct{}
@@ -1553,26 +1551,13 @@ func Dial(ctx context.Context, network, addr string, hello Hello, opts ...Client
 	if deadline, ok := ctx.Deadline(); ok {
 		conn.SetDeadline(deadline)
 	}
-	// A deadline alone doesn't cover cancellable contexts: abort a hung
-	// handshake when ctx is cancelled mid-handshake. The abort is an
-	// already-expired deadline, not a Close — if cancellation races the
-	// handshake completing (both select cases ready, either may win), an
-	// expired deadline is cleaned up below, while a Close would destroy a
-	// connection the caller is about to use.
-	handshakeDone := make(chan struct{})
-	watchDone := make(chan struct{})
-	go func() {
-		defer close(watchDone)
-		select {
-		case <-ctx.Done():
-			conn.SetDeadline(time.Now())
-		case <-handshakeDone:
-		}
-	}()
+	// A deadline alone doesn't cover cancellable contexts: cancelling ctx
+	// mid-handshake expires the deadline to abort it. Once that hook has
+	// started, its expired deadline may land at any moment, so the
+	// handshake is abandoned even if it just finished.
+	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
 	c, err := NewClient(conn, hello, opts...)
-	close(handshakeDone)
-	<-watchDone
-	if err != nil {
+	if !stop() || err != nil {
 		conn.Close()
 		if ctx.Err() != nil {
 			return nil, fmt.Errorf("%w: handshake: %w", ErrTransport, ctx.Err())
@@ -1584,8 +1569,8 @@ func Dial(ctx context.Context, network, addr string, hello Hello, opts ...Client
 }
 
 // NewClient performs the protocol handshake over an existing connection
-// (useful with net.Pipe in tests), starts the send/recv
-// goroutines and returns the client. On handshake rejection the returned
+// (useful with net.Pipe in tests), starts the client's one goroutine, the
+// reply reader, and returns the client. On handshake rejection the returned
 // error wraps ErrVersionMismatch, ErrGeometryMismatch, ErrUnknownModel or
 // ErrBadMagic; handshake i/o failures wrap ErrTransport.
 func NewClient(conn net.Conn, hello Hello, opts ...ClientOption) (*Client, error) {
@@ -1611,10 +1596,7 @@ func NewClient(conn net.Conn, hello Hello, opts ...ClientOption) (*Client, error
 	}
 	c.hello = sh
 	c.replyLimit = replyCap(sh)
-	c.sendCh = make(chan *pending, 16)
-	c.broken = make(chan struct{})
 	c.inflight = make(map[uint64]*pending)
-	go c.sendLoop()
 	go c.recvLoop()
 	return c, nil
 }
@@ -1650,10 +1632,12 @@ func (c *Client) submitCtx(ctx context.Context, req Request) (*pending, error) {
 }
 
 // submit encodes the request, assigns it an ID, registers it in the
-// in-flight table and hands it to the send goroutine. The caller waits on
-// the returned pending. A query the codec cannot represent (packed planes
-// too short for their dimensions) fails here before anything is sent
-// — and the caller's queries are free for reuse as soon as submit returns.
+// in-flight table and writes the frame itself, each write bounded by the
+// IO timeout. The caller waits on the returned pending; a failed write
+// fails the connection, which resolves it. Frames may reach the wire out
+// of ID order. A query the codec cannot represent (packed planes too short
+// for their dimensions) fails here before anything is sent — and the
+// caller's queries are free for reuse as soon as submit returns.
 func (c *Client) submit(req Request) (*pending, error) {
 	p := &pending{req: req, done: make(chan struct{})}
 	// The sampling decision for the whole request path lives here, so
@@ -1671,7 +1655,6 @@ func (c *Client) submit(req Request) (*pending, error) {
 		putBuf(bp, frame)
 		return nil, err
 	}
-	*bp, p.frame = frame, bp
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
@@ -1690,12 +1673,28 @@ func (c *Client) submit(req Request) (*pending, error) {
 		c.conn.SetReadDeadline(time.Now().Add(c.ioTimeout))
 	}
 	c.mu.Unlock()
-	select {
-	case c.sendCh <- p:
-		return p, nil
-	case <-c.broken:
-		return nil, c.stickyErr()
+	c.writeMu.Lock()
+	if p.traceID != 0 {
+		// The queue stage is this frame's encode plus the wait for the
+		// write lock. It is stamped before the write: stamped after it,
+		// the reply's reader often closed the trace first and read 0.
+		p.queueNs.Store(int64(time.Since(p.submitT)))
 	}
+	if c.ioTimeout > 0 {
+		c.conn.SetWriteDeadline(time.Now().Add(c.ioTimeout))
+	}
+	_, err = c.conn.Write(frame)
+	c.writeMu.Unlock()
+	putBuf(bp, frame)
+	if err != nil {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			err = fmt.Errorf("%w: %v mid-frame", ErrIOTimeout, err)
+		}
+		// p is in flight, so this fail or an earlier one resolves it.
+		c.fail(fmt.Errorf("%w: send: %w", ErrTransport, err))
+	}
+	return p, nil
 }
 
 // wait blocks until the pending's reply is routed or the connection fails.
@@ -1730,34 +1729,6 @@ func (p *pending) waitCtx(ctx context.Context) (Reply, error) {
 			return Reply{}, fmt.Errorf("%w: %v waiting for reply %d", ErrDeadlineExceeded, ctx.Err(), p.req.ID)
 		}
 		return Reply{}, fmt.Errorf("%w: abandoned waiting for reply %d: %v", ErrTransport, p.req.ID, ctx.Err())
-	}
-}
-
-// sendLoop is the dedicated writer: it serializes every outgoing frame
-// onto the connection so concurrent callers never interleave encodings.
-func (c *Client) sendLoop() {
-	for {
-		select {
-		case p := <-c.sendCh:
-			if c.ioTimeout > 0 {
-				c.conn.SetWriteDeadline(time.Now().Add(c.ioTimeout))
-			}
-			frame := *p.frame
-			_, err := c.conn.Write(frame)
-			putBuf(p.frame, frame)
-			if err != nil {
-				c.fail(fmt.Errorf("%w: send: %v", ErrTransport, err))
-				return
-			}
-			if p.traceID != 0 {
-				// Everything up to here — this frame's encode plus waiting
-				// behind other frames on the send queue — is the client's
-				// queue stage.
-				p.queueNs.Store(int64(time.Since(p.submitT)))
-			}
-		case <-c.broken:
-			return
-		}
 	}
 }
 
@@ -1847,10 +1818,10 @@ func (c *Client) recvLoop() {
 }
 
 // finishTrace closes out a sampled request's client-side span: the round
-// trip is split into send-queue wait (stamped by the send goroutine), the
-// server's reported residency, and the remainder attributed to the
-// network. The entry lands in the process-wide client recorder and the
-// observer hook.
+// trip is split into queue wait (encode and write lock, stamped by the
+// submitting caller), the server's reported residency, and the remainder
+// attributed to the network. The entry lands in the process-wide client
+// recorder and the observer hook.
 func (c *Client) finishTrace(p *pending, reply *Reply) {
 	total := time.Since(p.submitT)
 	queue := time.Duration(p.queueNs.Load())
@@ -1889,7 +1860,9 @@ func (c *Client) finishTrace(p *pending, reply *Reply) {
 }
 
 // fail records the connection's terminal error (first caller wins), closes
-// the conn, and delivers the error to every in-flight and queued request.
+// the conn, and delivers the error to every in-flight request. No request
+// escapes it: submit registers a request before writing it, under the same
+// lock that checks the sticky error.
 func (c *Client) fail(err error) {
 	c.mu.Lock()
 	if c.err != nil {
@@ -1899,7 +1872,6 @@ func (c *Client) fail(err error) {
 	c.err = err
 	pend := c.inflight
 	c.inflight = make(map[uint64]*pending)
-	close(c.broken)
 	c.mu.Unlock()
 	c.conn.Close()
 	for _, p := range pend {
@@ -1920,41 +1892,15 @@ func (c *Client) fail(err error) {
 		}
 		close(p.done)
 	}
-	// Drain requests the send goroutine will never pick up. Submitters
-	// racing the drain still resolve: their pending is either in the table
-	// above or caught here, because submit enqueues only after registering.
-	for {
-		select {
-		case p := <-c.sendCh:
-			if p.err == nil && !isDone(p.done) {
-				p.err = err
-				close(p.done)
-			}
-		default:
-			return
-		}
-	}
-}
-
-// isDone reports whether a pending's done channel is already closed.
-func isDone(done chan struct{}) bool {
-	select {
-	case <-done:
-		return true
-	default:
-		return false
-	}
-}
-
-func (c *Client) stickyErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
 }
 
 // Err returns the connection's terminal transport error, or nil while it is
 // still usable. Pools use it to discard broken connections.
-func (c *Client) Err() error { return c.stickyErr() }
+func (c *Client) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
+}
 
 // Draining reports whether the server pushed a GoAway drain notice:
 // it is shutting down gracefully, will answer what is already in flight,

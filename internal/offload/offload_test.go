@@ -8,7 +8,9 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,6 +20,7 @@ import (
 	"privehd/internal/hdc"
 	"privehd/internal/intscore"
 	"privehd/internal/registry"
+	"privehd/internal/trace"
 	"privehd/internal/vecmath"
 )
 
@@ -1377,6 +1380,182 @@ func TestDialCancelledMidHandshake(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("Dial blocked %v after cancellation", elapsed)
+	}
+}
+
+// noReadDeadline hides read deadlines from the client, so only a frame
+// write's own bound can end a call.
+type noReadDeadline struct{ net.Conn }
+
+func (noReadDeadline) SetReadDeadline(time.Time) error { return nil }
+
+func TestIOTimeoutBoundsBlockedWrite(t *testing.T) {
+	// A server that completes the handshake and then never reads: once the
+	// socket buffers fill, the caller writing the next frame blocks. The
+	// IO timeout must bound that write and say it was a timeout.
+	const dim, maxBatch = 1024, 128 // 1 MiB of vector payload per frame
+	for _, tc := range []struct {
+		name string
+		wrap func(net.Conn) net.Conn
+	}{
+		{"tcp", func(c net.Conn) net.Conn { return c }},
+		{"write-deadline-only", func(c net.Conn) net.Conn { return noReadDeadline{c} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lis := listen(t)
+			defer lis.Close()
+			accepted := make(chan net.Conn, 1)
+			go func() {
+				conn, err := lis.Accept()
+				if err != nil {
+					return
+				}
+				accepted <- conn // closed below, after the calls returned
+				if _, err := ReadHello(conn); err != nil {
+					return
+				}
+				WriteServerHello(conn, ServerHello{
+					Version: ProtocolVersion, Dim: dim, Classes: 2,
+					MaxBatch: maxBatch, MinSymbol: MinSymbol, MaxSymbol: MaxSymbol,
+				})
+			}()
+			conn, err := net.Dial("tcp", lis.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { (<-accepted).Close() }()
+			c, err := NewClient(tc.wrap(conn), Hello{Dim: dim}, WithIOTimeout(150*time.Millisecond))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+
+			v := make([]float64, dim)
+			v[0] = 0.5 // not a protocol symbol: travels in full precision
+			qs := make([]Query, 32*maxBatch)
+			for i := range qs {
+				qs[i] = Query{Vector: v}
+			}
+			const callers = 4
+			errs := make(chan error, callers)
+			for g := 0; g < callers; g++ {
+				go func() {
+					start := time.Now()
+					_, err := c.ClassifyBatchScores(qs)
+					if elapsed := time.Since(start); elapsed > 3*time.Second {
+						err = fmt.Errorf("call blocked %v despite the 150ms i/o timeout: %w", elapsed, err)
+					}
+					errs <- err
+				}()
+			}
+			for g := 0; g < callers; g++ {
+				select {
+				case err := <-errs:
+					if !errors.Is(err, ErrIOTimeout) || !errors.Is(err, ErrTransport) {
+						t.Errorf("blocked write: err = %v, want ErrIOTimeout (wrapping ErrTransport)", err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("a call never returned from a blocked write")
+				}
+			}
+			if c.Err() == nil {
+				t.Error("client still usable after a write timed out")
+			}
+		})
+	}
+}
+
+func TestPipelinedCallsResolveOnClose(t *testing.T) {
+	// Closing a client mid-stream resolves every call, answered or failed
+	// with ErrTransport, records each traced call exactly once and leaves
+	// no goroutine of the client behind. The server is stopped before the
+	// goroutine count is compared, so it is counted from before it started.
+	defer trace.SetSampling(trace.Sampling())
+	trace.SetSampling(1)
+	before := runtime.NumGoroutine()
+	addr, _, cleanup := startServer(t, toyModel())
+	stopServer := sync.OnceFunc(cleanup)
+	defer stopServer()
+	var mu sync.Mutex
+	recorded := map[uint64]int{}
+	outcomes := map[string]int{}
+	trace.SetObserver(func(e trace.Entry) {
+		if e.Peer != addr {
+			return
+		}
+		mu.Lock()
+		recorded[e.TraceID]++
+		outcomes[e.Outcome]++
+		mu.Unlock()
+	})
+	defer trace.SetObserver(nil)
+
+	c := dialToy(t, addr)
+	const callers = 16
+	var answered, failed atomic.Int64
+	errs := make(chan error, callers)
+	for g := 0; g < callers; g++ {
+		go func() {
+			for {
+				start := time.Now()
+				_, _, err := c.ClassifyContext(context.Background(), asQuery([]float64{1, 1, 0, 0}))
+				if elapsed := time.Since(start); elapsed > 2*time.Second {
+					errs <- fmt.Errorf("call took %v", elapsed)
+					return
+				}
+				if err != nil {
+					failed.Add(1)
+					if !errors.Is(err, ErrTransport) {
+						err = fmt.Errorf("call after Close: err = %v, want ErrTransport", err)
+					} else {
+						err = nil
+					}
+					errs <- err
+					return
+				}
+				answered.Add(1)
+			}
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); answered.Load() < 200; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d calls answered before Close", answered.Load())
+		}
+	}
+	c.Close()
+	closed := time.Now()
+	for g := 0; g < callers; g++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%d of %d callers still blocked 2s after Close", callers-g, callers)
+		}
+	}
+	stopServer()
+
+	mu.Lock()
+	for id, n := range recorded {
+		if n != 1 {
+			t.Errorf("trace %x recorded %d times, want once", id, n)
+		}
+	}
+	if outcomes["ok"] != int(answered.Load()) {
+		t.Errorf("%d ok trace entries for %d answered calls", outcomes["ok"], answered.Load())
+	}
+	if outcomes["transport"] > int(failed.Load()) {
+		t.Errorf("%d transport trace entries for %d failed calls", outcomes["transport"], failed.Load())
+	}
+	mu.Unlock()
+
+	n := runtime.NumGoroutine()
+	for deadline := closed.Add(time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n > before {
+		t.Errorf("%d goroutines 1s after Close, %d before Dial", n, before)
 	}
 }
 

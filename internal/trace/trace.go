@@ -114,14 +114,16 @@ func FormatID(id uint64) string {
 
 // Stage names one timed phase of a request's life. Client and server time
 // different subsets: the server times decode, queue-wait, score and
-// reply-write; the client times its send-queue wait and attributes the
-// remainder of the round trip to the network once the server's reported
-// time is subtracted.
+// reply-write; the client times its queue wait (encoding the frame and
+// waiting for the connection's write lock) and attributes the remainder of
+// the round trip to the network once the server's reported time is
+// subtracted.
 type Stage uint8
 
 const (
 	// StageQueueWait is time spent waiting to be worked on: the client's
-	// send queue, or a server query's wait for a scoring token.
+	// encode and wait for the connection's write lock, or a server query's
+	// wait for a scoring token.
 	StageQueueWait Stage = iota
 	// StageDecode is reading the frame off the wire and decoding it, from
 	// its first byte's arrival.
