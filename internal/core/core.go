@@ -138,13 +138,13 @@ type Pipeline struct {
 	keep    []uint64    // mask.Words(), the query planes' AND mask
 	report  PrivacyReport
 
-	// packedEnc + scheme enable the fused bit-sliced encode→quantize fast
-	// path: when the configured quantizer maps onto a packed scheme and the
-	// encoder carries an encslice engine, Predict derives the −2…+1 query's
-	// bit-planes straight from integer popcounts — no float hypervector, no
-	// separate quantization pass. Resolved once at construction.
-	packedEnc hdc.PackedEncoder
-	scheme    encslice.Scheme
+	// scheme enables the fused bit-sliced encode→quantize fast path: when
+	// the configured quantizer maps onto a packed scheme, Predict derives
+	// the −2…+1 query's bit-planes straight from integer popcounts — no
+	// float hypervector, no separate quantization pass. SchemeNone
+	// (Identity, or a custom quantizer) takes the float path. Resolved
+	// once at construction.
+	scheme encslice.Scheme
 
 	// scratch recycles per-query encode/quantize/score buffers across
 	// Predict calls — the serving hot path answers each query with zero
@@ -177,38 +177,30 @@ func (p *Pipeline) getScratch() *predictScratch {
 }
 
 // packedScheme maps a quant scheme onto the engine's fused quantization
-// rule; false means the quantizer has no packed form (Identity, or a
+// rule; SchemeNone means the quantizer has no packed form (Identity, or a
 // custom implementation) and inference must go through the float path.
-func packedScheme(q quant.Quantizer) (encslice.Scheme, bool) {
+func packedScheme(q quant.Quantizer) encslice.Scheme {
 	switch q.(type) {
 	case quant.Bipolar:
-		return encslice.SchemeBipolar, true
+		return encslice.SchemeBipolar
 	case quant.Ternary:
-		return encslice.SchemeTernary, true
+		return encslice.SchemeTernary
 	case quant.BiasedTernary:
-		return encslice.SchemeBiasedTernary, true
+		return encslice.SchemeBiasedTernary
 	case quant.TwoBit:
-		return encslice.SchemeTwoBit, true
+		return encslice.SchemeTwoBit
 	}
-	return encslice.SchemeNone, false
+	return encslice.SchemeNone
 }
 
-// initFastPath resolves the fused encode→quantize route, and the mask's
-// plane words, once so Predict only pays a nil check per query. It runs
+// initFastPath resolves the fused encode→quantize scheme, and the mask's
+// plane words, once so Predict only pays a compare per query. It runs
 // once the pruning mask is final.
 func (p *Pipeline) initFastPath() {
 	if p.mask != nil {
 		p.keep = p.mask.Words()
 	}
-	pe, ok := p.encoder.(hdc.PackedEncoder)
-	if !ok {
-		return
-	}
-	s, ok := packedScheme(p.cfg.Quantizer)
-	if !ok {
-		return
-	}
-	p.packedEnc, p.scheme = pe, s
+	p.scheme = packedScheme(p.cfg.Quantizer)
 }
 
 // Train runs the full §III-B pipeline on the dataset's training split.
@@ -422,22 +414,23 @@ func (p *Pipeline) PrepareQuery(x []float64) []float64 {
 
 // Predict classifies one input. The whole encode → quantize → mask → score
 // chain runs on pooled scratch buffers, so the serving hot path does not
-// allocate per query. With a paper quantizer and an engine-backed encoder
-// the chain never leaves the integer domain: the bit-sliced engine derives
-// the −2…+1 query's bit-planes straight from popcounts (no float
-// hypervector, no separate quantization pass), the mask is one AND per
-// word, and the integer scoring engine consumes the planes — every stage
+// allocate per query. With a paper quantizer the chain never leaves the
+// integer domain: the bit-sliced engine derives the −2…+1 query's
+// bit-planes straight from popcounts (no float hypervector, no separate
+// quantization pass), the mask is one AND per word, and the integer
+// scoring engine consumes the planes — every stage
 // bit-identical to the float reference path.
 func (p *Pipeline) Predict(x []float64) int {
 	s := p.getScratch()
 	defer p.scratch.Put(s)
-	if p.packedEnc != nil && p.packedEnc.EncodePackedInto(x, p.scheme, s.planes) {
+	if p.scheme != encslice.SchemeNone {
+		p.encoder.EncodePackedInto(x, p.scheme, s.planes)
 		if p.keep != nil {
 			s.planes.And(p.keep)
 		}
 		return vecmath.ArgMax(p.model.ScoresPlanesInto(s.planes, s.scores))
 	}
-	h := hdc.EncodeInto(p.encoder, x, s.h)
+	h := p.encoder.EncodeInto(x, s.h)
 	quant.QuantizeInto(p.cfg.Quantizer, s.q, h)
 	if p.mask != nil {
 		p.mask.Apply(s.q)

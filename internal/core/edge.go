@@ -39,12 +39,8 @@ type EdgeConfig struct {
 type Edge struct {
 	cfg     EdgeConfig
 	encoder hdc.Encoder
-	// packed is the encoder's fused bit-sliced path, non-nil when the
-	// device can derive the 1-bit query straight from the engine's
-	// counters.
-	packed hdc.PackedEncoder
 	// kept is the level engine restricted to the mask's kept dimensions,
-	// non-nil on a quantizing, masked, engine-backed level edge.
+	// non-nil on a quantizing, masked level edge.
 	kept *hdc.RestrictedEncoder
 	mask *prune.Mask // nil when MaskDims == 0
 	keep []uint64    // mask.Words(), the planes' AND mask
@@ -65,7 +61,6 @@ func NewEdge(cfg EdgeConfig) (*Edge, error) {
 		return nil, err
 	}
 	e := &Edge{cfg: cfg, encoder: enc}
-	e.packed, _ = enc.(hdc.PackedEncoder)
 	if cfg.MaskDims > 0 {
 		src := hrand.New(cfg.MaskSeed)
 		e.mask = prune.RandomMask(cfg.HD.Dim, cfg.MaskDims, src.SampleK)
@@ -110,13 +105,13 @@ func (e *Edge) Prepare(x []float64) []float64 {
 // PreparePackedInto writes the obfuscated 1-bit query for one input into
 // the planes dst (Dim dimensions) — the form that crosses the network: the
 // bipolar quantization of the encoding with the masked dimensions zeroed.
-// With an engine-backed encoder nothing is allocated and the result is
-// bit-identical to encode, quantize, then mask. A level edge reads each
-// sign straight off the engine's counters, and a masked one encodes only
-// the kept dimensions, from a memory compacted once in NewEdge; a scalar
-// edge derives the signs from its integer numerators and then masks with
-// one AND per word. It reports false, writing nothing, when the edge does
-// not quantize: its queries are full precision and have no packed form.
+// Nothing is allocated and the result is bit-identical to encode,
+// quantize, then mask. A level edge reads each sign straight off the
+// engine's counters, and a masked one encodes only the kept dimensions,
+// from a memory compacted once in NewEdge; a scalar edge derives the signs
+// from its integer numerators and then masks with one AND per word. It
+// reports false, writing nothing, when the edge does not quantize: its
+// queries are full precision and have no packed form.
 func (e *Edge) PreparePackedInto(x []float64, dst intscore.Planes) bool {
 	if !e.cfg.Quantize {
 		return false
@@ -125,12 +120,7 @@ func (e *Edge) PreparePackedInto(x []float64, dst intscore.Planes) bool {
 		e.kept.EncodeBipolarInto(x, dst)
 		return true
 	}
-	if e.packed == nil || !e.packed.EncodePackedInto(x, encslice.SchemeBipolar, dst) {
-		// Geometries the engine rejects quantize the reference encoding;
-		// bipolar symbols always pack.
-		q, _ := intscore.PackInto(quant.Bipolar{}.Quantize(e.encoder.Encode(x)), nil)
-		intscore.SplitInto(q, dst)
-	}
+	e.encoder.EncodePackedInto(x, encslice.SchemeBipolar, dst)
 	if e.keep != nil {
 		dst.And(e.keep)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -234,31 +235,19 @@ func TestEdgePrepareFusedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestEdgePreparePackedReferencePath covers a geometry the bit-sliced
-// engine rejects (more levels than it supports): the packed query then
-// comes from the reference encoding, still quantized and masked.
-func TestEdgePreparePackedReferencePath(t *testing.T) {
-	e, err := NewEdge(EdgeConfig{
+// TestEdgeRefusesGeometryBeyondEngine pins that a geometry the bit-sliced
+// engine cannot encode (more levels than it supports) is refused at setup
+// with hdc.ErrGeometry rather than served by a second encode path.
+func TestEdgeRefusesGeometryBeyondEngine(t *testing.T) {
+	_, err := NewEdge(EdgeConfig{
 		HD:       hdc.Config{Dim: 130, Features: 5, Levels: 1<<16 + 1, Seed: 4},
 		Encoding: EncodingScalar,
 		Quantize: true,
 		MaskDims: 30,
 		MaskSeed: 9,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{0.1, 0.9, 0.4, 0.7, 0.3}
-	want := quant.Bipolar{}.Quantize(e.Encoder().Encode(x))
-	e.Mask().Apply(want)
-	got := intscore.NewPlanes(130)
-	if !e.PreparePackedInto(x, got) {
-		t.Fatal("quantizing edge reported no packed form")
-	}
-	for j := range want {
-		if float64(got.Symbol(j)) != want[j] {
-			t.Fatalf("dim %d: packed %d, reference %v", j, got.Symbol(j), want[j])
-		}
+	if !errors.Is(err, hdc.ErrGeometry) {
+		t.Fatalf("NewEdge with 2^16+1 levels: err = %v, want hdc.ErrGeometry", err)
 	}
 }
 

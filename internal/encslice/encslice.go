@@ -115,10 +115,13 @@ const (
 )
 
 // Engine limits: level indices travel as uint16, counts and scalar
-// numerators as int32, and the high counter stack is a fixed array.
+// numerators as int32, and the high counter stack is a fixed array. An
+// engine takes at most MaxLevels levels and fewer than MaxFeatures
+// features; a scalar engine also takes at most MaxLevels features, with
+// features×(levels−1) ≤ MaxInt32.
 const (
-	maxLevels   = 1 << 16
-	maxFeatures = 1 << 20
+	MaxLevels   = 1 << 16
+	MaxFeatures = 1 << 20
 	hiPlanes    = 16 // features < 2^20 ⇒ at most 16 planes above eights
 )
 
@@ -217,20 +220,20 @@ func newEngine(dim, features, levels int, scalar bool) (*Engine, error) {
 		return nil, fmt.Errorf("encslice: dim must be positive, got %d", dim)
 	case features <= 0:
 		return nil, fmt.Errorf("encslice: need at least one base vector")
-	case features >= maxFeatures:
-		return nil, fmt.Errorf("encslice: %d features exceeds the engine limit %d", features, maxFeatures)
+	case features >= MaxFeatures:
+		return nil, fmt.Errorf("encslice: %d features reaches the engine limit %d", features, MaxFeatures)
 	case levels < 2:
 		return nil, fmt.Errorf("encslice: need at least 2 levels, got %d", levels)
-	case levels > maxLevels:
-		return nil, fmt.Errorf("encslice: %d levels exceeds the engine limit %d", levels, maxLevels)
+	case levels > MaxLevels:
+		return nil, fmt.Errorf("encslice: %d levels exceeds the engine limit %d", levels, MaxLevels)
 	}
 	if scalar && features > math.MaxInt32/(levels-1) {
 		// The scalar numerator Σ lv_k·(±1) must fit int32.
-		return nil, fmt.Errorf("encslice: features×(levels-1) = %d×%d overflows the integer numerator", features, levels-1)
+		return nil, fmt.Errorf("encslice: features×(levels-1) = %d×%d exceeds the scalar numerator limit %d", features, levels-1, math.MaxInt32)
 	}
-	if scalar && features > maxLevels {
+	if scalar && features > MaxLevels {
 		// The scalar digit-group lists index features as uint16.
-		return nil, fmt.Errorf("encslice: %d features exceeds the scalar-mode limit %d", features, maxLevels)
+		return nil, fmt.Errorf("encslice: %d features exceeds the scalar-mode limit %d", features, MaxLevels)
 	}
 	hi := bits.Len(uint(features)) - 4
 	if hi < 0 {

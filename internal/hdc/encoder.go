@@ -28,63 +28,30 @@ import (
 // feature instead; results agree to within one unit in the last place per
 // feature, and the exact form is the better reference.)
 type ScalarEncoder struct {
-	cfg    Config
-	item   *ItemMemory
-	engine *encslice.Engine // nil → reference float loop (unsupported geometry)
+	engineEncoder
 }
 
 // NewScalarEncoder builds a scalar (Eq. 2a) encoder for the configuration.
+// Beyond Config's limits the scalar engine takes at most
+// encslice.MaxLevels features, with features×(ℓ−1) ≤ MaxInt32; a geometry
+// outside them fails with an error wrapping ErrGeometry.
 func NewScalarEncoder(cfg Config) (*ScalarEncoder, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	src := hrand.New(cfg.Seed)
-	e := &ScalarEncoder{
-		cfg:  cfg,
-		item: NewItemMemory(src.Split(0), cfg.Features, cfg.Dim),
+	item := NewItemMemory(hrand.New(cfg.Seed).Split(0), cfg.Features, cfg.Dim)
+	engine, err := encslice.NewScalar(cfg.Dim, cfg.Levels, packedWords(item))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrGeometry, err)
 	}
-	// Geometry outside the engine's limits (gigantic level counts) keeps
-	// the reference loop; the engine error is deliberately dropped.
-	e.engine, _ = encslice.NewScalar(cfg.Dim, cfg.Levels, packedWords(e.item))
-	return e, nil
-}
-
-// Dim returns D_hv.
-func (e *ScalarEncoder) Dim() int { return e.cfg.Dim }
-
-// NumFeatures returns D_iv.
-func (e *ScalarEncoder) NumFeatures() int { return e.cfg.Features }
-
-// Levels returns ℓ_iv.
-func (e *ScalarEncoder) Levels() int { return e.cfg.Levels }
-
-// Base returns base hypervector B_k as shared ±1 floats.
-func (e *ScalarEncoder) Base(k int) []float64 { return e.item.Floats(k) }
-
-// Encode returns the Eq. 2a encoding of the given normalized features.
-// It panics if len(features) != NumFeatures().
-func (e *ScalarEncoder) Encode(features []float64) []float64 {
-	return e.EncodeInto(features, make([]float64, e.cfg.Dim))
-}
-
-// EncodeInto is Encode writing into a caller-provided Dim-length buffer —
-// the allocation-free form for pooled serving hot paths. It returns h.
-func (e *ScalarEncoder) EncodeInto(features, h []float64) []float64 {
-	e.check(features, len(h))
-	if e.engine != nil {
-		p := getLvi(e.cfg.Features)
-		e.engine.EncodeInto(fillLvi(*p, features, e.cfg.Levels), h)
-		putLvi(p)
-		return h
-	}
-	return e.encodeRefInto(features, h)
+	return &ScalarEncoder{engineEncoder{cfg: cfg, item: item, engine: engine}}, nil
 }
 
 // encodeRefInto is the reference Eq. 2a loop: the exact integer numerator
 // accumulated per feature (every partial sum is a small integer, so the
 // float64 arithmetic is exact and bit-identical to the engine), divided
-// once by ℓ−1. It is the fallback for geometries the engine rejects and
-// the oracle the equivalence tests compare the engine against.
+// once by ℓ−1. It is the oracle the equivalence tests and the reference
+// benchmarks compare the engine against.
 func (e *ScalarEncoder) encodeRefInto(features, h []float64) []float64 {
 	for j := range h {
 		h[j] = 0
@@ -107,40 +74,6 @@ func (e *ScalarEncoder) encodeRefInto(features, h []float64) []float64 {
 	return h
 }
 
-// EncodePackedInto fuses encode and quantize on the bit-sliced engine,
-// writing the −2…+1 query for the scheme into the planes dst (Dim
-// dimensions) — bit-identical to encoding and then quantizing the float
-// hypervector. It
-// reports false (writing nothing) when no engine is available for the
-// geometry or the scheme is SchemeNone; callers then take the float path.
-func (e *ScalarEncoder) EncodePackedInto(features []float64, scheme encslice.Scheme, dst intscore.Planes) bool {
-	if e.engine == nil || scheme == encslice.SchemeNone {
-		return false
-	}
-	e.check(features, dst.Dim)
-	p := getLvi(e.cfg.Features)
-	e.engine.EncodePackedInto(fillLvi(*p, features, e.cfg.Levels), scheme, dst.Bits)
-	putLvi(p)
-	return true
-}
-
-// encodeRows encodes len(X) feature rows into the contiguous buffer h
-// (len(X)×Dim) on the engine's batch kernel; false means no engine.
-func (e *ScalarEncoder) encodeRows(X [][]float64, h []float64) bool {
-	return encodeRowsOn(e.engine, e.cfg, X, h)
-}
-
-func (e *ScalarEncoder) check(features []float64, dimLen int) {
-	if len(features) != e.cfg.Features {
-		panic(fmt.Sprintf("hdc: ScalarEncoder.Encode got %d features, want %d",
-			len(features), e.cfg.Features))
-	}
-	if dimLen != e.cfg.Dim {
-		panic(fmt.Sprintf("hdc: ScalarEncoder.EncodeInto buffer has dim %d, want %d",
-			dimLen, e.cfg.Dim))
-	}
-}
-
 // LevelEncoder implements paper Eq. 2b:
 //
 //	~H = Σ_k ~L_{v_k} ⊙ ~B_k
@@ -152,69 +85,38 @@ func (e *ScalarEncoder) check(features []float64, dimLen int) {
 // single bit — which is also why the bit-sliced engine computes it with
 // XNOR + carry-save popcount accumulation instead of a float64 MAC.
 type LevelEncoder struct {
-	cfg    Config
-	item   *ItemMemory
-	level  *LevelMemory
-	engine *encslice.Engine // nil → reference AccumulateXnorInto loop
+	engineEncoder
+	level *LevelMemory
 }
 
-// NewLevelEncoder builds a level (Eq. 2b) encoder for the configuration.
+// NewLevelEncoder builds a level (Eq. 2b) encoder for the configuration. A
+// geometry beyond the engine's limits fails with an error wrapping
+// ErrGeometry.
 func NewLevelEncoder(cfg Config) (*LevelEncoder, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	src := hrand.New(cfg.Seed)
-	e := &LevelEncoder{
-		cfg:   cfg,
-		item:  NewItemMemory(src.Split(0), cfg.Features, cfg.Dim),
-		level: NewLevelMemory(src.Split(1), cfg.Levels, cfg.Dim),
-	}
+	item := NewItemMemory(src.Split(0), cfg.Features, cfg.Dim)
+	level := NewLevelMemory(src.Split(1), cfg.Levels, cfg.Dim)
 	lvl := make([][]uint64, cfg.Levels)
 	for i := range lvl {
-		lvl[i] = e.level.Packed(i).Words()
+		lvl[i] = level.Packed(i).Words()
 	}
-	e.engine, _ = encslice.NewLevel(cfg.Dim, packedWords(e.item), lvl)
-	return e, nil
+	engine, err := encslice.NewLevel(cfg.Dim, packedWords(item), lvl)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrGeometry, err)
+	}
+	return &LevelEncoder{engineEncoder{cfg: cfg, item: item, engine: engine}, level}, nil
 }
-
-// Dim returns D_hv.
-func (e *LevelEncoder) Dim() int { return e.cfg.Dim }
-
-// NumFeatures returns D_iv.
-func (e *LevelEncoder) NumFeatures() int { return e.cfg.Features }
-
-// Levels returns ℓ_iv.
-func (e *LevelEncoder) Levels() int { return e.cfg.Levels }
-
-// Base returns base hypervector B_k as shared ±1 floats.
-func (e *LevelEncoder) Base(k int) []float64 { return e.item.Floats(k) }
 
 // LevelVector returns level hypervector L_i as shared ±1 floats.
 func (e *LevelEncoder) LevelVector(i int) []float64 { return e.level.Floats(i) }
 
-// Encode returns the Eq. 2b encoding of the given normalized features.
-// It panics if len(features) != NumFeatures().
-func (e *LevelEncoder) Encode(features []float64) []float64 {
-	return e.EncodeInto(features, make([]float64, e.cfg.Dim))
-}
-
-// EncodeInto is Encode writing into a caller-provided Dim-length buffer —
-// the allocation-free form for pooled serving hot paths. It returns h.
-func (e *LevelEncoder) EncodeInto(features, h []float64) []float64 {
-	e.check(features, len(h))
-	if e.engine != nil {
-		p := getLvi(e.cfg.Features)
-		e.engine.EncodeInto(fillLvi(*p, features, e.cfg.Levels), h)
-		putLvi(p)
-		return h
-	}
-	return e.encodeRefInto(features, h)
-}
-
 // encodeRefInto is the reference Eq. 2b loop (word-expanding XNOR
-// accumulation): the fallback for geometries the engine rejects and the
-// oracle the equivalence tests compare the engine against. Both paths add
-// only ±1 terms, so they are bit-identical.
+// accumulation): the oracle the equivalence tests and the reference
+// benchmarks compare the engine against. Both add only ±1 terms, so they
+// are bit-identical.
 func (e *LevelEncoder) encodeRefInto(features, h []float64) []float64 {
 	for j := range h {
 		h[j] = 0
@@ -226,27 +128,10 @@ func (e *LevelEncoder) encodeRefInto(features, h []float64) []float64 {
 	return h
 }
 
-// EncodePackedInto fuses encode and quantize on the bit-sliced engine; see
-// ScalarEncoder.EncodePackedInto.
-func (e *LevelEncoder) EncodePackedInto(features []float64, scheme encslice.Scheme, dst intscore.Planes) bool {
-	if e.engine == nil || scheme == encslice.SchemeNone {
-		return false
-	}
-	e.check(features, dst.Dim)
-	p := getLvi(e.cfg.Features)
-	e.engine.EncodePackedInto(fillLvi(*p, features, e.cfg.Levels), scheme, dst.Bits)
-	putLvi(p)
-	return true
-}
-
 // Restrict builds the encoder of the masked bipolar query over the
 // dimensions keep (length Dim) marks true: its engine memory holds only
-// the kept dimensions, so each query encodes only what it sends. It
-// returns nil, nil when the geometry has no engine.
+// the kept dimensions, so each query encodes only what it sends.
 func (e *LevelEncoder) Restrict(keep []bool) (*RestrictedEncoder, error) {
-	if e.engine == nil {
-		return nil, nil
-	}
 	r, err := e.engine.Restrict(keep)
 	if err != nil {
 		return nil, err
@@ -278,24 +163,6 @@ func (r *RestrictedEncoder) EncodeBipolarInto(features []float64, dst intscore.P
 	putLvi(p)
 }
 
-// encodeRows encodes len(X) feature rows into the contiguous buffer h on
-// the engine's batch kernel, which streams each 64-dimension column of the
-// item memory once for the whole chunk of rows.
-func (e *LevelEncoder) encodeRows(X [][]float64, h []float64) bool {
-	return encodeRowsOn(e.engine, e.cfg, X, h)
-}
-
-func (e *LevelEncoder) check(features []float64, dimLen int) {
-	if len(features) != e.cfg.Features {
-		panic(fmt.Sprintf("hdc: LevelEncoder.Encode got %d features, want %d",
-			len(features), e.cfg.Features))
-	}
-	if dimLen != e.cfg.Dim {
-		panic(fmt.Sprintf("hdc: LevelEncoder.EncodeInto buffer has dim %d, want %d",
-			dimLen, e.cfg.Dim))
-	}
-}
-
 // BitPlanes returns, for each feature k, the packed ±1 partial product
 // ~L_{v_k} ⊙ ~B_k. The element-wise popcount majority of these planes is
 // the sign-quantized encoding — the exact computation the Fig. 7a LUT
@@ -324,7 +191,7 @@ func packedWords(m *ItemMemory) [][]uint64 {
 }
 
 // lviPool recycles the per-call level-index scratch shared by every
-// engine-backed encode path.
+// encode path.
 var lviPool sync.Pool
 
 func getLvi(n int) *[]uint16 {
@@ -346,61 +213,83 @@ func fillLvi(buf []uint16, features []float64, levels int) []uint16 {
 	return buf
 }
 
-// encodeRowsOn runs the engine's multi-row batch kernel for a chunk of
-// feature rows, computing all level indices up front into pooled scratch.
-func encodeRowsOn(engine *encslice.Engine, cfg Config, X [][]float64, h []float64) bool {
-	if engine == nil {
-		return false
+// engineEncoder is what both paper encoders share: the configuration, the
+// item memory and the bit-sliced engine every encode runs on.
+type engineEncoder struct {
+	cfg    Config
+	item   *ItemMemory
+	engine *encslice.Engine
+}
+
+// Dim returns D_hv.
+func (e *engineEncoder) Dim() int { return e.cfg.Dim }
+
+// NumFeatures returns D_iv.
+func (e *engineEncoder) NumFeatures() int { return e.cfg.Features }
+
+// Levels returns ℓ_iv.
+func (e *engineEncoder) Levels() int { return e.cfg.Levels }
+
+// Base returns base hypervector B_k as shared ±1 floats.
+func (e *engineEncoder) Base(k int) []float64 { return e.item.Floats(k) }
+
+// Encode returns the encoding of the given normalized features. It panics
+// if len(features) != NumFeatures().
+func (e *engineEncoder) Encode(features []float64) []float64 {
+	return e.EncodeInto(features, make([]float64, e.cfg.Dim))
+}
+
+// EncodeInto is Encode writing into a caller-provided Dim-length buffer —
+// the allocation-free form for pooled serving hot paths. It returns h.
+func (e *engineEncoder) EncodeInto(features, h []float64) []float64 {
+	e.check(features, len(h))
+	p := getLvi(e.cfg.Features)
+	e.engine.EncodeInto(fillLvi(*p, features, e.cfg.Levels), h)
+	putLvi(p)
+	return h
+}
+
+// EncodePackedInto fuses encode and quantize on the bit-sliced engine,
+// writing the −2…+1 query for the scheme into the planes dst (Dim
+// dimensions) — bit-identical to encoding and then quantizing the float
+// hypervector. A level encoder's bipolar query never forms a count at
+// all: a comparator reads each dimension's sign off the counter slices.
+// It panics on SchemeNone, which has no packed form.
+func (e *engineEncoder) EncodePackedInto(features []float64, scheme encslice.Scheme, dst intscore.Planes) {
+	if scheme == encslice.SchemeNone {
+		panic("hdc: EncodePackedInto needs a quantization scheme, got SchemeNone")
 	}
-	F := cfg.Features
+	e.check(features, dst.Dim)
+	p := getLvi(e.cfg.Features)
+	e.engine.EncodePackedInto(fillLvi(*p, features, e.cfg.Levels), scheme, dst.Bits)
+	putLvi(p)
+}
+
+// encodeRows encodes len(X) feature rows into the contiguous buffer h
+// (len(X)×Dim) on the engine's batch kernel, which streams each
+// 64-dimension column of the item memory once for the whole chunk of rows.
+// It computes all level indices up front into pooled scratch.
+func (e *engineEncoder) encodeRows(X [][]float64, h []float64) {
+	F := e.cfg.Features
 	p := getLvi(len(X) * F)
 	lvi := *p
 	for r, x := range X {
 		if len(x) != F {
 			panic(fmt.Sprintf("hdc: EncodeBatch row has %d features, want %d", len(x), F))
 		}
-		fillLvi(lvi[r*F:(r+1)*F], x, cfg.Levels)
+		fillLvi(lvi[r*F:(r+1)*F], x, e.cfg.Levels)
 	}
-	engine.EncodeBatchInto(lvi, len(X), h)
+	e.engine.EncodeBatchInto(lvi, len(X), h)
 	putLvi(p)
-	return true
 }
 
-// IntoEncoder is implemented by encoders that can encode into a reused
-// buffer; both paper encoders do.
-type IntoEncoder interface {
-	Encoder
-	// EncodeInto encodes into the caller's Dim-length buffer and returns it.
-	EncodeInto(features, h []float64) []float64
-}
-
-// PackedEncoder is implemented by encoders with a bit-sliced engine that
-// can emit the quantized −2…+1 query, as bit-planes, directly from the
-// engine's counters — the fused fast path serving Predict runs per query.
-// A level encoder's bipolar query never forms a count at all: a comparator
-// reads each dimension's sign off the counter slices.
-type PackedEncoder interface {
-	Encoder
-	// EncodePackedInto writes the quantization of the encoding into the
-	// planes dst (Dim dimensions) and reports whether the fused path was
-	// available; on false, nothing is written and the caller must encode +
-	// quantize through the float path.
-	EncodePackedInto(features []float64, scheme encslice.Scheme, dst intscore.Planes) bool
-}
-
-// rowsEncoder is the internal batch hook: encode a chunk of rows into one
-// contiguous buffer, amortizing item-memory passes across the chunk.
-type rowsEncoder interface {
-	encodeRows(X [][]float64, h []float64) bool
-}
-
-// EncodeInto encodes with enc into the caller's buffer when the encoder
-// supports it, falling back to a plain (allocating) Encode otherwise.
-func EncodeInto(enc Encoder, features, h []float64) []float64 {
-	if ie, ok := enc.(IntoEncoder); ok {
-		return ie.EncodeInto(features, h)
+func (e *engineEncoder) check(features []float64, dimLen int) {
+	if len(features) != e.cfg.Features {
+		panic(fmt.Sprintf("hdc: Encode got %d features, want %d", len(features), e.cfg.Features))
 	}
-	return enc.Encode(features)
+	if dimLen != e.cfg.Dim {
+		panic(fmt.Sprintf("hdc: Encode buffer has dim %d, want %d", dimLen, e.cfg.Dim))
+	}
 }
 
 // encodeBatchChunk is how many rows one worker claims at a time: large
@@ -409,15 +298,13 @@ func EncodeInto(enc Encoder, features, h []float64) []float64 {
 const encodeBatchChunk = 8
 
 // EncodeBatch encodes every row of X concurrently and returns the encodings
-// in order. workers <= 0 selects GOMAXPROCS. The encoder must be safe for
-// concurrent reads, which both paper encoders are after construction
-// (warmed caches); EncodeBatch warms them before fanning out.
+// in order. workers <= 0 selects GOMAXPROCS. Encoding reads only the
+// engine, fixed at construction, so the workers share enc without locking.
 //
-// For IntoEncoders the returned rows are views into one contiguous backing
-// array (len(X)·Dim floats, one allocation) and workers claim fixed-size
-// chunks off an atomic cursor, encoding through EncodeInto — or through the
-// bit-sliced engine's multi-row kernel when the encoder has one. Callers
-// must not append to the returned rows.
+// The returned rows are views into one contiguous backing array
+// (len(X)·Dim floats, one allocation); workers claim fixed-size chunks off
+// an atomic cursor and encode each on the bit-sliced engine's multi-row
+// kernel. Callers must not append to the returned rows.
 func EncodeBatch(enc Encoder, X [][]float64, workers int) [][]float64 {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -425,54 +312,14 @@ func EncodeBatch(enc Encoder, X [][]float64, workers int) [][]float64 {
 	if len(X) == 0 {
 		return nil
 	}
-	warmEncoder(enc)
-	out := make([][]float64, len(X))
-	ie, hasInto := enc.(IntoEncoder)
-	var backing []float64
-	var re rowsEncoder
 	dim := enc.Dim()
-	if hasInto {
-		backing = make([]float64, len(X)*dim)
-		for i := range out {
-			out[i] = backing[i*dim : (i+1)*dim : (i+1)*dim]
-		}
-		re, _ = enc.(rowsEncoder)
+	backing := make([]float64, len(X)*dim)
+	out := make([][]float64, len(X))
+	for i := range out {
+		out[i] = backing[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 	par.ForEachChunk(len(X), encodeBatchChunk, workers, func(start, end int) {
-		if !hasInto {
-			for i := start; i < end; i++ {
-				out[i] = enc.Encode(X[i])
-			}
-			return
-		}
-		rows := X[start:end]
-		if re != nil && re.encodeRows(rows, backing[start*dim:end*dim]) {
-			return
-		}
-		for i, x := range rows {
-			ie.EncodeInto(x, out[start+i])
-		}
+		enc.encodeRows(X[start:end], backing[start*dim:end*dim])
 	})
 	return out
-}
-
-// warmEncoder forces lazy float caches to materialize so concurrent Encode
-// calls only read shared state.
-func warmEncoder(enc Encoder) {
-	switch e := enc.(type) {
-	case *ScalarEncoder:
-		if e.engine == nil {
-			// Only the reference loop touches the lazily-cached float
-			// bases; the engine reads packed words, immutable after
-			// construction.
-			for k := 0; k < e.cfg.Features; k++ {
-				e.item.Floats(k)
-			}
-		}
-	case *LevelEncoder:
-		// LevelEncoder paths touch only packed vectors, which are
-		// immutable after construction; nothing to warm.
-	case interface{ Warm() }:
-		e.Warm()
-	}
 }

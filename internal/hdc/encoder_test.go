@@ -315,7 +315,7 @@ func TestEncodeIntoMatchesEncode(t *testing.T) {
 		for j := range buf {
 			buf[j] = -999
 		}
-		got := EncodeInto(enc, x, buf)
+		got := enc.EncodeInto(x, buf)
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatalf("EncodeInto[%d] = %v, Encode = %v", j, got[j], want[j])

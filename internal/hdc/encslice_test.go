@@ -1,6 +1,7 @@
 package hdc
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -50,7 +51,7 @@ func TestEncodersMatchReferenceLoops(t *testing.T) {
 		}
 		for trial := 0; trial < 6; trial++ {
 			x := engineInputs(cfg, trial)
-			for name, enc := range map[string]IntoEncoder{"level": le, "scalar": se} {
+			for name, enc := range map[string]Encoder{"level": le, "scalar": se} {
 				got := enc.EncodeInto(x, make([]float64, cfg.Dim))
 				var want []float64
 				switch e := enc.(type) {
@@ -104,12 +105,10 @@ func TestNonFiniteInputsMatchReference(t *testing.T) {
 // import it).
 func TestEncodePackedIntoMatchesEncodeQuantize(t *testing.T) {
 	for _, cfg := range engineGeometries {
-		for _, enc := range []PackedEncoder{mustLevel(t, cfg), mustScalar(t, cfg)} {
+		for _, enc := range []Encoder{mustLevel(t, cfg), mustScalar(t, cfg)} {
 			x := engineInputs(cfg, 0)
 			dst := intscore.NewPlanes(cfg.Dim)
-			if !enc.EncodePackedInto(x, encslice.SchemeBipolar, dst) {
-				t.Fatalf("%+v: fused path unavailable", cfg)
-			}
+			enc.EncodePackedInto(x, encslice.SchemeBipolar, dst)
 			h := enc.Encode(x)
 			for j, v := range h {
 				want := int8(1)
@@ -126,10 +125,15 @@ func TestEncodePackedIntoMatchesEncodeQuantize(t *testing.T) {
 
 func TestEncodePackedIntoRejectsSchemeNone(t *testing.T) {
 	cfg := engineGeometries[3]
-	enc := mustLevel(t, cfg)
-	dst := intscore.NewPlanes(cfg.Dim)
-	if enc.EncodePackedInto(engineInputs(cfg, 0), encslice.SchemeNone, dst) {
-		t.Fatal("EncodePackedInto accepted SchemeNone")
+	for _, enc := range []Encoder{mustLevel(t, cfg), mustScalar(t, cfg)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%T: EncodePackedInto accepted SchemeNone", enc)
+				}
+			}()
+			enc.EncodePackedInto(engineInputs(cfg, 0), encslice.SchemeNone, intscore.NewPlanes(cfg.Dim))
+		}()
 	}
 }
 
@@ -173,5 +177,51 @@ func TestEncodeBatchRowsAreWriteSafe(t *testing.T) {
 		if out[1][j] != want1[j] {
 			t.Fatalf("append to row 0 corrupted row 1 at dim %d", j)
 		}
+	}
+}
+
+// TestEncodersRefuseGeometryBeyondEngine pins the engine's limits as the
+// encoders' limits: each is accepted at its boundary and refused with
+// ErrGeometry one past it. Features ≥ MaxFeatures is checked only as a
+// refusal, since Validate rejects it before anything is allocated.
+func TestEncodersRefuseGeometryBeyondEngine(t *testing.T) {
+	const F = 40000 // scalar features with features×(ℓ−1) at MaxInt32
+	newLevel := func(cfg Config) (Encoder, error) { return NewLevelEncoder(cfg) }
+	newScalar := func(cfg Config) (Encoder, error) { return NewScalarEncoder(cfg) }
+	for _, tc := range []struct {
+		name     string
+		build    func(Config) (Encoder, error)
+		features int
+		levels   int
+		refused  bool
+	}{
+		{"level/levels-at-limit", newLevel, 3, encslice.MaxLevels, false},
+		{"level/levels-past-limit", newLevel, 3, encslice.MaxLevels + 1, true},
+		{"level/features-at-engine-limit", newLevel, encslice.MaxFeatures, 2, true},
+		{"scalar/levels-at-limit", newScalar, 3, encslice.MaxLevels, false},
+		{"scalar/levels-past-limit", newScalar, 3, encslice.MaxLevels + 1, true},
+		{"scalar/features-at-limit", newScalar, encslice.MaxLevels, 2, false},
+		{"scalar/features-past-limit", newScalar, encslice.MaxLevels + 1, 2, true},
+		{"scalar/numerator-at-limit", newScalar, F, math.MaxInt32/F + 1, false},
+		{"scalar/numerator-past-limit", newScalar, F, math.MaxInt32/F + 2, true},
+		{"scalar/features-at-engine-limit", newScalar, encslice.MaxFeatures, 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			enc, err := tc.build(Config{Dim: 64, Features: tc.features, Levels: tc.levels, Seed: 30})
+			if !tc.refused {
+				if err != nil {
+					t.Fatalf("refused %d features, %d levels: %v", tc.features, tc.levels, err)
+				}
+				x := make([]float64, tc.features)
+				x[0] = 1
+				if h := enc.Encode(x); len(h) != 64 {
+					t.Fatalf("encoded to %d dims, want 64", len(h))
+				}
+				return
+			}
+			if !errors.Is(err, ErrGeometry) {
+				t.Fatalf("%d features, %d levels: err = %v, want ErrGeometry", tc.features, tc.levels, err)
+			}
+		})
 	}
 }

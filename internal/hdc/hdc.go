@@ -11,6 +11,9 @@ package hdc
 import (
 	"errors"
 	"fmt"
+
+	"privehd/internal/encslice"
+	"privehd/internal/intscore"
 )
 
 // Config describes the geometry of an HD encoding.
@@ -18,16 +21,18 @@ type Config struct {
 	// Dim is the hypervector dimensionality D_hv (~10,000 in the paper).
 	Dim int
 	// Features is the input dimensionality D_iv (617 for ISOLET, 784 for
-	// MNIST, 608 for FACE).
+	// MNIST, 608 for FACE), below encslice.MaxFeatures.
 	Features int
-	// Levels is the number of feature quantization levels ℓ_iv of Eq. 1.
+	// Levels is the number of feature quantization levels ℓ_iv of Eq. 1,
+	// at most encslice.MaxLevels.
 	Levels int
 	// Seed determines the random base and level memories; equal configs
 	// with equal seeds produce identical encoders.
 	Seed uint64
 }
 
-// Validate reports whether the configuration is usable.
+// Validate reports whether the configuration is usable. A geometry beyond
+// the encoding engine's limits fails with an error wrapping ErrGeometry.
 func (c Config) Validate() error {
 	switch {
 	case c.Dim <= 0:
@@ -36,9 +41,19 @@ func (c Config) Validate() error {
 		return fmt.Errorf("hdc: Features must be positive, got %d", c.Features)
 	case c.Levels < 2:
 		return fmt.Errorf("hdc: Levels must be at least 2, got %d", c.Levels)
+	case c.Levels > encslice.MaxLevels:
+		return fmt.Errorf("%w: %d levels exceeds the limit %d", ErrGeometry, c.Levels, encslice.MaxLevels)
+	case c.Features >= encslice.MaxFeatures:
+		return fmt.Errorf("%w: %d features reaches the limit %d", ErrGeometry, c.Features, encslice.MaxFeatures)
 	}
 	return nil
 }
+
+// ErrGeometry is returned for a geometry the bit-sliced encoding engine
+// cannot encode: more than encslice.MaxLevels levels, encslice.MaxFeatures
+// or more features, and, for the scalar encoding, more than
+// encslice.MaxLevels features or features×(ℓ−1) beyond MaxInt32.
+var ErrGeometry = errors.New("hdc: geometry beyond the encoding engine")
 
 // ErrDimension is returned when a vector's length does not match the
 // encoder or model geometry.
@@ -72,17 +87,26 @@ func LevelValue(idx, levels int) float64 {
 	return float64(idx) / float64(levels-1)
 }
 
-// Encoder maps a normalized feature vector to its encoded hypervector.
-// Both paper encodings implement it; so do the quantizing wrappers in the
-// quant package.
+// Encoder maps a normalized feature vector to its encoded hypervector on
+// the bit-sliced engine. The two paper encodings, ScalarEncoder and
+// LevelEncoder, are its only implementations.
 type Encoder interface {
 	// Encode returns a fresh hypervector of length Dim for the given
 	// feature vector of length Features.
 	Encode(features []float64) []float64
+	// EncodeInto encodes into the caller's Dim-length buffer and returns it.
+	EncodeInto(features, h []float64) []float64
+	// EncodePackedInto writes the scheme's quantization of the encoding
+	// into the planes dst (Dim dimensions), straight from the engine's
+	// counters. It panics on SchemeNone.
+	EncodePackedInto(features []float64, scheme encslice.Scheme, dst intscore.Planes)
 	// Dim returns the hypervector dimensionality D_hv.
 	Dim() int
 	// NumFeatures returns the input dimensionality D_iv.
 	NumFeatures() int
+	// encodeRows encodes len(X) feature rows into the contiguous buffer h
+	// (len(X)×Dim) on the engine's multi-row kernel.
+	encodeRows(X [][]float64, h []float64)
 }
 
 // BaseProvider is implemented by encoders whose base hypervectors are

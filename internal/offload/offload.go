@@ -479,7 +479,8 @@ type Server struct {
 	// (handshakeTimeout; tests shorten it).
 	handshake time.Duration
 	// idle bounds how long a handshaken connection may go without sending
-	// a frame (idleTimeout; tests shorten it).
+	// a frame, and how long one reply write may block on a peer that does
+	// not read (idleTimeout; tests shorten it).
 	idle time.Duration
 
 	// Flight-recorder and slow-request plumbing: every answered frame is
@@ -623,6 +624,9 @@ const handshakeTimeout = 10 * time.Second
 // graceful close). It sits well above the pools' in-band ping interval
 // (cluster.DefaultPingInterval, 15s), so a pooled connection that is
 // merely idle never trips it — only a peer that has gone silent does.
+// It also bounds each reply write, so a peer that pipelines frames and
+// never reads its replies is dropped rather than pinning the frame
+// goroutines and their buffers.
 const idleTimeout = 2 * time.Minute
 
 // maxRetainedBody is the largest frame buffer a connection keeps between
@@ -1024,9 +1028,9 @@ func (s *Server) handle(sc *srvConn) {
 		conn.SetReadDeadline(time.Now().Add(s.idle))
 	}
 	sc.goAway = func() {
-		sc.writeMu.Lock()
-		writeReply(conn, &Reply{GoAway: true})
-		sc.writeMu.Unlock()
+		if sc.writeReply(&Reply{GoAway: true}, s.idle) != nil {
+			conn.Close()
+		}
 	}
 	sc.mu.Unlock()
 
@@ -1130,11 +1134,20 @@ func (s *Server) refuseFrame(sc *srvConn, br *bufio.Reader, big *errFrameTooLarg
 		reply.ID = binary.LittleEndian.Uint64(id)
 	}
 	mRejections.With(codeFrame).Inc()
-	sc.writeMu.Lock()
-	writeReply(sc.conn, &reply)
-	sc.writeMu.Unlock()
+	sc.writeReply(&reply, s.idle)
 	sc.frames.Wait()
 	lingerClose(sc.conn)
+}
+
+// writeReply writes rep as one frame under writeMu, within bound of the
+// write starting. A peer that stops reading fails the write instead of
+// parking the writer, and the frame buffers it holds, for as long as it
+// stays connected; the caller treats the error as a dead peer.
+func (c *srvConn) writeReply(rep *Reply, bound time.Duration) error {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	c.conn.SetWriteDeadline(time.Now().Add(bound))
+	return writeReply(c.conn, rep)
 }
 
 // writeReply encodes rep into a pooled buffer and writes it as one frame.
@@ -1181,9 +1194,7 @@ func (s *Server) handleFrame(sc *srvConn, req Request, decodeDur time.Duration) 
 		}
 	}
 	tWrite := time.Now()
-	sc.writeMu.Lock()
-	err := writeReply(sc.conn, &reply)
-	sc.writeMu.Unlock()
+	err := sc.writeReply(&reply, s.idle)
 	span.ObserveSince(trace.StageReplyWrite, tWrite)
 	s.record(sc, opLabel(req.Op), &reply, span, len(req.Queries), time.Since(start), err)
 	span.Free()

@@ -341,6 +341,66 @@ func TestIdleBoundSparesSlowlyArrivingBody(t *testing.T) {
 	}
 }
 
+func TestPipelinedPeerThatNeverReadsIsDropped(t *testing.T) {
+	// A peer that pipelines full-batch frames and never reads a reply
+	// fills its small receive buffer and the server's send buffer, so
+	// every reply write blocks and the reader parks on the pipeline bound.
+	// The write bound must treat the peer as dead: the connection closes,
+	// the parked frame goroutines and the reader exit, and a graceful
+	// shutdown has nothing left to wait for.
+	const idle = 200 * time.Millisecond
+	before := runtime.NumGoroutine()
+	srv := NewServer(toyModel())
+	srv.idle = idle
+	lis := listen(t)
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(context.Background(), lis) }()
+	serving := before + 2 // Serve's accept loop and its context watcher
+
+	conn, _, _ := rawHandshake(t, lis.Addr().String(), Hello{Dim: 4})
+	if err := conn.(*net.TCPConn).SetReadBuffer(4 << 10); err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Queries: make([]Query, DefaultMaxBatch)}
+	for i := range req.Queries {
+		req.Queries[i] = Query{Packed: intscore.Split([]int8{1, -1, 0, 1})}
+	}
+	// Write until the server drops the connection, which fails the write
+	// blocked on its full receive buffer. A server that never drops it
+	// leaves that write to time out.
+	var frame []byte
+	frames := 0
+	for ; ; frames++ {
+		req.ID = uint64(frames + 1)
+		var err error
+		if frame, err = appendRequest(frame[:0], &req); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetWriteDeadline(time.Now().Add(50 * idle))
+		if _, err = conn.Write(frame); err != nil {
+			t.Logf("peer wrote %d frames, then: %v", frames, err)
+			break
+		}
+	}
+	stopped := time.Now()
+	n := runtime.NumGoroutine()
+	for n > serving && time.Since(stopped) < 3*idle {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > serving {
+		t.Errorf("%d goroutines 3 idle bounds after the peer's writes stopped, want %d", n, serving)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Errorf("Shutdown: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Errorf("Serve returned %v", err)
+	}
+}
+
 func TestWiretapSkipsControlFrames(t *testing.T) {
 	// The tap records the queries of classify and partial-score frames and
 	// nothing of pings or listings.

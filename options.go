@@ -121,14 +121,17 @@ func WithDim(d int) Option {
 }
 
 // WithLevels sets the number of feature quantization levels ℓ_iv of Eq. 1
-// (default 100).
+// (default 100), at most 65 536. With Scalar encoding, features×(ℓ−1) must
+// also stay within 2^31−1. Beyond these limits of the bit-sliced encoding
+// engine, building the encoder fails.
 func WithLevels(n int) Option {
 	return func(c *config) { c.levels = n }
 }
 
 // WithFeatures fixes the input dimensionality D_iv. Pipelines may omit it
 // and infer the width from the first training batch; edges and untrained
-// servers need it up front.
+// servers need it up front. The encoder takes fewer than 2^20 features,
+// and with Scalar encoding at most 65 536, with features×(ℓ−1) ≤ 2^31−1.
 func WithFeatures(n int) Option {
 	return func(c *config) { c.features = n }
 }

@@ -10,6 +10,7 @@ import (
 
 	"privehd/internal/core"
 	"privehd/internal/dp"
+	"privehd/internal/encslice"
 	"privehd/internal/hdc"
 	"privehd/internal/prune"
 	"privehd/internal/quant"
@@ -428,15 +429,13 @@ const saveVersion = 1
 // is well-formed, just not readable here.
 var ErrCorruptModel = hdc.ErrCorrupt
 
-// Ceilings on decoded pipeline geometry, enforced before any
-// geometry-sized allocation: gob length fields are attacker-controlled,
-// and rebuilding the encoder allocates levels×dim and features×dim float64
-// cells. The caps sit far above the paper's largest deployment (D=10,000,
-// 100 levels) while bounding hostile blobs to hundreds of megabytes.
-const (
-	maxLoadLevels = 1 << 16
-	maxLoadCells  = 1 << 28
-)
+// maxLoadCells caps decoded pipeline geometry before any geometry-sized
+// allocation: gob length fields are attacker-controlled, and rebuilding
+// the encoder allocates levels×dim and features×dim cells. The cap sits
+// far above the paper's largest deployment (D=10,000, 100 levels) while
+// bounding hostile blobs to hundreds of megabytes. Levels are bounded by
+// the encoding engine's own limit.
+const maxLoadCells = 1 << 28
 
 // validateWire bounds a decoded pipelineWire's geometry before anything is
 // allocated from it.
@@ -444,8 +443,8 @@ func (w *pipelineWire) validate() error {
 	switch {
 	case w.Dim <= 0 || w.Dim > hdc.MaxDim:
 		return fmt.Errorf("dim %d out of range (0, %d]", w.Dim, hdc.MaxDim)
-	case w.Levels < 2 || w.Levels > maxLoadLevels:
-		return fmt.Errorf("levels %d out of range [2, %d]", w.Levels, maxLoadLevels)
+	case w.Levels < 2 || w.Levels > encslice.MaxLevels:
+		return fmt.Errorf("levels %d out of range [2, %d]", w.Levels, encslice.MaxLevels)
 	case w.Features < 0 || w.Features > maxLoadCells/w.Dim:
 		return fmt.Errorf("features %d out of range for dim %d", w.Features, w.Dim)
 	case w.Classes < 0 || w.Classes > hdc.MaxClasses:
