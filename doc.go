@@ -159,12 +159,14 @@
 // The whole local hot path runs in the integer domain. Encoding is
 // bit-sliced (internal/encslice): base and level hypervectors stay packed
 // one bit per dimension and both paper encodings are evaluated by
-// carry-save-adder popcount accumulation over transposed bit-planes
+// carry-save-adder popcount accumulation over column-grouped bit-planes,
+// eight 64-bit columns per pass in AVX-512 or AVX2 registers where the CPU
+// has them and in pure Go elsewhere or under the purego build tag,
 // instead of a per-feature float64 multiply-add — with a fused path that
 // derives the quantized −2…+1 query straight from the integer counts (the
 // edge's 1-bit level query from a sign comparator on the counters, over
-// its kept dimensions only), and a batch kernel that amortizes each pass over the item memory across
-// several rows (training, PredictBatch). Scoring consumes the query's two
+// its kept dimensions only), and a batch kernel that amortizes each pass
+// over the item memory across several rows (training, PredictBatch). Scoring consumes the query's two
 // bit-planes against class planes derived once per model publication:
 // classes that fit int8 (every served model) become two's-complement
 // bit-planes scored by AND and popcount against the query's planes;

@@ -61,31 +61,39 @@ func BenchmarkPipelinePredictParallel(b *testing.B) {
 }
 
 // BenchmarkEncodeEdge times Edge.PreparePackedInto, the edge's whole share
-// of a remote Predict, on the half-masked level edge the sharded serving
-// benchmark runs: 617 features into D = 10 000 with 5 000 dimensions
-// masked.
+// of a remote Predict, on the level edges the serving benchmarks run: 617
+// features over 100 levels into D = 4 000 unmasked (the single-model pool
+// workload) and into D = 10 000 with 5 000 dimensions masked (the sharded
+// workload).
 func BenchmarkEncodeEdge(b *testing.B) {
-	const dim = 10000
-	e, err := NewEdge(EdgeConfig{
-		HD:       hdc.Config{Dim: dim, Features: 617, Levels: 100, Seed: 7},
-		Encoding: EncodingLevel,
-		Quantize: true,
-		MaskDims: dim / 2,
-		MaskSeed: 9,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := hrand.New(42)
-	x := make([]float64, 617)
-	for k := range x {
-		x[k] = src.Float64()
-	}
-	dst := intscore.NewPlanes(dim)
-	b.Run("d10000-mask5000", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e.PreparePackedInto(x, dst)
+	for _, bc := range []struct {
+		name      string
+		dim, mask int
+	}{
+		{"d4000", 4000, 0},
+		{"d10000-mask5000", 10000, 5000},
+	} {
+		e, err := NewEdge(EdgeConfig{
+			HD:       hdc.Config{Dim: bc.dim, Features: 617, Levels: 100, Seed: 7},
+			Encoding: EncodingLevel,
+			Quantize: true,
+			MaskDims: bc.mask,
+			MaskSeed: 9,
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
+		src := hrand.New(42)
+		x := make([]float64, 617)
+		for k := range x {
+			x[k] = src.Float64()
+		}
+		dst := intscore.NewPlanes(bc.dim)
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e.PreparePackedInto(x, dst)
+			}
+		})
+	}
 }

@@ -9,35 +9,59 @@
 //
 // Base and level hypervectors are ±1 bipolar vectors packed one bit per
 // dimension (bit=1 ⇔ +1, the bitvec convention). The engine stores them
-// word-major ("transposed"): word w of every base vector is contiguous, so
-// the per-word kernels stream one 64-dimension column of the whole item
-// memory with unit stride, and a multi-query batch reuses each column while
-// it is hot in cache.
+// grouped by column: the ⌈D/64⌉ word columns, zero-padded to a multiple
+// of eight, form groups of eight (512 dimensions), and within a group
+// each vector's eight words are one contiguous 64-byte row. One level
+// index thus fetches one level row, a kernel pass streams a group's base
+// rows with unit stride, and a multi-query batch reuses each group while
+// it is hot in cache. No other copy of the item memory is kept.
 //
 // # Counting
 //
-// For 64 dimensions at a time the engine counts, per bit lane, how many of
-// the F partial-product planes have the bit set. Planes are consumed eight
-// at a time through a tree of seven CSAs into one-weight/two-weight/
-// four-weight bit-slices; each tree emits a single eight-weight carry word
-// added into the eights slice, whose own carry ripples into a small stack
-// of higher-order counter planes. The four low slices live in registers for
-// a whole column; only that sixteen-weight ripple touches memory. After all
-// planes are absorbed, lane j's count is simply the binary number
-// assembled from the slices:
+// For each group the engine counts, per bit lane of its eight columns,
+// how many of the F partial-product planes have the bit set. Planes are
+// absorbed by a Harley–Seal tree of carry-save adders into one-weight/
+// two-weight/four-weight/eight-weight bit-slices, which emits a single
+// sixteen-weight carry rippled into a small stack of higher-order counter
+// planes, only as deep as F needs. After all planes are absorbed, lane
+// j's count is simply the binary number assembled from the slices:
 //
 //	cnt(j) = ones_j + 2·twos_j + 4·fours_j + 8·eights_j + 16·Σ_l hi[l]_j·2^l
 //
-// Every addition is a 64-lane bitwise operation, so the amortized cost is a
-// handful of word ops per feature per 64 dimensions — versus 64 float64
-// multiply-adds on the float path.
+// Every addition is a lane-wise bitwise operation, so the amortized cost
+// is a handful of word ops per feature per 64 dimensions — versus 64
+// float64 multiply-adds on the float path.
+//
+// # Kernels
+//
+// The accumulation runs on one of three kernels, picked once at package
+// init from CPUID and the register state the OS saves (XGETBV):
+//
+//   - AVX-512F: a group's eight columns in one ZMM register per slice, a
+//     carry-save adder as one VPTERNLOGQ majority (0xE8) and one sum
+//     (0x96), and the whole high stack in registers;
+//   - AVX2: each group as two four-column halves in YMM registers, with
+//     VPXOR/VPAND/VPOR adders and the high stack beyond six levels in
+//     memory;
+//   - pure Go: the same tree one 64-bit column at a time. It runs on
+//     CPUs with neither extension, off amd64 and wherever the module is
+//     built with the purego tag.
+//
+// Each kernel has two entries: xor counts the mismatches between level
+// rows selected by the level indices and the base rows (level mode), and
+// gather counts base rows selected by a feature list (scalar digit
+// groups). The kernels read the item memory without bounds checks, so
+// every entry point checks the level indices first. All three produce the
+// same counter slices word for word.
 //
 // # The two encodings
 //
-// Level (Eq. 2b): plane k is L_{v_k} ⊙ B_k (XNOR of the packed words) and
-// h[j] = 2·cnt[j] − F exactly — identical to the reference float loop,
-// which only ever adds ±1 terms and is therefore exact integer arithmetic
-// in float64.
+// Level (Eq. 2b): the partial product L_{v_k} ⊙ B_k is the XNOR of the
+// packed words. The kernels count its complement, the mismatch plane
+// L_{v_k} ⊕ B_k, which saves the NOT: with m[j] mismatches the XNOR count
+// is F − m[j] and h[j] = 2·(F − m[j]) − F = F − 2·m[j] exactly —
+// identical to the reference float loop, which only ever adds ±1 terms
+// and is therefore exact integer arithmetic in float64.
 //
 // Scalar (Eq. 2a): h[j] = Σ_k f(v_k)·B_k[j] with f(v) = lv/(ℓ−1) for the
 // integer level index lv. The engine groups features by the binary digits
@@ -64,14 +88,14 @@
 // to running quant.QuantizeInto on the float encoding.
 //
 // The level-mode bipolar query — the edge's 1-bit obfuscation — never forms
-// a count at all. Its sign is +1 exactly when 2·cnt − F ≥ 0, that is when
-// cnt ≥ ⌈F/2⌉: the majority of the XNOR planes, the paper's Fig. 7a circuit
-// (see internal/fpga.ExactMajority) and the threshold step of binarized
-// bundling. A comparator walks the counter slices MSB first against that
-// constant, keeping a greater-than mask and an equal mask, and yields 64
-// sign bits per word column, which are the query's planes already: every
-// dimension is odd (lo set) and the clear sign bits are the negative ones
-// (hi set). Scalar mode keeps the numerator read-off, because its sign is
+// a count at all. Its sign is −1 exactly when F − 2·m < 0, that is when
+// m ≥ ⌊F/2⌋+1: the complement of the majority of the XNOR planes, the
+// paper's Fig. 7a circuit (see internal/fpga.ExactMajority) and the
+// threshold step of binarized bundling. A comparator walks the counter
+// slices MSB first against that constant, keeping a greater-than mask and
+// an equal mask, and yields 64 sign bits per word column, which are the
+// query's planes already: every dimension is odd (lo set) and the
+// negative lanes set hi. Scalar mode keeps the numerator read-off, because its sign is
 // a weighted sum over digit groups rather than one threshold.
 //
 // # Compaction
@@ -79,10 +103,11 @@
 // A query mask fixed at setup zeroes the same dimensions of every query,
 // so there is no need to encode them. Restrict gathers the kept
 // dimensions' bits out of a level engine's memory into a compacted
-// transposed memory, once; the comparator then runs over ⌈kept/64⌉ word
-// columns. The lo plane is the kept set itself, and each clear sign bit
-// sets the hi bit of its dimension, leaving 0 at every masked one. The
-// result is bit-identical to quantizing the full encoding and masking it.
+// column-grouped memory, once; the comparator then runs over ⌈kept/64⌉
+// word columns. The lo plane is the kept set itself, and each negative
+// lane sets the hi bit of its dimension, leaving 0 at every masked one.
+// The result is bit-identical to quantizing the full encoding and masking
+// it.
 //
 // Engines are immutable after construction and safe for concurrent use;
 // per-call working sets come from an internal sync.Pool, so the encoding
@@ -132,15 +157,19 @@ type Engine struct {
 	features int
 	levels   int
 	words    int // ⌈dim/64⌉
+	groups   int // ⌈words/groupCols⌉
 
 	scalar  bool
 	denom   float64 // ℓ−1 as float64; scalar-mode divisor
 	maxBits int     // scalar: bits.Len(ℓ−1), number of digit groups
 	hi      int     // high counter planes needed for counts ≤ features
 
-	// baseT[w*features+k] is word w of base hypervector k; lvlT (level mode
-	// only) is the same layout over the ℓ level hypervectors. Tail bits
-	// beyond dim are never extracted, so their content is irrelevant.
+	// baseT is the base memory grouped by column: for group g of
+	// groupCols word columns, baseT[(g·features+k)·groupCols+c] is word
+	// groupCols·g+c of base hypervector k (see wordAt). lvlT (level mode
+	// only) is the same layout over the ℓ level hypervectors. Words past
+	// ⌈dim/64⌉ are zero padding and tail bits beyond dim are never
+	// extracted, so neither content matters.
 	baseT []uint64
 	lvlT  []uint64
 
@@ -157,36 +186,10 @@ type scratch struct {
 	off   []int    // scalar: maxBits+1 offsets into lists
 }
 
-// planes is the per-word CSA accumulator state: lane j's plane count is the
-// binary number ones_j | twos_j<<1 | fours_j<<2 | eights_j<<3 | hi[l]_j<<(4+l).
-type planes struct {
-	ones, twos, fours, eights uint64
-	hi                        [hiPlanes]uint64
-}
-
-// counts reads the first nd lane counts off the counter slices into dst;
-// hiN is the engine's high-plane depth. This is the single read-off used
-// by every kernel, so the counter representation is interpreted in exactly
-// one place.
-func (pl *planes) counts(dst *[64]int32, nd, hiN int) {
-	for b := 0; b < nd; b++ {
-		dst[b] = int32(pl.ones>>b&1) |
-			int32(pl.twos>>b&1)<<1 |
-			int32(pl.fours>>b&1)<<2 |
-			int32(pl.eights>>b&1)<<3
-	}
-	for l := 0; l < hiN; l++ {
-		w := pl.hi[l]
-		for b := 0; b < nd; b++ {
-			dst[b] |= int32(w>>b&1) << (4 + l)
-		}
-	}
-}
-
 // NewLevel builds an Eq. 2b engine from packed word slices: base[k] and
 // level[i] are the bitvec words (64 dims per word, bit=1 ⇔ +1) of base
 // hypervector k and level hypervector i. The words are copied into the
-// engine's transposed layout; callers may mutate theirs afterwards.
+// engine's column-grouped layout; callers may mutate theirs afterwards.
 func NewLevel(dim int, base, level [][]uint64) (*Engine, error) {
 	e, err := newEngine(dim, len(base), len(level), false)
 	if err != nil {
@@ -244,19 +247,20 @@ func newEngine(dim, features, levels int, scalar bool) (*Engine, error) {
 		features: features,
 		levels:   levels,
 		words:    (dim + 63) / 64,
+		groups:   (dim + 64*groupCols - 1) / (64 * groupCols),
 		scalar:   scalar,
 		denom:    float64(levels - 1),
 		maxBits:  bits.Len(uint(levels - 1)),
 		hi:       hi,
 	}
-	e.baseT = make([]uint64, e.words*features)
+	e.baseT = make([]uint64, e.groups*groupCols*features)
 	if !scalar {
-		e.lvlT = make([]uint64, e.words*levels)
+		e.lvlT = make([]uint64, e.groups*groupCols*levels)
 	}
 	return e, nil
 }
 
-// fill transposes packed vectors into dst's word-major layout.
+// fill copies packed vectors into dst's column-grouped layout.
 func (e *Engine) fill(dst []uint64, vecs [][]uint64, what string) error {
 	n := len(vecs)
 	for i, v := range vecs {
@@ -264,10 +268,33 @@ func (e *Engine) fill(dst []uint64, vecs [][]uint64, what string) error {
 			return fmt.Errorf("encslice: %s vector %d has %d words, want %d", what, i, len(v), e.words)
 		}
 		for w, word := range v {
-			dst[w*n+i] = word
+			dst[wordAt(w, n)+i*groupCols] = word
 		}
 	}
 	return nil
+}
+
+// wordAt is the index of word w of vector 0 in an n-vector column-grouped
+// memory; word w of vector v follows at v·groupCols past it.
+func wordAt(w, n int) int {
+	return w/groupCols*n*groupCols + w%groupCols
+}
+
+// group returns the rows of column group g of an n-vector memory: n rows
+// of groupCols words, row v holding vector v's words of the group.
+func group(mem []uint64, g, n int) []uint64 {
+	return mem[g*n*groupCols : (g+1)*n*groupCols]
+}
+
+// cols returns how many of group g's columns hold dimensions.
+func (e *Engine) cols(g int) int {
+	return min(groupCols, e.words-g*groupCols)
+}
+
+// colDims returns how many dimensions word column w holds: 64 in every
+// column but the last.
+func (e *Engine) colDims(w int) int {
+	return min(64, e.dim-64*w)
 }
 
 // Dim returns the hypervector dimensionality D_hv.
@@ -296,9 +323,18 @@ func (e *Engine) get() *scratch {
 	return s
 }
 
+// checkLvi panics unless lvi holds one level index below Levels per
+// feature: the kernels index the level memory without bounds checks.
 func (e *Engine) checkLvi(lvi []uint16) {
 	if len(lvi) != e.features {
 		panic(fmt.Sprintf("encslice: got %d level indices, engine has %d features", len(lvi), e.features))
+	}
+	var top uint16
+	for _, lv := range lvi {
+		top = max(top, lv)
+	}
+	if int(top) >= e.levels {
+		panic(fmt.Sprintf("encslice: level index %d out of range [0,%d)", top, e.levels))
 	}
 }
 
@@ -328,9 +364,9 @@ func (e *Engine) EncodeInto(lvi []uint16, h []float64) {
 
 // EncodeBatchInto encodes `rows` queries at once: lvi holds rows×Features
 // level indices (row-major) and h receives rows×Dim encodings (row-major).
-// In level mode the kernel walks the transposed item memory word-column by
-// word-column with the rows innermost, so each 64-dimension column of every
-// base vector is loaded once per batch instead of once per query. Scalar
+// In level mode the kernel walks the item memory group by group with the
+// rows innermost, so each column group of every base vector is loaded
+// once per batch instead of once per query. Scalar
 // rows are encoded one at a time (their digit groups differ per row, so
 // there is no shared pass to amortize).
 func (e *Engine) EncodeBatchInto(lvi []uint16, rows int, h []float64) {
@@ -349,25 +385,28 @@ func (e *Engine) EncodeBatchInto(lvi []uint16, rows int, h []float64) {
 		}
 		return
 	}
+	for r := 0; r < rows; r++ {
+		e.checkLvi(lvi[r*e.features : (r+1)*e.features])
+	}
 	F, L, dim := e.features, e.levels, e.dim
-	for w := 0; w < e.words; w++ {
-		bw := e.baseT[w*F : w*F+F]
-		lw := e.lvlT[w*L : w*L+L]
-		off := w * 64
-		nd := dim - off
-		if nd > 64 {
-			nd = 64
-		}
-		var cnt [64]int32
+	pl := planesPool.Get().(*planes)
+	var cnt [64]int32
+	for g := 0; g < e.groups; g++ {
+		bg, lg := group(e.baseT, g, F), group(e.lvlT, g, L)
 		for r := 0; r < rows; r++ {
-			pl := accumXnor(bw, lw, lvi[r*F:(r+1)*F])
-			pl.counts(&cnt, nd, e.hi)
-			row := h[r*dim+off:]
-			for b := 0; b < nd; b++ {
-				row[b] = float64(2*cnt[b] - int32(F))
+			kern.xor(pl, bg, lg, lvi[r*F:(r+1)*F], e.hi)
+			for c := 0; c < e.cols(g); c++ {
+				w := g*groupCols + c
+				nd := e.colDims(w)
+				pl.counts(c, &cnt, nd, e.hi)
+				row := h[r*dim+64*w:]
+				for b := 0; b < nd; b++ {
+					row[b] = float64(int32(F) - 2*cnt[b])
+				}
 			}
 		}
 	}
+	planesPool.Put(pl)
 }
 
 // EncodePackedInto fuses encode and quantize: it derives the −2…+1 query
@@ -397,67 +436,57 @@ func (e *Engine) EncodePackedInto(lvi []uint16, scheme Scheme, dst []uint64) {
 
 // signInto writes the level-mode bipolar query straight off the counters,
 // never forming a count: per word column the comparator yields 64 sign
-// bits, and a clear one is a −1. With kept nil, engine dimension i is
+// bits. A dimension is −1 when its mismatch count m is at least ⌊F/2⌋+1,
+// that is when 2·(F−m) − F < 0. With kept nil, engine dimension i is
 // dimension i of the planes: every lo bit within Dim is set, and hi is the
-// clear sign bits. Otherwise engine dimension i is dimension kept[i]: a
-// clear sign bit sets its hi bit, and lo is the caller's.
-func (e *Engine) signInto(lvi []uint16, kept []int32, lo, hi []uint64) {
+// negative lanes. Otherwise engine dimension i is dimension kept[i]: a
+// negative lane sets its hi bit, and lo is the caller's.
+func (e *Engine) signInto(lvi []uint16, kept []uint32, lo, hi []uint64) {
 	F, L := e.features, e.levels
-	half := uint((F + 1) / 2)
-	for w := 0; w < e.words; w++ {
-		pl := accumXnor(e.baseT[w*F:w*F+F], e.lvlT[w*L:w*L+L], lvi)
-		valid := ^uint64(0)
-		if r := e.dim - 64*w; r < 64 {
-			valid = 1<<r - 1
-		}
-		neg := ^pl.atLeast(half, e.hi) & valid
-		if kept == nil {
-			lo[w], hi[w] = valid, neg
-			continue
-		}
-		for ; neg != 0; neg &= neg - 1 {
-			pos := kept[64*w+bits.TrailingZeros64(neg)]
-			hi[pos/64] |= 1 << (pos % 64)
+	t := uint(F/2 + 1)
+	// kept is ascending, so the negative lanes reach hi in ascending
+	// position order: the bits bound for one hi word gather in acc, which
+	// is stored once when the position leaves that word.
+	cur, acc := uint(0), uint64(0)
+	pl := planesPool.Get().(*planes)
+	for g := 0; g < e.groups; g++ {
+		kern.xor(pl, group(e.baseT, g, F), group(e.lvlT, g, L), lvi, e.hi)
+		for c := 0; c < e.cols(g); c++ {
+			w := g*groupCols + c
+			valid := ^uint64(0)
+			if r := e.colDims(w); r < 64 {
+				valid = 1<<r - 1
+			}
+			neg := pl.atLeast(c, t, e.hi) & valid
+			if kept == nil {
+				lo[w], hi[w] = valid, neg
+				continue
+			}
+			kw := (*[64]uint32)(kept[64*w:])
+			for ; neg != 0; neg &= neg - 1 {
+				pos := uint(kw[bits.TrailingZeros64(neg)&63])
+				if pos/64 != cur {
+					hi[cur] |= acc
+					cur, acc = pos/64, 0
+				}
+				acc |= 1 << (pos % 64)
+			}
 		}
 	}
-}
-
-// atLeast returns the lanes whose plane count is at least t (hiN is the
-// engine's high-plane depth). It compares the counter slices against the
-// constant MSB first: gt holds the lanes already known to exceed t, eq the
-// lanes equal to it so far. With t = ⌈F/2⌉ this is the Fig. 7a majority of
-// the XNOR planes, 64 dimensions at a time: lane j is set exactly when
-// 2·cnt_j − F ≥ 0, the bipolar sign with zero mapped to +1.
-func (pl *planes) atLeast(t uint, hiN int) uint64 {
-	gt, eq := uint64(0), ^uint64(0)
-	for l := hiN - 1; l >= 0; l-- {
-		gt, eq = cmpBit(gt, eq, pl.hi[l], t>>(4+l)&1)
+	if kept != nil {
+		hi[cur] |= acc
 	}
-	gt, eq = cmpBit(gt, eq, pl.eights, t>>3&1)
-	gt, eq = cmpBit(gt, eq, pl.fours, t>>2&1)
-	gt, eq = cmpBit(gt, eq, pl.twos, t>>1&1)
-	gt, eq = cmpBit(gt, eq, pl.ones, t&1)
-	return gt | eq
-}
-
-// cmpBit is one comparator step against constant bit tb: lanes still equal
-// whose counter bit p exceeds tb become greater, and lanes whose bit
-// differs from tb leave the equal set.
-func cmpBit(gt, eq, p uint64, tb uint) (uint64, uint64) {
-	if tb != 0 {
-		return gt, eq & p
-	}
-	return gt | eq&p, eq &^ p
+	planesPool.Put(pl)
 }
 
 // Restricted is a level engine confined to a fixed set of kept dimensions:
-// its transposed base and level memory hold only those dimensions' words,
+// its base and level memory hold only those dimensions' words,
 // so a query costs ⌈kept/64⌉ word columns instead of ⌈Dim/64⌉. It emits
 // the masked bipolar query — sign at the kept dimensions, zero elsewhere —
 // and, like Engine, is immutable and safe for concurrent use.
 type Restricted struct {
 	eng  *Engine  // level engine over the kept dimensions, in order
-	kept []int32  // kept[i] is the full-vector position of eng's dimension i
+	kept []uint32 // kept[i] is the full-vector position of eng's dimension i
 	keep []uint64 // the kept set as ⌈Dim/64⌉ words, the query's lo plane
 }
 
@@ -472,11 +501,11 @@ func (e *Engine) Restrict(keep []bool) (*Restricted, error) {
 	if len(keep) != e.dim {
 		return nil, fmt.Errorf("encslice: keep set has %d dimensions, engine has %d", len(keep), e.dim)
 	}
-	var kept []int32
+	var kept []uint32
 	words := make([]uint64, e.words)
 	for j, k := range keep {
 		if k {
-			kept = append(kept, int32(j))
+			kept = append(kept, uint32(j))
 			words[j/64] |= 1 << (j % 64)
 		}
 	}
@@ -489,17 +518,21 @@ func (e *Engine) Restrict(keep []bool) (*Restricted, error) {
 	}
 	gatherDims(r.baseT, e.baseT, e.features, kept)
 	gatherDims(r.lvlT, e.lvlT, e.levels, kept)
+	// Pad kept to whole word columns by repeating its last position, so
+	// signInto can view each column's 64 positions as an array.
+	for len(kept)%64 != 0 {
+		kept = append(kept, kept[len(kept)-1])
+	}
 	return &Restricted{eng: r, kept: kept, keep: words}, nil
 }
 
 // gatherDims copies the bits of dimensions kept out of the n-vector
-// transposed memory src into dst, where kept[i] becomes dimension i.
-func gatherDims(dst, src []uint64, n int, kept []int32) {
-	for i, j := range kept {
-		dw, db := i/64*n, uint(i%64)
-		sw, sb := int(j)/64*n, uint(j%64)
-		for v := 0; v < n; v++ {
-			dst[dw+v] |= src[sw+v] >> sb & 1 << db
+// column-grouped memory src into dst, where kept[i] becomes dimension i.
+func gatherDims(dst, src []uint64, n int, kept []uint32) {
+	for v := 0; v < n; v++ {
+		d, s := dst[v*groupCols:], src[v*groupCols:]
+		for i, j := range kept {
+			d[wordAt(i/64, n)] |= s[wordAt(int(j)/64, n)] >> (j % 64) & 1 << (i % 64)
 		}
 	}
 }
@@ -530,25 +563,28 @@ func (e *Engine) countsInto(lvi []uint16, s *scratch) {
 	}
 }
 
+// countsLevel fills v with F − 2·m per dimension, m the dimension's count
+// of mismatching planes (2·(F−m) − F, the XNOR form of Eq. 2b).
 func (e *Engine) countsLevel(lvi []uint16, v []int32) {
-	F, L, dim := e.features, e.levels, e.dim
+	F, L := e.features, e.levels
+	pl := planesPool.Get().(*planes)
 	var cnt [64]int32
-	for w := 0; w < e.words; w++ {
-		pl := accumXnor(e.baseT[w*F:w*F+F], e.lvlT[w*L:w*L+L], lvi)
-		off := w * 64
-		nd := dim - off
-		if nd > 64 {
-			nd = 64
-		}
-		pl.counts(&cnt, nd, e.hi)
-		for b := 0; b < nd; b++ {
-			v[off+b] = 2*cnt[b] - int32(F)
+	for g := 0; g < e.groups; g++ {
+		kern.xor(pl, group(e.baseT, g, F), group(e.lvlT, g, L), lvi, e.hi)
+		for c := 0; c < e.cols(g); c++ {
+			w := g*groupCols + c
+			nd := e.colDims(w)
+			pl.counts(c, &cnt, nd, e.hi)
+			for b, n := range cnt[:nd] {
+				v[64*w+b] = int32(F) - 2*n
+			}
 		}
 	}
+	planesPool.Put(pl)
 }
 
 func (e *Engine) countsScalar(lvi []uint16, s *scratch) {
-	F, dim, mb := e.features, e.dim, e.maxBits
+	F, mb := e.features, e.maxBits
 	// Partition features into digit groups once per query (shared by every
 	// word column): group p lists the features whose level index has bit p
 	// set. Level-0 features have no set bits and — like the reference
@@ -573,110 +609,33 @@ func (e *Engine) countsScalar(lvi []uint16, s *scratch) {
 			}
 		}
 	}
-	for w := 0; w < e.words; w++ {
-		bw := e.baseT[w*F : w*F+F]
-		off := w * 64
-		nd := dim - off
-		if nd > 64 {
-			nd = 64
-		}
-		var n, cnt [64]int32
+	clear(s.v)
+	pl := planesPool.Get().(*planes)
+	var cnt [64]int32
+	for g := 0; g < e.groups; g++ {
+		bg := group(e.baseT, g, F)
 		for p := 0; p < mb; p++ {
 			list := s.lists[s.off[p]:s.off[p+1]]
 			if len(list) == 0 {
 				continue
 			}
-			pl := accumList(bw, list)
-			pl.counts(&cnt, nd, e.hi)
+			kern.gather(pl, bg, list, e.hi)
 			mp := int32(len(list))
-			for b := 0; b < nd; b++ {
-				n[b] += (2*cnt[b] - mp) << p
+			for c := 0; c < e.cols(g); c++ {
+				w := g*groupCols + c
+				v := s.v[64*w : 64*w+e.colDims(w)]
+				pl.counts(c, &cnt, len(v), e.hi)
+				for b := range v {
+					v[b] += (2*cnt[b] - mp) << p
+				}
 			}
 		}
-		copy(s.v[off:off+nd], n[:nd])
 	}
+	planesPool.Put(pl)
 }
 
 // maxLevelBits bounds maxBits: levels ≤ 2^16 ⇒ level indices have ≤ 16 bits.
 const maxLevelBits = 16
-
-// accumXnor absorbs the F planes ^(lw[lvi[k]] ^ bw[k]) — the packed Eq. 2b
-// partial products over one 64-dimension word column — into CSA counter
-// slices. Planes are consumed eight at a time: seven carry-save adders in
-// three layers compress them against the running ones/twos/fours slices
-// and emit one eight-weight carry e, added into eights; leftovers ripple in
-// individually. The four low slices stay in locals for the whole column,
-// so only eights' own carry ripples through memory, into the high counter
-// stack.
-func accumXnor(bw, lw []uint64, lvi []uint16) (pl planes) {
-	F := len(bw)
-	var ones, twos, fours, eights uint64
-	k := 0
-	for ; k+8 <= F; k += 8 {
-		var t0, t1, f0, f1, e uint64
-		ones, t0 = csa(ones, ^(lw[lvi[k]] ^ bw[k]), ^(lw[lvi[k+1]] ^ bw[k+1]))
-		ones, t1 = csa(ones, ^(lw[lvi[k+2]] ^ bw[k+2]), ^(lw[lvi[k+3]] ^ bw[k+3]))
-		twos, f0 = csa(twos, t0, t1)
-		ones, t0 = csa(ones, ^(lw[lvi[k+4]] ^ bw[k+4]), ^(lw[lvi[k+5]] ^ bw[k+5]))
-		ones, t1 = csa(ones, ^(lw[lvi[k+6]] ^ bw[k+6]), ^(lw[lvi[k+7]] ^ bw[k+7]))
-		twos, f1 = csa(twos, t0, t1)
-		fours, e = csa(fours, f0, f1)
-		pl.carry(eights & e)
-		eights ^= e
-	}
-	pl.ones, pl.twos, pl.fours, pl.eights = ones, twos, fours, eights
-	for ; k < F; k++ {
-		pl.add1(^(lw[lvi[k]] ^ bw[k]))
-	}
-	return pl
-}
-
-// accumList is accumXnor for scalar digit groups: the planes are the base
-// vectors themselves, selected by the group's feature list.
-func accumList(bw []uint64, list []uint16) (pl planes) {
-	var ones, twos, fours, eights uint64
-	i := 0
-	for ; i+8 <= len(list); i += 8 {
-		var t0, t1, f0, f1, e uint64
-		ones, t0 = csa(ones, bw[list[i]], bw[list[i+1]])
-		ones, t1 = csa(ones, bw[list[i+2]], bw[list[i+3]])
-		twos, f0 = csa(twos, t0, t1)
-		ones, t0 = csa(ones, bw[list[i+4]], bw[list[i+5]])
-		ones, t1 = csa(ones, bw[list[i+6]], bw[list[i+7]])
-		twos, f1 = csa(twos, t0, t1)
-		fours, e = csa(fours, f0, f1)
-		pl.carry(eights & e)
-		eights ^= e
-	}
-	pl.ones, pl.twos, pl.fours, pl.eights = ones, twos, fours, eights
-	for ; i < len(list); i++ {
-		pl.add1(bw[list[i]])
-	}
-	return pl
-}
-
-// csa is one carry-save adder, evaluated lane-wise over 64 dimensions:
-// sum = a⊕b⊕c, carry = maj(a,b,c).
-func csa(a, b, c uint64) (sum, carry uint64) {
-	u := a ^ b
-	return u ^ c, (a & b) | (u & c)
-}
-
-// carry ripples a sixteen-weight carry word up the high counter stack.
-func (pl *planes) carry(c uint64) {
-	for l := 0; c != 0; l++ {
-		pl.hi[l], c = pl.hi[l]^c, pl.hi[l]&c
-	}
-}
-
-// add1 absorbs a single plane by rippling it up the counter slices.
-func (pl *planes) add1(x uint64) {
-	pl.ones, x = pl.ones^x, pl.ones&x
-	pl.twos, x = pl.twos^x, pl.twos&x
-	pl.fours, x = pl.fours^x, pl.fours&x
-	pl.eights, x = pl.eights^x, pl.eights&x
-	pl.carry(x)
-}
 
 // quantizeInts sets the planes' bits of the scheme's symbol for every
 // numerator (lo and hi start clear), mirroring quant.QuantizeInto on the

@@ -1,6 +1,7 @@
 package encslice_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -101,6 +102,23 @@ func refScalar(base []*bitvec.Vector, lvi []uint16, dim, levels int) []float64 {
 	return h
 }
 
+// forEachKernel runs f as one subtest per kernel the host supports, with
+// that kernel dispatched.
+func forEachKernel(t *testing.T, f func(t *testing.T)) {
+	eachKernel(func(name string) { t.Run(name, f) })
+}
+
+// eachKernel calls f with every kernel the host supports dispatched in
+// turn, the pure-Go kernel first.
+func eachKernel(f func(name string)) {
+	for _, name := range encslice.KernelNames() {
+		func() {
+			defer encslice.UseKernel(name)()
+			f(name)
+		}()
+	}
+}
+
 var geometries = []struct {
 	dim, features, levels int
 }{
@@ -116,82 +134,88 @@ var geometries = []struct {
 }
 
 func TestLevelMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, g := range geometries {
-		base, baseW := genVectors(rng, g.features, g.dim)
-		lvl, lvlW := genVectors(rng, g.levels, g.dim)
-		e, err := encslice.NewLevel(g.dim, baseW, lvlW)
-		if err != nil {
-			t.Fatalf("%+v: %v", g, err)
-		}
-		for trial := 0; trial < 4; trial++ {
-			lvi := genIndices(rng, g.features, g.levels)
-			want := refLevel(base, lvl, lvi, g.dim)
-			got := make([]float64, g.dim)
-			e.EncodeInto(lvi, got)
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("%+v trial %d dim %d: engine %v, reference %v", g, trial, j, got[j], want[j])
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1))
+		for _, g := range geometries {
+			base, baseW := genVectors(rng, g.features, g.dim)
+			lvl, lvlW := genVectors(rng, g.levels, g.dim)
+			e, err := encslice.NewLevel(g.dim, baseW, lvlW)
+			if err != nil {
+				t.Fatalf("%+v: %v", g, err)
+			}
+			for trial := 0; trial < 4; trial++ {
+				lvi := genIndices(rng, g.features, g.levels)
+				want := refLevel(base, lvl, lvi, g.dim)
+				got := make([]float64, g.dim)
+				e.EncodeInto(lvi, got)
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("%+v trial %d dim %d: engine %v, reference %v", g, trial, j, got[j], want[j])
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestScalarMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, g := range geometries {
-		base, baseW := genVectors(rng, g.features, g.dim)
-		e, err := encslice.NewScalar(g.dim, g.levels, baseW)
-		if err != nil {
-			t.Fatalf("%+v: %v", g, err)
-		}
-		for trial := 0; trial < 4; trial++ {
-			lvi := genIndices(rng, g.features, g.levels)
-			want := refScalar(base, lvi, g.dim, g.levels)
-			got := make([]float64, g.dim)
-			e.EncodeInto(lvi, got)
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("%+v trial %d dim %d: engine %v, reference %v", g, trial, j, got[j], want[j])
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2))
+		for _, g := range geometries {
+			base, baseW := genVectors(rng, g.features, g.dim)
+			e, err := encslice.NewScalar(g.dim, g.levels, baseW)
+			if err != nil {
+				t.Fatalf("%+v: %v", g, err)
+			}
+			for trial := 0; trial < 4; trial++ {
+				lvi := genIndices(rng, g.features, g.levels)
+				want := refScalar(base, lvi, g.dim, g.levels)
+				got := make([]float64, g.dim)
+				e.EncodeInto(lvi, got)
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("%+v trial %d dim %d: engine %v, reference %v", g, trial, j, got[j], want[j])
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestAllZeroIndices(t *testing.T) {
-	// Level index 0 everywhere: level mode must return Σ_k L_0⊙B_k, scalar
-	// mode the zero vector (every feature value is f_0 = 0).
-	rng := rand.New(rand.NewSource(3))
-	const dim, features, levels = 190, 12, 8
-	base, baseW := genVectors(rng, features, dim)
-	lvl, lvlW := genVectors(rng, levels, dim)
-	lvi := make([]uint16, features)
+	forEachKernel(t, func(t *testing.T) {
+		// Level index 0 everywhere: level mode must return Σ_k L_0⊙B_k, scalar
+		// mode the zero vector (every feature value is f_0 = 0).
+		rng := rand.New(rand.NewSource(3))
+		const dim, features, levels = 190, 12, 8
+		base, baseW := genVectors(rng, features, dim)
+		lvl, lvlW := genVectors(rng, levels, dim)
+		lvi := make([]uint16, features)
 
-	le, err := encslice.NewLevel(dim, baseW, lvlW)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]float64, dim)
-	le.EncodeInto(lvi, got)
-	want := refLevel(base, lvl, lvi, dim)
-	for j := range want {
-		if got[j] != want[j] {
-			t.Fatalf("level dim %d: %v vs %v", j, got[j], want[j])
+		le, err := encslice.NewLevel(dim, baseW, lvlW)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		got := make([]float64, dim)
+		le.EncodeInto(lvi, got)
+		want := refLevel(base, lvl, lvi, dim)
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("level dim %d: %v vs %v", j, got[j], want[j])
+			}
+		}
 
-	se, err := encslice.NewScalar(dim, levels, baseW)
-	if err != nil {
-		t.Fatal(err)
-	}
-	se.EncodeInto(lvi, got)
-	for j, v := range got {
-		if v != 0 {
-			t.Fatalf("scalar dim %d: all-zero features encoded to %v, want 0", j, v)
+		se, err := encslice.NewScalar(dim, levels, baseW)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		se.EncodeInto(lvi, got)
+		for j, v := range got {
+			if v != 0 {
+				t.Fatalf("scalar dim %d: all-zero features encoded to %v, want 0", j, v)
+			}
+		}
+	})
 }
 
 // schemes pairs every fused scheme with the quant package rule it must
@@ -208,75 +232,79 @@ var schemes = []struct {
 }
 
 func TestEncodePackedMatchesQuantize(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, g := range geometries {
-		_, baseW := genVectors(rng, g.features, g.dim)
-		_, lvlW := genVectors(rng, g.levels, g.dim)
-		le, err := encslice.NewLevel(g.dim, baseW, lvlW)
-		if err != nil {
-			t.Fatal(err)
-		}
-		se, err := encslice.NewScalar(g.dim, g.levels, baseW)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range []*encslice.Engine{le, se} {
-			for trial := 0; trial < 3; trial++ {
-				lvi := genIndices(rng, g.features, g.levels)
-				h := make([]float64, g.dim)
-				e.EncodeInto(lvi, h)
-				for _, sc := range schemes {
-					wantF := make([]float64, g.dim)
-					quant.QuantizeInto(sc.q, wantF, h)
-					want, ok := intscore.PackInto(wantF, nil)
-					if !ok {
-						t.Fatalf("%s: quantized reference does not pack", sc.name)
-					}
-					pl := stalePlanes(g.dim)
-					e.EncodePackedInto(lvi, sc.scheme, pl)
-					got := symbols(t, pl, g.dim)
-					for j := range want {
-						if got[j] != want[j] {
-							t.Fatalf("%+v %s dim %d: fused %d, quantized float %d (h=%v)",
-								g, sc.name, j, got[j], want[j], h[j])
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(4))
+		for _, g := range geometries {
+			_, baseW := genVectors(rng, g.features, g.dim)
+			_, lvlW := genVectors(rng, g.levels, g.dim)
+			le, err := encslice.NewLevel(g.dim, baseW, lvlW)
+			if err != nil {
+				t.Fatal(err)
+			}
+			se, err := encslice.NewScalar(g.dim, g.levels, baseW)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range []*encslice.Engine{le, se} {
+				for trial := 0; trial < 3; trial++ {
+					lvi := genIndices(rng, g.features, g.levels)
+					h := make([]float64, g.dim)
+					e.EncodeInto(lvi, h)
+					for _, sc := range schemes {
+						wantF := make([]float64, g.dim)
+						quant.QuantizeInto(sc.q, wantF, h)
+						want, ok := intscore.PackInto(wantF, nil)
+						if !ok {
+							t.Fatalf("%s: quantized reference does not pack", sc.name)
+						}
+						pl := stalePlanes(g.dim)
+						e.EncodePackedInto(lvi, sc.scheme, pl)
+						got := symbols(t, pl, g.dim)
+						for j := range want {
+							if got[j] != want[j] {
+								t.Fatalf("%+v %s dim %d: fused %d, quantized float %d (h=%v)",
+									g, sc.name, j, got[j], want[j], h[j])
+							}
 						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestBatchMatchesSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	const dim, features, levels, rows = 257, 21, 16, 9
-	_, baseW := genVectors(rng, features, dim)
-	_, lvlW := genVectors(rng, levels, dim)
-	le, err := encslice.NewLevel(dim, baseW, lvlW)
-	if err != nil {
-		t.Fatal(err)
-	}
-	se, err := encslice.NewScalar(dim, levels, baseW)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range []*encslice.Engine{le, se} {
-		lvi := make([]uint16, rows*features)
-		for i := range lvi {
-			lvi[i] = uint16(rng.Intn(levels))
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		const dim, features, levels, rows = 257, 21, 16, 9
+		_, baseW := genVectors(rng, features, dim)
+		_, lvlW := genVectors(rng, levels, dim)
+		le, err := encslice.NewLevel(dim, baseW, lvlW)
+		if err != nil {
+			t.Fatal(err)
 		}
-		batch := make([]float64, rows*dim)
-		e.EncodeBatchInto(lvi, rows, batch)
-		single := make([]float64, dim)
-		for r := 0; r < rows; r++ {
-			e.EncodeInto(lvi[r*features:(r+1)*features], single)
-			for j := range single {
-				if batch[r*dim+j] != single[j] {
-					t.Fatalf("row %d dim %d: batch %v, single %v", r, j, batch[r*dim+j], single[j])
+		se, err := encslice.NewScalar(dim, levels, baseW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range []*encslice.Engine{le, se} {
+			lvi := make([]uint16, rows*features)
+			for i := range lvi {
+				lvi[i] = uint16(rng.Intn(levels))
+			}
+			batch := make([]float64, rows*dim)
+			e.EncodeBatchInto(lvi, rows, batch)
+			single := make([]float64, dim)
+			for r := 0; r < rows; r++ {
+				e.EncodeInto(lvi[r*features:(r+1)*features], single)
+				for j := range single {
+					if batch[r*dim+j] != single[j] {
+						t.Fatalf("row %d dim %d: batch %v, single %v", r, j, batch[r*dim+j], single[j])
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestRejectsUnsupportedGeometry(t *testing.T) {
@@ -343,65 +371,180 @@ func TestEncodeAllocsZero(t *testing.T) {
 
 // FuzzEncodeAgainstReference drives both engine modes (and the fused
 // quantize path) against the reference loops over fuzzer-chosen geometry
-// and bit patterns.
+// and bit patterns, on every kernel the host supports.
 func FuzzEncodeAgainstReference(f *testing.F) {
 	f.Add(int64(1), uint16(64), uint8(8), uint8(4))
 	f.Add(int64(2), uint16(63), uint8(9), uint8(2))
 	f.Add(int64(3), uint16(130), uint8(16), uint8(31))
 	f.Add(int64(4), uint16(1), uint8(1), uint8(255))
+	f.Add(int64(5), uint16(513), uint8(15), uint8(99))
 	f.Fuzz(func(t *testing.T, seed int64, dimRaw uint16, featRaw, lvlRaw uint8) {
-		dim := int(dimRaw)%300 + 1
+		dim := int(dimRaw)%600 + 1
 		features := int(featRaw)%48 + 1
 		levels := int(lvlRaw)%40 + 2
 		rng := rand.New(rand.NewSource(seed))
 		base, baseW := genVectors(rng, features, dim)
 		lvl, lvlW := genVectors(rng, levels, dim)
 		lvi := genIndices(rng, features, levels)
-
 		le, err := encslice.NewLevel(dim, baseW, lvlW)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := make([]float64, dim)
-		le.EncodeInto(lvi, got)
-		want := refLevel(base, lvl, lvi, dim)
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("level dim %d: %v vs %v", j, got[j], want[j])
-			}
-		}
-
 		se, err := encslice.NewScalar(dim, levels, baseW)
 		if err != nil {
 			t.Fatal(err)
 		}
-		se.EncodeInto(lvi, got)
-		want = refScalar(base, lvi, dim, levels)
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("scalar dim %d: %v vs %v", j, got[j], want[j])
-			}
-		}
-
-		// Fused path vs quantizing the float encoding.
-		for _, e := range []*encslice.Engine{le, se} {
-			h := make([]float64, dim)
-			e.EncodeInto(lvi, h)
-			sc := schemes[int(uint64(seed)%uint64(len(schemes)))]
-			wantF := make([]float64, dim)
-			quant.QuantizeInto(sc.q, wantF, h)
-			wantPk, ok := intscore.PackInto(wantF, nil)
+		wantL := refLevel(base, lvl, lvi, dim)
+		wantS := refScalar(base, lvi, dim, levels)
+		sc := schemes[int(uint64(seed)%uint64(len(schemes)))]
+		var wantPk [2][]int8
+		for i, want := range [][]float64{wantL, wantS} {
+			q := make([]float64, dim)
+			quant.QuantizeInto(sc.q, q, want)
+			pk, ok := intscore.PackInto(q, nil)
 			if !ok {
 				t.Fatal("reference quantization does not pack")
 			}
-			pl := stalePlanes(dim)
-			e.EncodePackedInto(lvi, sc.scheme, pl)
-			gotPk := symbols(t, pl, dim)
-			for j := range wantPk {
-				if gotPk[j] != wantPk[j] {
-					t.Fatalf("%s dim %d: fused %d vs %d", sc.name, j, gotPk[j], wantPk[j])
+			wantPk[i] = pk
+		}
+
+		eachKernel(func(name string) {
+			got := make([]float64, dim)
+			for i, e := range []*encslice.Engine{le, se} {
+				want := [][]float64{wantL, wantS}[i]
+				e.EncodeInto(lvi, got)
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("%s %s dim %d: %v vs %v", name, [2]string{"level", "scalar"}[i], j, got[j], want[j])
+					}
+				}
+				// Fused path vs quantizing the reference encoding.
+				pl := stalePlanes(dim)
+				e.EncodePackedInto(lvi, sc.scheme, pl)
+				gotPk := symbols(t, pl, dim)
+				for j := range wantPk[i] {
+					if gotPk[j] != wantPk[i][j] {
+						t.Fatalf("%s %s %s dim %d: fused %d vs %d", name, [2]string{"level", "scalar"}[i], sc.name, j, gotPk[j], wantPk[i][j])
+					}
 				}
 			}
-		}
+		})
 	})
+}
+
+// TestKernelsMatchReference pins every host kernel against the reference
+// loops over dimensions that leave column groups partial and word tails
+// odd, and feature counts on both sides of every CSA-tree tail and
+// high-stack depth boundary: level and scalar EncodeInto, the batch
+// kernel, and the bipolar query, unrestricted and restricted, with an
+// all-tie encoding for even F.
+func TestKernelsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const levels = 100
+	for _, dim := range []int{1, 63, 64, 65, 511, 513, 4000} {
+		for _, features := range []int{1, 7, 8, 9, 15, 16, 617} {
+			base, baseW := genVectors(rng, features, dim)
+			lvl, lvlW := genVectors(rng, levels, dim)
+			lvi := genIndices(rng, features, levels)
+			name := fmt.Sprintf("D=%d F=%d", dim, features)
+			checkKernels(t, name, rng, base, lvl, baseW, lvlW, lvi, dim, levels)
+			if features%2 == 0 {
+				mirrorHalf(base, baseW, lvi)
+				checkKernels(t, name+" tie", rng, base, lvl, baseW, lvlW, lvi, dim, levels)
+			}
+		}
+	}
+}
+
+// checkKernels computes the reference encodings of one query once and
+// compares every host kernel's engine outputs with them.
+func checkKernels(t *testing.T, name string, rng *rand.Rand, base, lvl []*bitvec.Vector, baseW, lvlW [][]uint64, lvi []uint16, dim, levels int) {
+	t.Helper()
+	le, err := encslice.NewLevel(dim, baseW, lvlW)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	se, err := encslice.NewScalar(dim, levels, baseW)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	keep := keepSets(rng, dim)["half"]
+	r, err := le.Restrict(keep)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	// The batch is the query and a second random one.
+	lvi2 := genIndices(rng, len(lvi), levels)
+	batch := append(append([]uint16(nil), lvi...), lvi2...)
+	wantL := append(refLevel(base, lvl, lvi, dim), refLevel(base, lvl, lvi2, dim)...)
+	wantS := refScalar(base, lvi, dim, levels)
+	wantSign, wantMasked := refSign(base, lvl, lvi, dim, nil), refSign(base, lvl, lvi, dim, keep)
+
+	compare := func(what string, got, want []float64) {
+		t.Helper()
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("%s %s index %d: got %v, reference %v", name, what, j, got[j], want[j])
+			}
+		}
+	}
+	eachKernel(func(k string) {
+		got := make([]float64, 2*dim)
+		le.EncodeInto(lvi, got[:dim])
+		compare(k+" level", got[:dim], wantL[:dim])
+		se.EncodeInto(lvi, got[:dim])
+		compare(k+" scalar", got[:dim], wantS)
+		le.EncodeBatchInto(batch, 2, got)
+		compare(k+" level batch", got, wantL)
+		pl := stalePlanes(dim)
+		le.EncodePackedInto(lvi, encslice.SchemeBipolar, pl)
+		compareSign(t, name+" "+k+" sign", symbols(t, pl, dim), wantSign)
+		pl = stalePlanes(dim)
+		r.EncodeBipolarInto(lvi, pl)
+		compareSign(t, name+" "+k+" masked sign", symbols(t, pl, dim), wantMasked)
+	})
+}
+
+// TestRejectsOutOfRangeIndex pins the index check in front of the
+// kernels, which read the level memory without bounds checks: a level
+// index of Levels panics on every entry.
+func TestRejectsOutOfRangeIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const dim, features, levels = 130, 9, 6
+	_, baseW := genVectors(rng, features, dim)
+	_, lvlW := genVectors(rng, levels, dim)
+	le, err := encslice.NewLevel(dim, baseW, lvlW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	se, err := encslice.NewScalar(dim, levels, baseW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := make([]bool, dim)
+	keep[7] = true
+	r, err := le.Restrict(keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lvi := genIndices(rng, features, levels)
+	lvi[features-1] = levels
+	h := make([]float64, dim)
+	pl := stalePlanes(dim)
+	for name, call := range map[string]func(){
+		"level EncodeInto":       func() { le.EncodeInto(lvi, h) },
+		"scalar EncodeInto":      func() { se.EncodeInto(lvi, h) },
+		"level EncodePackedInto": func() { le.EncodePackedInto(lvi, encslice.SchemeBipolar, pl) },
+		"EncodeBatchInto":        func() { le.EncodeBatchInto(lvi, 1, h) },
+		"EncodeBipolarInto":      func() { r.EncodeBipolarInto(lvi, pl) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted level index %d of %d levels", name, levels, levels)
+				}
+			}()
+			call()
+		}()
+	}
 }

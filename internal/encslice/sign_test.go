@@ -114,29 +114,31 @@ func compareSign(t *testing.T, name string, got, want []int8) {
 // encoding), F below 16 where no high counter planes exist, and dimension
 // tails on both sides of a word boundary.
 func TestEncodeSignMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	const levels = 5
-	for _, dim := range []int{1, 63, 64, 65, 4001, 10000} {
-		for _, features := range []int{1, 2, 7, 15, 16, 33, 64} {
-			base, baseW := genVectors(rng, features, dim)
-			lvl, lvlW := genVectors(rng, levels, dim)
-			for trial := 0; trial < 2; trial++ {
-				lvi := genIndices(rng, features, levels)
-				name := fmt.Sprintf("D=%d F=%d trial %d", dim, features, trial)
-				checkSign(t, name, rng, base, lvl, baseW, lvlW, lvi, dim)
-			}
-			if features%2 == 0 {
-				lvi := genIndices(rng, features, levels)
-				mirrorHalf(base, baseW, lvi)
-				for _, h := range refLevel(base, lvl, lvi, dim) {
-					if h != 0 {
-						t.Fatalf("D=%d F=%d: mirrored encoding is %v, not a tie", dim, features, h)
-					}
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(8))
+		const levels = 5
+		for _, dim := range []int{1, 63, 64, 65, 4001, 10000} {
+			for _, features := range []int{1, 2, 7, 15, 16, 33, 64} {
+				base, baseW := genVectors(rng, features, dim)
+				lvl, lvlW := genVectors(rng, levels, dim)
+				for trial := 0; trial < 2; trial++ {
+					lvi := genIndices(rng, features, levels)
+					name := fmt.Sprintf("D=%d F=%d trial %d", dim, features, trial)
+					checkSign(t, name, rng, base, lvl, baseW, lvlW, lvi, dim)
 				}
-				checkSign(t, fmt.Sprintf("D=%d F=%d tie", dim, features), rng, base, lvl, baseW, lvlW, lvi, dim)
+				if features%2 == 0 {
+					lvi := genIndices(rng, features, levels)
+					mirrorHalf(base, baseW, lvi)
+					for _, h := range refLevel(base, lvl, lvi, dim) {
+						if h != 0 {
+							t.Fatalf("D=%d F=%d: mirrored encoding is %v, not a tie", dim, features, h)
+						}
+					}
+					checkSign(t, fmt.Sprintf("D=%d F=%d tie", dim, features), rng, base, lvl, baseW, lvlW, lvi, dim)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestRestrictRejects(t *testing.T) {
@@ -190,7 +192,8 @@ func TestEncodeSignAllocsZero(t *testing.T) {
 
 // FuzzEncodeSign drives the comparator and the restricted engine against
 // the reference over fuzzer-chosen geometry, keep density and (for even
-// F with the top feature bit set) an all-tie encoding.
+// F with the top feature bit set) an all-tie encoding, on every kernel
+// the host supports.
 func FuzzEncodeSign(f *testing.F) {
 	f.Add(int64(1), uint16(64), uint8(8), uint8(4), uint8(128))
 	f.Add(int64(2), uint16(63), uint8(9), uint8(2), uint8(255))
@@ -220,15 +223,18 @@ func FuzzEncodeSign(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl := stalePlanes(dim)
-		e.EncodePackedInto(lvi, encslice.SchemeBipolar, pl)
-		compareSign(t, "unmasked", symbols(t, pl, dim), refSign(base, lvl, lvi, dim, nil))
 		r, err := e.Restrict(keep)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl = stalePlanes(dim)
-		r.EncodeBipolarInto(lvi, pl)
-		compareSign(t, "restricted", symbols(t, pl, dim), refSign(base, lvl, lvi, dim, keep))
+		want, wantMasked := refSign(base, lvl, lvi, dim, nil), refSign(base, lvl, lvi, dim, keep)
+		eachKernel(func(name string) {
+			pl := stalePlanes(dim)
+			e.EncodePackedInto(lvi, encslice.SchemeBipolar, pl)
+			compareSign(t, name+"/unmasked", symbols(t, pl, dim), want)
+			pl = stalePlanes(dim)
+			r.EncodeBipolarInto(lvi, pl)
+			compareSign(t, name+"/restricted", symbols(t, pl, dim), wantMasked)
+		})
 	})
 }

@@ -181,7 +181,7 @@ func (e *LevelEncoder) BitPlanes(features []float64) []*bitvec.Vector {
 }
 
 // packedWords collects the item memory's packed word slices for engine
-// construction (the engine copies them into its transposed layout).
+// construction (the engine copies them into its column-grouped layout).
 func packedWords(m *ItemMemory) [][]uint64 {
 	words := make([][]uint64, m.Len())
 	for k := range words {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"privehd/internal/dp"
+	"privehd/internal/encslice"
+	"privehd/internal/hdc"
 	"privehd/internal/quant"
 )
 
@@ -74,8 +76,10 @@ func defaultConfig() config {
 	}
 }
 
-// validate checks everything that does not depend on training data. caller
-// names the constructor for error messages; reject lists misused options.
+// validate checks everything that does not depend on training data,
+// including the encoding engine's level and feature limits (errors
+// wrapping hdc.ErrGeometry). caller names the constructor for error
+// messages; reject lists misused options.
 func (c *config) validate(caller string, reject []string) error {
 	if len(c.errs) > 0 {
 		return fmt.Errorf("privehd: %s: %w", caller, c.errs[0])
@@ -88,8 +92,12 @@ func (c *config) validate(caller string, reject []string) error {
 		return fmt.Errorf("privehd: %s: WithDim must be positive, got %d", caller, c.dim)
 	case c.levels < 2:
 		return fmt.Errorf("privehd: %s: WithLevels must be at least 2, got %d", caller, c.levels)
+	case c.levels > encslice.MaxLevels:
+		return fmt.Errorf("privehd: %s: %w: WithLevels %d exceeds the limit %d", caller, hdc.ErrGeometry, c.levels, encslice.MaxLevels)
 	case c.features < 0:
 		return fmt.Errorf("privehd: %s: WithFeatures must be non-negative, got %d", caller, c.features)
+	case c.features >= encslice.MaxFeatures:
+		return fmt.Errorf("privehd: %s: %w: WithFeatures %d reaches the limit %d", caller, hdc.ErrGeometry, c.features, encslice.MaxFeatures)
 	case c.classes < 0:
 		return fmt.Errorf("privehd: %s: WithClasses must be non-negative, got %d", caller, c.classes)
 	case c.encoding != Level && c.encoding != Scalar:
@@ -121,17 +129,18 @@ func WithDim(d int) Option {
 }
 
 // WithLevels sets the number of feature quantization levels ℓ_iv of Eq. 1
-// (default 100), at most 65 536. With Scalar encoding, features×(ℓ−1) must
-// also stay within 2^31−1. Beyond these limits of the bit-sliced encoding
-// engine, building the encoder fails.
+// (default 100), at most 65 536: New and NewEdge refuse more. With Scalar
+// encoding, features×(ℓ−1) must also stay within 2^31−1, or building the
+// encoder fails.
 func WithLevels(n int) Option {
 	return func(c *config) { c.levels = n }
 }
 
 // WithFeatures fixes the input dimensionality D_iv. Pipelines may omit it
 // and infer the width from the first training batch; edges and untrained
-// servers need it up front. The encoder takes fewer than 2^20 features,
-// and with Scalar encoding at most 65 536, with features×(ℓ−1) ≤ 2^31−1.
+// servers need it up front. The encoder takes fewer than 2^20 features
+// (New and NewEdge refuse more), and with Scalar encoding at most 65 536,
+// with features×(ℓ−1) ≤ 2^31−1.
 func WithFeatures(n int) Option {
 	return func(c *config) { c.features = n }
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"privehd"
+	"privehd/internal/encslice"
+	"privehd/internal/hdc"
 )
 
 // toyData builds a linearly separable two-class task: class 0 lives near
@@ -99,6 +101,36 @@ func TestNewEdgeOptionValidation(t *testing.T) {
 	if _, err := privehd.NewEdge(privehd.WithFeatures(10), privehd.WithDim(256),
 		privehd.WithLevels(4), privehd.WithQueryMask(64)); err != nil {
 		t.Errorf("valid NewEdge: %v", err)
+	}
+}
+
+// TestConstructorsRefuseEngineLimits pins the encoding engine's limits
+// at construction: New and NewEdge each refuse one level past
+// encslice.MaxLevels and encslice.MaxFeatures features with a privehd
+// error wrapping hdc.ErrGeometry, before any encoder is built.
+func TestConstructorsRefuseEngineLimits(t *testing.T) {
+	cases := []struct {
+		name string
+		opt  privehd.Option
+	}{
+		{"levels", privehd.WithLevels(encslice.MaxLevels + 1)},
+		{"features", privehd.WithFeatures(encslice.MaxFeatures)},
+	}
+	for _, tc := range cases {
+		_, errNew := privehd.New(tc.opt)
+		_, errEdge := privehd.NewEdge(privehd.WithFeatures(10), tc.opt)
+		for ctor, err := range map[string]error{"New": errNew, "NewEdge": errEdge} {
+			if !errors.Is(err, hdc.ErrGeometry) {
+				t.Errorf("%s one past the %s limit: err = %v, want hdc.ErrGeometry", ctor, tc.name, err)
+				continue
+			}
+			if prefix := "privehd: " + ctor + ": "; !strings.HasPrefix(err.Error(), prefix) {
+				t.Errorf("%s one past the %s limit: err %q lacks the %q prefix", ctor, tc.name, err, prefix)
+			}
+		}
+	}
+	if _, err := privehd.New(privehd.WithLevels(encslice.MaxLevels), privehd.WithFeatures(encslice.MaxFeatures-1)); err != nil {
+		t.Errorf("New at the engine limits: %v", err)
 	}
 }
 
