@@ -31,8 +31,9 @@ func Decode(enc hdc.BaseProvider, h []float64) ([]float64, error) {
 	}
 	d := float64(enc.Dim())
 	out := make([]float64, enc.NumFeatures())
+	base := make([]float64, enc.Dim())
 	for m := range out {
-		out[m] = vecmath.Dot(h, enc.Base(m)) / d
+		out[m] = vecmath.Dot(h, enc.BaseInto(m, base)) / d
 	}
 	return out, nil
 }
@@ -86,17 +87,20 @@ type LevelDecoder struct {
 // (feature, level) pair. Memory cost is Features×Levels×Dim float64s;
 // callers working at full scale should prefer modest Levels.
 func NewLevelDecoder(enc *hdc.LevelEncoder) *LevelDecoder {
-	products := make([][][]float64, enc.NumFeatures())
+	F, levels := enc.NumFeatures(), enc.Levels()
+	products := make([][][]float64, F)
 	for m := range products {
-		base := enc.Base(m)
-		products[m] = make([][]float64, enc.Levels())
-		for l := range products[m] {
-			lvl := enc.LevelVector(l)
-			p := make([]float64, enc.Dim())
-			for j := range p {
-				p[j] = lvl[j] * base[j]
-			}
-			products[m][l] = p
+		products[m] = make([][]float64, levels)
+	}
+	x := make([]float64, F)
+	for l := 0; l < levels; l++ {
+		// With every feature at level l, the encoder's partial-product
+		// planes are exactly L_l ⊙ B_m for every m.
+		for m := range x {
+			x[m] = (float64(l) + 0.5) / float64(levels)
+		}
+		for m, p := range enc.BitPlanes(x) {
+			products[m][l] = p.Floats()
 		}
 	}
 	return &LevelDecoder{enc: enc, products: products}

@@ -92,14 +92,6 @@ func (v *Vector) Clone() *Vector {
 	return out
 }
 
-// Flip negates coordinate i.
-func (v *Vector) Flip(i int) {
-	if i < 0 || i >= v.n {
-		panic(fmt.Sprintf("bitvec: index %d out of range [0,%d)", i, v.n))
-	}
-	v.words[i/64] ^= 1 << (i % 64)
-}
-
 // Xnor returns the element-wise bipolar product a⊙b (XNOR of the bit
 // representations): (+1,+1)→+1, (−1,−1)→+1, otherwise −1. This is the
 // dimension-wise multiply of paper Eq. 2b. Panics on length mismatch.
@@ -187,28 +179,6 @@ func (v *Vector) AccumulateInto(acc []float64) {
 		for b := range chunk {
 			// Branch-free ±1: bit → {1, -1}.
 			chunk[b] += float64(int(word>>uint(b)&1)<<1 - 1)
-		}
-	}
-}
-
-// AccumulateXnorInto adds the element-wise bipolar product a⊙b into acc
-// without materializing the intermediate vector: acc[i] += a[i]·b[i]. This
-// fused form is the hot loop of the Eq. 2b encoder. Panics on length
-// mismatch.
-func AccumulateXnorInto(a, b *Vector, acc []float64) {
-	if a.n != b.n || len(acc) != a.n {
-		panic("bitvec: AccumulateXnorInto length mismatch")
-	}
-	for w := range a.words {
-		word := ^(a.words[w] ^ b.words[w])
-		base := w * 64
-		limit := a.n - base
-		if limit > 64 {
-			limit = 64
-		}
-		chunk := acc[base : base+limit]
-		for i := range chunk {
-			chunk[i] += float64(int(word>>uint(i)&1)<<1 - 1)
 		}
 	}
 }

@@ -34,7 +34,7 @@ func TestNewAllMinusOne(t *testing.T) {
 	}
 }
 
-func TestSetGetFlip(t *testing.T) {
+func TestSetGet(t *testing.T) {
 	v := New(130) // spans three words
 	v.Set(0, true)
 	v.Set(64, true)
@@ -46,14 +46,6 @@ func TestSetGetFlip(t *testing.T) {
 	}
 	if v.PopCount() != 3 {
 		t.Errorf("PopCount = %d, want 3", v.PopCount())
-	}
-	v.Flip(64)
-	if v.Get(64) {
-		t.Error("Flip did not clear bit 64")
-	}
-	v.Flip(64)
-	if !v.Get(64) {
-		t.Error("double Flip did not restore bit 64")
 	}
 	v.Set(0, false)
 	if v.Get(0) {
@@ -67,7 +59,7 @@ func TestBoundsPanics(t *testing.T) {
 		func() { v.Get(10) },
 		func() { v.Get(-1) },
 		func() { v.Set(10, true) },
-		func() { v.Flip(-1) },
+		func() { v.Set(-1, false) },
 	} {
 		func() {
 			defer func() {
@@ -198,7 +190,7 @@ func TestClone(t *testing.T) {
 	if Hamming(v, c) != 0 {
 		t.Fatal("clone differs from original")
 	}
-	c.Flip(5)
+	c.Set(5, !c.Get(5))
 	if Hamming(v, c) != 1 {
 		t.Error("clone shares storage with original")
 	}
@@ -214,40 +206,6 @@ func TestAccumulateInto(t *testing.T) {
 			t.Fatalf("acc = %v, want %v", acc, want)
 		}
 	}
-}
-
-func TestAccumulateXnorIntoMatchesXnor(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 21))
-		n := 1 + rng.IntN(300)
-		a := randomVector(rng, n)
-		b := randomVector(rng, n)
-		acc := make([]float64, n)
-		for i := range acc {
-			acc[i] = rng.NormFloat64()
-		}
-		want := append([]float64(nil), acc...)
-		Xnor(a, b).AccumulateInto(want)
-		AccumulateXnorInto(a, b, acc)
-		for i := range acc {
-			if acc[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAccumulateXnorIntoPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	AccumulateXnorInto(New(3), New(3), make([]float64, 2))
 }
 
 func TestMajorityExact(t *testing.T) {

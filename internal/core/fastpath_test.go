@@ -78,7 +78,7 @@ func TestPredictFusedMatchesFloatChain(t *testing.T) {
 				}
 			}
 		}
-		check("lazy") // no Precompute: packed scoring falls back to DotPacked rows
+		check("lazy") // no Precompute: the first packed Predict derives the integer engine
 		p.Model().Precompute()
 		check("precomputed")
 	}

@@ -14,7 +14,8 @@
 // each vector's eight words are one contiguous 64-byte row. One level
 // index thus fetches one level row, a kernel pass streams a group's base
 // rows with unit stride, and a multi-query batch reuses each group while
-// it is hot in cache. No other copy of the item memory is kept.
+// it is hot in cache. This layout is the only copy of the item and level
+// memories that an encoder keeps; Word reads a vector back out of it.
 //
 // # Counting
 //
@@ -189,7 +190,9 @@ type scratch struct {
 // NewLevel builds an Eq. 2b engine from packed word slices: base[k] and
 // level[i] are the bitvec words (64 dims per word, bit=1 ⇔ +1) of base
 // hypervector k and level hypervector i. The words are copied into the
-// engine's column-grouped layout; callers may mutate theirs afterwards.
+// engine's column-grouped layout, which is then the memories' only copy:
+// callers may drop or mutate theirs afterwards and read vectors back with
+// Word. The layout takes (len(base)+len(level))·⌈dim/512⌉·64 bytes.
 func NewLevel(dim int, base, level [][]uint64) (*Engine, error) {
 	e, err := newEngine(dim, len(base), len(level), false)
 	if err != nil {
@@ -305,6 +308,26 @@ func (e *Engine) Features() int { return e.features }
 
 // Levels returns the quantization level count ℓ_iv.
 func (e *Engine) Levels() int { return e.levels }
+
+// Word returns word w of base vector i, or of level vector i when level is
+// set, read back from the engine's memory: bit b is dimension 64w+b, set
+// for +1, and the bits past Dim are clear. It is the one way to read a
+// vector back out of the engine, for reference loops and the hardware
+// planes; no encode path calls it.
+func (e *Engine) Word(level bool, i, w int) uint64 {
+	mem, n := e.baseT, e.features
+	if level {
+		mem, n = e.lvlT, e.levels
+	}
+	if i < 0 || i >= n || w < 0 || w >= e.words || len(mem) == 0 {
+		panic(fmt.Sprintf("encslice: no word %d of vector %d (level %v) in a %d-word engine", w, i, level, e.words))
+	}
+	word := mem[wordAt(w, n)+i*groupCols]
+	if r := e.colDims(w); r < 64 {
+		word &= 1<<r - 1
+	}
+	return word
+}
 
 func (e *Engine) get() *scratch {
 	if s, ok := e.scratch.Get().(*scratch); ok {

@@ -336,6 +336,67 @@ func TestRejectsUnsupportedGeometry(t *testing.T) {
 	}
 }
 
+// TestWordReadsBackTheMemories checks the engine's one read-back path:
+// every word of every base and level vector comes back as it went in,
+// with the bits past the dimension cleared even when the caller's were
+// set, and a word the engine does not hold panics.
+func TestWordReadsBackTheMemories(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, g := range geometries {
+		_, baseW := genVectors(rng, g.features, g.dim)
+		_, lvlW := genVectors(rng, g.levels, g.dim)
+		words := len(baseW[0])
+		tail := ^uint64(0)
+		if r := g.dim % 64; r != 0 {
+			tail = 1<<r - 1
+		}
+		for _, v := range append(baseW[:len(baseW):len(baseW)], lvlW...) {
+			v[words-1] |= ^tail
+		}
+		le, err := encslice.NewLevel(g.dim, baseW, lvlW)
+		if err != nil {
+			t.Fatalf("%+v: %v", g, err)
+		}
+		se, err := encslice.NewScalar(g.dim, g.levels, baseW)
+		if err != nil {
+			t.Fatalf("%+v: %v", g, err)
+		}
+		for _, c := range []struct {
+			name  string
+			e     *encslice.Engine
+			level bool
+			vecs  [][]uint64
+		}{{"level/base", le, false, baseW}, {"level/level", le, true, lvlW}, {"scalar/base", se, false, baseW}} {
+			for i, v := range c.vecs {
+				for w, want := range v {
+					if w == words-1 {
+						want &= tail
+					}
+					if got := c.e.Word(c.level, i, w); got != want {
+						t.Fatalf("%+v %s vector %d word %d: %#x, want %#x", g, c.name, i, w, got, want)
+					}
+				}
+			}
+		}
+		for name, read := range map[string]func(){
+			"word past the dimension": func() { le.Word(false, 0, words) },
+			"base past the features":  func() { le.Word(false, g.features, 0) },
+			"level past the levels":   func() { le.Word(true, g.levels, 0) },
+			"scalar level memory":     func() { se.Word(true, 0, 0) },
+		} {
+			if !panics(read) {
+				t.Errorf("%+v: reading a %s did not panic", g, name)
+			}
+		}
+	}
+}
+
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
 func TestEncodeAllocsZero(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under the race detector")

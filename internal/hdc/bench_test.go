@@ -82,10 +82,6 @@ func BenchmarkEncode(b *testing.B) {
 		}
 	})
 	b.Run("scalar-ref", func(b *testing.B) {
-		for k := 0; k < cfg.Features; k++ {
-			se.item.Floats(k) // materialize float bases outside the timed loop
-		}
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			se.encodeRefInto(x, h)
 		}

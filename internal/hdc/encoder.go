@@ -39,12 +39,12 @@ func NewScalarEncoder(cfg Config) (*ScalarEncoder, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	item := NewItemMemory(hrand.New(cfg.Seed).Split(0), cfg.Features, cfg.Dim)
-	engine, err := encslice.NewScalar(cfg.Dim, cfg.Levels, packedWords(item))
+	item := itemWords(hrand.New(cfg.Seed).Split(0), cfg.Features, cfg.Dim)
+	engine, err := encslice.NewScalar(cfg.Dim, cfg.Levels, item)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrGeometry, err)
 	}
-	return &ScalarEncoder{engineEncoder{cfg: cfg, item: item, engine: engine}}, nil
+	return &ScalarEncoder{engineEncoder{cfg: cfg, engine: engine}}, nil
 }
 
 // encodeRefInto is the reference Eq. 2a loop: the exact integer numerator
@@ -62,10 +62,7 @@ func (e *ScalarEncoder) encodeRefInto(features, h []float64) []float64 {
 		if lv == 0 {
 			continue
 		}
-		base := e.item.Floats(k)
-		for j, b := range base {
-			h[j] += lv * b
-		}
+		addSigns(h, lv, func(w int) uint64 { return e.engine.Word(false, k, w) })
 	}
 	d := float64(e.cfg.Levels - 1)
 	for j := range h {
@@ -86,7 +83,6 @@ func (e *ScalarEncoder) encodeRefInto(features, h []float64) []float64 {
 // XNOR + carry-save popcount accumulation instead of a float64 MAC.
 type LevelEncoder struct {
 	engineEncoder
-	level *LevelMemory
 }
 
 // NewLevelEncoder builds a level (Eq. 2b) encoder for the configuration. A
@@ -97,21 +93,14 @@ func NewLevelEncoder(cfg Config) (*LevelEncoder, error) {
 		return nil, err
 	}
 	src := hrand.New(cfg.Seed)
-	item := NewItemMemory(src.Split(0), cfg.Features, cfg.Dim)
-	level := NewLevelMemory(src.Split(1), cfg.Levels, cfg.Dim)
-	lvl := make([][]uint64, cfg.Levels)
-	for i := range lvl {
-		lvl[i] = level.Packed(i).Words()
-	}
-	engine, err := encslice.NewLevel(cfg.Dim, packedWords(item), lvl)
+	engine, err := encslice.NewLevel(cfg.Dim,
+		itemWords(src.Split(0), cfg.Features, cfg.Dim),
+		levelWords(src.Split(1), cfg.Levels, cfg.Dim))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrGeometry, err)
 	}
-	return &LevelEncoder{engineEncoder{cfg: cfg, item: item, engine: engine}, level}, nil
+	return &LevelEncoder{engineEncoder{cfg: cfg, engine: engine}}, nil
 }
-
-// LevelVector returns level hypervector L_i as shared ±1 floats.
-func (e *LevelEncoder) LevelVector(i int) []float64 { return e.level.Floats(i) }
 
 // encodeRefInto is the reference Eq. 2b loop (word-expanding XNOR
 // accumulation): the oracle the equivalence tests and the reference
@@ -122,8 +111,10 @@ func (e *LevelEncoder) encodeRefInto(features, h []float64) []float64 {
 		h[j] = 0
 	}
 	for k, v := range features {
-		lvl := e.level.Packed(LevelIndex(v, e.cfg.Levels))
-		bitvec.AccumulateXnorInto(lvl, e.item.Packed(k), h)
+		lv := LevelIndex(v, e.cfg.Levels)
+		addSigns(h, 1, func(w int) uint64 {
+			return ^(e.engine.Word(true, lv, w) ^ e.engine.Word(false, k, w))
+		})
 	}
 	return h
 }
@@ -166,7 +157,8 @@ func (r *RestrictedEncoder) EncodeBipolarInto(features []float64, dst intscore.P
 // BitPlanes returns, for each feature k, the packed ±1 partial product
 // ~L_{v_k} ⊙ ~B_k. The element-wise popcount majority of these planes is
 // the sign-quantized encoding — the exact computation the Fig. 7a LUT
-// circuit performs. The fpga package consumes this.
+// circuit performs. The planes are read back from the engine's memory;
+// the fpga package consumes them.
 func (e *LevelEncoder) BitPlanes(features []float64) []*bitvec.Vector {
 	if len(features) != e.cfg.Features {
 		panic(fmt.Sprintf("hdc: LevelEncoder.BitPlanes got %d features, want %d",
@@ -174,20 +166,47 @@ func (e *LevelEncoder) BitPlanes(features []float64) []*bitvec.Vector {
 	}
 	planes := make([]*bitvec.Vector, len(features))
 	for k, v := range features {
-		lvl := e.level.Packed(LevelIndex(v, e.cfg.Levels))
-		planes[k] = bitvec.Xnor(lvl, e.item.Packed(k))
+		planes[k] = bitvec.Xnor(e.vector(true, LevelIndex(v, e.cfg.Levels)), e.vector(false, k))
 	}
 	return planes
 }
 
-// packedWords collects the item memory's packed word slices for engine
-// construction (the engine copies them into its column-grouped layout).
-func packedWords(m *ItemMemory) [][]uint64 {
-	words := make([][]uint64, m.Len())
-	for k := range words {
-		words[k] = m.Packed(k).Words()
+// vector reads base vector k, or level vector k when level is set, back
+// out of the engine.
+func (e *engineEncoder) vector(level bool, k int) *bitvec.Vector {
+	v := bitvec.New(e.cfg.Dim)
+	words := v.Words()
+	for w := range words {
+		words[w] = e.engine.Word(level, k, w)
 	}
-	return words
+	return v
+}
+
+// addSigns adds s at every dimension whose bit is set in the words word(w)
+// returns and −s at every other one: acc[j] += s·(±1), the reference
+// loops' accumulation. It reads four bits at a time through a table of
+// their signs.
+func addSigns(acc []float64, s float64, word func(w int) uint64) {
+	var signs [16][4]float64 // signs[n][i] is ±s by bit i of n
+	for n := range signs {
+		for i := range signs[n] {
+			signs[n][i] = float64(n>>i&1*2-1) * s
+		}
+	}
+	for w := 0; 64*w < len(acc); w++ {
+		x := word(w)
+		chunk := acc[64*w : min(64*w+64, len(acc))]
+		for ; len(chunk) >= 4; chunk, x = chunk[4:], x>>4 {
+			t := &signs[x&15]
+			chunk[0] += t[0]
+			chunk[1] += t[1]
+			chunk[2] += t[2]
+			chunk[3] += t[3]
+		}
+		for i := range chunk {
+			chunk[i] += signs[x&15][i]
+		}
+	}
 }
 
 // lviPool recycles the per-call level-index scratch shared by every
@@ -213,11 +232,11 @@ func fillLvi(buf []uint16, features []float64, levels int) []uint16 {
 	return buf
 }
 
-// engineEncoder is what both paper encoders share: the configuration, the
-// item memory and the bit-sliced engine every encode runs on.
+// engineEncoder is what both paper encoders share: the configuration and
+// the bit-sliced engine every encode runs on, which holds the only copy of
+// the item (and level) memory.
 type engineEncoder struct {
 	cfg    Config
-	item   *ItemMemory
 	engine *encslice.Engine
 }
 
@@ -230,8 +249,16 @@ func (e *engineEncoder) NumFeatures() int { return e.cfg.Features }
 // Levels returns ℓ_iv.
 func (e *engineEncoder) Levels() int { return e.cfg.Levels }
 
-// Base returns base hypervector B_k as shared ±1 floats.
-func (e *engineEncoder) Base(k int) []float64 { return e.item.Floats(k) }
+// BaseInto writes base hypervector B_k, read back from the engine, into
+// dst (length Dim) as ±1 floats and returns dst.
+func (e *engineEncoder) BaseInto(k int, dst []float64) []float64 {
+	if len(dst) != e.cfg.Dim {
+		panic(fmt.Sprintf("hdc: BaseInto buffer has dim %d, want %d", len(dst), e.cfg.Dim))
+	}
+	clear(dst)
+	addSigns(dst, 1, func(w int) uint64 { return e.engine.Word(false, k, w) })
+	return dst
+}
 
 // Encode returns the encoding of the given normalized features. It panics
 // if len(features) != NumFeatures().

@@ -114,7 +114,7 @@ func TestScalarEncodeLinearity(t *testing.T) {
 	features := make([]float64, cfg.Features)
 	features[3] = 1 // level 10, value 1.0
 	h := e.Encode(features)
-	base := e.Base(3)
+	base := e.BaseInto(3, make([]float64, cfg.Dim))
 	for j := range h {
 		if h[j] != base[j] {
 			t.Fatalf("one-hot encoding should equal the base at dim %d: %v vs %v", j, h[j], base[j])
@@ -195,11 +195,13 @@ func TestLevelEncodeMatchesNaive(t *testing.T) {
 	}
 	got := e.Encode(in)
 	want := make([]float64, cfg.Dim)
+	seed := hrand.New(cfg.Seed)
+	base := itemWords(seed.Split(0), cfg.Features, cfg.Dim)
+	lvl := levelWords(seed.Split(1), cfg.Levels, cfg.Dim)
 	for k, v := range in {
-		lvl := e.LevelVector(LevelIndex(v, cfg.Levels))
-		base := e.Base(k)
+		l := lvl[LevelIndex(v, cfg.Levels)]
 		for j := range want {
-			want[j] += lvl[j] * base[j]
+			want[j] += sign(l, j) * sign(base[k], j)
 		}
 	}
 	for j := range want {

@@ -113,7 +113,7 @@ type Encoder interface {
 // exposed; the reconstruction attack (paper Eq. 9–10) needs them.
 type BaseProvider interface {
 	Encoder
-	// Base returns base hypervector B_k as ±1 floats. The returned slice
-	// is shared; callers must not modify it.
-	Base(k int) []float64
+	// BaseInto writes base hypervector B_k as ±1 floats into the caller's
+	// Dim-length buffer and returns it. Concurrent calls are safe.
+	BaseInto(k int, dst []float64) []float64
 }

@@ -1,130 +1,71 @@
 package hdc
 
-import (
-	"privehd/internal/bitvec"
-	"privehd/internal/hrand"
-)
+import "privehd/internal/hrand"
 
-// ItemMemory holds the D_iv random bipolar base (location) hypervectors
-// ~B_k of Eq. 2, one per input feature position. Bases are generated
-// independently, which makes them near-orthogonal at HD dimensions — the
-// property both the encoding and the reconstruction attack rely on.
-type ItemMemory struct {
-	dim    int
-	packed []*bitvec.Vector
-	floats [][]float64 // unpacked view, materialized lazily per base
+// The item and level memories of Eq. 2 exist once: their words are drawn
+// here, handed to the bit-sliced engine, which copies them into its
+// column-grouped layout, and dropped. An encoder keeps only the engine and
+// reads vectors back through encslice.Engine.Word. The layout costs
+// (D_iv+ℓ_iv)·⌈D_hv/512⌉·64 bytes for a level encoder and D_iv·⌈D_hv/512⌉·64
+// for a scalar one: about 0.9 MB at the paper's 617 features, 100 levels
+// and D_hv = 10 000.
+//
+// Both memories are packed one bit per dimension, bit j%64 of word j/64
+// set for +1 (the bitvec convention), and a seed always draws the same
+// bits: one hrand draw per dimension, in order, and the level chain's
+// flips from one permutation.
+
+// itemWords draws the D_iv random bipolar base (location) hypervectors B_k
+// of Eq. 2, one per input feature position. Bases are drawn independently,
+// which makes them near-orthogonal at HD dimensions — the property both the
+// encoding and the reconstruction attack rely on.
+func itemWords(src *hrand.Source, features, dim int) [][]uint64 {
+	words := vectors(features, dim)
+	for _, v := range words {
+		randomWords(src, v, dim)
+	}
+	return words
 }
 
-// NewItemMemory generates an item memory with `features` bases of dimension
-// dim from the given random source.
-func NewItemMemory(src *hrand.Source, features, dim int) *ItemMemory {
-	m := &ItemMemory{
-		dim:    dim,
-		packed: make([]*bitvec.Vector, features),
-		floats: make([][]float64, features),
-	}
-	for k := range m.packed {
-		v := bitvec.New(dim)
-		for j := 0; j < dim; j++ {
-			if src.Uint64()&1 == 1 {
-				v.Set(j, true)
-			}
-		}
-		m.packed[k] = v
-	}
-	return m
-}
-
-// Len returns the number of bases (D_iv).
-func (m *ItemMemory) Len() int { return len(m.packed) }
-
-// Dim returns the hypervector dimensionality.
-func (m *ItemMemory) Dim() int { return m.dim }
-
-// Packed returns base k in packed form. The returned vector is shared and
-// must not be modified.
-func (m *ItemMemory) Packed(k int) *bitvec.Vector { return m.packed[k] }
-
-// Floats returns base k as a ±1 float slice, materializing and caching it on
-// first use. The returned slice is shared and must not be modified.
-func (m *ItemMemory) Floats(k int) []float64 {
-	if m.floats[k] == nil {
-		m.floats[k] = m.packed[k].Floats()
-	}
-	return m.floats[k]
-}
-
-// LevelMemory holds the ℓ_iv level hypervectors ~L of Eq. 2b. Per the
-// paper, ~L_0 is random, consecutive levels differ by D_hv/(2·ℓ_iv) flipped
-// bits, and the chain ends ~L_0 and ~L_{ℓ−1} are orthogonal.
+// levelWords draws the ℓ_iv level hypervectors L of Eq. 2b. Per the paper,
+// L_0 is random, consecutive levels differ by ⌊D_hv/(2·ℓ_iv)⌋ flipped
+// bits, and the chain ends L_0 and L_{ℓ−1} are orthogonal.
 //
 // Implementation choice: the flipped positions are disjoint across steps
-// (drawn from one random permutation), so the total flip count from first to
-// last level is exactly (ℓ−1)·⌊D/(2ℓ)⌋ distinct bits ≈ D/2, making the end
-// points orthogonal by construction rather than only in expectation. The
-// paper's "randomly chosen" wording permits either; disjoint flips give the
-// cleaner invariant (and are what reference HD implementations do).
-type LevelMemory struct {
-	dim      int
-	perStep  int
-	packed   []*bitvec.Vector
-	floats   [][]float64
-	flipPlan [][]int // flipPlan[k] = positions flipped between level k and k+1
-}
-
-// NewLevelMemory generates a level memory with `levels` vectors of dimension
-// dim from the given random source.
-func NewLevelMemory(src *hrand.Source, levels, dim int) *LevelMemory {
-	m := &LevelMemory{
-		dim:      dim,
-		perStep:  dim / (2 * levels),
-		packed:   make([]*bitvec.Vector, levels),
-		floats:   make([][]float64, levels),
-		flipPlan: make([][]int, levels-1),
-	}
-	base := bitvec.New(dim)
-	for j := 0; j < dim; j++ {
-		if src.Uint64()&1 == 1 {
-			base.Set(j, true)
-		}
-	}
-	m.packed[0] = base
+// (drawn from one random permutation), so the total flip count from first
+// to last level is exactly (ℓ−1)·⌊D/(2ℓ)⌋ distinct bits ≈ D/2, making the
+// end points orthogonal by construction rather than only in expectation.
+// The paper's "randomly chosen" wording permits either; disjoint flips
+// give the cleaner invariant (and are what reference HD implementations
+// do).
+func levelWords(src *hrand.Source, levels, dim int) [][]uint64 {
+	words := vectors(levels, dim)
+	randomWords(src, words[0], dim)
 	perm := src.Perm(dim)
-	pos := 0
+	perStep := dim / (2 * levels) // (ℓ−1)·perStep < dim: no position repeats
 	for k := 1; k < levels; k++ {
-		next := m.packed[k-1].Clone()
-		flips := make([]int, 0, m.perStep)
-		for i := 0; i < m.perStep; i++ {
-			j := perm[pos%dim]
-			pos++
-			next.Flip(j)
-			flips = append(flips, j)
+		copy(words[k], words[k-1])
+		for _, j := range perm[(k-1)*perStep : k*perStep] {
+			words[k][j/64] ^= 1 << (j % 64)
 		}
-		m.flipPlan[k-1] = flips
-		m.packed[k] = next
 	}
-	return m
+	return words
 }
 
-// Len returns the number of levels.
-func (m *LevelMemory) Len() int { return len(m.packed) }
-
-// Dim returns the hypervector dimensionality.
-func (m *LevelMemory) Dim() int { return m.dim }
-
-// FlipsPerStep returns the number of bits flipped between consecutive
-// levels, ⌊D_hv/(2·ℓ_iv)⌋.
-func (m *LevelMemory) FlipsPerStep() int { return m.perStep }
-
-// Packed returns level k in packed form. The returned vector is shared and
-// must not be modified.
-func (m *LevelMemory) Packed(k int) *bitvec.Vector { return m.packed[k] }
-
-// Floats returns level k as a ±1 float slice, cached after first use. The
-// returned slice is shared and must not be modified.
-func (m *LevelMemory) Floats(k int) []float64 {
-	if m.floats[k] == nil {
-		m.floats[k] = m.packed[k].Floats()
+// vectors returns n zeroed dim-bit vectors as views into one allocation.
+func vectors(n, dim int) [][]uint64 {
+	w := (dim + 63) / 64
+	backing := make([]uint64, n*w)
+	out := make([][]uint64, n)
+	for i := range out {
+		out[i] = backing[i*w : (i+1)*w : (i+1)*w]
 	}
-	return m.floats[k]
+	return out
+}
+
+// randomWords sets each of v's dim bits from one draw of src.
+func randomWords(src *hrand.Source, v []uint64, dim int) {
+	for j := 0; j < dim; j++ {
+		v[j/64] |= (src.Uint64() & 1) << (j % 64)
+	}
 }

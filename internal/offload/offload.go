@@ -1495,7 +1495,9 @@ type Client struct {
 	br         *bufio.Reader // owned by recvLoop after the handshake
 	replyLimit int           // reply frame cap implied by the handshake
 
-	writeMu sync.Mutex // serializes frame writes
+	// writeLock serializes frame writes: a one-slot semaphore, held by
+	// whoever holds its slot, so a caller can give up waiting for it.
+	writeLock chan struct{}
 
 	// draining is set when the server pushes a GoAway drain notice:
 	// the connection still answers what is in flight, but pools and
@@ -1585,7 +1587,7 @@ func Dial(ctx context.Context, network, addr string, hello Hello, opts ...Client
 // error wraps ErrVersionMismatch, ErrGeometryMismatch, ErrUnknownModel or
 // ErrBadMagic; handshake i/o failures wrap ErrTransport.
 func NewClient(conn net.Conn, hello Hello, opts ...ClientOption) (*Client, error) {
-	c := &Client{conn: conn, br: bufio.NewReader(conn)}
+	c := &Client{conn: conn, br: bufio.NewReader(conn), writeLock: make(chan struct{}, 1)}
 	if ra := conn.RemoteAddr(); ra != nil {
 		c.peer = ra.String()
 	}
@@ -1633,23 +1635,24 @@ func stampBudget(ctx context.Context, req *Request) error {
 	return nil
 }
 
-// submitCtx is submit with the caller's context stamped onto the frame as
-// a deadline budget (no-op for contexts without a deadline).
-func (c *Client) submitCtx(ctx context.Context, req Request) (*pending, error) {
+// submit stamps ctx's deadline budget onto the request (ctx may be nil),
+// encodes it, and once it holds the write lock assigns it an ID, registers
+// it in the in-flight table and writes the frame itself, each write bounded
+// by the IO timeout. The caller waits on the returned pending; a failed
+// write fails the connection, which resolves it. Frames may reach the wire
+// out of ID order. A query the codec cannot represent (packed planes too
+// short for their dimensions) fails here before anything is sent — and the
+// caller's queries are free for reuse as soon as submit returns.
+//
+// The wait for the write lock ends with ctx: behind a write stalled by
+// backpressure, a caller whose deadline passes gets ErrDeadlineExceeded
+// and writes nothing, so no frame goes out that the server would only
+// shed. A write once started is never cut — a partial frame would fail
+// every caller on the connection.
+func (c *Client) submit(ctx context.Context, req Request) (*pending, error) {
 	if err := stampBudget(ctx, &req); err != nil {
 		return nil, err
 	}
-	return c.submit(req)
-}
-
-// submit encodes the request, assigns it an ID, registers it in the
-// in-flight table and writes the frame itself, each write bounded by the
-// IO timeout. The caller waits on the returned pending; a failed write
-// fails the connection, which resolves it. Frames may reach the wire out
-// of ID order. A query the codec cannot represent (packed planes too short
-// for their dimensions) fails here before anything is sent — and the
-// caller's queries are free for reuse as soon as submit returns.
-func (c *Client) submit(req Request) (*pending, error) {
 	p := &pending{req: req, done: make(chan struct{})}
 	// The sampling decision for the whole request path lives here, so
 	// every client topology traces without any API of its own; the
@@ -1666,10 +1669,15 @@ func (c *Client) submit(req Request) (*pending, error) {
 		putBuf(bp, frame)
 		return nil, err
 	}
+	if err := c.lockWrite(ctx); err != nil {
+		putBuf(bp, frame)
+		return nil, err
+	}
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
+		<-c.writeLock
 		putBuf(bp, frame)
 		return nil, err
 	}
@@ -1684,7 +1692,6 @@ func (c *Client) submit(req Request) (*pending, error) {
 		c.conn.SetReadDeadline(time.Now().Add(c.ioTimeout))
 	}
 	c.mu.Unlock()
-	c.writeMu.Lock()
 	if p.traceID != 0 {
 		// The queue stage is this frame's encode plus the wait for the
 		// write lock. It is stamped before the write: stamped after it,
@@ -1695,7 +1702,7 @@ func (c *Client) submit(req Request) (*pending, error) {
 		c.conn.SetWriteDeadline(time.Now().Add(c.ioTimeout))
 	}
 	_, err = c.conn.Write(frame)
-	c.writeMu.Unlock()
+	<-c.writeLock
 	putBuf(bp, frame)
 	if err != nil {
 		var ne net.Error
@@ -1706,6 +1713,34 @@ func (c *Client) submit(req Request) (*pending, error) {
 		c.fail(fmt.Errorf("%w: send: %w", ErrTransport, err))
 	}
 	return p, nil
+}
+
+// lockWrite takes the write lock, giving up when ctx is done first: an
+// expired deadline returns ErrDeadlineExceeded, a cancellation an error
+// wrapping ErrTransport, as waitCtx does. An uncontended lock never looks
+// at ctx.
+func (c *Client) lockWrite(ctx context.Context) error {
+	select {
+	case c.writeLock <- struct{}{}:
+		return nil
+	default:
+	}
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
+	}
+	select {
+	case c.writeLock <- struct{}{}:
+		if ctx == nil || ctx.Err() == nil {
+			return nil
+		}
+		<-c.writeLock // both were ready and select picked the lock
+	case <-done:
+	}
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		return fmt.Errorf("%w: %v waiting to write the request", ErrDeadlineExceeded, ctx.Err())
+	}
+	return fmt.Errorf("%w: abandoned waiting to write the request: %v", ErrTransport, ctx.Err())
 }
 
 // wait blocks until the pending's reply is routed or the connection fails.
@@ -1959,7 +1994,7 @@ func (c *Client) Classify(q Query) (int, []float64, error) {
 // cancellation, e.g. a hedged attempt losing its race). A nil or
 // deadline-free ctx behaves exactly like Classify.
 func (c *Client) ClassifyContext(ctx context.Context, q Query) (int, []float64, error) {
-	p, err := c.submitCtx(ctx, Request{Queries: []Query{q}})
+	p, err := c.submit(ctx, Request{Queries: []Query{q}})
 	if err != nil {
 		return 0, nil, err
 	}
@@ -2019,7 +2054,7 @@ func (c *Client) ClassifyBatchScoresContext(ctx context.Context, qs []Query) ([]
 		if end > len(qs) {
 			end = len(qs)
 		}
-		p, err := c.submitCtx(ctx, Request{Queries: qs[start:end]})
+		p, err := c.submit(ctx, Request{Queries: qs[start:end]})
 		if err != nil {
 			submitErr = fmt.Errorf("offload: batch at query %d: %w", start, err)
 			break
@@ -2044,7 +2079,7 @@ func (c *Client) ClassifyBatchScoresContext(ctx context.Context, qs []Query) ([]
 // served model's name, version, geometry and public encoder setup — so a
 // client can discover models without out-of-band configuration.
 func (c *Client) ListModels() ([]ModelListing, error) {
-	p, err := c.submit(Request{Op: OpListModels})
+	p, err := c.submit(nil, Request{Op: OpListModels})
 	if err != nil {
 		return nil, err
 	}
@@ -2086,7 +2121,7 @@ func (c *Client) PartialScores(packed [][]int8) ([][]int64, []float64, error) {
 // transport failures wrap ErrTransport and may be retried on another
 // replica of the same shard.
 func (c *Client) PartialScoresContext(ctx context.Context, qs []Query) ([][]int64, []float64, error) {
-	p, err := c.submitCtx(ctx, Request{Op: OpPartialScores, Queries: qs})
+	p, err := c.submit(ctx, Request{Op: OpPartialScores, Queries: qs})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -2123,7 +2158,7 @@ func replyError(reply Reply, req Request) error {
 // the server's idle bound. Every v6 server implements the op, so any
 // refusal is returned as the typed error it is.
 func (c *Client) Ping(ctx context.Context) error {
-	p, err := c.submitCtx(ctx, Request{Op: OpPing})
+	p, err := c.submit(ctx, Request{Op: OpPing})
 	if err != nil {
 		return err
 	}

@@ -1465,6 +1465,74 @@ func TestIOTimeoutBoundsBlockedWrite(t *testing.T) {
 	}
 }
 
+func TestDeadlineEndsTheWaitBehindABlockedWrite(t *testing.T) {
+	// A server that stops reading stalls the frame write in progress. A
+	// caller queued behind it must give up at its own deadline, not at the
+	// IO timeout, and must write nothing: its frame would only be shed.
+	cli, srv := net.Pipe()
+	defer srv.Close()
+	go func() {
+		if _, err := ReadHello(srv); err != nil {
+			return
+		}
+		WriteServerHello(srv, ServerHello{
+			Version: ProtocolVersion, Dim: 4, Classes: 2,
+			MaxBatch: 8, MinSymbol: MinSymbol, MaxSymbol: MaxSymbol,
+		})
+	}()
+	c, err := NewClient(cli, Hello{Dim: 4}, WithIOTimeout(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	inflight := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.inflight)
+	}
+
+	// The server reads nothing, so this Ping's write blocks on the pipe.
+	// It registers under the write lock, so once it is in flight it holds
+	// the lock.
+	blocked := make(chan error, 1)
+	go func() { blocked <- c.Ping(context.Background()) }()
+	for wait := time.Now().Add(5 * time.Second); inflight() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(wait) {
+			t.Fatal("the first call never started its write")
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, _, err = c.ClassifyContext(ctx, asQuery([]float64{1, 1, 0, 0}))
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("a 100ms call waited %v for the write lock", elapsed)
+	}
+	if !errors.Is(err, ErrDeadlineExceeded) {
+		t.Errorf("call past its deadline: err = %v, want ErrDeadlineExceeded", err)
+	}
+	if n := inflight(); n != 1 {
+		t.Errorf("%d requests in flight, want only the blocked one", n)
+	}
+	if err := c.Err(); err != nil {
+		t.Errorf("the connection failed: %v", err)
+	}
+
+	// Reading again unblocks the Ping's frame, and nothing follows it.
+	if req, err := readRequest(srv, maxFrameLen); err != nil || req.Op != OpPing {
+		t.Fatalf("first frame: op %d, err %v; want the blocked Ping", req.Op, err)
+	}
+	srv.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+	if req, err := readRequest(srv, maxFrameLen); err == nil {
+		t.Errorf("a frame past its caller's deadline reached the wire: ID %d op %d", req.ID, req.Op)
+	}
+	srv.Close()
+	if err := <-blocked; !errors.Is(err, ErrTransport) {
+		t.Errorf("blocked Ping after the server left: err = %v, want ErrTransport", err)
+	}
+}
+
 func TestPipelinedCallsResolveOnClose(t *testing.T) {
 	// Closing a client mid-stream resolves every call, answered or failed
 	// with ErrTransport, records each traced call exactly once and leaves

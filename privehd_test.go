@@ -317,6 +317,39 @@ func TestEdgeObfuscation(t *testing.T) {
 	}
 }
 
+func TestEdgeReconstructConcurrent(t *testing.T) {
+	// Every goroutine sharing an edge may run the eavesdropper's attack on
+	// it at once: the base hypervectors it reads are race-free to read back.
+	pipe, X, _ := toyPipeline(t)
+	edge, err := pipe.Edge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := edge.Prepare(X[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recon [2][]float64
+	errs := make(chan error, len(recon))
+	for i := range recon {
+		go func() {
+			var err error
+			recon[i], err = edge.Reconstruct(q)
+			errs <- err
+		}()
+	}
+	for range recon {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := range recon[0] {
+		if recon[0][k] != recon[1][k] {
+			t.Fatalf("feature %d: concurrent reconstructions differ, %v vs %v", k, recon[0][k], recon[1][k])
+		}
+	}
+}
+
 func TestPipelineDeterminism(t *testing.T) {
 	// Equal options and seeds give byte-identical behavior.
 	p1, X, _ := toyPipeline(t, privehd.WithQuantizer("bipolar"))
