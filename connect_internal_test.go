@@ -192,7 +192,7 @@ func TestTopologiesMatchLocalPrediction(t *testing.T) {
 				if wantLabels[i], err = p.PredictVector(prepared[i]); err != nil {
 					t.Fatal(err)
 				}
-				wantScores[i] = p.core.Model().Scores(prepared[i])
+				wantScores[i] = p.model.Scores(prepared[i])
 				if m.fixed {
 					wantScores[i] = fixedScores(t, p, prepared[i], wantScores[i])
 				}
@@ -278,7 +278,7 @@ func fixedScores(t *testing.T, p *Pipeline, q, float []float64) []float64 {
 	if !ok {
 		t.Fatal("edge query is not in the packed alphabet")
 	}
-	got := p.core.Model().PackedScorer().ScoresPackedInto(packed, make([]float64, len(float)))
+	got := p.model.PackedScorer().ScoresPackedInto(packed, make([]float64, len(float)))
 	var top float64
 	for _, f := range float {
 		top = max(top, math.Abs(f))

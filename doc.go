@@ -17,6 +17,27 @@
 //	labels, err := pipe.PredictBatch(X)          // goroutine-parallel
 //	err = pipe.Save(w)                           // versioned; privehd.Load restores
 //
+// Train runs the paper's training sequence (§III-B): encode → quantize
+// the encodings (Eq. 13) → bundle class hypervectors (Eq. 3) → prune
+// close-to-zero dimensions and retrain with the mask (§III-B1) → add
+// calibrated Gaussian noise once (Eq. 8). The noise is applied after
+// retraining and the noisy model is never retrained — "as it violates the
+// concept of differential privacy". The noise is scaled to the ℓ2
+// sensitivity of one encoding over the kept dimensions: Eq. 14 for a
+// quantized encoding, Eq. 12 for an unquantized one, the same rule
+// Pipeline.Calibration reports before any data is seen.
+//
+// Fidelity note: the paper bounds the mechanism's ℓ2 sensitivity by the
+// norm of a single (quantized) encoding, treating the retrained model like
+// the one-shot sum of Eq. 3. Strictly, Eq. 5 retraining can bundle a
+// sample more than once, which would enlarge the true sensitivity; this
+// reproduction follows the paper's accounting and flags the caveat here
+// rather than silently "fixing" the paper.
+//
+// Inference (§III-C) is the edge's sequence: encode → 1-bit quantize →
+// mask, on the device, before the query is offloaded; the cloud-side
+// model stays full precision and needs no modification or access.
+//
 // Streaming workloads train with Pipeline.TrainOnline, which bundles each
 // sample with an error-proportional weight and returns the observed
 // worst-case per-sample ℓ2 contribution so a DP release can be calibrated

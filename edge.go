@@ -3,28 +3,40 @@ package privehd
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"privehd/internal/attack"
-	"privehd/internal/core"
+	"privehd/internal/encslice"
 	"privehd/internal/hdc"
+	"privehd/internal/hrand"
 	"privehd/internal/intscore"
 	"privehd/internal/offload"
+	"privehd/internal/prune"
 )
 
 // Edge prepares obfuscated queries on the device side of the §III-C
 // inference split: it encodes locally, 1-bit quantizes (unless
 // WithRawQueries) and masks (WithQueryMask) each query before anything
 // crosses the network. The cloud-side model is neither accessed nor
-// modified.
+// modified ("our technique does not need to modify or access the trained
+// model").
 type Edge struct {
-	cfg  config
-	core *core.Edge
+	cfg     config
+	encoder hdc.Encoder
+	// kept is the level engine restricted to the mask's kept dimensions,
+	// non-nil on a quantizing, masked level edge.
+	kept *hdc.RestrictedEncoder
+	mask *prune.Mask // nil without WithQueryMask
+	keep []uint64    // mask.Words(), the planes' AND mask
+	// scratch pools the query planes Prepare widens from.
+	scratch sync.Pool
 }
 
 // NewEdge builds a standalone edge encoder from functional options. The
 // geometry (WithFeatures, WithDim, WithLevels, WithEncoding, WithSeed)
 // must match the serving model's encoder — base hypervectors are shared
-// public setup — so WithFeatures is required here.
+// public setup — so WithFeatures is required here. The query mask is the
+// same WithQueryMask dimensions for every query, drawn once from seed+2.
 func NewEdge(opts ...Option) (*Edge, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
@@ -36,17 +48,21 @@ func NewEdge(opts ...Option) (*Edge, error) {
 	if cfg.features <= 0 {
 		return nil, errors.New("privehd: NewEdge requires WithFeatures (the encoder geometry is shared setup with the server)")
 	}
-	ce, err := core.NewEdge(core.EdgeConfig{
-		HD:       hdc.Config{Dim: cfg.dim, Features: cfg.features, Levels: cfg.levels, Seed: cfg.seed},
-		Encoding: core.Encoding(cfg.encoding),
-		Quantize: !cfg.rawQueries,
-		MaskDims: cfg.maskDims,
-		MaskSeed: cfg.seed + 2,
-	})
+	enc, err := cfg.newEncoder()
 	if err != nil {
 		return nil, err
 	}
-	return &Edge{cfg: cfg, core: ce}, nil
+	e := &Edge{cfg: cfg, encoder: enc}
+	if cfg.maskDims > 0 {
+		e.mask = prune.RandomMask(cfg.dim, cfg.maskDims, hrand.New(cfg.seed+2).SampleK)
+		e.keep = e.mask.Words()
+		if le, ok := enc.(*hdc.LevelEncoder); ok && !cfg.rawQueries {
+			if e.kept, err = le.Restrict(e.mask.Keep); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return e, nil
 }
 
 // Edge derives the client-side obfuscating encoder for this pipeline's
@@ -106,7 +122,7 @@ func (e *Edge) Prepare(x []float64) ([]float64, error) {
 	if err := e.check(x); err != nil {
 		return nil, err
 	}
-	return e.core.Prepare(x), nil
+	return e.prepare(x), nil
 }
 
 func (e *Edge) check(x []float64) error {
@@ -116,12 +132,62 @@ func (e *Edge) check(x []float64) error {
 	return nil
 }
 
+// prepare is Prepare on a checked input. On a quantizing edge it is the
+// expansion of preparePackedInto's planes, so quantization and masking
+// happen in one place; an edge that does not quantize returns the masked
+// full-precision encoding.
+func (e *Edge) prepare(x []float64) []float64 {
+	if e.cfg.rawQueries {
+		h := e.encoder.Encode(x)
+		if e.mask != nil {
+			e.mask.Apply(h)
+		}
+		return h
+	}
+	pk, ok := e.scratch.Get().(*intscore.Planes)
+	if !ok {
+		planes := intscore.NewPlanes(e.cfg.dim)
+		pk = &planes
+	}
+	e.preparePackedInto(x, *pk)
+	h := make([]float64, pk.Dim)
+	for j := range h {
+		h[j] = float64(pk.Symbol(j))
+	}
+	e.scratch.Put(pk)
+	return h
+}
+
+// preparePackedInto writes the obfuscated 1-bit query for one checked
+// input into the planes dst (Dim dimensions) — the form that crosses the
+// network: the bipolar quantization of the encoding with the masked
+// dimensions zeroed. Nothing is allocated and the result is bit-identical
+// to encode, quantize, then mask. A level edge reads each sign straight
+// off the engine's counters, and a masked one encodes only the kept
+// dimensions, from a memory compacted once in NewEdge; a scalar edge
+// derives the signs from its integer numerators and then masks with one
+// AND per word. The edge must quantize (no WithRawQueries).
+func (e *Edge) preparePackedInto(x []float64, dst intscore.Planes) {
+	if e.kept != nil {
+		e.kept.EncodeBipolarInto(x, dst)
+		return
+	}
+	e.encoder.EncodePackedInto(x, encslice.SchemeBipolar, dst)
+	if e.keep != nil {
+		dst.And(e.keep)
+	}
+}
+
 // PrepareBatch obfuscates a batch of inputs in parallel.
 func (e *Edge) PrepareBatch(X [][]float64) ([][]float64, error) {
 	if err := e.checkBatch(X); err != nil {
 		return nil, err
 	}
-	return e.core.PrepareBatch(X, e.cfg.workers), nil
+	out := make([][]float64, len(X))
+	forEachRow(len(X), e.cfg.workers, func(i int) {
+		out[i] = e.prepare(X[i])
+	})
+	return out, nil
 }
 
 func (e *Edge) checkBatch(X [][]float64) error {
@@ -144,35 +210,39 @@ func (e *Edge) query(x []float64) (offload.Query, error) {
 		return offload.Query{}, err
 	}
 	if e.cfg.rawQueries {
-		return offload.Query{Vector: e.core.Prepare(x)}, nil
+		return offload.Query{Vector: e.prepare(x)}, nil
 	}
 	q := intscore.NewPlanes(e.cfg.dim)
-	e.core.PreparePackedInto(x, q)
+	e.preparePackedInto(x, q)
 	return offload.Query{Packed: q}, nil
 }
 
-// queries is query over a batch, prepared in parallel.
+// queries is query over a batch, prepared in parallel; the packed queries'
+// planes share one allocation.
 func (e *Edge) queries(X [][]float64) ([]offload.Query, error) {
 	if err := e.checkBatch(X); err != nil {
 		return nil, err
 	}
 	qs := make([]offload.Query, len(X))
 	if e.cfg.rawQueries {
-		for i, h := range e.core.PrepareBatch(X, e.cfg.workers) {
-			qs[i].Vector = h
-		}
+		forEachRow(len(X), e.cfg.workers, func(i int) {
+			qs[i].Vector = e.prepare(X[i])
+		})
 		return qs, nil
 	}
-	for i, q := range e.core.PreparePackedBatch(X, e.cfg.workers) {
-		qs[i].Packed = q
-	}
+	n := 2 * intscore.Words(e.cfg.dim)
+	buf := make([]uint64, len(X)*n)
+	forEachRow(len(X), e.cfg.workers, func(i int) {
+		qs[i].Packed = intscore.Planes{Dim: e.cfg.dim, Bits: buf[i*n : (i+1)*n : (i+1)*n]}
+		e.preparePackedInto(X[i], qs[i].Packed)
+	})
 	return qs, nil
 }
 
 // Encode returns the raw, unobfuscated encoding of x — the undefended
 // baseline the eavesdropper experiments compare against.
 func (e *Edge) Encode(x []float64) []float64 {
-	return e.core.Encoder().Encode(x)
+	return e.encoder.Encode(x)
 }
 
 // QuantizeTruth maps the input features onto their Eq. 1 level
@@ -191,7 +261,7 @@ func (e *Edge) QuantizeTruth(x []float64) []float64 {
 // hypervectors — the eavesdropper's point of view on whatever crossed the
 // wire.
 func (e *Edge) Reconstruct(query []float64) ([]float64, error) {
-	bp, ok := e.core.Encoder().(hdc.BaseProvider)
+	bp, ok := e.encoder.(hdc.BaseProvider)
 	if !ok {
 		return nil, errors.New("privehd: encoder does not expose base hypervectors")
 	}

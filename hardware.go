@@ -78,10 +78,7 @@ type Hardware struct {
 func (p *Pipeline) Hardware(seed uint64) (*Hardware, error) {
 	p.mu.RLock()
 	cfg := p.cfg
-	var enc *hdc.LevelEncoder
-	if p.core != nil {
-		enc, _ = p.core.Encoder().(*hdc.LevelEncoder)
-	}
+	enc, _ := p.encoder.(*hdc.LevelEncoder)
 	p.mu.RUnlock()
 	if cfg.encoding != Level {
 		return nil, errors.New("privehd: Hardware requires the Level encoding (Eq. 2b)")
@@ -90,13 +87,11 @@ func (p *Pipeline) Hardware(seed uint64) (*Hardware, error) {
 		if cfg.features <= 0 {
 			return nil, errors.New("privehd: Hardware needs the feature width (train first or pass WithFeatures)")
 		}
-		var err error
-		enc, err = hdc.NewLevelEncoder(hdc.Config{
-			Dim: cfg.dim, Features: cfg.features, Levels: cfg.levels, Seed: cfg.seed,
-		})
+		e, err := cfg.newEncoder()
 		if err != nil {
 			return nil, err
 		}
+		enc = e.(*hdc.LevelEncoder)
 	}
 	return &Hardware{
 		enc:     enc,

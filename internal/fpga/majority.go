@@ -50,10 +50,6 @@ func (c *BipolarCircuit) Inputs() int { return c.div }
 // Groups returns the number of first-stage majority LUTs, ⌈d_iv/6⌉.
 func (c *BipolarCircuit) Groups() int { return len(c.groupLUTs) }
 
-// GroupWidth returns the input width of first-stage LUT g (6 except
-// possibly the last).
-func (c *BipolarCircuit) GroupWidth(g int) int { return c.widths[g] }
-
 // GroupEval evaluates first-stage majority LUT g on its inputs; the
 // structural netlist builder copies these truth tables so the gate-level
 // circuit matches the behavioral one bit-for-bit.

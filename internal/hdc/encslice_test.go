@@ -101,8 +101,8 @@ func TestNonFiniteInputsMatchReference(t *testing.T) {
 
 // TestEncodePackedIntoMatchesEncodeQuantize checks the fused path against
 // encoding and sign-quantizing by hand (the full cross-scheme equivalence
-// against the quant package lives in the encslice and core tests, which may
-// import it).
+// against the quant package lives in the encslice and root pipeline tests,
+// which may import it).
 func TestEncodePackedIntoMatchesEncodeQuantize(t *testing.T) {
 	for _, cfg := range engineGeometries {
 		for _, enc := range []Encoder{mustLevel(t, cfg), mustScalar(t, cfg)} {

@@ -1,6 +1,6 @@
 // Package offload implements the cloud-hosted inference split of Prive-HD
 // §III-C as a versioned network protocol: the edge encodes, quantizes and
-// masks a query hypervector locally (core.Edge) and ships only the
+// masks a query hypervector locally (privehd.Edge) and ships only the
 // obfuscated vector; the server holds the full-precision model and returns
 // the predicted label.
 //

@@ -15,10 +15,12 @@ import (
 	"time"
 
 	"privehd/internal/attack"
-	"privehd/internal/core"
 	"privehd/internal/dataset"
+	"privehd/internal/encslice"
 	"privehd/internal/hdc"
+	"privehd/internal/hrand"
 	"privehd/internal/intscore"
+	"privehd/internal/prune"
 	"privehd/internal/registry"
 	"privehd/internal/trace"
 	"privehd/internal/vecmath"
@@ -667,13 +669,8 @@ func TestEndToEndObfuscatedInference(t *testing.T) {
 	addr, _, cleanup := startServerOn(t, tapped, model)
 	defer cleanup()
 
-	// Edge: quantize + mask 25% of dims.
-	edge, err := core.NewEdge(core.EdgeConfig{
-		HD: hdcfg, Encoding: core.EncodingScalar, Quantize: true, MaskDims: 1000, MaskSeed: 23,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Edge: 1-bit quantize + mask 25% of dims.
+	mask := prune.RandomMask(hdcfg.Dim, 1000, hrand.New(23).SampleK)
 
 	client, err := Dial(context.Background(), "tcp", addr, Hello{Dim: hdcfg.Dim, Classes: d.Classes})
 	if err != nil {
@@ -683,7 +680,10 @@ func TestEndToEndObfuscatedInference(t *testing.T) {
 
 	correct := 0
 	for i, x := range d.TestX {
-		label, _, err := client.Classify(asQuery(edge.Prepare(x)))
+		q := intscore.NewPlanes(hdcfg.Dim)
+		enc.EncodePackedInto(x, encslice.SchemeBipolar, q)
+		q.And(mask.Words())
+		label, _, err := client.Classify(Query{Packed: q})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,9 +40,9 @@ var ErrUnknownModel = errors.New("registry: unknown model")
 // deterministic in the seed, so advertising this leaks nothing the paper
 // keeps secret (the training data is what DP protects).
 type EncoderInfo struct {
-	// Encoding is the paper encoding as an integer (core.Encoding /
-	// privehd.Encoding value: 0 level, 1 scalar). Kept as a plain int so
-	// the registry does not depend on the pipeline layers above it.
+	// Encoding is the paper encoding as an integer (privehd.Encoding
+	// value: 0 level, 1 scalar). Kept as a plain int so the registry does
+	// not depend on the pipeline layer above it.
 	Encoding int
 	// Levels is the feature quantization level count ℓ_iv.
 	Levels int

@@ -46,3 +46,25 @@ func TestLoadRefusesGeometryBeyondEngine(t *testing.T) {
 		})
 	}
 }
+
+// TestLoadRefusesClassMismatch re-encodes a real saved pipeline with a
+// class count its model does not have. Load must refuse it as a corrupt
+// model rather than report a label space the model cannot score.
+func TestLoadRefusesClassMismatch(t *testing.T) {
+	var saved bytes.Buffer
+	if err := trainWide(t, 64).Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	var w pipelineWire
+	if err := gob.NewDecoder(&saved).Decode(&w); err != nil {
+		t.Fatal(err)
+	}
+	w.Classes = 3 // the model has 2
+	var blob bytes.Buffer
+	if err := gob.NewEncoder(&blob).Encode(w); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := Load(&blob); !errors.Is(err, ErrCorruptModel) {
+		t.Fatalf("Load: err = %v, want ErrCorruptModel (pipeline %v)", err, p)
+	}
+}

@@ -119,6 +119,49 @@ func (c *config) validate(caller string, reject []string) error {
 	return nil
 }
 
+// newEncoder builds the configured paper encoder: base and level
+// hypervectors are deterministic in the geometry and seed, so a pipeline
+// and every edge built with equal options share them.
+func (c *config) newEncoder() (hdc.Encoder, error) {
+	hd := hdc.Config{Dim: c.dim, Features: c.features, Levels: c.levels, Seed: c.seed}
+	if c.encoding == Scalar {
+		return hdc.NewScalarEncoder(hd)
+	}
+	return hdc.NewLevelEncoder(hd)
+}
+
+// labelSpace is the class count a training batch implies: WithClasses if
+// set, max(label)+1 otherwise.
+func (c *config) labelSpace(y []int) int {
+	classes := c.classes
+	if classes == 0 {
+		for _, l := range y {
+			if l+1 > classes {
+				classes = l + 1
+			}
+		}
+	}
+	return classes
+}
+
+// kept is the number of dimensions the model keeps after pruning.
+func (c *config) kept() int {
+	if c.keepDims > 0 && c.keepDims < c.dim {
+		return c.keepDims
+	}
+	return c.dim
+}
+
+// sensitivity is the ℓ2 bound ∆f the Gaussian mechanism is calibrated
+// against, over the kept dimensions: Eq. 14 for a quantized encoding,
+// Eq. 12 for an unquantized one. Train and Calibration both read it.
+func (c *config) sensitivity() float64 {
+	if _, isIdentity := c.quantizer.(quant.Identity); isIdentity {
+		return quant.RawL2Sensitivity(c.kept(), c.features)
+	}
+	return quant.AnalyticL2Sensitivity(c.quantizer, c.kept())
+}
+
 // Option configures a Pipeline (New) or an Edge (NewEdge, Pipeline.Edge)
 // through the functional-options pattern.
 type Option func(*config)

@@ -104,11 +104,8 @@ func TestPreparePackedIntoAllocationFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !edge.core.PreparePackedInto(x, dst) {
-			t.Fatal("quantizing edge reported no packed form")
-		}
-		if allocs := testing.AllocsPerRun(100, func() { edge.core.PreparePackedInto(x, dst) }); allocs != 0 {
-			t.Fatalf("mask=%d: PreparePackedInto allocates %v times per call, want 0", mask, allocs)
+		if allocs := testing.AllocsPerRun(100, func() { edge.preparePackedInto(x, dst) }); allocs != 0 {
+			t.Fatalf("mask=%d: preparePackedInto allocates %v times per call, want 0", mask, allocs)
 		}
 	}
 }

@@ -6,14 +6,18 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 
-	"privehd/internal/core"
 	"privehd/internal/dp"
 	"privehd/internal/encslice"
 	"privehd/internal/hdc"
+	"privehd/internal/hrand"
+	"privehd/internal/intscore"
+	"privehd/internal/par"
 	"privehd/internal/prune"
 	"privehd/internal/quant"
+	"privehd/internal/vecmath"
 )
 
 // ErrNotTrained is returned by inference and serialization methods called
@@ -23,7 +27,25 @@ var ErrNotTrained = errors.New("privehd: pipeline is not trained")
 // Report summarizes the privacy mechanics of a trained pipeline: geometry
 // after pruning, the ℓ2 sensitivity used for calibration, and the Gaussian
 // mechanism actually applied.
-type Report = core.PrivacyReport
+type Report struct {
+	// Quantizer is the encoding quantization scheme name.
+	Quantizer string
+	// Dim and KeptDims describe the model geometry after pruning.
+	Dim      int
+	KeptDims int
+	// Sensitivity is the ℓ2 bound used for calibration (Eq. 12 or 14,
+	// over the kept dimensions).
+	Sensitivity float64
+	// SigmaFactor and NoiseStd describe the applied Gaussian mechanism;
+	// zero when the pipeline is non-private.
+	SigmaFactor float64
+	NoiseStd    float64
+	// Epsilon and Delta echo the budget; zero when non-private.
+	Epsilon float64
+	Delta   float64
+	// Private reports whether noise was applied.
+	Private bool
+}
 
 // Pipeline is the Prive-HD pipeline: encode → quantize (Eq. 13) → bundle →
 // prune and retrain (§III-B1) → calibrated Gaussian noise (Eq. 8). Build
@@ -34,14 +56,90 @@ type Report = core.PrivacyReport
 // A trained Pipeline is safe for concurrent inference from many
 // goroutines.
 type Pipeline struct {
-	mu      sync.RWMutex
-	cfg     config
-	classes int
-	core    *core.Pipeline
+	mu  sync.RWMutex
+	cfg config
+
+	// The trained state, installed whole by Train, TrainOnline and Load;
+	// model is nil before.
+	encoder hdc.Encoder
+	model   *hdc.Model  // the (possibly privatized) class hypervectors
+	mask    *prune.Mask // nil when unpruned
+	keep    []uint64    // mask.Words(), the query planes' AND mask
+	report  Report
+
+	// scheme enables the fused bit-sliced encode→quantize fast path: when
+	// the configured quantizer maps onto a packed scheme, Predict derives
+	// the −2…+1 query's bit-planes straight from integer popcounts — no
+	// float hypervector, no separate quantization pass. SchemeNone
+	// (Identity) takes the float path.
+	scheme encslice.Scheme
+
+	// scratch recycles per-query encode/quantize/score buffers across
+	// Predict calls — the serving hot path answers each query with zero
+	// heap allocations. Buffers are per-goroutine via sync.Pool, so
+	// concurrent Predict calls stay safe. Each installed model gets a
+	// fresh pool, sized to its class count.
+	scratch *sync.Pool
+
 	// maxOnlineContribution is the largest single-sample ℓ2 contribution
 	// observed across TrainOnline calls — the honest DP sensitivity of an
 	// online-trained model.
 	maxOnlineContribution float64
+}
+
+// predictScratch is one goroutine's reusable Predict working set.
+type predictScratch struct {
+	h      []float64       // raw encoding
+	q      []float64       // quantized query
+	planes intscore.Planes // the fused path's query
+	packed []int8          // packed-alphabet form of q for the integer engine
+	scores []float64       // per-class similarities
+}
+
+// getScratch returns a scratch sized for the pipeline's geometry.
+func (p *Pipeline) getScratch() *predictScratch {
+	if s, ok := p.scratch.Get().(*predictScratch); ok {
+		return s
+	}
+	return &predictScratch{
+		h:      make([]float64, p.cfg.dim),
+		q:      make([]float64, p.cfg.dim),
+		planes: intscore.NewPlanes(p.cfg.dim),
+		packed: make([]int8, p.cfg.dim),
+		scores: make([]float64, p.model.NumClasses()),
+	}
+}
+
+// packedScheme maps a quant scheme onto the engine's fused quantization
+// rule; SchemeNone means the quantizer has no packed form (Identity) and
+// inference must go through the float path.
+func packedScheme(q quant.Quantizer) encslice.Scheme {
+	switch q.(type) {
+	case quant.Bipolar:
+		return encslice.SchemeBipolar
+	case quant.Ternary:
+		return encslice.SchemeTernary
+	case quant.BiasedTernary:
+		return encslice.SchemeBiasedTernary
+	case quant.TwoBit:
+		return encslice.SchemeTwoBit
+	}
+	return encslice.SchemeNone
+}
+
+// install publishes a trained state under the write lock (or before the
+// pipeline is shared): it freezes the model's caches so concurrent
+// Predict calls are read-only, and resolves the fused scheme and the
+// mask's plane words once so Predict only pays a compare per query.
+func (p *Pipeline) install(cfg config, enc hdc.Encoder, model *hdc.Model, mask *prune.Mask, report Report) {
+	model.Precompute()
+	p.cfg, p.encoder, p.model, p.mask, p.report = cfg, enc, model, mask, report
+	p.keep = nil
+	if mask != nil {
+		p.keep = mask.Words()
+	}
+	p.scheme = packedScheme(cfg.quantizer)
+	p.scratch = new(sync.Pool)
 }
 
 // New builds an untrained pipeline from functional options. With no
@@ -57,27 +155,6 @@ func New(opts ...Option) (*Pipeline, error) {
 		return nil, err
 	}
 	return &Pipeline{cfg: cfg}, nil
-}
-
-// coreConfig assembles the internal pipeline configuration. features must
-// already be resolved.
-func (c config) coreConfig() core.Config {
-	cc := core.Config{
-		HD:            hdc.Config{Dim: c.dim, Features: c.features, Levels: c.levels, Seed: c.seed},
-		Encoding:      core.Encoding(c.encoding),
-		Quantizer:     c.quantizer,
-		KeepDims:      c.keepDims,
-		RetrainEpochs: c.retrainEpochs,
-		NoiseSeed:     c.noiseSeed,
-		Workers:       c.workers,
-	}
-	if cc.NoiseSeed == 0 {
-		cc.NoiseSeed = c.seed + 1
-	}
-	if c.epsilon > 0 {
-		cc.DP = &dp.Params{Epsilon: c.epsilon, Delta: c.delta}
-	}
-	return cc
 }
 
 // Train runs the full §III-B pipeline on the given samples and labels,
@@ -97,23 +174,66 @@ func (p *Pipeline) Train(X [][]float64, y []int) error {
 	if cfg.features == 0 {
 		cfg.features = len(X[0])
 	}
-	classes := cfg.classes
-	if classes == 0 {
-		for _, l := range y {
-			if l+1 > classes {
-				classes = l + 1
-			}
-		}
+	if len(X[0]) != cfg.features {
+		return fmt.Errorf("privehd: Train samples have %d features, model wants %d", len(X[0]), cfg.features)
 	}
-	cp, err := core.TrainData(cfg.coreConfig(), X, y, classes)
+	enc, err := cfg.newEncoder()
 	if err != nil {
 		return err
 	}
-	// Freeze the norm caches so concurrent Predict calls are read-only.
-	cp.Model().Precompute()
-	p.cfg = cfg
-	p.classes = classes
-	p.core = cp
+	encoded := quant.QuantizeBatch(cfg.quantizer, hdc.EncodeBatch(enc, X, cfg.workers))
+	model, err := hdc.Train(encoded, y, cfg.labelSpace(y), cfg.dim)
+	if err != nil {
+		return err
+	}
+	var mask *prune.Mask
+	if kept := cfg.kept(); kept < cfg.dim {
+		// DiscriminativeMask rather than the paper-literal magnitude
+		// ranking: see the mask's doc comment and experiments.Ablations.
+		mask = prune.DiscriminativeMask(model, cfg.dim-kept)
+		prune.PruneModel(model, mask)
+		if cfg.retrainEpochs > 0 {
+			prune.MaskedRetrain(model, mask, encoded, y, nil, nil, cfg.retrainEpochs)
+		}
+	} else {
+		for e := 0; e < cfg.retrainEpochs; e++ {
+			if hdc.RetrainEpoch(model, encoded, y) == 0 {
+				break
+			}
+		}
+	}
+
+	// Noise goes on once, after retraining: the noisy model is never
+	// retrained (§III-B).
+	report := Report{Quantizer: cfg.quantizer.Name(), Dim: cfg.dim, KeptDims: cfg.kept()}
+	if cfg.epsilon > 0 {
+		params := dp.Params{Epsilon: cfg.epsilon, Delta: cfg.delta}
+		sens := cfg.sensitivity()
+		sigma, err := dp.SigmaFactor(params)
+		if err != nil {
+			return err
+		}
+		seed := cfg.noiseSeed
+		if seed == 0 {
+			seed = cfg.seed + 1
+		}
+		src := hrand.New(seed)
+		if mask != nil {
+			err = dp.PrivatizeModelMasked(src, model, mask.Keep, sens, params)
+		} else {
+			err = dp.PrivatizeModel(src, model, sens, params)
+		}
+		if err != nil {
+			return err
+		}
+		report.Sensitivity = sens
+		report.SigmaFactor = sigma
+		report.NoiseStd = sens * sigma
+		report.Epsilon = cfg.epsilon
+		report.Delta = cfg.delta
+		report.Private = true
+	}
+	p.install(cfg, enc, model, mask, report)
 	return nil
 }
 
@@ -138,7 +258,9 @@ func (p *Pipeline) Train(X [][]float64, y []int) error {
 // bundling voids the fixed Eq. 12/14 per-sample bound. WithNoise is
 // rejected here for exactly that reason: noise calibrated before the data
 // streams by would promise a guarantee the weights can exceed, so
-// privatizing an online-trained model is the caller's explicit step.
+// privatizing an online-trained model is the caller's explicit step. A
+// model that already carries noise is refused too: "retraining the noisy
+// model violates the concept of differential privacy" (§III-B).
 func (p *Pipeline) TrainOnline(X [][]float64, y []int) (float64, error) {
 	if len(X) == 0 {
 		return 0, errors.New("privehd: TrainOnline needs at least one sample")
@@ -148,70 +270,55 @@ func (p *Pipeline) TrainOnline(X [][]float64, y []int) (float64, error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.cfg.epsilon > 0 {
+	if p.cfg.epsilon > 0 || p.report.Private {
 		return 0, errors.New("privehd: TrainOnline does not support WithNoise (weighted bundling voids the pre-calibrated sensitivity; calibrate against the returned contribution instead)")
 	}
 	// Validate the whole batch before any state changes: a rejected batch
 	// must leave the pipeline exactly as it was — in particular a failed
 	// first call must not flip it to "trained" with an empty model, and a
 	// bad sample mid-batch must not leave half the batch bundled with its
-	// ℓ2 contribution unreported (core.OnlineTrain is additionally
-	// copy-on-write for errors it can only detect while training).
-	features := p.cfg.features
-	if p.core == nil && features == 0 {
-		features = len(X[0])
+	// ℓ2 contribution unreported. Training is additionally copy-on-write
+	// for errors hdc.OnlineTrain can only detect while training (a bad
+	// label, say).
+	cfg, enc, model, report := p.cfg, p.encoder, p.model, p.report
+	if model == nil && cfg.features == 0 {
+		cfg.features = len(X[0])
 	}
 	for i, x := range X {
-		if len(x) != features {
+		if len(x) != cfg.features {
 			return 0, fmt.Errorf("privehd: TrainOnline sample %d has %d features, model wants %d",
-				i, len(x), features)
+				i, len(x), cfg.features)
 		}
 	}
-	if p.core == nil {
-		cfg := p.cfg
-		cfg.features = features
-		classes := cfg.classes
-		if classes == 0 {
-			for _, l := range y {
-				if l+1 > classes {
-					classes = l + 1
-				}
-			}
+	if model == nil {
+		classes := cfg.labelSpace(y)
+		if classes <= 0 {
+			return 0, fmt.Errorf("privehd: TrainOnline needs a positive class count, got %d", classes)
 		}
-		cp, err := core.NewUntrained(cfg.coreConfig(), classes)
-		if err != nil {
+		var err error
+		if enc, err = cfg.newEncoder(); err != nil {
 			return 0, err
 		}
-		contribution, err := cp.OnlineTrain(X, y)
-		if err != nil {
-			return 0, err
-		}
-		// Only a fully-applied first batch installs the model.
-		p.cfg = cfg
-		p.classes = classes
-		p.core = cp
-		p.maxOnlineContribution = contribution
+		model = hdc.NewModel(classes, cfg.dim)
+		report = Report{Quantizer: cfg.quantizer.Name(), Dim: cfg.dim, KeptDims: cfg.dim}
 	} else {
-		contribution, err := p.core.OnlineTrain(X, y)
-		if err != nil {
-			return 0, err
-		}
-		if contribution > p.maxOnlineContribution {
-			p.maxOnlineContribution = contribution
+		model = model.Clone()
+	}
+	encoded := quant.QuantizeBatch(cfg.quantizer, hdc.EncodeBatch(enc, X, cfg.workers))
+	if p.mask != nil {
+		for _, h := range encoded {
+			p.mask.Apply(h)
 		}
 	}
-	// Re-freeze the norm caches so concurrent Predict calls after the
-	// write lock drops are read-only again.
-	p.core.Model().Precompute()
+	contribution, err := hdc.OnlineTrain(model, encoded, y)
+	if err != nil {
+		return 0, err
+	}
+	p.install(cfg, enc, model, p.mask, report)
+	if contribution > p.maxOnlineContribution {
+		p.maxOnlineContribution = contribution
+	}
 	return p.maxOnlineContribution, nil
-}
-
-// trained returns the inner pipeline, or ErrNotTrained.
-func (p *Pipeline) trained() (*core.Pipeline, error) {
-	if p.core == nil {
-		return nil, ErrNotTrained
-	}
-	return p.core, nil
 }
 
 // Dim returns the hypervector dimensionality D_hv.
@@ -239,18 +346,22 @@ func (p *Pipeline) Features() int {
 	return p.cfg.features
 }
 
-// Classes returns the label-space size, or 0 before training.
+// Classes returns the label-space size — the model's class count — or 0
+// before training.
 func (p *Pipeline) Classes() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.classes
+	if p.model == nil {
+		return 0
+	}
+	return p.model.NumClasses()
 }
 
 // Trained reports whether the pipeline holds a model.
 func (p *Pipeline) Trained() bool {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.core != nil
+	return p.model != nil
 }
 
 // Predict classifies one input, encoding and quantizing it the way the
@@ -258,14 +369,39 @@ func (p *Pipeline) Trained() bool {
 func (p *Pipeline) Predict(x []float64) (int, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	cp, err := p.trained()
-	if err != nil {
-		return 0, err
+	if p.model == nil {
+		return 0, ErrNotTrained
 	}
 	if len(x) != p.cfg.features {
 		return 0, fmt.Errorf("privehd: Predict got %d features, model wants %d", len(x), p.cfg.features)
 	}
-	return cp.Predict(x), nil
+	return p.predict(x), nil
+}
+
+// predict runs the whole encode → quantize → mask → score chain on pooled
+// scratch buffers, so the serving hot path does not allocate per query.
+// With a paper quantizer the chain never leaves the integer domain: the
+// bit-sliced engine derives the −2…+1 query's bit-planes straight from
+// popcounts (no float hypervector, no separate quantization pass), the
+// mask is one AND per word, and the integer scoring engine consumes the
+// planes — every stage bit-identical to the float reference path. The
+// caller holds the read lock on a trained pipeline.
+func (p *Pipeline) predict(x []float64) int {
+	s := p.getScratch()
+	defer p.scratch.Put(s)
+	if p.scheme != encslice.SchemeNone {
+		p.encoder.EncodePackedInto(x, p.scheme, s.planes)
+		if p.keep != nil {
+			s.planes.And(p.keep)
+		}
+		return vecmath.ArgMax(p.model.ScoresPlanesInto(s.planes, s.scores))
+	}
+	h := p.encoder.EncodeInto(x, s.h)
+	quant.QuantizeInto(p.cfg.quantizer, s.q, h)
+	if p.mask != nil {
+		p.mask.Apply(s.q)
+	}
+	return p.scoreVector(s.q, s)
 }
 
 // PredictBatch classifies many inputs, spreading encoding and inference
@@ -275,9 +411,8 @@ func (p *Pipeline) Predict(x []float64) (int, error) {
 func (p *Pipeline) PredictBatch(X [][]float64) ([]int, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	cp, err := p.trained()
-	if err != nil {
-		return nil, err
+	if p.model == nil {
+		return nil, ErrNotTrained
 	}
 	for i, x := range X {
 		if len(x) != p.cfg.features {
@@ -285,7 +420,28 @@ func (p *Pipeline) PredictBatch(X [][]float64) ([]int, error) {
 				i, len(x), p.cfg.features)
 		}
 	}
-	return cp.PredictBatch(X), nil
+	return p.predictBatch(X), nil
+}
+
+// predictBatch runs predict over every row, claimed off an atomic cursor,
+// returning labels in order. The caller holds the read lock on a trained
+// pipeline, whose model install froze, so the concurrent scoring is
+// read-only.
+func (p *Pipeline) predictBatch(X [][]float64) []int {
+	out := make([]int, len(X))
+	forEachRow(len(X), p.cfg.workers, func(i int) {
+		out[i] = p.predict(X[i])
+	})
+	return out
+}
+
+// forEachRow runs fn over n rows on workers goroutines (<=0 selects
+// GOMAXPROCS).
+func forEachRow(n, workers int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	par.ForEach(n, workers, fn)
 }
 
 // PredictVector classifies an already-encoded (and possibly obfuscated or
@@ -293,18 +449,31 @@ func (p *Pipeline) PredictBatch(X [][]float64) ([]int, error) {
 // serving side of the §III-C split does with each offloaded query. A vector
 // that fits the packed −2…+1 alphabet (any of the paper's quantization
 // schemes) is scored on the integer-domain engine, exactly like a packed
-// frame arriving over the wire; anything else takes the float64 path.
+// frame arriving over the wire; anything else takes the float64 path. No
+// pruning mask is applied: the vector is scored as given.
 func (p *Pipeline) PredictVector(h []float64) (int, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	cp, err := p.trained()
-	if err != nil {
-		return 0, err
+	if p.model == nil {
+		return 0, ErrNotTrained
 	}
 	if len(h) != p.cfg.dim {
 		return 0, fmt.Errorf("privehd: PredictVector got dim %d, model dim %d", len(h), p.cfg.dim)
 	}
-	return cp.PredictVector(h), nil
+	s := p.getScratch()
+	defer p.scratch.Put(s)
+	return p.scoreVector(h, s), nil
+}
+
+// scoreVector scores an encoded vector on s: on the integer engine when
+// it fits the packed alphabet, on the float path otherwise.
+func (p *Pipeline) scoreVector(h []float64, s *predictScratch) int {
+	if e := p.model.PackedScorer(); e != nil {
+		if pk, ok := intscore.PackInto(h, s.packed); ok {
+			return vecmath.ArgMax(e.ScoresPackedInto(pk, s.scores))
+		}
+	}
+	return vecmath.ArgMax(p.model.ScoresInto(h, s.scores))
 }
 
 // Evaluate returns accuracy over a labelled sample set.
@@ -314,11 +483,19 @@ func (p *Pipeline) Evaluate(X [][]float64, y []int) (float64, error) {
 	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	cp, err := p.trained()
-	if err != nil {
-		return 0, err
+	if p.model == nil {
+		return 0, ErrNotTrained
 	}
-	return cp.EvaluateData(X, y), nil
+	if len(X) == 0 {
+		return 0, nil
+	}
+	correct := 0
+	for i, label := range p.predictBatch(X) {
+		if label == y[i] {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(X)), nil
 }
 
 // ClassVectors returns copies of the class hypervectors ~C_l of Eq. 3 —
@@ -327,14 +504,12 @@ func (p *Pipeline) Evaluate(X [][]float64, y []int) (float64, error) {
 func (p *Pipeline) ClassVectors() ([][]float64, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	cp, err := p.trained()
-	if err != nil {
-		return nil, err
+	if p.model == nil {
+		return nil, ErrNotTrained
 	}
-	m := cp.Model()
-	out := make([][]float64, m.NumClasses())
+	out := make([][]float64, p.model.NumClasses())
 	for l := range out {
-		out[l] = append([]float64(nil), m.Class(l)...)
+		out[l] = append([]float64(nil), p.model.Class(l)...)
 	}
 	return out, nil
 }
@@ -344,10 +519,7 @@ func (p *Pipeline) ClassVectors() ([][]float64, error) {
 func (p *Pipeline) Report() Report {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if p.core == nil {
-		return Report{}
-	}
-	return p.core.Report()
+	return p.report
 }
 
 // Calibration is the privacy arithmetic of a configuration — everything
@@ -388,16 +560,7 @@ func (p *Pipeline) Calibration() (Calibration, error) {
 	if cfg.epsilon <= 0 {
 		return Calibration{}, errors.New("privehd: Calibration needs a positive WithNoise epsilon")
 	}
-	kept := cfg.dim
-	if cfg.keepDims > 0 && cfg.keepDims < kept {
-		kept = cfg.keepDims
-	}
-	var sens float64
-	if _, isIdentity := cfg.quantizer.(quant.Identity); isIdentity {
-		sens = quant.RawL2Sensitivity(kept, cfg.features)
-	} else {
-		sens = quant.AnalyticL2Sensitivity(cfg.quantizer, kept)
-	}
+	sens := cfg.sensitivity()
 	sigma, err := dp.SigmaFactor(dp.Params{Epsilon: cfg.epsilon, Delta: cfg.delta})
 	if err != nil {
 		return Calibration{}, err
@@ -405,7 +568,7 @@ func (p *Pipeline) Calibration() (Calibration, error) {
 	return Calibration{
 		Quantizer:      cfg.quantizer.Name(),
 		Dim:            cfg.dim,
-		KeptDims:       kept,
+		KeptDims:       cfg.kept(),
 		Features:       cfg.features,
 		Sensitivity:    sens,
 		RawSensitivity: quant.RawL2Sensitivity(cfg.dim, cfg.features),
@@ -486,12 +649,11 @@ type pipelineWire struct {
 func (p *Pipeline) Save(w io.Writer) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	cp, err := p.trained()
-	if err != nil {
-		return err
+	if p.model == nil {
+		return ErrNotTrained
 	}
 	var model bytes.Buffer
-	if err := cp.Model().Save(&model); err != nil {
+	if err := p.model.Save(&model); err != nil {
 		return err
 	}
 	wire := pipelineWire{
@@ -499,7 +661,7 @@ func (p *Pipeline) Save(w io.Writer) error {
 		Dim:           p.cfg.dim,
 		Levels:        p.cfg.levels,
 		Features:      p.cfg.features,
-		Classes:       p.classes,
+		Classes:       p.model.NumClasses(),
 		Encoding:      int(p.cfg.encoding),
 		Quantizer:     p.cfg.quantizer.Name(),
 		KeepDims:      p.cfg.keepDims,
@@ -507,11 +669,11 @@ func (p *Pipeline) Save(w io.Writer) error {
 		Epsilon:       p.cfg.epsilon,
 		Delta:         p.cfg.delta,
 		Seed:          p.cfg.seed,
-		Report:        cp.Report(),
+		Report:        p.report,
 		Model:         model.Bytes(),
 	}
-	if mask := cp.Mask(); mask != nil {
-		wire.Keep = append([]bool(nil), mask.Keep...)
+	if p.mask != nil {
+		wire.Keep = append([]bool(nil), p.mask.Keep...)
 	}
 	if err := gob.NewEncoder(w).Encode(wire); err != nil {
 		return fmt.Errorf("privehd: saving pipeline: %w", err)
@@ -561,6 +723,10 @@ func Load(r io.Reader) (*Pipeline, error) {
 	if err != nil {
 		return nil, fmt.Errorf("privehd: loading pipeline: %w", err)
 	}
+	if model.Dim() != wire.Dim || model.NumClasses() != wire.Classes {
+		return nil, fmt.Errorf("privehd: loading pipeline: %w: model is %d classes × %d dims, pipeline %d × %d",
+			ErrCorruptModel, model.NumClasses(), model.Dim(), wire.Classes, wire.Dim)
+	}
 	var mask *prune.Mask
 	if wire.Keep != nil {
 		if len(wire.Keep) != wire.Dim {
@@ -573,10 +739,11 @@ func Load(r io.Reader) (*Pipeline, error) {
 			}
 		}
 	}
-	cp, err := core.Restore(cfg.coreConfig(), model, mask, wire.Report)
+	enc, err := cfg.newEncoder()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptModel, err)
+		return nil, fmt.Errorf("privehd: loading pipeline: %w: %v", ErrCorruptModel, err)
 	}
-	cp.Model().Precompute()
-	return &Pipeline{cfg: cfg, classes: wire.Classes, core: cp}, nil
+	p := &Pipeline{}
+	p.install(cfg, enc, model, mask, wire.Report)
+	return p, nil
 }

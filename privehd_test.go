@@ -54,6 +54,7 @@ func TestNewOptionValidation(t *testing.T) {
 		want string // substring of the error
 	}{
 		{"negative dim", []privehd.Option{privehd.WithDim(-1)}, "WithDim"},
+		{"zero dim", []privehd.Option{privehd.WithDim(0)}, "WithDim"},
 		{"one level", []privehd.Option{privehd.WithLevels(1)}, "WithLevels"},
 		{"negative features", []privehd.Option{privehd.WithFeatures(-3)}, "WithFeatures"},
 		{"negative classes", []privehd.Option{privehd.WithClasses(-1)}, "WithClasses"},
@@ -184,6 +185,14 @@ func TestTrainPredictEvaluate(t *testing.T) {
 	if _, err := pipe.PredictBatch([][]float64{{0.1}}); err == nil {
 		t.Error("PredictBatch with wrong width should fail")
 	}
+	// Samples of another width than WithFeatures pinned are refused.
+	pinned, err := privehd.New(privehd.WithFeatures(3), privehd.WithDim(512), privehd.WithLevels(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pinned.Train(X, y); err == nil {
+		t.Error("Train with samples wider than WithFeatures should fail")
+	}
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -263,6 +272,28 @@ func TestCalibration(t *testing.T) {
 	noEps, _ := privehd.New(privehd.WithFeatures(100))
 	if _, err := noEps.Calibration(); err == nil {
 		t.Error("Calibration without a budget should fail")
+	}
+}
+
+// TestCalibrationMatchesTrainedReport pins the one sensitivity rule: for
+// every paper quantizer and for "full", pruned and unpruned, the
+// calibration computed before training equals, bit for bit, the report of
+// the private pipeline it describes.
+func TestCalibrationMatchesTrainedReport(t *testing.T) {
+	for _, q := range []string{"bipolar", "ternary", "ternary-biased", "2bit", "full"} {
+		for _, keep := range []int{0, 300} {
+			p, _, _ := toyPipeline(t, privehd.WithQuantizer(q), privehd.WithPruning(keep),
+				privehd.WithNoise(2, 1e-5))
+			cal, err := p.Calibration()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := p.Report()
+			if !r.Private || cal.Sensitivity != r.Sensitivity || cal.SigmaFactor != r.SigmaFactor ||
+				cal.NoiseStd != r.NoiseStd || cal.KeptDims != r.KeptDims {
+				t.Errorf("%s keep=%d: calibration %+v, trained report %+v", q, keep, cal, r)
+			}
+		}
 	}
 }
 

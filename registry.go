@@ -84,11 +84,10 @@ func modelInfosFromListings(listings []offload.ModelListing) []ModelInfo {
 func pipelineEntry(p *Pipeline) (*hdc.Model, registry.EncoderInfo, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	cp, err := p.trained()
-	if err != nil {
-		return nil, registry.EncoderInfo{}, err
+	if p.model == nil {
+		return nil, registry.EncoderInfo{}, ErrNotTrained
 	}
-	return cp.Model(), registry.EncoderInfo{
+	return p.model, registry.EncoderInfo{
 		Encoding: int(p.cfg.encoding),
 		Levels:   p.cfg.levels,
 		Features: p.cfg.features,
