@@ -192,8 +192,9 @@
 // over the item memory across several rows (training, PredictBatch). Scoring consumes the query's two
 // bit-planes against class planes derived once per model publication:
 // classes that fit int8 (every served model) become two's-complement
-// bit-planes scored by AND and popcount against the query's planes;
-// wider ones become blocks of 256 dimensions in int16 or int32, scored by
+// bit-planes scored by AND and popcount against the query's planes,
+// eight words per step with VPOPCNTQ where the CPU has AVX-512 VPOPCNTDQ
+// and in pure Go elsewhere or under the purego build tag; wider ones become blocks of 256 dimensions in int16 or int32, scored by
 // one dense and one gather kernel, each generic over that width — no
 // float64 expansion, no float dot, no per-query heap
 // allocation, and bit-identical results to the float reference path at

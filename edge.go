@@ -180,7 +180,7 @@ func (e *Edge) preparePackedInto(x []float64, dst intscore.Planes) {
 
 // PrepareBatch obfuscates a batch of inputs in parallel.
 func (e *Edge) PrepareBatch(X [][]float64) ([][]float64, error) {
-	if err := e.checkBatch(X); err != nil {
+	if err := checkRows("PrepareBatch", X, e.cfg.features); err != nil {
 		return nil, err
 	}
 	out := make([][]float64, len(X))
@@ -188,16 +188,6 @@ func (e *Edge) PrepareBatch(X [][]float64) ([][]float64, error) {
 		out[i] = e.prepare(X[i])
 	})
 	return out, nil
-}
-
-func (e *Edge) checkBatch(X [][]float64) error {
-	for i, x := range X {
-		if len(x) != e.cfg.features {
-			return fmt.Errorf("privehd: PrepareBatch sample %d has %d features, edge encodes %d",
-				i, len(x), e.cfg.features)
-		}
-	}
-	return nil
 }
 
 // query prepares one input in its wire form: on a quantizing edge the
@@ -220,7 +210,7 @@ func (e *Edge) query(x []float64) (offload.Query, error) {
 // queries is query over a batch, prepared in parallel; the packed queries'
 // planes share one allocation.
 func (e *Edge) queries(X [][]float64) ([]offload.Query, error) {
-	if err := e.checkBatch(X); err != nil {
+	if err := checkRows("PrepareBatch", X, e.cfg.features); err != nil {
 		return nil, err
 	}
 	qs := make([]offload.Query, len(X))

@@ -36,7 +36,8 @@
 // # Kernels
 //
 // The accumulation runs on one of three kernels, picked once at package
-// init from CPUID and the register state the OS saves (XGETBV):
+// init from what internal/cpu reports of CPUID and the register state the
+// OS saves (XGETBV):
 //
 //   - AVX-512F: a group's eight columns in one ZMM register per slice, a
 //     carry-save adder as one VPTERNLOGQ majority (0xE8) and one sum

@@ -41,7 +41,7 @@ func benchSetup() (*intscore.Engine, []int8) {
 // int8 adapter, which splits the query into planes first, and every other
 // row the planes entry the server scores with. The per-width ones time
 // each kernel at each plane width, and the paper ones the served models'
-// geometry.
+// geometry, the last of them the partial sums a shard replica returns.
 func BenchmarkScoresPacked(b *testing.B) {
 	e, q := benchSetup()
 	out := make([]float64, e.NumClasses())
@@ -126,4 +126,30 @@ func BenchmarkScoresPacked(b *testing.B) {
 			}
 		})
 	}
+
+	// A model served on two dimension shards at D = 10 000: each replica
+	// scores its 5 000-dimension slice of a half-masked query to partial
+	// sums.
+	const sliceDim = 5000
+	for l := range raw {
+		raw[l] = make([]float64, sliceDim)
+		for i := range raw[l] {
+			raw[l][i] = float64(rng.Intn(63) - 31)
+		}
+	}
+	se := intscore.Prepare(raw)
+	sq := make([]int8, sliceDim)
+	for i := range sq {
+		sq[i] = int8(2*rng.Intn(2) - 1)
+	}
+	for _, i := range rng.Perm(sliceDim)[:sliceDim/2] {
+		sq[i] = 0
+	}
+	psq, partials := intscore.Split(sq), make([]int64, se.NumClasses())
+	b.Run("paper-partials-d5k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			se.PartialsInto(psq, partials)
+		}
+	})
 }

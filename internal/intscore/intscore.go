@@ -23,16 +23,22 @@
 // B = bits.Len(max|v|)+1 two's-complement bit-planes, and the kernel sums
 // popcnt(lo ∧ C_b) − 2·popcnt(hi ∧ C_b) at each plane's weight (2^b, and
 // −2^(B−1) for the top plane). Its cost does not depend on the query's
-// zero fraction. Wider classes (fixed-point ones are int32) are laid out
-// as cache-blocked int16 or int32 panels of 256 dimensions, with two
-// kernels written once and instantiated per width: a dense 4-class-wide
-// int64 multiply-accumulate for zero-poor (bipolar) queries, which expands
-// one block of the planes to int8 symbols at a time, and a
-// multiplication-free gather for zero-rich ones (ternary, biased ternary,
-// 2-bit, masked), which walks the set bits of lo∧¬hi, lo∧hi and hi∧¬lo.
-// Each query takes whichever suits it. The popcount kernel's cost grows
-// with B, so at these widths it would lose to them. Integer sums are
-// exact, so no choice ever changes a score bit.
+// zero fraction. The bit-plane kernel is picked once at init: on amd64
+// CPUs with AVX-512 VPOPCNTDQ (and OS-saved ZMM state) an assembly one
+// that reads eight words of the query's planes at a time and keeps each
+// class plane's popcounts in ZMM registers, and otherwise, as under the
+// purego tag and off amd64, a pure-Go loop of bits.OnesCount64. Wider
+// classes (fixed-point ones are int32) are laid out as cache-blocked int16
+// or int32 panels of 256 dimensions, with two kernels written once and
+// instantiated per width: a dense 4-class-wide int64 multiply-accumulate
+// for zero-poor (bipolar) queries, which expands one block of the planes
+// to int8 symbols at a time, and a multiplication-free gather for
+// zero-rich ones (ternary, biased ternary, 2-bit, masked), which walks the
+// set bits of lo∧¬hi, lo∧hi and hi∧¬lo.
+// Each query takes whichever suits it. The bit-plane kernel holds at most
+// eight planes, one per bit of int8, and its work grows with B, so these
+// widths keep the panels. Integer sums are exact, so no choice ever
+// changes a score bit.
 //
 // # Fidelity to the float path
 //
@@ -465,43 +471,13 @@ func newBitPlanes(classes [][]float64, b int) bitPlanes {
 // (§III-B2 / Table I): AND, then popcount. With s = lo − 2·hi, each class
 // plane c contributes popcnt(lo ∧ c) − 2·popcnt(hi ∧ c) at the plane's
 // weight. The sums are exact integers, and the cost does not depend on
-// the query's zero fraction. Planes go two at a time, so each query word
-// loaded feeds four popcounts; an odd last plane is paired with itself.
+// the query's zero fraction. Each class row is one call of the kernel
+// picked at init (see kern).
 func (bp bitPlanes) accumulate(q Planes, acc []int64, _ *engineScratch) {
-	ws := bp.words
-	lo, hi := q.Lo(), q.Hi()
-	stride := bp.b * ws
+	stride := bp.b * bp.words
 	for l := range acc {
-		row := bp.p[l*stride : (l+1)*stride]
-		var n [8]int // n[j] = Σ s·bit over plane j
-		j := 0
-		for ; j+2 <= bp.b; j += 2 {
-			n[j], n[j+1] = planeDot2(lo, hi, row[j*ws:(j+1)*ws], row[(j+1)*ws:(j+2)*ws])
-		}
-		if j < bp.b {
-			n[j], _ = planeDot2(lo, hi, row[j*ws:], row[j*ws:])
-		}
-		dot := -int64(n[bp.b-1]) << (bp.b - 1)
-		for j := 0; j < bp.b-1; j++ {
-			dot += int64(n[j]) << j
-		}
-		acc[l] += dot
+		acc[l] += kern.rowDot(q.Bits, bp.p[l*stride:(l+1)*stride:(l+1)*stride], bp.b)
 	}
-}
-
-// planeDot2 returns Σ s·c over two class planes c0 and c1:
-// popcnt(lo ∧ c) − 2·popcnt(hi ∧ c), word by word.
-func planeDot2(lo, hi, c0, c1 []uint64) (n0, n1 int) {
-	lo, hi, c1 = lo[:len(c0)], hi[:len(c0)], c1[:len(c0)]
-	var l0, h0, l1, h1 int
-	for w, x := range c0 {
-		l, h, y := lo[w], hi[w], c1[w]
-		l0 += bits.OnesCount64(l & x)
-		h0 += bits.OnesCount64(h & x)
-		l1 += bits.OnesCount64(l & y)
-		h1 += bits.OnesCount64(h & y)
-	}
-	return l0 - 2*h0, l1 - 2*h1
 }
 
 // lsbGather packs the low bit of each of a word's 8 bytes into one byte,

@@ -412,43 +412,56 @@ func TestZeroAllocScoring(t *testing.T) {
 }
 
 // FuzzScoresPacked fuzzes the packed alphabet against the float64-expansion
-// reference on three fixed integer models with one zero class each, one
-// per class width: int32 (|v| ≤ 2^20), int16 (|v| ≤ 2000) and int8
-// (|v| ≤ 31). Every input is scored on each through the planes entry and
-// the int8 adapter, so it reaches every kernel: on the int16 and int32
-// engines the all-±1 seed takes the dense one (expanding the planes a
-// block at a time) and the zero-rich seed the gather one (walking their
-// set bits); the int8 engine scores every input on its bit-planes. At dim
-// 97 the last query word is partial, and the dim is no multiple of 64.
+// reference on six fixed integer models with one zero class each, one per
+// class width and geometry: int32 (|v| ≤ 2^20), int16 (|v| ≤ 2000) and
+// int8 (|v| ≤ 31), at dims 97 and 600. Every input is scored on each
+// through the planes entry and the int8 adapter, so it reaches every
+// kernel: on the int16 and int32 engines the all-±1 seed takes the dense
+// one (expanding the planes a block at a time) and the zero-rich seed the
+// gather one (walking their set bits); the int8 engine scores every input
+// on its bit-planes. Each input runs once on every host kernel (the pick
+// only changes the bit-plane one). At dim 97 the last query word is
+// partial and a plane is two words, under one eight-word step of the
+// vector kernel; at dim 600 a plane is one whole step plus a tail of two
+// words, the last of them partial.
 func FuzzScoresPacked(f *testing.F) {
-	const dim = 97
+	type model struct {
+		classes [][]float64
+		e       *intscore.Engine
+	}
 	rng := rand.New(rand.NewSource(8))
-	wide := randIntClasses(rng, 4, dim, 2000, true)
-	narrow := randIntClasses(rng, 4, dim, 31, true)
-	widest := randIntClasses(rng, 4, dim, 1<<20, true)
-	models := [][][]float64{wide, narrow, widest}
-	engines := make([]*intscore.Engine, len(models))
-	for k, m := range models {
-		engines[k] = intscore.Prepare(m)
+	var models []model
+	for _, dim := range []int{97, 600} {
+		for _, mag := range []int64{2000, 31, 1 << 20} {
+			c := randIntClasses(rng, 4, dim, mag, true)
+			models = append(models, model{c, intscore.Prepare(c)})
+		}
 	}
 	f.Add([]byte{0, 1, 2, 3, 255})
-	f.Add(make([]byte, dim))
+	f.Add(make([]byte, 600))
 	f.Add([]byte{1, 3, 3, 1, 3})    // −1/+1 only: dense
 	f.Add([]byte{2, 2, 0, 2, 1, 3}) // half zeros: gather
 	f.Fuzz(func(t *testing.T, data []byte) {
-		q := make([]int8, dim)
-		for i := range q {
-			var b byte
-			if len(data) > 0 {
-				b = data[i%len(data)]
+		for _, m := range models {
+			dim := m.e.Dim()
+			q := make([]int8, dim)
+			for i := range q {
+				var b byte
+				if len(data) > 0 {
+					b = data[i%len(data)]
+				}
+				q[i] = int8(b%4) - 2 // map every byte into −2…+1
 			}
-			q[i] = int8(b%4) - 2 // map every byte into −2…+1
-		}
-		pq := intscore.Split(q)
-		for k, e := range engines {
-			want := refScores(models[k], q)
-			checkClose(t, e.ScoresInto(pq, make([]float64, len(models[k]))), want)
-			checkClose(t, e.ScoresPackedInto(q, make([]float64, len(models[k]))), want)
+			pq := intscore.Split(q)
+			want := refScores(m.classes, q)
+			for _, k := range intscore.KernelNames() {
+				restore := intscore.UseKernel(k)
+				got := m.e.ScoresInto(pq, make([]float64, len(m.classes)))
+				gotPacked := m.e.ScoresPackedInto(q, make([]float64, len(m.classes)))
+				restore()
+				checkClose(t, got, want)
+				checkClose(t, gotPacked, want)
+			}
 		}
 	})
 }

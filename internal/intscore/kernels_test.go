@@ -135,3 +135,14 @@ func testBitPlanes(t *testing.T, rng *rand.Rand) {
 		}
 	}
 }
+
+func TestKernelDispatch(t *testing.T) {
+	ks := hostKernels()
+	if ks[0].name != "purego" {
+		t.Fatalf("first host kernel is %q, want purego", ks[0].name)
+	}
+	if kern.name != ks[len(ks)-1].name {
+		t.Fatalf("dispatched kernel %q, widest host kernel %q", kern.name, ks[len(ks)-1].name)
+	}
+	t.Logf("host kernels %v, dispatched %s", KernelNames(), kern.name)
+}

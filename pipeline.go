@@ -174,8 +174,8 @@ func (p *Pipeline) Train(X [][]float64, y []int) error {
 	if cfg.features == 0 {
 		cfg.features = len(X[0])
 	}
-	if len(X[0]) != cfg.features {
-		return fmt.Errorf("privehd: Train samples have %d features, model wants %d", len(X[0]), cfg.features)
+	if err := checkRows("Train", X, cfg.features); err != nil {
+		return err
 	}
 	enc, err := cfg.newEncoder()
 	if err != nil {
@@ -284,11 +284,8 @@ func (p *Pipeline) TrainOnline(X [][]float64, y []int) (float64, error) {
 	if model == nil && cfg.features == 0 {
 		cfg.features = len(X[0])
 	}
-	for i, x := range X {
-		if len(x) != cfg.features {
-			return 0, fmt.Errorf("privehd: TrainOnline sample %d has %d features, model wants %d",
-				i, len(x), cfg.features)
-		}
+	if err := checkRows("TrainOnline", X, cfg.features); err != nil {
+		return 0, err
 	}
 	if model == nil {
 		classes := cfg.labelSpace(y)
@@ -414,13 +411,21 @@ func (p *Pipeline) PredictBatch(X [][]float64) ([]int, error) {
 	if p.model == nil {
 		return nil, ErrNotTrained
 	}
-	for i, x := range X {
-		if len(x) != p.cfg.features {
-			return nil, fmt.Errorf("privehd: PredictBatch sample %d has %d features, model wants %d",
-				i, len(x), p.cfg.features)
-		}
+	if err := checkRows("PredictBatch", X, p.cfg.features); err != nil {
+		return nil, err
 	}
 	return p.predictBatch(X), nil
+}
+
+// checkRows returns an error naming the first sample of X that does not
+// have features features; op names the call.
+func checkRows(op string, X [][]float64, features int) error {
+	for i, x := range X {
+		if len(x) != features {
+			return fmt.Errorf("privehd: %s sample %d has %d features, want %d", op, i, len(x), features)
+		}
+	}
+	return nil
 }
 
 // predictBatch runs predict over every row, claimed off an atomic cursor,
@@ -488,6 +493,9 @@ func (p *Pipeline) Evaluate(X [][]float64, y []int) (float64, error) {
 	}
 	if len(X) == 0 {
 		return 0, nil
+	}
+	if err := checkRows("Evaluate", X, p.cfg.features); err != nil {
+		return 0, err
 	}
 	correct := 0
 	for i, label := range p.predictBatch(X) {

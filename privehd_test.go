@@ -195,6 +195,50 @@ func TestTrainPredictEvaluate(t *testing.T) {
 	}
 }
 
+// TestRaggedBatchRefused requires every batch entry point to refuse a
+// batch whose second row is narrower than the first with an error naming
+// that row, rather than panic inside the encoder.
+func TestRaggedBatchRefused(t *testing.T) {
+	pipe, X, y := toyPipeline(t)
+	ragged := [][]float64{X[0], X[1][:5], X[2]}
+	edge, err := pipe.Edge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func() *privehd.Pipeline {
+		p, err := privehd.New(privehd.WithDim(512), privehd.WithLevels(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	calls := map[string]func() error{
+		"Train": func() error { return fresh().Train(ragged, y[:3]) },
+		"TrainOnline": func() error {
+			_, err := fresh().TrainOnline(ragged, y[:3])
+			return err
+		},
+		"Evaluate": func() error {
+			_, err := pipe.Evaluate(ragged, y[:3])
+			return err
+		},
+		"PredictBatch": func() error {
+			_, err := pipe.PredictBatch(ragged)
+			return err
+		},
+		"PrepareBatch": func() error {
+			_, err := edge.PrepareBatch(ragged)
+			return err
+		},
+	}
+	for name, call := range calls {
+		want := "privehd: " + name + " sample 1 has 5 features"
+		if err := call(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s on a ragged batch: err = %v, want %q", name, err, want)
+		}
+	}
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	pipe, X, _ := toyPipeline(t,
 		privehd.WithQuantizer("ternary-biased"),
