@@ -15,6 +15,7 @@ import (
 
 	"privehd"
 
+	"privehd/internal/dataset"
 	"privehd/internal/experiments"
 )
 
@@ -363,6 +364,38 @@ func BenchmarkShardedPredict(b *testing.B) {
 		}
 	})
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+}
+
+// BenchmarkTrain measures Pipeline.Train at paper geometry: an isolet-s
+// task of 617 features × 26 classes with 24 training samples per class,
+// under the default configuration (level encoding, biased ternary, two
+// retraining epochs) at D = 4000 and 10 000. Training encodes on the fused
+// bit-sliced engine over WithWorkers goroutines (the default, every CPU),
+// then bundles and retrains. It reports no allocation count: that count
+// follows the worker count, so a strict gate on it would fail on a host
+// with another number of CPUs.
+func BenchmarkTrain(b *testing.B) {
+	data, err := dataset.Gaussian(dataset.GaussianSpec{
+		Name: "isolet-s", Features: 617, Classes: 26, TrainPer: 24, TestPer: 1,
+		Separation: 0.15, Noise: 0.25, ActiveFraction: 0.25,
+		ClusterSize: 2, IntraSeparation: 0.075, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, dim := range []int{4000, 10000} {
+		b.Run("d"+strconv.Itoa(dim), func(b *testing.B) {
+			pipe, err := privehd.New(privehd.WithDim(dim))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < b.N; i++ {
+				if err := pipe.Train(data.TrainX, data.TrainY); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkRemotePredict measures one caller's remote Predict at paper

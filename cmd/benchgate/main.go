@@ -24,7 +24,7 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'Scores|Predict|ServingThroughput|Encode|Observe|Trace' \
+//	go test -run '^$' -bench 'Scores|Predict|ServingThroughput|Encode|Observe|Trace|^BenchmarkTrain$' \
 //	    -benchtime=100ms -count=5 ./... | tee bench.txt
 //	go run ./cmd/benchgate -baseline BENCH_baseline.json -in bench.txt \
 //	    -out bench_results.json
@@ -304,7 +304,7 @@ func run() int {
 	}
 	cur := reduce(samples)
 	curDoc := Baseline{
-		Note:       "Medians of `go test -run '^$' -bench 'Scores|Predict|ServingThroughput|Encode|Observe|Trace' -benchtime=100ms -count=5 ./...`; refresh with `go run ./cmd/benchgate -in bench.txt -update`.",
+		Note:       "Medians of `go test -run '^$' -bench 'Scores|Predict|ServingThroughput|Encode|Observe|Trace|^BenchmarkTrain$' -benchtime=100ms -count=5 ./...`; refresh with `go run ./cmd/benchgate -in bench.txt -update`.",
 		Benchmarks: cur,
 	}
 	if *outPath != "" {

@@ -25,7 +25,12 @@
 // concept of differential privacy". The noise is scaled to the ℓ2
 // sensitivity of one encoding over the kept dimensions: Eq. 14 for a
 // quantized encoding, Eq. 12 for an unquantized one, the same rule
-// Pipeline.Calibration reports before any data is seen.
+// Pipeline.Calibration reports before any data is seen. With a paper
+// quantizer, Train and TrainOnline take the quantized encodings straight
+// from the fused bit-sliced engine (integer counts → cut point → bit-
+// planes, widened to the exact −2…+1 symbols), spread over WithWorkers
+// goroutines; no float encoding is formed. Only the full-precision
+// "full" scheme encodes in float.
 //
 // Fidelity note: the paper bounds the mechanism's ℓ2 sensitivity by the
 // norm of a single (quantized) encoding, treating the retrained model like

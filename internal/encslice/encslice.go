@@ -83,11 +83,21 @@
 // EncodePackedInto derives it straight from the integer numerators without
 // materializing a float hypervector, and writes it in the serving path's
 // one query form: two bit-planes of ⌈D/64⌉ words, lo then hi, with symbol
-// s = lo − 2·hi (the intscore.Planes layout). The quantizers' sign and
-// rank rules commute with the strictly monotone map n ↦ n/(ℓ−1) (distinct
-// integers in range never collide after the division), so ranking the
-// integers with the same tie-by-index order produces output bit-identical
-// to running quant.QuantizeInto on the float encoding.
+// s = lo − 2·hi (the intscore.Planes layout). The quantizers' sign tests
+// and cut points commute with the strictly monotone map n ↦ n/(ℓ−1)
+// (distinct integers in range never collide after the division), so
+// cutting the integers with the same tie-by-index rule produces output
+// bit-identical to running quant.QuantizeInto on the float encoding. A
+// ternary scheme's cut is the ⌊p₀·D⌋-th smallest |n| plus how many of its
+// ties to zero in index order; two-bit has three cuts on n. Each is found
+// by a counting histogram over the integer keys (one pass in level mode,
+// where |n| ≤ F) or a radix select over a wider range, and the planes are
+// then written a word at a time against the cuts.
+//
+// EncodeQuantizedBatchInto runs the same count → cut → planes step over a
+// batch of rows and widens each row's planes to float64 symbols: training
+// bundles those exact small integers, so a model trained on them is
+// bit-identical to one trained on the quantized float encodings.
 //
 // The level-mode bipolar query — the edge's 1-bit obfuscation — never forms
 // a count at all. Its sign is −1 exactly when F − 2·m < 0, that is when
@@ -112,8 +122,10 @@
 // it.
 //
 // Engines are immutable after construction and safe for concurrent use;
-// per-call working sets come from an internal sync.Pool, so the encoding
-// hot paths allocate nothing.
+// the per-query working sets come from an internal sync.Pool, so the
+// encoding hot paths allocate nothing. The batch path allocates its own
+// working set and drops it, so a trained engine that is discarded leaves
+// no pooled scratch pointing back at it.
 package encslice
 
 import (
@@ -137,7 +149,8 @@ const (
 	SchemeTernary
 	// SchemeBiasedTernary zeroes the ⌊D/2⌋ smallest-magnitude dimensions.
 	SchemeBiasedTernary
-	// SchemeTwoBit maps value-rank quartiles onto {−2,−1,0,+1}.
+	// SchemeTwoBit maps the quarters of the (value, index) order, split at
+	// three cut points, onto {−2,−1,0,+1}.
 	SchemeTwoBit
 )
 
@@ -178,12 +191,9 @@ type Engine struct {
 	scratch sync.Pool
 }
 
-// scratch is one call's pooled working set.
+// scratch is one call's working set.
 type scratch struct {
 	v     []int32  // per-dimension integer numerators
-	keys  []uint32 // radix-rank sort keys
-	idx   []int    // rank buffer for the fused quantizers
-	tmp   []int    // radix-rank scatter buffer
 	lists []uint16 // scalar: concatenated digit-group feature lists
 	off   []int    // scalar: maxBits+1 offsets into lists
 }
@@ -330,16 +340,25 @@ func (e *Engine) Word(level bool, i, w int) uint64 {
 	return word
 }
 
+// bound is the largest |numerator| an encoding can hold: F in level mode,
+// F·(ℓ−1) in scalar mode.
+func (e *Engine) bound() uint32 {
+	if e.scalar {
+		return uint32(e.features * (e.levels - 1))
+	}
+	return uint32(e.features)
+}
+
+// get takes a working set from the engine's pool; callers put it back.
 func (e *Engine) get() *scratch {
 	if s, ok := e.scratch.Get().(*scratch); ok {
 		return s
 	}
-	s := &scratch{
-		v:    make([]int32, e.dim),
-		keys: make([]uint32, e.dim),
-		idx:  make([]int, e.dim),
-		tmp:  make([]int, e.dim),
-	}
+	return e.newScratch()
+}
+
+func (e *Engine) newScratch() *scratch {
+	s := &scratch{v: make([]int32, e.dim)}
 	if e.scalar {
 		s.lists = make([]uint16, e.features*e.maxBits)
 		s.off = make([]int, e.maxBits+1)
@@ -446,16 +465,61 @@ func (e *Engine) EncodePackedInto(lvi []uint16, scheme Scheme, dst []uint64) {
 	if len(dst) != 2*e.words {
 		panic(fmt.Sprintf("encslice: EncodePackedInto buffer has %d words, want %d", len(dst), 2*e.words))
 	}
+	if scheme == SchemeBipolar && !e.scalar {
+		e.signInto(lvi, nil, dst[:e.words], dst[e.words:])
+		return
+	}
+	s := e.get()
+	e.encodePacked(lvi, scheme, dst, s)
+	e.scratch.Put(s)
+}
+
+// encodePacked is EncodePackedInto on the working set s, for checked
+// level indices and a buffer of 2·⌈Dim/64⌉ words.
+func (e *Engine) encodePacked(lvi []uint16, scheme Scheme, dst []uint64, s *scratch) {
 	lo, hi := dst[:e.words], dst[e.words:]
 	if scheme == SchemeBipolar && !e.scalar {
 		e.signInto(lvi, nil, lo, hi)
 		return
 	}
-	clear(dst)
-	s := e.get()
 	e.countsInto(lvi, s)
-	quantizeInts(s, scheme, lo, hi)
-	e.scratch.Put(s)
+	quantizeInts(s.v, e.bound(), scheme, lo, hi)
+}
+
+// EncodeQuantizedBatchInto is EncodePackedInto over `rows` queries with
+// the planes widened: lvi holds rows×Features level indices (row-major)
+// and h receives rows×Dim symbols (row-major), each row the −2…+1 symbols,
+// as float64, of the planes EncodePackedInto writes for it — bit-identical
+// to encoding with EncodeBatchInto and quantizing every row with the
+// corresponding quant scheme. Its working set is allocated by the call and
+// dropped with it, never taken from the engine's pool. It panics on
+// SchemeNone.
+func (e *Engine) EncodeQuantizedBatchInto(lvi []uint16, rows int, scheme Scheme, h []float64) {
+	if scheme == SchemeNone {
+		panic("encslice: EncodeQuantizedBatchInto needs a quantization scheme, got SchemeNone")
+	}
+	if rows <= 0 {
+		return
+	}
+	if len(lvi) != rows*e.features {
+		panic(fmt.Sprintf("encslice: batch has %d level indices, want %d×%d", len(lvi), rows, e.features))
+	}
+	if len(h) != rows*e.dim {
+		panic(fmt.Sprintf("encslice: batch buffer has %d values, want %d×%d", len(h), rows, e.dim))
+	}
+	F, dim := e.features, e.dim
+	s := e.newScratch()
+	planes := make([]uint64, 2*e.words)
+	lo, hi := planes[:e.words], planes[e.words:]
+	for r := 0; r < rows; r++ {
+		row := lvi[r*F : (r+1)*F]
+		e.checkLvi(row)
+		e.encodePacked(row, scheme, planes, s)
+		out := h[r*dim : (r+1)*dim]
+		for j := range out {
+			out[j] = float64(int(lo[j/64]>>(j%64)&1) - 2*int(hi[j/64]>>(j%64)&1))
+		}
+	}
 }
 
 // signInto writes the level-mode bipolar query straight off the counters,
@@ -661,128 +725,162 @@ func (e *Engine) countsScalar(lvi []uint16, s *scratch) {
 // maxLevelBits bounds maxBits: levels ≤ 2^16 ⇒ level indices have ≤ 16 bits.
 const maxLevelBits = 16
 
-// quantizeInts sets the planes' bits of the scheme's symbol for every
-// numerator (lo and hi start clear), mirroring quant.QuantizeInto on the
-// float encoding exactly: the numerator-to-float map is strictly monotone
-// (and zero-preserving), so sign tests and rank orders — including the
-// tie-by-index rule — coincide.
-func quantizeInts(s *scratch, scheme Scheme, lo, hi []uint64) {
-	v := s.v
-	set := func(i int, sym int8) {
-		lo[i/64] |= uint64(sym&1) << (i % 64)
-		hi[i/64] |= uint64(sym>>1&1) << (i % 64)
-	}
+// quantizeInts writes the scheme's −2…+1 symbol of every numerator in v
+// into the planes lo and hi (⌈len(v)/64⌉ words each), a word at a time,
+// overwriting every word and leaving the bits past len(v) clear. Every
+// |v[j]| is at most bound. It mirrors quant.QuantizeInto on the float
+// encoding exactly: the numerator-to-float map is strictly monotone and
+// zero-preserving, so the sign tests and the cut points, ties by index,
+// coincide.
+func quantizeInts(v []int32, bound uint32, scheme Scheme, lo, hi []uint64) {
 	switch scheme {
 	case SchemeBipolar:
-		for j, n := range v {
-			if n >= 0 {
-				set(j, 1)
-			} else {
-				set(j, -1)
+		for w := range lo {
+			var l, h uint64
+			for j, x := range v[64*w : min(64*w+64, len(v))] {
+				b := uint(j) & 63 // j < 64: no shift-range check
+				l |= 1 << b
+				h |= uint64(uint32(x)>>31) << b
 			}
+			lo[w], hi[w] = l, h
 		}
 	case SchemeTernary, SchemeBiasedTernary:
 		frac := 1.0 / 3.0
 		if scheme == SchemeBiasedTernary {
 			frac = 0.5
 		}
-		// Same expression as quant.ternaryQuantizeInto's zero count, so the
-		// split index matches bit for bit.
-		nz := int(frac * float64(len(v)))
-		idx := s.rankInts(true)
-		for r, i := range idx {
-			x := v[i]
-			switch {
-			case r < nz || x == 0:
-			case x > 0:
-				set(i, 1)
-			default:
-				set(i, -1)
+		// Same expression as quant's ternary zero count, so the cut takes
+		// the same dimensions bit for bit.
+		k := keyer{abs: true}
+		c := cutAt(v, int(frac*float64(len(v))), k, bound)
+		lim := max(c.t, 1) // a zero numerator always quantizes to 0
+		for w := range lo {
+			var l, h uint64
+			for j, x := range v[64*w : min(64*w+64, len(v))] {
+				b := uint(j) & 63 // j < 64: no shift-range check
+				key := k.of(x)
+				keep := bit(key >= lim)
+				if key == c.t && c.m > 0 {
+					c.m--
+					keep = 0
+				}
+				l |= keep << b
+				h |= keep & uint64(uint32(x)>>31) << b
 			}
+			lo[w], hi[w] = l, h
 		}
 	case SchemeTwoBit:
-		idx := s.rankInts(false)
+		// The element at position r of the (v, index) order gets symbol
+		// ⌊4r/D⌋ − 2, so the i-th cut takes the ⌈i·D/4⌉ first. Symbol
+		// s − 2 for s = 0…3 is lo = s&1, hi = s < 2.
+		k := keyer{base: -bound}
 		n := len(v)
-		symbols := [4]int8{-2, -1, 0, 1}
-		for r, i := range idx {
-			set(i, symbols[4*r/n])
+		var cuts [3]cut
+		for i := range cuts {
+			cuts[i] = cutAt(v, ((i+1)*n+3)/4, k, 2*bound)
+		}
+		for w := range lo {
+			var l, h uint64
+			for j, x := range v[64*w : min(64*w+64, len(v))] {
+				b := uint(j) & 63 // j < 64: no shift-range check
+				key, s := k.of(x), uint64(0)
+				for i := range cuts {
+					s += bit(!cuts[i].take(key))
+				}
+				l |= s & 1 << b
+				h |= bit(s < 2) << b
+			}
+			lo[w], hi[w] = l, h
 		}
 	default:
 		panic(fmt.Sprintf("encslice: unknown quantization scheme %d", scheme))
 	}
 }
 
-// radixBits is the LSD radix-rank digit width: 2^11 buckets keep the
-// histogram small while one pass covers the whole key range of a level-mode
-// encoding (|2·cnt − F| ≤ F).
-const radixBits = 11
+// bit is 1 for true and 0 for false, without a branch.
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
 
-// rankInts orders the numerators ascending — by |v| when byAbs, by value
-// otherwise — with ties broken by index, and returns the index permutation.
-// This is the same total order vecmath.AbsRankInto/RankInto impose on the
-// float encoding, computed by a stable LSD radix sort instead of a
-// comparison sort: keys are rebased to [0, max−min] so a level-mode query
-// sorts in a single counting pass, and stability preserves the ascending
-// index order within equal keys.
-func (s *scratch) rankInts(byAbs bool) []int {
-	v, keys := s.v, s.keys
-	var maxKey uint32
-	if byAbs {
-		for j, x := range v {
-			if x < 0 {
-				x = -x
-			}
-			k := uint32(x)
-			keys[j] = k
-			if k > maxKey {
-				maxKey = k
-			}
-		}
-	} else {
-		minV := v[0]
-		for _, x := range v {
-			if x < minV {
-				minV = x
-			}
-		}
-		for j, x := range v {
-			k := uint32(x - minV)
-			keys[j] = k
-			if k > maxKey {
-				maxKey = k
-			}
-		}
+// keyer maps a numerator to its select key: |x| when abs, else x − base
+// (base = −bound, so every key is in [0, 2·bound]), both as uint32.
+type keyer struct {
+	abs  bool
+	base uint32
+}
+
+func (k keyer) of(x int32) uint32 {
+	if k.abs {
+		m := x >> 31 // branch-free |x|: signs are data, not predictable
+		x = x ^ m - m
 	}
-	idx, tmp := s.idx, s.tmp
-	for i := range idx {
-		idx[i] = i
+	return uint32(x) - k.base
+}
+
+// cut is one cut point of the order (key, index): the c first numerators
+// of that order are every key below t and the first m keys equal to t, in
+// index order.
+type cut struct {
+	t uint32
+	m int
+}
+
+// take reports whether the next numerator in index order, whose key is k,
+// falls below the cut, consuming one of the cut's ties when k == t.
+func (c *cut) take(k uint32) bool {
+	if k == c.t && c.m > 0 {
+		c.m--
+		return true
 	}
-	var count [1 << radixBits]int32
-	for shift := 0; shift == 0 || maxKey>>shift > 0; shift += radixBits {
-		const mask = 1<<radixBits - 1
-		// On the most significant pass digits beyond the max are absent;
-		// earlier passes can see any digit.
-		hi := uint32(mask) + 1
-		if top := maxKey >> shift; top < mask {
-			hi = top + 1
-		}
-		for d := uint32(0); d < hi; d++ {
-			count[d] = 0
-		}
-		for _, i := range idx {
-			count[keys[i]>>shift&mask]++
-		}
-		var sum int32
-		for d := uint32(0); d < hi; d++ {
-			count[d], sum = sum, sum+count[d]
-		}
-		for _, i := range idx {
-			d := keys[i] >> shift & mask
-			tmp[count[d]] = i
-			count[d]++
-		}
-		idx, tmp = tmp, idx
+	return k < c.t
+}
+
+// histBits is the digit width of cutAt's select: a level-mode key range
+// (at most 2F + 1 keys, 1 235 at paper geometry) fits one digit, so the
+// select is one counting histogram.
+const histBits = 12
+
+// cutAt returns the cut that takes the c first numerators of v in the
+// (key, index) order, for keys at most top. It is an exact select: a
+// counting histogram over the keys when top fits histBits, otherwise a
+// most-significant-digit radix select, histBits a pass, each pass
+// counting only the keys that match the digits decided so far. c ≤ 0
+// takes nothing.
+func cutAt(v []int32, c int, k keyer, top uint32) cut {
+	if c <= 0 {
+		return cut{}
 	}
-	s.idx, s.tmp = idx, tmp
-	return idx
+	shift := 0
+	for top>>shift >= 1<<histBits {
+		shift += histBits
+	}
+	const mask = 1<<histBits - 1
+	var count [1 << histBits]int32
+	var t uint32 // the key bits decided so far
+	need := c    // how many of the keys matching t's decided bits to take
+	for first := true; shift >= 0; first, shift = false, shift-histBits {
+		sh := uint(shift) & 31
+		clear(count[:min(top>>sh, mask)+1])
+		if first {
+			for _, x := range v {
+				count[k.of(x)>>sh&mask]++
+			}
+		} else {
+			above := ^uint32(0) << (sh + histBits) // the digits decided so far
+			for _, x := range v {
+				if key := k.of(x); key&above == t {
+					count[key>>sh&mask]++
+				}
+			}
+		}
+		d := uint32(0)
+		for ; int(count[d]) < need; d++ {
+			need -= int(count[d])
+		}
+		t |= d << shift
+	}
+	return cut{t: t, m: need}
 }

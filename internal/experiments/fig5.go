@@ -36,9 +36,9 @@ func Fig5(r *Runner) ([]*Table, error) {
 	}
 
 	schemes := quant.Schemes()
-	// Pre-quantize at each dim (quantizers are rank-based per vector, so
-	// they must run on the sliced encodings, not slices of quantized
-	// MaxDim vectors).
+	// Pre-quantize at each dim (quantizers cut each vector at its own
+	// order statistics, so they must run on the sliced encodings, not
+	// slices of quantized MaxDim vectors).
 	for _, dim := range r.ctx.Dims {
 		trainDim := sliceDims(set.train, dim)
 		testDim := sliceDims(set.test, dim)

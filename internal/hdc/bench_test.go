@@ -118,7 +118,7 @@ func BenchmarkEncode(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			le.encodeRows(X, hb)
+			le.encodeRows(X, encslice.SchemeNone, hb)
 		}
 	})
 }

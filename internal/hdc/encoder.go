@@ -293,10 +293,12 @@ func (e *engineEncoder) EncodePackedInto(features []float64, scheme encslice.Sch
 }
 
 // encodeRows encodes len(X) feature rows into the contiguous buffer h
-// (len(X)×Dim) on the engine's batch kernel, which streams each
-// 64-dimension column of the item memory once for the whole chunk of rows.
-// It computes all level indices up front into pooled scratch.
-func (e *engineEncoder) encodeRows(X [][]float64, h []float64) {
+// (len(X)×Dim). With SchemeNone it writes the encodings on the engine's
+// batch kernel, which streams each 64-dimension column of the item memory
+// once for the whole chunk of rows; with a scheme it writes their
+// quantizations as −2…+1 symbols. It computes all level indices up front
+// into pooled scratch.
+func (e *engineEncoder) encodeRows(X [][]float64, scheme encslice.Scheme, h []float64) {
 	F := e.cfg.Features
 	p := getLvi(len(X) * F)
 	lvi := *p
@@ -306,7 +308,11 @@ func (e *engineEncoder) encodeRows(X [][]float64, h []float64) {
 		}
 		fillLvi(lvi[r*F:(r+1)*F], x, e.cfg.Levels)
 	}
-	e.engine.EncodeBatchInto(lvi, len(X), h)
+	if scheme == encslice.SchemeNone {
+		e.engine.EncodeBatchInto(lvi, len(X), h)
+	} else {
+		e.engine.EncodeQuantizedBatchInto(lvi, len(X), scheme, h)
+	}
 	putLvi(p)
 }
 
@@ -333,6 +339,26 @@ const encodeBatchChunk = 8
 // an atomic cursor and encode each on the bit-sliced engine's multi-row
 // kernel. Callers must not append to the returned rows.
 func EncodeBatch(enc Encoder, X [][]float64, workers int) [][]float64 {
+	return encodeBatch(enc, X, encslice.SchemeNone, workers)
+}
+
+// EncodeQuantizedBatch is EncodeBatch fused with quantization, the
+// training path's encoder: each row is the scheme's −2…+1 quantization of
+// its encoding, derived on the bit-sliced engine from the integer counts
+// (count → cut point → planes) and widened to float64. The values are
+// exact small integers, bit-identical to quantizing EncodeBatch's rows
+// with the corresponding quant scheme. Each chunk of rows encodes on an
+// engine working set of its own that it drops when done, so no pooled
+// scratch keeps the engine reachable after the call. It panics on
+// SchemeNone.
+func EncodeQuantizedBatch(enc Encoder, X [][]float64, scheme encslice.Scheme, workers int) [][]float64 {
+	if scheme == encslice.SchemeNone {
+		panic("hdc: EncodeQuantizedBatch needs a quantization scheme, got SchemeNone")
+	}
+	return encodeBatch(enc, X, scheme, workers)
+}
+
+func encodeBatch(enc Encoder, X [][]float64, scheme encslice.Scheme, workers int) [][]float64 {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -346,7 +372,7 @@ func EncodeBatch(enc Encoder, X [][]float64, workers int) [][]float64 {
 		out[i] = backing[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 	par.ForEachChunk(len(X), encodeBatchChunk, workers, func(start, end int) {
-		enc.encodeRows(X[start:end], backing[start*dim:end*dim])
+		enc.encodeRows(X[start:end], scheme, backing[start*dim:end*dim])
 	})
 	return out
 }

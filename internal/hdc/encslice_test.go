@@ -3,11 +3,14 @@ package hdc
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"privehd/internal/encslice"
 	"privehd/internal/hrand"
 	"privehd/internal/intscore"
+	"privehd/internal/quant"
 )
 
 // engineGeometries stresses the word tiling: dimensions around the 64-bit
@@ -223,5 +226,68 @@ func TestEncodersRefuseGeometryBeyondEngine(t *testing.T) {
 				t.Fatalf("%d features, %d levels: err = %v, want ErrGeometry", tc.features, tc.levels, err)
 			}
 		})
+	}
+}
+
+// TestEncodeQuantizedBatchMatchesFloatChain checks the training path's
+// fused batch against the float chain it replaces — EncodeBatch, then the
+// quant scheme on every row — for every paper scheme, both encodings and
+// worker counts below and above the chunk count.
+func TestEncodeQuantizedBatchMatchesFloatChain(t *testing.T) {
+	schemes := []struct {
+		q      quant.Quantizer
+		scheme encslice.Scheme
+	}{
+		{quant.Bipolar{}, encslice.SchemeBipolar},
+		{quant.Ternary{}, encslice.SchemeTernary},
+		{quant.BiasedTernary{}, encslice.SchemeBiasedTernary},
+		{quant.TwoBit{}, encslice.SchemeTwoBit},
+	}
+	for _, cfg := range engineGeometries {
+		X := make([][]float64, 19)
+		for i := range X {
+			X[i] = engineInputs(cfg, i)
+		}
+		for name, enc := range map[string]Encoder{"level": mustLevel(t, cfg), "scalar": mustScalar(t, cfg)} {
+			floats := EncodeBatch(enc, X, 1)
+			for _, sc := range schemes {
+				want := quant.QuantizeBatch(sc.q, floats)
+				for _, workers := range []int{1, 3} {
+					got := EncodeQuantizedBatch(enc, X, sc.scheme, workers)
+					for i := range want {
+						for j := range want[i] {
+							if got[i][j] != want[i][j] {
+								t.Fatalf("%+v %s %s workers=%d row %d dim %d: fused %v, float chain %v",
+									cfg, name, sc.q.Name(), workers, i, j, got[i][j], want[i][j])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEncodeQuantizedBatchPoolsNothing checks that the training path
+// leaves no pooled scratch pointing at its engine: once the encoder is
+// dropped, a single GC cycle must find the engine unreachable. A used
+// sync.Pool inside the engine would keep it reachable through that cycle.
+func TestEncodeQuantizedBatchPoolsNothing(t *testing.T) {
+	cfg := Config{Dim: 1000, Features: 30, Levels: 20, Seed: 5}
+	X := make([][]float64, 20)
+	for i := range X {
+		X[i] = engineInputs(cfg, i)
+	}
+	freed := make(chan struct{})
+	func() {
+		le := mustLevel(t, cfg)
+		runtime.SetFinalizer(le.engine, func(*encslice.Engine) { close(freed) })
+		EncodeQuantizedBatch(le, X, encslice.SchemeBiasedTernary, 2)
+	}()
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the engine outlived one GC cycle after EncodeQuantizedBatch")
 	}
 }

@@ -105,8 +105,9 @@ type Encoder interface {
 	// NumFeatures returns the input dimensionality D_iv.
 	NumFeatures() int
 	// encodeRows encodes len(X) feature rows into the contiguous buffer h
-	// (len(X)×Dim) on the engine's multi-row kernel.
-	encodeRows(X [][]float64, h []float64)
+	// (len(X)×Dim) on the engine: the encodings under SchemeNone, else
+	// their quantizations for the scheme as −2…+1 symbols.
+	encodeRows(X [][]float64, scheme encslice.Scheme, h []float64)
 }
 
 // BaseProvider is implemented by encoders whose base hypervectors are

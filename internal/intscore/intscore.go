@@ -499,7 +499,7 @@ func spreadBits(b uint64) uint64 {
 }
 
 // accumulate picks the panel kernel for q by the non-zero count of its
-// first 512 dimensions (lo ∨ hi marks them) — rank-based quantization
+// first 512 dimensions (lo ∨ hi marks them) — cut-point quantization
 // scatters its zeros across positions, so a prefix is representative, and
 // the choice only affects speed, never the (exact) result. Queries with an
 // appreciable zero fraction — the paper's ternary, biased-ternary and

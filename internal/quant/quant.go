@@ -2,6 +2,13 @@
 // §III-B2 and the sensitivity analysis that motivates them (paper Eqs. 11,
 // 12 and 14).
 //
+// The ternary, biased-ternary and 2-bit schemes assign symbols by cut
+// point, ties by index: a scheme with occupancy p below a cut takes the
+// ⌊p·D⌋ (or ⌈k·D/4⌉) first dimensions of the (|h|, index) or (h, index)
+// order, found by an exact select rather than by sorting, so the design
+// occupancies hold exactly even on integer-valued encodings with many
+// ties.
+//
 // Per Eq. 13, quantization applies only to the final encoded hypervector:
 // the scalar-vector products and the accumulation stay full precision, and
 // the class hypervectors built from quantized encodings remain non-binary.
@@ -12,7 +19,7 @@ package quant
 
 import (
 	"fmt"
-	"sync"
+	"math"
 
 	"privehd/internal/vecmath"
 )
@@ -77,9 +84,10 @@ func (Bipolar) Probabilities() []float64 { return []float64{0.5, 0.5} }
 
 // Ternary quantizes onto {−1, 0, +1} with uniform occupancy p = 1/3 per
 // symbol: the ⌊D/3⌋ smallest-magnitude dimensions become 0, the rest keep
-// their sign. Rank-based assignment (instead of a fixed threshold) hits the
-// design occupancy exactly even on the discrete integer-valued encodings
-// Eq. 2b produces, which is what makes the Eq. 14 sensitivity tight.
+// their sign. The zeroed set is fixed by a cut point on |h|, ties by index
+// (instead of a fixed threshold), so it hits the design occupancy exactly
+// even on the discrete integer-valued encodings Eq. 2b produces, which is
+// what makes the Eq. 14 sensitivity tight.
 type Ternary struct{}
 
 // Name returns "ternary".
@@ -87,7 +95,9 @@ func (Ternary) Name() string { return "ternary" }
 
 // Quantize returns the ternary quantization of h.
 func (Ternary) Quantize(h []float64) []float64 {
-	return ternaryQuantize(h, 1.0/3.0)
+	out := make([]float64, len(h))
+	ternaryQuantizeInto(out, h, 1.0/3.0)
+	return out
 }
 
 // Alphabet returns {−1, 0, +1}.
@@ -99,7 +109,8 @@ func (Ternary) Probabilities() []float64 { return []float64{1. / 3, 1. / 3, 1. /
 // BiasedTernary is the paper's "ternary (biased)" scheme: the quantization
 // threshold is chosen so p_0 = 1/2 and p_{−1} = p_{+1} = 1/4, trading a
 // denser zero symbol for a 0.87× lower sensitivity at equal dimension
-// (paper §III-B2, Fig. 5b).
+// (paper §III-B2, Fig. 5b). Its cut point is the median of |h|, ties by
+// index.
 type BiasedTernary struct{}
 
 // Name returns "ternary-biased".
@@ -107,7 +118,9 @@ func (BiasedTernary) Name() string { return "ternary-biased" }
 
 // Quantize returns the biased ternary quantization of h.
 func (BiasedTernary) Quantize(h []float64) []float64 {
-	return ternaryQuantize(h, 0.5)
+	out := make([]float64, len(h))
+	ternaryQuantizeInto(out, h, 0.5)
+	return out
 }
 
 // Alphabet returns {−1, 0, +1}.
@@ -116,27 +129,16 @@ func (BiasedTernary) Alphabet() []float64 { return []float64{-1, 0, 1} }
 // Probabilities returns {1/4, 1/2, 1/4}.
 func (BiasedTernary) Probabilities() []float64 { return []float64{0.25, 0.5, 0.25} }
 
-// ternaryQuantize zeroes the ⌊zeroFraction·D⌋ smallest-magnitude
-// dimensions (ties resolved by index, making the map deterministic) and
-// maps the rest to their sign. Exact zeros always stay zero.
-func ternaryQuantize(h []float64, zeroFraction float64) []float64 {
-	out := make([]float64, len(h))
-	if len(h) == 0 {
-		return out
-	}
-	ternaryQuantizeInto(out, h, zeroFraction, vecmath.AbsRank(h))
-	return out
-}
-
-// ternaryQuantizeInto writes the ternary quantization of h into out using a
-// precomputed |h| rank. out may alias h: every index is read before it is
-// written.
-func ternaryQuantizeInto(out, h []float64, zeroFraction float64, rank []int) {
-	nz := int(zeroFraction * float64(len(h)))
-	for r, i := range rank {
-		x := h[i]
+// ternaryQuantizeInto zeroes the ⌊zeroFraction·D⌋ smallest-magnitude
+// dimensions of h (ties by index, making the map deterministic) and maps
+// the rest to their sign, writing into out. Exact zeros always stay zero.
+// out may alias h: the cut is found before any write, and every index is
+// read before it is written.
+func ternaryQuantizeInto(out, h []float64, zeroFraction float64) {
+	c := cutAt(h, int(zeroFraction*float64(len(h))), true)
+	for i, x := range h {
 		switch {
-		case r < nz || x == 0:
+		case c.take(key(x, true)) || x == 0:
 			out[i] = 0
 		case x > 0:
 			out[i] = 1
@@ -147,8 +149,9 @@ func ternaryQuantizeInto(out, h []float64, zeroFraction float64, rank []int) {
 }
 
 // TwoBit quantizes onto the paper's 2-bit alphabet {−2, −1, 0, +1} with
-// uniform occupancy p = 1/4 per symbol: rank-based quartile assignment,
-// lowest quarter → −2, then −1, then 0, top quarter → +1.
+// uniform occupancy p = 1/4 per symbol: three cut points on h, ties by
+// index, split it into quarters, lowest quarter → −2, then −1, then 0, top
+// quarter → +1.
 type TwoBit struct{}
 
 // Name returns "2bit".
@@ -157,15 +160,7 @@ func (TwoBit) Name() string { return "2bit" }
 // Quantize returns the 2-bit quantization of h.
 func (TwoBit) Quantize(h []float64) []float64 {
 	out := make([]float64, len(h))
-	n := len(h)
-	if n == 0 {
-		return out
-	}
-	rank := vecmath.Rank(h)
-	symbols := [4]float64{-2, -1, 0, 1}
-	for r, i := range rank {
-		out[i] = symbols[4*r/n]
-	}
+	twoBitQuantizeInto(out, h)
 	return out
 }
 
@@ -175,32 +170,97 @@ func (TwoBit) Alphabet() []float64 { return []float64{-2, -1, 0, 1} }
 // Probabilities returns {1/4, 1/4, 1/4, 1/4}.
 func (TwoBit) Probabilities() []float64 { return []float64{0.25, 0.25, 0.25, 0.25} }
 
-// rankPool recycles the index scratch the rank-based schemes need, so the
-// per-query QuantizeInto path allocates nothing. Pointers to slices are
-// pooled (and threaded through put) to avoid re-boxing the header per use.
-var rankPool = sync.Pool{}
-
-func getRank(n int) *[]int {
-	if p, ok := rankPool.Get().(*[]int); ok && cap(*p) >= n {
-		*p = (*p)[:n]
-		return p
+// twoBitQuantizeInto writes the 2-bit quantization of h into out: the
+// element at position r of the (h, index) order gets symbol ⌊4r/D⌋ − 2, so
+// the k-th cut takes the ⌈k·D/4⌉ first. out may alias h.
+func twoBitQuantizeInto(out, h []float64) {
+	n := len(h)
+	var cuts [3]cut
+	for k := range cuts {
+		cuts[k] = cutAt(h, ((k+1)*n+3)/4, false)
 	}
-	s := make([]int, n)
-	return &s
+	for i, x := range h {
+		k, sym := key(x, false), -2.0
+		for j := range cuts {
+			if !cuts[j].take(k) {
+				sym++
+			}
+		}
+		out[i] = sym
+	}
 }
 
-func putRank(p *[]int) { rankPool.Put(p) }
+// cut is one cut point of the order (key, index): the c first elements of
+// that order are every key below t and the first m keys equal to t, in
+// index order.
+type cut struct {
+	t uint64
+	m int
+}
+
+// take reports whether the next element in index order, whose key is k,
+// falls below the cut, consuming one of the cut's ties when k == t.
+// Elements must be offered in index order, each once.
+func (c *cut) take(k uint64) bool {
+	if k == c.t && c.m > 0 {
+		c.m--
+		return true
+	}
+	return k < c.t
+}
+
+// key maps x to a uint64 whose unsigned order is the order of |x| (abs) or
+// of x: the bits of a non-negative float order like its value, and
+// flipping them (negative) or setting the sign bit (non-negative) orders
+// every float. −0 keys as +0, so the two tie like the values do.
+func key(x float64, abs bool) uint64 {
+	if x == 0 {
+		x = 0
+	}
+	if abs {
+		return math.Float64bits(math.Abs(x))
+	}
+	b := math.Float64bits(x)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// cutAt returns the cut that takes the c first elements of h in the
+// (key, index) order, by an exact select: a most-significant-digit radix
+// select over the keys, eight bits a pass, which reads h without copying
+// it or allocating. c ≤ 0 takes nothing.
+func cutAt(h []float64, c int, abs bool) cut {
+	if c <= 0 {
+		return cut{}
+	}
+	const digit, mask = 8, 1<<8 - 1
+	var t uint64 // the key bits decided so far
+	need := c    // how many of the keys matching t's decided bits to take
+	for shift := 64 - digit; shift >= 0; shift -= digit {
+		var count [1 << digit]int
+		for _, x := range h {
+			if k := key(x, abs); k>>(shift+digit) == t>>(shift+digit) {
+				count[k>>shift&mask]++
+			}
+		}
+		d := 0
+		for ; count[d] < need; d++ {
+			need -= count[d]
+		}
+		t |= uint64(d) << shift
+	}
+	return cut{t: t, m: need}
+}
 
 // QuantizeInto writes the quantization of h into dst (which must have
 // length len(h)) without allocating — the serving hot path's form of
-// Quantize. dst may alias h. The paper schemes quantize with pooled rank
-// scratch; unknown Quantizer implementations fall back to Quantize + copy.
+// Quantize. dst may alias h. Unknown Quantizer implementations fall back
+// to Quantize + copy.
 func QuantizeInto(q Quantizer, dst, h []float64) {
 	if len(dst) != len(h) {
 		panic(fmt.Sprintf("quant: QuantizeInto dst has len %d, h %d", len(dst), len(h)))
-	}
-	if len(h) == 0 {
-		return
 	}
 	switch q := q.(type) {
 	case Identity:
@@ -214,21 +274,11 @@ func QuantizeInto(q Quantizer, dst, h []float64) {
 			}
 		}
 	case Ternary:
-		rank := getRank(len(h))
-		ternaryQuantizeInto(dst, h, 1.0/3.0, vecmath.AbsRankInto(h, *rank))
-		putRank(rank)
+		ternaryQuantizeInto(dst, h, 1.0/3.0)
 	case BiasedTernary:
-		rank := getRank(len(h))
-		ternaryQuantizeInto(dst, h, 0.5, vecmath.AbsRankInto(h, *rank))
-		putRank(rank)
+		ternaryQuantizeInto(dst, h, 0.5)
 	case TwoBit:
-		rank := getRank(len(h))
-		vecmath.RankInto(h, *rank)
-		symbols := [4]float64{-2, -1, 0, 1}
-		for r, i := range *rank {
-			dst[i] = symbols[4*r/len(h)]
-		}
-		putRank(rank)
+		twoBitQuantizeInto(dst, h)
 	default:
 		copy(dst, q.Quantize(h))
 	}

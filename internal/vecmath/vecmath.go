@@ -8,8 +8,10 @@
 package vecmath
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 )
 
 // ErrLength is returned by checked operations when two vectors that must
@@ -258,72 +260,12 @@ func siftDown(s []float64, root, n int) {
 // ordering used by model pruning: close-to-zero dimensions come first.
 // Ties order by index, so the result is deterministic.
 func AbsRank(v []float64) []int {
-	return AbsRankInto(v, make([]int, len(v)))
-}
-
-// AbsRankInto is AbsRank writing into a caller-provided index buffer of
-// len(v) — the allocation-free form for pooled hot paths.
-func AbsRankInto(v []float64, idx []int) []int {
-	return rankBy(v, idx, func(a, b int) bool {
-		av, bv := math.Abs(v[a]), math.Abs(v[b])
-		if av != bv {
-			return av < bv
-		}
-		return a < b
-	})
-}
-
-// Rank returns the indices of v ordered by ascending value, ties ordered by
-// index. Rank-based quantizers use it to hit exact symbol occupancies even
-// on discrete-valued inputs.
-func Rank(v []float64) []int {
-	return RankInto(v, make([]int, len(v)))
-}
-
-// RankInto is Rank writing into a caller-provided index buffer of len(v).
-func RankInto(v []float64, idx []int) []int {
-	return rankBy(v, idx, func(a, b int) bool {
-		if v[a] != v[b] {
-			return v[a] < v[b]
-		}
-		return a < b
-	})
-}
-
-// rankBy heapsorts the provided index buffer with the given strict ordering
-// on indices. idx must have length len(v).
-func rankBy(v []float64, idx []int, lessIdx func(a, b int) bool) []int {
-	if len(idx) != len(v) {
-		panic("vecmath: rank buffer length mismatch")
-	}
+	idx := make([]int, len(v))
 	for i := range idx {
 		idx[i] = i
 	}
-	n := len(idx)
-	less := func(a, b int) bool { return lessIdx(idx[a], idx[b]) }
-	var sift func(root, n int)
-	sift = func(root, n int) {
-		for {
-			child := 2*root + 1
-			if child >= n {
-				return
-			}
-			if child+1 < n && less(child, child+1) {
-				child++
-			}
-			if !less(root, child) {
-				return
-			}
-			idx[root], idx[child] = idx[child], idx[root]
-			root = child
-		}
-	}
-	for i := n/2 - 1; i >= 0; i-- {
-		sift(i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		idx[0], idx[i] = idx[i], idx[0]
-		sift(0, i)
-	}
+	slices.SortStableFunc(idx, func(a, b int) int {
+		return cmp.Compare(math.Abs(v[a]), math.Abs(v[b]))
+	})
 	return idx
 }

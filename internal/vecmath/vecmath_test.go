@@ -287,40 +287,19 @@ func TestAbsRank(t *testing.T) {
 	}
 }
 
-func TestRank(t *testing.T) {
-	v := []float64{3, -1, 2, -1}
-	got := Rank(v)
-	// Ties (-1 at indices 1 and 3) order by index.
-	want := []int{1, 3, 2, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Rank = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestRankOrdered(t *testing.T) {
+func TestAbsRankTiesByIndex(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 13))
 		n := 1 + rng.IntN(150)
 		v := make([]float64, n)
 		for i := range v {
-			v[i] = float64(rng.IntN(10)) // many ties
+			v[i] = float64(rng.IntN(9) - 4) // many ties, both signs
 		}
-		idx := Rank(v)
-		seen := make([]bool, n)
-		for _, i := range idx {
-			if seen[i] {
-				return false
-			}
-			seen[i] = true
-		}
+		idx := AbsRank(v)
 		for i := 1; i < n; i++ {
-			if v[idx[i-1]] > v[idx[i]] {
+			a, b := math.Abs(v[idx[i-1]]), math.Abs(v[idx[i]])
+			if a > b || a == b && idx[i-1] > idx[i] {
 				return false
-			}
-			if v[idx[i-1]] == v[idx[i]] && idx[i-1] > idx[i] {
-				return false // tie order must be by index
 			}
 		}
 		return true

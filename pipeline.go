@@ -127,6 +127,19 @@ func packedScheme(q quant.Quantizer) encslice.Scheme {
 	return encslice.SchemeNone
 }
 
+// encodeQuantized returns the quantized encodings training bundles, one
+// row per sample, spread over cfg.workers goroutines. A paper scheme takes
+// them from the bit-sliced engine's count → cut point → planes step,
+// widened to the exact −2…+1 symbols, so no float encoding is formed; a
+// quantizer without a packed form (Identity) encodes in float and
+// quantizes.
+func (cfg config) encodeQuantized(enc hdc.Encoder, X [][]float64) [][]float64 {
+	if scheme := packedScheme(cfg.quantizer); scheme != encslice.SchemeNone {
+		return hdc.EncodeQuantizedBatch(enc, X, scheme, cfg.workers)
+	}
+	return quant.QuantizeBatch(cfg.quantizer, hdc.EncodeBatch(enc, X, cfg.workers))
+}
+
 // install publishes a trained state under the write lock (or before the
 // pipeline is shared): it freezes the model's caches so concurrent
 // Predict calls are read-only, and resolves the fused scheme and the
@@ -181,7 +194,7 @@ func (p *Pipeline) Train(X [][]float64, y []int) error {
 	if err != nil {
 		return err
 	}
-	encoded := quant.QuantizeBatch(cfg.quantizer, hdc.EncodeBatch(enc, X, cfg.workers))
+	encoded := cfg.encodeQuantized(enc, X)
 	model, err := hdc.Train(encoded, y, cfg.labelSpace(y), cfg.dim)
 	if err != nil {
 		return err
@@ -301,7 +314,7 @@ func (p *Pipeline) TrainOnline(X [][]float64, y []int) (float64, error) {
 	} else {
 		model = model.Clone()
 	}
-	encoded := quant.QuantizeBatch(cfg.quantizer, hdc.EncodeBatch(enc, X, cfg.workers))
+	encoded := cfg.encodeQuantized(enc, X)
 	if p.mask != nil {
 		for _, h := range encoded {
 			p.mask.Apply(h)
